@@ -3,25 +3,28 @@
  * Shared helpers for the figure/table reproduction benches.
  *
  * Every bench binary reads RCACHE_INSTS (instructions per simulated
- * run; default 800000) and RCACHE_APPS (comma-separated subset of
+ * run; default 400000) and RCACHE_APPS (comma-separated subset of
  * profile names) from the environment so the full suite can be scaled
- * to the machine at hand; the engine-aware benches (fig4, fig9)
- * additionally honor RCACHE_SAMPLE (see benchEngine below). The paper ran 2 billion instructions per
- * data point on SimpleScalar; the shapes reported in EXPERIMENTS.md
- * are stable from a few hundred thousand instructions up.
+ * to the machine at hand. The scenario-backed benches (fig4, fig9)
+ * take their engine from the scenario's [engine] section: point
+ * RCACHE_SCENARIO_DIR at a copy with one for sampled or analytic
+ * tables. The paper ran 2 billion instructions per data point on
+ * SimpleScalar; the shapes reported in EXPERIMENTS.md are stable from
+ * a few hundred thousand instructions up.
  */
 
 #ifndef RCACHE_BENCH_COMMON_HH
 #define RCACHE_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/sweep_runner.hh"
+#include "scenario/cell_eval.hh"
 #include "scenario/param_space.hh"
 #include "scenario/scenario_spec.hh"
 #include "sim/experiment.hh"
@@ -38,15 +41,6 @@ runInsts()
     if (const char *env = std::getenv("RCACHE_INSTS"))
         return std::strtoull(env, nullptr, 10);
     return 400000;
-}
-
-/** Instructions per run: RCACHE_INSTS overrides the scenario's. */
-inline std::uint64_t
-runInsts(const ScenarioSpec &spec)
-{
-    if (const char *env = std::getenv("RCACHE_INSTS"))
-        return std::strtoull(env, nullptr, 10);
-    return spec.insts;
 }
 
 /**
@@ -66,33 +60,6 @@ scenarioDir()
 #endif
 }
 
-/** Load and fully validate scenarios/@p name; fatal with the
- *  parser/registry diagnostic on any error. */
-inline ScenarioSpec
-loadScenario(const std::string &name)
-{
-    const std::string path = scenarioDir() + "/" + name;
-    std::string err;
-    auto spec = ScenarioSpec::parseFile(path, &err);
-    if (!spec)
-        rc_fatal(err);
-    if (!ParamSpace::build(*spec, &err))
-        rc_fatal(path + ": " + err);
-    return *spec;
-}
-
-/** The named axis of @p spec; fatal if the scenario lacks it (the
- *  figure benches are shaped around specific axes). */
-inline const Axis &
-requireAxis(const ScenarioSpec &spec, const std::string &name)
-{
-    for (const Axis &axis : spec.axes)
-        if (axis.name == name)
-            return axis;
-    rc_fatal("scenario '" + spec.name + "' lacks the '" + name +
-             "' axis this bench renders");
-}
-
 /** Sweep-runner worker threads (RCACHE_JOBS; default 1 = serial,
  *  0 = hardware concurrency). Results are identical either way. */
 inline unsigned
@@ -101,53 +68,6 @@ benchJobs()
     if (const char *env = std::getenv("RCACHE_JOBS"))
         return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
     return 1;
-}
-
-/**
- * Engine selection from RCACHE_SAMPLE=interval[,detail[,warmup]]
- * (instructions; unset, empty, or a 0 interval = the full-detail
- * engine; detail defaults to interval/10, warmup to interval/5).
- * Sampled bench tables are comparable across RCACHE_JOBS values but
- * NOT against full-detail tables — see the README's Engines section.
- */
-inline EngineSpec
-benchEngine()
-{
-    const char *env = std::getenv("RCACHE_SAMPLE");
-    if (!env || !*env)
-        return {};
-    const std::string text = env;
-    std::uint64_t v[3] = {0, 0, 0};
-    int given = 0;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t parsed =
-            std::strtoull(item.c_str(), &end, 10);
-        if (given >= 3 || item.empty() || *end != '\0' ||
-            errno == ERANGE || item[0] == '-') {
-            rc_fatal("RCACHE_SAMPLE wants "
-                     "interval[,detail[,warmup]] in instructions, "
-                     "got '" +
-                     text + "'");
-        }
-        v[given++] = parsed;
-    }
-    const std::uint64_t interval = v[0];
-    if (interval == 0)
-        return {};
-    const std::uint64_t detail =
-        given >= 2 ? v[1] : SamplingConfig::defaultDetail(interval);
-    const std::uint64_t warmup =
-        given >= 3 ? v[2] : SamplingConfig::defaultWarmup(interval);
-    if (const char *err =
-            SamplingConfig::shapeError(interval, detail, warmup)) {
-        rc_fatal("RCACHE_SAMPLE: " + std::string(err) + " (got '" +
-                 text + "')");
-    }
-    return EngineSpec::makeSampled(interval, detail, warmup);
 }
 
 /** Profiles to run (RCACHE_APPS=ammp,gcc,... or the full suite). */
@@ -165,17 +85,60 @@ suite()
     return out;
 }
 
-/** Profiles to run: RCACHE_APPS overrides the scenario's
- *  [workloads] list. */
-inline std::vector<BenchmarkProfile>
-suite(const ScenarioSpec &spec)
+/** A scenario's cells, evaluated (see evaluateScenario). */
+struct ScenarioResult
 {
-    if (std::getenv("RCACHE_APPS") || spec.apps.empty())
-        return suite();
-    std::vector<BenchmarkProfile> out;
-    for (const std::string &name : spec.apps)
-        out.push_back(profileByName(name));
-    return out;
+    /** The scenario as evaluated (environment overrides applied). */
+    ScenarioSpec spec;
+    /** Design points per app. */
+    std::size_t points = 0;
+    /** One row per cell, app-major. */
+    std::vector<SweepRecord> rows;
+
+    std::size_t apps() const { return rows.size() / points; }
+    /** App @p app's row at design point @p point. */
+    const SweepRecord &at(std::size_t app, std::size_t point) const
+    {
+        return rows[app * points + point];
+    }
+};
+
+/**
+ * Evaluate every cell of scenarios/@p name through the one
+ * cell-evaluation path (scenario/cell_eval.hh) on RCACHE_JOBS
+ * workers; fatal with the parser/registry diagnostic on a bad file.
+ * RCACHE_APPS and RCACHE_INSTS override the scenario's [workloads]
+ * list and insts; the engine is the scenario's own.
+ */
+inline ScenarioResult
+evaluateScenario(const std::string &name)
+{
+    const std::string path = scenarioDir() + "/" + name;
+    ScenarioResult r;
+    std::string err;
+    auto spec = ScenarioSpec::parseFile(path, &err);
+    if (!spec)
+        rc_fatal(err);
+    r.spec = *spec;
+    if (const char *env = std::getenv("RCACHE_APPS")) {
+        r.spec.apps.clear();
+        std::stringstream ss(env);
+        for (std::string app; std::getline(ss, app, ',');)
+            r.spec.apps.push_back(app);
+    }
+    if (const char *env = std::getenv("RCACHE_INSTS"))
+        r.spec.insts = std::strtoull(env, nullptr, 10);
+    const auto space = ParamSpace::build(r.spec, &err);
+    if (!space)
+        rc_fatal(path + ": " + err);
+    const std::vector<AppEntry> apps = resolveApps(r.spec, &err);
+    if (apps.empty())
+        rc_fatal(err);
+    r.points = space->numPoints();
+    std::vector<std::size_t> cells(apps.size() * r.points);
+    std::iota(cells.begin(), cells.end(), 0);
+    r.rows = evaluateCells(*space, apps, cells, benchJobs());
+    return r;
 }
 
 /** Base config with the L1 associativity swapped (32K total kept). */
@@ -188,21 +151,18 @@ baseWithAssoc(unsigned assoc)
     return cfg;
 }
 
-/** Print the standard bench banner. */
+/** Print the standard bench banner; a non-default @p engine gets a
+ *  line of its own. */
 inline void
-banner(const std::string &what, const std::string &paper_ref)
+banner(const std::string &what, const std::string &paper_ref,
+       std::uint64_t insts = runInsts(), const EngineSpec &engine = {})
 {
     std::cout << "=== " << what << " ===\n"
               << "reproduces: " << paper_ref << "\n"
-              << "instructions/run: " << runInsts() << "\n";
-    const EngineSpec e = benchEngine();
-    if (e.sampled()) {
-        std::cout << "engine: sampled, period "
-                  << e.sampling.intervalInsts << ", detail "
-                  << e.sampling.detailedInsts << ", warmup "
-                  << e.sampling.warmupInsts
+              << "instructions/run: " << insts << "\n";
+    if (engine.mode != EngineMode::Full)
+        std::cout << "engine: " << engineArg(engine)
                   << " (not comparable to full-detail tables)\n";
-    }
     std::cout << '\n';
 }
 

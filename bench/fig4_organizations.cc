@@ -14,11 +14,9 @@
  * averaging over the suite. `rcache-sim sweep --scenario
  * scenarios/fig4.scn` reports the same cells as CSV rows.
  *
- * Runs on the sweep runner: each (side, assoc) panel enumerates the
- * baseline plus both organizations' level sweeps for every app as
- * one flat batch, so RCACHE_JOBS>1 overlaps all of them; the
- * reductions read results in job order, keeping the table identical
- * to a serial run.
+ * The cells are evaluated through the same CellBatch path as the
+ * sweep (one batch, RCACHE_JOBS workers, baselines shared across the
+ * panels), so the table is identical for any RCACHE_JOBS value.
  */
 
 #include "bench/common.hh"
@@ -28,78 +26,39 @@ using namespace rcache;
 int
 main()
 {
+    const bench::ScenarioResult res = bench::evaluateScenario("fig4.scn");
+    const ScenarioSpec &spec = res.spec;
     bench::banner(
         "Figure 4: resizable cache organizations",
-        "Fig 4 (static selective-ways vs selective-sets, 2..16-way)");
+        "Fig 4 (static selective-ways vs selective-sets, 2..16-way)",
+        spec.insts, spec.engine);
 
-    const ScenarioSpec spec = bench::loadScenario("fig4.scn");
+    // Points are row-major over side x assoc x org, org innermost.
     rc_assert(spec.search.strategy == Strategy::Static);
-    const Axis &org_axis = bench::requireAxis(spec, "org");
-    rc_assert(org_axis.values ==
+    rc_assert(spec.axes.size() == 3 && spec.axes[0].name == "side" &&
+              spec.axes[1].name == "assoc" &&
+              spec.axes[2].name == "org");
+    rc_assert(spec.axes[2].values ==
               (std::vector<std::string>{"ways", "sets"}));
+    const std::vector<std::string> &sides = spec.axes[0].values;
+    const std::vector<std::string> &assocs = spec.axes[1].values;
 
-    const auto apps = bench::suite(spec);
-    const std::uint64_t insts = bench::runInsts(spec);
-    SweepRunner runner(bench::benchJobs());
-
-    for (const std::string &side_name :
-         bench::requireAxis(spec, "side").values) {
-        const CacheSide side = *parseSweepSideToken(side_name) ==
-                                       SweepSide::DCache
-                                   ? CacheSide::DCache
-                                   : CacheSide::ICache;
-        std::cout << (side == CacheSide::DCache ? "(a) D-Cache"
-                                                : "(b) I-Cache")
+    for (std::size_t s = 0; s < sides.size(); ++s) {
+        std::cout << (*parseSweepSideToken(sides[s]) == SweepSide::DCache
+                          ? "(a) D-Cache"
+                          : "(b) I-Cache")
                   << " — avg reduction (%) in processor "
                      "energy-delay\n\n";
         TextTable t({"assoc", "selective-ways", "selective-sets"});
-        for (const std::string &assoc_text :
-             bench::requireAxis(spec, "assoc").values) {
-            const unsigned assoc = static_cast<unsigned>(
-                std::strtoul(assoc_text.c_str(), nullptr, 10));
-            SystemConfig cfg = spec.system;
-            cfg.il1.assoc = assoc;
-            cfg.dl1.assoc = assoc;
-            Experiment exp(cfg, insts);
-            exp.setEngine(bench::benchEngine());
-
-            struct Slice
-            {
-                std::size_t off, count;
-            };
-            std::vector<RunJob> batch;
-            std::vector<std::size_t> base_at(apps.size());
-            std::vector<Slice> ways_at(apps.size()),
-                sets_at(apps.size());
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                base_at[a] = batch.size();
-                batch.push_back(exp.baselineJob(apps[a]));
-                auto w = exp.staticSearchJobs(
-                    apps[a], side, Organization::SelectiveWays);
-                ways_at[a] = {batch.size(), w.size()};
-                batch.insert(batch.end(), w.begin(), w.end());
-                auto s = exp.staticSearchJobs(
-                    apps[a], side, Organization::SelectiveSets);
-                sets_at[a] = {batch.size(), s.size()};
-                batch.insert(batch.end(), s.begin(), s.end());
-            }
-
-            const auto res = runner.run(batch);
-            auto reduce = [&](const Slice &sl, std::size_t a) {
-                return Experiment::reduceStatic(
-                           res[base_at[a]],
-                           {res.begin() + sl.off,
-                            res.begin() + sl.off + sl.count})
-                    .edReductionPct();
-            };
+        for (std::size_t a = 0; a < assocs.size(); ++a) {
+            const std::size_t ways_point = (s * assocs.size() + a) * 2;
             double ways = 0, sets = 0;
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                ways += reduce(ways_at[a], a);
-                sets += reduce(sets_at[a], a);
+            for (std::size_t app = 0; app < res.apps(); ++app) {
+                ways += res.at(app, ways_point).edReductionPct;
+                sets += res.at(app, ways_point + 1).edReductionPct;
             }
-            const double n = static_cast<double>(apps.size());
-            t.addRow({assoc_text + "-way",
-                      TextTable::pct(ways / n),
+            const double n = static_cast<double>(res.apps());
+            t.addRow({assocs[a] + "-way", TextTable::pct(ways / n),
                       TextTable::pct(sets / n)});
         }
         t.print(std::cout);

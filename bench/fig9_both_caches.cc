@@ -12,11 +12,10 @@
  * the paper's per-app additivity table. `rcache-sim sweep --scenario
  * scenarios/fig9.scn` reports the same cells as CSV rows.
  *
- * Runs on the sweep runner in two phases: phase 1 batches every
- * app's baseline plus both sides' level sweeps, phase 2 batches the
- * combined runs at each side's profiled level (which depend on the
- * phase-1 reductions). RCACHE_JOBS>1 overlaps everything within a
- * phase without changing the table.
+ * The cells are evaluated through the same CellBatch path as the
+ * sweep: each side=both cell profiles both sides, then reruns both
+ * caches together at the two profiled levels (phase 2). RCACHE_JOBS>1
+ * overlaps the runs without changing the table.
  */
 
 #include "bench/common.hh"
@@ -26,90 +25,37 @@ using namespace rcache;
 int
 main()
 {
+    const bench::ScenarioResult res = bench::evaluateScenario("fig9.scn");
+    const ScenarioSpec &spec = res.spec;
     bench::banner("Figure 9: resizing both d-cache and i-cache",
                   "Fig 9 (decoupled resizings, static "
-                  "selective-sets, base system)");
+                  "selective-sets, base system)",
+                  spec.insts, spec.engine);
 
-    const ScenarioSpec spec = bench::loadScenario("fig9.scn");
     rc_assert(spec.search.strategy == Strategy::Static);
-    rc_assert(bench::requireAxis(spec, "side").values ==
-              (std::vector<std::string>{"dcache", "icache", "both"}));
-
-    const auto apps = bench::suite(spec);
-    const std::uint64_t insts = bench::runInsts(spec);
-    Experiment exp(spec.system, insts);
-    exp.setEngine(bench::benchEngine());
-    SweepRunner runner(bench::benchJobs());
-    const auto org = spec.search.org;
-
-    // Phase 1: per app, baseline + d-side sweep + i-side sweep.
-    struct Slice
-    {
-        std::size_t off, count;
-    };
-    std::vector<RunJob> batch;
-    std::vector<std::size_t> base_at(apps.size());
-    std::vector<Slice> d_at(apps.size()), i_at(apps.size());
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        base_at[a] = batch.size();
-        batch.push_back(exp.baselineJob(apps[a]));
-        auto d = exp.staticSearchJobs(apps[a], CacheSide::DCache,
-                                      org);
-        d_at[a] = {batch.size(), d.size()};
-        batch.insert(batch.end(), d.begin(), d.end());
-        auto i = exp.staticSearchJobs(apps[a], CacheSide::ICache,
-                                      org);
-        i_at[a] = {batch.size(), i.size()};
-        batch.insert(batch.end(), i.begin(), i.end());
-    }
-    const auto res = runner.run(batch);
-
-    auto reduce = [&](const Slice &sl, std::size_t a) {
-        return Experiment::reduceStatic(
-            res[base_at[a]], {res.begin() + sl.off,
-                              res.begin() + sl.off + sl.count});
-    };
-
-    // Phase 2: both caches together at the profiled levels.
-    std::vector<SearchOutcome> douts(apps.size()),
-        iouts(apps.size());
-    std::vector<RunJob> both_jobs;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        douts[a] = reduce(d_at[a], a);
-        iouts[a] = reduce(i_at[a], a);
-        both_jobs.push_back(exp.bothStaticJob(
-            apps[a], org, iouts[a].bestLevel, douts[a].bestLevel));
-    }
-    const auto both_res = runner.run(both_jobs);
+    rc_assert(spec.axes.size() == 1 && spec.axes[0].name == "side" &&
+              spec.axes[0].values ==
+                  (std::vector<std::string>{"dcache", "icache", "both"}));
 
     TextTable t({"app", "d alone E*D", "i alone E*D", "d+i sum",
                  "both E*D", "both size-red", "both perf"});
     double dsum = 0, isum = 0, bsum = 0, szsum = 0;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        SearchOutcome both;
-        both.baseline = res[base_at[a]];
-        both.best = both_res[a];
-        both.bestLevel = douts[a].bestLevel;
-        // Average enabled size of both L1s vs both at full size.
-        const double full = both.baseline.avgDl1Bytes +
-                            both.baseline.avgIl1Bytes;
-        const double got =
-            both.best.avgDl1Bytes + both.best.avgIl1Bytes;
-        const double size_red = 100.0 * (1.0 - got / full);
-        dsum += douts[a].edReductionPct();
-        isum += iouts[a].edReductionPct();
-        bsum += both.edReductionPct();
-        szsum += size_red;
-        t.addRow({apps[a].name,
-                  TextTable::pct(douts[a].edReductionPct()),
-                  TextTable::pct(iouts[a].edReductionPct()),
-                  TextTable::pct(douts[a].edReductionPct() +
-                                 iouts[a].edReductionPct()),
-                  TextTable::pct(both.edReductionPct()),
-                  TextTable::pct(size_red),
-                  TextTable::pct(both.perfDegradationPct())});
+    for (std::size_t a = 0; a < res.apps(); ++a) {
+        const SweepRecord &d = res.at(a, 0);
+        const SweepRecord &i = res.at(a, 1);
+        const SweepRecord &both = res.at(a, 2);
+        dsum += d.edReductionPct;
+        isum += i.edReductionPct;
+        bsum += both.edReductionPct;
+        szsum += both.sizeReductionPct;
+        t.addRow({d.app, TextTable::pct(d.edReductionPct),
+                  TextTable::pct(i.edReductionPct),
+                  TextTable::pct(d.edReductionPct + i.edReductionPct),
+                  TextTable::pct(both.edReductionPct),
+                  TextTable::pct(both.sizeReductionPct),
+                  TextTable::pct(both.perfDegradationPct)});
     }
-    const double n = static_cast<double>(apps.size());
+    const double n = static_cast<double>(res.apps());
     t.addRow({"AVG", TextTable::pct(dsum / n),
               TextTable::pct(isum / n),
               TextTable::pct((dsum + isum) / n),

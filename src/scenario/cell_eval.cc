@@ -1,7 +1,9 @@
 #include "scenario/cell_eval.hh"
 
+#include <iterator>
 #include <sstream>
 
+#include "analytic/analytic_engine.hh"
 #include "util/logging.hh"
 #include "workload/profiles.hh"
 
@@ -119,6 +121,192 @@ cellRecord(std::size_t cell, const std::string &app,
     r.engine = out.best.engine;
     r.policy = p.cfg.policy;
     return r;
+}
+
+void
+registerAnalyticCell(AnalyticBatch &analytic, const ParamSpace &space,
+                     const std::vector<AppEntry> &apps, std::size_t cell)
+{
+    // Every job of a cell shares the cell's full geometry, so the
+    // design point covers its baseline and every candidate.
+    const std::size_t npoints = space.numPoints();
+    const DesignPoint p = space.point(cell % npoints);
+    analytic.registerConfig(
+        p.cfg, effectiveWorkload(apps[cell / npoints], p).label,
+        space.spec().insts);
+}
+
+namespace
+{
+
+/** A cell's coordinates as the runner's trace spans show them. */
+std::string
+tracePointOf(std::size_t cell, const std::string &app,
+             const DesignPoint &p)
+{
+    std::ostringstream pt;
+    pt << "cell=" << cell << ";app=" << app
+       << ";org=" << organizationToken(p.org)
+       << ";strategy=" << strategyName(p.strategy)
+       << ";side=" << sweepSideName(p.side);
+    if (!p.axes.empty())
+        pt << ';' << p.axes;
+    return pt.str();
+}
+
+} // namespace
+
+CellBatch::CellBatch(const ParamSpace &space,
+                     const std::vector<AppEntry> &apps, bool tracePoints)
+    : space_(space), apps_(apps), tracePoints_(tracePoints)
+{
+}
+
+void
+CellBatch::add(std::size_t cell, const BaselineMemo &memo,
+               const EngineSpec *engine)
+{
+    const std::size_t npoints = space_.numPoints();
+    const AppEntry &app = apps_[cell / npoints];
+    Cell c;
+    c.cell = cell;
+    c.point = space_.point(cell % npoints);
+    if (engine)
+        c.point.engine = *engine;
+    const DesignPoint &p = c.point;
+    const EffectiveWorkload eff = effectiveWorkload(app, p);
+    const std::size_t first = jobs_.size();
+
+    Experiment exp(p.cfg, space_.spec().insts);
+    exp.setEngine(p.engine);
+    exp.setSearchGrid(space_.spec().search.dynGrid);
+
+    c.baseKey = baselineKey(exp.config(), p.engine, eff.label.name);
+    if (!memo.count(c.baseKey) &&
+        newBases_.try_emplace(c.baseKey, jobs_.size()).second)
+        jobs_.push_back(exp.baselineJob(eff.label));
+
+    const auto append = [&](std::vector<RunJob> jobs, std::size_t &off,
+                            std::size_t &count) {
+        off = jobs_.size();
+        count = jobs.size();
+        jobs_.insert(jobs_.end(), std::make_move_iterator(jobs.begin()),
+                     std::make_move_iterator(jobs.end()));
+    };
+    if (p.side == SweepSide::Both) {
+        append(exp.staticSearchJobs(eff.label, CacheSide::DCache, p.org),
+               c.off, c.count);
+        append(exp.staticSearchJobs(eff.label, CacheSide::ICache, p.org),
+               c.ioff, c.icount);
+    } else {
+        const CacheSide side = cacheSideOf(p.side);
+        c.candidates = exp.searchCandidates(side, p.org, p.strategy);
+        append(exp.searchJobs(eff.label, side, p.org, p.strategy), c.off,
+               c.count);
+    }
+    attachMix(jobs_.begin() + first, jobs_.end(), eff);
+    if (tracePoints_) {
+        const std::string pt = tracePointOf(cell, app.name, p);
+        for (auto it = jobs_.begin() + first; it != jobs_.end(); ++it)
+            it->tracePoint = pt;
+    }
+    cells_.push_back(std::move(c));
+}
+
+std::size_t
+CellBatch::plannedJobs() const
+{
+    std::size_t n = jobs_.size();
+    for (const Cell &c : cells_)
+        if (c.point.side == SweepSide::Both)
+            ++n;
+    return n;
+}
+
+std::vector<std::string>
+CellBatch::newBaselineLabels() const
+{
+    std::vector<std::string> labels;
+    for (const auto &[key, idx] : newBases_)
+        labels.push_back(jobs_[idx].label);
+    return labels;
+}
+
+std::vector<SweepRecord>
+CellBatch::run(const Execute &execute, BaselineMemo &memo)
+{
+    const std::vector<RunResult> results = execute(jobs_);
+    for (const auto &[key, idx] : newBases_)
+        memo[key] = results[idx];
+    const auto slice = [&](std::size_t off, std::size_t count) {
+        return std::vector<RunResult>(results.begin() + off,
+                                      results.begin() + off + count);
+    };
+
+    // Phase 2: each side=both cell reruns both caches together at the
+    // two per-side profiled levels (the paper's Fig 9 methodology).
+    std::vector<RunJob> phase2;
+    std::vector<SearchOutcome> douts(cells_.size());
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const Cell &c = cells_[i];
+        if (c.point.side != SweepSide::Both)
+            continue;
+        const RunResult &base = memo.at(c.baseKey);
+        douts[i] = Experiment::reduceStatic(base, slice(c.off, c.count));
+        const SearchOutcome iout =
+            Experiment::reduceStatic(base, slice(c.ioff, c.icount));
+        Experiment exp(c.point.cfg, space_.spec().insts);
+        exp.setEngine(c.point.engine);
+        // The d sweep's first job carries the cell's label profile,
+        // mix, and trace point.
+        const RunJob &d0 = jobs_[c.off];
+        RunJob job = exp.bothStaticJob(d0.profile, c.point.org,
+                                       iout.bestLevel, douts[i].bestLevel);
+        job.mixProfiles = d0.mixProfiles;
+        job.tracePoint = d0.tracePoint;
+        phase2.push_back(std::move(job));
+    }
+    const std::vector<RunResult> results2 =
+        phase2.empty() ? std::vector<RunResult>{} : execute(phase2);
+
+    std::vector<SweepRecord> records;
+    records.reserve(cells_.size());
+    std::size_t next2 = 0;
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const Cell &c = cells_[i];
+        const RunResult &base = memo.at(c.baseKey);
+        const SearchOutcome out =
+            c.point.side == SweepSide::Both
+                ? Experiment::reduceBoth(base, douts[i], results2[next2++])
+                : Experiment::reduceSearch(base, c.candidates,
+                                           slice(c.off, c.count));
+        records.push_back(cellRecord(
+            c.cell, apps_[c.cell / space_.numPoints()].name, c.point,
+            out));
+    }
+    return records;
+}
+
+std::vector<SweepRecord>
+evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
+              const std::vector<std::size_t> &cells, unsigned jobs,
+              const EngineSpec *engine)
+{
+    CellBatch batch(space, apps);
+    CellBatch::BaselineMemo memo;
+    for (const std::size_t cell : cells)
+        batch.add(cell, memo, engine);
+    if ((engine ? *engine : space.spec().engine).analytic()) {
+        AnalyticBatch analytic;
+        for (const std::size_t cell : cells)
+            registerAnalyticCell(analytic, space, apps, cell);
+        return batch.run(
+            [&](std::vector<RunJob> &js) { return analytic.price(js); },
+            memo);
+    }
+    SweepRunner runner(jobs);
+    return batch.run(
+        [&](std::vector<RunJob> &js) { return runner.run(js); }, memo);
 }
 
 } // namespace rcache

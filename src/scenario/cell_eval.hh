@@ -1,22 +1,32 @@
 /**
  * @file
- * Shared cell-evaluation vocabulary for design-space drivers.
+ * Cell evaluation: the one path from design-space cells to SweepRecord
+ * rows.
  *
  * A "cell" is one (app, design point) pair with a stable app-major
- * global index. Two drivers evaluate cells today — the exhaustive
- * sweep engine (scenario/scenario_sweep.cc) and the adaptive search
- * (search/adaptive_search.cc) — and both must emit byte-identical
- * SweepRecord rows for the same cell under the same engine. The
- * helpers here are that shared surface: workload resolution, mix
- * attachment, baseline memo keys, and the record a finished cell
- * reports. Keeping them in one place is what makes the adaptive
- * winner row provably equal to the exhaustive sweep's row for the
- * winning cell.
+ * global index. The paper picks each cell's design with an offline
+ * profiling search: it runs the non-resizable baseline and every
+ * candidate (each static level, or each dynamic miss-bound/size-bound
+ * pair), keeps the minimum energy-delay point, and for side=both
+ * reruns both caches together at their two profiled levels (Fig 9).
+ * CellBatch is that procedure, and every design-space search
+ * evaluates cells through it: the exhaustive sweep
+ * (scenario/scenario_sweep.cc) runs one batch per chunk, the adaptive
+ * search (search/adaptive_search.cc) one per ladder rung, and the
+ * fig4/fig9 benches one per scenario. So the adaptive winner row is
+ * byte-identical to the sweep's row for the same cell under the same
+ * engine, by construction.
+ *
+ * The free helpers are the vocabulary around it: workload resolution,
+ * mix attachment, baseline memo keys, and the record a finished cell
+ * reports.
  */
 
 #ifndef RCACHE_SCENARIO_CELL_EVAL_HH
 #define RCACHE_SCENARIO_CELL_EVAL_HH
 
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +36,8 @@
 
 namespace rcache
 {
+
+class AnalyticBatch;
 
 /** One [workloads] entry: a profile, or a '+'-joined mix. */
 struct AppEntry
@@ -75,11 +87,106 @@ std::string baselineKey(const SystemConfig &cfg,
                         const EngineSpec &engine,
                         const std::string &workload);
 
-/** The CSV row a finished cell reports. Both drivers build rows
+/** The CSV row a finished cell reports. CellBatch builds every row
  *  through this one function. */
 SweepRecord cellRecord(std::size_t cell, const std::string &app,
                        const DesignPoint &p,
                        const SearchOutcome &out);
+
+/**
+ * Register cell @p cell's configuration with @p analytic. A shared
+ * stack-distance pass cannot learn new geometries once it has run, so
+ * every cell an AnalyticBatch will price must be registered before
+ * the first batch runs.
+ */
+void registerAnalyticCell(AnalyticBatch &analytic,
+                          const ParamSpace &space,
+                          const std::vector<AppEntry> &apps,
+                          std::size_t cell);
+
+/** See file comment. */
+class CellBatch
+{
+  public:
+    /** Baseline results by baselineKey; may persist across batches. */
+    using BaselineMemo = std::map<std::string, RunResult>;
+    /**
+     * Runs a job list and returns its results in job order: a
+     * SweepRunner's run or an AnalyticBatch's price. It may annotate
+     * the jobs first (the sweep attaches telemetry bundles).
+     */
+    using Execute =
+        std::function<std::vector<RunResult>(std::vector<RunJob> &)>;
+
+    /**
+     * @param space the scenario's design space (insts, search grid)
+     * @param apps  resolveApps() of the same scenario
+     * @param tracePoints stamp each job with its cell's coordinates
+     *        for the runner's trace spans; off builds no strings
+     */
+    CellBatch(const ParamSpace &space,
+              const std::vector<AppEntry> &apps,
+              bool tracePoints = false);
+
+    /**
+     * Lay out global cell @p cell's jobs: its baseline unless @p memo
+     * or this batch already has it, then the candidates of its side
+     * (both sides' static sweeps for side=both). A non-null @p engine
+     * overrides the point's (a tune rung).
+     */
+    void add(std::size_t cell, const BaselineMemo &memo,
+             const EngineSpec *engine = nullptr);
+
+    /** Phase-1 jobs (baselines and candidates) laid out so far. */
+    std::size_t phase1Jobs() const { return jobs_.size(); }
+    /** Every job run() executes: phase 1 plus one combined job per
+     *  side=both cell. Plan-time arithmetic; runs nothing. */
+    std::size_t plannedJobs() const;
+    /** Labels of the baselines this batch computes (not memoized
+     *  when their cell was added). */
+    std::vector<std::string> newBaselineLabels() const;
+
+    /**
+     * Execute phase 1, publish the new baselines into @p memo, execute
+     * phase 2, and reduce each cell to its cellRecord row.
+     * @return one row per cell, in add() order
+     */
+    std::vector<SweepRecord> run(const Execute &execute,
+                                 BaselineMemo &memo);
+
+  private:
+    struct Cell
+    {
+        std::size_t cell = 0;
+        DesignPoint point;
+        std::string baseKey;
+        /** Candidate slice of jobs_: [off, off+count). For side=both
+         *  that is the d sweep and [ioff, ioff+icount) the i sweep. */
+        std::size_t off = 0, count = 0;
+        std::size_t ioff = 0, icount = 0;
+        /** Single side only: what reduceSearch pairs results with. */
+        std::vector<SearchCandidate> candidates;
+    };
+
+    const ParamSpace &space_;
+    const std::vector<AppEntry> &apps_;
+    bool tracePoints_;
+    std::vector<Cell> cells_;
+    std::vector<RunJob> jobs_;
+    /** Baselines laid out here: key -> job index. */
+    std::map<std::string, std::size_t> newBases_;
+};
+
+/**
+ * Evaluate @p cells in one CellBatch with a fresh baseline memo, at
+ * @p engine when non-null (else each point's own). Analytic cells are
+ * priced through one shared AnalyticBatch; everything else runs on a
+ * SweepRunner of @p jobs workers. @return rows in @p cells order
+ */
+std::vector<SweepRecord>
+evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
+              const std::vector<std::size_t> &cells, unsigned jobs,
+              const EngineSpec *engine = nullptr);
 
 } // namespace rcache
 

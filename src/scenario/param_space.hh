@@ -11,7 +11,7 @@
  *
  * The axis registry maps axis names onto the scenario key tables
  * (scenario_spec.hh), so everything that can be fixed in [system] /
- * [search] / [sampling] can also be swept:
+ * [search] / [engine] can also be swept:
  *
  *   org, strategy, side, core       enum axes
  *   assoc                           both L1 associativities at once

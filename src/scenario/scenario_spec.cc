@@ -7,7 +7,6 @@
 
 #include "cache/replacement.hh"
 #include "scenario/param_space.hh"
-#include "util/logging.hh"
 #include "util/numformat.hh"
 #include "workload/profiles.hh"
 
@@ -374,12 +373,9 @@ class Parser
     bool keyWorkloads(const std::string &key, const std::string &value);
     bool keyAxes(const std::string &key, const std::string &value);
     bool keyEngine(const std::string &key, const std::string &value);
-    bool keySampling(const std::string &key, const std::string &value);
     bool keyTelemetry(const std::string &key, const std::string &value);
     bool keySearch(const std::string &key, const std::string &value);
-    bool finish();
     bool finishEngine();
-    bool finishSampling();
 
     bool parseListU64(const std::string &value,
                       std::vector<std::uint64_t> &out);
@@ -392,16 +388,12 @@ class Parser
     std::string section_;
     ScenarioSpec spec_;
 
-    /** [engine] / deprecated-[sampling] accumulators, resolved in
-     *  finish(). The two sections share the shape accumulators; a
-     *  file may only use one of them. */
+    /** [engine] accumulators, resolved in finishEngine(). */
     bool sawEngine_ = false;
-    bool sawSampling_ = false;
     std::optional<EngineMode> engMode_;
     std::uint64_t sampInterval_ = 0;
     std::optional<std::uint64_t> sampDetail_, sampWarmup_;
     int engineLine_ = 0;
-    int samplingLine_ = 0;
 };
 
 bool
@@ -409,7 +401,7 @@ Parser::handleSection(const std::string &name)
 {
     static const char *known[] = {"scenario", "system", "cores",
                                   "workloads", "axes", "engine",
-                                  "sampling", "telemetry", "search"};
+                                  "telemetry", "search"};
     if (std::find_if(std::begin(known), std::end(known),
                      [&](const char *k) { return name == k; }) ==
         std::end(known)) {
@@ -419,12 +411,6 @@ Parser::handleSection(const std::string &name)
     if (name == "engine") {
         sawEngine_ = true;
         engineLine_ = line_;
-    }
-    if (name == "sampling") {
-        sawSampling_ = true;
-        samplingLine_ = line_;
-        RC_LOG(warn, file_ + ": [sampling] is deprecated; use "
-                     "[engine] with mode = sampled");
     }
     return true;
 }
@@ -613,37 +599,6 @@ Parser::keyEngine(const std::string &key, const std::string &value)
         return true;
     }
     return fail("unknown key '" + key + "' in [engine]");
-}
-
-bool
-Parser::keySampling(const std::string &key, const std::string &value)
-{
-    unsigned long long v = 0;
-    const bool ok = parseU64Strict(value, v);
-    if (key == "interval") {
-        if (!ok)
-            return fail("interval wants a non-negative integer "
-                        "(0 = full detail), got '" +
-                        value + "'");
-        sampInterval_ = v;
-        samplingLine_ = line_;
-        return true;
-    }
-    if (key == "detail") {
-        if (!ok || v == 0)
-            return fail("detail wants a positive integer, got '" +
-                        value + "'");
-        sampDetail_ = v;
-        return true;
-    }
-    if (key == "warmup") {
-        if (!ok)
-            return fail("warmup wants a non-negative integer, got '" +
-                        value + "'");
-        sampWarmup_ = v;
-        return true;
-    }
-    return fail("unknown key '" + key + "' in [sampling]");
 }
 
 bool
@@ -839,8 +794,6 @@ Parser::handleKey(const std::string &key, const std::string &value)
         return keyAxes(key, value);
     if (section_ == "engine")
         return keyEngine(key, value);
-    if (section_ == "sampling")
-        return keySampling(key, value);
     if (section_ == "telemetry")
         return keyTelemetry(key, value);
     return keySearch(key, value);
@@ -873,45 +826,6 @@ Parser::finishEngine()
             SamplingConfig::shapeError(interval, detail, warmup))
         return fail(why);
     spec_.engine = EngineSpec::makeSampled(interval, detail, warmup);
-    return true;
-}
-
-bool
-Parser::finishSampling()
-{
-    line_ = samplingLine_;
-    if (sampInterval_ == 0) {
-        if (sampDetail_ || sampWarmup_)
-            return fail("detail/warmup need a sampling interval > 0");
-        spec_.engine = EngineSpec{};
-        return true;
-    }
-    const std::uint64_t detail =
-        sampDetail_ ? *sampDetail_
-                    : SamplingConfig::defaultDetail(sampInterval_);
-    const std::uint64_t warmup =
-        sampWarmup_ ? *sampWarmup_
-                    : SamplingConfig::defaultWarmup(sampInterval_);
-    if (const char *why = SamplingConfig::shapeError(sampInterval_,
-                                                     detail, warmup))
-        return fail(why);
-    spec_.engine =
-        EngineSpec::makeSampled(sampInterval_, detail, warmup);
-    return true;
-}
-
-bool
-Parser::finish()
-{
-    if (sawEngine_ && sawSampling_) {
-        line_ = std::max(engineLine_, samplingLine_);
-        return fail("use either [engine] or the deprecated "
-                    "[sampling] section, not both");
-    }
-    if (sawEngine_)
-        return finishEngine();
-    if (sawSampling_)
-        return finishSampling();
     return true;
 }
 
@@ -951,7 +865,7 @@ Parser::run(std::istream &in)
         if (!handleKey(key, value))
             return std::nullopt;
     }
-    if (!finish())
+    if (sawEngine_ && !finishEngine())
         return std::nullopt;
     return spec_;
 }
@@ -1046,8 +960,7 @@ ScenarioSpec::print(std::ostream &os) const
             printList(os, ax.name.c_str(), ax.values);
     }
 
-    // Canonical engine form: always [engine], never the deprecated
-    // [sampling] shim; full detail (the default) prints nothing.
+    // Full detail (the default) prints no [engine] section.
     if (engine.mode != EngineMode::Full) {
         os << "\n[engine]\n"
            << "mode = " << engineName(engine.mode) << '\n';

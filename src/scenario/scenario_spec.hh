@@ -32,11 +32,7 @@
  *
  * An [engine] section selects the simulation engine (sim/engine.hh):
  * `mode = full|sampled|analytic`, with `interval`/`detail`/`warmup`
- * describing the period shape when mode is sampled. The deprecated
- * [sampling] section still parses (interval = 0 maps to full detail,
- * anything else to a sampled engine, with an RC_LOG(warn)
- * deprecation notice); a file may use one of the two sections, not
- * both, and print() always emits the canonical [engine] form.
+ * describing the period shape when mode is sampled.
  *
  * Sections may appear in any order and may be omitted (defaults
  * apply); every key inside a section must belong to that section.
@@ -206,8 +202,7 @@ struct ScenarioSpec
     /** Swept axes, outermost first. */
     std::vector<Axis> axes;
     /**
-     * Engine selection ([engine] section; the deprecated [sampling]
-     * section parses into the same field). Canonical form: the
+     * Engine selection ([engine] section). Canonical form: the
      * sampling shape is default-constructed unless mode == Sampled.
      */
     EngineSpec engine;

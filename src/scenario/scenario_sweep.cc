@@ -4,21 +4,18 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 
 #include "analytic/analytic_engine.hh"
 #include "scenario/cell_eval.hh"
-#include "sim/experiment.hh"
 #include "telemetry/run_telemetry.hh"
 #include "telemetry/timeline.hh"
 #include "telemetry/trace_events.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
-#include "workload/profiles.hh"
 
 namespace rcache
 {
@@ -32,22 +29,6 @@ fail(const std::string &msg)
     std::cerr << "rcache-sim: " << msg << '\n';
     return 2;
 }
-
-/** One owned, not-yet-completed cell. Batch offsets are filled in
- *  per chunk. */
-struct CellPlan
-{
-    std::size_t cell = 0;
-    std::size_t app = 0;
-    DesignPoint point;
-    std::string baseKey;
-    /** Candidate slice within the chunk batch. Single side:
-     *  [off, off+count). Both sides: d jobs at [off, off+count),
-     *  i jobs at [ioff, ioff+icount). */
-    std::size_t off = 0, count = 0;
-    std::size_t ioff = 0, icount = 0;
-    std::vector<SearchCandidate> candidates;
-};
 
 } // namespace
 
@@ -147,34 +128,16 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         }
     }
 
-    // ---- plan the remaining cells
-    const SearchGrid &grid = spec.search.dynGrid;
-    std::vector<CellPlan> plans;
-    plans.reserve(owned.size() - skip);
-    for (std::size_t i = skip; i < owned.size(); ++i) {
-        CellPlan plan;
-        plan.cell = owned[i];
-        plan.app = plan.cell / npoints;
-        plan.point = space.point(plan.cell % npoints);
-        plans.push_back(std::move(plan));
-    }
-
     // ---- analytic engine: one shared stack-distance pass per
     // distinct (workload, stream shape) pair prices every cell that
     // shares it — that is the whole point of the engine. Register
-    // every remaining cell's configuration up front (a pass cannot
-    // learn new geometries once it has run); AnalyticBatch runs each
-    // pass lazily the first time a chunk prices against it. All the
-    // jobs of a cell share the cell's full geometry, so registering
-    // the design point covers its baseline and every candidate.
+    // every remaining cell up front (a pass cannot learn new
+    // geometries once it has run); AnalyticBatch runs each pass
+    // lazily the first time a chunk prices against it.
     AnalyticBatch analytic;
     if (spec.engine.analytic()) {
-        for (const CellPlan &plan : plans) {
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], plan.point);
-            analytic.registerConfig(plan.point.cfg, eff.label,
-                                    spec.insts);
-        }
+        for (std::size_t i = skip; i < owned.size(); ++i)
+            registerAnalyticCell(analytic, space, apps, owned[i]);
         if (!opt.timelinePath.empty() || !opt.eventsPath.empty() ||
             !opt.traceEventsPath.empty())
             RC_LOG(warn,
@@ -214,14 +177,6 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     SweepRunner runner(opt.jobs);
     if (trace)
         runner.setTrace(&*trace);
-    // Analytic cells never touch the runner: each job is priced from
-    // its shared pass, in job order, so every downstream reduction,
-    // CSV row, and resume/shard contract is untouched (and the
-    // report is trivially byte-identical for any --jobs value).
-    const auto execute = [&](const std::vector<RunJob> &jobs) {
-        return spec.engine.analytic() ? analytic.price(jobs)
-                                      : runner.run(jobs);
-    };
     if (opt.progress) {
         runner.setProgress([](std::size_t done, std::size_t total,
                               const RunJob &job) {
@@ -251,96 +206,27 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                       kept.empty() ? sweepCsvHeader() + "\n" : kept,
                       outName);
 
-    // ---- execute in chunks: within a chunk every cell's baseline
-    // (memoized across chunks) and candidate sweeps form one batch,
-    // so the pool stays busy across cell boundaries; chunk results
-    // are reduced, written, and flushed before the next chunk runs.
-    std::map<std::string, RunResult> baseline_memo;
+    // ---- execute in chunks: each chunk is one CellBatch whose
+    // cells' baselines (memoized across chunks) and candidate sweeps
+    // run as one batch, so the pool stays busy across cell
+    // boundaries; chunk rows are written and flushed before the next
+    // chunk runs.
+    CellBatch::BaselineMemo baseline_memo;
     std::vector<SweepRecord> buffered; // json/table only
     std::size_t total_runs = 0;
     const std::size_t chunk_min_jobs =
         std::max<std::size_t>(64, 8 * runner.parallelism());
 
-    const auto t0 = std::chrono::steady_clock::now();
-    std::size_t next = 0;
-    while (next < plans.size()) {
-        // -- build one chunk's batch
-        std::vector<RunJob> batch;
-        std::vector<std::pair<std::string, std::size_t>> new_bases;
-        std::map<std::string, std::size_t> chunk_base_at;
-        const std::size_t first = next;
-        while (next < plans.size() &&
-               (next == first || batch.size() < chunk_min_jobs)) {
-            CellPlan &plan = plans[next];
-            const DesignPoint &p = plan.point;
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], p);
-            const BenchmarkProfile &profile = eff.label;
-            const std::size_t plan_jobs_begin = batch.size();
-
-            Experiment exp(p.cfg, spec.insts);
-            exp.setEngine(p.engine);
-            exp.setSearchGrid(grid);
-
-            plan.baseKey =
-                baselineKey(exp.config(), p.engine, profile.name);
-            if (!baseline_memo.count(plan.baseKey) &&
-                !chunk_base_at.count(plan.baseKey)) {
-                chunk_base_at[plan.baseKey] = batch.size();
-                new_bases.emplace_back(plan.baseKey, batch.size());
-                batch.push_back(exp.baselineJob(profile));
-                attachMix(batch.end() - 1, batch.end(), eff);
-            }
-
-            if (p.side == SweepSide::Both) {
-                auto d = exp.staticSearchJobs(
-                    profile, CacheSide::DCache, p.org);
-                attachMix(d.begin(), d.end(), eff);
-                plan.off = batch.size();
-                plan.count = d.size();
-                batch.insert(batch.end(), d.begin(), d.end());
-                auto ij = exp.staticSearchJobs(
-                    profile, CacheSide::ICache, p.org);
-                attachMix(ij.begin(), ij.end(), eff);
-                plan.ioff = batch.size();
-                plan.icount = ij.size();
-                batch.insert(batch.end(), ij.begin(), ij.end());
-            } else {
-                const CacheSide side = cacheSideOf(p.side);
-                plan.candidates =
-                    exp.searchCandidates(side, p.org, p.strategy);
-                auto jobs =
-                    exp.searchJobs(profile, side, p.org, p.strategy);
-                attachMix(jobs.begin(), jobs.end(), eff);
-                plan.off = batch.size();
-                plan.count = jobs.size();
-                batch.insert(batch.end(), jobs.begin(), jobs.end());
-            }
-            if (trace) {
-                // Design-point coordinates for the runner spans.
-                std::ostringstream pt;
-                pt << "cell=" << plan.cell << ";app="
-                   << apps[plan.app].name << ";org="
-                   << organizationToken(p.org) << ";strategy="
-                   << strategyName(p.strategy) << ";side="
-                   << sweepSideName(p.side);
-                if (!p.axes.empty())
-                    pt << ';' << p.axes;
-                for (std::size_t k = plan_jobs_begin;
-                     k < batch.size(); ++k)
-                    batch[k].tracePoint = pt.str();
-            }
-            ++next;
-        }
-
-        // -- per-job telemetry bundles. Allocated only after the
-        // batch vector is final: job.telemetry points into `bundles`,
-        // and annotating jobs after a reallocating push_back would be
-        // fine, but assigning pointers before one would not.
+    // Runs one phase of a chunk. Analytic cells never touch the
+    // runner: each job is priced from its shared pass, in job order,
+    // so every reduction, CSV row, and resume/shard contract is
+    // untouched (and the report is trivially byte-identical for any
+    // --jobs value). Telemetry bundles are attached here, once the
+    // phase's job vector is final (job.telemetry points into
+    // `bundles`).
+    const auto execute = [&](std::vector<RunJob> &jobs) {
         std::vector<std::unique_ptr<RunTelemetry>> bundles;
-        const auto attachTelemetry = [&](std::vector<RunJob> &jobs) {
-            if (!want_timeline && !want_events)
-                return;
+        if (want_timeline || want_events) {
             for (RunJob &job : jobs) {
                 auto t = std::make_unique<RunTelemetry>();
                 t->timelineInterval =
@@ -349,113 +235,46 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                 job.telemetry = t.get();
                 bundles.push_back(std::move(t));
             }
-        };
-        const auto writeTelemetry =
-            [&](const std::vector<RunJob> &jobs) {
-                for (const RunJob &job : jobs) {
-                    if (!job.telemetry)
-                        continue;
-                    if (want_timeline) {
-                        std::ostringstream rec;
-                        writeTimelineJsonl(rec,
-                                           job.telemetry->timeline,
-                                           job.label);
-                        checkedAppend(timeline_os, rec.str(),
-                                      opt.timelinePath,
-                                      "telemetry.timeline.append");
-                    }
-                    if (want_events) {
-                        std::ostringstream rec;
-                        writeResizeEventsJsonl(
-                            rec, job.telemetry->events.events(),
-                            job.label);
-                        checkedAppend(events_os, rec.str(),
-                                      opt.eventsPath,
-                                      "telemetry.events.append");
-                    }
-                }
-            };
-        attachTelemetry(batch);
-
-        // -- run it and publish the chunk's baselines
-        const auto results = execute(batch);
-        total_runs += batch.size();
-        for (const auto &[key, idx] : new_bases) {
-            baseline_memo[key] = results[idx];
-            if (trace)
-                trace->instant("baseline-memo",
-                               {{"label", batch[idx].label}});
         }
-        writeTelemetry(batch);
-
-        // -- both-sides cells: second phase at the profiled levels
-        std::vector<RunJob> phase2;
-        std::vector<std::size_t> phase2_at(next - first, 0);
-        std::vector<SearchOutcome> douts(next - first);
-        for (std::size_t i = first; i < next; ++i) {
-            const CellPlan &plan = plans[i];
-            if (plan.point.side != SweepSide::Both)
+        auto results = spec.engine.analytic() ? analytic.price(jobs)
+                                              : runner.run(jobs);
+        total_runs += jobs.size();
+        for (RunJob &job : jobs) {
+            if (!job.telemetry)
                 continue;
-            const RunResult &base =
-                baseline_memo.at(plan.baseKey);
-            douts[i - first] = Experiment::reduceStatic(
-                base, {results.begin() + plan.off,
-                       results.begin() + plan.off + plan.count});
-            const SearchOutcome iout = Experiment::reduceStatic(
-                base, {results.begin() + plan.ioff,
-                       results.begin() + plan.ioff + plan.icount});
-            Experiment exp(plan.point.cfg, spec.insts);
-            exp.setEngine(plan.point.engine);
-            phase2_at[i - first] = phase2.size();
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], plan.point);
-            phase2.push_back(exp.bothStaticJob(
-                eff.label, plan.point.org, iout.bestLevel,
-                douts[i - first].bestLevel));
-            attachMix(phase2.end() - 1, phase2.end(), eff);
-            if (trace) {
-                std::ostringstream pt;
-                pt << "cell=" << plan.cell << ";app="
-                   << apps[plan.app].name << ";org="
-                   << organizationToken(plan.point.org)
-                   << ";strategy="
-                   << strategyName(plan.point.strategy)
-                   << ";side=" << sweepSideName(plan.point.side);
-                if (!plan.point.axes.empty())
-                    pt << ';' << plan.point.axes;
-                phase2.back().tracePoint = pt.str();
+            if (want_timeline) {
+                std::ostringstream rec;
+                writeTimelineJsonl(rec, job.telemetry->timeline,
+                                   job.label);
+                checkedAppend(timeline_os, rec.str(), opt.timelinePath,
+                              "telemetry.timeline.append");
             }
+            if (want_events) {
+                std::ostringstream rec;
+                writeResizeEventsJsonl(
+                    rec, job.telemetry->events.events(), job.label);
+                checkedAppend(events_os, rec.str(), opt.eventsPath,
+                              "telemetry.events.append");
+            }
+            job.telemetry = nullptr;
         }
-        attachTelemetry(phase2);
-        const auto results2 = execute(phase2);
-        total_runs += phase2.size();
-        writeTelemetry(phase2);
+        return results;
+    };
 
-        // -- reduce and write the chunk, in cell order
-        std::vector<SweepRecord> records;
-        records.reserve(next - first);
-        for (std::size_t i = first; i < next; ++i) {
-            const CellPlan &plan = plans[i];
-            const RunResult &base =
-                baseline_memo.at(plan.baseKey);
-            SearchOutcome out;
-            if (plan.point.side == SweepSide::Both) {
-                out = Experiment::reduceBoth(
-                    base, douts[i - first],
-                    results2[phase2_at[i - first]]);
-            } else {
-                out = Experiment::reduceSearch(
-                    base, plan.candidates,
-                    {results.begin() + plan.off,
-                     results.begin() + plan.off + plan.count});
-            }
-            records.push_back(cellRecord(
-                plan.cell, apps[plan.app].name, plan.point, out));
-            // Candidate lists can be large (dynamic grids); drop
-            // them with the chunk.
-            plans[i].candidates.clear();
-            plans[i].candidates.shrink_to_fit();
-        }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::size_t next = skip;
+    while (next < owned.size()) {
+        CellBatch batch(space, apps, trace.has_value());
+        const std::size_t first = next;
+        while (next < owned.size() &&
+               (next == first || batch.phase1Jobs() < chunk_min_jobs))
+            batch.add(owned[next++], baseline_memo);
+        const std::vector<SweepRecord> records =
+            batch.run(execute, baseline_memo);
+        if (trace)
+            for (const std::string &label : batch.newBaselineLabels())
+                trace->instant("baseline-memo", {{"label", label}});
+
         if (stream_csv) {
             std::ostringstream rows;
             writeSweepCsvRows(rows, records);
@@ -473,16 +292,14 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
             trace->instant(
                 "chunk-flush",
                 {{"cells", std::to_string(next - first)},
-                 {"jobs", std::to_string(batch.size() +
-                                         phase2.size())}});
+                 {"jobs", std::to_string(batch.plannedJobs())}});
         if (opt.chunkDone)
-            opt.chunkDone(skip + next);
+            opt.chunkDone(next);
         // The chunk above is committed (written + flushed): the
         // documented resumable boundary for a polite interrupt.
-        if (interruptRequested() && next < plans.size()) {
-            std::cerr << "rcache-sim: interrupted; "
-                      << (skip + next) << "/" << owned.size()
-                      << " cells committed";
+        if (interruptRequested() && next < owned.size()) {
+            std::cerr << "rcache-sim: interrupted; " << next << "/"
+                      << owned.size() << " cells committed";
             if (stream_csv && !path.empty())
                 std::cerr << "; resume with --resume " << path;
             std::cerr << '\n';
@@ -514,7 +331,8 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                   << " worker(s)";
         if (opt.shard.sharded())
             std::cerr << " [shard " << opt.shard.str() << ", "
-                      << plans.size() << "/" << ncells << " cells]";
+                      << owned.size() - skip << "/" << ncells
+                      << " cells]";
         if (skip)
             std::cerr << " [resumed past " << skip << " cells]";
         std::cerr << '\n';

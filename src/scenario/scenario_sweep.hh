@@ -20,14 +20,16 @@
  *    simulates only the remaining cells; the final file is
  *    byte-identical to an uninterrupted run.
  *
- * Execution is chunked: cells are grouped until a chunk holds enough
- * jobs to keep the pool busy across cell boundaries (baselines are
- * memoized across chunks), and each chunk's CSV rows are written and
- * flushed before the next chunk runs — so an interrupted sweep
- * leaves every completed chunk on disk for --resume instead of
- * losing the whole run. side=both cells add a second phase per chunk
- * for the combined run at the two profiled levels, exactly like the
- * paper's Fig 9 methodology.
+ * A sweep is a chunked CellBatch (scenario/cell_eval.hh) at the
+ * scenario's engine: cells are added to a batch until it holds enough
+ * jobs to keep the pool busy across cell boundaries, the batch runs
+ * (side=both cells with their phase-2 combined runs, the paper's Fig 9
+ * methodology), and its rows are written and flushed before the next
+ * chunk starts. Baselines are memoized across chunks. An interrupted
+ * sweep therefore leaves every completed chunk on disk for --resume
+ * instead of losing the whole run. What stays here is the sweep's own
+ * business: shard/resume bookkeeping, report streaming, telemetry
+ * sidecars, and analytic pass registration.
  */
 
 #ifndef RCACHE_SCENARIO_SCENARIO_SWEEP_HH

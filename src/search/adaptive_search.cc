@@ -1,3 +1,15 @@
+/**
+ * @file
+ * Successive halving over the engine ladder (see the header). Every
+ * round evaluates its candidate cells through the one cell-evaluation
+ * path, evaluateCells / CellBatch (scenario/cell_eval.hh), at the
+ * rung's engine: locally on one SweepRunner, or slice by slice per
+ * claim unit. The decision log's cost accounting comes from the same
+ * CellBatch layout (plannedJobs), so logged and executed work cannot
+ * drift. What stays here is the ladder itself: scoring, promotion,
+ * early exit, the decision log, resume, and claim orchestration.
+ */
+
 #include "search/adaptive_search.hh"
 
 #include <algorithm>
@@ -6,17 +18,14 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <thread>
 
-#include "analytic/analytic_engine.hh"
 #include "runner/claim.hh"
 #include "scenario/cell_eval.hh"
 #include "search/decision_log.hh"
-#include "sim/experiment.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
@@ -33,208 +42,6 @@ fail(const std::string &msg)
 {
     std::cerr << "rcache-sim: " << msg << '\n';
     return 2;
-}
-
-/** What every round evaluation reads (outlives the executors). */
-struct TuneContext
-{
-    const ParamSpace *space = nullptr;
-    const std::vector<AppEntry> *apps = nullptr;
-    std::uint64_t insts = 0;
-    SearchGrid grid;
-    std::size_t npoints = 0;
-};
-
-/** One cell of a round's batch (the tune twin of the sweep's
- *  CellPlan; same offsets, same reductions). */
-struct CellWork
-{
-    std::size_t cell = 0;
-    std::size_t app = 0;
-    DesignPoint point;
-    std::string baseKey;
-    std::size_t off = 0, count = 0;
-    std::size_t ioff = 0, icount = 0;
-    std::vector<SearchCandidate> candidates;
-};
-
-struct RoundBatch
-{
-    std::vector<RunJob> jobs;
-    std::vector<CellWork> cells;
-    /** Baselines first seen in this batch: key -> job index. */
-    std::vector<std::pair<std::string, std::size_t>> newBases;
-};
-
-/**
- * Enumerate @p cells' jobs under the rung's @p engine — the same
- * baseline-memo / candidate layout the sweep engine builds, minus
- * chunking (a round is one batch). The rung engine overrides the
- * scenario's: that is the fidelity ladder.
- */
-RoundBatch
-buildBatch(const TuneContext &ctx,
-           const std::vector<std::size_t> &cells,
-           const EngineSpec &engine)
-{
-    RoundBatch b;
-    std::map<std::string, std::size_t> base_at;
-    for (const std::size_t cell : cells) {
-        CellWork w;
-        w.cell = cell;
-        w.app = cell / ctx.npoints;
-        w.point = ctx.space->point(cell % ctx.npoints);
-        w.point.engine = engine;
-        const EffectiveWorkload eff =
-            effectiveWorkload((*ctx.apps)[w.app], w.point);
-
-        Experiment exp(w.point.cfg, ctx.insts);
-        exp.setEngine(engine);
-        exp.setSearchGrid(ctx.grid);
-
-        w.baseKey =
-            baselineKey(exp.config(), engine, eff.label.name);
-        if (!base_at.count(w.baseKey)) {
-            base_at[w.baseKey] = b.jobs.size();
-            b.newBases.emplace_back(w.baseKey, b.jobs.size());
-            b.jobs.push_back(exp.baselineJob(eff.label));
-            attachMix(b.jobs.end() - 1, b.jobs.end(), eff);
-        }
-
-        if (w.point.side == SweepSide::Both) {
-            auto d = exp.staticSearchJobs(eff.label,
-                                          CacheSide::DCache,
-                                          w.point.org);
-            attachMix(d.begin(), d.end(), eff);
-            w.off = b.jobs.size();
-            w.count = d.size();
-            b.jobs.insert(b.jobs.end(), d.begin(), d.end());
-            auto ij = exp.staticSearchJobs(eff.label,
-                                           CacheSide::ICache,
-                                           w.point.org);
-            attachMix(ij.begin(), ij.end(), eff);
-            w.ioff = b.jobs.size();
-            w.icount = ij.size();
-            b.jobs.insert(b.jobs.end(), ij.begin(), ij.end());
-        } else {
-            const CacheSide side = cacheSideOf(w.point.side);
-            w.candidates = exp.searchCandidates(side, w.point.org,
-                                                w.point.strategy);
-            auto jobs = exp.searchJobs(eff.label, side, w.point.org,
-                                       w.point.strategy);
-            attachMix(jobs.begin(), jobs.end(), eff);
-            w.off = b.jobs.size();
-            w.count = jobs.size();
-            b.jobs.insert(b.jobs.end(), jobs.begin(), jobs.end());
-        }
-        b.cells.push_back(std::move(w));
-    }
-    return b;
-}
-
-/**
- * Jobs the round's single-batch schedule runs (baselines memoized,
- * one phase-2 job per side=both cell). This is the cost model the
- * decision log accounts with — claim workers re-run baselines their
- * shard does not share, but every worker logs the same plan-time
- * number, which keeps the log byte-identical across modes.
- */
-std::size_t
-plannedRoundJobs(const TuneContext &ctx,
-                 const std::vector<std::size_t> &cells,
-                 const EngineSpec &engine)
-{
-    const RoundBatch b = buildBatch(ctx, cells, engine);
-    std::size_t n = b.jobs.size();
-    for (const CellWork &w : b.cells)
-        if (w.point.side == SweepSide::Both)
-            ++n;
-    return n;
-}
-
-/**
- * Evaluate @p cells under @p engine and return their SweepRecords in
- * @p cells order. Mirrors the sweep engine's execute/reduce path via
- * the shared cell_eval vocabulary, so the rows are byte-identical to
- * an exhaustive sweep's at the same engine.
- */
-std::vector<SweepRecord>
-evaluateCells(const TuneContext &ctx,
-              const std::vector<std::size_t> &cells,
-              const EngineSpec &engine, unsigned jobs)
-{
-    RoundBatch b = buildBatch(ctx, cells, engine);
-
-    // Analytic rungs price through shared stack-distance passes;
-    // everything else runs on the pool. Register before running:
-    // a pass cannot learn new geometries once it has run.
-    AnalyticBatch analytic;
-    std::optional<SweepRunner> runner;
-    if (engine.analytic()) {
-        for (const CellWork &w : b.cells) {
-            const EffectiveWorkload eff =
-                effectiveWorkload((*ctx.apps)[w.app], w.point);
-            analytic.registerConfig(w.point.cfg, eff.label,
-                                    ctx.insts);
-        }
-    } else {
-        runner.emplace(jobs);
-    }
-    const auto execute = [&](const std::vector<RunJob> &js) {
-        return engine.analytic() ? analytic.price(js)
-                                 : runner->run(js);
-    };
-
-    const auto results = execute(b.jobs);
-    std::map<std::string, RunResult> bases;
-    for (const auto &[key, idx] : b.newBases)
-        bases[key] = results[idx];
-
-    // Side=both cells: second phase at the two profiled levels.
-    std::vector<RunJob> phase2;
-    std::vector<std::size_t> phase2_at(b.cells.size(), 0);
-    std::vector<SearchOutcome> douts(b.cells.size());
-    for (std::size_t i = 0; i < b.cells.size(); ++i) {
-        const CellWork &w = b.cells[i];
-        if (w.point.side != SweepSide::Both)
-            continue;
-        const RunResult &base = bases.at(w.baseKey);
-        douts[i] = Experiment::reduceStatic(
-            base, {results.begin() + w.off,
-                   results.begin() + w.off + w.count});
-        const SearchOutcome iout = Experiment::reduceStatic(
-            base, {results.begin() + w.ioff,
-                   results.begin() + w.ioff + w.icount});
-        Experiment exp(w.point.cfg, ctx.insts);
-        exp.setEngine(engine);
-        const EffectiveWorkload eff =
-            effectiveWorkload((*ctx.apps)[w.app], w.point);
-        phase2_at[i] = phase2.size();
-        phase2.push_back(exp.bothStaticJob(eff.label, w.point.org,
-                                           iout.bestLevel,
-                                           douts[i].bestLevel));
-        attachMix(phase2.end() - 1, phase2.end(), eff);
-    }
-    const auto results2 = execute(phase2);
-
-    std::vector<SweepRecord> records;
-    records.reserve(b.cells.size());
-    for (std::size_t i = 0; i < b.cells.size(); ++i) {
-        const CellWork &w = b.cells[i];
-        const RunResult &base = bases.at(w.baseKey);
-        SearchOutcome out;
-        if (w.point.side == SweepSide::Both)
-            out = Experiment::reduceBoth(base, douts[i],
-                                         results2[phase2_at[i]]);
-        else
-            out = Experiment::reduceSearch(
-                base, w.candidates,
-                {results.begin() + w.off,
-                 results.begin() + w.off + w.count});
-        records.push_back(cellRecord(
-            w.cell, (*ctx.apps)[w.app].name, w.point, out));
-    }
-    return records;
 }
 
 /**
@@ -280,8 +87,9 @@ class RoundExecutor
 class LocalExecutor final : public RoundExecutor
 {
   public:
-    LocalExecutor(const TuneContext &ctx, unsigned jobs)
-        : ctx_(ctx), jobs_(jobs)
+    LocalExecutor(const ParamSpace &space,
+                  const std::vector<AppEntry> &apps, unsigned jobs)
+        : space_(space), apps_(apps), jobs_(jobs)
     {
     }
 
@@ -289,11 +97,12 @@ class LocalExecutor final : public RoundExecutor
     run(std::size_t, const EngineSpec &engine,
         const std::vector<std::size_t> &cells, std::string *) override
     {
-        return evaluateCells(ctx_, cells, engine, jobs_);
+        return evaluateCells(space_, apps_, cells, jobs_, &engine);
     }
 
   private:
-    TuneContext ctx_;
+    const ParamSpace &space_;
+    const std::vector<AppEntry> &apps_;
     unsigned jobs_;
 };
 
@@ -309,10 +118,11 @@ class LocalExecutor final : public RoundExecutor
 class ClaimExecutor final : public RoundExecutor
 {
   public:
-    ClaimExecutor(const TuneContext &ctx, unsigned jobs,
+    ClaimExecutor(const ParamSpace &space,
+                  const std::vector<AppEntry> &apps, unsigned jobs,
                   ClaimDir claims, unsigned shards)
-        : ctx_(ctx), jobs_(jobs), claims_(std::move(claims)),
-          shards_(shards)
+        : space_(space), apps_(apps), jobs_(jobs),
+          claims_(std::move(claims)), shards_(shards)
     {
     }
 
@@ -346,7 +156,7 @@ class ClaimExecutor final : public RoundExecutor
                      p += shards_)
                     mine.push_back(cells[p]);
                 const auto recs =
-                    evaluateCells(ctx_, mine, engine, jobs_);
+                    evaluateCells(space_, apps_, mine, jobs_, &engine);
                 std::ostringstream os;
                 os << sweepCsvHeader() << '\n';
                 writeSweepCsvRows(os, recs);
@@ -406,7 +216,8 @@ class ClaimExecutor final : public RoundExecutor
     }
 
   private:
-    TuneContext ctx_;
+    const ParamSpace &space_;
+    const std::vector<AppEntry> &apps_;
     unsigned jobs_;
     ClaimDir claims_;
     unsigned shards_;
@@ -619,13 +430,6 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         ladder_tok, promote_tok, ad.minSurvivors, ad.rankAgree,
         ad.sampleInterval);
 
-    TuneContext ctx;
-    ctx.space = &space;
-    ctx.apps = &apps;
-    ctx.insts = spec.insts;
-    ctx.grid = spec.search.dynGrid;
-    ctx.npoints = npoints;
-
     // ---- executor: local, or cooperative over a manifest dir
     std::unique_ptr<RoundExecutor> exec;
     if (!opt.claimDir.empty()) {
@@ -667,11 +471,11 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                         " does not match the manifest's " +
                         std::to_string(mf->shards));
         exec = std::make_unique<ClaimExecutor>(
-            ctx, opt.jobs,
+            space, apps, opt.jobs,
             ClaimDir(opt.claimDir, opt.leaseTimeoutSecs),
             mf->shards);
     } else {
-        exec = std::make_unique<LocalExecutor>(ctx, opt.jobs);
+        exec = std::make_unique<LocalExecutor>(space, apps, opt.jobs);
     }
 
     // ---- resume: adopt the complete-round prefix of a prior log
@@ -693,12 +497,22 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     };
     emit(plan_line);
 
-    // ---- cost accounting (plan arithmetic; see plannedRoundJobs)
+    // ---- cost accounting: plan arithmetic over a single-batch
+    // schedule (baselines memoized, one phase-2 job per side=both
+    // cell). Claim workers re-run baselines their shard does not
+    // share, but every worker logs the same plan-time number, which
+    // keeps the log byte-identical across modes.
+    const auto planned_insts = [&](const std::vector<std::size_t> &cells,
+                                   const EngineSpec &engine) {
+        CellBatch plan(space, apps);
+        for (const std::size_t cell : cells)
+            plan.add(cell, {}, &engine);
+        return plan.plannedJobs() * engine.detailedInstsFor(spec.insts);
+    };
     std::vector<std::size_t> all_cells(ncells);
     std::iota(all_cells.begin(), all_cells.end(), 0);
     const std::uint64_t exhaustive_insts =
-        plannedRoundJobs(ctx, all_cells, spec.engine) *
-        spec.engine.detailedInstsFor(spec.insts);
+        planned_insts(all_cells, spec.engine);
 
     // ---- successive halving over the ladder
     std::vector<std::size_t> candidates = all_cells;
@@ -725,8 +539,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         const EngineSpec &engine = rungs[r];
         emit(tuneRoundLine(r, engineName(ad.ladder[r]),
                            candidates.size()));
-        detailed_insts += plannedRoundJobs(ctx, candidates, engine) *
-                          engine.detailedInstsFor(spec.insts);
+        detailed_insts += planned_insts(candidates, engine);
 
         std::vector<SweepRecord> records;
         if (r < cached.size()) {

@@ -1,8 +1,7 @@
 #include "sim/engine.hh"
 
-#include <cstdlib>
-
 #include "util/logging.hh"
+#include "util/numformat.hh"
 
 namespace rcache
 {
@@ -47,25 +46,6 @@ EngineSpec::validate() const
                  "' carries a sampling shape; only the sampled "
                  "engine takes one");
 }
-
-namespace
-{
-
-/** Parse a positive uint64 option value; false on junk. */
-bool
-parseCount(const std::string &text, std::uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-} // namespace
 
 std::optional<EngineSpec>
 parseEngineArg(const std::string &text, std::string *err)
@@ -124,8 +104,8 @@ parseEngineArg(const std::string &text, std::string *err)
                 *err = "duplicate engine option '" + key + "'";
             return std::nullopt;
         }
-        std::uint64_t v = 0;
-        if (!parseCount(val, &v)) {
+        unsigned long long v = 0;
+        if (!parseU64Strict(val, v)) {
             if (err)
                 *err = "bad value for engine option '" + key + "': '" +
                        val + "'";

@@ -17,9 +17,7 @@
  *
  * EngineSpec is the single selection surface: the CLI's --engine
  * flag, the scenario [engine] section, RunJob, Experiment, and the
- * System entry points all carry one. The legacy SampleMode enum and
- * the scattered --sample* flags collapsed into this type; [sampling]
- * and --sample* remain as parsed-and-mapped deprecation shims.
+ * System entry points all carry one.
  *
  * Canonical-form invariant: `sampling` holds the period shape only
  * when mode == Sampled; full and analytic specs always carry the

@@ -28,6 +28,14 @@
  * The whole procedure is a pure function of (workload, config), so
  * sampled sweeps stay bit-identical across thread counts exactly like
  * full-detail sweeps.
+ *
+ * A sampled run is selected only through the engine
+ * (sim/engine.hh): `--engine sampled:interval=N,...` or a scenario's
+ * `[engine] mode = sampled`. Sweeps, tune rungs, and the benches then
+ * evaluate their cells through the one CellBatch path
+ * (scenario/cell_eval.hh), which stamps that engine on every job of a
+ * cell, baseline included, so sampled cells are normalized against
+ * sampled baselines.
  */
 
 #ifndef RCACHE_SIM_SAMPLING_HH
@@ -62,9 +70,9 @@ struct SamplingConfig
     /**
      * Why (interval, detailed, warmup) is not a valid sampled shape,
      * or nullptr if it is. The single source of the shape rules —
-     * validate(), the CLI's --sample parsing, and the benches'
-     * RCACHE_SAMPLE knob all call this, so the layers cannot drift.
-     * Overflow-safe for any uint64 inputs.
+     * validate(), --engine parsing, and the scenario [engine] section
+     * all call this, so the layers cannot drift. Overflow-safe for
+     * any uint64 inputs.
      */
     static const char *shapeError(std::uint64_t interval,
                                   std::uint64_t detailed,
@@ -109,9 +117,9 @@ struct SamplingConfig
     std::uint64_t measuredInsts(std::uint64_t total) const;
 
     /** @name Derived defaults
-     * The single source for the documented `--sample` /
-     * `RCACHE_SAMPLE` defaulting rules, shared by the CLI and the
-     * benches so the two knobs cannot drift apart.
+     * The single source for the documented detail/warmup defaulting
+     * rules, shared by --engine, the scenario [engine] section, and
+     * the tuner's sampled rung so they cannot drift apart.
      */
     /// @{
     /** Default measured window: a tenth of the period, at least 1. */

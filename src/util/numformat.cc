@@ -57,7 +57,9 @@ parseDoubleStrict(const std::string &text, double &out)
 bool
 parseU64Strict(const std::string &text, unsigned long long &out)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
+    // strtoull skips leading whitespace and accepts a sign (negating
+    // the value), so demand a digit up front.
+    if (text.empty() || text[0] < '0' || text[0] > '9')
         return false;
     char *end = nullptr;
     errno = 0;

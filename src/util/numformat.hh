@@ -29,7 +29,8 @@ std::string shortestDouble(double v);
  */
 bool parseDoubleStrict(const std::string &text, double &out);
 
-/** Strict non-negative decimal integer parse (whole string). */
+/** Strict non-negative decimal integer parse: the whole string must
+ *  be digits (no sign, no whitespace) and fit in 64 bits. */
 bool parseU64Strict(const std::string &text, unsigned long long &out);
 
 } // namespace rcache

@@ -73,6 +73,20 @@ function(check_prints expect)
   endif()
 endfunction()
 
+# Rejection that must exit with status 2 exactly (the documented
+# usage/IO code) and print one diagnostic line.
+function(check_exit2_oneline expect)
+  check_rejects_oneline("${expect}" ${ARGN})
+  execute_process(COMMAND ${RCACHE_SIM} ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(SEND_ERROR
+            "expected exit 2 from: rcache-sim ${ARGN} — got ${rc}")
+  endif()
+endfunction()
+
 # ---- unknown subcommands / options / apps: one-line diagnostics
 check_rejects_oneline("unknown subcommand 'frobnicate'" frobnicate)
 check_rejects_oneline("unknown option '--bogus' for 'sweep'"
@@ -87,6 +101,12 @@ check_rejects_oneline("unexpected argument 'positional'"
 
 # ---- strict value parsing
 check_rejects_oneline("non-negative integer" sweep --insts abc)
+# strtoull alone skips whitespace and negates: ' -1' would run 2^64-1
+# instructions.
+check_exit2_oneline("wants a non-negative integer, got ' -1'"
+                    run --app ammp --insts " -1")
+check_exit2_oneline("wants a non-negative integer, got '-5'"
+                    sweep --apps ammp --jobs -5)
 check_rejects_oneline("must be > 0" run --app ammp --insts 0)
 check_rejects_oneline("needs a value" sweep --apps)
 check_rejects_oneline("unknown organization 'bogus'"
@@ -115,10 +135,8 @@ check_rejects_oneline("need --cores >= 3"
 check_rejects_oneline("--quantum needs --cores > 1"
                       run --app gcc --quantum 1000 --insts 1000)
 check_rejects_oneline("no effect under a sampled engine"
-                      run --mix gcc+swim --sample 20000
-                      --quantum 1000 --insts 40000)
-check_rejects_oneline("no effect under a sampled engine"
-                      sweep --mix gcc+swim --sample 20000
+                      sweep --mix gcc+swim --engine
+                      sampled:interval=20000
                       --quantum 1000 --insts 40000)
 check_rejects_oneline("no effect under a sampled engine"
                       run --mix gcc+swim --engine
@@ -150,8 +168,26 @@ check_rejects_oneline("'interval' must be > 0"
 check_rejects_oneline("must fit in the sample period"
                       run --app ammp
                       --engine sampled:interval=1000,detail=900,warmup=200)
-check_rejects_oneline("conflict with --engine"
-                      run --app ammp --engine analytic --sample 1000)
+check_rejects_oneline("detail must be > 0"
+                      run --app ammp
+                      --engine sampled:interval=1000,detail=0)
+# Overflow-safe shape check: a warmup near 2^64 must be rejected, not
+# wrapped into a tiny sum that passes and hangs the run.
+check_rejects_oneline("must fit in the sample period"
+                      run --app ammp
+                      --engine sampled:interval=1000,warmup=18446744073709551000)
+# Signs and out-of-range counts are not engine option values.
+check_rejects_oneline("bad value for engine option 'interval': '-1000'"
+                      run --app ammp --engine sampled:interval=-1000)
+check_rejects_oneline("bad value for engine option 'interval'"
+                      run --app ammp
+                      --engine sampled:interval=99999999999999999999999)
+check_rejects_oneline("bad value for engine option 'warmup'"
+                      run --app ammp
+                      --engine "sampled:interval=1000,warmup= 5")
+# The retired --sample* flags are ordinary unknown options.
+check_rejects_oneline("unknown option '--sample' for 'run'"
+                      run --app ammp --sample 1000)
 # The analytic engine's validity envelope is enforced up front.
 check_rejects_oneline("single core only"
                       run --mix gcc+swim --engine analytic
@@ -160,22 +196,6 @@ check_rejects_oneline("prices static geometries only"
                       run --app ammp --engine analytic
                       --dl1-org ways --dl1-strategy dynamic
                       --insts 1000)
-
-# ---- deprecated sampling flags (accepted, mapped, warned)
-check_rejects_oneline("wants a period > 0"
-                      run --app ammp --sample 0)
-check_rejects_oneline("need --sample"
-                      run --app ammp --sample-detail 100)
-check_rejects_oneline("must fit in the sample period"
-                      run --app ammp --sample 1000
-                      --sample-detail 900 --sample-warmup 200)
-check_rejects_oneline("detail must be > 0"
-                      run --app ammp --sample 1000 --sample-detail 0)
-# Overflow-safe shape check: a warmup near 2^64 must be rejected, not
-# wrapped into a tiny sum that passes and hangs the run.
-check_rejects_oneline("must fit in the sample period"
-                      run --app ammp --sample 1000
-                      --sample-warmup 18446744073709551000)
 
 # ---- scenario subcommand + sweep scenario/shard/resume flags
 check_rejects_oneline("scenario needs a mode" scenario)
@@ -209,13 +229,14 @@ check_rejects_oneline("non-negative integer" bench --reps abc)
 check_rejects_oneline("no benchmark matches filter"
                       bench --filter nosuchbench)
 check_prints("detailed_ooo" bench --list)
+# A missing --out-dir fails up front, before any benchmark runs.
+check_exit2_oneline("--out-dir 'no-such-bench-dir' is not a directory"
+                    bench --out-dir no-such-bench-dir)
 check_prints("--out-dir" bench --help)
 
 # ---- happy paths still exit 0
 check_accepts(list-apps)
 check_accepts(--help)
-check_accepts(run --app ammp --insts 20000
-              --sample 10000 --sample-detail 2000 --sample-warmup 1000)
 check_accepts(run --app ammp --insts 20000 --engine analytic)
 check_accepts(run --app ammp --insts 20000
               --engine sampled:interval=10000,detail=2000,warmup=1000)
@@ -227,7 +248,6 @@ check_prints("--shard" sweep --help)
 check_prints("--il1-org" run --help)
 check_prints("--engine" run --help)
 check_prints("--engine" sweep --help)
-check_prints("deprecated" run --help)
 check_prints("--trace" replay --help)
 check_prints("design-space sweep" sweep --help)
 check_prints("check FILE" scenario --help)
@@ -242,20 +262,6 @@ check_prints("org = ways,sets" scenario print ${GOOD_SCN})
 file(REMOVE ${GOOD_SCN})
 
 # ---- tune / merge / claim orchestration flags
-# Rejection that must exit with status 2 exactly (the documented
-# usage/IO code) and print one diagnostic line.
-function(check_exit2_oneline expect)
-  check_rejects_oneline("${expect}" ${ARGN})
-  execute_process(COMMAND ${RCACHE_SIM} ${ARGN}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(SEND_ERROR
-            "expected exit 2 from: rcache-sim ${ARGN} — got ${rc}")
-  endif()
-endfunction()
-
 check_rejects_oneline("unknown option '--bogus' for 'tune'"
                       tune --bogus 1)
 check_rejects_oneline("tune needs --scenario" tune)
@@ -439,6 +445,8 @@ check_exit2_oneline("option '--lease-timeout' needs a value"
                     doctor somewhere --lease-timeout)
 check_exit2_oneline("wants a non-negative integer"
                     doctor somewhere --lease-timeout abc)
+check_exit2_oneline("wants a non-negative integer, got ' -5'"
+                    doctor somewhere --lease-timeout " -5")
 check_prints("CLAIM_DIR" doctor --help)
 # Auditing a directory with no manifest is an inconsistency (exit 2),
 # reported in the audit itself, not a usage error.

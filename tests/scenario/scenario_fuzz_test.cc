@@ -318,10 +318,10 @@ TEST(ScenarioFuzzTest, MalformedInputsGetOneLineDiagnostics)
         "[telemetry]\ninterval = soon\n",
         "[telemetry]\ntimeline =\n",
         "[telemetry]\nnosuch = 1\n",
-        "[sampling]\ninterval = x\n",
-        "[sampling]\ndetail = 5\n",
-        "[sampling]\ninterval = 10\ndetail = 20\n",
-        "[sampling]\nperiod = 10\n",
+        "[engine]\nmode = sampled\ninterval = x\n",
+        "[engine]\nmode = full\ndetail = 5\n",
+        "[engine]\nmode = sampled\ninterval = 10\nwarmup = 20\n",
+        "[engine]\nmode = sampled\nperiod = 10\n",
         "[engine]\ninterval = 10\n",
         "[engine]\nmode = quick\n",
         "[engine]\nmode = full\ninterval = 10\n",
@@ -401,7 +401,7 @@ TEST(ScenarioFuzzTest, BuildRejectsUnderprovisionedMixes)
     // A quantum axis in an always-sampled scenario is dead config.
     auto [dead_quantum, err6] = build(
         "[cores]\ncount = 2\n[axes]\nquantum = 10000,20000\n"
-        "[sampling]\ninterval = 50000\n");
+        "[engine]\nmode = sampled\ninterval = 50000\n");
     EXPECT_FALSE(dead_quantum);
     EXPECT_NE(err6.find("quantum"), std::string::npos) << err6;
     // ...unless a sample.interval axis makes full detail reachable.

@@ -53,7 +53,8 @@ org = ways,sets,hybrid
 assoc = 2,4
 lat.mem = 60,120
 
-[sampling]
+[engine]
+mode = sampled
 interval = 100000
 detail = 10000
 warmup = 20000
@@ -130,29 +131,18 @@ TEST(ScenarioSpecTest, EngineSectionSelectsTheEngine)
     EXPECT_EQ(parseOk("[engine]\nmode = sampled\n").engine.sampling,
               SamplingConfig{});
 
-    // The deprecated [sampling] section maps onto the same field:
-    // interval = 0 means the full engine, anything else sampled.
-    EXPECT_EQ(parseOk("[sampling]\ninterval = 0\n").engine,
-              EngineSpec{});
-    EXPECT_EQ(parseOk("[sampling]\ninterval = 50000\n").engine,
-              EngineSpec::makeSampled(
-                  50000, SamplingConfig::defaultDetail(50000),
-                  SamplingConfig::defaultWarmup(50000)));
 
-    // Shim round-trip: a spec parsed from [sampling] prints as the
-    // canonical [engine] form, and parse(print(spec)) == spec.
+    // Round-trip: parse(print(spec)) == spec for every mode.
     for (const char *text :
-         {"[sampling]\ninterval = 60000\ndetail = 6000\n",
+         {"[engine]\nmode = sampled\ninterval = 60000\ndetail = 6000\n",
           "[engine]\nmode = analytic\n",
           "[engine]\nmode = sampled\ninterval = 70000\n"}) {
         const ScenarioSpec spec = parseOk(text);
         const std::string printed = spec.printToString();
-        EXPECT_EQ(printed.find("[sampling]"), std::string::npos)
-            << printed;
         EXPECT_EQ(parseOk(printed), spec) << printed;
     }
     // The full-detail default prints no [engine] section at all.
-    EXPECT_EQ(parseOk("[sampling]\ninterval = 0\n")
+    EXPECT_EQ(parseOk("[engine]\nmode = full\n")
                   .printToString()
                   .find("[engine]"),
               std::string::npos);
@@ -193,10 +183,11 @@ TEST(ScenarioSpecTest, RejectsMalformedInput)
     EXPECT_NE(parseErr("[axes]\norg = ways,bogus\n")
                   .find("ways|sets|hybrid"),
               std::string::npos);
-    EXPECT_NE(parseErr("[sampling]\ndetail = 100\n")
-                  .find("need a sampling interval"),
+    EXPECT_NE(parseErr("[engine]\nmode = full\ndetail = 100\n")
+                  .find("only apply to mode = sampled"),
               std::string::npos);
-    EXPECT_NE(parseErr("[sampling]\ninterval = 1000\ndetail = 2000\n")
+    EXPECT_NE(parseErr("[engine]\nmode = sampled\ninterval = 1000\n"
+                       "detail = 2000\n")
                   .find("fit in the sample period"),
               std::string::npos);
     EXPECT_NE(parseErr("[search]\nmiss-fractions = 0.5,2\n")
@@ -208,10 +199,10 @@ TEST(ScenarioSpecTest, RejectsMalformedInput)
     EXPECT_NE(parseErr("[engine]\nmode = analytic\ninterval = 10\n")
                   .find("mode = sampled"),
               std::string::npos);
-    EXPECT_NE(parseErr("[engine]\nmode = full\n"
-                       "[sampling]\ninterval = 10\n")
-                  .find("not both"),
-              std::string::npos);
+    // The retired [sampling] section is just an unknown section.
+    EXPECT_EQ(parseErr("[engine]\nmode = full\n"
+                       "[sampling]\ninterval = 10\n"),
+              "test.scn:3: unknown section '[sampling]'");
     EXPECT_NE(parseErr("[system]\npolicy = plru\n")
                   .find("lru|random|fifo|slru|wtlfu"),
               std::string::npos);

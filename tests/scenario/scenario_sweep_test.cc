@@ -1,6 +1,8 @@
 /** @file
  * Tests for the scenario sweep engine: shard-union and resume
- * identities, and consistency with the Experiment searches.
+ * identities, consistency with the Experiment searches, and the
+ * CellBatch layout that sweeps, tunes and benches evaluate cells
+ * through.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "scenario/cell_eval.hh"
 #include "scenario/scenario_sweep.hh"
 #include "sim/experiment.hh"
 
@@ -246,6 +249,64 @@ side = both
     // Both caches shrank (m88ksim has slack on both sides).
     EXPECT_LT(r.avgIl1Bytes + r.avgDl1Bytes, 2 * 32 * 1024.0);
     EXPECT_GT(r.sizeReductionPct, 0.0);
+}
+
+TEST(CellBatchTest, MemoizesBaselinesAndCountsPhaseTwo)
+{
+    std::string err;
+    auto spec = ScenarioSpec::parseText(R"([scenario]
+name = batch
+insts = 20000
+
+[workloads]
+apps = m88ksim
+
+[axes]
+side = dcache,icache,both
+
+[search]
+org = sets
+strategy = static
+)",
+                                        "batch.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const auto space = ParamSpace::build(*spec, &err);
+    ASSERT_TRUE(space) << err;
+    const std::vector<AppEntry> apps = resolveApps(*spec, &err);
+    SweepRunner runner(1);
+    const auto execute = [&](std::vector<RunJob> &jobs) {
+        return runner.run(jobs);
+    };
+    const auto csvOf = [](const std::vector<SweepRecord> &rows) {
+        std::ostringstream os;
+        writeSweepCsvRows(os, rows);
+        return os.str();
+    };
+
+    // The three side cells share one baseline; the both cell profiles
+    // both sides again and adds one phase-2 job.
+    CellBatch::BaselineMemo memo;
+    CellBatch whole(*space, apps);
+    whole.add(0, memo);
+    whole.add(1, memo);
+    const std::size_t single_sides = whole.phase1Jobs();
+    whole.add(2, memo);
+    EXPECT_EQ(whole.phase1Jobs(), 2 * single_sides - 1);
+    EXPECT_EQ(whole.plannedJobs(), whole.phase1Jobs() + 1);
+    EXPECT_EQ(whole.newBaselineLabels(),
+              std::vector<std::string>{"m88ksim/baseline"});
+    const std::vector<SweepRecord> rows = whole.run(execute, memo);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(memo.size(), 1u);
+
+    // Over the warm memo a one-cell batch lays out no baseline and
+    // reports the same row.
+    for (std::size_t cell = 0; cell < rows.size(); ++cell) {
+        CellBatch one(*space, apps);
+        one.add(cell, memo);
+        EXPECT_TRUE(one.newBaselineLabels().empty());
+        EXPECT_EQ(csvOf(one.run(execute, memo)), csvOf({rows[cell]}));
+    }
 }
 
 } // namespace rcache

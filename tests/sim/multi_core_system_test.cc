@@ -216,7 +216,8 @@ apps = ammp+vpr,gcc+m88ksim
 cores = 2,4
 org = sets
 
-[sampling]
+[engine]
+mode = sampled
 interval = 10000
 detail = 1000
 warmup = 2000

@@ -28,7 +28,7 @@
  */
 
 #include <algorithm>
-#include <cerrno>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -54,7 +54,7 @@
 #include "telemetry/trace_events.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
-#include "util/logging.hh"
+#include "util/numformat.hh"
 #include "cache/replacement.hh"
 #include "workload/profiles.hh"
 #include "workload/streaming_trace.hh"
@@ -166,8 +166,7 @@ knownOptions(const std::string &cmd)
         add({"--scenario", "--shard", "--resume", "--insts", "--jobs",
              "--assoc", "--apps", "--orgs", "--strategies", "--side",
              "--cores", "--mix", "--quantum", "--policy", "--format",
-             "--out", "--progress", "--engine", "--sample",
-             "--sample-detail", "--sample-warmup", "--timeline",
+             "--out", "--progress", "--engine", "--timeline",
              "--events", "--trace-events", "--timeline-interval",
              "--claim", "--shards", "--lease-timeout",
              "--failpoint"});
@@ -177,8 +176,7 @@ knownOptions(const std::string &cmd)
              "--failpoint"});
     } else if (cmd == "run") {
         add({"--insts", "--assoc", "--app", "--cores", "--mix",
-             "--quantum", "--policy", "--engine", "--sample",
-             "--sample-detail", "--sample-warmup", "--timeline",
+             "--quantum", "--policy", "--engine", "--timeline",
              "--events", "--trace-events", "--timeline-interval",
              "--failpoint"});
         for (const auto &k : setupKeys())
@@ -275,12 +273,6 @@ optionHelp(const std::string &key)
         {"--engine",
          "simulation engine: full | sampled[:interval=N,detail=N,"
          "warmup=N] | analytic (default full)"},
-        {"--sample",
-         "deprecated: --engine sampled with period N insts"},
-        {"--sample-detail",
-         "deprecated: sampled-engine measured insts (default N/10)"},
-        {"--sample-warmup",
-         "deprecated: sampled-engine warmup insts (default N/5)"},
         {"--app",
          "profile to run (see list-apps), or trace:PATH[:FORMAT] to "
          "stream an on-disk trace"},
@@ -436,8 +428,18 @@ splitList(const std::string &csv)
     return out;
 }
 
-/** Strict decimal parse: the whole value must be digits. Exits the
- *  command with a usage error on garbage like "--assoc abc". */
+/** The one-line diagnostic for a non-integer option value. */
+void
+badInteger(const std::string &key, const std::string &text)
+{
+    std::cerr << "rcache-sim: option '" << key
+              << "' wants a non-negative integer, got '" << text
+              << "'\n";
+}
+
+/** Strict decimal parse (parseU64Strict): the whole value must be
+ *  digits. Exits the command with a usage error on garbage like
+ *  "--assoc abc" or "--insts ' -1'". */
 std::optional<std::uint64_t>
 parseU64(const Args &args, const std::string &key,
          std::uint64_t fallback)
@@ -445,14 +447,9 @@ parseU64(const Args &args, const std::string &key,
     if (!args.has(key))
         return fallback;
     const std::string &text = args.get(key, "");
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE ||
-        text[0] == '-') {
-        std::cerr << "rcache-sim: option '" << key
-                  << "' wants a non-negative integer, got '" << text
-                  << "'\n";
+    unsigned long long v = 0;
+    if (!parseU64Strict(text, v)) {
+        badInteger(key, text);
         return std::nullopt;
     }
     return v;
@@ -538,76 +535,17 @@ preflightScenarioTraces(const ScenarioSpec &spec)
     return preflightTraceSpecs(names);
 }
 
-/**
- * Resolve --engine (and the deprecated --sample* trio, accepted and
- * mapped with a warning) into an EngineSpec. The two surfaces
- * conflict: --engine is the one source of truth when present.
- * @p legacy_used is set when the deprecated trio supplied the spec;
- * the caller emits the deprecation warning once the whole command
- * validates (rejections must stay one-line diagnostics).
- */
+/** Resolve --engine into an EngineSpec (default: full detail). */
 std::optional<EngineSpec>
-parseEngine(const Args &args, bool *legacy_used = nullptr)
+parseEngine(const Args &args)
 {
-    const bool legacy = args.has("--sample") ||
-                        args.has("--sample-detail") ||
-                        args.has("--sample-warmup");
-    if (args.has("--engine")) {
-        if (legacy) {
-            std::cerr << "rcache-sim: --sample/--sample-detail/"
-                         "--sample-warmup conflict with --engine "
-                         "(fold them into --engine "
-                         "sampled:interval=N,...)\n";
-            return std::nullopt;
-        }
-        std::string err;
-        auto spec = parseEngineArg(args.get("--engine", ""), &err);
-        if (!spec) {
-            std::cerr << "rcache-sim: --engine: " << err << '\n';
-            return std::nullopt;
-        }
-        return spec;
-    }
-    if (!args.has("--sample")) {
-        if (legacy) {
-            std::cerr << "rcache-sim: --sample-detail/--sample-warmup "
-                         "need --sample N\n";
-            return std::nullopt;
-        }
+    if (!args.has("--engine"))
         return EngineSpec{};
-    }
-    const auto interval = parseU64(args, "--sample", 0);
-    if (!interval)
-        return std::nullopt;
-    if (*interval == 0) {
-        std::cerr << "rcache-sim: --sample wants a period > 0\n";
-        return std::nullopt;
-    }
-    const auto detail =
-        parseU64(args, "--sample-detail",
-                 SamplingConfig::defaultDetail(*interval));
-    const auto warmup =
-        parseU64(args, "--sample-warmup",
-                 SamplingConfig::defaultWarmup(*interval));
-    if (!detail || !warmup)
-        return std::nullopt;
-    if (const char *err = SamplingConfig::shapeError(
-            *interval, *detail, *warmup)) {
-        std::cerr << "rcache-sim: " << err << "\n";
-        return std::nullopt;
-    }
-    if (legacy_used)
-        *legacy_used = true;
-    return EngineSpec::makeSampled(*interval, *detail, *warmup);
-}
-
-/** The deferred deprecation warning for the --sample* trio. */
-void
-warnLegacySampleFlags()
-{
-    RC_LOG(warn, "--sample/--sample-detail/--sample-warmup are "
-                 "deprecated; use --engine "
-                 "sampled:interval=N[,detail=N,warmup=N]");
+    std::string err;
+    auto spec = parseEngineArg(args.get("--engine", ""), &err);
+    if (!spec)
+        std::cerr << "rcache-sim: --engine: " << err << '\n';
+    return spec;
 }
 
 std::optional<Organization>
@@ -767,7 +705,7 @@ checkAnalyticCompatible(const EngineSpec &engine,
  * historical row order), everything else fixes the base point.
  */
 std::optional<ScenarioSpec>
-scenarioFromFlags(const Args &args, bool *legacy_used)
+scenarioFromFlags(const Args &args)
 {
     ScenarioSpec spec;
     spec.name = "cli";
@@ -849,7 +787,7 @@ scenarioFromFlags(const Args &args, bool *legacy_used)
 
     const auto insts = parseInsts(args);
     auto cfg = baseConfig(args);
-    const auto engine = parseEngine(args, legacy_used);
+    const auto engine = parseEngine(args);
     if (!insts || !cfg || !engine)
         return std::nullopt;
     // --mix alone defaults the core count to the mix size, so
@@ -884,19 +822,19 @@ armCliFailpoints(const Args &args)
     return true;
 }
 
-/** Whether any sweep grid flag (the --scenario alternatives) is
- *  present. */
-bool
-hasGridFlags(const Args &args)
+/** The sweep grid flags: the --scenario alternatives. */
+constexpr const char *kGridFlags[] = {
+    "--apps",  "--orgs", "--strategies", "--side",   "--insts", "--assoc",
+    "--cores", "--mix",  "--quantum",    "--policy", "--engine"};
+
+/** The first grid flag present, or null. */
+const char *
+firstGridFlag(const Args &args)
 {
-    for (const char *key :
-         {"--apps", "--orgs", "--strategies", "--side", "--insts",
-          "--assoc", "--cores", "--mix", "--quantum", "--policy",
-          "--engine", "--sample", "--sample-detail",
-          "--sample-warmup"})
+    for (const char *key : kGridFlags)
         if (args.has(key))
-            return true;
-    return false;
+            return key;
+    return nullptr;
 }
 
 /** sweep --claim: one cooperative worker over a manifest dir. */
@@ -918,9 +856,8 @@ cmdSweepClaim(const Args &args)
         }
     }
     std::optional<ScenarioSpec> spec;
-    bool legacy_sample = false;
     if (args.has("--scenario")) {
-        if (hasGridFlags(args)) {
+        if (firstGridFlag(args)) {
             std::cerr << "rcache-sim: grid flags conflict with "
                          "--scenario (the scenario file defines "
                          "the sweep)\n";
@@ -933,8 +870,8 @@ cmdSweepClaim(const Args &args)
             std::cerr << "rcache-sim: " << err << '\n';
             return 2;
         }
-    } else if (hasGridFlags(args)) {
-        spec = scenarioFromFlags(args, &legacy_sample);
+    } else if (firstGridFlag(args)) {
+        spec = scenarioFromFlags(args);
         if (!spec)
             return 2;
     } // else: join whatever scenario the manifest holds
@@ -952,8 +889,6 @@ cmdSweepClaim(const Args &args)
     opt.leaseTimeoutSecs = static_cast<unsigned>(*lease);
     opt.jobs = static_cast<unsigned>(*jobs);
     opt.progress = args.flags.count("--progress") != 0;
-    if (legacy_sample)
-        warnLegacySampleFlags();
     return runClaimSweep(spec, opt);
 }
 
@@ -975,21 +910,14 @@ cmdSweep(const Args &args)
 
     // ---- resolve the scenario: a file, or the grid flags
     std::optional<ScenarioSpec> spec;
-    bool legacy_sample = false;
     if (args.has("--scenario")) {
         // The scenario file owns the grid; mixing it with grid flags
         // would make two sources of truth.
-        for (const char *conflict :
-             {"--apps", "--orgs", "--strategies", "--side", "--insts",
-              "--assoc", "--cores", "--mix", "--quantum", "--policy",
-              "--engine", "--sample", "--sample-detail",
-              "--sample-warmup"}) {
-            if (args.has(conflict)) {
-                std::cerr << "rcache-sim: " << conflict
-                          << " conflicts with --scenario (the "
-                             "scenario file defines the sweep)\n";
-                return 2;
-            }
+        if (const char *conflict = firstGridFlag(args)) {
+            std::cerr << "rcache-sim: " << conflict
+                      << " conflicts with --scenario (the scenario "
+                         "file defines the sweep)\n";
+            return 2;
         }
         std::string err;
         spec = ScenarioSpec::parseFile(args.get("--scenario", ""),
@@ -999,7 +927,7 @@ cmdSweep(const Args &args)
             return 2;
         }
     } else {
-        spec = scenarioFromFlags(args, &legacy_sample);
+        spec = scenarioFromFlags(args);
         if (!spec)
             return 2;
     }
@@ -1043,9 +971,6 @@ cmdSweep(const Args &args)
         }
         opt.shard = *shard;
     }
-
-    if (legacy_sample)
-        warnLegacySampleFlags();
     return runScenarioSweep(*spec, opt);
 }
 
@@ -1185,15 +1110,9 @@ cmdDoctor(int argc, char **argv)
                 opt.logPath = value;
                 continue;
             }
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long v =
-                std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0' || errno == ERANGE ||
-                value[0] == '-') {
-                std::cerr << "rcache-sim: option '--lease-timeout' "
-                             "wants a non-negative integer, got '"
-                          << value << "'\n";
+            unsigned long long v = 0;
+            if (!parseU64Strict(value, v)) {
+                badInteger(arg, value);
                 return 2;
             }
             opt.leaseTimeoutSecs = static_cast<unsigned>(v);
@@ -1398,8 +1317,7 @@ cmdRun(const Args &args)
     const auto dl1 = parseSetup(args, "dl1");
     auto cfg = baseConfig(args);
     const auto insts = parseInsts(args);
-    bool legacy_sample = false;
-    const auto engine = parseEngine(args, &legacy_sample);
+    const auto engine = parseEngine(args);
     if (!il1 || !dl1 || !cfg || !insts || !engine)
         return 2;
     if (!applyCores(args, *cfg, mix.size()))
@@ -1420,8 +1338,6 @@ cmdRun(const Args &args)
         return 2;
     if (!checkAnalyticCompatible(*engine, *cfg, *il1, *dl1))
         return 2;
-    if (legacy_sample)
-        warnLegacySampleFlags();
 
     // ---- telemetry requests (all off unless asked for)
     const std::string timeline_path = args.get("--timeline", "");
@@ -1677,6 +1593,13 @@ cmdBench(const Args &args)
     opts.repetitions = static_cast<unsigned>(*reps);
     opts.filter = args.get("--filter", "");
     opts.outDir = args.get("--out-dir", ".");
+    // Fail before timing anything, not once per result file after.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(opts.outDir, ec)) {
+        std::cerr << "rcache-sim: --out-dir '" << opts.outDir
+                  << "' is not a directory\n";
+        return 2;
+    }
     return rcache::bench::runPerfBenches(opts);
 }
 
