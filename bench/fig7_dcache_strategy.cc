@@ -7,63 +7,27 @@
  * Paper shape to verify: dynamic beats static where d-miss latency is
  * exposed (in-order) and the working set varies; with out-of-order
  * issue, static downsizes aggressively and matches dynamic.
+ *
+ * The design space lives in scenarios/fig7.scn (core x strategy
+ * axes); its cells are evaluated through the same CellBatch path as
+ * `rcache-sim sweep --scenario scenarios/fig7.scn`, so the table is
+ * identical for any RCACHE_JOBS value.
  */
 
 #include "bench/common.hh"
 
 using namespace rcache;
 
-namespace
-{
-
-void
-half(const char *title, CoreModel model)
-{
-    std::cout << title << "\n\n";
-    SystemConfig cfg = SystemConfig::base();
-    cfg.coreModel = model;
-    Experiment exp(cfg, rcache::bench::runInsts());
-
-    TextTable t({"app", "static size-red", "dynamic size-red",
-                 "static E*D-red", "dynamic E*D-red"});
-    double ssz = 0, dsz = 0, sed = 0, ded = 0;
-    const auto apps = rcache::bench::suite();
-    for (const auto &p : apps) {
-        auto st = exp.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets);
-        auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                    Organization::SelectiveSets);
-        ssz += st.sizeReductionPct(CacheSide::DCache);
-        dsz += dy.sizeReductionPct(CacheSide::DCache);
-        sed += st.edReductionPct();
-        ded += dy.edReductionPct();
-        t.addRow({p.name,
-                  TextTable::pct(st.sizeReductionPct(
-                      CacheSide::DCache)),
-                  TextTable::pct(dy.sizeReductionPct(
-                      CacheSide::DCache)),
-                  TextTable::pct(st.edReductionPct()),
-                  TextTable::pct(dy.edReductionPct())});
-    }
-    const double n = static_cast<double>(apps.size());
-    t.addRow({"AVG", TextTable::pct(ssz / n), TextTable::pct(dsz / n),
-              TextTable::pct(sed / n), TextTable::pct(ded / n)});
-    t.print(std::cout);
-    std::cout << '\n';
-}
-
-} // namespace
-
 int
 main()
 {
-    rcache::bench::banner(
+    const bench::ScenarioResult res = bench::evaluateScenario("fig7.scn");
+    rc_assert(res.spec.search.side == SweepSide::DCache);
+    bench::banner(
         "Figure 7: d-cache resizing strategy",
-        "Fig 7 (static vs dynamic selective-sets, 2-way d-cache)");
-    half("(a) in-order issue engine with blocking d-cache",
-         CoreModel::InOrder);
-    half("(b) out-of-order issue engine with nonblocking d-cache",
-         CoreModel::OutOfOrder);
+        "Fig 7 (static vs dynamic selective-sets, 2-way d-cache)",
+        res.spec.insts, res.spec.engine);
+    bench::strategyPanels(res);
     std::cout << "paper: (a) static 5%, dynamic 9%; "
                  "(b) static 9%, dynamic 11% (averages).\n";
     return 0;

@@ -6,63 +6,27 @@
  * Paper shape to verify: i-cache resizing saves more on the in-order
  * processor (larger i-cache energy share); dynamic's advantage grows
  * with out-of-order issue, where i-misses are more exposed.
+ *
+ * The design space lives in scenarios/fig8.scn (core x strategy
+ * axes); its cells are evaluated through the same CellBatch path as
+ * `rcache-sim sweep --scenario scenarios/fig8.scn`, so the table is
+ * identical for any RCACHE_JOBS value.
  */
 
 #include "bench/common.hh"
 
 using namespace rcache;
 
-namespace
-{
-
-void
-half(const char *title, CoreModel model)
-{
-    std::cout << title << "\n\n";
-    SystemConfig cfg = SystemConfig::base();
-    cfg.coreModel = model;
-    Experiment exp(cfg, rcache::bench::runInsts());
-
-    TextTable t({"app", "static size-red", "dynamic size-red",
-                 "static E*D-red", "dynamic E*D-red"});
-    double ssz = 0, dsz = 0, sed = 0, ded = 0;
-    const auto apps = rcache::bench::suite();
-    for (const auto &p : apps) {
-        auto st = exp.staticSearch(p, CacheSide::ICache,
-                                   Organization::SelectiveSets);
-        auto dy = exp.dynamicSearch(p, CacheSide::ICache,
-                                    Organization::SelectiveSets);
-        ssz += st.sizeReductionPct(CacheSide::ICache);
-        dsz += dy.sizeReductionPct(CacheSide::ICache);
-        sed += st.edReductionPct();
-        ded += dy.edReductionPct();
-        t.addRow({p.name,
-                  TextTable::pct(st.sizeReductionPct(
-                      CacheSide::ICache)),
-                  TextTable::pct(dy.sizeReductionPct(
-                      CacheSide::ICache)),
-                  TextTable::pct(st.edReductionPct()),
-                  TextTable::pct(dy.edReductionPct())});
-    }
-    const double n = static_cast<double>(apps.size());
-    t.addRow({"AVG", TextTable::pct(ssz / n), TextTable::pct(dsz / n),
-              TextTable::pct(sed / n), TextTable::pct(ded / n)});
-    t.print(std::cout);
-    std::cout << '\n';
-}
-
-} // namespace
-
 int
 main()
 {
-    rcache::bench::banner(
+    const bench::ScenarioResult res = bench::evaluateScenario("fig8.scn");
+    rc_assert(res.spec.search.side == SweepSide::ICache);
+    bench::banner(
         "Figure 8: i-cache resizing strategy",
-        "Fig 8 (static vs dynamic selective-sets, 2-way i-cache)");
-    half("(a) in-order issue engine with blocking d-cache",
-         CoreModel::InOrder);
-    half("(b) out-of-order issue engine with nonblocking d-cache",
-         CoreModel::OutOfOrder);
+        "Fig 8 (static vs dynamic selective-sets, 2-way i-cache)",
+        res.spec.insts, res.spec.engine);
+    bench::strategyPanels(res);
     std::cout << "paper: (a) static 16%, dynamic 18%; "
                  "(b) static 11%, dynamic 15% (averages).\n";
     return 0;

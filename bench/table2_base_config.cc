@@ -53,13 +53,21 @@ main()
     std::cout << "\nmeasured base-system averages over the suite "
                  "(paper Sec 4: d-cache 18.5%, i-cache 17.5%):\n\n";
 
-    Experiment exp(cfg, bench::runInsts());
+    // One non-resizable baseline job per app, run as one batch.
+    const Experiment exp(cfg, bench::runInsts());
+    const auto apps = bench::suite();
+    std::vector<RunJob> jobs;
+    for (const auto &p : apps)
+        jobs.push_back(exp.baselineJob(p));
+    const std::vector<RunResult> results =
+        SweepRunner(bench::benchJobs()).run(jobs);
+
     double dsum = 0, isum = 0, ipc = 0;
-    auto apps = bench::suite();
     TextTable m({"app", "IPC", "d$ share", "i$ share", "d$ miss",
                  "i$ miss"});
-    for (const auto &p : apps) {
-        RunResult r = exp.baseline(p);
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        const auto &p = apps[i];
+        const RunResult &r = results[i];
         dsum += r.energy.dcacheFraction();
         isum += r.energy.icacheFraction();
         ipc += r.ipc();

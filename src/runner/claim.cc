@@ -4,12 +4,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "fault/failpoint.hh"
 #include "util/checked_io.hh"
@@ -121,6 +124,18 @@ writeManifest(const std::string &dir, const ManifestInfo &info,
     if (!ok && err)
         *err = "cannot write '" + join(dir, metaName) + "'";
     return ok;
+}
+
+std::optional<ManifestInfo>
+joinManifest(const std::string &dir, std::string *err)
+{
+    // The winner's commit is one small write; 100 x 10 ms is ample.
+    for (int attempt = 1;; ++attempt) {
+        auto mf = readManifest(dir, err);
+        if (mf || attempt == 100)
+            return mf;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
 }
 
 std::optional<ManifestInfo>
@@ -345,8 +360,12 @@ bool
 atomicWriteFile(const std::string &path, const std::string &text,
                 std::string *err)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    // Unique per call, not just per process: two threads publishing
+    // the same path must not share (and steal) one tmp file. The
+    // ".tmp." infix is what doctor's debris scan looks for.
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq++);
     if (!writeWholeFile(tmp, text)) {
         if (err)
             *err = "cannot write '" + tmp + "'";

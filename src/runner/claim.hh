@@ -60,6 +60,16 @@ bool writeManifest(const std::string &dir, const ManifestInfo &info,
                    std::string *err);
 
 /**
+ * Join the manifest a concurrent creator is committing, after losing
+ * the writeManifest race: the winner creates MANIFEST.meta before it
+ * writes it, so a loser can briefly see an empty or partial meta.
+ * Re-reads for up to a second; a meta still incomplete after that
+ * was torn by a crash. @return readManifest's last answer.
+ */
+std::optional<ManifestInfo> joinManifest(const std::string &dir,
+                                         std::string *err);
+
+/**
  * Read a manifest directory; nullopt with @p err on a missing or
  * malformed manifest. @p corrupt (optional) distinguishes the two
  * failures: true means the directory *has* manifest files but they
@@ -156,9 +166,10 @@ std::string sweepUnitName(unsigned shard);
 std::string tuneUnitName(std::size_t round, unsigned shard);
 
 /**
- * Atomically publish @p text as @p path: write to a worker-private
- * tmp file, then rename over the target. @return false with @p err
- * on any I/O failure.
+ * Atomically publish @p text as @p path: write to a tmp file private
+ * to this call, then rename over the target, so concurrent publishers
+ * of one path (threads or processes) each publish a whole file.
+ * @return false with @p err on any I/O failure.
  */
 bool atomicWriteFile(const std::string &path, const std::string &text,
                      std::string *err);

@@ -1,6 +1,7 @@
 #include "scenario/cell_eval.hh"
 
 #include <iterator>
+#include <numeric>
 #include <sstream>
 
 #include "analytic/analytic_engine.hh"
@@ -307,6 +308,23 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
     SweepRunner runner(jobs);
     return batch.run(
         [&](std::vector<RunJob> &js) { return runner.run(js); }, memo);
+}
+
+std::optional<ScenarioRows>
+evaluateScenario(const ScenarioSpec &spec, unsigned jobs, std::string *err)
+{
+    const auto space = ParamSpace::build(spec, err);
+    if (!space)
+        return std::nullopt;
+    const std::vector<AppEntry> apps = resolveApps(spec, err);
+    if (apps.empty())
+        return std::nullopt;
+    ScenarioRows out;
+    out.points = space->numPoints();
+    std::vector<std::size_t> cells(apps.size() * out.points);
+    std::iota(cells.begin(), cells.end(), 0);
+    out.rows = evaluateCells(*space, apps, cells, jobs);
+    return out;
 }
 
 } // namespace rcache

@@ -9,11 +9,13 @@
  * candidate (each static level, or each dynamic miss-bound/size-bound
  * pair), keeps the minimum energy-delay point, and for side=both
  * reruns both caches together at their two profiled levels (Fig 9).
- * CellBatch is that procedure, and every design-space search
+ * CellBatch is that procedure, laid out with Experiment's job
+ * vocabulary (sim/experiment.hh), and every design-space search
  * evaluates cells through it: the exhaustive sweep
  * (scenario/scenario_sweep.cc) runs one batch per chunk, the adaptive
- * search (search/adaptive_search.cc) one per ladder rung, and the
- * fig4/fig9 benches one per scenario. So the adaptive winner row is
+ * search (search/adaptive_search.cc) one per ladder rung, and
+ * evaluateScenario one per scenario for the figure benches, the
+ * ablations and the tests. So the adaptive winner row is
  * byte-identical to the sweep's row for the same cell under the same
  * engine, by construction.
  *
@@ -27,6 +29,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,6 +190,32 @@ std::vector<SweepRecord>
 evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const std::vector<std::size_t> &cells, unsigned jobs,
               const EngineSpec *engine = nullptr);
+
+/** Every cell of a scenario, evaluated (see evaluateScenario). */
+struct ScenarioRows
+{
+    /** Design points per app. */
+    std::size_t points = 0;
+    /** One row per cell, app-major (global cell order). */
+    std::vector<SweepRecord> rows;
+
+    std::size_t apps() const { return points ? rows.size() / points : 0; }
+    /** App @p app's row at design point @p point. */
+    const SweepRecord &at(std::size_t app, std::size_t point) const
+    {
+        return rows[app * points + point];
+    }
+};
+
+/**
+ * Evaluate every cell of @p spec at its own engine: one evaluateCells
+ * batch on @p jobs workers, so the rows are identical for any @p jobs.
+ * On a spec ParamSpace::build or resolveApps rejects, returns nullopt
+ * with @p err set.
+ */
+std::optional<ScenarioRows> evaluateScenario(const ScenarioSpec &spec,
+                                             unsigned jobs,
+                                             std::string *err);
 
 } // namespace rcache
 

@@ -455,7 +455,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                 mf = info;
             } else {
                 // Lost the creation race; join what the winner wrote.
-                mf = readManifest(opt.claimDir, &read_err);
+                mf = joinManifest(opt.claimDir, &read_err);
                 if (!mf)
                     return fail(write_err);
             }

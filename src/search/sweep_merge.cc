@@ -101,7 +101,7 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
             mf = info;
         } else {
             // Lost the creation race; join what the winner wrote.
-            mf = readManifest(opt.dir, &read_err);
+            mf = joinManifest(opt.dir, &read_err);
             if (!mf)
                 return fail(write_err);
         }

@@ -24,24 +24,7 @@ void
 Experiment::setEngine(const EngineSpec &engine)
 {
     engine.validate();
-    std::lock_guard<std::mutex> lk(memoMtx_);
     engine_ = engine;
-    baselineMemo_.clear();
-}
-
-const std::vector<double> &
-Experiment::missBoundFractions()
-{
-    static const std::vector<double> fracs = SearchGrid{}.missFractions;
-    return fracs;
-}
-
-const std::vector<std::uint64_t> &
-Experiment::intervalGrid()
-{
-    static const std::vector<std::uint64_t> intervals =
-        SearchGrid{}.intervals;
-    return intervals;
 }
 
 SystemConfig
@@ -55,60 +38,6 @@ Experiment::configFor(CacheSide side, Organization org) const
     return cfg;
 }
 
-std::vector<RunResult>
-Experiment::execute(const std::vector<RunJob> &jobs) const
-{
-    return runner_ ? runner_->run(jobs)
-                   : SweepRunner::runSerial(jobs);
-}
-
-std::pair<RunResult, std::vector<RunResult>>
-Experiment::executeWithBaseline(const BenchmarkProfile &profile,
-                                std::vector<RunJob> jobs) const
-{
-    bool have = false;
-    RunResult base;
-    {
-        std::lock_guard<std::mutex> lk(memoMtx_);
-        auto it = baselineMemo_.find(profile.name);
-        if (it != baselineMemo_.end()) {
-            have = true;
-            base = it->second;
-        }
-    }
-    if (have)
-        return {base, execute(jobs)};
-
-    // Memo miss: the baseline is just one more job in the batch.
-    jobs.insert(jobs.begin(), baselineJob(profile));
-    std::vector<RunResult> results = execute(jobs);
-    base = results.front();
-    results.erase(results.begin());
-    // A cancelled batch leaves unrun jobs default-constructed
-    // (insts == 0); never memoize such a non-result.
-    if (base.insts != 0) {
-        std::lock_guard<std::mutex> lk(memoMtx_);
-        baselineMemo_.emplace(profile.name, base);
-    }
-    return {base, std::move(results)};
-}
-
-RunResult
-Experiment::baseline(const BenchmarkProfile &profile) const
-{
-    // The whole lookup-or-compute is one critical section: a second
-    // thread asking for the same profile blocks until the first has
-    // filled the memo instead of redundantly simulating it.
-    std::lock_guard<std::mutex> lk(memoMtx_);
-    auto it = baselineMemo_.find(profile.name);
-    if (it != baselineMemo_.end())
-        return it->second;
-
-    RunResult res = executeRunJob(baselineJob(profile));
-    baselineMemo_[profile.name] = res;
-    return res;
-}
-
 RunJob
 Experiment::baselineJob(const BenchmarkProfile &profile) const
 {
@@ -119,25 +48,6 @@ Experiment::baselineJob(const BenchmarkProfile &profile) const
     job.insts = numInsts_;
     job.engine = engine_;
     return job;
-}
-
-RunResult
-Experiment::runPoint(const BenchmarkProfile &profile,
-                     Organization il1_org, Organization dl1_org,
-                     const ResizeSetup &il1_setup,
-                     const ResizeSetup &dl1_setup) const
-{
-    RunJob job;
-    job.label = profile.name + "/point";
-    job.profile = profile;
-    job.cfg = cfg_;
-    job.cfg.il1Org = il1_org;
-    job.cfg.dl1Org = dl1_org;
-    job.insts = numInsts_;
-    job.il1 = il1_setup;
-    job.dl1 = dl1_setup;
-    job.engine = engine_;
-    return executeRunJob(job);
 }
 
 std::vector<DynamicParams>
@@ -228,13 +138,6 @@ Experiment::staticSearchJobs(const BenchmarkProfile &profile,
     return searchJobs(profile, side, org, Strategy::Static);
 }
 
-std::vector<RunJob>
-Experiment::dynamicSearchJobs(const BenchmarkProfile &profile,
-                              CacheSide side, Organization org) const
-{
-    return searchJobs(profile, side, org, Strategy::Dynamic);
-}
-
 SearchOutcome
 Experiment::reduceSearch(const RunResult &baseline,
                          const std::vector<SearchCandidate> &candidates,
@@ -276,19 +179,6 @@ Experiment::reduceStatic(const RunResult &baseline,
 }
 
 SearchOutcome
-Experiment::reduceDynamic(const RunResult &baseline,
-                          const std::vector<DynamicParams> &grid,
-                          const std::vector<RunResult> &results)
-{
-    std::vector<SearchCandidate> candidates;
-    candidates.reserve(grid.size());
-    for (const DynamicParams &dyn : grid)
-        candidates.push_back(
-            {ResizeSetup{Strategy::Dynamic, 0, dyn}, ""});
-    return reduceSearch(baseline, candidates, results);
-}
-
-SearchOutcome
 Experiment::reduceBoth(const RunResult &baseline,
                        const SearchOutcome &dcacheOut,
                        const RunResult &combined)
@@ -317,59 +207,6 @@ Experiment::bothStaticJob(const BenchmarkProfile &profile,
     job.il1 = ResizeSetup{Strategy::Static, il1_level, {}};
     job.dl1 = ResizeSetup{Strategy::Static, dl1_level, {}};
     return job;
-}
-
-SearchOutcome
-Experiment::search(const BenchmarkProfile &profile, CacheSide side,
-                   Organization org, Strategy strat) const
-{
-    auto [base, results] = executeWithBaseline(
-        profile, searchJobs(profile, side, org, strat));
-    return reduceSearch(base, searchCandidates(side, org, strat),
-                        results);
-}
-
-SearchOutcome
-Experiment::staticSearch(const BenchmarkProfile &profile,
-                         CacheSide side, Organization org) const
-{
-    return search(profile, side, org, Strategy::Static);
-}
-
-SearchOutcome
-Experiment::dynamicSearch(const BenchmarkProfile &profile,
-                          CacheSide side, Organization org) const
-{
-    return search(profile, side, org, Strategy::Dynamic);
-}
-
-SearchOutcome
-Experiment::staticSearchBoth(const BenchmarkProfile &profile,
-                             Organization org) const
-{
-    // Profile each side individually (the paper's decoupled
-    // methodology), then apply both chosen sizes together. Both
-    // sides' sweeps (and the baseline) go into one batch so an
-    // attached runner can overlap them.
-    auto jobs = staticSearchJobs(profile, CacheSide::DCache, org);
-    const std::size_t n_d = jobs.size();
-    const auto i_jobs = staticSearchJobs(profile, CacheSide::ICache,
-                                         org);
-    jobs.insert(jobs.end(), i_jobs.begin(), i_jobs.end());
-
-    auto [base, results] =
-        executeWithBaseline(profile, std::move(jobs));
-    const SearchOutcome d = reduceStatic(
-        base, {results.begin(), results.begin() + n_d});
-    const SearchOutcome i = reduceStatic(
-        base, {results.begin() + n_d, results.end()});
-
-    SearchOutcome out;
-    out.baseline = base;
-    out.best = executeRunJob(
-        bothStaticJob(profile, org, i.bestLevel, d.bestLevel));
-    out.bestLevel = d.bestLevel;
-    return out;
 }
 
 } // namespace rcache

@@ -1,22 +1,22 @@
 /**
  * @file
- * Experiment driver: the paper's offline profiling methodology.
+ * Experiment: the job-layout and reduction vocabulary of the paper's
+ * offline profiling methodology.
  *
  * Static resizing requires "profiling an application's execution with
  * different static cache sizes to determine the cache size with
  * minimal energy dissipation"; the dynamic controller's miss-bound and
- * size-bound "are extracted offline through profiling". staticSearch/
- * dynamicSearch implement exactly those sweeps and return the
- * minimum-energy-delay point together with the non-resizable baseline
- * it is normalized against.
- *
- * Every search decomposes into independent RunJobs (runner/
- * sweep_runner.hh): enumerate the design points, execute the batch,
- * reduce to the minimum-E.D point. Attach a SweepRunner with
- * setRunner() to execute batches on its thread pool; without one the
- * batch runs inline on the calling thread. Reductions scan results in
- * job order and keep the first minimum, so the outcome is identical
- * either way.
+ * size-bound "are extracted offline through profiling". A profiling
+ * search is a batch of independent RunJobs (runner/sweep_runner.hh):
+ * the non-resizable baseline, one job per candidate (each offered
+ * static level, or each dynamic grid point), and for side=both one
+ * combined run at the two per-side levels. Experiment lays those jobs
+ * out for one base configuration and reduces their results to the
+ * minimum-E.D point; it runs nothing and keeps no state beyond its
+ * configuration. CellBatch (scenario/cell_eval.hh) is the one
+ * procedure that executes the jobs, memoizes baselines, and turns the
+ * outcomes into rows; clients that need a raw RunResult lay out jobs
+ * here and run them on a SweepRunner.
  *
  * Tie-break contract: reductions use a strict `<` comparison, so when
  * two candidates dissipate exactly equal energy-delay the FIRST one
@@ -29,10 +29,7 @@
 #ifndef RCACHE_SIM_EXPERIMENT_HH
 #define RCACHE_SIM_EXPERIMENT_HH
 
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 
 #include "runner/sweep_runner.hh"
 #include "sim/search_grid.hh"
@@ -139,25 +136,15 @@ class Experiment
   public:
     /**
      * @param cfg base configuration; the org fields are overridden
-     *            per search
+     *            per job
      * @param num_insts instructions simulated per run
      */
     Experiment(const SystemConfig &cfg, std::uint64_t num_insts);
 
     /**
-     * Execute search batches on @p runner (not owned; may be null to
-     * return to inline execution). The attached runner is also what
-     * makes staticSearchBoth profile its two sides concurrently.
-     */
-    void setRunner(const SweepRunner *runner) { runner_ = runner; }
-    const SweepRunner *runner() const { return runner_; }
-
-    /**
-     * Apply @p engine to every job this experiment enumerates from
-     * now on (baselines included, so normalizations compare like with
-     * like). Defaults to full detail. Clears the baseline memo: a
-     * memoized full-detail baseline must not normalize runs of
-     * another engine.
+     * Apply @p engine to every job this experiment lays out from now
+     * on (baselines included, so normalizations compare like with
+     * like). Defaults to full detail.
      */
     void setEngine(const EngineSpec &engine);
     const EngineSpec &engine() const { return engine_; }
@@ -167,43 +154,17 @@ class Experiment
     void setSearchGrid(const SearchGrid &grid) { grid_ = grid; }
     const SearchGrid &searchGrid() const { return grid_; }
 
-    /** Non-resizable run of @p profile (memoized, thread-safe). */
-    RunResult baseline(const BenchmarkProfile &profile) const;
+    const SystemConfig &config() const { return cfg_; }
+    std::uint64_t numInsts() const { return numInsts_; }
 
-    /**
-     * Sweep every offered level of @p org on @p side statically and
-     * return the minimum-E.D point.
-     */
-    SearchOutcome staticSearch(const BenchmarkProfile &profile,
-                               CacheSide side, Organization org) const;
-
-    /**
-     * Grid-search the dynamic controller's miss-bound and size-bound
-     * on @p side and return the minimum-E.D point.
-     */
-    SearchOutcome dynamicSearch(const BenchmarkProfile &profile,
-                                CacheSide side, Organization org) const;
-
-    /**
-     * Resize both caches together using each side's individually
-     * profiled static level (the paper's Fig 9 methodology).
-     */
-    SearchOutcome staticSearchBoth(const BenchmarkProfile &profile,
-                                   Organization org) const;
-
-    /** Run one explicit design point (used by examples/ablations). */
-    RunResult runPoint(const BenchmarkProfile &profile,
-                       Organization il1_org, Organization dl1_org,
-                       const ResizeSetup &il1_setup,
-                       const ResizeSetup &dl1_setup) const;
-
-    /** @name Generic grid search
-     * All three searches above are thin wrappers over these: a cell's
-     * candidates are enumerated (static schedule levels or the
-     * dynamic parameter grid), executed as one batch, and reduced to
-     * the minimum-E.D candidate under the documented tie-break.
+    /** @name Job layout
+     * Jobs are returned in the deterministic order the reductions
+     * expect.
      */
     /// @{
+
+    /** The non-resizable baseline point of @p profile as a job. */
+    RunJob baselineJob(const BenchmarkProfile &profile) const;
 
     /** The candidate ResizeSetups a (side, org, strat) cell searches,
      *  in job order (largest cache first for Static; dynamicGrid()
@@ -217,11 +178,26 @@ class Experiment
                                    CacheSide side, Organization org,
                                    Strategy strat) const;
 
-    /** Execute a cell's search: candidates + baseline in one batch,
-     *  reduced with reduceSearch. */
-    SearchOutcome search(const BenchmarkProfile &profile,
-                         CacheSide side, Organization org,
-                         Strategy strat) const;
+    /** One job per offered level of @p org on @p side (level == job
+     *  index). */
+    std::vector<RunJob>
+    staticSearchJobs(const BenchmarkProfile &profile, CacheSide side,
+                     Organization org) const;
+
+    /** The (interval, miss-bound, size-bound) grid a dynamic cell
+     *  searches for @p side under @p org, in job order. */
+    std::vector<DynamicParams> dynamicGrid(CacheSide side,
+                                           Organization org) const;
+
+    /** Both caches resized together under @p org at each side's
+     *  profiled static level (the Fig 9 combined point). */
+    RunJob bothStaticJob(const BenchmarkProfile &profile,
+                         Organization org, unsigned il1_level,
+                         unsigned dl1_level) const;
+    /// @}
+
+    /** @name Reduction */
+    /// @{
 
     /**
      * Pick the minimum-E.D candidate. Strict `<`: the first minimum
@@ -233,41 +209,6 @@ class Experiment
     reduceSearch(const RunResult &baseline,
                  const std::vector<SearchCandidate> &candidates,
                  const std::vector<RunResult> &results);
-    /// @}
-
-    /** @name Job enumeration / reduction
-     * The searches above are compositions of these; clients that
-     * batch many searches into one SweepRunner::run call (the CLI
-     * sweep, the benches) use them directly. Jobs are returned in the
-     * deterministic order the reductions expect.
-     */
-    /// @{
-
-    /** The non-resizable baseline point of @p profile as a job. */
-    RunJob baselineJob(const BenchmarkProfile &profile) const;
-
-    /** One job per offered level of @p org on @p side (level == job
-     *  index). */
-    std::vector<RunJob>
-    staticSearchJobs(const BenchmarkProfile &profile, CacheSide side,
-                     Organization org) const;
-
-    /** One job per dynamic-controller grid point, in
-     *  dynamicGrid() order. */
-    std::vector<RunJob>
-    dynamicSearchJobs(const BenchmarkProfile &profile, CacheSide side,
-                      Organization org) const;
-
-    /** Both caches resized together under @p org at each side's
-     *  profiled static level (the Fig 9 combined point). */
-    RunJob bothStaticJob(const BenchmarkProfile &profile,
-                         Organization org, unsigned il1_level,
-                         unsigned dl1_level) const;
-
-    /** The (interval, miss-bound, size-bound) grid dynamicSearch
-     *  walks for @p side under @p org, in job order. */
-    std::vector<DynamicParams> dynamicGrid(CacheSide side,
-                                           Organization org) const;
 
     /** Pick the minimum-E.D static point (reduceSearch with level ==
      *  index candidates; same tie-break). */
@@ -275,65 +216,27 @@ class Experiment
     reduceStatic(const RunResult &baseline,
                  const std::vector<RunResult> &results);
 
-    /** Pick the minimum-E.D dynamic point (reduceSearch over @p grid;
-     *  same tie-break); @p grid must parallel @p results. */
-    static SearchOutcome
-    reduceDynamic(const RunResult &baseline,
-                  const std::vector<DynamicParams> &grid,
-                  const std::vector<RunResult> &results);
-
     /**
      * Assemble a side=both outcome (the Fig 9 methodology): the
      * combined run at the two per-side profiled levels is the best
      * point, and the reported level is the dcache side's (matching
-     * the per-side CSV convention). Shared by the sweep engine and
-     * the adaptive search so their rows cannot drift.
+     * the per-side CSV convention).
      */
     static SearchOutcome reduceBoth(const RunResult &baseline,
                                     const SearchOutcome &dcacheOut,
                                     const RunResult &combined);
     /// @}
 
-    const SystemConfig &config() const { return cfg_; }
-    std::uint64_t numInsts() const { return numInsts_; }
-
-    /** Default dynamic-search miss-bound fractions (SearchGrid's
-     *  defaults; exposed for tests/ablations). */
-    static const std::vector<double> &missBoundFractions();
-
-    /**
-     * Interval lengths searched, in cache accesses. Short intervals
-     * amortize the controller's one-interval reaction lag when a
-     * working-set phase begins (critical when miss latency is
-     * exposed); long intervals resist noise.
-     */
-    static const std::vector<std::uint64_t> &intervalGrid();
-
     /** Default controller interval, in cache accesses. */
     static constexpr std::uint64_t dynIntervalAccesses = 8192;
 
   private:
     SystemConfig configFor(CacheSide side, Organization org) const;
-    /** Execute @p jobs on the attached runner, or inline. */
-    std::vector<RunResult>
-    execute(const std::vector<RunJob> &jobs) const;
-    /**
-     * Execute @p jobs plus (on a memo miss) the profile's baseline
-     * in the same batch, so an attached runner overlaps the
-     * baseline with the sweep instead of running it serially first.
-     * @return the baseline and the jobs' results, in job order
-     */
-    std::pair<RunResult, std::vector<RunResult>>
-    executeWithBaseline(const BenchmarkProfile &profile,
-                        std::vector<RunJob> jobs) const;
 
     SystemConfig cfg_;
     std::uint64_t numInsts_;
     EngineSpec engine_;
     SearchGrid grid_;
-    const SweepRunner *runner_ = nullptr;
-    mutable std::mutex memoMtx_;
-    mutable std::map<std::string, RunResult> baselineMemo_;
 };
 
 } // namespace rcache

@@ -6,8 +6,8 @@
  *
  * The defaults reproduce the grid the pre-scenario searches
  * hardcoded. This is the single source of those defaults: Experiment
- * sweeps the grid and ScenarioSpec's [search] section overrides it,
- * so the two layers cannot drift.
+ * lays the grid out as jobs and ScenarioSpec's [search] section
+ * overrides it, so the two layers cannot drift.
  */
 
 #ifndef RCACHE_SIM_SEARCH_GRID_HH

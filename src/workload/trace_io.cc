@@ -1,7 +1,8 @@
 #include "workload/trace_io.hh"
 
 #include <charconv>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <string_view>
 
 #include "util/logging.hh"
@@ -247,31 +248,6 @@ readTraceStrict(std::istream &is, const std::string &file,
         out.push_back(m);
     }
     return true;
-}
-
-std::vector<MicroInst>
-readTrace(std::istream &is)
-{
-    std::vector<MicroInst> out;
-    std::string err;
-    if (!readTraceStrict(is, "trace", out, &err))
-        rc_fatal("malformed trace line: " + err);
-    return out;
-}
-
-TraceWorkload
-loadTraceWorkload(const std::string &path, const std::string &name)
-{
-    std::ifstream f(path);
-    if (!f)
-        rc_fatal("cannot open trace file: " + path);
-    std::vector<MicroInst> insts;
-    std::string err;
-    if (!readTraceStrict(f, path, insts, &err))
-        rc_fatal("malformed trace line: " + err);
-    if (insts.empty())
-        rc_fatal("trace file is empty: " + path);
-    return TraceWorkload(std::move(insts), name);
 }
 
 } // namespace rcache

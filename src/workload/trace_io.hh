@@ -1,8 +1,11 @@
 /**
  * @file
- * Trace file I/O: record a workload's stream to a portable text
- * format and replay it later, so users can drive the simulator with
- * their own reference streams instead of the synthetic profiles.
+ * Native trace format I/O: record a workload's stream to a portable
+ * text format (`rcache-sim record`), which the streaming reader
+ * (workload/streaming_trace.hh) replays anywhere an app name goes as
+ * trace:PATH. This file holds the writer and the strict line parser
+ * both sides share; readTraceStrict is the materializing reference
+ * the streaming reader is tested against.
  *
  * Format: one instruction per line,
  *   <op> <pc-hex> <eff-addr-hex> <latency> <dep1> <dep2> <taken>
@@ -52,17 +55,6 @@ bool parseTraceLine(const std::string &line, MicroInst &m,
  */
 bool readTraceStrict(std::istream &is, const std::string &file,
                      std::vector<MicroInst> &out, std::string *err);
-
-/**
- * Parse a trace stream. Malformed lines are a user error (fatal).
- * @return the parsed instructions, in order
- */
-std::vector<MicroInst> readTrace(std::istream &is);
-
-/** Convenience: read a trace file into a replayable workload.
- *  Fatal if the file cannot be opened or parsed. */
-TraceWorkload loadTraceWorkload(const std::string &path,
-                                const std::string &name = "trace");
 
 /** Single-character opcode used in the trace format. */
 char opClassCode(OpClass op);

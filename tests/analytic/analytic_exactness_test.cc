@@ -17,7 +17,7 @@
 #include "analytic/analytic_engine.hh"
 #include "core/size_schedule.hh"
 #include "scenario/scenario_sweep.hh"
-#include "sim/experiment.hh"
+#include "tests/scenario/scenario_rows.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
@@ -135,18 +135,26 @@ TEST(AnalyticExactnessTest, BestSizeSelectionAgreesWithDetailed)
 {
     // The decision the engine exists to accelerate: which static
     // level minimizes E.D. Both engines must pick the same one.
-    for (const char *app : {"ammp", "gcc", "swim"}) {
-        Experiment detailed(SystemConfig::base(), kInsts);
-        Experiment analytic(SystemConfig::base(), kInsts);
-        analytic.setEngine(EngineSpec::makeAnalytic());
+    const std::string cells = R"([scenario]
+insts = 60000
 
-        const SearchOutcome d = detailed.staticSearch(
-            profileByName(app), CacheSide::DCache,
-            Organization::SelectiveSets);
-        const SearchOutcome a = analytic.staticSearch(
-            profileByName(app), CacheSide::DCache,
-            Organization::SelectiveSets);
-        EXPECT_EQ(a.bestLevel, d.bestLevel) << app;
+[workloads]
+apps = ammp,gcc,swim
+
+[search]
+org = sets
+strategy = static
+side = dcache
+)";
+    const ScenarioRows detailed = scenarioRows(cells);
+    const ScenarioRows analytic =
+        scenarioRows(cells + "\n[engine]\nmode = analytic\n");
+    ASSERT_EQ(detailed.rows.size(), 3u);
+    ASSERT_EQ(analytic.rows.size(), 3u);
+    for (std::size_t i = 0; i < detailed.rows.size(); ++i) {
+        EXPECT_EQ(analytic.rows[i].engine, EngineMode::Analytic);
+        EXPECT_EQ(analytic.rows[i].bestLevel, detailed.rows[i].bestLevel)
+            << detailed.rows[i].app;
     }
 }
 

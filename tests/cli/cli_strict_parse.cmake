@@ -89,6 +89,9 @@ endfunction()
 
 # ---- unknown subcommands / options / apps: one-line diagnostics
 check_rejects_oneline("unknown subcommand 'frobnicate'" frobnicate)
+# replay was folded into `run --app trace:PATH`.
+check_exit2_oneline("unknown subcommand 'replay'"
+                    replay --trace t.trace)
 check_rejects_oneline("unknown option '--bogus' for 'sweep'"
                       sweep --bogus 1)
 check_rejects_oneline("unknown option '--progress' for 'run'"
@@ -142,8 +145,6 @@ check_rejects_oneline("no effect under a sampled engine"
                       run --mix gcc+swim --engine
                       sampled:interval=20000
                       --quantum 1000 --insts 40000)
-check_rejects_oneline("unknown option '--cores' for 'replay'"
-                      replay --trace t.bin --cores 2)
 # A multi-program mix must never silently run only its first
 # component: sweeping it without enough cores is rejected up front.
 check_rejects_oneline("set \\[cores\\] count or a cores axis"
@@ -248,7 +249,6 @@ check_prints("--shard" sweep --help)
 check_prints("--il1-org" run --help)
 check_prints("--engine" run --help)
 check_prints("--engine" sweep --help)
-check_prints("--trace" replay --help)
 check_prints("design-space sweep" sweep --help)
 check_prints("check FILE" scenario --help)
 check_accepts(list-apps --help)
@@ -363,7 +363,8 @@ check_exit2_oneline("--policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
 set(POL_TRACE "${CMAKE_CURRENT_BINARY_DIR}/policy_cli.trace")
 file(WRITE ${POL_TRACE} "L 400000 0 1 0 0 0\n")
 check_exit2_oneline("--policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
-                    replay --trace ${POL_TRACE} --policy mru)
+                    run --app trace:${POL_TRACE} --policy mru
+                    --insts 1000)
 file(REMOVE ${POL_TRACE})
 # The analytic engine's true-LRU envelope covers the policy knob too.
 check_exit2_oneline("models true-LRU"
@@ -371,7 +372,6 @@ check_exit2_oneline("models true-LRU"
                     --insts 1000)
 check_prints("--policy" run --help)
 check_prints("--policy" sweep --help)
-check_prints("--policy" replay --help)
 
 # ---- trace: app specs are preflighted: every rejection is one line,
 # exit 2, before any simulation starts
@@ -392,14 +392,14 @@ check_exit2_oneline("bad_rows_cli.csv:1:"
                     run --app trace:${BAD_TRACE} --insts 1000)
 file(REMOVE ${BAD_TRACE})
 
-# ---- replay: malformed native traces get one file:line diagnostic
+# ---- native traces: a malformed record gets one file:line diagnostic
 set(BAD_NATIVE "${CMAKE_CURRENT_BINARY_DIR}/bad_native_cli.trace")
 file(WRITE ${BAD_NATIVE} "L 400000 0 1 0 0 0\ngarbage here\n")
 check_exit2_oneline("bad_native_cli.trace:2:"
-                    replay --trace ${BAD_NATIVE})
+                    run --app trace:${BAD_NATIVE} --insts 1000)
 file(REMOVE ${BAD_NATIVE})
-check_exit2_oneline("cannot open trace 'no-such.trace'"
-                    replay --trace no-such.trace)
+check_exit2_oneline("cannot open trace file: no-such.trace"
+                    run --app trace:no-such.trace --insts 1000)
 
 # ---- convert: strict flags, spec errors exit 2, happy path streams
 check_rejects_oneline("unknown option '--bogus' for 'convert'"

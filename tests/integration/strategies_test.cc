@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "tests/scenario/scenario_rows.hh"
 
 namespace rcache
 {
@@ -16,12 +16,19 @@ namespace
 // dynamic-vs-static contrast needs the adaptation to amortize.
 constexpr std::uint64_t kInsts = 1200000;
 
-SystemConfig
-inOrder()
+/**
+ * Selective-sets cells at kInsts over @p apps x the @p axes lines
+ * (e.g. "strategy = static,dynamic"), resizing @p side.
+ */
+ScenarioRows
+setsCells(const std::string &apps, const std::string &axes,
+          const std::string &side = "dcache")
 {
-    SystemConfig cfg = SystemConfig::base();
-    cfg.coreModel = CoreModel::InOrder;
-    return cfg;
+    return scenarioRows("[scenario]\ninsts = " + std::to_string(kInsts) +
+                        "\n[workloads]\napps = " + apps +
+                        "\n[axes]\n" + axes +
+                        "\n[search]\norg = sets\nside = " + side +
+                        "\n");
 }
 } // namespace
 
@@ -29,14 +36,13 @@ TEST(StrategiesIntegration, StaticMatchesDynamicOnConstantApps)
 {
     // ammp's working set never changes: static captures everything
     // and dynamic converges to the same size (paper Sec 4.2.1 type 1).
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto st = exp.staticSearch(p, CacheSide::DCache,
-                               Organization::SelectiveSets);
-    auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
-    EXPECT_NEAR(st.edReductionPct(), dy.edReductionPct(), 2.0);
-    EXPECT_GT(dy.sizeReductionPct(CacheSide::DCache), 50.0);
+    const ScenarioRows res =
+        setsCells("ammp", "strategy = static,dynamic");
+    ASSERT_EQ(res.rows.size(), 2u);
+    const SweepRecord &st = res.rows[0];
+    const SweepRecord &dy = res.rows[1];
+    EXPECT_NEAR(st.edReductionPct, dy.edReductionPct, 2.0);
+    EXPECT_GT(dy.sizeReductionPct, 50.0);
 }
 
 TEST(StrategiesIntegration, DynamicCompetitiveOnPeriodicAppInOrder)
@@ -47,14 +53,13 @@ TEST(StrategiesIntegration, DynamicCompetitiveOnPeriodicAppInOrder)
     // within a small margin (the controller's hi-phase detection lag
     // costs roughly what the low-phase dips save; see
     // EXPERIMENTS.md); it must never be catastrophically worse.
-    Experiment exp(inOrder(), kInsts);
-    auto p = profileByName("su2cor");
-    auto st = exp.staticSearch(p, CacheSide::DCache,
-                               Organization::SelectiveSets);
-    auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
-    EXPECT_GE(dy.edReductionPct(), st.edReductionPct() - 1.0);
-    EXPECT_GE(dy.edReductionPct(), -0.5);
+    const ScenarioRows res = setsCells(
+        "su2cor", "core = inorder\nstrategy = static,dynamic");
+    ASSERT_EQ(res.rows.size(), 2u);
+    const SweepRecord &st = res.rows[0];
+    const SweepRecord &dy = res.rows[1];
+    EXPECT_GE(dy.edReductionPct, st.edReductionPct - 1.0);
+    EXPECT_GE(dy.edReductionPct, -0.5);
 }
 
 TEST(StrategiesIntegration, OoOHidesMissLatencyForStatic)
@@ -62,14 +67,10 @@ TEST(StrategiesIntegration, OoOHidesMissLatencyForStatic)
     // With out-of-order issue the same app allows aggressive static
     // downsizing (paper Sec 4.2.1: "static resizing possibly performs
     // as good as dynamic").
-    Experiment ooo(SystemConfig::base(), kInsts);
-    Experiment inord(inOrder(), kInsts);
-    auto p = profileByName("su2cor");
-    auto st_ooo = ooo.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets);
-    auto st_in = inord.staticSearch(p, CacheSide::DCache,
-                                    Organization::SelectiveSets);
-    EXPECT_GT(st_ooo.edReductionPct(), st_in.edReductionPct());
+    const ScenarioRows res =
+        setsCells("su2cor", "core = ooo,inorder\nstrategy = static");
+    ASSERT_EQ(res.rows.size(), 2u);
+    EXPECT_GT(res.rows[0].edReductionPct, res.rows[1].edReductionPct);
 }
 
 TEST(StrategiesIntegration, DynamicTracksPeriodicPhases)
@@ -100,18 +101,14 @@ TEST(StrategiesIntegration, ICacheSavesMoreOnInOrder)
 {
     // Paper Sec 4.2.2: i-cache resizing achieves larger reductions on
     // the in-order processor (larger i-cache energy share).
-    Experiment ooo(SystemConfig::base(), kInsts);
-    Experiment inord(inOrder(), kInsts);
+    const ScenarioRows res =
+        setsCells("ammp,compress,m88ksim",
+                  "core = ooo,inorder\nstrategy = static", "icache");
+    ASSERT_EQ(res.rows.size(), 6u);
     double ooo_sum = 0, inord_sum = 0;
-    for (const char *n : {"ammp", "compress", "m88ksim"}) {
-        auto p = profileByName(n);
-        ooo_sum += ooo.staticSearch(p, CacheSide::ICache,
-                                    Organization::SelectiveSets)
-                       .edReductionPct();
-        inord_sum += inord
-                         .staticSearch(p, CacheSide::ICache,
-                                       Organization::SelectiveSets)
-                         .edReductionPct();
+    for (std::size_t app = 0; app < res.apps(); ++app) {
+        ooo_sum += res.at(app, 0).edReductionPct;
+        inord_sum += res.at(app, 1).edReductionPct;
     }
     EXPECT_GT(inord_sum, ooo_sum);
 }
@@ -120,16 +117,12 @@ TEST(StrategiesIntegration, PerfDegradationWithinPaperBounds)
 {
     // The paper reports all best-E*D points within 6% performance
     // degradation; check ours on the base config.
-    Experiment exp(SystemConfig::base(), kInsts);
-    for (const char *n : {"ammp", "gcc", "su2cor", "compress"}) {
-        auto p = profileByName(n);
-        auto st = exp.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets);
-        EXPECT_LT(st.perfDegradationPct(), 6.0) << n;
-        auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                    Organization::SelectiveSets);
-        EXPECT_LT(dy.perfDegradationPct(), 6.0) << n;
-    }
+    const ScenarioRows res = setsCells("ammp,gcc,su2cor,compress",
+                                       "strategy = static,dynamic");
+    ASSERT_EQ(res.rows.size(), 8u);
+    for (const SweepRecord &out : res.rows)
+        EXPECT_LT(out.perfDegradationPct, 6.0)
+            << out.app << ' ' << out.strategy;
 }
 
 } // namespace rcache

@@ -1,13 +1,14 @@
 /** @file Tests for the sweep runner: ordering, determinism,
- *  progress, cancellation, and parity with serial Experiment use. */
+ *  progress, cancellation, and row identity across worker counts. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <sstream>
 
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
+#include "tests/scenario/scenario_rows.hh"
 
 namespace rcache
 {
@@ -48,11 +49,26 @@ mixedBatch(const Experiment &exp)
                                       Organization::SelectiveSets);
         jobs.insert(jobs.end(), s.begin(), s.end());
     }
-    auto d = exp.dynamicSearchJobs(profileByName("swim"),
-                                   CacheSide::DCache,
-                                   Organization::SelectiveSets);
+    auto d = exp.searchJobs(profileByName("swim"), CacheSide::DCache,
+                            Organization::SelectiveSets,
+                            Strategy::Dynamic);
     jobs.insert(jobs.end(), d.begin(), d.begin() + 6);
     return jobs;
+}
+
+/** Evaluate inline scenario @p text on one worker and on four and
+ *  require byte-identical CSV rows. */
+void
+expectRowsIdenticalAtOneAndFourJobs(const char *text)
+{
+    const auto csv = [](const ScenarioRows &res) {
+        std::ostringstream os;
+        writeSweepCsv(os, res.rows);
+        return os.str();
+    };
+    const ScenarioRows serial = scenarioRows(text, 1);
+    ASSERT_FALSE(serial.rows.empty());
+    EXPECT_EQ(csv(serial), csv(scenarioRows(text, 4)));
 }
 
 } // namespace
@@ -131,49 +147,49 @@ TEST(SweepRunnerTest, CancelSkipsUnstartedJobs)
 
 TEST(SweepRunnerTest, ExperimentSearchesIdenticalWithAndWithoutRunner)
 {
-    const auto p = profileByName("ammp");
+    // A static cell and a side=both cell (whose combined phase-2 run
+    // depends on both sides' reductions) must report byte-identical
+    // rows whether the batch runs serially on one worker or on four.
+    // side=both is static-only, so it is a spec of its own.
+    const char *const per_side = R"([scenario]
+insts = 60000
 
-    Experiment serial(SystemConfig::base(), kInsts);
-    const auto s_static = serial.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const auto s_both =
-        serial.staticSearchBoth(p, Organization::SelectiveSets);
+[workloads]
+apps = ammp,swim
 
-    Experiment threaded(SystemConfig::base(), kInsts);
-    SweepRunner runner(4);
-    threaded.setRunner(&runner);
-    const auto t_static = threaded.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const auto t_both =
-        threaded.staticSearchBoth(p, Organization::SelectiveSets);
+[search]
+org = sets
+strategy = static
+side = dcache
+)";
+    const char *const both = R"([scenario]
+insts = 60000
 
-    EXPECT_EQ(s_static.bestLevel, t_static.bestLevel);
-    expectIdentical(s_static.baseline, t_static.baseline);
-    expectIdentical(s_static.best, t_static.best);
-    EXPECT_EQ(s_both.bestLevel, t_both.bestLevel);
-    expectIdentical(s_both.best, t_both.best);
+[workloads]
+apps = ammp
+
+[search]
+org = sets
+strategy = static
+side = both
+)";
+    for (const char *text : {per_side, both})
+        expectRowsIdenticalAtOneAndFourJobs(text);
 }
 
 TEST(SweepRunnerTest, DynamicSearchIdenticalWithAndWithoutRunner)
 {
-    const auto p = profileByName("swim");
+    expectRowsIdenticalAtOneAndFourJobs(R"([scenario]
+insts = 60000
 
-    Experiment serial(SystemConfig::base(), kInsts);
-    const auto s = serial.dynamicSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
+[workloads]
+apps = ammp,swim
 
-    Experiment threaded(SystemConfig::base(), kInsts);
-    SweepRunner runner(3);
-    threaded.setRunner(&runner);
-    const auto t = threaded.dynamicSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-
-    expectIdentical(s.best, t.best);
-    EXPECT_EQ(s.bestParams.intervalAccesses,
-              t.bestParams.intervalAccesses);
-    EXPECT_EQ(s.bestParams.missBound, t.bestParams.missBound);
-    EXPECT_EQ(s.bestParams.sizeBoundBytes,
-              t.bestParams.sizeBoundBytes);
+[search]
+org = sets
+strategy = dynamic
+side = dcache
+)");
 }
 
 TEST(SweepRunnerTest, ExecuteRunJobIsPure)
@@ -181,28 +197,6 @@ TEST(SweepRunnerTest, ExecuteRunJobIsPure)
     Experiment exp(SystemConfig::base(), kInsts);
     const RunJob job = exp.baselineJob(profileByName("gcc"));
     expectIdentical(executeRunJob(job), executeRunJob(job));
-}
-
-TEST(SweepRunnerTest, BaselineMemoSafeUnderConcurrentUse)
-{
-    // Hammer the memoized baseline from many threads; TSan-clean and
-    // every thread must observe the same result.
-    Experiment exp(SystemConfig::base(), kInsts);
-    const auto p = profileByName("ammp");
-    const RunResult ref = exp.baseline(p);
-
-    ThreadPool pool(4);
-    std::atomic<int> mismatches{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&] {
-            RunResult r = exp.baseline(p);
-            if (r.cycles != ref.cycles ||
-                r.energy.total() != ref.energy.total())
-                ++mismatches;
-        });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace rcache

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
 #include "scenario/param_space.hh"
 #include "scenario/scenario_spec.hh"
 
@@ -228,11 +231,15 @@ TEST(ScenarioSpecTest, PolicyKeySelectsAndPrintsCanonically)
 TEST(ScenarioSpecTest, CheckedInScenariosValidate)
 {
 #ifdef RCACHE_SCENARIO_SOURCE_DIR
-    for (const char *name : {"fig4.scn", "fig4_tune.scn",
-                             "fig9.scn", "inorder_lowpower.scn",
-                             "l2_latency.scn"}) {
-        const std::string path =
-            std::string(RCACHE_SCENARIO_SOURCE_DIR) + "/" + name;
+    // Every shipped scenario, so a new file is covered by adding it.
+    std::vector<std::string> paths;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             RCACHE_SCENARIO_SOURCE_DIR))
+        if (entry.path().extension() == ".scn")
+            paths.push_back(entry.path().string());
+    std::sort(paths.begin(), paths.end());
+    EXPECT_GE(paths.size(), 10u);
+    for (const std::string &path : paths) {
         std::string err;
         auto spec = ScenarioSpec::parseFile(path, &err);
         ASSERT_TRUE(spec) << err;

@@ -1,8 +1,8 @@
 /** @file
  * Tests for the scenario sweep engine: shard-union and resume
- * identities, consistency with the Experiment searches, and the
- * CellBatch layout that sweeps, tunes and benches evaluate cells
- * through.
+ * identities, consistency with a hand-reduced Experiment job batch,
+ * and the CellBatch layout that sweeps, tunes and benches evaluate
+ * cells through.
  */
 
 #include <gtest/gtest.h>
@@ -184,8 +184,8 @@ TEST(ScenarioSweepTest, AnyRowBoundaryPrefixResumesIdentically)
 
 TEST(ScenarioSweepTest, RecordsMatchExperimentSearches)
 {
-    // One axis-free cell must agree exactly with the Experiment API
-    // it wraps.
+    // One axis-free cell must agree exactly with the Experiment
+    // vocabulary it is laid out with.
     std::string err;
     auto spec = ScenarioSpec::parseText(R"([scenario]
 name = consistency
@@ -209,10 +209,22 @@ side = dcache
     ASSERT_EQ(records->size(), 1u);
     const SweepRecord &r = records->front();
 
-    Experiment exp(SystemConfig::base(), 20000);
-    const SearchOutcome out = exp.staticSearch(
-        profileByName("ammp"), CacheSide::DCache,
-        Organization::SelectiveSets);
+    // Reference: the cell's jobs laid out by hand, run serially, and
+    // reduced with the same vocabulary.
+    const Experiment exp(SystemConfig::base(), 20000);
+    const BenchmarkProfile ammp = profileByName("ammp");
+    std::vector<RunJob> jobs{exp.baselineJob(ammp)};
+    const auto levels = exp.searchJobs(ammp, CacheSide::DCache,
+                                       Organization::SelectiveSets,
+                                       Strategy::Static);
+    jobs.insert(jobs.end(), levels.begin(), levels.end());
+    const std::vector<RunResult> results = SweepRunner::runSerial(jobs);
+    const SearchOutcome out = Experiment::reduceSearch(
+        results.front(),
+        exp.searchCandidates(CacheSide::DCache,
+                             Organization::SelectiveSets,
+                             Strategy::Static),
+        {results.begin() + 1, results.end()});
     EXPECT_EQ(r.cell, 0u);
     EXPECT_EQ(r.app, "ammp");
     EXPECT_EQ(r.axes, "");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -269,6 +270,73 @@ TEST(ClaimTest, ClaimRejectsMismatchedJoin)
     ASSERT_EQ(runAdaptiveSearch(tuneSpec(), topt, nullptr), 0);
     EXPECT_NE(runSweepMerge({tdir}, pathIn("claim_tune_merge.csv")),
               0);
+}
+
+TEST(ClaimTest, ConcurrentPublishesOfOnePathAllSucceed)
+{
+    // Racing publishers of one path (two claim workers creating the
+    // same manifest, in one process or several) must each publish a
+    // whole file: a tmp name shared between them lets one rename
+    // take the other's tmp file away.
+    const std::string dir = freshDir("atomic_publish");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/MANIFEST.scn";
+    constexpr std::size_t kBytes = 4096;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (char fill = 'a'; fill < 'a' + 4; ++fill) {
+        threads.emplace_back([&, fill] {
+            const std::string text(kBytes, fill);
+            for (int i = 0; i < 200; ++i) {
+                std::string err;
+                if (!atomicWriteFile(path, text, &err))
+                    ++failures;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+    const std::string got = slurp(path);
+    ASSERT_EQ(got.size(), kBytes);
+    EXPECT_EQ(got, std::string(kBytes, got[0]));
+    // Every tmp file was renamed into place: no debris.
+    std::size_t entries = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename(), "MANIFEST.scn");
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
+}
+
+TEST(ClaimTest, RacingManifestCreatorsJoinOneManifest)
+{
+    // Two creators race for one directory: exactly one commits, and
+    // the loser joins the committed manifest rather than reading the
+    // winner's half-written meta as damage.
+    ManifestInfo info;
+    info.scenarioText = "[scenario]\nname = race\n";
+    info.shards = 3;
+    for (int round = 0; round < 100; ++round) {
+        const std::string dir = freshDir("manifest_race");
+        std::atomic<int> won{0}, joined{0};
+        const auto create = [&] {
+            std::string err;
+            if (writeManifest(dir, info, &err)) {
+                ++won;
+                return;
+            }
+            const auto mf = joinManifest(dir, &err);
+            if (mf && mf->shards == info.shards &&
+                mf->scenarioText == info.scenarioText)
+                ++joined;
+        };
+        std::thread a(create), b(create);
+        a.join();
+        b.join();
+        ASSERT_EQ(won.load(), 1) << "round " << round;
+        ASSERT_EQ(joined.load(), 1) << "round " << round;
+    }
 }
 
 TEST(ClaimTest, ClaimTuneMatchesLocalTune)

@@ -1,51 +1,65 @@
-/** @file Tests for the experiment (profiling search) driver. */
+/** @file Tests for the profiling searches: Experiment's job layout
+ *  and reductions, and the rows the cell-evaluation path builds from
+ *  them. */
 
 #include <gtest/gtest.h>
 
+#include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
+#include "tests/scenario/scenario_rows.hh"
 
 namespace rcache
 {
 
 namespace
 {
-constexpr std::uint64_t kInsts = 120000;
-} // namespace
 
-TEST(ExperimentTest, BaselineIsMemoized)
-{
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    RunResult a = exp.baseline(p);
-    RunResult b = exp.baseline(p);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
-}
+/** One static selective-sets d-cache cell of ammp. */
+const char *const kAmmpStatic = R"([scenario]
+insts = 120000
+
+[workloads]
+apps = ammp
+
+[search]
+org = sets
+strategy = static
+side = dcache
+)";
+
+} // namespace
 
 TEST(ExperimentTest, StaticSearchPicksMinimumED)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto out = exp.staticSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
+    const ScenarioRows res = scenarioRows(kAmmpStatic);
+    ASSERT_EQ(res.rows.size(), 1u);
+    const SweepRecord &out = res.rows[0];
     // ammp has a tiny working set: a much smaller cache must win.
     EXPECT_GT(out.bestLevel, 0u);
-    EXPECT_GT(out.edReductionPct(), 5.0);
-    EXPECT_LT(out.best.avgDl1Bytes, 32 * 1024.0);
+    EXPECT_GT(out.edReductionPct, 5.0);
+    EXPECT_LT(out.avgDl1Bytes, 32 * 1024.0);
     // And the best point cannot be worse than the full-size point.
-    EXPECT_LE(out.best.edp(), out.baseline.edp() * 1.01);
+    EXPECT_LE(out.bestEdp, out.baselineEdp * 1.01);
 }
 
 TEST(ExperimentTest, StaticSearchOnlyTouchesRequestedSide)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto d = exp.staticSearch(p, CacheSide::DCache,
-                              Organization::SelectiveSets);
-    EXPECT_DOUBLE_EQ(d.best.avgIl1Bytes, 32 * 1024.0);
-    auto i = exp.staticSearch(p, CacheSide::ICache,
-                              Organization::SelectiveSets);
-    EXPECT_DOUBLE_EQ(i.best.avgDl1Bytes, 32 * 1024.0);
+    const ScenarioRows res = scenarioRows(R"([scenario]
+insts = 120000
+
+[workloads]
+apps = ammp
+
+[axes]
+side = dcache,icache
+
+[search]
+org = sets
+strategy = static
+)");
+    ASSERT_EQ(res.rows.size(), 2u);
+    EXPECT_DOUBLE_EQ(res.rows[0].avgIl1Bytes, 32 * 1024.0);
+    EXPECT_DOUBLE_EQ(res.rows[1].avgDl1Bytes, 32 * 1024.0);
 }
 
 TEST(ExperimentTest, DynamicSearchNeverMuchWorseThanBaseline)
@@ -53,58 +67,87 @@ TEST(ExperimentTest, DynamicSearchNeverMuchWorseThanBaseline)
     // The grid includes a size-bound equal to the full size, so the
     // profiled dynamic point can only lose the resizing-tag-bit
     // overhead.
-    Experiment exp(SystemConfig::base(), kInsts);
-    for (const char *n : {"swim", "gcc"}) {
-        auto out = exp.dynamicSearch(profileByName(n),
-                                     CacheSide::DCache,
-                                     Organization::SelectiveSets);
-        EXPECT_GT(out.edReductionPct(), -1.0) << n;
-    }
+    const ScenarioRows res = scenarioRows(R"([scenario]
+insts = 120000
+
+[workloads]
+apps = swim,gcc
+
+[search]
+org = sets
+strategy = dynamic
+side = dcache
+)");
+    ASSERT_EQ(res.rows.size(), 2u);
+    for (const SweepRecord &out : res.rows)
+        EXPECT_GT(out.edReductionPct, -1.0) << out.app;
 }
 
 TEST(ExperimentTest, DynamicSearchShrinksSmallWorkingSet)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto out = exp.dynamicSearch(profileByName("ammp"),
-                                 CacheSide::DCache,
-                                 Organization::SelectiveSets);
-    EXPECT_GT(out.sizeReductionPct(CacheSide::DCache), 30.0);
-    EXPECT_GT(out.edReductionPct(), 3.0);
+    const ScenarioRows res = scenarioRows(R"([scenario]
+insts = 120000
+
+[workloads]
+apps = ammp
+
+[search]
+org = sets
+strategy = dynamic
+side = dcache
+)");
+    ASSERT_EQ(res.rows.size(), 1u);
+    EXPECT_GT(res.rows[0].sizeReductionPct, 30.0);
+    EXPECT_GT(res.rows[0].edReductionPct, 3.0);
 }
 
 TEST(ExperimentTest, BothSidesOutcomeCombines)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("m88ksim");
-    auto both = exp.staticSearchBoth(p, Organization::SelectiveSets);
-    EXPECT_LT(both.best.avgDl1Bytes, 32 * 1024.0);
-    EXPECT_LT(both.best.avgIl1Bytes, 32 * 1024.0);
-    auto d = exp.staticSearch(p, CacheSide::DCache,
-                              Organization::SelectiveSets);
-    auto i = exp.staticSearch(p, CacheSide::ICache,
-                              Organization::SelectiveSets);
+    const ScenarioRows res = scenarioRows(R"([scenario]
+insts = 120000
+
+[workloads]
+apps = m88ksim
+
+[axes]
+side = dcache,icache,both
+
+[search]
+org = sets
+strategy = static
+)");
+    ASSERT_EQ(res.rows.size(), 3u);
+    const SweepRecord &d = res.rows[0];
+    const SweepRecord &i = res.rows[1];
+    const SweepRecord &both = res.rows[2];
+    EXPECT_LT(both.avgDl1Bytes, 32 * 1024.0);
+    EXPECT_LT(both.avgIl1Bytes, 32 * 1024.0);
     // Additivity within slack (paper Fig 9).
-    EXPECT_NEAR(both.edReductionPct(),
-                d.edReductionPct() + i.edReductionPct(), 4.0);
+    EXPECT_NEAR(both.edReductionPct,
+                d.edReductionPct + i.edReductionPct, 4.0);
 }
 
 TEST(ExperimentTest, RunPointHonorsExplicitSetups)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    RunResult r = exp.runPoint(
-        p, Organization::SelectiveSets, Organization::SelectiveWays,
-        ResizeSetup{Strategy::Static, 1, {}},
-        ResizeSetup{Strategy::Static, 1, {}});
+    RunJob job;
+    job.label = "ammp/point";
+    job.profile = profileByName("ammp");
+    job.cfg.il1Org = Organization::SelectiveSets;
+    job.cfg.dl1Org = Organization::SelectiveWays;
+    job.insts = 120000;
+    job.il1 = ResizeSetup{Strategy::Static, 1, {}};
+    job.dl1 = ResizeSetup{Strategy::Static, 1, {}};
+    const RunResult r = executeRunJob(job);
     EXPECT_DOUBLE_EQ(r.avgIl1Bytes, 16 * 1024.0); // sets level 1
     EXPECT_DOUBLE_EQ(r.avgDl1Bytes, 16 * 1024.0); // ways level 1 (1w)
 }
 
 TEST(ExperimentTest, SearchGridsExposed)
 {
-    EXPECT_FALSE(Experiment::missBoundFractions().empty());
-    EXPECT_FALSE(Experiment::intervalGrid().empty());
-    for (double f : Experiment::missBoundFractions()) {
+    const SearchGrid grid;
+    EXPECT_FALSE(grid.missFractions.empty());
+    EXPECT_FALSE(grid.intervals.empty());
+    for (double f : grid.missFractions) {
         EXPECT_GT(f, 0.0);
         EXPECT_LT(f, 1.0);
     }
@@ -136,12 +179,14 @@ TEST(ExperimentTest, TieBreakPrefersLargerCacheLowerIndex)
     EXPECT_EQ(out.bestLevel, 1u);
     EXPECT_DOUBLE_EQ(out.best.edp(), 800.0);
 
-    // Same contract through the dynamic reduction.
-    std::vector<DynamicParams> grid(results.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        grid[i].intervalAccesses = 1024 * (i + 1);
+    // Same contract over dynamic candidates.
+    std::vector<SearchCandidate> grid(results.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        grid[i].setup.strategy = Strategy::Dynamic;
+        grid[i].setup.dyn.intervalAccesses = 1024 * (i + 1);
+    }
     const SearchOutcome dyn =
-        Experiment::reduceDynamic(base, grid, results);
+        Experiment::reduceSearch(base, grid, results);
     EXPECT_EQ(dyn.bestParams.intervalAccesses, 2 * 1024u);
 }
 
@@ -163,7 +208,7 @@ TEST(ExperimentTest, ZeroBaselineGuardsReturnZero)
 
 TEST(ExperimentTest, SearchGridOverrideShrinksDynamicGrid)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
+    Experiment exp(SystemConfig::base(), 120000);
     const std::size_t full_size =
         exp.dynamicGrid(CacheSide::DCache,
                         Organization::SelectiveSets)
@@ -186,25 +231,33 @@ TEST(ExperimentTest, SearchGridOverrideShrinksDynamicGrid)
 
 TEST(ExperimentTest, GenericSearchMatchesWrappers)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    const SearchOutcome wrapped = exp.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const SearchOutcome generic =
-        exp.search(p, CacheSide::DCache,
-                   Organization::SelectiveSets, Strategy::Static);
+    // The generic layout (searchJobs over searchCandidates, reduced by
+    // reduceSearch) of a static cell picks what the static wrappers
+    // (staticSearchJobs, reduced by reduceStatic) pick.
+    const Experiment exp(SystemConfig::base(), 120000);
+    const auto p = profileByName("ammp");
+    const RunResult base = executeRunJob(exp.baselineJob(p));
+    const SearchOutcome wrapped = Experiment::reduceStatic(
+        base, SweepRunner::runSerial(exp.staticSearchJobs(
+                  p, CacheSide::DCache, Organization::SelectiveSets)));
+    const SearchOutcome generic = Experiment::reduceSearch(
+        base,
+        exp.searchCandidates(CacheSide::DCache,
+                             Organization::SelectiveSets,
+                             Strategy::Static),
+        SweepRunner::runSerial(exp.searchJobs(
+            p, CacheSide::DCache, Organization::SelectiveSets,
+            Strategy::Static)));
     EXPECT_EQ(wrapped.bestLevel, generic.bestLevel);
     EXPECT_DOUBLE_EQ(wrapped.best.edp(), generic.best.edp());
 }
 
 TEST(ExperimentTest, PerfDegradationSignConvention)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto out = exp.staticSearch(profileByName("ammp"),
-                                CacheSide::DCache,
-                                Organization::SelectiveSets);
+    const ScenarioRows res = scenarioRows(kAmmpStatic);
+    ASSERT_EQ(res.rows.size(), 1u);
     // Downsizing can only slow the run down (or leave it equal).
-    EXPECT_GE(out.perfDegradationPct(), -0.5);
+    EXPECT_GE(res.rows[0].perfDegradationPct, -0.5);
 }
 
 } // namespace rcache

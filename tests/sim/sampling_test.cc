@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/sweep_runner.hh"
+#include "scenario/cell_eval.hh"
 #include "sim/experiment.hh"
 #include "workload/profiles.hh"
 
@@ -25,6 +26,21 @@ EngineSpec
 gateEngine()
 {
     return EngineSpec::makeSampled(200000, 10000, 20000);
+}
+
+/** The static d-cache search of @p profile under @p exp: its
+ *  baseline and every level, run serially and reduced. */
+SearchOutcome
+staticOutcome(const Experiment &exp, const BenchmarkProfile &profile,
+              Organization org)
+{
+    std::vector<RunJob> jobs{exp.baselineJob(profile)};
+    const auto levels =
+        exp.staticSearchJobs(profile, CacheSide::DCache, org);
+    jobs.insert(jobs.end(), levels.begin(), levels.end());
+    const std::vector<RunResult> results = SweepRunner::runSerial(jobs);
+    return Experiment::reduceStatic(
+        results.front(), {results.begin() + 1, results.end()});
 }
 
 RunJob
@@ -180,12 +196,20 @@ TEST(SampledRunTest, SampledSweepJobsCarryTheConfig)
 
 TEST(SampledRunTest, SettingEngineClearsBaselineMemo)
 {
+    // A baseline laid out after setEngine runs at the new engine, and
+    // the baseline memo key (CellBatch::BaselineMemo) carries the
+    // engine, so a memoized full-detail baseline never serves a
+    // sampled cell.
     Experiment exp(SystemConfig::base(), 60000);
-    const RunResult full = exp.baseline(profileByName("ammp"));
+    const RunResult full =
+        executeRunJob(exp.baselineJob(profileByName("ammp")));
     EXPECT_EQ(full.engine, EngineMode::Full);
     exp.setEngine(gateEngine());
-    const RunResult sampled = exp.baseline(profileByName("ammp"));
+    const RunResult sampled =
+        executeRunJob(exp.baselineJob(profileByName("ammp")));
     EXPECT_EQ(sampled.engine, EngineMode::Sampled);
+    EXPECT_NE(baselineKey(exp.config(), EngineSpec{}, "ammp"),
+              baselineKey(exp.config(), exp.engine(), "ammp"));
 }
 
 /**
@@ -209,10 +233,8 @@ TEST(SamplingAccuracyGate, StaticSearchMatchesFullDetail)
     unsigned agree = 0;
     double max_rel_ed_err = 0;
     for (const auto &profile : spec2000Suite()) {
-        const SearchOutcome f =
-            full.staticSearch(profile, CacheSide::DCache, org);
-        const SearchOutcome s =
-            sampled.staticSearch(profile, CacheSide::DCache, org);
+        const SearchOutcome f = staticOutcome(full, profile, org);
+        const SearchOutcome s = staticOutcome(sampled, profile, org);
 
         if (f.bestLevel == s.bestLevel)
             ++agree;

@@ -2,14 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "workload/profiles.hh"
 #include "workload/trace_io.hh"
+#include "workload/workload_factory.hh"
 
 namespace rcache
 {
+
+namespace
+{
+
+/** Parse @p is with the strict reference reader, expecting success. */
+std::vector<MicroInst>
+readOk(std::istream &is)
+{
+    std::vector<MicroInst> insts;
+    std::string err;
+    EXPECT_TRUE(readTraceStrict(is, "trace", insts, &err)) << err;
+    return insts;
+}
+
+/** The streaming workload a "trace:" @p spec names. */
+std::unique_ptr<Workload>
+openTrace(const std::string &spec)
+{
+    BenchmarkProfile p;
+    std::string err;
+    EXPECT_TRUE(traceProfileFromSpec(spec, &p, &err)) << err;
+    return makeWorkload(p);
+}
+
+} // namespace
 
 TEST(TraceIoTest, OpCodesRoundTrip)
 {
@@ -32,7 +60,7 @@ TEST(TraceIoTest, WriteThenReadRoundTrips)
     std::stringstream buf;
     writeTrace(buf, src, 500);
 
-    auto insts = readTrace(buf);
+    const auto insts = readOk(buf);
     ASSERT_EQ(insts.size(), 500u);
 
     // Replaying the source must give identical instructions.
@@ -61,7 +89,7 @@ TEST(TraceIoTest, WriteReadWriteIsByteIdentical)
     std::stringstream first;
     writeTrace(first, src, 300);
 
-    TraceWorkload replay(readTrace(first), "replay");
+    TraceWorkload replay(readOk(first), "replay");
     std::stringstream second;
     writeTrace(second, replay, 300);
 
@@ -72,38 +100,49 @@ TEST(TraceIoTest, CommentsAndBlankLinesIgnored)
 {
     std::stringstream buf;
     buf << "# a comment\n\nI 400000 0 1 0 0 0\n";
-    auto insts = readTrace(buf);
+    const auto insts = readOk(buf);
     ASSERT_EQ(insts.size(), 1u);
     EXPECT_EQ(insts[0].pc, 0x400000u);
 }
 
 TEST(TraceIoDeathTest, MalformedLineFatal)
 {
-    std::stringstream buf;
-    buf << "L not-a-number\n";
-    EXPECT_EXIT(readTrace(buf), testing::ExitedWithCode(1),
-                "malformed trace line: trace:1:");
+    // Opening a trace whose first record is malformed is a user
+    // error carrying the file:line diagnostic.
+    const std::string path =
+        testing::TempDir() + "rcache_trace_malformed.trace";
+    {
+        std::ofstream f(path);
+        f << "L not-a-number\n";
+    }
+    EXPECT_EXIT(openTrace("trace:" + path), testing::ExitedWithCode(1),
+                "rcache_trace_malformed.trace:1:");
+    std::remove(path.c_str());
 }
 
 TEST(TraceIoDeathTest, MissingFileFatal)
 {
-    EXPECT_EXIT(loadTraceWorkload("/nonexistent/trace.txt"),
+    EXPECT_EXIT(openTrace("trace:/nonexistent/trace.txt:native"),
                 testing::ExitedWithCode(1), "cannot open");
 }
 
 TEST(TraceIoTest, LoadedTraceDrivesWorkload)
 {
+    // A recorded trace streams back as the recorded instructions.
     SyntheticWorkload src(profileByName("ammp"));
-    const std::string path = "/tmp/rcache_trace_test.txt";
+    const std::string path =
+        testing::TempDir() + "rcache_trace_recorded.trace";
     {
         std::ofstream f(path);
         writeTrace(f, src, 100);
     }
-    TraceWorkload wl = loadTraceWorkload(path, "recorded");
-    EXPECT_EQ(wl.name(), "recorded");
+    const std::string spec = "trace:" + path;
+    const std::unique_ptr<Workload> wl = openTrace(spec);
+    EXPECT_EQ(wl->name(), spec);
     src.reset();
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(wl.next().pc, src.next().pc);
+        EXPECT_EQ(wl->next().pc, src.next().pc);
+    std::remove(path.c_str());
 }
 
 } // namespace rcache

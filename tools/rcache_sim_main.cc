@@ -12,8 +12,8 @@
  *             log and cooperative --claim workers (src/search/)
  *   merge     re-interleave sweep shard CSVs (or a --claim manifest
  *             directory) into the byte-identical unsharded report
- *   run       one explicit design point, full run report
- *   replay    drive a recorded trace file through one design point
+ *   run       one explicit design point, full run report (also
+ *             over a recorded or real trace: --app trace:PATH)
  *   convert   rewrite a rocksdb/lcs/native[.gz] trace as native text
  *   scenario  check/print scenario files
  *   inspect   summarize telemetry artifacts (timelines, event traces)
@@ -80,9 +80,7 @@ usage(std::ostream &os, int code)
           "  rcache-sim merge [opts] f..    re-interleave shard CSVs "
           "(or a --claim dir) into one report\n"
           "  rcache-sim run [options]       one explicit design "
-          "point\n"
-          "  rcache-sim replay [options]    drive a recorded trace "
-          "file\n"
+          "point (--app NAME or trace:PATH)\n"
           "  rcache-sim record [options]    record a profile's "
           "stream to a trace file\n"
           "  rcache-sim convert [options]   rewrite a rocksdb/lcs/"
@@ -183,10 +181,6 @@ knownOptions(const std::string &cmd)
             keys.push_back(k);
     } else if (cmd == "inspect") {
         add({"--timeline", "--events", "--window"});
-    } else if (cmd == "replay") {
-        add({"--insts", "--assoc", "--trace", "--name", "--policy"});
-        for (const auto &k : setupKeys())
-            keys.push_back(k);
     } else if (cmd == "record") {
         add({"--insts", "--app", "--out"});
     } else if (cmd == "convert") {
@@ -214,8 +208,6 @@ commandPurpose(const std::string &cmd)
                "manifest directory) into the unsharded report";
     if (cmd == "run")
         return "one explicit design point, full run report";
-    if (cmd == "replay")
-        return "drive a recorded trace file through a design point";
     if (cmd == "record")
         return "record a profile's stream to a trace file";
     if (cmd == "convert")
@@ -297,8 +289,6 @@ optionHelp(const std::string &key)
         {"--reps", "timed repetitions per benchmark (default 3)"},
         {"--filter", "run only benchmarks whose name contains SUB"},
         {"--out-dir", "directory for BENCH_*.json (default .)"},
-        {"--trace", "trace file to replay"},
-        {"--name", "workload label (default 'trace')"},
         {"--timeline",
          "per-core interval-timeline file (run/sweep write it — "
          "JSONL, or CSV when a run's FILE ends in .csv; inspect "
@@ -1217,7 +1207,7 @@ cmdScenario(int argc, char **argv)
     return code;
 }
 
-// ---------------------------------------------------------- run/replay
+// ----------------------------------------------------------------- run
 
 /** Build one cache's ResizeSetup from --<prefix>-* options. */
 std::optional<ResizeSetup>
@@ -1254,7 +1244,7 @@ parseSetup(const Args &args, const std::string &prefix)
     return setup;
 }
 
-/** Resolve the two org selections for run/replay. */
+/** Resolve the two org selections for run. */
 bool
 applyOrgs(const Args &args, SystemConfig &cfg,
           const ResizeSetup &il1, const ResizeSetup &dl1)
@@ -1436,55 +1426,6 @@ cmdRun(const Args &args)
         checkedAppend(os, rec.str(), trace_path,
                       "telemetry.trace.write");
     }
-    return 0;
-}
-
-int
-cmdReplay(const Args &args)
-{
-    if (!args.has("--trace")) {
-        std::cerr << "rcache-sim: replay needs --trace FILE\n";
-        return 2;
-    }
-    const std::string path = args.get("--trace", "");
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "rcache-sim: cannot open trace '" << path
-                  << "'\n";
-        return 2;
-    }
-    std::vector<MicroInst> insts;
-    std::string trace_err;
-    if (!readTraceStrict(in, path, insts, &trace_err)) {
-        std::cerr << "rcache-sim: " << trace_err << '\n';
-        return 2;
-    }
-    if (insts.empty()) {
-        std::cerr << "rcache-sim: trace '" << path
-                  << "' holds no instructions\n";
-        return 2;
-    }
-    const std::uint64_t trace_len = insts.size();
-    TraceWorkload wl(std::move(insts), args.get("--name", "trace"));
-
-    const auto il1 = parseSetup(args, "il1");
-    const auto dl1 = parseSetup(args, "dl1");
-    auto cfg = baseConfig(args);
-    // Default: one pass over the recorded stream.
-    const auto num_insts = parseU64(args, "--insts", trace_len);
-    if (!il1 || !dl1 || !cfg || !num_insts)
-        return 2;
-    if (*num_insts == 0) {
-        std::cerr << "rcache-sim: --insts must be > 0\n";
-        return 2;
-    }
-    if (!applyOrgs(args, *cfg, *il1, *dl1))
-        return 2;
-    if (!applyPolicy(args, *cfg))
-        return 2;
-
-    System sys(*cfg);
-    writeRunReport(std::cout, sys.run(wl, *num_insts, *il1, *dl1));
     return 0;
 }
 
@@ -1717,9 +1658,9 @@ main(int argc, char **argv)
 
     const bool known_cmd =
         cmd == "sweep" || cmd == "tune" || cmd == "merge" ||
-        cmd == "run" || cmd == "replay" || cmd == "record" ||
-        cmd == "convert" || cmd == "bench" || cmd == "scenario" ||
-        cmd == "inspect" || cmd == "doctor" || cmd == "list-apps" ||
+        cmd == "run" || cmd == "record" || cmd == "convert" ||
+        cmd == "bench" || cmd == "scenario" || cmd == "inspect" ||
+        cmd == "doctor" || cmd == "list-apps" ||
         cmd == "list-failpoints";
     if (!known_cmd) {
         std::cerr << "rcache-sim: unknown subcommand '" << cmd
@@ -1750,8 +1691,6 @@ main(int argc, char **argv)
         return cmdTune(*args);
     if (cmd == "run")
         return cmdRun(*args);
-    if (cmd == "replay")
-        return cmdReplay(*args);
     if (cmd == "record")
         return cmdRecord(*args);
     if (cmd == "convert")
