@@ -158,10 +158,10 @@ class Cache
 
     /**
      * Re-anchor the byte-cycle integral at cycle 0 without clearing
-     * what is already accumulated. The sampling engine restarts each
-     * detailed window's timing at cycle 0; without this re-anchor the
-     * clamp in accumulateEnabledTime would silently drop every window
-     * after the first.
+     * what is already accumulated. CoreLane (sim/system.hh) restarts
+     * each measured window's timing at cycle 0; without this
+     * re-anchor the clamp in accumulateEnabledTime would silently
+     * drop every window after the first.
      */
     void restartTimeAccounting() { lastAccountedCycle_ = 0; }
 

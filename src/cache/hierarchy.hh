@@ -128,8 +128,27 @@ class Hierarchy
 
     Cache &il1() { return *il1_; }
     Cache &dl1() { return *dl1_; }
+    const Cache &il1() const { return *il1_; }
+    const Cache &dl1() const { return *dl1_; }
     Cache &l2() { return *l2_; }
     const Cache &l2() const { return *l2_; }
+
+    /** @name This core's L2 traffic
+     * All of an owned L2's accesses/misses, or this core's attributed
+     * share of a shared L2's: the only place that tells the two
+     * apart. */
+    /// @{
+    std::uint64_t l2Accesses() const
+    {
+        return sharedL2_ ? sharedL2_->coreStats(coreId_).accesses
+                         : l2_->accesses();
+    }
+    std::uint64_t l2Misses() const
+    {
+        return sharedL2_ ? sharedL2_->coreStats(coreId_).misses
+                         : l2_->misses();
+    }
+    /// @}
 
     std::uint64_t memReads() const { return memReads_.value(); }
     std::uint64_t memWrites() const { return memWrites_.value(); }

@@ -74,6 +74,8 @@ struct SharedL2CoreStats
     std::uint64_t residentBlocks = 0;
     /** High-water mark of residentBlocks. */
     std::uint64_t peakResidentBlocks = 0;
+
+    bool operator==(const SharedL2CoreStats &o) const = default;
 };
 
 /** See file comment. */

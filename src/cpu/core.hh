@@ -111,8 +111,9 @@ class Core
      * Restart the timing machinery at cycle 0 for a fresh measurement
      * window: fetch engine, bandwidth allocators, MSHRs, writeback
      * buffer. Warm state (the branch predictor, and the caches, which
-     * live in the hierarchy) is untouched. The sampling engine calls
-     * this between detailed windows; run() may then be called again.
+     * live in the hierarchy) is untouched. CoreLane (sim/system.hh)
+     * calls this before every measured window; run() may then be
+     * called again. On a fresh core it changes nothing.
      */
     void resetTiming();
 

@@ -14,10 +14,10 @@ namespace rcache
 
 /**
  * The event totals the energy model consumes, decoupled from the
- * Cache that produced them. Whole runs read a Cache's counters
- * directly (CacheActivity::of); the sampling engine instead takes
- * snapshots around each detailed window, differences them, and scales
- * the deltas up to the full run before pricing them.
+ * Cache that produced them. Every timing run (CoreLane in
+ * sim/system.hh) takes snapshots around each measured window,
+ * differences them, and scales the summed deltas up to the full run
+ * (by exactly 1 at full detail) before pricing them.
  */
 struct CacheActivity
 {

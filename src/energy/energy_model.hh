@@ -38,6 +38,23 @@ struct CoreActivity
     {
         return cycles ? static_cast<double>(insts) / cycles : 0.0;
     }
+
+    /** Add @p o's instruction and event counts, not its cycles
+     *  (consecutive windows add those; concurrent cores take the
+     *  longest). */
+    void addCounts(const CoreActivity &o)
+    {
+        outOfOrder = o.outOfOrder;
+        insts += o.insts;
+        intOps += o.intOps;
+        fpOps += o.fpOps;
+        loads += o.loads;
+        stores += o.stores;
+        branches += o.branches;
+        mispredicts += o.mispredicts;
+    }
+
+    bool operator==(const CoreActivity &o) const = default;
 };
 
 /** Per-structure energy totals for one run. */
@@ -57,6 +74,8 @@ struct EnergyBreakdown
 
     double icacheFraction() const { return icache / total(); }
     double dcacheFraction() const { return dcache / total(); }
+
+    bool operator==(const EnergyBreakdown &o) const = default;
 };
 
 std::ostream &operator<<(std::ostream &os, const EnergyBreakdown &b);
@@ -87,8 +106,9 @@ class ProcessorEnergyModel
 
     /**
      * Price explicit activity totals instead of live Cache counters.
-     * The sampling engine extrapolates measured-window deltas to
-     * full-run totals and prices them through this overload.
+     * CoreLane (sim/system.hh) extrapolates measured-window deltas to
+     * full-run totals and prices every timing run through this
+     * overload.
      */
     EnergyBreakdown compute(const CoreActivity &activity,
                             const CacheActivity &il1,

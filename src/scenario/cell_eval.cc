@@ -224,6 +224,25 @@ CellBatch::plannedJobs() const
     return n;
 }
 
+std::uint64_t
+CellBatch::plannedDetailedInsts() const
+{
+    const auto measured = [](const SystemConfig &cfg,
+                             const EngineSpec &engine,
+                             std::uint64_t insts) {
+        return cfg.cores * engine.detailedInstsFor(insts);
+    };
+    std::uint64_t n = 0;
+    for (const RunJob &job : jobs_)
+        n += measured(job.cfg, job.engine, job.insts);
+    // Phase 2 reruns a side=both cell on its own point.
+    for (const Cell &c : cells_)
+        if (c.point.side == SweepSide::Both)
+            n += measured(c.point.cfg, c.point.engine,
+                          space_.spec().insts);
+    return n;
+}
+
 std::vector<std::string>
 CellBatch::newBaselineLabels() const
 {

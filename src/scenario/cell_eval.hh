@@ -145,6 +145,13 @@ class CellBatch
     /** Every job run() executes: phase 1 plus one combined job per
      *  side=both cell. Plan-time arithmetic; runs nothing. */
     std::size_t plannedJobs() const;
+    /**
+     * Timing-core instructions those jobs measure: each job counts
+     * cores x engine.detailedInstsFor(insts), since a C-core job
+     * measures C streams (RunResult::measuredInsts sums its lanes).
+     * The tuner's cost accounting; plan-time arithmetic as above.
+     */
+    std::uint64_t plannedDetailedInsts() const;
     /** Labels of the baselines this batch computes (not memoized
      *  when their cell was added). */
     std::vector<std::string> newBaselineLabels() const;

@@ -278,14 +278,18 @@ ParamSpace::build(const ScenarioSpec &spec, std::string *err)
     }
     const Axis *cores_axis = findAxis("cores");
     std::uint64_t fewest_cores = spec.system.cores;
+    std::uint64_t most_cores = spec.system.cores;
     if (cores_axis) {
         fewest_cores = ~std::uint64_t{0};
+        most_cores = 0;
         for (const std::string &v : cores_axis->values) {
             unsigned long long n = 0;
             parseU64Strict(v, n); // validated by makeApplier above
             fewest_cores = std::min<std::uint64_t>(fewest_cores, n);
+            most_cores = std::max<std::uint64_t>(most_cores, n);
         }
     }
+    const bool multi_core_reachable = most_cores > 1;
     if (widest_mix > fewest_cores) {
         if (err)
             *err = "mix '" + widest_name + "' runs " +
@@ -296,6 +300,30 @@ ParamSpace::build(const ScenarioSpec &spec, std::string *err)
                    "cores axis to at least " +
                    std::to_string(widest_mix);
         return std::nullopt;
+    }
+
+    // Multi-core-only settings on a space whose every point has one
+    // core would be silently ignored: a single core runs [system]
+    // core, never the models list, and a single-core run is never
+    // split into quanta (a quantum axis would enumerate identical
+    // cells).
+    if (!multi_core_reachable) {
+        const char *why = nullptr;
+        if (!spec.system.coreModels.empty())
+            why = "[cores] models has no effect on a single core (it "
+                  "runs [system] core)";
+        else if (findAxis("quantum"))
+            why = "a 'quantum' axis has no effect on a single core "
+                  "(it has no interleave)";
+        else if (spec.system.quantumInsts != SystemConfig{}.quantumInsts)
+            why = "[cores] quantum has no effect on a single core (it "
+                  "has no interleave)";
+        if (why) {
+            if (err)
+                *err = std::string(why) +
+                       "; set [cores] count or a cores axis above 1";
+            return std::nullopt;
+        }
     }
 
     // The round-robin quantum only governs full-detail runs (sampled
@@ -329,10 +357,6 @@ ParamSpace::build(const ScenarioSpec &spec, std::string *err)
                        "the full or sampled engine";
             return std::nullopt;
         }
-        bool multi_core_reachable = spec.system.cores > 1;
-        if (cores_axis)
-            for (const std::string &v : cores_axis->values)
-                multi_core_reachable |= v != "1";
         if (multi_core_reachable) {
             if (err)
                 *err = "the analytic engine supports single-core "

@@ -5,9 +5,10 @@
  * path, evaluateCells / CellBatch (scenario/cell_eval.hh), at the
  * rung's engine: locally on one SweepRunner, or slice by slice per
  * claim unit. The decision log's cost accounting comes from the same
- * CellBatch layout (plannedJobs), so logged and executed work cannot
- * drift. What stays here is the ladder itself: scoring, promotion,
- * early exit, the decision log, resume, and claim orchestration.
+ * CellBatch layout (plannedDetailedInsts), so logged and executed
+ * work cannot drift. What stays here is the ladder itself: scoring,
+ * promotion, early exit, the decision log, resume, and claim
+ * orchestration.
  */
 
 #include "search/adaptive_search.hh"
@@ -507,7 +508,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         CellBatch plan(space, apps);
         for (const std::size_t cell : cells)
             plan.add(cell, {}, &engine);
-        return plan.plannedJobs() * engine.detailedInstsFor(spec.insts);
+        return plan.plannedDetailedInsts();
     };
     std::vector<std::size_t> all_cells(ncells);
     std::iota(all_cells.begin(), all_cells.end(), 0);

@@ -85,8 +85,9 @@ struct TuneStats
     std::size_t rounds = 0;
     bool earlyExit = false;
     /** Timing-core instructions the adaptive schedule simulates in
-     *  detail, summed over every round's jobs (plan arithmetic via
-     *  EngineSpec::detailedInstsFor; equals the measured total). */
+     *  detail, summed over every round's jobs and cores (plan
+     *  arithmetic via CellBatch::plannedDetailedInsts; equals the
+     *  measured total). */
     std::uint64_t detailedInsts = 0;
     /** The same accounting for an exhaustive sweep of the whole
      *  grid at the scenario's engine. */

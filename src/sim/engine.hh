@@ -16,8 +16,11 @@
  *              analytical CPI model.
  *
  * EngineSpec is the single selection surface: the CLI's --engine
- * flag, the scenario [engine] section, RunJob, Experiment, and the
- * System entry points all carry one.
+ * flag, the scenario [engine] section, RunJob, Experiment,
+ * System::run and MultiCoreSystem::run all carry one. Full and
+ * sampled runs then share one loop, CoreLane (sim/system.hh), which
+ * is the only place the engine decides how a run carves into
+ * measured windows.
  *
  * Canonical-form invariant: `sampling` holds the period shape only
  * when mode == Sampled; full and analytic specs always carry the

@@ -15,24 +15,24 @@
  * cores are not modelled (each core keeps its private timing pools),
  * matching the single-core model's purely functional L2.
  *
- * Determinism contract: cores advance in a fixed round-robin
- * interleave — core 0 runs a quantum of cfg.quantumInsts
- * instructions, then core 1, ... until every core has retired its
- * share — so the shared-L2 access order, and with it every counter
- * and energy figure, is a pure function of the configuration and the
- * workload mix. Results are bit-reproducible across runs, --jobs
- * values, shards, and resume points, exactly like single-core runs.
- * Each quantum restarts the core's timing machinery the way the
- * sampling engine restarts detailed windows (warm cache/predictor/
- * controller state carries across quanta; pipeline state does not),
- * so a core's cycle count is the sum of its quantum cycles.
+ * Each core is a CoreLane (sim/system.hh), the loop every timing run
+ * goes through; this class only builds the lanes over one SharedL2,
+ * hands them turns, and aggregates their results.
  *
- * Sampled runs (EngineMode::Sampled) interleave at period
- * granularity instead: each round-robin turn executes one full
- * fast-forward/warmup/detailed period of that core's stream, and the
- * per-core measurements extrapolate per core (each core has its own
- * measured-instruction denominator), reusing the exact period shape
- * of the single-core sampling engine.
+ * Determinism contract: cores advance in a fixed round-robin
+ * interleave — core 0 takes a turn, then core 1, ... until every core
+ * has retired its share — so the shared-L2 access order, and with it
+ * every counter and energy figure, is a pure function of the
+ * configuration and the workload mix. Results are bit-reproducible
+ * across runs, --jobs values, shards, and resume points, exactly like
+ * single-core runs. A full-detail turn measures one quantum of
+ * cfg.quantumInsts instructions; a sampled turn (EngineMode::Sampled)
+ * runs one whole fast-forward/warmup/detailed period of the core's
+ * stream. Either way the turn's measured window restarts the core's
+ * timing machinery (warm cache/predictor/controller state carries
+ * over; pipeline state does not), so a core's cycle count is the sum
+ * of its window cycles, and each core extrapolates over its own
+ * measured-instruction count.
  *
  * Whole-system metrics in the aggregate result follow the
  * multi-programmed convention: instructions and energy sum over

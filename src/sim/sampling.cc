@@ -1,8 +1,9 @@
 #include "sim/sampling.hh"
 
-#include <cmath>
+#include <algorithm>
+#include <string>
 
-#include "cpu/functional_core.hh"
+#include "util/logging.hh"
 
 namespace rcache
 {
@@ -62,137 +63,6 @@ SamplingConfig::validate() const
     if (const char *err =
             shapeError(intervalInsts, detailedInsts, warmupInsts))
         rc_fatal(std::string("bad sampling config: ") + err);
-}
-
-SamplingController::SamplingController(const SamplingConfig &cfg,
-                                       Hierarchy &hier,
-                                       ResizableCache &il1,
-                                       ResizableCache &dl1,
-                                       ResizePolicy *il1_policy,
-                                       ResizePolicy *dl1_policy)
-    : cfg_(cfg),
-      hier_(hier),
-      il1_(il1),
-      dl1_(dl1),
-      il1Policy_(il1_policy),
-      dl1Policy_(dl1_policy)
-{
-    cfg_.validate();
-}
-
-SampledStats
-SamplingController::run(Core &core, Workload &workload,
-                        std::uint64_t num_insts)
-{
-    FunctionalCore func(hier_, core.predictor(),
-                        core.params().fetchWidth, il1Policy_,
-                        dl1Policy_);
-    func.setProbe(probe_);
-
-    SampledStats s;
-    CacheActivity il1_sum, dl1_sum;
-    CoreActivity mix;
-    double l2_accesses = 0, l2_misses = 0, mem_accesses = 0;
-    std::uint64_t cycles_sum = 0;
-
-    std::uint64_t done = 0;
-    while (done < num_insts) {
-        const SamplingConfig::PeriodShape shape =
-            cfg_.periodShape(num_insts - done);
-        const std::uint64_t detail = shape.detailed;
-        const std::uint64_t warm = shape.warmup;
-        const std::uint64_t ff = shape.fastForward;
-
-        // Fast-forward: workload position only; nothing simulated.
-        if (ff)
-            workload.skip(ff);
-
-        // Warmup: rebuild cache/predictor/controller state that went
-        // stale across the skip, with no timing. Both the functional
-        // and the detailed window below drain the workload through
-        // fixed-size nextBatch batches (the cores do the batching),
-        // so neither pays a virtual next() per instruction.
-        if (warm) {
-            func.invalidateFetchBlock();
-            func.run(workload, warm);
-        }
-
-        // A fresh timing window: cycle 0, empty structural pools,
-        // byte-cycle integrals re-anchored. Warm state (caches,
-        // predictor, controller counters) carries over.
-        core.resetTiming();
-        il1_.cache().restartTimeAccounting();
-        dl1_.cache().restartTimeAccounting();
-
-        const CacheActivity il1_pre = CacheActivity::of(il1_.cache());
-        const CacheActivity dl1_pre = CacheActivity::of(dl1_.cache());
-        const std::uint64_t l2a_pre = hier_.l2().accesses();
-        const std::uint64_t l2m_pre = hier_.l2().misses();
-        const std::uint64_t mem_pre =
-            hier_.memReads() + hier_.memWrites();
-
-        const CoreActivity act = core.run(workload, detail);
-        il1_.cache().accumulateEnabledTime(act.cycles);
-        dl1_.cache().accumulateEnabledTime(act.cycles);
-
-        il1_sum += CacheActivity::of(il1_.cache()) - il1_pre;
-        dl1_sum += CacheActivity::of(dl1_.cache()) - dl1_pre;
-        l2_accesses +=
-            static_cast<double>(hier_.l2().accesses() - l2a_pre);
-        l2_misses +=
-            static_cast<double>(hier_.l2().misses() - l2m_pre);
-        mem_accesses += static_cast<double>(
-            hier_.memReads() + hier_.memWrites() - mem_pre);
-
-        cycles_sum += act.cycles;
-        mix.outOfOrder = act.outOfOrder;
-        mix.insts += act.insts;
-        mix.intOps += act.intOps;
-        mix.fpOps += act.fpOps;
-        mix.loads += act.loads;
-        mix.stores += act.stores;
-        mix.branches += act.branches;
-        mix.mispredicts += act.mispredicts;
-
-        s.measuredInsts += detail;
-        s.warmupInsts += warm;
-        s.fastForwardInsts += ff;
-        ++s.windows;
-        done += ff + warm + detail;
-    }
-
-    // Extrapolate the measured windows to the whole run. Counts are
-    // rounded once at the end, never per window, so the estimate is
-    // independent of the window count for a fixed measured fraction.
-    rc_assert(s.measuredInsts > 0);
-    const double scale = static_cast<double>(num_insts) /
-                         static_cast<double>(s.measuredInsts);
-    auto scaleCount = [scale](std::uint64_t v) {
-        return static_cast<std::uint64_t>(
-            std::llround(static_cast<double>(v) * scale));
-    };
-    s.activity.outOfOrder = mix.outOfOrder;
-    s.activity.insts = num_insts;
-    s.activity.cycles = scaleCount(cycles_sum);
-    s.activity.intOps = scaleCount(mix.intOps);
-    s.activity.fpOps = scaleCount(mix.fpOps);
-    s.activity.loads = scaleCount(mix.loads);
-    s.activity.stores = scaleCount(mix.stores);
-    s.activity.branches = scaleCount(mix.branches);
-    s.activity.mispredicts = scaleCount(mix.mispredicts);
-
-    s.il1 = il1_sum.scaled(scale);
-    s.dl1 = dl1_sum.scaled(scale);
-    s.l2Accesses = l2_accesses * scale;
-    s.memAccesses = mem_accesses * scale;
-
-    s.il1MissRatio = il1_sum.missRatio();
-    s.dl1MissRatio = dl1_sum.missRatio();
-    s.l2MissRatio = l2_accesses > 0 ? l2_misses / l2_accesses : 0.0;
-    const double cyc = static_cast<double>(cycles_sum);
-    s.avgIl1Bytes = cyc > 0 ? il1_sum.byteCycles / cyc : 0.0;
-    s.avgDl1Bytes = cyc > 0 ? dl1_sum.byteCycles / cyc : 0.0;
-    return s;
 }
 
 } // namespace rcache

@@ -17,7 +17,10 @@
  * The detailed window is measured on the timing core: cycles,
  * instruction mix, and per-cache counter deltas accumulate across all
  * windows and are extrapolated (scaled by total/measured
- * instructions) to full-run estimates.
+ * instructions) to full-run estimates. The loop that runs the periods
+ * is CoreLane (sim/system.hh), the same one full-detail and
+ * multi-core runs go through; this file only says how periods carve
+ * up.
  *
  * The accuracy trade-off is explicit: state inside a skipped span is
  * never observed (a resize controller sleeps through it — see the
@@ -41,9 +44,7 @@
 #ifndef RCACHE_SIM_SAMPLING_HH
 #define RCACHE_SIM_SAMPLING_HH
 
-#include "core/resizable_cache.hh"
-#include "cpu/core.hh"
-#include "energy/cache_energy.hh"
+#include <cstdint>
 
 namespace rcache
 {
@@ -93,10 +94,9 @@ struct SamplingConfig
      * How one period carves up when @p remaining instructions are
      * left: full periods use the configured split; a short tail keeps
      * the measurement window at the expense of fast-forward so every
-     * period ends measured. Shared by SamplingController and the
-     * multi-core system's per-core sampled loop so the two cannot
-     * drift (a drift would break the 1-core-vs-single-core accuracy
-     * relationship).
+     * period ends measured. CoreLane::turn (sim/system.hh) takes
+     * every sampled period from here, for single-core and multi-core
+     * runs alike.
      */
     struct PeriodShape
     {
@@ -109,8 +109,8 @@ struct SamplingConfig
     /**
      * Timing-core instructions a sampled run of @p total
      * instructions measures — the sum of every period's detailed
-     * window, walked with periodShape so it equals the controller's
-     * SampledStats::measuredInsts exactly. Pure plan-time
+     * window, walked with periodShape so it equals a single-core
+     * run's RunResult::measuredInsts exactly. Pure plan-time
      * arithmetic; the adaptive search and benches use it to account
      * detailed-simulation cost without running anything.
      */
@@ -133,72 +133,6 @@ struct SamplingConfig
         return interval / 5;
     }
     /// @}
-};
-
-/** Everything a sampled run measures or extrapolates. */
-struct SampledStats
-{
-    /** Extrapolated to the full run (cycles, mix, mispredicts). */
-    CoreActivity activity;
-    /** Extrapolated per-cache event totals. */
-    CacheActivity il1, dl1;
-    double l2Accesses = 0;
-    double memAccesses = 0;
-
-    /** Ratios measured in the detailed windows (scale-free). */
-    double il1MissRatio = 0;
-    double dl1MissRatio = 0;
-    double l2MissRatio = 0;
-    double avgIl1Bytes = 0;
-    double avgDl1Bytes = 0;
-
-    /** @name Coverage accounting */
-    /// @{
-    /** Timing-core (measured) instructions. */
-    std::uint64_t measuredInsts = 0;
-    /** FunctionalCore (warming) instructions. */
-    std::uint64_t warmupInsts = 0;
-    /** Skipped instructions (never simulated). */
-    std::uint64_t fastForwardInsts = 0;
-    std::uint64_t windows = 0;
-    /// @}
-};
-
-/**
- * Orchestrates one sampled run over a System's parts. Single-use,
- * like the System that owns the parts.
- */
-class SamplingController
-{
-  public:
-    SamplingController(const SamplingConfig &cfg, Hierarchy &hier,
-                       ResizableCache &il1, ResizableCache &dl1,
-                       ResizePolicy *il1_policy,
-                       ResizePolicy *dl1_policy);
-
-    /**
-     * Run @p num_insts instructions of @p workload, alternating
-     * fast-forward and detailed windows on @p core.
-     */
-    SampledStats run(Core &core, Workload &workload,
-                     std::uint64_t num_insts);
-
-    /**
-     * Attach a telemetry probe: the detailed windows sample through
-     * the timing core (the caller attaches it there) and warmup
-     * spans sample through the FunctionalCore this controller builds,
-     * which is what this hook threads it into.
-     */
-    void setProbe(CoreProbe *probe) { probe_ = probe; }
-
-  private:
-    SamplingConfig cfg_;
-    CoreProbe *probe_ = nullptr;
-    Hierarchy &hier_;
-    ResizableCache &il1_;
-    ResizableCache &dl1_;
-    ResizePolicy *il1Policy_;
-    ResizePolicy *dl1Policy_;
 };
 
 } // namespace rcache

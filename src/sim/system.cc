@@ -1,8 +1,8 @@
 #include "sim/system.hh"
 
 #include <cmath>
-#include <optional>
 
+#include "cpu/functional_core.hh"
 #include "cpu/inorder_core.hh"
 #include "cpu/ooo_core.hh"
 #include "telemetry/run_telemetry.hh"
@@ -10,6 +10,37 @@
 
 namespace rcache
 {
+
+namespace
+{
+
+std::unique_ptr<ResizePolicy>
+makeResizePolicy(ResizableCache &cache, Hierarchy &hier,
+                 const ResizeSetup &setup)
+{
+    switch (setup.strategy) {
+      case Strategy::None:
+        return nullptr;
+      case Strategy::Static:
+        rc_assert(cache.organization() != Organization::None ||
+                  setup.staticLevel == 0);
+        return std::make_unique<StaticPolicy>(
+            cache, hier.l1WritebackSink(), setup.staticLevel);
+      case Strategy::Dynamic:
+        rc_assert(cache.organization() != Organization::None);
+        return std::make_unique<DynamicMissRatioController>(
+            cache, hier.l1WritebackSink(), setup.dyn);
+    }
+    rc_panic("bad strategy");
+}
+
+DynamicMissRatioController *
+asDynamic(const std::unique_ptr<ResizePolicy> &policy)
+{
+    return dynamic_cast<DynamicMissRatioController *>(policy.get());
+}
+
+} // namespace
 
 std::string
 coreModelName(CoreModel m)
@@ -23,11 +54,206 @@ coreModelName(CoreModel m)
     rc_panic("bad core model");
 }
 
-System::System(const SystemConfig &cfg)
-    : cfg_(cfg),
+CoreLane::CoreLane(const SystemConfig &cfg)
+    : model_(cfg.coreModel),
+      coreParams_(cfg.core),
+      energy_(cfg.energy),
       il1_("il1", cfg.il1, cfg.il1Org, cfg.policy),
       dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy),
       hier_(&il1_.cache(), &dl1_.cache(), cfg.l2, cfg.lat)
+{
+}
+
+CoreLane::CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2)
+    : model_(cfg.modelOfCore(id)),
+      coreParams_(cfg.core),
+      energy_(cfg.energy),
+      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, id),
+      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, id),
+      hier_(&il1_.cache(), &dl1_.cache(), l2, id, cfg.lat)
+{
+}
+
+CoreLane::~CoreLane() = default;
+
+void
+CoreLane::start(const ResizeSetup &il1_setup,
+                const ResizeSetup &dl1_setup, const EngineSpec &engine,
+                RunTelemetry *telemetry)
+{
+    rc_assert(!core_);
+    engine_ = engine;
+    telemetry_ = telemetry;
+    il1Policy_ = makeResizePolicy(il1_, hier_, il1_setup);
+    dl1Policy_ = makeResizePolicy(dl1_, hier_, dl1_setup);
+    if (model_ == CoreModel::OutOfOrder) {
+        core_ = std::make_unique<OooCore>(coreParams_, hier_,
+                                          il1Policy_.get(),
+                                          dl1Policy_.get());
+    } else {
+        core_ = std::make_unique<InOrderCore>(coreParams_, hier_,
+                                              il1Policy_.get(),
+                                              dl1Policy_.get());
+    }
+    if (engine_.sampled()) {
+        func_ = std::make_unique<FunctionalCore>(
+            hier_, core_->predictor(), coreParams_.fetchWidth,
+            il1Policy_.get(), dl1Policy_.get());
+    }
+    if (!telemetry)
+        return;
+
+    if (telemetry->resizeEvents) {
+        const ResizeTelemetry sink{&telemetry->events, hier_.coreId(),
+                                   coreParams_.wbDrainLatency};
+        for (const auto *policy : {&il1Policy_, &dl1Policy_})
+            if (auto *dyn = asDynamic(*policy))
+                dyn->setTelemetry(sink);
+    }
+    if (telemetry->wantsTimeline()) {
+        TimelineSources src;
+        src.hier = &hier_;
+        src.il1ExtraTagBits = il1_.extraTagBits();
+        src.dl1ExtraTagBits = dl1_.extraTagBits();
+        src.timingCore = core_.get();
+        src.energy = &energy_;
+        recorder_ = std::make_unique<TimelineRecorder>(
+            src, telemetry->timelineInterval);
+        core_->setProbe(recorder_.get());
+        if (func_)
+            func_->setProbe(recorder_.get());
+    }
+}
+
+std::uint64_t
+CoreLane::turn(Workload &workload, std::uint64_t remaining,
+               std::uint64_t quantum)
+{
+    const SamplingConfig::PeriodShape shape =
+        engine_.sampled()
+            ? engine_.sampling.periodShape(remaining)
+            : SamplingConfig::PeriodShape{0, 0,
+                                          std::min(quantum, remaining)};
+    runPeriod(workload, shape);
+    return shape.fastForward + shape.warmup + shape.detailed;
+}
+
+void
+CoreLane::runPeriod(Workload &workload,
+                    const SamplingConfig::PeriodShape &shape)
+{
+    rc_assert(core_);
+    // Fast-forward: workload position only; nothing simulated.
+    if (shape.fastForward)
+        workload.skip(shape.fastForward);
+
+    // Warmup: rebuild cache/predictor/controller state that went
+    // stale across the skip, with no timing.
+    if (shape.warmup) {
+        func_->invalidateFetchBlock();
+        func_->run(workload, shape.warmup);
+        measured_.warmupInsts += shape.warmup;
+    }
+
+    // A fresh timing window: cycle 0, empty structural pools,
+    // byte-cycle integrals re-anchored. Warm state (caches,
+    // predictor, controller counters) carries over. On a fresh lane
+    // both restarts leave everything as constructed.
+    core_->resetTiming();
+    il1_.cache().restartTimeAccounting();
+    dl1_.cache().restartTimeAccounting();
+
+    const CacheActivity il1_pre = CacheActivity::of(il1_.cache());
+    const CacheActivity dl1_pre = CacheActivity::of(dl1_.cache());
+    const std::uint64_t l2a_pre = hier_.l2Accesses();
+    const std::uint64_t l2m_pre = hier_.l2Misses();
+    const std::uint64_t mem_pre = hier_.memReads() + hier_.memWrites();
+
+    const CoreActivity act = core_->run(workload, shape.detailed);
+    il1_.cache().accumulateEnabledTime(act.cycles);
+    dl1_.cache().accumulateEnabledTime(act.cycles);
+
+    Measured &m = measured_;
+    m.il1 += CacheActivity::of(il1_.cache()) - il1_pre;
+    m.dl1 += CacheActivity::of(dl1_.cache()) - dl1_pre;
+    m.l2Accesses += static_cast<double>(hier_.l2Accesses() - l2a_pre);
+    m.l2Misses += static_cast<double>(hier_.l2Misses() - l2m_pre);
+    m.memAccesses += static_cast<double>(
+        hier_.memReads() + hier_.memWrites() - mem_pre);
+    m.activity.addCounts(act);
+    m.activity.cycles += act.cycles;
+}
+
+RunResult
+CoreLane::finish(const std::string &workload, std::uint64_t total_insts)
+{
+    const Measured &m = measured_;
+    rc_assert(m.activity.insts > 0);
+
+    RunResult r;
+    r.workload = workload;
+    r.engine = engine_.mode;
+    r.measuredInsts = m.activity.insts;
+    r.warmupInsts = m.warmupInsts;
+
+    // Extrapolate the measured windows to the whole stream (scale
+    // exactly 1 when every instruction was measured). Counts are
+    // rounded once here, never per window, so the estimate does not
+    // depend on the window count for a fixed measured fraction.
+    const double scale = static_cast<double>(total_insts) /
+                         static_cast<double>(m.activity.insts);
+    const auto scaleCount = [scale](auto v) {
+        return static_cast<std::uint64_t>(
+            std::llround(static_cast<double>(v) * scale));
+    };
+    r.activity.outOfOrder = m.activity.outOfOrder;
+    r.activity.insts = total_insts;
+    r.activity.cycles = scaleCount(m.activity.cycles);
+    r.activity.intOps = scaleCount(m.activity.intOps);
+    r.activity.fpOps = scaleCount(m.activity.fpOps);
+    r.activity.loads = scaleCount(m.activity.loads);
+    r.activity.stores = scaleCount(m.activity.stores);
+    r.activity.branches = scaleCount(m.activity.branches);
+    r.activity.mispredicts = scaleCount(m.activity.mispredicts);
+    r.insts = r.activity.insts;
+    r.cycles = r.activity.cycles;
+
+    // Priced from this core's own events: its L1s plus its share of
+    // the L2/memory traffic, with the L2's size-proportional term over
+    // this core's cycles.
+    r.energy = ProcessorEnergyModel(energy_).compute(
+        r.activity, m.il1.scaled(scale), il1_.extraTagBits(),
+        m.dl1.scaled(scale), dl1_.extraTagBits(),
+        m.l2Accesses * scale, hier_.l2().geometry().size,
+        m.memAccesses * scale);
+
+    const double cyc = static_cast<double>(m.activity.cycles);
+    r.avgIl1Bytes = cyc > 0 ? m.il1.byteCycles / cyc : 0.0;
+    r.avgDl1Bytes = cyc > 0 ? m.dl1.byteCycles / cyc : 0.0;
+    r.il1MissRatio = m.il1.missRatio();
+    r.dl1MissRatio = m.dl1.missRatio();
+    r.l2MissRatio =
+        m.l2Accesses > 0 ? m.l2Misses / m.l2Accesses : 0.0;
+    r.il1Accesses = scaleCount(m.il1.accesses);
+    r.il1Misses = scaleCount(m.il1.misses);
+    r.dl1Accesses = scaleCount(m.dl1.accesses);
+    r.dl1Misses = scaleCount(m.dl1.misses);
+    r.il1Resizes = il1_.cache().resizes();
+    r.dl1Resizes = dl1_.cache().resizes();
+    if (auto *dyn = asDynamic(il1Policy_))
+        r.il1LevelTrace = dyn->levelTrace();
+    if (auto *dyn = asDynamic(dl1Policy_))
+        r.dl1LevelTrace = dyn->levelTrace();
+
+    if (recorder_) {
+        auto rows = recorder_->takeRows();
+        telemetry_->timeline.insert(telemetry_->timeline.end(),
+                                    rows.begin(), rows.end());
+    }
+    return r;
+}
+
+System::System(const SystemConfig &cfg) : cfg_(cfg), lane_(cfg)
 {
     // Multi-core configs go through MultiCoreSystem; accepting one
     // here would silently simulate only core 0.
@@ -37,28 +263,9 @@ System::System(const SystemConfig &cfg)
 void
 System::dumpStats(std::ostream &os) const
 {
-    il1_.cache().stats().dump(os);
-    dl1_.cache().stats().dump(os);
-    hier_.l2().stats().dump(os);
-}
-
-std::unique_ptr<ResizePolicy>
-System::makePolicy(ResizableCache &cache, const ResizeSetup &setup)
-{
-    switch (setup.strategy) {
-      case Strategy::None:
-        return nullptr;
-      case Strategy::Static:
-        rc_assert(cache.organization() != Organization::None ||
-                  setup.staticLevel == 0);
-        return std::make_unique<StaticPolicy>(
-            cache, hier_.l1WritebackSink(), setup.staticLevel);
-      case Strategy::Dynamic:
-        rc_assert(cache.organization() != Organization::None);
-        return std::make_unique<DynamicMissRatioController>(
-            cache, hier_.l1WritebackSink(), setup.dyn);
-    }
-    rc_panic("bad strategy");
+    lane_.il1().cache().stats().dump(os);
+    lane_.dl1().cache().stats().dump(os);
+    lane_.hierarchy().l2().stats().dump(os);
 }
 
 RunResult
@@ -73,131 +280,11 @@ System::run(Workload &workload, std::uint64_t num_insts,
         rc_fatal("the analytic engine does not run Systems; dispatch "
                  "through executeRunJob");
 
-    auto il1_policy = makePolicy(il1_, il1_setup);
-    auto dl1_policy = makePolicy(dl1_, dl1_setup);
-
-    if (telemetry && telemetry->resizeEvents) {
-        const ResizeTelemetry sink{&telemetry->events, 0,
-                                   cfg_.core.wbDrainLatency};
-        if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                il1_policy.get()))
-            dyn->setTelemetry(sink);
-        if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                dl1_policy.get()))
-            dyn->setTelemetry(sink);
-    }
-
-    std::unique_ptr<Core> core;
-    if (cfg_.coreModel == CoreModel::OutOfOrder) {
-        core = std::make_unique<OooCore>(cfg_.core, hier_,
-                                         il1_policy.get(),
-                                         dl1_policy.get());
-    } else {
-        core = std::make_unique<InOrderCore>(cfg_.core, hier_,
-                                             il1_policy.get(),
-                                             dl1_policy.get());
-    }
-
-    std::optional<TimelineRecorder> recorder;
-    if (telemetry && telemetry->wantsTimeline()) {
-        TimelineSources src;
-        src.core = 0;
-        src.il1 = &il1_.cache();
-        src.dl1 = &dl1_.cache();
-        src.il1ExtraTagBits = il1_.extraTagBits();
-        src.dl1ExtraTagBits = dl1_.extraTagBits();
-        src.l2Accesses = [this] { return hier_.l2().accesses(); };
-        src.l2Misses = [this] { return hier_.l2().misses(); };
-        src.memAccesses = [this] {
-            return hier_.memReads() + hier_.memWrites();
-        };
-        src.l2SizeBytes = hier_.l2().geometry().size;
-        src.timingCore = core.get();
-        src.energy = &cfg_.energy;
-        recorder.emplace(src, telemetry->timelineInterval);
-        core->setProbe(&*recorder);
-    }
-
-    RunResult res;
-    res.workload = workload.name();
-    ProcessorEnergyModel energy(cfg_.energy);
-
-    if (engine.sampled()) {
-        SamplingController sampler(engine.sampling, hier_, il1_,
-                                   dl1_, il1_policy.get(),
-                                   dl1_policy.get());
-        if (recorder)
-            sampler.setProbe(&*recorder);
-        const SampledStats s =
-            sampler.run(*core, workload, num_insts);
-
-        res.engine = EngineMode::Sampled;
-        res.measuredInsts = s.measuredInsts;
-        res.warmupInsts = s.warmupInsts;
-        res.activity = s.activity;
-        res.insts = s.activity.insts;
-        res.cycles = s.activity.cycles;
-        res.energy = energy.compute(
-            s.activity, s.il1, il1_.extraTagBits(), s.dl1,
-            dl1_.extraTagBits(), s.l2Accesses,
-            hier_.l2().geometry().size, s.memAccesses);
-        res.avgIl1Bytes = s.avgIl1Bytes;
-        res.avgDl1Bytes = s.avgDl1Bytes;
-        res.il1MissRatio = s.il1MissRatio;
-        res.dl1MissRatio = s.dl1MissRatio;
-        res.l2MissRatio = s.l2MissRatio;
-        res.il1Accesses = static_cast<std::uint64_t>(
-            std::llround(s.il1.accesses));
-        res.il1Misses = static_cast<std::uint64_t>(
-            std::llround(s.il1.misses));
-        res.dl1Accesses = static_cast<std::uint64_t>(
-            std::llround(s.dl1.accesses));
-        res.dl1Misses = static_cast<std::uint64_t>(
-            std::llround(s.dl1.misses));
-    } else {
-        res.activity = core->run(workload, num_insts);
-        res.insts = res.activity.insts;
-        res.cycles = res.activity.cycles;
-        res.measuredInsts = res.insts;
-
-        // Close the enabled-size integrals over the whole run.
-        il1_.cache().accumulateEnabledTime(res.cycles);
-        dl1_.cache().accumulateEnabledTime(res.cycles);
-
-        res.energy = energy.compute(
-            res.activity, il1_.cache(), il1_.extraTagBits(),
-            dl1_.cache(), dl1_.extraTagBits(), hier_.l2(),
-            hier_.memReads() + hier_.memWrites());
-
-        res.avgIl1Bytes = il1_.cache().byteCycles() / res.cycles;
-        res.avgDl1Bytes = dl1_.cache().byteCycles() / res.cycles;
-        res.il1MissRatio = il1_.cache().missRatio();
-        res.dl1MissRatio = dl1_.cache().missRatio();
-        res.l2MissRatio = hier_.l2().missRatio();
-        res.il1Accesses = il1_.cache().accesses();
-        res.il1Misses = il1_.cache().misses();
-        res.dl1Accesses = dl1_.cache().accesses();
-        res.dl1Misses = dl1_.cache().misses();
-    }
-
-    res.il1Resizes = il1_.cache().resizes();
-    res.dl1Resizes = dl1_.cache().resizes();
-
-    if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            il1_policy.get())) {
-        res.il1LevelTrace = dyn->levelTrace();
-    }
-    if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            dl1_policy.get())) {
-        res.dl1LevelTrace = dyn->levelTrace();
-    }
-
-    if (recorder) {
-        auto rows = recorder->takeRows();
-        telemetry->timeline.insert(telemetry->timeline.end(),
-                                   rows.begin(), rows.end());
-    }
-    return res;
+    lane_.start(il1_setup, dl1_setup, engine, telemetry);
+    // A single core has no interleave: the whole run is one quantum.
+    for (std::uint64_t left = num_insts; left > 0;)
+        left -= lane_.turn(workload, left, num_insts);
+    return lane_.finish(workload.name(), num_insts);
 }
 
 } // namespace rcache

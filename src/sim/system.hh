@@ -2,11 +2,18 @@
  * @file
  * System: one simulated processor+memory configuration, run once.
  *
- * A System wires a core model, the two (possibly resizable) L1s, the
- * L2, the resizing policies, and the energy model. It is single-use:
- * construct, call run() once, read the result. The experiment driver
- * (sim/experiment.hh) constructs one System per design point, which is
- * how the paper's profiling methodology works anyway.
+ * A System is one CoreLane (below) with its own L2: the core model,
+ * the two (possibly resizable) L1s, the L2, the resizing policies, and
+ * the energy model. It is single-use: construct, call run() once, read
+ * the result. executeRunJob (runner/sweep_runner.hh) constructs one
+ * System per design point, which is how the paper's profiling
+ * methodology works anyway.
+ *
+ * CoreLane is the one measurement loop behind every timing run:
+ * System::run drives one lane, MultiCoreSystem::run
+ * (sim/multi_core_system.hh) drives one per core over a shared L2,
+ * and full-detail and sampled runs differ only in the periods each
+ * lane is handed.
  */
 
 #ifndef RCACHE_SIM_SYSTEM_HH
@@ -28,6 +35,8 @@
 namespace rcache
 {
 
+class FunctionalCore;
+class TimelineRecorder;
 struct RunTelemetry;
 
 /** Which CPU timing model to use. */
@@ -159,6 +168,112 @@ struct RunResult
     /** The paper's metric: processor energy x delay. */
     double edp() const { return energy.total() * cycles; }
     double ipc() const { return activity.ipc(); }
+
+    /** Field-wise, doubles by value (the byte-identity contract). */
+    bool operator==(const RunResult &o) const = default;
+};
+
+/**
+ * One core's slice of a system and the loop that measures it.
+ *
+ * A lane owns the core's two L1s, its Hierarchy (an owned L2, or its
+ * slot in a SharedL2), its resize policies, its timing core and, for
+ * sampled runs, the FunctionalCore that warms it. Each turn runs one
+ * period of the stream
+ *
+ *     [ fast-forward | warmup | measured window ]
+ *
+ * (sim/sampling.hh) and adds the measured window's counter-snapshot
+ * deltas to measured(); finish() extrapolates those windows to the
+ * whole stream and prices them. A full-detail turn is all measured
+ * window, so a full-detail run's scale is exactly 1 and its figures
+ * equal the live counters.
+ */
+class CoreLane
+{
+  public:
+    /** Single-core lane: owns an L2 of cfg.l2 and runs
+     *  cfg.coreModel. */
+    explicit CoreLane(const SystemConfig &cfg);
+
+    /** Core @p id of a multi-core system: its L2 traffic goes to
+     *  @p l2, and it runs cfg.modelOfCore(id). */
+    CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2);
+
+    ~CoreLane();
+    CoreLane(const CoreLane &) = delete;
+    CoreLane &operator=(const CoreLane &) = delete;
+
+    /**
+     * Build the run-time half: the resize policies, the timing core,
+     * the FunctionalCore (sampled engines only), and the resize-event
+     * and timeline taps when @p telemetry asks for them (null = off).
+     * Call once, before the first turn.
+     */
+    void start(const ResizeSetup &il1_setup,
+               const ResizeSetup &dl1_setup, const EngineSpec &engine,
+               RunTelemetry *telemetry);
+
+    /**
+     * Run one turn of @p workload with @p remaining instructions
+     * left: a sampling period (periodShape(remaining)) under a
+     * sampled engine, else a measured window of
+     * min(@p quantum, remaining) instructions.
+     * @return instructions the turn consumed
+     */
+    std::uint64_t turn(Workload &workload, std::uint64_t remaining,
+                       std::uint64_t quantum);
+
+    /**
+     * The run's result: the measured windows extrapolated to
+     * @p total_insts and priced. Also hands this lane's timeline rows
+     * to the telemetry bundle.
+     */
+    RunResult finish(const std::string &workload,
+                     std::uint64_t total_insts);
+
+    /** Sums over the measured windows so far (unscaled). */
+    struct Measured
+    {
+        /** Instructions, cycles, and instruction mix. */
+        CoreActivity activity;
+        CacheActivity il1, dl1;
+        /** This core's share of the L2 and memory traffic. */
+        double l2Accesses = 0;
+        double l2Misses = 0;
+        double memAccesses = 0;
+        /** FunctionalCore instructions (not measured). */
+        std::uint64_t warmupInsts = 0;
+    };
+    const Measured &measured() const { return measured_; }
+
+    ResizableCache &il1() { return il1_; }
+    ResizableCache &dl1() { return dl1_; }
+    const ResizableCache &il1() const { return il1_; }
+    const ResizableCache &dl1() const { return dl1_; }
+    Hierarchy &hierarchy() { return hier_; }
+    const Hierarchy &hierarchy() const { return hier_; }
+
+  private:
+    /** Skip, warm, then measure one window. */
+    void runPeriod(Workload &workload,
+                   const SamplingConfig::PeriodShape &shape);
+
+    CoreModel model_;
+    CoreParams coreParams_;
+    EnergyParams energy_;
+    ResizableCache il1_;
+    ResizableCache dl1_;
+    Hierarchy hier_;
+
+    EngineSpec engine_;
+    RunTelemetry *telemetry_ = nullptr;
+    std::unique_ptr<ResizePolicy> il1Policy_;
+    std::unique_ptr<ResizePolicy> dl1Policy_;
+    std::unique_ptr<Core> core_;
+    std::unique_ptr<FunctionalCore> func_;
+    std::unique_ptr<TimelineRecorder> recorder_;
+    Measured measured_;
 };
 
 /** See file comment. */
@@ -185,22 +300,17 @@ class System
                   const EngineSpec &engine = {},
                   RunTelemetry *telemetry = nullptr);
 
-    ResizableCache &il1() { return il1_; }
-    ResizableCache &dl1() { return dl1_; }
-    Hierarchy &hierarchy() { return hier_; }
+    ResizableCache &il1() { return lane_.il1(); }
+    ResizableCache &dl1() { return lane_.dl1(); }
+    Hierarchy &hierarchy() { return lane_.hierarchy(); }
     const SystemConfig &config() const { return cfg_; }
 
     /** Dump all cache stat groups (il1, dl1, l2) as text. */
     void dumpStats(std::ostream &os) const;
 
   private:
-    std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,
-                                             const ResizeSetup &setup);
-
     SystemConfig cfg_;
-    ResizableCache il1_;
-    ResizableCache dl1_;
-    Hierarchy hier_;
+    CoreLane lane_;
     bool ran_ = false;
 };
 

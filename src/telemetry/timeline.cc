@@ -16,11 +16,12 @@ TimelineRecorder::TimelineRecorder(const TimelineSources &sources,
 {
     // Baseline snapshots: the attached caches may carry counts from
     // before this recorder existed; start the first interval here.
-    lastIl1_ = CacheActivity::of(*src_.il1);
-    lastDl1_ = CacheActivity::of(*src_.dl1);
-    lastL2Accesses_ = src_.l2Accesses ? src_.l2Accesses() : 0;
-    lastL2Misses_ = src_.l2Misses ? src_.l2Misses() : 0;
-    lastMem_ = src_.memAccesses ? src_.memAccesses() : 0;
+    const Hierarchy &h = *src_.hier;
+    lastIl1_ = CacheActivity::of(h.il1());
+    lastDl1_ = CacheActivity::of(h.dl1());
+    lastL2Accesses_ = h.l2Accesses();
+    lastL2Misses_ = h.l2Misses();
+    lastMem_ = h.memReads() + h.memWrites();
 }
 
 std::vector<TimelineRow> TimelineRecorder::takeRows()
@@ -47,13 +48,16 @@ void TimelineRecorder::closeWarmupWindow()
 TimelineRow TimelineRecorder::baseRow(const char *phase,
                                       IntervalCaches &deltas)
 {
+    const Hierarchy &h = *src_.hier;
     TimelineRow row;
-    row.core = src_.core;
+    row.core = h.coreId();
     row.seq = seq_++;
     row.phase = phase;
 
-    const CacheActivity il1_now = CacheActivity::of(*src_.il1);
-    const CacheActivity dl1_now = CacheActivity::of(*src_.dl1);
+    const Cache &il1 = h.il1();
+    const Cache &dl1 = h.dl1();
+    const CacheActivity il1_now = CacheActivity::of(il1);
+    const CacheActivity dl1_now = CacheActivity::of(dl1);
     deltas.il1 = il1_now - lastIl1_;
     deltas.dl1 = dl1_now - lastDl1_;
     row.il1MissRate = deltas.il1.missRatio();
@@ -61,8 +65,8 @@ TimelineRow TimelineRecorder::baseRow(const char *phase,
     lastIl1_ = il1_now;
     lastDl1_ = dl1_now;
 
-    const std::uint64_t l2a = src_.l2Accesses ? src_.l2Accesses() : 0;
-    const std::uint64_t l2m = src_.l2Misses ? src_.l2Misses() : 0;
+    const std::uint64_t l2a = h.l2Accesses();
+    const std::uint64_t l2m = h.l2Misses();
     deltas.l2Accesses = l2a - lastL2Accesses_;
     row.l2MissRate =
         deltas.l2Accesses
@@ -72,16 +76,16 @@ TimelineRow TimelineRecorder::baseRow(const char *phase,
     lastL2Accesses_ = l2a;
     lastL2Misses_ = l2m;
 
-    const std::uint64_t mem = src_.memAccesses ? src_.memAccesses() : 0;
+    const std::uint64_t mem = h.memReads() + h.memWrites();
     deltas.mem = mem - lastMem_;
     lastMem_ = mem;
 
-    row.il1Ways = src_.il1->enabledWays();
-    row.il1Sets = src_.il1->enabledSets();
-    row.il1Bytes = src_.il1->enabledSize();
-    row.dl1Ways = src_.dl1->enabledWays();
-    row.dl1Sets = src_.dl1->enabledSets();
-    row.dl1Bytes = src_.dl1->enabledSize();
+    row.il1Ways = il1.enabledWays();
+    row.il1Sets = il1.enabledSets();
+    row.il1Bytes = il1.enabledSize();
+    row.dl1Ways = dl1.enabledWays();
+    row.dl1Sets = dl1.enabledSets();
+    row.dl1Bytes = dl1.enabledSize();
     return row;
 }
 
@@ -164,15 +168,17 @@ void TimelineRecorder::onSample(std::uint64_t window_insts,
         // Cache::accumulateEnabledTime, which mutates byteCycles_'s
         // double-summation order and thus end-of-run energy bytes.
         deltas.il1.byteCycles =
-            static_cast<double>(src_.il1->enabledSize()) * d_cycles;
+            static_cast<double>(src_.hier->il1().enabledSize()) *
+            d_cycles;
         deltas.dl1.byteCycles =
-            static_cast<double>(src_.dl1->enabledSize()) * d_cycles;
+            static_cast<double>(src_.hier->dl1().enabledSize()) *
+            d_cycles;
         row.energy = energyModel_
                          .compute(interval, deltas.il1,
                                   src_.il1ExtraTagBits, deltas.dl1,
                                   src_.dl1ExtraTagBits,
                                   static_cast<double>(deltas.l2Accesses),
-                                  src_.l2SizeBytes,
+                                  src_.hier->l2().geometry().size,
                                   static_cast<double>(deltas.mem))
                          .total();
     }

@@ -20,7 +20,6 @@
 #define RCACHE_TELEMETRY_TIMELINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -65,23 +64,14 @@ struct TimelineRow
     double energy = 0;
 };
 
-/**
- * Read-only taps into one core's slice of the system. The getter
- * std::functions decouple the recorder from whether the L2 is private
- * (single core: whole-cache counters) or shared (multi-core: the
- * per-core attribution the shared L2 keeps).
- */
+/** Read-only taps into one core's slice of the system. */
 struct TimelineSources
 {
-    unsigned core = 0;
-    const Cache *il1 = nullptr;
-    const Cache *dl1 = nullptr;
+    /** The core's id, L1s, L2 share, and memory traffic
+     *  (Hierarchy::l2Accesses tells an owned L2 from a shared one). */
+    const Hierarchy *hier = nullptr;
     unsigned il1ExtraTagBits = 0;
     unsigned dl1ExtraTagBits = 0;
-    std::function<std::uint64_t()> l2Accesses;
-    std::function<std::uint64_t()> l2Misses;
-    std::function<std::uint64_t()> memAccesses;
-    std::uint64_t l2SizeBytes = 0;
     /** Timing core, for MSHR / writeback occupancy. */
     const Core *timingCore = nullptr;
     const EnergyParams *energy = nullptr;

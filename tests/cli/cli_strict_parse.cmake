@@ -221,6 +221,21 @@ check_rejects_oneline("bad_cli_test.scn:4: axis 'nope'"
                       scenario check ${BAD_SCN})
 file(REMOVE ${BAD_SCN})
 
+# Multi-core-only settings on a single-core scenario would be silently
+# ignored: each is refused with one line and exit 2.
+set(ONE_CORE_SCN "${CMAKE_CURRENT_BINARY_DIR}/one_core_cli_test.scn")
+foreach(case
+        "[cores]\nmodels = inorder\n|\\[cores\\] models has no effect"
+        "[axes]\nquantum = 5000,10000\n|'quantum' axis has no effect"
+        "[cores]\nquantum = 10000\n|\\[cores\\] quantum has no effect")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 body)
+  list(GET parts 1 expect)
+  file(WRITE ${ONE_CORE_SCN} "[workloads]\napps = gcc\n${body}")
+  check_exit2_oneline("${expect}" sweep --scenario ${ONE_CORE_SCN})
+endforeach()
+file(REMOVE ${ONE_CORE_SCN})
+
 # ---- bench subcommand
 check_rejects_oneline("unknown option '--bogus' for 'bench'"
                       bench --bogus 1)

@@ -1,9 +1,12 @@
 # Telemetry contract check, run as a ctest against the real binary:
 #
 #   cmake -DRCACHE_SIM=<rcache-sim> -DGOLDEN_DIR=<tests/golden>
-#         -DWORK_DIR=<scratch dir> -P golden_telemetry.cmake
+#         [-DSCENARIO=<name>] -DWORK_DIR=<work dir>
+#         -P golden_telemetry.cmake
 #
-# Four properties of tests/golden/telemetry_micro.scn are pinned:
+# SCENARIO names tests/golden/<name>.scn and its
+# <name>.{timeline,events}.golden.jsonl goldens (default:
+# telemetry_micro). Four properties of that scenario are pinned:
 #
 #  1. non-perturbation: the sweep CSV is byte-identical with
 #     telemetry enabled and disabled (the recorders observe the run,
@@ -19,16 +22,23 @@
 # --jobs is pinned to 2: the CSV is --jobs-invariant, but telemetry
 # row order across chunks is not guaranteed to be (rows carry their
 # job label instead; see SweepOptions). Regenerate the goldens with
-# the command in telemetry_micro.scn's header.
+# the command in the scenario's header.
 
 foreach(var RCACHE_SIM GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_telemetry.cmake needs -D${var}=...")
   endif()
 endforeach()
+if(NOT DEFINED SCENARIO)
+  set(SCENARIO telemetry_micro)
+endif()
 
-set(scenario ${GOLDEN_DIR}/telemetry_micro.scn)
+set(scenario ${GOLDEN_DIR}/${SCENARIO}.scn)
 file(MAKE_DIRECTORY ${WORK_DIR})
+
+# Cell 0's trace point names the scenario's first app.
+file(STRINGS ${scenario} apps_line REGEX "^apps *=")
+string(REGEX REPLACE "^apps *= *([^,]*).*" "\\1" first_app "${apps_line}")
 
 # ---- 1. reference run, telemetry off
 execute_process(
@@ -68,25 +78,25 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORK_DIR}/timeline.jsonl
-          ${GOLDEN_DIR}/telemetry_micro.timeline.golden.jsonl
+          ${GOLDEN_DIR}/${SCENARIO}.timeline.golden.jsonl
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
           "timeline golden mismatch: ${WORK_DIR}/timeline.jsonl — "
           "the interval-timeline contract drifted. If intentional "
-          "and reviewed, regenerate (see telemetry_micro.scn).")
+          "and reviewed, regenerate (see ${SCENARIO}.scn).")
 endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORK_DIR}/events.jsonl
-          ${GOLDEN_DIR}/telemetry_micro.events.golden.jsonl
+          ${GOLDEN_DIR}/${SCENARIO}.events.golden.jsonl
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
           "resize-event golden mismatch: ${WORK_DIR}/events.jsonl — "
           "the decision-trace contract drifted. If intentional and "
-          "reviewed, regenerate (see telemetry_micro.scn).")
+          "reviewed, regenerate (see ${SCENARIO}.scn).")
 endif()
 
 # ---- 4. Chrome trace shape (wall-clock values, so structural only)
@@ -96,7 +106,7 @@ foreach(needle
         [["ph":"X"]]
         [["name":"chunk-flush"]]
         [["name":"baseline-memo"]]
-        [["point":"cell=0;app=gcc+m88ksim;]])
+        "\"point\":\"cell=0;app=${first_app};")
   string(FIND "${trace}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR

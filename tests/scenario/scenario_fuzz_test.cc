@@ -409,6 +409,33 @@ TEST(ScenarioFuzzTest, BuildRejectsUnderprovisionedMixes)
         "[cores]\ncount = 2\n"
         "[axes]\nquantum = 10000,20000\nsample.interval = 0,50000\n");
     EXPECT_TRUE(live_quantum) << err7;
+
+    // Multi-core-only settings where every point has one core would
+    // be silently ignored: a single core runs [system] core and is
+    // never split into quanta.
+    auto [lone_models, err8] = build("[cores]\nmodels = inorder\n");
+    EXPECT_FALSE(lone_models);
+    EXPECT_NE(err8.find("models"), std::string::npos) << err8;
+    EXPECT_EQ(err8.find('\n'), std::string::npos) << err8;
+    auto [lone_quantum_axis, err9] =
+        build("[axes]\nquantum = 5000,10000\n");
+    EXPECT_FALSE(lone_quantum_axis);
+    EXPECT_NE(err9.find("quantum"), std::string::npos) << err9;
+    auto [lone_quantum, err10] = build("[cores]\nquantum = 10000\n");
+    EXPECT_FALSE(lone_quantum);
+    EXPECT_NE(err10.find("quantum"), std::string::npos) << err10;
+    auto [one_core_axis, err11] = build(
+        "[cores]\ncount = 4\nquantum = 10000\n[axes]\ncores = 1\n");
+    EXPECT_FALSE(one_core_axis);
+    // The default quantum spelled out changes nothing: accepted.
+    auto [default_quantum, err12] =
+        build("[cores]\nquantum = 50000\n");
+    EXPECT_TRUE(default_quantum) << err12;
+    // ...and a cores axis reaching two cores makes all three live.
+    auto [two_core_axis, err13] = build(
+        "[cores]\nquantum = 10000\nmodels = inorder\n"
+        "[axes]\ncores = 1,2\nquantum = 5000,10000\n");
+    EXPECT_TRUE(two_core_axis) << err13;
 }
 
 TEST(ScenarioFuzzTest, RandomSpecsBuildOrDiagnoseCleanly)

@@ -279,6 +279,49 @@ sample-interval = 30000
               5 * stats.detailedInsts);
 }
 
+TEST(AdaptiveSearchTest, DetailedInstsCountEveryCore)
+{
+    // A job on C cores measures C instruction streams, so the tuner
+    // charges it C times the per-core detailed instructions, phase-2
+    // (side=both) jobs included: the same grid on two cores costs
+    // exactly twice the one-core work.
+    const auto tune = [](unsigned cores, double promote) {
+        ScenarioSpec spec = parseSpec(R"([scenario]
+name = tune-cores
+insts = 40000
+
+[workloads]
+apps = gcc
+
+[axes]
+org = ways,sets
+side = dcache,both
+
+[search]
+strategy = static
+mode = adaptive
+ladder = sampled,full
+min-survivors = 1
+sample-interval = 20000
+)");
+        spec.system.cores = cores;
+        spec.search.adaptive.promote = {promote};
+        TuneStats stats;
+        EXPECT_EQ(runAdaptiveSearch(spec, quietTune(), &stats), 0);
+        return stats;
+    };
+    const TuneStats one = tune(1, 0.5);
+    const TuneStats two = tune(2, 0.5);
+    EXPECT_GT(one.exhaustiveDetailedInsts, 0u);
+    EXPECT_EQ(two.exhaustiveDetailedInsts,
+              2 * one.exhaustiveDetailedInsts);
+
+    // With every cell promoted both schedules run the same jobs.
+    const TuneStats one_all = tune(1, 1.0);
+    const TuneStats two_all = tune(2, 1.0);
+    EXPECT_EQ(two_all.detailedInsts, 2 * one_all.detailedInsts);
+}
+
 TEST(AdaptiveSearchTest, PromotionHonorsFractionAndFloor)
 {
     // 8 cells at promote 0.5: ceil(0.5 * 8) = 4 survive round 0.

@@ -181,6 +181,50 @@ TEST(MultiCoreSystemTest, SampledRunExtrapolatesPerCore)
               r.l2PerCore[0].accesses + r.l2PerCore[1].accesses);
 }
 
+TEST(MultiCoreSystemTest, FullShapePeriodsEqualQuantumInterleave)
+{
+    // A sampling period that is all measured window, one quantum
+    // long, is a full-detail quantum turn: the cores take the same
+    // turns over the shared L2 through the same lane loop, so the
+    // results must match bit for bit apart from the engine stamp.
+    // kInsts is not a multiple of the quantum, so the short last turn
+    // is covered too.
+    constexpr std::uint64_t kQuantum = 7000;
+    SystemConfig cfg = SystemConfig::base();
+    cfg.cores = 2;
+    cfg.quantumInsts = kQuantum;
+    cfg.dl1Org = Organization::SelectiveSets;
+    ResizeSetup dyn;
+    dyn.strategy = Strategy::Dynamic;
+    dyn.dyn.intervalAccesses = 2000;
+    dyn.dyn.missBound = 200;
+    const auto run = [&](const EngineSpec &engine) {
+        MultiCoreSystem sys(cfg);
+        return sys.run(mixOf("gcc+m88ksim"), kInsts, {}, dyn, engine);
+    };
+    const MultiCoreResult full = run({});
+    MultiCoreResult sampled =
+        run(EngineSpec::makeSampled(kQuantum, kQuantum, 0));
+
+    ASSERT_EQ(sampled.perCore.size(), full.perCore.size());
+    EXPECT_EQ(sampled.aggregate.engine, EngineMode::Sampled);
+    sampled.aggregate.engine = full.aggregate.engine;
+    for (std::size_t c = 0; c < full.perCore.size(); ++c) {
+        EXPECT_EQ(sampled.perCore[c].engine, EngineMode::Sampled);
+        sampled.perCore[c].engine = full.perCore[c].engine;
+        EXPECT_TRUE(sampled.perCore[c] == full.perCore[c])
+            << "core " << c << ": cycles " << sampled.perCore[c].cycles
+            << " vs " << full.perCore[c].cycles;
+    }
+    EXPECT_TRUE(sampled.aggregate == full.aggregate)
+        << "cycles " << sampled.aggregate.cycles << " vs "
+        << full.aggregate.cycles << ", energy "
+        << sampled.aggregate.energy.total() << " vs "
+        << full.aggregate.energy.total();
+    EXPECT_TRUE(sampled.l2PerCore == full.l2PerCore);
+    EXPECT_GT(full.aggregate.dl1Resizes, 0u);
+}
+
 TEST(MultiCoreSystemTest, ExecuteRunJobDispatchesOnCores)
 {
     RunJob job;

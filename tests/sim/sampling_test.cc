@@ -13,6 +13,7 @@
 #include "scenario/cell_eval.hh"
 #include "sim/experiment.hh"
 #include "workload/profiles.hh"
+#include "workload/synthetic.hh"
 
 namespace rcache
 {
@@ -116,6 +117,38 @@ TEST(SampledRunTest, FullDetailRunsReportFullCoverage)
     EXPECT_EQ(res.engine, EngineMode::Full);
     EXPECT_EQ(res.measuredInsts, res.insts);
     EXPECT_EQ(res.warmupInsts, 0u);
+}
+
+TEST(SampledRunTest, OneWindowSampledEqualsFullDetail)
+{
+    // A sampled period with no fast-forward and no warmup is one
+    // measured window over the whole stream: exactly a full-detail
+    // run. Both go through the same lane loop, so every field but the
+    // engine provenance must match bit for bit, doubles included.
+    constexpr std::uint64_t kRunInsts = 60000;
+    SystemConfig cfg = SystemConfig::base();
+    cfg.dl1Org = Organization::SelectiveSets;
+    ResizeSetup dyn;
+    dyn.strategy = Strategy::Dynamic;
+    dyn.dyn.intervalAccesses = 2000;
+    dyn.dyn.missBound = 200;
+    const auto run = [&](const EngineSpec &engine) {
+        SyntheticWorkload wl(profileByName("gcc"));
+        System sys(cfg);
+        return sys.run(wl, kRunInsts, {}, dyn, engine);
+    };
+    const RunResult full = run({});
+    RunResult sampled =
+        run(EngineSpec::makeSampled(kRunInsts, kRunInsts, 0));
+
+    EXPECT_EQ(sampled.engine, EngineMode::Sampled);
+    EXPECT_GT(full.dl1Resizes, 0u); // the controller did act
+    sampled.engine = full.engine;
+    EXPECT_TRUE(sampled == full)
+        << "cycles " << sampled.cycles << " vs " << full.cycles
+        << ", energy " << sampled.energy.total() << " vs "
+        << full.energy.total() << ", dl1 resizes "
+        << sampled.dl1Resizes << " vs " << full.dl1Resizes;
 }
 
 TEST(SampledRunTest, TailShorterThanPeriodStaysMeasured)
