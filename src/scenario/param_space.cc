@@ -329,18 +329,23 @@ ParamSpace::build(const ScenarioSpec &spec, std::string *err)
     // The round-robin quantum only governs full-detail runs (sampled
     // runs interleave whole sampling periods), so a quantum axis in
     // an always-sampled scenario would enumerate cells whose rows are
-    // all identical.
-    if (findAxis("quantum")) {
+    // all identical, and a fixed [cores] quantum would change nothing.
+    const bool quantum_set =
+        spec.system.quantumInsts != SystemConfig{}.quantumInsts;
+    if (findAxis("quantum") || quantum_set) {
         const Axis *si = findAxis("sample.interval");
         const bool full_detail_reachable =
             si ? hasValue(si, "0")
                : spec.engine.mode == EngineMode::Full;
         if (!full_detail_reachable) {
+            const char *what =
+                findAxis("quantum") ? "a 'quantum' axis" : "[cores] quantum";
             if (err)
-                *err = "a 'quantum' axis has no effect under sampled "
-                       "simulation (cores interleave whole sampling "
-                       "periods); drop the axis or sweep "
-                       "sample.interval with a 0 (full-detail) value";
+                *err = std::string(what) +
+                       " has no effect under a sampled engine "
+                       "(cores interleave whole sampling periods); "
+                       "drop it or sweep sample.interval with a 0 "
+                       "(full-detail) value";
             return std::nullopt;
         }
     }

@@ -373,7 +373,6 @@ class Parser
     bool keyWorkloads(const std::string &key, const std::string &value);
     bool keyAxes(const std::string &key, const std::string &value);
     bool keyEngine(const std::string &key, const std::string &value);
-    bool keyTelemetry(const std::string &key, const std::string &value);
     bool keySearch(const std::string &key, const std::string &value);
     bool finishEngine();
 
@@ -401,7 +400,7 @@ Parser::handleSection(const std::string &name)
 {
     static const char *known[] = {"scenario", "system", "cores",
                                   "workloads", "axes", "engine",
-                                  "telemetry", "search"};
+                                  "search"};
     if (std::find_if(std::begin(known), std::end(known),
                      [&](const char *k) { return name == k; }) ==
         std::end(known)) {
@@ -602,33 +601,6 @@ Parser::keyEngine(const std::string &key, const std::string &value)
 }
 
 bool
-Parser::keyTelemetry(const std::string &key, const std::string &value)
-{
-    if (key == "timeline" || key == "events" ||
-        key == "trace-events") {
-        if (value.empty())
-            return fail(key + " wants an output file path");
-        if (key == "timeline")
-            spec_.telemetry.timeline = value;
-        else if (key == "events")
-            spec_.telemetry.events = value;
-        else
-            spec_.telemetry.traceEvents = value;
-        return true;
-    }
-    if (key == "interval") {
-        unsigned long long v = 0;
-        if (!parseU64Strict(value, v) || v == 0)
-            return fail("interval wants a positive instruction count, "
-                        "got '" +
-                        value + "'");
-        spec_.telemetry.interval = v;
-        return true;
-    }
-    return fail("unknown key '" + key + "' in [telemetry]");
-}
-
-bool
 Parser::keySearch(const std::string &key, const std::string &value)
 {
     if (key == "org") {
@@ -794,8 +766,6 @@ Parser::handleKey(const std::string &key, const std::string &value)
         return keyAxes(key, value);
     if (section_ == "engine")
         return keyEngine(key, value);
-    if (section_ == "telemetry")
-        return keyTelemetry(key, value);
     return keySearch(key, value);
 }
 
@@ -971,20 +941,6 @@ ScenarioSpec::print(std::ostream &os) const
                << "warmup = " << engine.sampling.warmupInsts << '\n';
         }
     }
-
-    // [telemetry]: only keys that differ from the all-off defaults.
-    const TelemetrySpec default_telem;
-    std::ostringstream telem;
-    if (telemetry.timeline != default_telem.timeline)
-        telem << "timeline = " << telemetry.timeline << '\n';
-    if (telemetry.events != default_telem.events)
-        telem << "events = " << telemetry.events << '\n';
-    if (telemetry.traceEvents != default_telem.traceEvents)
-        telem << "trace-events = " << telemetry.traceEvents << '\n';
-    if (telemetry.interval != default_telem.interval)
-        telem << "interval = " << telemetry.interval << '\n';
-    if (!telem.str().empty())
-        os << "\n[telemetry]\n" << telem.str();
 
     const SearchGrid default_grid;
     os << "\n[search]\n"

@@ -45,6 +45,11 @@
  * holds for every spec this parser can produce and is pinned by
  * tests/scenario/scenario_spec_test.cc.
  *
+ * A scenario says *what* to simulate. How to run it (jobs, shard,
+ * resume, claim) and where outputs go (the report, telemetry
+ * sidecars) are command-line options of `rcache-sim sweep`/`tune`,
+ * so one scenario file serves every way of running it.
+ *
  * The axes themselves are enumerated by scenario/param_space.hh; this
  * header is pure data + (de)serialization.
  */
@@ -168,27 +173,6 @@ struct SearchSpec
     bool operator==(const SearchSpec &o) const = default;
 };
 
-/**
- * Telemetry sidecar outputs for a scenario sweep ([telemetry]
- * section). All paths are empty by default — telemetry is opt-in and
- * provably absent from the simulated runs when off. CLI flags of the
- * same name override these per invocation (src/telemetry/ has the
- * recorders; the sweep engine owns the files).
- */
-struct TelemetrySpec
-{
-    /** Interval-timeline JSONL path ("" = off). */
-    std::string timeline;
-    /** Resize-decision event-trace JSONL path ("" = off). */
-    std::string events;
-    /** Chrome trace-event JSON path for runner spans ("" = off). */
-    std::string traceEvents;
-    /** Timeline sampling interval, instructions per sample. */
-    std::uint64_t interval = 10000;
-
-    bool operator==(const TelemetrySpec &o) const = default;
-};
-
 /** See file comment. */
 struct ScenarioSpec
 {
@@ -206,7 +190,6 @@ struct ScenarioSpec
      * sampling shape is default-constructed unless mode == Sampled.
      */
     EngineSpec engine;
-    TelemetrySpec telemetry;
     SearchSpec search;
 
     bool operator==(const ScenarioSpec &o) const = default;

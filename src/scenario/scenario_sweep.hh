@@ -75,10 +75,10 @@ struct SweepOptions
 
     /**
      * @name Telemetry sidecars (see src/telemetry/). All off (empty)
-     * by default; a scenario's [telemetry] section seeds these and
-     * CLI flags of the same name override. Enabling them never
-     * perturbs the sweep CSV: the simulated runs are bit-identical
-     * with telemetry on or off.
+     * by default; `sweep --timeline/--events/--trace-events/
+     * --timeline-interval` set them. Enabling them never perturbs
+     * the sweep CSV: the simulated runs are bit-identical with
+     * telemetry on or off.
      *
      * Row ordering caveat: timeline/event rows stream out chunk by
      * chunk in job order, and for side=both scenarios the job order

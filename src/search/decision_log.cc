@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/checked_io.hh"
+#include "util/json.hh"
 
 namespace rcache
 {
@@ -30,11 +31,12 @@ tunePlanLine(const std::string &scenario, std::uint64_t insts,
              std::uint64_t sample_interval)
 {
     std::ostringstream os;
-    os << "{\"schema\":\"rcache-tune-v1\",\"scenario\":\"" << scenario
-       << "\",\"insts\":" << insts << ",\"apps\":" << apps
-       << ",\"points\":" << points << ",\"cells\":" << cells
-       << ",\"ladder\":\"" << ladder << "\",\"promote\":\"" << promote
-       << "\",\"min_survivors\":" << min_survivors
+    os << "{\"schema\":\"rcache-tune-v1\",\"scenario\":"
+       << jsonString(scenario) << ",\"insts\":" << insts
+       << ",\"apps\":" << apps << ",\"points\":" << points
+       << ",\"cells\":" << cells << ",\"ladder\":" << jsonString(ladder)
+       << ",\"promote\":" << jsonString(promote)
+       << ",\"min_survivors\":" << min_survivors
        << ",\"rank_agree\":" << rank_agree
        << ",\"sample_interval\":" << sample_interval << "}";
     return os.str();
@@ -46,8 +48,8 @@ tuneRoundLine(std::size_t round, const std::string &engine,
 {
     std::ostringstream os;
     os << "{\"event\":\"round\",\"round\":" << round
-       << ",\"engine\":\"" << engine
-       << "\",\"candidates\":" << candidates << "}";
+       << ",\"engine\":" << jsonString(engine)
+       << ",\"candidates\":" << candidates << "}";
     return os.str();
 }
 
@@ -58,7 +60,7 @@ tuneScoreLine(std::size_t round, std::size_t cell,
     std::ostringstream os;
     os << "{\"event\":\"score\",\"round\":" << round
        << ",\"cell\":" << cell << ",\"score\":" << score
-       << ",\"row\":\"" << row << "\"}";
+       << ",\"row\":" << jsonString(row) << "}";
     return os.str();
 }
 
@@ -91,9 +93,10 @@ tuneWinnerLine(std::size_t cell, const std::string &app,
                std::uint64_t exhaustive_detailed_insts)
 {
     std::ostringstream os;
-    os << "{\"event\":\"winner\",\"cell\":" << cell << ",\"app\":\""
-       << app << "\",\"score\":" << score << ",\"engine\":\""
-       << engine << "\",\"rounds\":" << rounds
+    os << "{\"event\":\"winner\",\"cell\":" << cell
+       << ",\"app\":" << jsonString(app) << ",\"score\":" << score
+       << ",\"engine\":" << jsonString(engine)
+       << ",\"rounds\":" << rounds
        << ",\"detailed_insts\":" << detailed_insts
        << ",\"exhaustive_detailed_insts\":"
        << exhaustive_detailed_insts << "}";
@@ -123,54 +126,9 @@ readDecisionLog(std::istream &in, std::string *err)
         ++line_no;
         DecisionLogLine parsed;
         parsed.raw = line;
-        // Strict flat-object scan: {"k":"v",...} or {"k":123,...}.
-        // The builders emit no escapes, nesting, or whitespace, so
-        // anything else is a malformed log.
-        std::size_t i = 0;
-        const auto expect = [&](char c) {
-            if (i >= line.size() || line[i] != c)
-                return false;
-            ++i;
-            return true;
-        };
-        if (!expect('{'))
-            return failWith(line_no, "expected '{'");
-        bool first = true;
-        while (i < line.size() && line[i] != '}') {
-            if (!first && !expect(','))
-                return failWith(line_no, "expected ','");
-            first = false;
-            if (!expect('"'))
-                return failWith(line_no, "expected '\"' before key");
-            const std::size_t kend = line.find('"', i);
-            if (kend == std::string::npos)
-                return failWith(line_no, "unterminated key");
-            const std::string key = line.substr(i, kend - i);
-            i = kend + 1;
-            if (!expect(':'))
-                return failWith(line_no, "expected ':'");
-            std::string value;
-            if (i < line.size() && line[i] == '"') {
-                ++i;
-                const std::size_t vend = line.find('"', i);
-                if (vend == std::string::npos)
-                    return failWith(line_no, "unterminated value");
-                value = line.substr(i, vend - i);
-                i = vend + 1;
-            } else {
-                const std::size_t vend =
-                    line.find_first_of(",}", i);
-                if (vend == std::string::npos || vend == i)
-                    return failWith(line_no, "bad bare value");
-                value = line.substr(i, vend - i);
-                i = vend;
-            }
-            if (!parsed.fields.emplace(key, value).second)
-                return failWith(line_no,
-                                "duplicate key '" + key + "'");
-        }
-        if (!expect('}') || i != line.size())
-            return failWith(line_no, "trailing bytes after '}'");
+        std::string why;
+        if (!parseJsonFlatObject(line, parsed.fields, &why))
+            return failWith(line_no, why);
         if (parsed.fields.empty())
             return failWith(line_no, "empty object");
         out.push_back(std::move(parsed));

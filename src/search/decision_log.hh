@@ -83,7 +83,7 @@ std::string tuneWinnerLine(std::size_t cell, const std::string &app,
 /// @}
 
 /** One parsed log line: the raw bytes plus its flat fields (string
- *  values unquoted, numbers kept as written). */
+ *  values unescaped, numbers kept as written). */
 struct DecisionLogLine
 {
     std::string raw;
@@ -94,9 +94,9 @@ struct DecisionLogLine
 };
 
 /**
- * Strict reader: every line must be a flat JSON object in the form
- * the builders above emit (string or bare-number values, no nesting,
- * no escapes). On failure returns nullopt and sets @p err to one
+ * Strict reader: every line must be one non-empty flat JSON object
+ * (util/json.hh's parseJsonFlatObject: scalar values, no nesting, no
+ * duplicate keys). On failure returns nullopt and sets @p err to one
  * "line N: why" message.
  */
 std::optional<std::vector<DecisionLogLine>>

@@ -6,6 +6,7 @@
 
 #include "cache/replacement.hh"
 #include "sim/table.hh"
+#include "util/json.hh"
 #include "util/numformat.hh"
 
 namespace rcache
@@ -124,19 +125,6 @@ class ClassicLocaleGuard
     std::ostream &os_;
     std::locale old_;
 };
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 } // namespace
 
@@ -299,13 +287,13 @@ writeSweepJson(std::ostream &os,
     os << "[\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
-        os << "  {\"cell\": " << r.cell << ", \"app\": \""
-           << jsonEscape(r.app) << "\", \"org\": \""
-           << jsonEscape(r.org) << "\", \"strategy\": \""
-           << jsonEscape(r.strategy) << "\", \"side\": \""
-           << jsonEscape(r.side) << "\", \"axes\": \""
-           << jsonEscape(r.axes) << "\", \"best_level\": "
-           << r.bestLevel
+        os << "  {\"cell\": " << r.cell
+           << ", \"app\": " << jsonString(r.app)
+           << ", \"org\": " << jsonString(r.org)
+           << ", \"strategy\": " << jsonString(r.strategy)
+           << ", \"side\": " << jsonString(r.side)
+           << ", \"axes\": " << jsonString(r.axes)
+           << ", \"best_level\": " << r.bestLevel
            << ", \"interval_accesses\": " << r.intervalAccesses
            << ", \"miss_bound\": " << r.missBound
            << ", \"size_bound_bytes\": " << r.sizeBoundBytes
@@ -321,7 +309,7 @@ writeSweepJson(std::ostream &os,
            << ", \"avg_il1_bytes\": " << numField(r.avgIl1Bytes)
            << ", \"avg_dl1_bytes\": " << numField(r.avgDl1Bytes)
            << ", \"engine\": \"" << engineName(r.engine)
-           << "\", \"policy\": \"" << r.policy << "\"}"
+           << "\", \"policy\": " << jsonString(r.policy) << "}"
            << (i + 1 < records.size() ? "," : "") << '\n';
     }
     os << "]\n";

@@ -2,9 +2,8 @@
  * @file
  * Offline summarization of telemetry artifacts: the engine behind
  * `rcache-sim inspect`. Reads the JSONL files written by the
- * timeline/resize-event layers (no third-party JSON dependency — the
- * lines are flat objects, parsed by a small strict parser here) and
- * reduces them to the questions the paper's mechanism raises: how
+ * timeline/resize-event layers (flat objects, parsed by util/json.hh)
+ * and reduces them to the questions the paper's mechanism raises: how
  * often did the controller grow/shrink/hold and why, what sizes did
  * the cache live at, and did the decision thresholds oscillate.
  */
@@ -20,16 +19,6 @@
 
 namespace rcache
 {
-
-/**
- * Strict parse of one flat JSON object line ({"k":v,...}, scalar
- * values only). String values land unescaped in @p out; numbers and
- * booleans land as their literal text.
- * @return false (with @p err set) on malformed input
- */
-bool parseJsonFlatObject(const std::string &line,
-                         std::map<std::string, std::string> &out,
-                         std::string *err = nullptr);
 
 /** Reduction of a timeline JSONL file. */
 struct TimelineSummary

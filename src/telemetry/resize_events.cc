@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
 
@@ -40,8 +41,11 @@ void writeResizeEventsJsonl(std::ostream &os,
 {
     for (const ResizeEvent &ev : events) {
         os << '{';
-        if (!label.empty())
-            os << "\"job\":\"" << label << "\",";
+        if (!label.empty()) {
+            os << "\"job\":";
+            writeJsonString(os, label);
+            os << ',';
+        }
         os << "\"core\":" << ev.core
            << ",\"cache\":\"" << ev.cache << '"'
            << ",\"interval\":" << ev.interval

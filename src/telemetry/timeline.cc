@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "util/json.hh"
 #include "util/numformat.hh"
 
 namespace rcache
@@ -197,8 +198,11 @@ void writeTimelineJsonl(std::ostream &os,
 {
     for (const TimelineRow &r : rows) {
         os << '{';
-        if (!label.empty())
-            os << "\"job\":\"" << label << "\",";
+        if (!label.empty()) {
+            os << "\"job\":";
+            writeJsonString(os, label);
+            os << ',';
+        }
         os << "\"core\":" << r.core << ",\"seq\":" << r.seq
            << ",\"phase\":\"" << r.phase << '"'
            << ",\"insts\":" << r.insts << ",\"cycles\":" << r.cycles

@@ -2,43 +2,10 @@
 
 #include "telemetry/trace_events.hh"
 
+#include "util/json.hh"
+
 namespace rcache
 {
-namespace
-{
-
-/** Minimal JSON string escape (quotes, backslashes, control chars). */
-void writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 int TraceEventRecorder::tidOfCurrentThread()
 {
     const auto id = std::this_thread::get_id();

@@ -87,6 +87,18 @@ function(check_exit2_oneline expect)
   endif()
 endfunction()
 
+# Scenario files the sweep checks run against. A sweep's experiment
+# comes only from a scenario, so every sweep diagnostic below is
+# reached through one.
+set(SCN_DIR "${CMAKE_CURRENT_BINARY_DIR}/cli_strict_parse_scn")
+file(MAKE_DIRECTORY ${SCN_DIR})
+function(write_scn name)
+  string(CONCAT body ${ARGN})
+  file(WRITE ${SCN_DIR}/${name}.scn "${body}")
+endfunction()
+write_scn(ammp "[scenario]\nname = cli\ninsts = 1000\n[workloads]\napps = ammp\n")
+set(AMMP_SCN ${SCN_DIR}/ammp.scn)
+
 # ---- unknown subcommands / options / apps: one-line diagnostics
 check_rejects_oneline("unknown subcommand 'frobnicate'" frobnicate)
 # replay was folded into `run --app trace:PATH`.
@@ -97,30 +109,58 @@ check_rejects_oneline("unknown option '--bogus' for 'sweep'"
 check_rejects_oneline("unknown option '--progress' for 'run'"
                       run --app ammp --progress)
 check_rejects_oneline("unknown app 'nosuchapp'" run --app nosuchapp)
+write_scn(nosuchapp "[workloads]\napps = ammp,nosuchapp\n")
 check_rejects_oneline("unknown app 'nosuchapp'"
-                      sweep --apps ammp,nosuchapp)
+                      sweep --scenario ${SCN_DIR}/nosuchapp.scn)
 check_rejects_oneline("unexpected argument 'positional'"
                       sweep positional)
 
 # ---- strict value parsing
-check_rejects_oneline("non-negative integer" sweep --insts abc)
+check_rejects_oneline("non-negative integer"
+                      sweep --scenario ${AMMP_SCN} --timeline-interval abc)
 # strtoull alone skips whitespace and negates: ' -1' would run 2^64-1
 # instructions.
 check_exit2_oneline("wants a non-negative integer, got ' -1'"
                     run --app ammp --insts " -1")
 check_exit2_oneline("wants a non-negative integer, got '-5'"
-                    sweep --apps ammp --jobs -5)
+                    sweep --scenario ${AMMP_SCN} --jobs -5)
 check_rejects_oneline("must be > 0" run --app ammp --insts 0)
-check_rejects_oneline("needs a value" sweep --apps)
-check_rejects_oneline("unknown organization 'bogus'"
-                      sweep --orgs bogus)
-check_rejects_oneline("unknown strategy 'bogus'"
-                      sweep --strategies bogus)
-check_rejects_oneline("at least one" sweep --apps ",")
-check_rejects_oneline("wants icache|dcache|both" sweep --side left)
+check_rejects_oneline("needs a value" sweep --scenario)
+
+# Options stored in 32 bits reject larger values instead of wrapping
+# (2^32 jobs would become 0 = all cores; 2^32 reps zero repetitions).
+set(ADA_SCN "${CMAKE_CURRENT_BINARY_DIR}/tune_adaptive_cli.scn")
+file(WRITE ${ADA_SCN}
+     "[scenario]\nname = ada\n[axes]\norg = ways,sets\n"
+     "[search]\nmode = adaptive\n")
+set(TOO_BIG 4294967296)
+check_exit2_oneline("'--jobs' wants at most 4294967295, got '4294967296'"
+                    sweep --scenario ${AMMP_SCN} --jobs ${TOO_BIG})
+check_exit2_oneline("'--jobs' wants at most 4294967295"
+                    sweep --claim nowhere --jobs ${TOO_BIG})
+check_exit2_oneline("'--shards' wants at most 4294967295"
+                    sweep --claim nowhere --shards ${TOO_BIG})
+check_exit2_oneline("'--lease-timeout' wants at most 4294967295"
+                    sweep --claim nowhere --lease-timeout ${TOO_BIG})
+check_exit2_oneline("'--jobs' wants at most 4294967295"
+                    tune --scenario ${ADA_SCN} --jobs ${TOO_BIG})
+check_exit2_oneline("'--shards' wants at most 4294967295"
+                    tune --scenario ${ADA_SCN} --shards ${TOO_BIG})
+check_exit2_oneline("'--lease-timeout' wants at most 4294967295"
+                    tune --scenario ${ADA_SCN} --lease-timeout ${TOO_BIG})
+check_exit2_oneline("'--lease-timeout' wants at most 4294967295"
+                    doctor somewhere --lease-timeout ${TOO_BIG})
+check_exit2_oneline("'--reps' wants at most 4294967295"
+                    bench --reps ${TOO_BIG})
+check_exit2_oneline("'--il1-level' wants at most 4294967295"
+                    run --app ammp --il1-level ${TOO_BIG})
+check_exit2_oneline("'--dl1-level' wants at most 4294967295"
+                    run --app ammp --dl1-level ${TOO_BIG})
 
 # ---- multi-core flags
-check_rejects_oneline("wants 1..64" sweep --apps ammp --cores 0)
+write_scn(zero_cores "[cores]\ncount = 0\n")
+check_rejects_oneline("wants 1..64"
+                      sweep --scenario ${SCN_DIR}/zero_cores.scn)
 check_rejects_oneline("wants 1..64" run --app ammp --cores 65)
 check_rejects_oneline("--quantum must be > 0"
                       run --app ammp --cores 2 --quantum 0)
@@ -129,28 +169,30 @@ check_rejects_oneline("unknown app 'nosuch'"
 check_rejects_oneline("empty component" run --mix gcc+)
 check_rejects_oneline("--mix conflicts with --app"
                       run --app ammp --mix gcc+swim)
-check_rejects_oneline("--mix conflicts with --apps"
-                      sweep --apps ammp --mix gcc+swim)
 check_rejects_oneline("need --cores >= 2"
                       run --mix gcc+swim --cores 1 --insts 1000)
 check_rejects_oneline("need --cores >= 3"
                       run --mix gcc+swim+ammp --cores 2 --insts 1000)
 check_rejects_oneline("--quantum needs --cores > 1"
                       run --app gcc --quantum 1000 --insts 1000)
-check_rejects_oneline("no effect under a sampled engine"
-                      sweep --mix gcc+swim --engine
-                      sampled:interval=20000
-                      --quantum 1000 --insts 40000)
+write_scn(sampled_quantum
+          "[cores]\ncount = 2\nquantum = 1000\n[workloads]\n"
+          "apps = gcc+swim\n[engine]\nmode = sampled\n"
+          "interval = 20000\n")
+check_exit2_oneline("no effect under a sampled engine"
+                    sweep --scenario ${SCN_DIR}/sampled_quantum.scn)
 check_rejects_oneline("no effect under a sampled engine"
                       run --mix gcc+swim --engine
                       sampled:interval=20000
                       --quantum 1000 --insts 40000)
 # A multi-program mix must never silently run only its first
 # component: sweeping it without enough cores is rejected up front.
+write_scn(mix_no_cores "[workloads]\napps = gcc+m88ksim\n")
 check_rejects_oneline("set \\[cores\\] count or a cores axis"
-                      sweep --apps gcc+m88ksim --insts 1000)
+                      sweep --scenario ${SCN_DIR}/mix_no_cores.scn)
+write_scn(mix_one_core "[cores]\ncount = 1\n[workloads]\napps = gcc+swim\n")
 check_rejects_oneline("set \\[cores\\] count or a cores axis"
-                      sweep --mix gcc+swim --cores 1 --insts 1000)
+                      sweep --scenario ${SCN_DIR}/mix_one_core.scn)
 
 # ---- engine selection
 check_rejects_oneline("unknown engine 'bogus'"
@@ -205,14 +247,13 @@ check_rejects_oneline("needs at least one FILE" scenario check)
 check_rejects_oneline("cannot open scenario file"
                       scenario check no-such-file.scn)
 check_rejects_oneline("shard wants i/N"
-                      sweep --apps ammp --shard 2/2)
-check_rejects_oneline("conflicts with --scenario"
-                      sweep --scenario x.scn --orgs ways)
+                      sweep --scenario ${AMMP_SCN} --shard 2/2)
 check_rejects_oneline("--resume supports only --format csv"
-                      sweep --apps ammp --resume out.csv
+                      sweep --scenario ${AMMP_SCN} --resume out.csv
                       --format json)
 check_rejects_oneline("drop --out"
-                      sweep --apps ammp --resume a.csv --out b.csv)
+                      sweep --scenario ${AMMP_SCN} --resume a.csv
+                      --out b.csv)
 
 # A malformed scenario file gets exactly one file:line diagnostic.
 set(BAD_SCN "${CMAKE_CURRENT_BINARY_DIR}/bad_cli_test.scn")
@@ -256,14 +297,16 @@ check_accepts(--help)
 check_accepts(run --app ammp --insts 20000 --engine analytic)
 check_accepts(run --app ammp --insts 20000
               --engine sampled:interval=10000,detail=2000,warmup=1000)
-check_accepts(sweep --apps ammp --insts 20000 --engine analytic)
+write_scn(analytic
+          "[scenario]\ninsts = 20000\n[workloads]\napps = ammp\n"
+          "[engine]\nmode = analytic\n")
+check_accepts(sweep --scenario ${SCN_DIR}/analytic.scn)
 
 # ---- per-subcommand --help is generated from the option allowlists
 check_prints("--scenario" sweep --help)
 check_prints("--shard" sweep --help)
 check_prints("--il1-org" run --help)
 check_prints("--engine" run --help)
-check_prints("--engine" sweep --help)
 check_prints("design-space sweep" sweep --help)
 check_prints("check FILE" scenario --help)
 check_accepts(list-apps --help)
@@ -285,16 +328,13 @@ check_rejects_oneline("unknown option '--frob' for 'merge'"
 check_rejects_oneline("merge needs shard CSVs or a manifest" merge)
 check_rejects_oneline("option '--out' needs a value" merge --out)
 check_rejects_oneline("needs --claim DIR"
-                      sweep --apps ammp --shards 2)
+                      sweep --scenario ${AMMP_SCN} --shards 2)
 check_rejects_oneline("needs --claim DIR"
-                      sweep --apps ammp --lease-timeout 60)
+                      sweep --scenario ${AMMP_SCN} --lease-timeout 60)
 check_rejects_oneline("--out conflicts with --claim"
                       sweep --claim nowhere --out x.csv)
 check_rejects_oneline("--resume conflicts with --claim"
                       sweep --claim nowhere --resume x.csv)
-check_rejects_oneline("grid flags conflict with --scenario"
-                      sweep --claim nowhere --scenario x.scn
-                      --apps ammp)
 check_rejects_oneline("no manifest in 'nowhere'"
                       sweep --claim nowhere)
 
@@ -305,10 +345,6 @@ file(WRITE ${EXH_SCN}
      "[scenario]\nname = exh\n[axes]\norg = ways,sets\n")
 check_rejects_oneline("add 'mode = adaptive'"
                       tune --scenario ${EXH_SCN})
-set(ADA_SCN "${CMAKE_CURRENT_BINARY_DIR}/tune_adaptive_cli.scn")
-file(WRITE ${ADA_SCN}
-     "[scenario]\nname = ada\n[axes]\norg = ways,sets\n"
-     "[search]\nmode = adaptive\n")
 check_rejects_oneline("--shards/--lease-timeout need --claim DIR"
                       tune --scenario ${ADA_SCN} --shards 2)
 check_rejects_oneline("--resume and --claim are mutually exclusive"
@@ -339,9 +375,10 @@ file(REMOVE ${EMPTY_ART} ${EMPTY_CSV})
 
 # ---- fault injection: --failpoint / RC_FAILPOINT specs are strict
 check_exit2_oneline("unknown site 'bogus'"
-                    sweep --apps ammp --failpoint bogus=crash)
+                    sweep --scenario ${AMMP_SCN} --failpoint bogus=crash)
 check_exit2_oneline("wants SITE=ACTION"
-                    sweep --apps ammp --failpoint csv.chunk.flush)
+                    sweep --scenario ${AMMP_SCN}
+                    --failpoint csv.chunk.flush)
 check_exit2_oneline("unknown action 'frob'"
                     run --app ammp --failpoint csv.chunk.flush=frob)
 check_exit2_oneline("positive hit index"
@@ -373,8 +410,9 @@ endif()
 # ---- replacement policy flag: strict value, exit 2, one line
 check_exit2_oneline("--policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
                     run --app ammp --policy plru --insts 1000)
-check_exit2_oneline("--policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
-                    sweep --apps ammp --policy clock --insts 1000)
+write_scn(clock "[workloads]\napps = ammp\n[system]\npolicy = clock\n")
+check_exit2_oneline("policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
+                    sweep --scenario ${SCN_DIR}/clock.scn)
 set(POL_TRACE "${CMAKE_CURRENT_BINARY_DIR}/policy_cli.trace")
 file(WRITE ${POL_TRACE} "L 400000 0 1 0 0 0\n")
 check_exit2_oneline("--policy wants lru\\|random\\|fifo\\|slru\\|wtlfu"
@@ -386,14 +424,14 @@ check_exit2_oneline("models true-LRU"
                     run --app ammp --engine analytic --policy fifo
                     --insts 1000)
 check_prints("--policy" run --help)
-check_prints("--policy" sweep --help)
 
 # ---- trace: app specs are preflighted: every rejection is one line,
 # exit 2, before any simulation starts
 check_exit2_oneline("cannot open trace file"
                     run --app trace:no-such-trace.csv --insts 1000)
+write_scn(no_trace "[workloads]\napps = trace:no-such-trace.csv\n")
 check_exit2_oneline("cannot open trace file"
-                    sweep --apps trace:no-such-trace.csv --insts 1000)
+                    sweep --scenario ${SCN_DIR}/no_trace.scn)
 check_exit2_oneline("unknown trace format 'frob'"
                     run --app trace:whatever.csv:frob --insts 1000)
 check_exit2_oneline("cannot infer trace format"
@@ -478,3 +516,81 @@ if(NOT out MATCHES "PROBLEM" OR NOT out MATCHES "INCONSISTENT")
   message(SEND_ERROR
           "doctor audit report incomplete — stdout was: ${out}")
 endif()
+
+# ---- one front end: the experiment comes from a scenario file
+# The retired sweep grid flags are ordinary unknown options.
+check_exit2_oneline("unknown option '--apps' for 'sweep'"
+                    sweep --apps ammp)
+check_exit2_oneline("unknown option '--engine' for 'sweep'"
+                    sweep --engine analytic)
+check_exit2_oneline("unknown option '--policy' for 'sweep'"
+                    sweep --policy lru)
+# A bare sweep names the missing scenario instead of starting a
+# default grid.
+check_exit2_oneline("sweep needs --scenario FILE" sweep)
+# Output locations are command-line options; a scenario file with
+# the retired [telemetry] section is refused.
+write_scn(telemetry "[scenario]\nname = t\n[telemetry]\ntimeline = t.jsonl\n")
+check_exit2_oneline("telemetry.scn:3: unknown section '\\[telemetry\\]'"
+                    sweep --scenario ${SCN_DIR}/telemetry.scn)
+check_exit2_oneline("unknown section '\\[telemetry\\]'"
+                    scenario check ${SCN_DIR}/telemetry.scn)
+
+# ---- list-failpoints goes through the same strict parser
+check_exit2_oneline("unknown option '--bogus' for 'list-failpoints'"
+                    list-failpoints --bogus 1 extra)
+check_exit2_oneline("unexpected argument 'extra' for 'list-failpoints'"
+                    list-failpoints extra)
+check_prints("usage: rcache-sim list-failpoints" list-failpoints --help)
+
+# ---- help is worded per subcommand
+check_prints("--insts N[^\n]*default 2000000" bench --help)
+check_prints("--insts N[^\n]*default 400000" run --help)
+check_prints("--resume FILE[^\n]*decision log" tune --help)
+check_prints("--resume FILE[^\n]*CSV of an interrupted sweep" sweep --help)
+
+# ---- help and parser agree. Every subcommand the top-level usage
+# lists, and every --key its --help prints, is fed back as
+# `<cmd> --key [v] --zz-sentinel`: the parser must accept the key and
+# reject the line at the unknown sentinel, before anything runs. A
+# key in the help but missing from the parser (or taking a value in
+# one and not the other) names itself, not the sentinel.
+execute_process(COMMAND ${RCACHE_SIM} --help
+  RESULT_VARIABLE rc OUTPUT_VARIABLE top)
+string(REGEX MATCHALL "\n  [a-z][a-z-]*  " cmd_lines "${top}")
+list(LENGTH cmd_lines ncmds)
+if(ncmds LESS 12)
+  message(SEND_ERROR "top-level usage lists ${ncmds} subcommands: ${top}")
+endif()
+set(nkeys 0)
+foreach(cmd_line ${cmd_lines})
+  string(STRIP "${cmd_line}" cmd)
+  execute_process(COMMAND ${RCACHE_SIM} ${cmd} --help
+    RESULT_VARIABLE rc OUTPUT_VARIABLE help)
+  if(NOT rc EQUAL 0 OR NOT help MATCHES "usage: rcache-sim ${cmd}")
+    message(SEND_ERROR "'${cmd} --help' failed (exit ${rc}): ${help}")
+  endif()
+  string(REGEX MATCHALL "\n  --[a-z0-9-]+( [^ \n]+)?  " opt_lines
+         "${help}")
+  foreach(opt_line ${opt_lines})
+    string(REGEX MATCH "--[a-z0-9-]+" key "${opt_line}")
+    if(opt_line MATCHES "--[a-z0-9-]+ [^ ]")
+      set(cmd_args ${cmd} ${key} v --zz-sentinel)
+    else()
+      set(cmd_args ${cmd} ${key} --zz-sentinel)
+    endif()
+    execute_process(COMMAND ${RCACHE_SIM} ${cmd_args}
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "'--zz-sentinel'"
+       OR err MATCHES "'${key}'")
+      message(SEND_ERROR
+              "help/parser disagree on: rcache-sim ${cmd_args}"
+              " (exit ${rc}) — stderr was: ${err}")
+    endif()
+    math(EXPR nkeys "${nkeys} + 1")
+  endforeach()
+endforeach()
+if(nkeys LESS 60)
+  message(SEND_ERROR "agreement loop checked only ${nkeys} keys")
+endif()
+file(REMOVE_RECURSE ${SCN_DIR})

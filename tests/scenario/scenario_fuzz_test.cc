@@ -148,21 +148,6 @@ randomSpec(Rng &rng, int idx)
         addAxis("lat.l2",
                 {std::to_string(1 + rng.nextBelow(64))});
 
-    // ---- [telemetry]: output paths and the sampling grid. Paths
-    // must survive the strict value parser ('#' starts a comment,
-    // surrounding whitespace is trimmed), so keep them plain.
-    if (rng.chance(0.3))
-        spec.telemetry.timeline =
-            "out/tl-" + std::to_string(rng.nextBelow(100)) + ".jsonl";
-    if (rng.chance(0.3))
-        spec.telemetry.events =
-            "out/ev-" + std::to_string(rng.nextBelow(100)) + ".jsonl";
-    if (rng.chance(0.3))
-        spec.telemetry.traceEvents =
-            "out/trace-" + std::to_string(rng.nextBelow(100)) + ".json";
-    if (rng.chance(0.3))
-        spec.telemetry.interval = 1 + rng.nextBelow(1000000);
-
     // ---- [engine]: full (the default), a valid sampled shape, or
     // analytic (build() may reject analytic spaces — the round-trip
     // only needs parse/print, and the build fuzz tolerates both).
@@ -409,6 +394,18 @@ TEST(ScenarioFuzzTest, BuildRejectsUnderprovisionedMixes)
         "[cores]\ncount = 2\n"
         "[axes]\nquantum = 10000,20000\nsample.interval = 0,50000\n");
     EXPECT_TRUE(live_quantum) << err7;
+    // A fixed [cores] quantum is just as dead when every point runs
+    // sampled, and just as live once full detail is reachable.
+    auto [dead_fixed_quantum, err14] = build(
+        "[cores]\ncount = 2\nquantum = 1000\n[workloads]\n"
+        "apps = gcc+swim\n[engine]\nmode = sampled\ninterval = 20000\n");
+    EXPECT_FALSE(dead_fixed_quantum);
+    EXPECT_NE(err14.find("[cores] quantum"), std::string::npos) << err14;
+    EXPECT_EQ(err14.find('\n'), std::string::npos) << err14;
+    auto [live_fixed_quantum, err15] = build(
+        "[cores]\ncount = 2\nquantum = 1000\n[workloads]\n"
+        "apps = gcc+swim\n[axes]\nsample.interval = 0,20000\n");
+    EXPECT_TRUE(live_fixed_quantum) << err15;
 
     // Multi-core-only settings where every point has one core would
     // be silently ignored: a single core runs [system] core and is

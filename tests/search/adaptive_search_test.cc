@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,6 +17,7 @@
 
 #include "scenario/scenario_sweep.hh"
 #include "search/adaptive_search.hh"
+#include "search/decision_log.hh"
 #include "sim/report.hh"
 
 namespace rcache
@@ -240,6 +242,52 @@ TEST(AdaptiveSearchTest, ResumeRegeneratesIdenticalLog)
     TuneOptions bopt = quietTune();
     bopt.resumePath = bad_path;
     EXPECT_NE(runAdaptiveSearch(spec, bopt, nullptr), 0);
+}
+
+TEST(AdaptiveSearchTest, QuotedNamesSurviveTheDecisionLog)
+{
+    // The plan line carries the scenario name as written; a quote in
+    // it must be escaped, or the tuner's own reader rejects the log.
+    const std::string name = "my \"best\" tune";
+    std::istringstream plan(tunePlanLine(name, 1, 1, 1, 1, "full", "0.5",
+                                         1, 0, 0) +
+                            "\n");
+    std::string err;
+    const auto lines = readDecisionLog(plan, &err);
+    ASSERT_TRUE(lines) << err;
+    EXPECT_EQ((*lines)[0].get("scenario"), name);
+
+    // ...so resuming a complete log replays it: no quarantine, the
+    // same log bytes, the same winner.
+    std::string text = microSpec().printToString();
+    const std::string micro_name = "name = tune-micro";
+    text.replace(text.find(micro_name), micro_name.size(),
+                 "name = " + name);
+    const ScenarioSpec spec = parseSpec(text);
+    ASSERT_EQ(spec.name, name);
+    const std::string dir = pathIn("adaptive_quoted");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    TuneOptions opt = quietTune();
+    opt.emitOutputs = true;
+    opt.outPath = dir + "/ref.csv";
+    opt.logPath = dir + "/ref.log";
+    TuneStats ref;
+    ASSERT_EQ(runAdaptiveSearch(spec, opt, &ref), 0);
+
+    TuneOptions ropt = opt;
+    ropt.outPath = dir + "/resumed.csv";
+    ropt.logPath = dir + "/resumed.log";
+    ropt.resumePath = opt.logPath;
+    TuneStats rs;
+    ASSERT_EQ(runAdaptiveSearch(spec, ropt, &rs), 0);
+    EXPECT_EQ(slurp(ropt.logPath), slurp(opt.logPath));
+    EXPECT_EQ(slurp(ropt.outPath), slurp(opt.outPath));
+    EXPECT_EQ(rs.winner.cell, ref.winner.cell);
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string().find(".corrupt."),
+                  std::string::npos)
+            << entry.path();
 }
 
 TEST(AdaptiveSearchTest, RankAgreementExitsEarly)

@@ -250,9 +250,6 @@ TEST(MultiCoreSweepTest, ShardUnionEqualsFullMulticoreSweep)
 name = mc-sweep
 insts = 20000
 
-[cores]
-quantum = 5000
-
 [workloads]
 apps = ammp+vpr,gcc+m88ksim
 

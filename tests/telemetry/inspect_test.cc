@@ -12,6 +12,9 @@
 #include <string>
 
 #include "telemetry/inspect.hh"
+#include "telemetry/resize_events.hh"
+#include "telemetry/timeline.hh"
+#include "util/json.hh"
 
 namespace rcache
 {
@@ -105,6 +108,7 @@ TEST(InspectParseTest, RejectsMalformedLines)
         "{\"a\":[1]}",                    // nested array
         "{\"a\":1} trailing",             // trailing garbage
         "{\"a\":1}{\"b\":2}",             // two objects
+        "{\"a\":1,\"a\":2}",              // duplicate key
     };
     for (const char *line : bad) {
         Obj obj;
@@ -113,6 +117,54 @@ TEST(InspectParseTest, RejectsMalformedLines)
             << "accepted: " << line;
         EXPECT_FALSE(err.empty()) << "no diagnostic for: " << line;
     }
+}
+
+TEST(InspectParseTest, EveryByteRoundTripsThroughTheWriter)
+{
+    std::string all;
+    for (int c = 1; c < 256; ++c)
+        all.push_back(static_cast<char>(c));
+    Obj obj;
+    std::string err;
+    ASSERT_TRUE(parseJsonFlatObject("{\"k\":" + jsonString(all) + "}",
+                                    obj, &err))
+        << err;
+    EXPECT_EQ(obj["k"], all);
+}
+
+TEST(InspectTimelineTest, EscapedJobLabelsParseBack)
+{
+    // A trace app's path lands in the job label verbatim; quotes,
+    // backslashes and control bytes must not break the JSONL.
+    const std::string label = "trace:a\"b\\c\td/point";
+    TimelineRow row;
+    row.phase = "detail";
+    row.insts = 5000;
+    row.cycles = 2000;
+    row.ipc = 2.5;
+    row.dl1Bytes = 32768;
+    ResizeEvent ev;
+    ev.cache = "dl1";
+    ev.interval = 1;
+    ev.reason = ResizeReason::shrink;
+    ev.fromLevel = 0;
+    ev.toLevel = 1;
+    ev.fromBytes = 32768;
+    ev.toBytes = 16384;
+
+    std::stringstream tl, evs;
+    writeTimelineJsonl(tl, {row}, label);
+    writeResizeEventsJsonl(evs, {ev}, label);
+    for (const std::string &text : {tl.str(), evs.str()}) {
+        Obj obj;
+        std::string err;
+        ASSERT_TRUE(parseJsonFlatObject(text.substr(0, text.size() - 1),
+                                        obj, &err))
+            << err << ": " << text;
+        EXPECT_EQ(obj["job"], label);
+    }
+    EXPECT_EQ(summarizeTimeline(tl).rows, 1u);
+    EXPECT_EQ(summarizeEvents(evs).byReason.at("shrink"), 1u);
 }
 
 TEST(InspectTimelineTest, SummarizesRowsAndResidency)

@@ -2,9 +2,9 @@
  * TraceEventRecorder tests. Timestamps are wall clock, so everything
  * here is structural: the Chrome object form, span/instant phases,
  * stable small-integer thread ids, and JSON string escaping. (The
- * inspect-side parseJsonFlatObject cannot validate full event lines —
- * it rejects the nested "args" object by design — hence the plain
- * substring checks.)
+ * flat-object parser in util/json.hh cannot validate full event
+ * lines — it rejects the nested "args" object by design — hence the
+ * plain substring checks.)
  */
 
 #include <gtest/gtest.h>

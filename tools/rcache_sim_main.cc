@@ -2,37 +2,35 @@
  * @file
  * rcache-sim: unified CLI driver for the resizable-cache simulator.
  *
- * Subcommands:
- *   sweep     design-space sweep from a scenario file (--scenario) or
- *             the legacy org x strategy x app grid flags, fanned
- *             across a SweepRunner thread pool, shardable (--shard)
- *             and resumable (--resume), reported as CSV/JSON/table
- *   tune      adaptive design-space search: successive halving over
- *             the engine fidelity ladder, with a replayable decision
- *             log and cooperative --claim workers (src/search/)
- *   merge     re-interleave sweep shard CSVs (or a --claim manifest
- *             directory) into the byte-identical unsharded report
- *   run       one explicit design point, full run report (also
- *             over a recorded or real trace: --app trace:PATH)
- *   convert   rewrite a rocksdb/lcs/native[.gz] trace as native text
- *   scenario  check/print scenario files
- *   inspect   summarize telemetry artifacts (timelines, event traces)
- *   list-apps print the benchmark suite names
+ * Every subcommand is declared once, in the kCommands table near the
+ * end of this file: its name, synopsis, purpose, options (each with
+ * one help line worded for that subcommand), whether it takes
+ * positional arguments, and its handler. The top-level usage, every
+ * `<cmd> --help`, the strict parser and the dispatch are generated
+ * from that table, and handlers see only the parsed Args.
  *
- * Both sweep paths converge on the scenario engine
- * (scenario/scenario_sweep.hh): the grid flags are sugar that builds
- * the equivalent ScenarioSpec. The engine enumerates every cell's
- * jobs up front and executes them as ONE batch, so the pool stays
- * busy across cell boundaries and the output is byte-identical for
- * any --jobs value, shard partition, or resume point.
+ * An experiment comes from a scenario file: `sweep`/`tune
+ * --scenario FILE`, or the manifest a `sweep --claim DIR` worker
+ * joins. The scenario says what to simulate; the command line says
+ * how to run it and where outputs go (jobs, shard, resume, report,
+ * telemetry sidecars, claim, failpoints). `run` is the one exception:
+ * a single explicit design point, spelled with flags.
+ *
+ * sweep runs on the scenario engine (scenario/scenario_sweep.hh),
+ * which enumerates every cell's jobs up front and executes them as
+ * ONE batch, so the pool stays busy across cell boundaries and the
+ * output is byte-identical for any --jobs value, shard partition, or
+ * resume point.
  */
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,365 +65,24 @@ namespace
 
 using namespace rcache;
 
-int
-usage(std::ostream &os, int code)
-{
-    os << "rcache-sim — resizable-cache design-space explorer\n"
-          "\n"
-          "usage:\n"
-          "  rcache-sim sweep [options]     design-space sweep "
-          "(--scenario file or grid flags)\n"
-          "  rcache-sim tune [options]      adaptive search: find "
-          "the best cell on a fidelity ladder\n"
-          "  rcache-sim merge [opts] f..    re-interleave shard CSVs "
-          "(or a --claim dir) into one report\n"
-          "  rcache-sim run [options]       one explicit design "
-          "point (--app NAME or trace:PATH)\n"
-          "  rcache-sim record [options]    record a profile's "
-          "stream to a trace file\n"
-          "  rcache-sim convert [options]   rewrite a rocksdb/lcs/"
-          "native[.gz] trace as native text\n"
-          "  rcache-sim bench [options]     time the simulator's hot "
-          "paths, write BENCH_*.json\n"
-          "  rcache-sim scenario check f..  validate scenario files\n"
-          "  rcache-sim scenario print f    print a scenario's "
-          "canonical form\n"
-          "  rcache-sim inspect [options]   summarize telemetry "
-          "artifacts\n"
-          "  rcache-sim doctor [opts] DIR   audit a --claim manifest "
-          "directory's consistency\n"
-          "  rcache-sim list-apps           print the benchmark "
-          "suite\n"
-          "  rcache-sim list-failpoints     print the registered "
-          "fault-injection sites\n"
-          "\n"
-          "Each subcommand documents its own options: "
-          "'rcache-sim <subcommand> --help'.\n"
-          "\n"
-          "example:\n"
-          "  rcache-sim sweep --scenario scenarios/fig4.scn --jobs 0 "
-          "\\\n"
-          "      --shard 0/2 --out shard0.csv\n"
-          "  rcache-sim sweep --apps ammp,gcc,swim --orgs ways,sets "
-          "\\\n"
-          "      --strategies static,dynamic --side dcache --jobs 0 "
-          "\\\n"
-          "      --format csv --out sweep.csv\n";
-    return code;
-}
-
-/** Parsed command line: string options plus boolean flags. */
+/** A parsed command line: option values, flags, positionals. */
 struct Args
 {
     std::map<std::string, std::string> opts;
-    std::map<std::string, bool> flags;
+    std::set<std::string> flags;
+    std::vector<std::string> positionals;
 
     std::string get(const std::string &key,
-                    const std::string &fallback) const
+                    const std::string &fallback = "") const
     {
         auto it = opts.find(key);
         return it == opts.end() ? fallback : it->second;
     }
     bool has(const std::string &key) const
     {
-        return opts.count(key) != 0;
+        return opts.count(key) != 0 || flags.count(key) != 0;
     }
 };
-
-/** Option keys that take no value. */
-bool
-isFlag(const std::string &key)
-{
-    return key == "--progress" || key == "--help" ||
-           key == "--quick" || key == "--list";
-}
-
-/** The per-cache design-point options (--il1-... and --dl1-...). */
-std::vector<std::string>
-setupKeys()
-{
-    std::vector<std::string> keys;
-    for (const char *c : {"il1", "dl1"})
-        for (const char *opt : {"org", "strategy", "level", "interval",
-                                "miss-bound", "size-bound"})
-            keys.push_back(std::string("--") + c + "-" + opt);
-    return keys;
-}
-
-/** Options each subcommand accepts; anything else is an error. */
-std::vector<std::string>
-knownOptions(const std::string &cmd)
-{
-    std::vector<std::string> keys = {"--help"};
-    auto add = [&](std::initializer_list<const char *> more) {
-        keys.insert(keys.end(), more.begin(), more.end());
-    };
-    if (cmd == "sweep") {
-        add({"--scenario", "--shard", "--resume", "--insts", "--jobs",
-             "--assoc", "--apps", "--orgs", "--strategies", "--side",
-             "--cores", "--mix", "--quantum", "--policy", "--format",
-             "--out", "--progress", "--engine", "--timeline",
-             "--events", "--trace-events", "--timeline-interval",
-             "--claim", "--shards", "--lease-timeout",
-             "--failpoint"});
-    } else if (cmd == "tune") {
-        add({"--scenario", "--jobs", "--out", "--log", "--resume",
-             "--claim", "--shards", "--lease-timeout",
-             "--failpoint"});
-    } else if (cmd == "run") {
-        add({"--insts", "--assoc", "--app", "--cores", "--mix",
-             "--quantum", "--policy", "--engine", "--timeline",
-             "--events", "--trace-events", "--timeline-interval",
-             "--failpoint"});
-        for (const auto &k : setupKeys())
-            keys.push_back(k);
-    } else if (cmd == "inspect") {
-        add({"--timeline", "--events", "--window"});
-    } else if (cmd == "record") {
-        add({"--insts", "--app", "--out"});
-    } else if (cmd == "convert") {
-        add({"--in", "--out", "--limit"});
-    } else if (cmd == "bench") {
-        add({"--quick", "--list", "--insts", "--reps", "--filter",
-             "--out-dir"});
-    }
-    // list-apps takes no options beyond --help.
-    return keys;
-}
-
-/** One-line purpose of each subcommand (the --help headline). */
-std::string
-commandPurpose(const std::string &cmd)
-{
-    if (cmd == "sweep")
-        return "design-space sweep (--scenario file or grid flags)";
-    if (cmd == "tune")
-        return "adaptive design-space search: successive halving "
-               "over the engine fidelity ladder ([search] mode = "
-               "adaptive)";
-    if (cmd == "merge")
-        return "re-interleave sweep shard CSVs (or a --claim "
-               "manifest directory) into the unsharded report";
-    if (cmd == "run")
-        return "one explicit design point, full run report";
-    if (cmd == "record")
-        return "record a profile's stream to a trace file";
-    if (cmd == "convert")
-        return "rewrite a rocksdb/lcs/native[.gz] trace as the "
-               "native text format (streamed, bounded memory)";
-    if (cmd == "bench")
-        return "time the simulator's hot paths and write "
-               "machine-readable BENCH_*.json perf records";
-    if (cmd == "inspect")
-        return "summarize telemetry artifacts: decision counts by "
-               "reason, size residency, oscillations";
-    if (cmd == "doctor")
-        return "read-only consistency audit of a --claim manifest "
-               "directory (exit 0 consistent, 2 inconsistent)";
-    if (cmd == "list-apps")
-        return "print the benchmark suite names";
-    if (cmd == "list-failpoints")
-        return "print the registered fault-injection sites";
-    return "";
-}
-
-/**
- * One-line help for every option key. The per-subcommand help is
- * GENERATED from knownOptions() plus this table, so an option added
- * to an allowlist shows up in that subcommand's --help automatically.
- */
-std::string
-optionHelp(const std::string &key)
-{
-    static const std::map<std::string, const char *> help = {
-        {"--help", "show this help and exit"},
-        {"--insts", "instructions per run (default 400000)"},
-        {"--jobs", "worker threads (default 1, 0 = all cores)"},
-        {"--assoc", "override both L1 associativities (1..64)"},
-        {"--scenario",
-         "scenario file describing the sweep (replaces the grid "
-         "flags)"},
-        {"--shard",
-         "i/N: run only cells with index == i mod N (merge shards "
-         "by sorting rows on the cell column)"},
-        {"--resume",
-         "CSV of an interrupted sweep: verify its completed rows, "
-         "simulate only the rest, write the merged file back"},
-        {"--apps", "comma list of profiles (default: all)"},
-        {"--orgs",
-         "comma list of ways,sets,hybrid (default: ways,sets)"},
-        {"--strategies",
-         "comma list of static,dynamic (default: static)"},
-        {"--side",
-         "icache|dcache|both (default: dcache; both is static-only, "
-         "Fig 9 style)"},
-        {"--format", "csv|json|table (default: csv)"},
-        {"--out", "write the report/trace to FILE, not stdout"},
-        {"--progress", "per-job progress on stderr"},
-        {"--engine",
-         "simulation engine: full | sampled[:interval=N,detail=N,"
-         "warmup=N] | analytic (default full)"},
-        {"--app",
-         "profile to run (see list-apps), or trace:PATH[:FORMAT] to "
-         "stream an on-disk trace"},
-        {"--policy",
-         "L1 replacement policy: lru|random|fifo|slru|wtlfu "
-         "(default lru)"},
-        {"--in",
-         "input trace: PATH or trace:PATH[:FORMAT] (formats "
-         "native|rocksdb|lcs; '.gz' for gzip)"},
-        {"--limit", "convert at most N records (default 0 = all)"},
-        {"--cores",
-         "simulate N cores with private L1s over one shared L2 "
-         "(default 1; with --mix, the mix size)"},
-        {"--mix",
-         "'+'-joined workload mix cycled across the cores "
-         "(e.g. gcc+m88ksim)"},
-        {"--quantum",
-         "round-robin interleave quantum in insts (default 50000)"},
-        {"--quick",
-         "small items/reps for smoke runs (still writes JSON)"},
-        {"--list", "print the registered benchmarks and exit"},
-        {"--reps", "timed repetitions per benchmark (default 3)"},
-        {"--filter", "run only benchmarks whose name contains SUB"},
-        {"--out-dir", "directory for BENCH_*.json (default .)"},
-        {"--timeline",
-         "per-core interval-timeline file (run/sweep write it — "
-         "JSONL, or CSV when a run's FILE ends in .csv; inspect "
-         "reads it)"},
-        {"--events",
-         "resize-decision event-trace JSONL (run/sweep write it; "
-         "inspect reads it)"},
-        {"--trace-events",
-         "write Chrome trace-event JSON of runner spans to FILE "
-         "(load in Perfetto / chrome://tracing)"},
-        {"--timeline-interval",
-         "timeline sample period in insts (default 10000)"},
-        {"--window",
-         "oscillation window in controller intervals (default 3)"},
-        {"--claim",
-         "cooperative mode: claim work units from manifest "
-         "directory DIR (create it with --shards N; other workers "
-         "just name the DIR to join)"},
-        {"--shards",
-         "work units when creating a --claim manifest (joining "
-         "workers inherit the manifest's count)"},
-        {"--lease-timeout",
-         "seconds before a claimed unit with no progress counts as "
-         "crashed and may be taken over (default 300)"},
-        {"--log",
-         "write the adaptive search's JSONL decision log to FILE "
-         "(byte-identical across --jobs, workers, and resumes)"},
-        {"--failpoint",
-         "arm deterministic fault injection: SITE=ACTION[@N],... "
-         "with actions crash|io_error|torn|delay[:MS] (see "
-         "'rcache-sim list-failpoints'; RC_FAILPOINT env works "
-         "too)"},
-    };
-    auto it = help.find(key);
-    if (it != help.end())
-        return it->second;
-    // The per-cache design-point keys (--il1-*/--dl1-*) are
-    // described generically.
-    for (const char *c : {"il1", "dl1"}) {
-        const std::string prefix = std::string("--") + c + "-";
-        if (key.rfind(prefix, 0) != 0)
-            continue;
-        const std::string opt = key.substr(prefix.size());
-        const std::string cache = c;
-        if (opt == "org")
-            return cache + " organization: none|ways|sets|hybrid";
-        if (opt == "strategy")
-            return cache + " strategy: none|static|dynamic";
-        if (opt == "level")
-            return cache + " static schedule level";
-        if (opt == "interval")
-            return cache + " dynamic interval (accesses)";
-        if (opt == "miss-bound")
-            return cache + " dynamic miss bound per interval";
-        if (opt == "size-bound")
-            return cache + " dynamic size bound (bytes)";
-    }
-    return "";
-}
-
-/** Per-subcommand --help, generated from the option allowlist. */
-int
-commandHelp(const std::string &cmd)
-{
-    std::cout << "rcache-sim " << cmd << " — " << commandPurpose(cmd)
-              << "\n\nusage: rcache-sim " << cmd;
-    const auto known = knownOptions(cmd);
-    if (known.size() > 1)
-        std::cout << " [options]";
-    std::cout << "\n\noptions:\n";
-    for (const std::string &key : known) {
-        const std::string arg = isFlag(key) ? key : key + " <v>";
-        std::cout << "  " << arg;
-        for (std::size_t pad = arg.size(); pad < 22; ++pad)
-            std::cout << ' ';
-        std::cout << ' ' << optionHelp(key) << '\n';
-    }
-    return 0;
-}
-
-/**
- * Strict parse: every argument must be a known option of @p cmd.
- * Unknown or malformed arguments get a one-line diagnostic.
- */
-std::optional<Args>
-parseArgs(int argc, char **argv, int first, const std::string &cmd)
-{
-    const std::vector<std::string> known = knownOptions(cmd);
-    Args args;
-    for (int i = first; i < argc; ++i) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) != 0) {
-            std::cerr << "rcache-sim: unexpected argument '" << key
-                      << "' for '" << cmd << "'\n";
-            return std::nullopt;
-        }
-        if (std::find(known.begin(), known.end(), key) ==
-            known.end()) {
-            std::cerr << "rcache-sim: unknown option '" << key
-                      << "' for '" << cmd
-                      << "' (try 'rcache-sim --help')\n";
-            return std::nullopt;
-        }
-        if (isFlag(key)) {
-            args.flags[key] = true;
-            continue;
-        }
-        if (i + 1 >= argc) {
-            std::cerr << "rcache-sim: option '" << key
-                      << "' needs a value\n";
-            return std::nullopt;
-        }
-        args.opts[key] = argv[++i];
-    }
-    return args;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-/** The one-line diagnostic for a non-integer option value. */
-void
-badInteger(const std::string &key, const std::string &text)
-{
-    std::cerr << "rcache-sim: option '" << key
-              << "' wants a non-negative integer, got '" << text
-              << "'\n";
-}
 
 /** Strict decimal parse (parseU64Strict): the whole value must be
  *  digits. Exits the command with a usage error on garbage like
@@ -436,13 +93,47 @@ parseU64(const Args &args, const std::string &key,
 {
     if (!args.has(key))
         return fallback;
-    const std::string &text = args.get(key, "");
+    const std::string text = args.get(key);
     unsigned long long v = 0;
     if (!parseU64Strict(text, v)) {
-        badInteger(key, text);
+        std::cerr << "rcache-sim: option '" << key
+                  << "' wants a non-negative integer, got '" << text
+                  << "'\n";
         return std::nullopt;
     }
     return v;
+}
+
+/** parseU64 for a count that must be > 0. */
+std::optional<std::uint64_t>
+parsePositive(const Args &args, const std::string &key,
+              std::uint64_t fallback)
+{
+    const auto v = parseU64(args, key, fallback);
+    if (v && *v == 0) {
+        std::cerr << "rcache-sim: " << key << " must be > 0\n";
+        return std::nullopt;
+    }
+    return v;
+}
+
+/** parseU64 for an option stored in `unsigned`: a larger value would
+ *  silently wrap (2^32 jobs becoming 0 = all cores). */
+std::optional<unsigned>
+parseUnsigned(const Args &args, const std::string &key,
+              unsigned fallback)
+{
+    const auto v = parseU64(args, key, fallback);
+    if (!v)
+        return std::nullopt;
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    if (*v > kMax) {
+        std::cerr << "rcache-sim: option '" << key
+                  << "' wants at most " << kMax << ", got '"
+                  << args.get(key) << "'\n";
+        return std::nullopt;
+    }
+    return static_cast<unsigned>(*v);
 }
 
 /**
@@ -471,23 +162,6 @@ lookupProfile(const std::string &name)
     return profileByName(name);
 }
 
-/** Apply --policy to @p cfg with a one-line diagnostic. */
-bool
-applyPolicy(const Args &args, SystemConfig &cfg)
-{
-    if (!args.has("--policy"))
-        return true;
-    const std::string name = args.get("--policy", "");
-    if (!isReplacementPolicyName(name)) {
-        std::cerr << "rcache-sim: --policy wants "
-                  << replacementPolicyList() << ", got '" << name
-                  << "'\n";
-        return false;
-    }
-    cfg.policy = name;
-    return true;
-}
-
 /**
  * Eagerly open every trace-spec component of @p names so unreadable
  * files and malformed leading records surface as one-line CLI
@@ -513,288 +187,26 @@ preflightTraceSpecs(const std::vector<std::string> &names)
     return true;
 }
 
-/** A scenario's trace-spec surface: apps plus any 'mix' axis. */
-bool
-preflightScenarioTraces(const ScenarioSpec &spec)
+/**
+ * Parse --scenario and preflight its trace-spec surface (apps plus
+ * any 'mix' axis), each failure one diagnostic line.
+ */
+std::optional<ScenarioSpec>
+loadScenario(const Args &args)
 {
-    std::vector<std::string> names = spec.apps;
-    for (const Axis &ax : spec.axes)
+    std::string err;
+    auto spec = ScenarioSpec::parseFile(args.get("--scenario"), &err);
+    if (!spec) {
+        std::cerr << "rcache-sim: " << err << '\n';
+        return std::nullopt;
+    }
+    std::vector<std::string> names = spec->apps;
+    for (const Axis &ax : spec->axes)
         if (ax.name == "mix")
             names.insert(names.end(), ax.values.begin(),
                          ax.values.end());
-    return preflightTraceSpecs(names);
-}
-
-/** Resolve --engine into an EngineSpec (default: full detail). */
-std::optional<EngineSpec>
-parseEngine(const Args &args)
-{
-    if (!args.has("--engine"))
-        return EngineSpec{};
-    std::string err;
-    auto spec = parseEngineArg(args.get("--engine", ""), &err);
-    if (!spec)
-        std::cerr << "rcache-sim: --engine: " << err << '\n';
-    return spec;
-}
-
-std::optional<Organization>
-parseOrg(const std::string &name)
-{
-    auto org = parseOrganizationToken(name);
-    if (!org)
-        std::cerr << "rcache-sim: unknown organization '" << name
-                  << "' (want none|ways|sets|hybrid)\n";
-    return org;
-}
-
-std::optional<Strategy>
-parseStrategy(const std::string &name)
-{
-    auto s = parseStrategyToken(name);
-    if (!s)
-        std::cerr << "rcache-sim: unknown strategy '" << name
-                  << "' (want none|static|dynamic)\n";
-    return s;
-}
-
-/** Instructions per run; 0 is rejected (a 0-instruction result is
- *  the runner's "job never ran" marker and meaningless anyway). */
-std::optional<std::uint64_t>
-parseInsts(const Args &args)
-{
-    const auto insts = parseU64(args, "--insts", 400000);
-    if (!insts)
+    if (!preflightTraceSpecs(names))
         return std::nullopt;
-    if (*insts == 0) {
-        std::cerr << "rcache-sim: --insts must be > 0\n";
-        return std::nullopt;
-    }
-    return insts;
-}
-
-std::optional<SystemConfig>
-baseConfig(const Args &args)
-{
-    SystemConfig cfg = SystemConfig::base();
-    if (args.has("--assoc")) {
-        const auto assoc = parseU64(args, "--assoc", cfg.dl1.assoc);
-        if (!assoc)
-            return std::nullopt;
-        if (*assoc == 0 || *assoc > 64) {
-            std::cerr << "rcache-sim: --assoc wants 1..64\n";
-            return std::nullopt;
-        }
-        cfg.il1.assoc = static_cast<unsigned>(*assoc);
-        cfg.dl1.assoc = static_cast<unsigned>(*assoc);
-    }
-    return cfg;
-}
-
-/**
- * Apply --cores/--quantum to @p cfg. @p default_cores lets --mix
- * default the core count to the mix size.
- */
-bool
-applyCores(const Args &args, SystemConfig &cfg,
-           std::uint64_t default_cores)
-{
-    const auto cores = parseU64(args, "--cores", default_cores);
-    const auto quantum =
-        parseU64(args, "--quantum", cfg.quantumInsts);
-    if (!cores || !quantum)
-        return false;
-    if (*cores == 0 || *cores > 64) {
-        std::cerr << "rcache-sim: --cores wants 1..64\n";
-        return false;
-    }
-    if (*quantum == 0) {
-        std::cerr << "rcache-sim: --quantum must be > 0\n";
-        return false;
-    }
-    cfg.cores = static_cast<unsigned>(*cores);
-    cfg.quantumInsts = *quantum;
-    return true;
-}
-
-/** Resolve --mix into its component profiles. */
-std::optional<std::vector<BenchmarkProfile>>
-parseMix(const Args &args)
-{
-    std::string err;
-    auto mix = mixByName(args.get("--mix", ""), &err);
-    if (!mix)
-        std::cerr << "rcache-sim: " << err << '\n';
-    return mix;
-}
-
-/**
- * Reject an explicit --quantum that cannot take effect: the quantum
- * only governs the multi-core full-detail interleave (sampled runs
- * interleave whole sampling periods; a single core has no
- * interleave). Mirrors the scenario layer's dead-quantum-axis check.
- */
-bool
-checkQuantumEffective(const Args &args, const SystemConfig &cfg,
-                      const EngineSpec &engine)
-{
-    if (!args.has("--quantum"))
-        return true;
-    if (cfg.cores <= 1) {
-        std::cerr << "rcache-sim: --quantum needs --cores > 1 (a "
-                     "single core has no interleave)\n";
-        return false;
-    }
-    if (engine.sampled()) {
-        std::cerr << "rcache-sim: --quantum has no effect under a "
-                     "sampled engine (cores interleave whole "
-                     "sampling periods)\n";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Reject engine/design-point combinations the analytic engine cannot
- * price, with CLI-grade messages (the lower layers would rc_fatal).
- */
-bool
-checkAnalyticCompatible(const EngineSpec &engine,
-                        const SystemConfig &cfg,
-                        const ResizeSetup &il1, const ResizeSetup &dl1)
-{
-    if (!engine.analytic())
-        return true;
-    if (cfg.cores > 1) {
-        std::cerr << "rcache-sim: --engine analytic supports a "
-                     "single core only (see the README's Engines "
-                     "section)\n";
-        return false;
-    }
-    if (il1.strategy == Strategy::Dynamic ||
-        dl1.strategy == Strategy::Dynamic) {
-        std::cerr << "rcache-sim: --engine analytic prices static "
-                     "geometries only; dynamic strategies need the "
-                     "full or sampled engine\n";
-        return false;
-    }
-    if (cfg.policy != "lru") {
-        std::cerr << "rcache-sim: --engine analytic models true-LRU "
-                     "caches only; --policy " << cfg.policy
-                  << " needs the full or sampled engine\n";
-        return false;
-    }
-    return true;
-}
-
-// --------------------------------------------------------------- sweep
-
-/**
- * Build the ScenarioSpec the legacy grid flags describe: --orgs and
- * --strategies become axes (in that nesting order, preserving the
- * historical row order), everything else fixes the base point.
- */
-std::optional<ScenarioSpec>
-scenarioFromFlags(const Args &args)
-{
-    ScenarioSpec spec;
-    spec.name = "cli";
-
-    if (args.has("--apps") && args.has("--mix")) {
-        std::cerr << "rcache-sim: --mix conflicts with --apps (a mix "
-                     "IS the app list; sweep several mixes with "
-                     "--apps gcc+mcf,... plus --cores)\n";
-        return std::nullopt;
-    }
-    if (args.has("--apps")) {
-        for (const auto &name : splitList(args.get("--apps", ""))) {
-            std::string err;
-            if (!mixByName(name, &err)) {
-                std::cerr << "rcache-sim: " << err << '\n';
-                return std::nullopt;
-            }
-            spec.apps.push_back(name);
-        }
-        if (spec.apps.empty()) {
-            std::cerr << "rcache-sim: --apps wants at least one "
-                         "profile name\n";
-            return std::nullopt;
-        }
-    }
-    if (args.has("--mix")) {
-        const auto mix = parseMix(args);
-        if (!mix)
-            return std::nullopt;
-        spec.apps.push_back(args.get("--mix", ""));
-    }
-
-    Axis org_axis{"org", {}};
-    for (const auto &name :
-         splitList(args.get("--orgs", "ways,sets"))) {
-        auto org = parseOrg(name);
-        if (!org)
-            return std::nullopt;
-        if (*org == Organization::None) {
-            std::cerr << "rcache-sim: sweep --orgs wants "
-                         "ways|sets|hybrid\n";
-            return std::nullopt;
-        }
-        org_axis.values.push_back(name);
-    }
-    if (org_axis.values.empty()) {
-        std::cerr << "rcache-sim: --orgs wants at least one of "
-                     "ways|sets|hybrid\n";
-        return std::nullopt;
-    }
-
-    Axis strat_axis{"strategy", {}};
-    for (const auto &name :
-         splitList(args.get("--strategies", "static"))) {
-        auto s = parseStrategy(name);
-        if (!s)
-            return std::nullopt;
-        if (*s == Strategy::None) {
-            std::cerr << "rcache-sim: sweep --strategies wants "
-                         "static|dynamic\n";
-            return std::nullopt;
-        }
-        strat_axis.values.push_back(name);
-    }
-    if (strat_axis.values.empty()) {
-        std::cerr << "rcache-sim: --strategies wants at least one of "
-                     "static|dynamic\n";
-        return std::nullopt;
-    }
-    spec.axes = {std::move(org_axis), std::move(strat_axis)};
-
-    const std::string side_name = args.get("--side", "dcache");
-    auto side = parseSweepSideToken(side_name);
-    if (!side) {
-        std::cerr << "rcache-sim: --side wants icache|dcache|both\n";
-        return std::nullopt;
-    }
-    spec.search.side = *side;
-
-    const auto insts = parseInsts(args);
-    auto cfg = baseConfig(args);
-    const auto engine = parseEngine(args);
-    if (!insts || !cfg || !engine)
-        return std::nullopt;
-    // --mix alone defaults the core count to the mix size, so
-    // `sweep --mix gcc+m88ksim` is a 2-core sweep out of the box.
-    const std::uint64_t default_cores =
-        args.has("--mix")
-            ? splitPlusList(args.get("--mix", "")).size()
-            : 1;
-    if (!applyCores(args, *cfg, default_cores))
-        return std::nullopt;
-    if (!applyPolicy(args, *cfg))
-        return std::nullopt;
-    if (!checkQuantumEffective(args, *cfg, *engine))
-        return std::nullopt;
-    spec.insts = *insts;
-    spec.system = *cfg;
-    spec.engine = *engine;
     return spec;
 }
 
@@ -805,27 +217,14 @@ armCliFailpoints(const Args &args)
     if (!args.has("--failpoint"))
         return true;
     std::string err;
-    if (!fault::armFailpoints(args.get("--failpoint", ""), &err)) {
+    if (!fault::armFailpoints(args.get("--failpoint"), &err)) {
         std::cerr << "rcache-sim: --failpoint: " << err << '\n';
         return false;
     }
     return true;
 }
 
-/** The sweep grid flags: the --scenario alternatives. */
-constexpr const char *kGridFlags[] = {
-    "--apps",  "--orgs", "--strategies", "--side",   "--insts", "--assoc",
-    "--cores", "--mix",  "--quantum",    "--policy", "--engine"};
-
-/** The first grid flag present, or null. */
-const char *
-firstGridFlag(const Args &args)
-{
-    for (const char *key : kGridFlags)
-        if (args.has(key))
-            return key;
-    return nullptr;
-}
+// --------------------------------------------------------------- sweep
 
 /** sweep --claim: one cooperative worker over a manifest dir. */
 int
@@ -845,40 +244,24 @@ cmdSweepClaim(const Args &args)
             return 2;
         }
     }
+    // Without --scenario the worker joins the manifest's scenario.
     std::optional<ScenarioSpec> spec;
     if (args.has("--scenario")) {
-        if (firstGridFlag(args)) {
-            std::cerr << "rcache-sim: grid flags conflict with "
-                         "--scenario (the scenario file defines "
-                         "the sweep)\n";
-            return 2;
-        }
-        std::string err;
-        spec = ScenarioSpec::parseFile(args.get("--scenario", ""),
-                                       &err);
-        if (!spec) {
-            std::cerr << "rcache-sim: " << err << '\n';
-            return 2;
-        }
-    } else if (firstGridFlag(args)) {
-        spec = scenarioFromFlags(args);
+        spec = loadScenario(args);
         if (!spec)
             return 2;
-    } // else: join whatever scenario the manifest holds
-    if (spec && !preflightScenarioTraces(*spec))
-        return 2;
-
-    const auto jobs = parseU64(args, "--jobs", 1);
-    const auto shards = parseU64(args, "--shards", 0);
-    const auto lease = parseU64(args, "--lease-timeout", 300);
+    }
+    const auto jobs = parseUnsigned(args, "--jobs", 1);
+    const auto shards = parseUnsigned(args, "--shards", 0);
+    const auto lease = parseUnsigned(args, "--lease-timeout", 300);
     if (!jobs || !shards || !lease)
         return 2;
     ClaimSweepOptions opt;
-    opt.dir = args.get("--claim", "");
-    opt.shards = static_cast<unsigned>(*shards);
-    opt.leaseTimeoutSecs = static_cast<unsigned>(*lease);
-    opt.jobs = static_cast<unsigned>(*jobs);
-    opt.progress = args.flags.count("--progress") != 0;
+    opt.dir = args.get("--claim");
+    opt.shards = *shards;
+    opt.leaseTimeoutSecs = *lease;
+    opt.jobs = *jobs;
+    opt.progress = args.has("--progress");
     return runClaimSweep(spec, opt);
 }
 
@@ -897,64 +280,36 @@ cmdSweep(const Args &args)
             return 2;
         }
     }
-
-    // ---- resolve the scenario: a file, or the grid flags
-    std::optional<ScenarioSpec> spec;
-    if (args.has("--scenario")) {
-        // The scenario file owns the grid; mixing it with grid flags
-        // would make two sources of truth.
-        if (const char *conflict = firstGridFlag(args)) {
-            std::cerr << "rcache-sim: " << conflict
-                      << " conflicts with --scenario (the scenario "
-                         "file defines the sweep)\n";
-            return 2;
-        }
-        std::string err;
-        spec = ScenarioSpec::parseFile(args.get("--scenario", ""),
-                                       &err);
-        if (!spec) {
-            std::cerr << "rcache-sim: " << err << '\n';
-            return 2;
-        }
-    } else {
-        spec = scenarioFromFlags(args);
-        if (!spec)
-            return 2;
-    }
-    if (!preflightScenarioTraces(*spec))
+    if (!args.has("--scenario")) {
+        std::cerr << "rcache-sim: sweep needs --scenario FILE (the "
+                     "scenario defines the design space; see "
+                     "scenarios/*.scn)\n";
         return 2;
-
-    const auto jobs_opt = parseU64(args, "--jobs", 1);
-    if (!jobs_opt)
+    }
+    const auto spec = loadScenario(args);
+    if (!spec)
+        return 2;
+    const auto jobs = parseUnsigned(args, "--jobs", 1);
+    if (!jobs)
+        return 2;
+    const auto tl_interval =
+        parsePositive(args, "--timeline-interval", 10000);
+    if (!tl_interval)
         return 2;
 
     SweepOptions opt;
-    opt.jobs = static_cast<unsigned>(*jobs_opt);
+    opt.jobs = *jobs;
     opt.format = args.get("--format", "csv");
-    opt.outPath = args.get("--out", "");
-    opt.resumePath = args.get("--resume", "");
-    opt.progress = args.flags.count("--progress") != 0;
-
-    // Telemetry: the scenario's [telemetry] section seeds the
-    // defaults, explicit flags override per invocation. These are
-    // pure output options, so they do not conflict with --scenario.
-    opt.timelinePath =
-        args.get("--timeline", spec->telemetry.timeline);
-    opt.eventsPath = args.get("--events", spec->telemetry.events);
-    opt.traceEventsPath =
-        args.get("--trace-events", spec->telemetry.traceEvents);
-    const auto tl_interval = parseU64(args, "--timeline-interval",
-                                      spec->telemetry.interval);
-    if (!tl_interval)
-        return 2;
-    if (*tl_interval == 0) {
-        std::cerr << "rcache-sim: --timeline-interval must be > 0\n";
-        return 2;
-    }
+    opt.outPath = args.get("--out");
+    opt.resumePath = args.get("--resume");
+    opt.progress = args.has("--progress");
+    opt.timelinePath = args.get("--timeline");
+    opt.eventsPath = args.get("--events");
+    opt.traceEventsPath = args.get("--trace-events");
     opt.timelineInterval = *tl_interval;
     if (args.has("--shard")) {
         std::string err;
-        auto shard = ShardSpec::parse(args.get("--shard", ""), &err);
+        auto shard = ShardSpec::parse(args.get("--shard"), &err);
         if (!shard) {
             std::cerr << "rcache-sim: --" << err << '\n';
             return 2;
@@ -977,18 +332,12 @@ cmdTune(const Args &args)
                      "'mode = adaptive' in its [search] section)\n";
         return 2;
     }
-    std::string err;
-    const auto spec =
-        ScenarioSpec::parseFile(args.get("--scenario", ""), &err);
-    if (!spec) {
-        std::cerr << "rcache-sim: " << err << '\n';
+    const auto spec = loadScenario(args);
+    if (!spec)
         return 2;
-    }
-    if (!preflightScenarioTraces(*spec))
-        return 2;
-    const auto jobs = parseU64(args, "--jobs", 1);
-    const auto shards = parseU64(args, "--shards", 0);
-    const auto lease = parseU64(args, "--lease-timeout", 300);
+    const auto jobs = parseUnsigned(args, "--jobs", 1);
+    const auto shards = parseUnsigned(args, "--shards", 0);
+    const auto lease = parseUnsigned(args, "--lease-timeout", 300);
     if (!jobs || !shards || !lease)
         return 2;
     if ((args.has("--shards") || args.has("--lease-timeout")) &&
@@ -998,177 +347,60 @@ cmdTune(const Args &args)
         return 2;
     }
     TuneOptions opt;
-    opt.jobs = static_cast<unsigned>(*jobs);
-    opt.logPath = args.get("--log", "");
-    opt.outPath = args.get("--out", "");
-    opt.resumePath = args.get("--resume", "");
-    opt.claimDir = args.get("--claim", "");
-    opt.shards = static_cast<unsigned>(*shards);
-    opt.leaseTimeoutSecs = static_cast<unsigned>(*lease);
+    opt.jobs = *jobs;
+    opt.logPath = args.get("--log");
+    opt.outPath = args.get("--out");
+    opt.resumePath = args.get("--resume");
+    opt.claimDir = args.get("--claim");
+    opt.shards = *shards;
+    opt.leaseTimeoutSecs = *lease;
     return runAdaptiveSearch(*spec, opt);
 }
 
-// --------------------------------------------------------------- merge
+// ------------------------------------------------------- merge, doctor
 
 int
-mergeHelp()
+cmdMerge(const Args &args)
 {
-    std::cout
-        << "rcache-sim merge — " << commandPurpose("merge")
-        << "\n\n"
-           "usage: rcache-sim merge [--out FILE] SHARD.csv...\n"
-           "       rcache-sim merge [--out FILE] CLAIM_DIR\n"
-           "\n"
-           "Inputs are shard CSVs of one scenario (any order), or a\n"
-           "single --claim manifest directory whose units are all\n"
-           "done. The merged report is byte-identical to an\n"
-           "unsharded 'rcache-sim sweep' of the same scenario.\n";
-    return 0;
+    return runSweepMerge(args.positionals, args.get("--out"));
 }
 
-/** merge takes positional inputs, so it parses itself (like
- *  scenario). */
 int
-cmdMerge(int argc, char **argv)
+cmdDoctor(const Args &args)
 {
-    std::string out;
-    std::vector<std::string> inputs;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help")
-            return mergeHelp();
-        if (arg == "--out") {
-            if (i + 1 >= argc) {
-                std::cerr << "rcache-sim: option '--out' needs a "
-                             "value\n";
-                return 2;
-            }
-            out = argv[++i];
-        } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "rcache-sim: unknown option '" << arg
-                      << "' for 'merge' (try 'rcache-sim merge "
-                         "--help')\n";
-            return 2;
-        } else {
-            inputs.push_back(arg);
-        }
-    }
-    return runSweepMerge(inputs, out);
-}
-
-// -------------------------------------------------------------- doctor
-
-int
-doctorHelp()
-{
-    std::cout
-        << "rcache-sim doctor — " << commandPurpose("doctor")
-        << "\n\n"
-           "usage: rcache-sim doctor [--lease-timeout N] "
-           "[--log FILE] CLAIM_DIR\n"
-           "\n"
-           "Reports every work unit's state (done / lease live / "
-           "stale /\nunclaimed), verifies committed unit CSVs still "
-           "parse, and\ninventories crash debris (orphan tmp files, "
-           "renamed-aside\nevidence). --log additionally audits a "
-           "decision log's\nintegrity. Never mutates anything.\n"
-           "\n"
-           "exit codes: 0 consistent (possibly unfinished), 2 "
-           "inconsistent.\n";
-    return 0;
-}
-
-/** doctor takes a positional DIR, so it parses itself (like
- *  merge). */
-int
-cmdDoctor(int argc, char **argv)
-{
-    DoctorOptions opt;
-    std::vector<std::string> dirs;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help")
-            return doctorHelp();
-        if (arg == "--lease-timeout" || arg == "--log") {
-            if (i + 1 >= argc) {
-                std::cerr << "rcache-sim: option '" << arg
-                          << "' needs a value\n";
-                return 2;
-            }
-            const std::string value = argv[++i];
-            if (arg == "--log") {
-                opt.logPath = value;
-                continue;
-            }
-            unsigned long long v = 0;
-            if (!parseU64Strict(value, v)) {
-                badInteger(arg, value);
-                return 2;
-            }
-            opt.leaseTimeoutSecs = static_cast<unsigned>(v);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "rcache-sim: unknown option '" << arg
-                      << "' for 'doctor' (try 'rcache-sim doctor "
-                         "--help')\n";
-            return 2;
-        } else {
-            dirs.push_back(arg);
-        }
-    }
-    if (dirs.size() != 1) {
+    if (args.positionals.size() != 1) {
         std::cerr << "rcache-sim: doctor wants exactly one "
                      "CLAIM_DIR\n";
         return 2;
     }
-    return runDoctor(dirs[0], opt, std::cout);
+    DoctorOptions opt;
+    const auto lease =
+        parseUnsigned(args, "--lease-timeout", opt.leaseTimeoutSecs);
+    if (!lease)
+        return 2;
+    opt.leaseTimeoutSecs = *lease;
+    opt.logPath = args.get("--log");
+    return runDoctor(args.positionals[0], opt, std::cout);
 }
 
 // ------------------------------------------------------------ scenario
 
 int
-scenarioHelp()
+cmdScenario(const Args &args)
 {
-    std::cout
-        << "rcache-sim scenario — check/print scenario files\n"
-           "\n"
-           "usage: rcache-sim scenario check FILE...\n"
-           "       rcache-sim scenario print FILE\n"
-           "\n"
-           "check validates each file (parse + axis registry + every\n"
-           "design point's geometry) and reports its size; print\n"
-           "writes the canonical serialization to stdout.\n";
-    return 0;
-}
-
-int
-cmdScenario(int argc, char **argv)
-{
-    if (argc < 3) {
+    if (args.positionals.empty()) {
         std::cerr << "rcache-sim: scenario needs a mode: check|print "
                      "(try 'rcache-sim scenario --help')\n";
         return 2;
     }
-    const std::string mode = argv[2];
-    if (mode == "--help")
-        return scenarioHelp();
+    const std::string &mode = args.positionals[0];
     if (mode != "check" && mode != "print") {
         std::cerr << "rcache-sim: unknown scenario mode '" << mode
                   << "' (want check|print)\n";
         return 2;
     }
-
-    std::vector<std::string> files;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help")
-            return scenarioHelp();
-        if (arg.rfind("--", 0) == 0) {
-            std::cerr << "rcache-sim: unknown option '" << arg
-                      << "' for 'scenario'\n";
-            return 2;
-        }
-        files.push_back(arg);
-    }
+    const std::vector<std::string> files(args.positionals.begin() + 1,
+                                         args.positionals.end());
     if (files.empty()) {
         std::cerr << "rcache-sim: scenario " << mode
                   << " needs at least one FILE\n";
@@ -1209,6 +441,26 @@ cmdScenario(int argc, char **argv)
 
 // ----------------------------------------------------------------- run
 
+std::optional<Organization>
+parseOrg(const std::string &name)
+{
+    auto org = parseOrganizationToken(name);
+    if (!org)
+        std::cerr << "rcache-sim: unknown organization '" << name
+                  << "' (want none|ways|sets|hybrid)\n";
+    return org;
+}
+
+std::optional<Strategy>
+parseStrategy(const std::string &name)
+{
+    auto s = parseStrategyToken(name);
+    if (!s)
+        std::cerr << "rcache-sim: unknown strategy '" << name
+                  << "' (want none|static|dynamic)\n";
+    return s;
+}
+
 /** Build one cache's ResizeSetup from --<prefix>-* options. */
 std::optional<ResizeSetup>
 parseSetup(const Args &args, const std::string &prefix)
@@ -1219,17 +471,12 @@ parseSetup(const Args &args, const std::string &prefix)
     if (!strat)
         return std::nullopt;
     setup.strategy = *strat;
-    const auto level = parseU64(args, "--" + prefix + "-level", 0);
+    const auto level = parseUnsigned(args, "--" + prefix + "-level", 0);
     const auto interval =
-        parseU64(args, "--" + prefix + "-interval",
-                 Experiment::dynIntervalAccesses);
+        parsePositive(args, "--" + prefix + "-interval",
+                      Experiment::dynIntervalAccesses);
     if (!level || !interval)
         return std::nullopt;
-    if (*interval == 0) {
-        std::cerr << "rcache-sim: --" << prefix
-                  << "-interval must be > 0\n";
-        return std::nullopt;
-    }
     const auto miss_bound =
         parseU64(args, "--" + prefix + "-miss-bound",
                  *interval / 100);
@@ -1237,32 +484,126 @@ parseSetup(const Args &args, const std::string &prefix)
         parseU64(args, "--" + prefix + "-size-bound", 0);
     if (!miss_bound || !size_bound)
         return std::nullopt;
-    setup.staticLevel = static_cast<unsigned>(*level);
+    setup.staticLevel = *level;
     setup.dyn.intervalAccesses = *interval;
     setup.dyn.missBound = *miss_bound;
     setup.dyn.sizeBoundBytes = *size_bound;
     return setup;
 }
 
-/** Resolve the two org selections for run. */
-bool
-applyOrgs(const Args &args, SystemConfig &cfg,
-          const ResizeSetup &il1, const ResizeSetup &dl1)
+/**
+ * The run's SystemConfig: --assoc, --cores (default: the mix size),
+ * --quantum, --policy, and the two --<cache>-org selections.
+ */
+std::optional<SystemConfig>
+parseSystem(const Args &args, std::size_t mix_size,
+            const ResizeSetup &il1, const ResizeSetup &dl1)
 {
+    SystemConfig cfg = SystemConfig::base();
+    if (args.has("--assoc")) {
+        const auto assoc = parseU64(args, "--assoc", cfg.dl1.assoc);
+        if (!assoc)
+            return std::nullopt;
+        if (*assoc == 0 || *assoc > 64) {
+            std::cerr << "rcache-sim: --assoc wants 1..64\n";
+            return std::nullopt;
+        }
+        cfg.il1.assoc = static_cast<unsigned>(*assoc);
+        cfg.dl1.assoc = static_cast<unsigned>(*assoc);
+    }
+    const auto cores = parseU64(args, "--cores", mix_size);
+    const auto quantum =
+        parsePositive(args, "--quantum", cfg.quantumInsts);
+    if (!cores || !quantum)
+        return std::nullopt;
+    if (*cores == 0 || *cores > 64) {
+        std::cerr << "rcache-sim: --cores wants 1..64\n";
+        return std::nullopt;
+    }
+    cfg.cores = static_cast<unsigned>(*cores);
+    cfg.quantumInsts = *quantum;
+
+    if (args.has("--policy")) {
+        const std::string name = args.get("--policy");
+        if (!isReplacementPolicyName(name)) {
+            std::cerr << "rcache-sim: --policy wants "
+                      << replacementPolicyList() << ", got '" << name
+                      << "'\n";
+            return std::nullopt;
+        }
+        cfg.policy = name;
+    }
+
     auto il1_org = parseOrg(args.get("--il1-org", "none"));
     auto dl1_org = parseOrg(args.get("--dl1-org", "none"));
     if (!il1_org || !dl1_org)
-        return false;
+        return std::nullopt;
     cfg.il1Org = *il1_org;
     cfg.dl1Org = *dl1_org;
     if (il1.strategy != Strategy::None &&
         cfg.il1Org == Organization::None) {
         std::cerr << "rcache-sim: --il1-strategy needs --il1-org\n";
-        return false;
+        return std::nullopt;
     }
     if (dl1.strategy != Strategy::None &&
         cfg.dl1Org == Organization::None) {
         std::cerr << "rcache-sim: --dl1-strategy needs --dl1-org\n";
+        return std::nullopt;
+    }
+    return cfg;
+}
+
+/**
+ * Reject run-point combinations that cannot take effect or that the
+ * engine cannot price, with CLI-grade messages (the lower layers
+ * would rc_fatal or silently ignore them).
+ */
+bool
+checkRunPoint(const Args &args, const SystemConfig &cfg,
+              std::size_t mix_size, const EngineSpec &engine,
+              const ResizeSetup &il1, const ResizeSetup &dl1)
+{
+    // Cycling fills extra cores, but a missing core would silently
+    // drop programs from the simulation.
+    if (mix_size > cfg.cores) {
+        std::cerr << "rcache-sim: --mix runs " << mix_size
+                  << " programs but --cores is " << cfg.cores
+                  << "; need --cores >= " << mix_size << '\n';
+        return false;
+    }
+    // The quantum only governs the multi-core full-detail interleave
+    // (sampled runs interleave whole sampling periods; a single core
+    // has no interleave). Mirrors ParamSpace::build's quantum checks.
+    if (args.has("--quantum") && cfg.cores <= 1) {
+        std::cerr << "rcache-sim: --quantum needs --cores > 1 (a "
+                     "single core has no interleave)\n";
+        return false;
+    }
+    if (args.has("--quantum") && engine.sampled()) {
+        std::cerr << "rcache-sim: --quantum has no effect under a "
+                     "sampled engine (cores interleave whole "
+                     "sampling periods)\n";
+        return false;
+    }
+    if (!engine.analytic())
+        return true;
+    if (cfg.cores > 1) {
+        std::cerr << "rcache-sim: --engine analytic supports a "
+                     "single core only (see the README's Engines "
+                     "section)\n";
+        return false;
+    }
+    if (il1.strategy == Strategy::Dynamic ||
+        dl1.strategy == Strategy::Dynamic) {
+        std::cerr << "rcache-sim: --engine analytic prices static "
+                     "geometries only; dynamic strategies need the "
+                     "full or sampled engine\n";
+        return false;
+    }
+    if (cfg.policy != "lru") {
+        std::cerr << "rcache-sim: --engine analytic models true-LRU "
+                     "caches only; --policy " << cfg.policy
+                  << " needs the full or sampled engine\n";
         return false;
     }
     return true;
@@ -1286,12 +627,15 @@ cmdRun(const Args &args)
 
     std::vector<BenchmarkProfile> mix;
     if (args.has("--mix")) {
-        const auto m = parseMix(args);
-        if (!m)
+        std::string err;
+        const auto m = mixByName(args.get("--mix"), &err);
+        if (!m) {
+            std::cerr << "rcache-sim: " << err << '\n';
             return 2;
+        }
         mix = *m;
     } else {
-        const auto profile = lookupProfile(args.get("--app", ""));
+        const auto profile = lookupProfile(args.get("--app"));
         if (!profile)
             return 2;
         mix = {*profile};
@@ -1305,42 +649,31 @@ cmdRun(const Args &args)
 
     const auto il1 = parseSetup(args, "il1");
     const auto dl1 = parseSetup(args, "dl1");
-    auto cfg = baseConfig(args);
-    const auto insts = parseInsts(args);
-    const auto engine = parseEngine(args);
-    if (!il1 || !dl1 || !cfg || !insts || !engine)
+    const auto insts = parsePositive(args, "--insts", 400000);
+    if (!il1 || !dl1 || !insts)
         return 2;
-    if (!applyCores(args, *cfg, mix.size()))
-        return 2;
-    if (!applyPolicy(args, *cfg))
-        return 2;
-    if (!applyOrgs(args, *cfg, *il1, *dl1))
-        return 2;
-    // Cycling fills extra cores, but a missing core would silently
-    // drop programs from the simulation.
-    if (mix.size() > cfg->cores) {
-        std::cerr << "rcache-sim: --mix runs " << mix.size()
-                  << " programs but --cores is " << cfg->cores
-                  << "; need --cores >= " << mix.size() << '\n';
-        return 2;
+    std::optional<EngineSpec> engine = EngineSpec{};
+    if (args.has("--engine")) {
+        std::string err;
+        engine = parseEngineArg(args.get("--engine"), &err);
+        if (!engine) {
+            std::cerr << "rcache-sim: --engine: " << err << '\n';
+            return 2;
+        }
     }
-    if (!checkQuantumEffective(args, *cfg, *engine))
-        return 2;
-    if (!checkAnalyticCompatible(*engine, *cfg, *il1, *dl1))
+    const auto cfg = parseSystem(args, mix.size(), *il1, *dl1);
+    if (!cfg ||
+        !checkRunPoint(args, *cfg, mix.size(), *engine, *il1, *dl1))
         return 2;
 
     // ---- telemetry requests (all off unless asked for)
-    const std::string timeline_path = args.get("--timeline", "");
-    const std::string events_path = args.get("--events", "");
-    const std::string trace_path = args.get("--trace-events", "");
+    const std::string timeline_path = args.get("--timeline");
+    const std::string events_path = args.get("--events");
+    const std::string trace_path = args.get("--trace-events");
     const auto tl_interval =
-        parseU64(args, "--timeline-interval", 10000);
+        parsePositive(args, "--timeline-interval", 10000);
     if (!tl_interval)
         return 2;
-    if (*tl_interval == 0) {
-        std::cerr << "rcache-sim: --timeline-interval must be > 0\n";
-        return 2;
-    }
     RunTelemetry telem;
     telem.timelineInterval =
         timeline_path.empty() ? 0 : *tl_interval;
@@ -1351,7 +684,7 @@ cmdRun(const Args &args)
         trace.emplace();
 
     const std::string label = args.has("--mix")
-                                  ? args.get("--mix", "") + "/point"
+                                  ? args.get("--mix") + "/point"
                                   : mix.front().name + "/point";
     const auto span_begin =
         trace ? trace->now() : TraceEventRecorder::Clock::time_point{};
@@ -1429,6 +762,8 @@ cmdRun(const Args &args)
     return 0;
 }
 
+// ------------------------------------------------------ record/convert
+
 int
 cmdRecord(const Args &args)
 {
@@ -1437,14 +772,14 @@ cmdRecord(const Args &args)
             << "rcache-sim: record needs --app NAME and --out FILE\n";
         return 2;
     }
-    const auto profile = lookupProfile(args.get("--app", ""));
-    const auto count = parseInsts(args);
+    const auto profile = lookupProfile(args.get("--app"));
+    const auto count = parsePositive(args, "--insts", 400000);
     if (!profile || !count)
         return 2;
     if (!profile->traceSpec.empty() &&
         !preflightTraceSpecs({profile->traceSpec}))
         return 2;
-    const std::string path = args.get("--out", "");
+    const std::string path = args.get("--out");
     std::ofstream out(path);
     if (!out) {
         std::cerr << "rcache-sim: cannot write '" << path << "'\n";
@@ -1458,8 +793,6 @@ cmdRecord(const Args &args)
     return 0;
 }
 
-// ------------------------------------------------------------- convert
-
 int
 cmdConvert(const Args &args)
 {
@@ -1468,7 +801,7 @@ cmdConvert(const Args &args)
                      "PATH|trace:PATH[:FORMAT]\n";
         return 2;
     }
-    std::string in = args.get("--in", "");
+    std::string in = args.get("--in");
     if (!isTraceSpec(in))
         in = "trace:" + in;
     TraceSpec spec;
@@ -1481,7 +814,7 @@ cmdConvert(const Args &args)
     if (!limit)
         return 2;
 
-    const std::string out_path = args.get("--out", "");
+    const std::string out_path = args.get("--out");
     std::ofstream file;
     if (!out_path.empty()) {
         file.open(out_path, std::ios::binary | std::ios::trunc);
@@ -1510,7 +843,7 @@ cmdConvert(const Args &args)
 int
 cmdBench(const Args &args)
 {
-    if (args.flags.count("--list")) {
+    if (args.has("--list")) {
         for (const auto &spec : rcache::bench::perfBenches())
             std::cout << spec.name << ": " << spec.description
                       << '\n';
@@ -1518,21 +851,23 @@ cmdBench(const Args &args)
     }
 
     rcache::bench::BenchOptions opts;
-    if (args.flags.count("--quick")) {
+    if (args.has("--quick")) {
         opts.items = 300000;
         opts.repetitions = 2;
     }
-    const auto items = parseU64(args, "--insts", opts.items);
-    const auto reps = parseU64(args, "--reps", opts.repetitions);
-    if (!items || !reps)
+    const auto items = parsePositive(args, "--insts", opts.items);
+    if (!items)
         return 2;
-    if (*items == 0 || *reps == 0) {
-        std::cerr << "rcache-sim: bench --insts/--reps must be > 0\n";
+    const auto reps = parseUnsigned(args, "--reps", opts.repetitions);
+    if (!reps)
+        return 2;
+    if (*reps == 0) {
+        std::cerr << "rcache-sim: --reps must be > 0\n";
         return 2;
     }
     opts.items = *items;
-    opts.repetitions = static_cast<unsigned>(*reps);
-    opts.filter = args.get("--filter", "");
+    opts.repetitions = *reps;
+    opts.filter = args.get("--filter");
     opts.outDir = args.get("--out-dir", ".");
     // Fail before timing anything, not once per result file after.
     std::error_code ec;
@@ -1554,13 +889,9 @@ cmdInspect(const Args &args)
                      "and/or --events FILE\n";
         return 2;
     }
-    const auto window = parseU64(args, "--window", 3);
+    const auto window = parsePositive(args, "--window", 3);
     if (!window)
         return 2;
-    if (*window == 0) {
-        std::cerr << "rcache-sim: --window must be > 0\n";
-        return 2;
-    }
 
     // Missing and empty inputs get the standard one-line
     // "<path>:<line>:" diagnostic (an empty telemetry file always
@@ -1584,14 +915,14 @@ cmdInspect(const Args &args)
         };
     try {
         if (args.has("--timeline")) {
-            const std::string path = args.get("--timeline", "");
+            const std::string path = args.get("--timeline");
             std::ifstream in;
             if (!openArtifact(path, in))
                 return 2;
             printTimelineSummary(std::cout, summarizeTimeline(in));
         }
         if (args.has("--events")) {
-            const std::string path = args.get("--events", "");
+            const std::string path = args.get("--events");
             std::ifstream in;
             if (!openArtifact(path, in))
                 return 2;
@@ -1607,12 +938,24 @@ cmdInspect(const Args &args)
     return 0;
 }
 
+// ---------------------------------------------------------- list-*
+
+/** @p s padded with spaces to @p width columns, at least two. */
+std::string
+column(const std::string &s, std::size_t width)
+{
+    return s + std::string(std::max<std::size_t>(
+                               2, width > s.size() ? width - s.size()
+                                                   : 0),
+                           ' ');
+}
+
 int
-cmdListApps()
+cmdListApps(const Args &)
 {
     for (const auto &name : suiteNames())
         std::cout << name << '\n';
-    std::cout << "\nAny app slot (run --app, sweep --apps, mixes) "
+    std::cout << "\nAny app slot (run --app, scenario apps, mixes) "
                  "also accepts trace:PATH[:FORMAT]\nto stream an "
                  "on-disk trace: formats native|rocksdb|lcs, '.gz' "
                  "for gzip\n(inferred from the extension when "
@@ -1621,19 +964,379 @@ cmdListApps()
 }
 
 int
-cmdListFailpoints()
+cmdListFailpoints(const Args &)
 {
     std::size_t width = 0;
     for (const auto &site : fault::knownFailpoints())
         width = std::max(width, std::string(site.name).size());
-    for (const auto &site : fault::knownFailpoints()) {
-        std::cout << site.name;
-        for (std::size_t pad = std::string(site.name).size();
-             pad < width + 2; ++pad)
-            std::cout << ' ';
-        std::cout << site.description << '\n';
+    for (const auto &site : fault::knownFailpoints())
+        std::cout << column(site.name, width + 2) << site.description
+                  << '\n';
+    return 0;
+}
+
+// ------------------------------------------------------ command table
+
+/** One option: key, value placeholder (null for a flag), and one
+ *  help line worded for the subcommand that declares it. */
+struct Option
+{
+    const char *key;
+    const char *value;
+    const char *help;
+};
+
+/** One subcommand: everything its usage line, --help, strict parse
+ *  and dispatch are generated from. */
+struct Command
+{
+    const char *name;
+    /** The usage line after the name. */
+    const char *synopsis;
+    /** One line: the top-level list entry and the --help headline. */
+    const char *purpose;
+    std::vector<Option> options;
+    /** Whether bare (non --key) arguments are accepted. */
+    bool positionals;
+    /** Extra --help paragraph, or null. */
+    const char *notes;
+    int (*handler)(const Args &);
+};
+
+/** Every subcommand accepts --help; it is listed last. */
+const Option kHelpOption{"--help", nullptr, "show this help and exit"};
+
+/** Options shared verbatim by sweep and tune's --claim mode. */
+const Option kClaimShards{
+    "--shards", "N",
+    "work units when creating a --claim manifest (joining workers "
+    "inherit the manifest's count)"};
+const Option kLeaseTimeout{
+    "--lease-timeout", "N",
+    "seconds before a claimed unit with no progress counts as crashed "
+    "and may be taken over (default 300)"};
+const Option kFailpoint{
+    "--failpoint", "SPEC",
+    "arm deterministic fault injection: SITE=ACTION[@N],... with "
+    "actions crash|io_error|torn|delay[:MS] (see 'rcache-sim "
+    "list-failpoints'; RC_FAILPOINT env works too)"};
+const Option kJobs{"--jobs", "N",
+                   "worker threads (default 1, 0 = all cores)"};
+
+const std::vector<Command> kCommands = {
+    {"sweep", "(--scenario FILE | --claim DIR) [options]",
+     "design-space sweep of a scenario file",
+     {
+         {"--scenario", "FILE",
+          "scenario file defining the design space (see "
+          "scenarios/*.scn)"},
+         kJobs,
+         {"--shard", "i/N",
+          "run only cells with index == i mod N (merge shards by "
+          "sorting rows on the cell column)"},
+         {"--resume", "FILE",
+          "CSV of an interrupted sweep: verify its completed rows, "
+          "simulate only the rest, write the merged file back"},
+         {"--format", "FMT", "report format: csv|json|table (default "
+                             "csv)"},
+         {"--out", "FILE", "write the report to FILE, not stdout"},
+         {"--progress", nullptr, "per-job progress on stderr"},
+         {"--timeline", "FILE",
+          "write every job's per-core interval timeline to FILE "
+          "(JSONL, rows labelled by job)"},
+         {"--events", "FILE",
+          "write every job's resize decisions to FILE (JSONL, rows "
+          "labelled by job)"},
+         {"--trace-events", "FILE",
+          "write Chrome trace-event JSON of the runner's spans to FILE "
+          "(load in Perfetto / chrome://tracing)"},
+         {"--timeline-interval", "N",
+          "timeline sample period in insts (default 10000)"},
+         {"--claim", "DIR",
+          "cooperative mode: claim work units from manifest directory "
+          "DIR (create it with --scenario and --shards N; other "
+          "workers just name the DIR to join)"},
+         kClaimShards,
+         kLeaseTimeout,
+         kFailpoint,
+     },
+     false,
+     "The scenario says what to simulate; these options say how to run\n"
+     "it and where the outputs go. The report is byte-identical for\n"
+     "any --jobs value, shard partition, or resume point.\n",
+     cmdSweep},
+    {"tune", "--scenario FILE [options]",
+     "adaptive search: find the best cell on a fidelity ladder",
+     {
+         {"--scenario", "FILE",
+          "scenario file with 'mode = adaptive' in its [search] "
+          "section"},
+         kJobs,
+         {"--out", "FILE",
+          "write the winner's CSV row to FILE, not stdout"},
+         {"--log", "FILE",
+          "write the JSONL decision log to FILE (byte-identical across "
+          "--jobs, workers, and resumes)"},
+         {"--resume", "FILE",
+          "decision log of an interrupted tune: replay its completed "
+          "rounds, run only the rest"},
+         {"--claim", "DIR",
+          "cooperative mode: claim the rounds' work units from "
+          "manifest directory DIR (create it with --shards N)"},
+         kClaimShards,
+         kLeaseTimeout,
+         kFailpoint,
+     },
+     false,
+     "Successive halving over the engine fidelity ladder ([search]\n"
+     "ladder): each round scores the surviving cells at one engine and\n"
+     "promotes the best to the next, more detailed one.\n",
+     cmdTune},
+    {"merge", "[--out FILE] SHARD.csv... | CLAIM_DIR",
+     "re-interleave shard CSVs (or a --claim dir) into one report",
+     {
+         {"--out", "FILE", "write the merged report to FILE, not "
+                           "stdout"},
+     },
+     true,
+     "Inputs are shard CSVs of one scenario (any order), or a single\n"
+     "--claim manifest directory whose units are all done. The merged\n"
+     "report is byte-identical to an unsharded 'rcache-sim sweep' of\n"
+     "the same scenario.\n",
+     cmdMerge},
+    {"run", "(--app NAME | --mix A+B) [options]",
+     "one explicit design point, full run report",
+     {
+         {"--app", "NAME",
+          "profile to run (see list-apps), or trace:PATH[:FORMAT] to "
+          "stream an on-disk trace"},
+         {"--mix", "A+B",
+          "'+'-joined workload mix cycled across the cores (e.g. "
+          "gcc+m88ksim)"},
+         {"--insts", "N", "instructions per core (default 400000)"},
+         {"--engine", "SPEC",
+          "simulation engine: full | sampled[:interval=N,detail=N,"
+          "warmup=N] | analytic (default full)"},
+         {"--cores", "N",
+          "simulate N cores with private L1s over one shared L2 "
+          "(default 1; with --mix, the mix size)"},
+         {"--quantum", "N",
+          "round-robin interleave quantum in insts (default 50000; "
+          "multi-core full detail only)"},
+         {"--policy", "NAME",
+          "L1 replacement policy: lru|random|fifo|slru|wtlfu (default "
+          "lru)"},
+         {"--assoc", "N", "override both L1 associativities (1..64)"},
+         {"--il1-org", "ORG", "il1 organization: none|ways|sets|hybrid"},
+         {"--il1-strategy", "S", "il1 strategy: none|static|dynamic"},
+         {"--il1-level", "N", "il1 static schedule level"},
+         {"--il1-interval", "N", "il1 dynamic interval (accesses)"},
+         {"--il1-miss-bound", "N", "il1 dynamic miss bound per interval"},
+         {"--il1-size-bound", "N", "il1 dynamic size bound (bytes)"},
+         {"--dl1-org", "ORG", "dl1 organization: none|ways|sets|hybrid"},
+         {"--dl1-strategy", "S", "dl1 strategy: none|static|dynamic"},
+         {"--dl1-level", "N", "dl1 static schedule level"},
+         {"--dl1-interval", "N", "dl1 dynamic interval (accesses)"},
+         {"--dl1-miss-bound", "N", "dl1 dynamic miss bound per interval"},
+         {"--dl1-size-bound", "N", "dl1 dynamic size bound (bytes)"},
+         {"--timeline", "FILE",
+          "write the per-core interval timeline to FILE (JSONL, or CSV "
+          "when FILE ends in .csv)"},
+         {"--events", "FILE", "write the resize decisions to FILE "
+                              "(JSONL)"},
+         {"--trace-events", "FILE",
+          "write the run's Chrome trace-event span to FILE"},
+         {"--timeline-interval", "N",
+          "timeline sample period in insts (default 10000)"},
+         kFailpoint,
+     },
+     false, nullptr, cmdRun},
+    {"record", "--app NAME --out FILE [options]",
+     "record a profile's stream to a trace file",
+     {
+         {"--app", "NAME",
+          "profile to record (see list-apps), or a trace:PATH[:FORMAT] "
+          "to re-record"},
+         {"--insts", "N", "instructions to record (default 400000)"},
+         {"--out", "FILE", "trace file to write"},
+     },
+     false, nullptr, cmdRecord},
+    {"convert", "--in SPEC [options]",
+     "rewrite a rocksdb/lcs/native[.gz] trace as native text",
+     {
+         {"--in", "SPEC",
+          "input trace: PATH or trace:PATH[:FORMAT] (formats "
+          "native|rocksdb|lcs; '.gz' for gzip)"},
+         {"--out", "FILE", "write the native trace to FILE, not stdout"},
+         {"--limit", "N", "convert at most N records (default 0 = all)"},
+     },
+     false,
+     "Streams in bounded memory, whatever the input's size.\n",
+     cmdConvert},
+    {"bench", "[options]",
+     "time the simulator's hot paths, write BENCH_*.json",
+     {
+         {"--quick", nullptr,
+          "small items/reps for smoke runs (still writes JSON)"},
+         {"--list", nullptr, "print the registered benchmarks and exit"},
+         {"--insts", "N",
+          "instructions (or items) per repetition (default 2000000; "
+          "300000 with --quick)"},
+         {"--reps", "N",
+          "timed repetitions per benchmark (default 3; 2 with --quick)"},
+         {"--filter", "SUB",
+          "run only benchmarks whose name contains SUB"},
+         {"--out-dir", "DIR", "directory for BENCH_*.json (default .)"},
+     },
+     false, nullptr, cmdBench},
+    {"scenario", "check FILE... | print FILE",
+     "validate scenario files or print their canonical form",
+     {},
+     true,
+     "check validates each file (parse + axis registry + every\n"
+     "design point's geometry) and reports its size; print writes\n"
+     "the canonical serialization to stdout.\n",
+     cmdScenario},
+    {"inspect", "(--timeline FILE | --events FILE) [options]",
+     "summarize telemetry artifacts",
+     {
+         {"--timeline", "FILE",
+          "timeline JSONL (from run/sweep --timeline) to summarize"},
+         {"--events", "FILE",
+          "resize-event JSONL (from run/sweep --events) to summarize"},
+         {"--window", "N",
+          "oscillation window in controller intervals (default 3)"},
+     },
+     false,
+     "Reports decision counts by reason, size residency, and\n"
+     "oscillations.\n",
+     cmdInspect},
+    {"doctor", "[options] CLAIM_DIR",
+     "audit a --claim manifest directory's consistency",
+     {
+         {"--lease-timeout", "N",
+          "seconds after which a lease without progress counts as "
+          "stale (default 300)"},
+         {"--log", "FILE", "also audit this decision log's integrity"},
+     },
+     true,
+     "Reports every work unit's state (done / lease live / stale /\n"
+     "unclaimed), verifies committed unit CSVs still parse, and\n"
+     "inventories crash debris (orphan tmp files, renamed-aside\n"
+     "evidence). Never mutates anything.\n"
+     "\n"
+     "exit codes: 0 consistent (possibly unfinished), 2 inconsistent.\n",
+     cmdDoctor},
+    {"list-apps", "", "print the benchmark suite", {}, false, nullptr,
+     cmdListApps},
+    {"list-failpoints", "", "print the registered fault-injection sites",
+     {}, false, nullptr, cmdListFailpoints},
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &cmd : kCommands)
+        if (name == cmd.name)
+            return &cmd;
+    return nullptr;
+}
+
+const Option *
+findOption(const Command &cmd, const std::string &key)
+{
+    if (key == kHelpOption.key)
+        return &kHelpOption;
+    for (const Option &opt : cmd.options)
+        if (key == opt.key)
+            return &opt;
+    return nullptr;
+}
+
+int
+usage(std::ostream &os, int code)
+{
+    os << "rcache-sim — resizable-cache design-space explorer\n"
+          "\n"
+          "usage: rcache-sim <subcommand> [options]\n"
+          "\n"
+          "subcommands:\n";
+    for (const Command &cmd : kCommands)
+        os << "  " << column(cmd.name, 17) << cmd.purpose << '\n';
+    os << "\n"
+          "Each subcommand documents its own options: "
+          "'rcache-sim <subcommand> --help'.\n"
+          "\n"
+          "example:\n"
+          "  rcache-sim sweep --scenario scenarios/fig4.scn --jobs 0 "
+          "\\\n"
+          "      --shard 0/2 --out shard0.csv\n";
+    return code;
+}
+
+int
+printHelp(const Command &cmd)
+{
+    std::cout << "rcache-sim " << cmd.name << " — " << cmd.purpose
+              << "\n\nusage: rcache-sim " << cmd.name;
+    if (*cmd.synopsis)
+        std::cout << ' ' << cmd.synopsis;
+    std::cout << '\n';
+    if (cmd.notes)
+        std::cout << '\n' << cmd.notes;
+    std::cout << "\noptions:\n";
+    std::vector<Option> options = cmd.options;
+    options.push_back(kHelpOption);
+    for (const Option &opt : options) {
+        const std::string arg =
+            opt.value ? std::string(opt.key) + " " + opt.value
+                      : std::string(opt.key);
+        std::cout << "  " << column(arg, 24) << opt.help << '\n';
     }
     return 0;
+}
+
+/**
+ * Strict parse of argv[2..] against @p cmd's table entry: every
+ * --key must be one of its options, a value option takes the next
+ * argument, and bare arguments are accepted only by commands that
+ * take positionals. Unknown or malformed arguments get a one-line
+ * diagnostic.
+ */
+std::optional<Args>
+parseArgs(const Command &cmd, int argc, char **argv)
+{
+    Args args;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            if (!cmd.positionals) {
+                std::cerr << "rcache-sim: unexpected argument '" << arg
+                          << "' for '" << cmd.name << "'\n";
+                return std::nullopt;
+            }
+            args.positionals.push_back(arg);
+            continue;
+        }
+        const Option *opt = findOption(cmd, arg);
+        if (!opt) {
+            std::cerr << "rcache-sim: unknown option '" << arg
+                      << "' for '" << cmd.name << "' (try 'rcache-sim "
+                      << cmd.name << " --help')\n";
+            return std::nullopt;
+        }
+        if (!opt->value) {
+            args.flags.insert(arg);
+            continue;
+        }
+        if (i + 1 >= argc) {
+            std::cerr << "rcache-sim: option '" << arg
+                      << "' needs a value\n";
+            return std::nullopt;
+        }
+        args.opts[arg] = argv[++i];
+    }
+    return args;
 }
 
 } // namespace
@@ -1643,8 +1346,8 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage(std::cerr, 2);
-    const std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "help" || cmd == "-h")
+    const std::string name = argv[1];
+    if (name == "--help" || name == "help" || name == "-h")
         return usage(std::cout, 0);
 
     // The RC_FAILPOINT environment variable arms fault injection for
@@ -1656,48 +1359,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const bool known_cmd =
-        cmd == "sweep" || cmd == "tune" || cmd == "merge" ||
-        cmd == "run" || cmd == "record" || cmd == "convert" ||
-        cmd == "bench" || cmd == "scenario" || cmd == "inspect" ||
-        cmd == "doctor" || cmd == "list-apps" ||
-        cmd == "list-failpoints";
-    if (!known_cmd) {
-        std::cerr << "rcache-sim: unknown subcommand '" << cmd
+    const Command *cmd = findCommand(name);
+    if (!cmd) {
+        std::cerr << "rcache-sim: unknown subcommand '" << name
                   << "' (try 'rcache-sim --help')\n";
         return 2;
     }
-
-    // scenario, merge, and doctor take positional arguments; they
-    // parse themselves.
-    if (cmd == "scenario")
-        return cmdScenario(argc, argv);
-    if (cmd == "merge")
-        return cmdMerge(argc, argv);
-    if (cmd == "doctor")
-        return cmdDoctor(argc, argv);
-    if (cmd == "list-failpoints")
-        return cmdListFailpoints();
-
-    auto args = parseArgs(argc, argv, 2, cmd);
+    const auto args = parseArgs(*cmd, argc, argv);
     if (!args)
         return 2;
-    if (args->flags.count("--help"))
-        return commandHelp(cmd);
-
-    if (cmd == "sweep")
-        return cmdSweep(*args);
-    if (cmd == "tune")
-        return cmdTune(*args);
-    if (cmd == "run")
-        return cmdRun(*args);
-    if (cmd == "record")
-        return cmdRecord(*args);
-    if (cmd == "convert")
-        return cmdConvert(*args);
-    if (cmd == "bench")
-        return cmdBench(*args);
-    if (cmd == "inspect")
-        return cmdInspect(*args);
-    return cmdListApps();
+    if (args->has(kHelpOption.key))
+        return printHelp(*cmd);
+    return cmd->handler(*args);
 }
