@@ -81,7 +81,6 @@ struct AnalyticPass::Context
     Hierarchy hier;
     std::uint64_t il1MissL2Hit = 0;
     std::uint64_t dl1MissL2Hit = 0;
-    BaselineStats stats;
 
     explicit Context(const SystemConfig &c)
         : cfg(c),
@@ -155,9 +154,7 @@ AnalyticPass::addConfig(const SystemConfig &cfg)
         }
     }
 
-    const std::string ckey = contextKeyOf(cfg);
-    if (!contexts_.count(ckey))
-        contexts_.emplace(ckey, std::make_unique<Context>(cfg));
+    configs_.try_emplace(contextKeyOf(cfg), cfg);
 }
 
 void
@@ -188,7 +185,9 @@ void
 AnalyticPass::run()
 {
     rc_assert(!ran_);
-    rc_assert(shapeSet_ && !contexts_.empty());
+    rc_assert(shapeSet_ && !configs_.empty());
+    for (const auto &[key, cfg] : configs_)
+        contexts_.emplace(key, std::make_unique<Context>(cfg));
 
     il1Profiles_.reserve(il1Req_.size());
     for (const auto &[sets, ways] : il1Req_)
@@ -265,7 +264,7 @@ AnalyticPass::run()
         rc_assert(dl1MissesAt(ctx->cfg.dl1.numSets(),
                               ctx->cfg.dl1.assoc) == d.misses());
 
-        BaselineStats &b = ctx->stats;
+        BaselineStats &b = baselines_[key];
         b.il1Accesses = i.accesses();
         b.il1Misses = i.misses();
         b.dl1Accesses = d.accesses();
@@ -280,6 +279,7 @@ AnalyticPass::run()
         b.l2HitPenalty = ctx->hier.l2HitPenalty();
         b.memPenalty = ctx->hier.memPenalty();
     }
+    contexts_.clear();
 }
 
 const StackDistanceProfile &
@@ -334,11 +334,11 @@ const AnalyticPass::BaselineStats &
 AnalyticPass::baseline(const SystemConfig &cfg) const
 {
     rc_assert(ran_);
-    const auto it = contexts_.find(contextKeyOf(cfg));
-    if (it == contexts_.end())
+    const auto it = baselines_.find(contextKeyOf(cfg));
+    if (it == baselines_.end())
         rc_fatal("analytic pass has no baseline context for this "
                  "configuration (addConfig was never called with it)");
-    return it->second->stats;
+    return it->second;
 }
 
 namespace

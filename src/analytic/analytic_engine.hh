@@ -100,15 +100,19 @@ class AnalyticPass
                                  std::uint64_t insts);
 
     /**
-     * Register one configuration before run(): creates its baseline
-     * context (if its geometry/latency tuple is new) and extends the
-     * profile requirements to every (sets, ways) any organization's
-     * schedule offers for its L1 geometries. Fatal after run(), or if
-     * @p cfg's stream key differs from a previously registered one.
+     * Register one configuration before run(): records its baseline
+     * geometry/latency tuple (if new) and extends the profile
+     * requirements to every (sets, ways) any organization's schedule
+     * offers for its L1 geometries. Fatal after run(), or if @p cfg's
+     * stream key differs from a previously registered one.
      */
     void addConfig(const SystemConfig &cfg);
 
-    /** Stream the workload once through every registered consumer. */
+    /**
+     * Stream the workload once through every registered consumer.
+     * The baseline contexts (two L1s and an L2 each) exist only while
+     * it streams; only their BaselineStats outlive run().
+     */
     void run();
     bool ran() const { return ran_; }
 
@@ -155,8 +159,13 @@ class AnalyticPass
     std::vector<StackDistanceProfile> il1Profiles_;
     std::vector<StackDistanceProfile> dl1Profiles_;
 
-    /** Baseline contexts keyed by geometry/latency tuple. */
+    /** Registered baseline configurations by geometry/latency
+     *  tuple. */
+    std::map<std::string, SystemConfig> configs_;
+    /** Their contexts, built and torn down by run(). */
     std::map<std::string, std::unique_ptr<Context>> contexts_;
+    /** What run() measured at each baseline. */
+    std::map<std::string, BaselineStats> baselines_;
 
     CoreActivity mix_;
 };

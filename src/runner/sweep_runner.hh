@@ -5,20 +5,26 @@
  * The paper's methodology is offline profiling — every (app,
  * organization, strategy, level/param) design point is one complete,
  * self-contained simulated run. A RunJob captures one such point as
- * pure data; executeRunJob() constructs a private workload and System
- * for it, so jobs share no mutable state and the result of a job
- * depends only on the job spec. SweepRunner fans a batch across a
- * work-stealing thread pool and writes each result into the slot of
- * the job that produced it, so the returned vector is in submission
- * order and bit-identical to a serial execution regardless of thread
- * count or completion order.
+ * pure data; executeRunJob() constructs a private System for it, so
+ * the result of a job depends only on the job spec. SweepRunner fans
+ * a batch across a thread pool, starting jobs in submission order,
+ * and writes each result into the slot of the job that produced it,
+ * so the returned vector is in submission order and bit-identical to
+ * a serial execution regardless of thread count or completion order.
+ *
+ * The one thing a batch's jobs may share is their instruction
+ * streams. Most candidates of a profiling search read the same
+ * stream, so a TapeDeck records each stream two or more of a batch's
+ * jobs read, once, and replays it to the rest (workload/tape.hh).
+ * A replay equals the live stream instruction for instruction, so
+ * results stay a pure function of the job spec.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
 #define RCACHE_RUNNER_SWEEP_RUNNER_HH
 
-#include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,6 +37,8 @@
 namespace rcache
 {
 
+class Tape;
+class TapeDeck;
 class TraceEventRecorder;
 
 /** One self-contained design point: everything a run needs. */
@@ -61,6 +69,61 @@ struct RunJob
     RunTelemetry *telemetry = nullptr;
     /** Design-point coordinates for runner trace spans ("k=v ..."). */
     std::string tracePoint;
+    /**
+     * The batch's tapes, or null (every stream runs live). The deck
+     * must have counted this job and must outlive its execution.
+     */
+    TapeDeck *tapes = nullptr;
+};
+
+/**
+ * The tapes of one job batch. A stream is a (profile, instructions
+ * per core, engine) triple: what one core of a full-detail or sampled
+ * run reads. Each stream that two or more lanes of the batch's jobs
+ * read gets a tape, decided from the jobs alone. The first job to
+ * open a stream records its tape (walking EngineSpec::period, the
+ * calls CoreLane makes) and replays it; a job that opens the stream
+ * while another worker is still recording runs it live instead of
+ * waiting, and every later job replays. The deck drops a tape after
+ * its last lane is released, so with jobs started in submission
+ * order and a stream's jobs adjacent, the live tapes stay about one
+ * per worker. Thread-safe.
+ */
+class TapeDeck
+{
+  public:
+    /** Count the streams of @p jobs (analytic jobs read none). */
+    explicit TapeDeck(const std::vector<RunJob> &jobs);
+    ~TapeDeck();
+
+    TapeDeck(const TapeDeck &) = delete;
+    TapeDeck &operator=(const TapeDeck &) = delete;
+
+    /** One lane of @p job reading profile @p p: a replay of the
+     *  stream's tape, or the live stream (see above). */
+    std::unique_ptr<Workload> open(const RunJob &job,
+                                   const BenchmarkProfile &p);
+    /** @p job has finished: release each of its lanes' streams. */
+    void release(const RunJob &job);
+
+    /** Streams with a tape (recorded or not). */
+    std::size_t tapedStreams() const;
+    /** Tapes recorded and not yet dropped. */
+    std::size_t liveTapes() const;
+
+  private:
+    struct Stream
+    {
+        /** Lanes that have not released the stream yet. */
+        std::size_t uses = 0;
+        /** Two or more lanes read it. */
+        bool taped = false;
+        bool recording = false;
+        std::shared_ptr<const Tape> tape;
+    };
+
+    mutable std::mutex mtx_;
+    std::map<std::string, Stream> streams_;
 };
 
 /**
@@ -68,8 +131,9 @@ struct RunJob
  * semantics), MultiCoreSystem (cfg.cores > 1, returning the aggregate
  * result), or — for job.engine == analytic — a fresh single-job
  * AnalyticPass (src/analytic/analytic_engine.hh; sweeps share one
- * pass across jobs instead of coming through here). Pure function of
- * the job spec every way.
+ * pass across jobs instead of coming through here). Each core reads
+ * its stream from job.tapes when set, else from makeWorkload. Pure
+ * function of the job spec every way.
  */
 RunResult executeRunJob(const RunJob &job);
 
@@ -108,21 +172,12 @@ class SweepRunner
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
     /**
-     * Ask a run() in flight (on another thread) to stop early. Jobs
-     * not yet started are skipped and keep default-constructed
-     * results (insts == 0 marks them unrun); running jobs complete.
-     */
-    void requestCancel() { cancelled_.store(true); }
-    bool cancelRequested() const { return cancelled_.load(); }
-    /** Re-arm after a cancelled batch. */
-    void resetCancel() { cancelled_.store(false); }
-
-    /**
-     * Execute every job and return results in job order. Determinism
-     * guarantee: equal input batches yield bit-identical result
-     * vectors for any parallelism. Blocks until the batch is done;
-     * must not be called from inside this runner's own pool (a job
-     * waiting on its own pool's idle state cannot drain).
+     * Execute every job and return results in job order. Jobs start
+     * in submission order: each worker takes the next unstarted job.
+     * Determinism guarantee: equal input batches yield bit-identical
+     * result vectors for any parallelism. Blocks until the batch is
+     * done; must not be called from inside this runner's own pool (a
+     * job waiting on its own pool's idle state cannot drain).
      */
     std::vector<RunResult> run(const std::vector<RunJob> &jobs) const;
 
@@ -141,7 +196,6 @@ class SweepRunner
     std::unique_ptr<ThreadPool> pool_;
     mutable std::mutex progressMtx_;
     ProgressFn progress_;
-    std::atomic<bool> cancelled_{false};
 };
 
 } // namespace rcache

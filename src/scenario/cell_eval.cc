@@ -2,11 +2,15 @@
 
 #include <iterator>
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "analytic/analytic_engine.hh"
+#include "telemetry/run_telemetry.hh"
 #include "util/logging.hh"
+#include "util/numformat.hh"
 #include "workload/profiles.hh"
+#include "workload/workload_factory.hh"
 
 namespace rcache
 {
@@ -83,6 +87,37 @@ baselineKey(const SystemConfig &cfg, const EngineSpec &engine,
     return os.str();
 }
 
+std::string
+jobKey(const RunJob &job)
+{
+    // systemConfigKey spells out what a scenario can set; the core
+    // fields it cannot set follow it.
+    const CoreParams &core = job.cfg.core;
+    std::string key = profileKey(job.profile);
+    key += '#';
+    key += systemConfigKey(job.cfg);
+    for (unsigned v : {core.frontendDepth, core.wbDrainLatency,
+                       core.bpred.bimodalEntries, core.bpred.gshareEntries,
+                       core.bpred.chooserEntries, core.bpred.historyBits,
+                       core.bpred.btbEntries})
+        appendKeyField(key, v);
+    appendKeyField(key, job.insts);
+    for (const ResizeSetup *setup : {&job.il1, &job.dl1}) {
+        appendKeyField(key, static_cast<int>(setup->strategy));
+        appendKeyField(key, setup->staticLevel);
+        appendKeyField(key, setup->dyn.intervalAccesses);
+        appendKeyField(key, setup->dyn.missBound);
+        appendKeyField(key, setup->dyn.sizeBoundBytes);
+        appendKeyField(key, setup->dyn.downsizeFraction);
+    }
+    appendKeyField(key, engineArg(job.engine));
+    for (const BenchmarkProfile &p : job.mixProfiles) {
+        key += '#';
+        key += profileKey(p);
+    }
+    return key;
+}
+
 SweepRecord
 cellRecord(std::size_t cell, const std::string &app,
            const DesignPoint &p, const SearchOutcome &out)
@@ -140,6 +175,64 @@ registerAnalyticCell(AnalyticBatch &analytic, const ParamSpace &space,
 namespace
 {
 
+/**
+ * Run @p jobs through @p memo (see CellBatch::run): execute each key
+ * the memo lacks once, with the memo's telemetry and one TapeDeck for
+ * the executed jobs, then report every job in order.
+ * @return every job's result, in job order
+ */
+std::vector<RunResult>
+runMemoized(const std::vector<RunJob> &jobs,
+            const CellBatch::Execute &execute, JobMemo &memo,
+            const CellBatch::Report &report)
+{
+    std::vector<std::string> keys;
+    keys.reserve(jobs.size());
+    std::vector<RunJob> fresh;
+    std::vector<bool> reused(jobs.size());
+    std::set<std::string> pending;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        keys.push_back(jobKey(jobs[i]));
+        reused[i] = memo.runs.count(keys[i]) ||
+                    !pending.insert(keys[i]).second;
+        if (!reused[i])
+            fresh.push_back(jobs[i]);
+    }
+
+    if (!fresh.empty()) {
+        std::vector<std::shared_ptr<RunTelemetry>> bundles(fresh.size());
+        const bool telemetry =
+            memo.timelineInterval > 0 || memo.resizeEvents;
+        TapeDeck deck(fresh);
+        for (std::size_t k = 0; k < fresh.size(); ++k) {
+            if (telemetry) {
+                bundles[k] = std::make_shared<RunTelemetry>();
+                bundles[k]->timelineInterval = memo.timelineInterval;
+                bundles[k]->resizeEvents = memo.resizeEvents;
+                fresh[k].telemetry = bundles[k].get();
+            }
+            fresh[k].tapes = &deck;
+        }
+        const std::vector<RunResult> results = execute(fresh);
+        rc_assert(results.size() == fresh.size());
+        for (std::size_t i = 0, k = 0; i < jobs.size(); ++i)
+            if (!reused[i]) {
+                memo.runs[keys[i]] = {results[k], std::move(bundles[k])};
+                ++k;
+            }
+    }
+
+    std::vector<RunResult> out;
+    out.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobRun &run = memo.runs.at(keys[i]);
+        if (report)
+            report(jobs[i], run, reused[i]);
+        out.push_back(run.result);
+    }
+    return out;
+}
+
 /** A cell's coordinates as the runner's trace spans show them. */
 std::string
 tracePointOf(std::size_t cell, const std::string &app,
@@ -164,7 +257,7 @@ CellBatch::CellBatch(const ParamSpace &space,
 }
 
 void
-CellBatch::add(std::size_t cell, const BaselineMemo &memo,
+CellBatch::add(std::size_t cell, const JobMemo &memo,
                const EngineSpec *engine)
 {
     const std::size_t npoints = space_.numPoints();
@@ -182,10 +275,12 @@ CellBatch::add(std::size_t cell, const BaselineMemo &memo,
     exp.setEngine(p.engine);
     exp.setSearchGrid(space_.spec().search.dynGrid);
 
-    c.baseKey = baselineKey(exp.config(), p.engine, eff.label.name);
-    if (!memo.count(c.baseKey) &&
-        newBases_.try_emplace(c.baseKey, jobs_.size()).second)
-        jobs_.push_back(exp.baselineJob(eff.label));
+    jobs_.push_back(exp.baselineJob(eff.label));
+    attachMix(jobs_.end() - 1, jobs_.end(), eff);
+    c.baseKey = jobKey(jobs_.back());
+    if (memo.runs.count(c.baseKey) ||
+        !newBases_.try_emplace(c.baseKey, first).second)
+        jobs_.pop_back();
 
     const auto append = [&](std::vector<RunJob> jobs, std::size_t &off,
                             std::size_t &count) {
@@ -253,11 +348,11 @@ CellBatch::newBaselineLabels() const
 }
 
 std::vector<SweepRecord>
-CellBatch::run(const Execute &execute, BaselineMemo &memo)
+CellBatch::run(const Execute &execute, JobMemo &memo,
+               const Report &report)
 {
-    const std::vector<RunResult> results = execute(jobs_);
-    for (const auto &[key, idx] : newBases_)
-        memo[key] = results[idx];
+    const std::vector<RunResult> results =
+        runMemoized(jobs_, execute, memo, report);
     const auto slice = [&](std::size_t off, std::size_t count) {
         return std::vector<RunResult>(results.begin() + off,
                                       results.begin() + off + count);
@@ -271,7 +366,7 @@ CellBatch::run(const Execute &execute, BaselineMemo &memo)
         const Cell &c = cells_[i];
         if (c.point.side != SweepSide::Both)
             continue;
-        const RunResult &base = memo.at(c.baseKey);
+        const RunResult &base = memo.result(c.baseKey);
         douts[i] = Experiment::reduceStatic(base, slice(c.off, c.count));
         const SearchOutcome iout =
             Experiment::reduceStatic(base, slice(c.ioff, c.icount));
@@ -287,14 +382,14 @@ CellBatch::run(const Execute &execute, BaselineMemo &memo)
         phase2.push_back(std::move(job));
     }
     const std::vector<RunResult> results2 =
-        phase2.empty() ? std::vector<RunResult>{} : execute(phase2);
+        runMemoized(phase2, execute, memo, report);
 
     std::vector<SweepRecord> records;
     records.reserve(cells_.size());
     std::size_t next2 = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell &c = cells_[i];
-        const RunResult &base = memo.at(c.baseKey);
+        const RunResult &base = memo.result(c.baseKey);
         const SearchOutcome out =
             c.point.side == SweepSide::Both
                 ? Experiment::reduceBoth(base, douts[i], results2[next2++])
@@ -313,7 +408,7 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const EngineSpec *engine)
 {
     CellBatch batch(space, apps);
-    CellBatch::BaselineMemo memo;
+    JobMemo memo;
     for (const std::size_t cell : cells)
         batch.add(cell, memo, engine);
     if ((engine ? *engine : space.spec().engine).analytic()) {
@@ -321,12 +416,15 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
         for (const std::size_t cell : cells)
             registerAnalyticCell(analytic, space, apps, cell);
         return batch.run(
-            [&](std::vector<RunJob> &js) { return analytic.price(js); },
+            [&](const std::vector<RunJob> &js) {
+                return analytic.price(js);
+            },
             memo);
     }
     SweepRunner runner(jobs);
     return batch.run(
-        [&](std::vector<RunJob> &js) { return runner.run(js); }, memo);
+        [&](const std::vector<RunJob> &js) { return runner.run(js); },
+        memo);
 }
 
 std::optional<ScenarioRows>

@@ -19,9 +19,16 @@
  * byte-identical to the sweep's row for the same cell under the same
  * engine, by construction.
  *
+ * Each distinct job runs once. A JobMemo keyed by the full job
+ * identity (jobKey) holds every result a search has computed, so a
+ * side=both cell reuses the per-side static sweeps its app's dcache
+ * and icache cells already ran, in this batch or an earlier one. The
+ * jobs a batch does execute share their instruction streams through
+ * a TapeDeck (runner/sweep_runner.hh). The layout stays logical:
+ * every job counts and reports as laid out, whatever it reused.
+ *
  * The free helpers are the vocabulary around it: workload resolution,
- * mix attachment, baseline memo keys, and the record a finished cell
- * reports.
+ * mix attachment, memo keys, and the record a finished cell reports.
  */
 
 #ifndef RCACHE_SCENARIO_CELL_EVAL_HH
@@ -29,6 +36,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,14 +89,60 @@ void attachMix(std::vector<RunJob>::iterator begin,
 /** The CacheSide a single-side sweep side resizes (not Both). */
 CacheSide cacheSideOf(SweepSide side);
 
-/** Memo key of a cell's baseline: the full scenario-visible system
+/** Identity of a cell's baseline: the full scenario-visible system
  *  identity (core count/quantum/models included via systemConfigKey)
  *  plus the engine selection (insts are sweep-constant). @p workload
  *  is the effective workload name — the mix override when a 'mix'
- *  axis set one, else the cell's app. */
+ *  axis set one, else the cell's app. CellBatch keys on jobKey;
+ *  perfbench's layer split (perfbench/layers.cc) re-plans baselines
+ *  by this coarser key. */
 std::string baselineKey(const SystemConfig &cfg,
                         const EngineSpec &engine,
                         const std::string &workload);
+
+/**
+ * Memo key of @p job: everything executeRunJob reads — the profile
+ * (or trace spec) and mix, the whole SystemConfig, the instruction
+ * count, both ResizeSetups, and the engine. Equal keys give equal
+ * results; the label, telemetry, trace point and tapes are not part
+ * of it.
+ */
+std::string jobKey(const RunJob &job);
+
+/** What one executed job produced. */
+struct JobRun
+{
+    RunResult result;
+    /** Its timeline rows and resize events, when the memo records
+     *  telemetry (else null). */
+    std::shared_ptr<const RunTelemetry> telemetry;
+};
+
+/**
+ * Every job a search has run, by jobKey. It spans a whole sweep (one
+ * app's dcache cell and its side=both cell can land in different
+ * chunks) or one evaluateCells call. Results are never "unrun": an
+ * entry exists only for a job that finished.
+ */
+struct JobMemo
+{
+    /** @name Telemetry each executed job records
+     * A timeline every timelineInterval instructions (0 = none) and
+     * resize events; set before the first batch runs. Memo hits
+     * report the telemetry of the run they reuse, so every run's rows
+     * stay in the memo as long as it does.
+     */
+    /// @{
+    std::uint64_t timelineInterval = 0;
+    bool resizeEvents = false;
+    /// @}
+    std::map<std::string, JobRun> runs;
+
+    const RunResult &result(const std::string &key) const
+    {
+        return runs.at(key).result;
+    }
+};
 
 /** The CSV row a finished cell reports. CellBatch builds every row
  *  through this one function. */
@@ -111,15 +165,21 @@ void registerAnalyticCell(AnalyticBatch &analytic,
 class CellBatch
 {
   public:
-    /** Baseline results by baselineKey; may persist across batches. */
-    using BaselineMemo = std::map<std::string, RunResult>;
     /**
      * Runs a job list and returns its results in job order: a
-     * SweepRunner's run or an AnalyticBatch's price. It may annotate
-     * the jobs first (the sweep attaches telemetry bundles).
+     * SweepRunner's run or an AnalyticBatch's price. It sees only the
+     * jobs the memo lacks, one per key, with their telemetry bundles
+     * and tapes attached.
      */
     using Execute =
-        std::function<std::vector<RunResult>(std::vector<RunJob> &)>;
+        std::function<std::vector<RunResult>(const std::vector<RunJob> &)>;
+    /**
+     * Told about every laid-out job once its phase has run, in job
+     * order: the run it got its result from, and whether that run
+     * happened for an earlier job (a memo hit) rather than for it.
+     */
+    using Report = std::function<void(const RunJob &job,
+                                      const JobRun &run, bool reused)>;
 
     /**
      * @param space the scenario's design space (insts, search grid)
@@ -137,38 +197,44 @@ class CellBatch
      * (both sides' static sweeps for side=both). A non-null @p engine
      * overrides the point's (a tune rung).
      */
-    void add(std::size_t cell, const BaselineMemo &memo,
+    void add(std::size_t cell, const JobMemo &memo,
              const EngineSpec *engine = nullptr);
 
     /** Phase-1 jobs (baselines and candidates) laid out so far. */
     std::size_t phase1Jobs() const { return jobs_.size(); }
-    /** Every job run() executes: phase 1 plus one combined job per
-     *  side=both cell. Plan-time arithmetic; runs nothing. */
+    /** Every job run() lays out: phase 1 plus one combined job per
+     *  side=both cell, memo hits included. Plan-time arithmetic;
+     *  runs nothing. */
     std::size_t plannedJobs() const;
     /**
      * Timing-core instructions those jobs measure: each job counts
      * cores x engine.detailedInstsFor(insts), since a C-core job
      * measures C streams (RunResult::measuredInsts sums its lanes).
-     * The tuner's cost accounting; plan-time arithmetic as above.
+     * The tuner's cost accounting, over the same logical jobs as
+     * plannedJobs(); plan-time arithmetic as above.
      */
     std::uint64_t plannedDetailedInsts() const;
-    /** Labels of the baselines this batch computes (not memoized
+    /** Labels of the baselines this batch lays out (not memoized
      *  when their cell was added). */
     std::vector<std::string> newBaselineLabels() const;
 
     /**
-     * Execute phase 1, publish the new baselines into @p memo, execute
-     * phase 2, and reduce each cell to its cellRecord row.
+     * Run phase 1, then phase 2 (one combined job per side=both cell
+     * at its profiled levels), each through @p memo: a job whose key
+     * is memoized, or laid out earlier in the phase, reuses that run,
+     * and @p execute runs the rest. Then reduce each cell to its
+     * cellRecord row. @p report, if set, hears about every job.
      * @return one row per cell, in add() order
      */
-    std::vector<SweepRecord> run(const Execute &execute,
-                                 BaselineMemo &memo);
+    std::vector<SweepRecord> run(const Execute &execute, JobMemo &memo,
+                                 const Report &report = {});
 
   private:
     struct Cell
     {
         std::size_t cell = 0;
         DesignPoint point;
+        /** jobKey of the cell's baseline. */
         std::string baseKey;
         /** Candidate slice of jobs_: [off, off+count). For side=both
          *  that is the d sweep and [ioff, ioff+icount) the i sweep. */
@@ -183,12 +249,12 @@ class CellBatch
     bool tracePoints_;
     std::vector<Cell> cells_;
     std::vector<RunJob> jobs_;
-    /** Baselines laid out here: key -> job index. */
+    /** Baselines laid out here: jobKey -> job index. */
     std::map<std::string, std::size_t> newBases_;
 };
 
 /**
- * Evaluate @p cells in one CellBatch with a fresh baseline memo, at
+ * Evaluate @p cells in one CellBatch with a fresh job memo, at
  * @p engine when non-null (else each point's own). Analytic cells are
  * priced through one shared AnalyticBatch; everything else runs on a
  * SweepRunner of @p jobs workers. @return rows in @p cells order

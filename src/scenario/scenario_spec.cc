@@ -1006,18 +1006,19 @@ ScenarioSpec::printToString() const
 std::string
 systemConfigKey(const SystemConfig &cfg)
 {
-    std::ostringstream os;
-    os << coreModelToken(cfg.coreModel);
+    std::string key;
+    appendKeyField(key, coreModelToken(cfg.coreModel));
     for (const auto &k : systemKeysU64())
-        os << '|' << k.get(cfg);
+        appendKeyField(key, k.get(cfg));
     for (const auto &k : energyKeys())
-        os << '|' << shortestDouble(cfg.energy.*(k.field));
-    os << '|' << organizationToken(cfg.il1Org) << '|'
-       << organizationToken(cfg.dl1Org);
-    os << '|' << cfg.cores << '|' << cfg.quantumInsts << '|'
-       << coreModelListToken(cfg.coreModels);
-    os << '|' << cfg.policy;
-    return os.str();
+        appendKeyField(key, cfg.energy.*(k.field));
+    appendKeyField(key, organizationToken(cfg.il1Org));
+    appendKeyField(key, organizationToken(cfg.dl1Org));
+    appendKeyField(key, cfg.cores);
+    appendKeyField(key, cfg.quantumInsts);
+    appendKeyField(key, coreModelListToken(cfg.coreModels));
+    appendKeyField(key, cfg.policy);
+    return key;
 }
 
 } // namespace rcache

@@ -223,7 +223,8 @@ struct ScenarioSpec
  * Deterministic identity of a SystemConfig's scenario-visible state
  * (every [system] key plus the org fields). Two configs built from
  * the same scenario compare equal iff their keys are equal, which is
- * what the sweep engine's baseline memo keys on.
+ * what the job memo's jobKey (scenario/cell_eval.hh) builds on. An
+ * in-memory key only: it is never written out.
  */
 std::string systemConfigKey(const SystemConfig &cfg);
 

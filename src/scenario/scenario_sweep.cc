@@ -207,58 +207,55 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                       outName);
 
     // ---- execute in chunks: each chunk is one CellBatch whose
-    // cells' baselines (memoized across chunks) and candidate sweeps
-    // run as one batch, so the pool stays busy across cell
-    // boundaries; chunk rows are written and flushed before the next
-    // chunk runs.
-    CellBatch::BaselineMemo baseline_memo;
+    // cells' baselines and candidate sweeps run as one batch, so the
+    // pool stays busy across cell boundaries; chunk rows are written
+    // and flushed before the next chunk runs. The job memo spans the
+    // sweep, so no job runs twice in it.
+    JobMemo memo;
+    memo.timelineInterval = want_timeline ? opt.timelineInterval : 0;
+    memo.resizeEvents = want_events;
     std::vector<SweepRecord> buffered; // json/table only
     std::size_t total_runs = 0;
+    std::size_t reused_runs = 0;
     const std::size_t chunk_min_jobs =
         std::max<std::size_t>(64, 8 * runner.parallelism());
 
-    // Runs one phase of a chunk. Analytic cells never touch the
-    // runner: each job is priced from its shared pass, in job order,
-    // so every reduction, CSV row, and resume/shard contract is
-    // untouched (and the report is trivially byte-identical for any
-    // --jobs value). Telemetry bundles are attached here, once the
-    // phase's job vector is final (job.telemetry points into
-    // `bundles`).
-    const auto execute = [&](std::vector<RunJob> &jobs) {
-        std::vector<std::unique_ptr<RunTelemetry>> bundles;
-        if (want_timeline || want_events) {
-            for (RunJob &job : jobs) {
-                auto t = std::make_unique<RunTelemetry>();
-                t->timelineInterval =
-                    want_timeline ? opt.timelineInterval : 0;
-                t->resizeEvents = want_events;
-                job.telemetry = t.get();
-                bundles.push_back(std::move(t));
-            }
-        }
-        auto results = spec.engine.analytic() ? analytic.price(jobs)
-                                              : runner.run(jobs);
+    // Runs the jobs a phase of a chunk does not find in the memo.
+    // Analytic cells never touch the runner: each job is priced from
+    // its shared pass, in job order, so every reduction, CSV row, and
+    // resume/shard contract is untouched (and the report is trivially
+    // byte-identical for any --jobs value).
+    const auto execute = [&](const std::vector<RunJob> &jobs) {
         total_runs += jobs.size();
-        for (RunJob &job : jobs) {
-            if (!job.telemetry)
-                continue;
-            if (want_timeline) {
-                std::ostringstream rec;
-                writeTimelineJsonl(rec, job.telemetry->timeline,
-                                   job.label);
-                checkedAppend(timeline_os, rec.str(), opt.timelinePath,
-                              "telemetry.timeline.append");
-            }
-            if (want_events) {
-                std::ostringstream rec;
-                writeResizeEventsJsonl(
-                    rec, job.telemetry->events.events(), job.label);
-                checkedAppend(events_os, rec.str(), opt.eventsPath,
-                              "telemetry.events.append");
-            }
-            job.telemetry = nullptr;
+        return spec.engine.analytic() ? analytic.price(jobs)
+                                      : runner.run(jobs);
+    };
+    // Every laid-out job writes its telemetry rows under its own
+    // label, in job order; a memo hit writes those of the run it
+    // reuses and marks the trace with a job-memo instant (a span is
+    // host time a worker spent, and a hit spends none).
+    const auto report = [&](const RunJob &job, const JobRun &run,
+                            bool reused) {
+        if (reused) {
+            ++reused_runs;
+            if (trace)
+                trace->instant("job-memo", {{"label", job.label}});
         }
-        return results;
+        if (!run.telemetry)
+            return;
+        if (want_timeline) {
+            std::ostringstream rec;
+            writeTimelineJsonl(rec, run.telemetry->timeline, job.label);
+            checkedAppend(timeline_os, rec.str(), opt.timelinePath,
+                          "telemetry.timeline.append");
+        }
+        if (want_events) {
+            std::ostringstream rec;
+            writeResizeEventsJsonl(rec, run.telemetry->events.events(),
+                                   job.label);
+            checkedAppend(events_os, rec.str(), opt.eventsPath,
+                          "telemetry.events.append");
+        }
     };
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -268,9 +265,9 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         const std::size_t first = next;
         while (next < owned.size() &&
                (next == first || batch.phase1Jobs() < chunk_min_jobs))
-            batch.add(owned[next++], baseline_memo);
+            batch.add(owned[next++], memo);
         const std::vector<SweepRecord> records =
-            batch.run(execute, baseline_memo);
+            batch.run(execute, memo, report);
         if (trace)
             for (const std::string &label : batch.newBaselineLabels())
                 trace->instant("baseline-memo", {{"label", label}});
@@ -329,6 +326,8 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         std::cerr << "sweep: " << total_runs << " runs in " << secs
                   << " s on " << runner.parallelism()
                   << " worker(s)";
+        if (reused_runs)
+            std::cerr << " [" << reused_runs << " jobs reused a run]";
         if (opt.shard.sharded())
             std::cerr << " [shard " << opt.shard.str() << ", "
                       << owned.size() - skip << "/" << ncells

@@ -25,7 +25,9 @@
  * jobs to keep the pool busy across cell boundaries, the batch runs
  * (side=both cells with their phase-2 combined runs, the paper's Fig 9
  * methodology), and its rows are written and flushed before the next
- * chunk starts. Baselines are memoized across chunks. An interrupted
+ * chunk starts. One job memo spans the sweep, so no job runs twice:
+ * a side=both cell reuses the per-side sweeps its app's dcache and
+ * icache cells ran, even from an earlier chunk. An interrupted
  * sweep therefore leaves every completed chunk on disk for --resume
  * instead of losing the whole run. What stays here is the sweep's own
  * business: shard/resume bookkeeping, report streaming, telemetry
@@ -84,7 +86,9 @@ struct SweepOptions
      * chunk in job order, and for side=both scenarios the job order
      * within a chunk depends on the chunk boundaries, which scale
      * with --jobs. Rows carry their job label, so consumers should
-     * group by label rather than rely on file order.
+     * group by label rather than rely on file order. A job that
+     * reuses an earlier run (the job memo) writes that run's rows
+     * under its own label.
      */
     /// @{
     /** Interval-timeline JSONL path ("" = off). */

@@ -32,6 +32,7 @@
 #ifndef RCACHE_SIM_ENGINE_HH
 #define RCACHE_SIM_ENGINE_HH
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -82,6 +83,21 @@ struct EngineSpec
         if (mode == EngineMode::Analytic)
             return 0;
         return sampling.measuredInsts(insts);
+    }
+
+    /**
+     * The next period of a run with @p remaining instructions left: a
+     * sampling period (SamplingConfig::periodShape) under a sampled
+     * engine, else a measured window of min(@p quantum, remaining)
+     * instructions. CoreLane::turn runs one per turn, and a tape
+     * (workload/tape.hh) records the calls those periods make.
+     */
+    SamplingConfig::PeriodShape period(std::uint64_t remaining,
+                                       std::uint64_t quantum) const
+    {
+        if (sampled())
+            return sampling.periodShape(remaining);
+        return {0, 0, std::min(quantum, remaining)};
     }
 
     bool operator==(const EngineSpec &o) const = default;

@@ -150,19 +150,15 @@ Experiment::reduceSearch(const RunResult &baseline,
     // Strict `<`: the first minimum in candidate order wins, so
     // equal-E.D ties resolve to the larger cache / lower index (see
     // the header's tie-break contract).
-    bool first = true;
+    rc_assert(!results.empty());
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RunResult &res = results[i];
-        if (res.insts == 0)
-            continue; // cancelled before this job ran
-        if (first || res.edp() < out.best.edp()) {
+        if (i == 0 || res.edp() < out.best.edp()) {
             out.best = res;
             out.bestLevel = candidates[i].setup.staticLevel;
             out.bestParams = candidates[i].setup.dyn;
-            first = false;
         }
     }
-    rc_assert(!first);
     return out;
 }
 

@@ -62,8 +62,8 @@ struct SearchOutcome
 
     /**
      * Paper metric: best E.D normalized to the baseline. A zero
-     * baseline E.D (a degenerate run — e.g. a cancelled or
-     * zero-instruction baseline) has no meaningful normalization;
+     * baseline E.D (a degenerate run, e.g. a zero-instruction
+     * baseline) has no meaningful normalization;
      * it returns 0 with a logged warning instead of dividing by
      * zero, and edReductionPct() follows suit.
      */

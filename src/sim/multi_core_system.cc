@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "workload/synthetic.hh"
-#include "workload/workload_factory.hh"
 
 namespace rcache
 {
@@ -12,17 +11,18 @@ namespace
 {
 
 /**
- * A core's private view of its workload: the generated stream with
- * every address shifted into the core's own high-address window, so
+ * A core's private view of its workload: the stream with every
+ * address shifted into the core's own high-address window, so
  * concurrent programs never alias in the shared L2. The offset leaves
  * all index/tag-low bits untouched — each stream's L1 and alias-set
- * behavior is bit-identical to the unshifted stream.
+ * behavior is bit-identical to the unshifted stream, so a tape of the
+ * unshifted stream serves every core that runs it.
  */
 class AddressSpaceWorkload final : public Workload
 {
   public:
-    AddressSpaceWorkload(const BenchmarkProfile &profile, Addr base)
-        : inner_(makeWorkload(profile)), base_(base)
+    AddressSpaceWorkload(std::unique_ptr<Workload> inner, Addr base)
+        : inner_(std::move(inner)), base_(base)
     {
     }
 
@@ -74,7 +74,8 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
                      const ResizeSetup &il1_setup,
                      const ResizeSetup &dl1_setup,
                      const EngineSpec &engine,
-                     RunTelemetry *telemetry)
+                     RunTelemetry *telemetry,
+                     const StreamOpener &open)
 {
     rc_assert(!ran_);
     ran_ = true;
@@ -89,7 +90,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
     std::vector<std::unique_ptr<CoreLane>> lanes;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         workloads.push_back(std::make_unique<AddressSpaceWorkload>(
-            mix[c % mix.size()], addressSpaceBase(c)));
+            open(mix[c % mix.size()]), addressSpaceBase(c)));
         lanes.push_back(std::make_unique<CoreLane>(cfg_, c, l2_));
         lanes.back()->start(il1_setup, dl1_setup, engine, telemetry);
     }

@@ -52,6 +52,7 @@
 #include "cache/shared_l2.hh"
 #include "sim/system.hh"
 #include "workload/profiles.hh"
+#include "workload/workload_factory.hh"
 
 namespace rcache
 {
@@ -91,16 +92,18 @@ class MultiCoreSystem
 
     /**
      * Run @p insts_per_core instructions on every core. Core i runs
-     * the profile mix[i % mix.size()] in a private address space.
-     * Every core applies the same resize setups (to its own private
-     * controllers). Single use.
+     * the profile mix[i % mix.size()] in a private address space,
+     * reading the stream @p open builds for it. Every core applies
+     * the same resize setups (to its own private controllers).
+     * Single use.
      */
     MultiCoreResult run(const std::vector<BenchmarkProfile> &mix,
                         std::uint64_t insts_per_core,
                         const ResizeSetup &il1_setup = {},
                         const ResizeSetup &dl1_setup = {},
                         const EngineSpec &engine = {},
-                        RunTelemetry *telemetry = nullptr);
+                        RunTelemetry *telemetry = nullptr,
+                        const StreamOpener &open = makeWorkload);
 
     const SystemConfig &config() const { return cfg_; }
     SharedL2 &sharedL2() { return l2_; }

@@ -130,10 +130,7 @@ CoreLane::turn(Workload &workload, std::uint64_t remaining,
                std::uint64_t quantum)
 {
     const SamplingConfig::PeriodShape shape =
-        engine_.sampled()
-            ? engine_.sampling.periodShape(remaining)
-            : SamplingConfig::PeriodShape{0, 0,
-                                          std::min(quantum, remaining)};
+        engine_.period(remaining, quantum);
     runPeriod(workload, shape);
     return shape.fastForward + shape.warmup + shape.detailed;
 }

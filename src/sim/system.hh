@@ -216,9 +216,9 @@ class CoreLane
 
     /**
      * Run one turn of @p workload with @p remaining instructions
-     * left: a sampling period (periodShape(remaining)) under a
-     * sampled engine, else a measured window of
-     * min(@p quantum, remaining) instructions.
+     * left: the engine's next period (EngineSpec::period), a
+     * sampling period under a sampled engine, else a measured window
+     * of min(@p quantum, remaining) instructions.
      * @return instructions the turn consumed
      */
     std::uint64_t turn(Workload &workload, std::uint64_t remaining,

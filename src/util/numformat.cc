@@ -1,6 +1,7 @@
 #include "util/numformat.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
@@ -68,6 +69,33 @@ parseU64Strict(const std::string &text, unsigned long long &out)
         return false;
     out = v;
     return true;
+}
+
+void
+appendKeyField(std::string &key, std::uint64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    key.append(buf, res.ptr);
+    key += ',';
+}
+
+void
+appendKeyField(std::string &key, double v)
+{
+    char buf[40];
+    const auto res =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::hex);
+    key.append(buf, res.ptr);
+    key += ',';
+}
+
+void
+appendKeyField(std::string &key, std::string_view v)
+{
+    appendKeyField(key, std::uint64_t{v.size()});
+    key += v;
+    key += ',';
 }
 
 } // namespace rcache

@@ -9,7 +9,10 @@
 #ifndef RCACHE_UTIL_NUMFORMAT_HH
 #define RCACHE_UTIL_NUMFORMAT_HH
 
+#include <concepts>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace rcache
 {
@@ -32,6 +35,27 @@ bool parseDoubleStrict(const std::string &text, double &out);
 /** Strict non-negative decimal integer parse: the whole string must
  *  be digits (no sign, no whitespace) and fit in 64 bits. */
 bool parseU64Strict(const std::string &text, unsigned long long &out);
+
+/**
+ * @name Identity keys
+ * Append one field and a ',' to @p key: integers in decimal, doubles
+ * in shortest hexadecimal (exact to the bit), strings length-prefixed
+ * (so no two field lists run together into one key). Stream-free and
+ * cheap, for the in-memory keys the job memo and the tape deck
+ * compare; never for output.
+ */
+/// @{
+void appendKeyField(std::string &key, std::uint64_t v);
+void appendKeyField(std::string &key, double v);
+void appendKeyField(std::string &key, std::string_view v);
+
+template <std::integral T>
+void
+appendKeyField(std::string &key, T v)
+{
+    appendKeyField(key, static_cast<std::uint64_t>(v));
+}
+/// @}
 
 } // namespace rcache
 

@@ -84,7 +84,9 @@ struct DataRegion
     bool phased = true;
 };
 
-/** Full parameterization of one synthetic application. */
+/** Full parameterization of one synthetic application. A new field
+ *  must also enter profileKey (workload/workload_factory.hh), the
+ *  identity the job memo and the tape deck key on. */
 struct BenchmarkProfile
 {
     std::string name;

@@ -1,5 +1,7 @@
 #include "workload/workload_factory.hh"
 
+#include "util/numformat.hh"
+
 #include "util/logging.hh"
 #include "workload/streaming_trace.hh"
 #include "workload/trace_format.hh"
@@ -43,6 +45,49 @@ makeWorkload(const BenchmarkProfile &p)
     if (!wl)
         rc_fatal(err);
     return wl;
+}
+
+namespace
+{
+
+void
+appendPhase(std::string &key, const PhaseSpec &ph)
+{
+    appendKeyField(key, static_cast<int>(ph.kind));
+    for (double v : {ph.lo, ph.hi, ph.dutyHi})
+        appendKeyField(key, v);
+    appendKeyField(key, ph.periodInsts);
+}
+
+} // namespace
+
+std::string
+profileKey(const BenchmarkProfile &p)
+{
+    std::string key;
+    appendKeyField(key, p.name);
+    appendKeyField(key, p.traceSpec);
+    for (double v : {p.loadFrac, p.storeFrac, p.branchFrac, p.fpFrac,
+                     p.dataConflictFrac, p.codeHotFrac, p.codeHotWeight,
+                     p.codeConflictFrac, p.takenBias, p.depChance,
+                     p.loadUseChance})
+        appendKeyField(key, v);
+    for (std::uint64_t v :
+         {std::uint64_t{p.dataConflictBlocks}, p.codeFootprint,
+          std::uint64_t{p.codeConflictBlocks}, std::uint64_t{p.maxDepDist},
+          std::uint64_t{p.fpLatency}, p.seed})
+        appendKeyField(key, v);
+    appendPhase(key, p.dataPhase);
+    appendPhase(key, p.codePhase);
+    appendKeyField(key, p.regions.size());
+    for (const DataRegion &r : p.regions) {
+        appendKeyField(key, r.bytes);
+        appendKeyField(key, r.stride);
+        appendKeyField(key, r.phased);
+        for (double v : {r.weight, r.hotFrac, r.hotWeight})
+            appendKeyField(key, v);
+    }
+    return key;
 }
 
 } // namespace rcache

@@ -126,25 +126,6 @@ TEST(SweepRunnerTest, ProgressReachesTotalExactlyOnce)
         EXPECT_EQ(seen[i], i + 1);
 }
 
-TEST(SweepRunnerTest, CancelSkipsUnstartedJobs)
-{
-    Experiment exp(SystemConfig::base(), kInsts);
-    std::vector<RunJob> jobs;
-    for (const char *name : {"ammp", "gcc"})
-        jobs.push_back(exp.baselineJob(profileByName(name)));
-
-    SweepRunner runner(1);
-    runner.requestCancel();
-    const auto results = runner.run(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (const auto &r : results)
-        EXPECT_EQ(r.insts, 0u) << "job ran despite cancellation";
-
-    runner.resetCancel();
-    const auto rerun = runner.run(jobs);
-    EXPECT_GT(rerun[0].insts, 0u);
-}
-
 TEST(SweepRunnerTest, ExperimentSearchesIdenticalWithAndWithoutRunner)
 {
     // A static cell and a side=both cell (whose combined phase-2 run

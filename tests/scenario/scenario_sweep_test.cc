@@ -286,7 +286,9 @@ strategy = static
     ASSERT_TRUE(space) << err;
     const std::vector<AppEntry> apps = resolveApps(*spec, &err);
     SweepRunner runner(1);
-    const auto execute = [&](std::vector<RunJob> &jobs) {
+    std::size_t executed = 0;
+    const auto execute = [&](const std::vector<RunJob> &jobs) {
+        executed += jobs.size();
         return runner.run(jobs);
     };
     const auto csvOf = [](const std::vector<SweepRecord> &rows) {
@@ -295,9 +297,11 @@ strategy = static
         return os.str();
     };
 
-    // The three side cells share one baseline; the both cell profiles
-    // both sides again and adds one phase-2 job.
-    CellBatch::BaselineMemo memo;
+    // The three side cells share one baseline; the both cell lays out
+    // both sides' static sweeps again and adds one phase-2 job. The
+    // layout stays logical, but only the phase-2 job is new work: the
+    // per-side sweeps are memo hits on the dcache and icache cells.
+    JobMemo memo;
     CellBatch whole(*space, apps);
     whole.add(0, memo);
     whole.add(1, memo);
@@ -307,17 +311,27 @@ strategy = static
     EXPECT_EQ(whole.plannedJobs(), whole.phase1Jobs() + 1);
     EXPECT_EQ(whole.newBaselineLabels(),
               std::vector<std::string>{"m88ksim/baseline"});
-    const std::vector<SweepRecord> rows = whole.run(execute, memo);
+    std::size_t reported = 0, reused = 0;
+    const std::vector<SweepRecord> rows = whole.run(
+        execute, memo, [&](const RunJob &, const JobRun &, bool hit) {
+            ++reported;
+            reused += hit;
+        });
     ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(executed, single_sides + 1);
+    EXPECT_EQ(reported, whole.plannedJobs());
+    EXPECT_EQ(reused, whole.plannedJobs() - executed);
+    EXPECT_EQ(memo.runs.size(), executed);
 
-    // Over the warm memo a one-cell batch lays out no baseline and
-    // reports the same row.
+    // Over the warm memo a one-cell batch lays out no baseline, runs
+    // nothing, and reports the same row.
     for (std::size_t cell = 0; cell < rows.size(); ++cell) {
         CellBatch one(*space, apps);
         one.add(cell, memo);
         EXPECT_TRUE(one.newBaselineLabels().empty());
+        executed = 0;
         EXPECT_EQ(csvOf(one.run(execute, memo)), csvOf({rows[cell]}));
+        EXPECT_EQ(executed, 0u);
     }
 }
 

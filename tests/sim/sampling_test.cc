@@ -230,7 +230,7 @@ TEST(SampledRunTest, SampledSweepJobsCarryTheConfig)
 TEST(SampledRunTest, SettingEngineClearsBaselineMemo)
 {
     // A baseline laid out after setEngine runs at the new engine, and
-    // the baseline memo key (CellBatch::BaselineMemo) carries the
+    // the memo keys (baselineKey, and the job memo's jobKey) carry the
     // engine, so a memoized full-detail baseline never serves a
     // sampled cell.
     Experiment exp(SystemConfig::base(), 60000);
