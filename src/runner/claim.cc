@@ -211,6 +211,62 @@ quarantineManifest(const std::string &dir, std::string *err)
     return true;
 }
 
+std::optional<ManifestInfo>
+openManifest(const std::string &dir, const std::string &mode,
+             const std::optional<std::string> &scenario_text,
+             unsigned shards, std::string *err)
+{
+    std::string read_err;
+    bool corrupt = false;
+    auto mf = readManifest(dir, &read_err, &corrupt);
+    if (!mf) {
+        if (!scenario_text) {
+            *err = read_err;
+            return std::nullopt;
+        }
+        if (shards == 0) {
+            *err = "creating a manifest in '" + dir +
+                   "' needs --shards N";
+            return std::nullopt;
+        }
+        // A worker that carries the scenario can recover a damaged
+        // manifest: move it aside, re-create from the scenario.
+        std::string q_err;
+        if (corrupt && !quarantineManifest(dir, &q_err)) {
+            *err = read_err + "; " + q_err;
+            return std::nullopt;
+        }
+        ManifestInfo info;
+        info.mode = mode;
+        info.shards = shards;
+        info.scenarioText = *scenario_text;
+        std::string write_err;
+        if (writeManifest(dir, info, &write_err)) {
+            mf = info;
+        } else {
+            // Lost the creation race; join what the winner wrote.
+            mf = joinManifest(dir, &read_err);
+            if (!mf) {
+                *err = write_err;
+                return std::nullopt;
+            }
+        }
+    }
+    if (mf->mode != mode)
+        *err = "manifest in '" + dir + "' is a " + mf->mode +
+               " manifest, not a " + mode;
+    else if (scenario_text && *scenario_text != mf->scenarioText)
+        *err = "manifest in '" + dir +
+               "' was created for a different scenario";
+    else if (shards != 0 && shards != mf->shards)
+        *err = "--shards " + std::to_string(shards) +
+               " does not match the manifest's " +
+               std::to_string(mf->shards);
+    else
+        return mf;
+    return std::nullopt;
+}
+
 ClaimDir::ClaimDir(std::string dir, unsigned lease_timeout_secs)
     : dir_(std::move(dir)), timeoutSecs_(lease_timeout_secs)
 {
@@ -352,8 +408,13 @@ sweepUnitName(unsigned shard)
 std::string
 tuneUnitName(std::size_t round, unsigned shard)
 {
-    return "r" + std::to_string(round) + "_s" +
-           std::to_string(shard);
+    // Appends, not an operator+ chain: GCC 12 reports a false
+    // -Wrestrict on the chain once it is inlined.
+    std::string name = "r";
+    name += std::to_string(round);
+    name += "_s";
+    name += std::to_string(shard);
+    return name;
 }
 
 bool

@@ -89,6 +89,20 @@ std::optional<ManifestInfo> readManifest(const std::string &dir,
 bool quarantineManifest(const std::string &dir, std::string *err);
 
 /**
+ * The manifest a claim worker drains. Reads @p dir's manifest; when
+ * there is none (or a damaged one, which is moved aside first) and
+ * the worker carries the scenario (@p scenario_text), creates one
+ * with @p shards units, or joins a concurrent creator's. Then checks
+ * that the manifest is a @p mode manifest ("sweep" or "tune") for
+ * that scenario with @p shards units (0: any count).
+ * @return nullopt with a one-line @p err on any failure.
+ */
+std::optional<ManifestInfo>
+openManifest(const std::string &dir, const std::string &mode,
+             const std::optional<std::string> &scenario_text,
+             unsigned shards, std::string *err);
+
+/**
  * Lease bookkeeping for one manifest directory. All operations are
  * keyed by unit name ("shard_3", "r1_s0", ...); the class is
  * stateless beyond its configuration and safe to use from multiple

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 
 #include "analytic/analytic_engine.hh"
 #include "sim/multi_core_system.hh"
@@ -169,18 +170,13 @@ executeRunJob(const RunJob &job)
 }
 
 SweepRunner::SweepRunner(unsigned num_jobs)
-    : parallelism_(std::min(num_jobs == 0
-                                ? ThreadPool::hardwareThreads()
-                                : num_jobs,
-                            ThreadPool::maxThreads))
+    : parallelism_(std::min(
+          num_jobs == 0
+              ? std::max(1u, std::thread::hardware_concurrency())
+              : num_jobs,
+          maxWorkers))
 {
-    // Eager so concurrent run() calls on a shared runner never race
-    // on pool creation.
-    if (parallelism_ > 1)
-        pool_ = std::make_unique<ThreadPool>(parallelism_);
 }
-
-SweepRunner::~SweepRunner() = default;
 
 void
 SweepRunner::reportProgress(std::size_t done, std::size_t total,
@@ -234,15 +230,19 @@ SweepRunner::run(const std::vector<RunJob> &jobs) const
             reportProgress(done.fetch_add(1) + 1, jobs.size(), jobs[i]);
         }
     };
-    if (parallelism_ <= 1 || jobs.size() <= 1) {
+    const std::size_t workers =
+        std::min<std::size_t>(parallelism_, jobs.size());
+    if (workers <= 1) {
         work();
         return results;
     }
-    const std::size_t workers =
-        std::min<std::size_t>(parallelism_, jobs.size());
-    for (std::size_t w = 0; w < workers; ++w)
-        pool_->submit(work);
-    pool_->waitIdle();
+    {
+        // Joined at the end of this scope, after the last job.
+        std::vector<std::jthread> threads;
+        threads.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w)
+            threads.emplace_back(work);
+    }
     return results;
 }
 

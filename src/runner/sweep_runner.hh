@@ -7,10 +7,11 @@
  * self-contained simulated run. A RunJob captures one such point as
  * pure data; executeRunJob() constructs a private System for it, so
  * the result of a job depends only on the job spec. SweepRunner fans
- * a batch across a thread pool, starting jobs in submission order,
- * and writes each result into the slot of the job that produced it,
- * so the returned vector is in submission order and bit-identical to
- * a serial execution regardless of thread count or completion order.
+ * a batch across worker threads it starts for that batch, starting
+ * jobs in submission order, and writes each result into the slot of
+ * the job that produced it, so the returned vector is in submission
+ * order and bit-identical to a serial execution regardless of thread
+ * count or completion order.
  *
  * The one thing a batch's jobs may share is their instruction
  * streams. Most candidates of a profiling search read the same
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/thread_pool.hh"
 #include "sim/system.hh"
 #include "workload/synthetic.hh"
 
@@ -149,11 +149,16 @@ class SweepRunner
         std::size_t done, std::size_t total, const RunJob &job)>;
 
     /**
-     * @param num_jobs worker threads; <=1 runs batches inline on the
-     *                 calling thread, 0 selects hardware concurrency
+     * @param num_jobs worker threads; 1 runs batches inline on the
+     *                 calling thread, 0 selects hardware concurrency.
+     *                 Clamped to maxWorkers so a wrapped negative
+     *                 (e.g. "-1" parsed unsigned) cannot request
+     *                 billions of threads.
      */
     explicit SweepRunner(unsigned num_jobs = 1);
-    ~SweepRunner();
+
+    /** Hard upper bound on worker threads per batch. */
+    static constexpr unsigned maxWorkers = 256;
 
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
@@ -172,12 +177,12 @@ class SweepRunner
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
     /**
-     * Execute every job and return results in job order. Jobs start
-     * in submission order: each worker takes the next unstarted job.
-     * Determinism guarantee: equal input batches yield bit-identical
-     * result vectors for any parallelism. Blocks until the batch is
-     * done; must not be called from inside this runner's own pool (a
-     * job waiting on its own pool's idle state cannot drain).
+     * Execute every job and return results in job order, on
+     * min(parallelism(), jobs.size()) worker threads started for this
+     * call and joined before it returns. Jobs start in submission
+     * order: each worker takes the next unstarted job. Determinism
+     * guarantee: equal input batches yield bit-identical result
+     * vectors for any parallelism.
      */
     std::vector<RunResult> run(const std::vector<RunJob> &jobs) const;
 
@@ -192,8 +197,6 @@ class SweepRunner
 
     unsigned parallelism_;
     TraceEventRecorder *trace_ = nullptr;
-    /** Built in the constructor when parallelism_ > 1. */
-    std::unique_ptr<ThreadPool> pool_;
     mutable std::mutex progressMtx_;
     ProgressFn progress_;
 };

@@ -130,8 +130,13 @@ std::string
 coreModelListToken(const std::vector<CoreModel> &models)
 {
     std::string out;
-    for (std::size_t i = 0; i < models.size(); ++i)
-        out += (i ? "+" : "") + coreModelToken(models[i]);
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        // Two appends, not "+" + token: GCC 12 reports a false
+        // -Wrestrict on the inlined operator+.
+        if (i)
+            out += '+';
+        out += coreModelToken(models[i]);
+    }
     return out;
 }
 

@@ -208,7 +208,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
 
     // ---- execute in chunks: each chunk is one CellBatch whose
     // cells' baselines and candidate sweeps run as one batch, so the
-    // pool stays busy across cell boundaries; chunk rows are written
+    // workers stay busy across cell boundaries; chunk rows are written
     // and flushed before the next chunk runs. The job memo spans the
     // sweep, so no job runs twice in it.
     JobMemo memo;

@@ -22,7 +22,7 @@
  *
  * A sweep is a chunked CellBatch (scenario/cell_eval.hh) at the
  * scenario's engine: cells are added to a batch until it holds enough
- * jobs to keep the pool busy across cell boundaries, the batch runs
+ * jobs to keep the workers busy across cell boundaries, the batch runs
  * (side=both cells with their phase-2 combined runs, the paper's Fig 9
  * methodology), and its rows are written and flushed before the next
  * chunk starts. One job memo spans the sweep, so no job runs twice:

@@ -434,43 +434,12 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // ---- executor: local, or cooperative over a manifest dir
     std::unique_ptr<RoundExecutor> exec;
     if (!opt.claimDir.empty()) {
-        std::string read_err;
-        bool mf_corrupt = false;
-        auto mf = readManifest(opt.claimDir, &read_err, &mf_corrupt);
-        if (!mf) {
-            if (opt.shards == 0)
-                return fail(read_err);
-            // A worker that carries the full spec (--shards set) can
-            // recover a damaged manifest: move it aside, re-create.
-            if (mf_corrupt) {
-                std::string q_err;
-                if (!quarantineManifest(opt.claimDir, &q_err))
-                    return fail(read_err + "; " + q_err);
-            }
-            ManifestInfo info;
-            info.mode = "tune";
-            info.shards = opt.shards;
-            info.scenarioText = spec.printToString();
-            std::string write_err;
-            if (writeManifest(opt.claimDir, info, &write_err)) {
-                mf = info;
-            } else {
-                // Lost the creation race; join what the winner wrote.
-                mf = joinManifest(opt.claimDir, &read_err);
-                if (!mf)
-                    return fail(write_err);
-            }
-        }
-        if (mf->mode != "tune")
-            return fail("manifest in '" + opt.claimDir + "' is a " +
-                        mf->mode + " manifest, not a tune");
-        if (mf->scenarioText != spec.printToString())
-            return fail("manifest in '" + opt.claimDir +
-                        "' was created for a different scenario");
-        if (opt.shards != 0 && opt.shards != mf->shards)
-            return fail("--shards " + std::to_string(opt.shards) +
-                        " does not match the manifest's " +
-                        std::to_string(mf->shards));
+        std::string mf_err;
+        const auto mf = openManifest(opt.claimDir, "tune",
+                                     spec.printToString(), opt.shards,
+                                     &mf_err);
+        if (!mf)
+            return fail(mf_err);
         exec = std::make_unique<ClaimExecutor>(
             space, apps, opt.jobs,
             ClaimDir(opt.claimDir, opt.leaseTimeoutSecs),

@@ -76,46 +76,14 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
               const ClaimSweepOptions &opt)
 {
     // ---- create or join the manifest
-    std::string read_err;
-    bool mf_corrupt = false;
-    auto mf = readManifest(opt.dir, &read_err, &mf_corrupt);
-    if (!mf) {
-        if (!spec)
-            return fail(read_err);
-        if (opt.shards == 0)
-            return fail("creating a manifest in '" + opt.dir +
-                        "' needs --shards N");
-        // A worker that carries the full spec can recover a damaged
-        // manifest: move it aside, re-create from the scenario.
-        if (mf_corrupt) {
-            std::string q_err;
-            if (!quarantineManifest(opt.dir, &q_err))
-                return fail(read_err + "; " + q_err);
-        }
-        ManifestInfo info;
-        info.mode = "sweep";
-        info.shards = opt.shards;
-        info.scenarioText = spec->printToString();
-        std::string write_err;
-        if (writeManifest(opt.dir, info, &write_err)) {
-            mf = info;
-        } else {
-            // Lost the creation race; join what the winner wrote.
-            mf = joinManifest(opt.dir, &read_err);
-            if (!mf)
-                return fail(write_err);
-        }
-    }
-    if (mf->mode != "sweep")
-        return fail("manifest in '" + opt.dir + "' is a " +
-                    mf->mode + " manifest, not a sweep");
-    if (spec && spec->printToString() != mf->scenarioText)
-        return fail("manifest in '" + opt.dir +
-                    "' was created for a different scenario");
-    if (opt.shards != 0 && opt.shards != mf->shards)
-        return fail("--shards " + std::to_string(opt.shards) +
-                    " does not match the manifest's " +
-                    std::to_string(mf->shards));
+    std::string mf_err;
+    const auto mf = openManifest(
+        opt.dir, "sweep",
+        spec ? std::optional<std::string>(spec->printToString())
+             : std::nullopt,
+        opt.shards, &mf_err);
+    if (!mf)
+        return fail(mf_err);
 
     std::string parse_err;
     const auto mf_spec = ScenarioSpec::parseText(

@@ -1,8 +1,6 @@
 #include "sim/report.hh"
 
-#include <iomanip>
 #include <locale>
-#include <sstream>
 
 #include "cache/replacement.hh"
 #include "sim/table.hh"
@@ -11,16 +9,6 @@
 
 namespace rcache
 {
-
-std::string
-formatDelta(double ratio)
-{
-    std::ostringstream ss;
-    const double pct = 100.0 * (ratio - 1.0);
-    ss << (pct >= 0 ? "+" : "") << std::fixed << std::setprecision(1)
-       << pct << '%';
-    return ss.str();
-}
 
 void
 writeRunReport(std::ostream &os, const RunResult &r)
@@ -331,29 +319,6 @@ writeSweepTable(std::ostream &os,
                   TextTable::bytesKb(r.avgIl1Bytes),
                   TextTable::bytesKb(r.avgDl1Bytes),
                   engineName(r.engine), r.policy});
-    }
-    t.print(os);
-}
-
-void
-writeComparisonReport(std::ostream &os, const RunResult &baseline,
-                      const std::vector<ComparisonEntry> &entries)
-{
-    TextTable t({"design point", "cycles", "energy", "E*D",
-                 "avg i-L1", "avg d-L1"});
-    t.addRow({"baseline (" + baseline.workload + ")", "+0.0%",
-              "+0.0%", "+0.0%",
-              TextTable::bytesKb(baseline.avgIl1Bytes),
-              TextTable::bytesKb(baseline.avgDl1Bytes)});
-    for (const auto &e : entries) {
-        t.addRow({e.label,
-                  formatDelta(static_cast<double>(e.result.cycles) /
-                              static_cast<double>(baseline.cycles)),
-                  formatDelta(e.result.energy.total() /
-                              baseline.energy.total()),
-                  formatDelta(e.result.edp() / baseline.edp()),
-                  TextTable::bytesKb(e.result.avgIl1Bytes),
-                  TextTable::bytesKb(e.result.avgDl1Bytes)});
     }
     t.print(os);
 }

@@ -1,8 +1,7 @@
 /**
  * @file
- * Human-readable reports for run results: a full single-run summary
- * and a normalized comparison of design points against a baseline
- * (the form every figure in the paper uses).
+ * Reports for run results: a full single-run (or multi-core)
+ * summary, and the profiling-sweep rows as CSV, JSON or a text table.
  */
 
 #ifndef RCACHE_SIM_REPORT_HH
@@ -29,23 +28,6 @@ void writeRunReport(std::ostream &os, const RunResult &r);
  * attribution, occupancy, cross-core evictions).
  */
 void writeMultiCoreReport(std::ostream &os, const MultiCoreResult &r);
-
-/** One labelled design point for a comparison report. */
-struct ComparisonEntry
-{
-    std::string label;
-    RunResult result;
-};
-
-/**
- * Write a comparison table: each entry's cycles, energy and
- * energy-delay normalized to @p baseline, plus average L1 sizes.
- */
-void writeComparisonReport(std::ostream &os, const RunResult &baseline,
-                           const std::vector<ComparisonEntry> &entries);
-
-/** Format a relative change as "+x.x%" / "-x.x%". */
-std::string formatDelta(double ratio);
 
 /**
  * One row of a profiling sweep: the best point found for an (app,

@@ -64,6 +64,8 @@ TimelineSummary summarizeTimeline(std::istream &in)
 {
     TimelineSummary s;
     // Per-core previous cumulative cycle count, for residency deltas.
+    // A sweep's file holds many runs per core, one after another, and
+    // each run's rows count cycles from zero again starting at seq 0.
     std::map<unsigned, std::uint64_t> last_cycles;
     double ipc_sum = 0;
     std::uint64_t ipc_rows = 0;
@@ -90,7 +92,8 @@ TimelineSummary summarizeTimeline(std::istream &in)
             ipc_sum += getDouble(obj, "ipc");
             ++ipc_rows;
         }
-        const std::uint64_t prev = last_cycles[core];
+        const std::uint64_t prev =
+            getU64(obj, "seq") == 0 ? 0 : last_cycles[core];
         if (cycles > prev)
             s.dl1SizeCycles[getU64(obj, "dl1_bytes")] += cycles - prev;
         last_cycles[core] = cycles;
@@ -104,14 +107,15 @@ EventsSummary summarizeEvents(std::istream &in,
                               std::uint64_t oscillation_window)
 {
     EventsSummary s;
-    // Last resize direction per core+cache stream: +1 grow, -1
-    // shrink, with the interval it happened at.
-    struct LastResize
+    // Per job+cache+core stream: the last event's interval, and the
+    // last resize's direction (+1 grow, -1 shrink) and interval.
+    struct StreamState
     {
+        std::uint64_t lastInterval = 0;
         int direction = 0;
-        std::uint64_t interval = 0;
+        std::uint64_t resizeInterval = 0;
     };
-    std::map<std::string, LastResize> last;
+    std::map<std::string, StreamState> streams;
     std::string line;
     std::uint64_t line_no = 0;
     while (std::getline(in, line)) {
@@ -127,11 +131,20 @@ EventsSummary summarizeEvents(std::istream &in,
 
         const std::uint64_t interval = getU64(obj, "interval");
         // Intervals since the previous event on this stream were
-        // spent at the pre-decision size. Streams are keyed by
-        // core+cache; events arrive interval-ordered per stream.
-        const std::string stream =
-            getString(obj, "cache") + "#" +
-            std::to_string(getU64(obj, "core"));
+        // spent at the pre-decision size. A stream is one run's cache
+        // on one core: keyed by job (absent in a `run` file), cache
+        // and core, and restarted when its interval does not increase
+        // (the next run of a file that holds several).
+        const auto job = obj.find("job");
+        std::string key = job == obj.end() ? "" : job->second;
+        key += '\n';
+        key += getString(obj, "cache");
+        key += '#';
+        key += std::to_string(getU64(obj, "core"));
+        StreamState &stream = streams[key];
+        if (interval <= stream.lastInterval)
+            stream = StreamState{};
+        stream.lastInterval = interval;
         s.sizeIntervals[getU64(obj, "from_bytes")] += 1;
 
         const std::uint64_t from = getU64(obj, "from_level");
@@ -139,12 +152,11 @@ EventsSummary summarizeEvents(std::istream &in,
         if (from != to) {
             // Levels grow downward: level 0 is the largest size.
             const int direction = to < from ? +1 : -1;
-            LastResize &prev = last[stream];
-            if (prev.direction != 0 && prev.direction != direction &&
-                interval - prev.interval <= oscillation_window)
+            if (stream.direction != 0 && stream.direction != direction &&
+                interval - stream.resizeInterval <= oscillation_window)
                 ++s.oscillations;
-            prev.direction = direction;
-            prev.interval = interval;
+            stream.direction = direction;
+            stream.resizeInterval = interval;
         }
     }
     return s;

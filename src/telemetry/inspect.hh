@@ -32,7 +32,8 @@ struct TimelineSummary
     /** Arithmetic mean of detail-row interval IPCs. */
     double meanIpc = 0;
     /** D-cache size residency: enabled bytes → timed cycles spent
-     *  there (per-core cycle deltas attributed to the row's size). */
+     *  there (per-core cycle deltas attributed to the row's size; a
+     *  row with seq 0 starts a new run, counted from cycle 0). */
     std::map<std::uint64_t, std::uint64_t> dl1SizeCycles;
 };
 
@@ -45,9 +46,9 @@ struct EventsSummary
     /** Size residency: enabled bytes → controller intervals spent
      *  there (elapsed intervals attributed to the pre-event size). */
     std::map<std::uint64_t, std::uint64_t> sizeIntervals;
-    /** Direction reversals (grow→shrink or shrink→grow on the same
-     *  core+cache) within the oscillation window, a thrashing
-     *  controller's signature. */
+    /** Direction reversals (grow→shrink or shrink→grow within one
+     *  run's cache on one core) within the oscillation window, a
+     *  thrashing controller's signature. */
     std::uint64_t oscillations = 0;
     std::uint64_t totalFlushWritebacks = 0;
     std::uint64_t totalTransitionCycles = 0;

@@ -222,33 +222,4 @@ void writeTimelineJsonl(std::ostream &os,
     }
 }
 
-void writeTimelineCsvHeader(std::ostream &os, bool with_label)
-{
-    if (with_label)
-        os << "job,";
-    os << "core,seq,phase,insts,cycles,ipc,il1_miss_rate,"
-          "dl1_miss_rate,l2_miss_rate,il1_ways,il1_sets,il1_bytes,"
-          "dl1_ways,dl1_sets,dl1_bytes,mshr_busy,wb_busy,energy\n";
-}
-
-void writeTimelineCsv(std::ostream &os,
-                      const std::vector<TimelineRow> &rows,
-                      const std::string &label, bool with_label)
-{
-    for (const TimelineRow &r : rows) {
-        if (with_label)
-            os << label << ',';
-        os << r.core << ',' << r.seq << ',' << r.phase << ','
-           << r.insts << ',' << r.cycles << ','
-           << shortestDouble(r.ipc) << ','
-           << shortestDouble(r.il1MissRate) << ','
-           << shortestDouble(r.dl1MissRate) << ','
-           << shortestDouble(r.l2MissRate) << ','
-           << r.il1Ways << ',' << r.il1Sets << ',' << r.il1Bytes << ','
-           << r.dl1Ways << ',' << r.dl1Sets << ',' << r.dl1Bytes << ','
-           << r.mshrBusy << ',' << r.wbBusy << ','
-           << shortestDouble(r.energy) << '\n';
-    }
-}
-
 } // namespace rcache

@@ -154,16 +154,6 @@ void writeTimelineJsonl(std::ostream &os,
                         const std::vector<TimelineRow> &rows,
                         const std::string &label = "");
 
-/** CSV header for writeTimelineCsv (includes the job column iff
- *  @p with_label). */
-void writeTimelineCsvHeader(std::ostream &os, bool with_label);
-
-/** Append @p rows as CSV (no header; see writeTimelineCsvHeader). */
-void writeTimelineCsv(std::ostream &os,
-                      const std::vector<TimelineRow> &rows,
-                      const std::string &label = "",
-                      bool with_label = false);
-
 } // namespace rcache
 
 #endif // RCACHE_TELEMETRY_TIMELINE_HH

@@ -14,7 +14,7 @@
  * nondeterministic. Tests therefore validate structure, never bytes.
  *
  * Thread safety: record()/instant() may be called concurrently from
- * pool workers; write() must be called after the pool has quiesced.
+ * runner workers; write() must be called after they have finished.
  */
 
 #ifndef RCACHE_TELEMETRY_TRACE_EVENTS_HH

@@ -366,7 +366,10 @@ check_exit2_oneline("no-such-shard.csv:1: cannot open"
 set(EMPTY_ART "${CMAKE_CURRENT_BINARY_DIR}/empty_artifact.jsonl")
 file(WRITE ${EMPTY_ART} "")
 check_exit2_oneline("empty_artifact.jsonl:1: empty file"
-                    inspect --events ${EMPTY_ART})
+                    inspect --timeline ${EMPTY_ART})
+# An empty events file is what a run without a dynamic controller
+# writes: zero events, exit 0.
+check_prints("resize events: 0" inspect --events ${EMPTY_ART})
 set(EMPTY_CSV "${CMAKE_CURRENT_BINARY_DIR}/empty_shard.csv")
 file(WRITE ${EMPTY_CSV} "")
 check_exit2_oneline("empty_shard.csv:1: missing header"

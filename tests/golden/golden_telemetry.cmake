@@ -117,17 +117,11 @@ endforeach()
 
 # ---- 5. the inspect subcommand digests both artifacts. A static-only
 # scenario records no resize events (step 3 pinned its events file to
-# an empty golden), and inspect rejects an empty file by design, so
-# there it digests the timeline alone.
-file(SIZE ${WORK_DIR}/events.jsonl events_size)
-set(inspect_args --timeline ${WORK_DIR}/timeline.jsonl)
-set(needles "timeline:")
-if(events_size GREATER 0)
-  list(APPEND inspect_args --events ${WORK_DIR}/events.jsonl)
-  list(APPEND needles "resize events:" "decisions by reason:")
-endif()
+# an empty golden), which inspect summarizes as zero events.
+set(needles "timeline:" "resize events:" "decisions by reason:")
 execute_process(
-  COMMAND ${RCACHE_SIM} inspect ${inspect_args}
+  COMMAND ${RCACHE_SIM} inspect --timeline ${WORK_DIR}/timeline.jsonl
+          --events ${WORK_DIR}/events.jsonl
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE stderr)

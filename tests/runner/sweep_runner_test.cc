@@ -1,10 +1,12 @@
-/** @file Tests for the sweep runner: ordering, determinism,
- *  progress, cancellation, and row identity across worker counts. */
+/** @file Tests for the sweep runner: worker count, ordering,
+ *  determinism, progress, and row identity across worker counts. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <thread>
 
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
@@ -35,6 +37,27 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.dl1Resizes, b.dl1Resizes);
     EXPECT_EQ(a.il1LevelTrace, b.il1LevelTrace);
     EXPECT_EQ(a.dl1LevelTrace, b.dl1LevelTrace);
+}
+
+/** One baseline job per app in @p names, @p insts each. */
+std::vector<RunJob>
+baselineBatch(std::initializer_list<const char *> names,
+              std::uint64_t insts = kInsts)
+{
+    Experiment exp(SystemConfig::base(), insts);
+    std::vector<RunJob> jobs;
+    for (const char *name : names)
+        jobs.push_back(exp.baselineJob(profileByName(name)));
+    return jobs;
+}
+
+void
+expectAllIdentical(const std::vector<RunResult> &want,
+                   const std::vector<RunResult> &got)
+{
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectIdentical(want[i], got[i]);
 }
 
 /** A mixed batch: static levels of two apps plus a few dynamic
@@ -73,28 +96,61 @@ expectRowsIdenticalAtOneAndFourJobs(const char *text)
 
 } // namespace
 
+TEST(SweepRunnerTest, ZeroSelectsHardwareConcurrency)
+{
+    EXPECT_EQ(SweepRunner(0).parallelism(),
+              std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_EQ(SweepRunner(1).parallelism(), 1u);
+    EXPECT_EQ(SweepRunner(3).parallelism(), 3u);
+}
+
+TEST(SweepRunnerTest, HugeWorkerCountIsCapped)
+{
+    // A wrapped "-1" must not ask for billions of threads.
+    EXPECT_EQ(SweepRunner::maxWorkers, 256u);
+    EXPECT_EQ(SweepRunner(std::numeric_limits<unsigned>::max())
+                  .parallelism(),
+              SweepRunner::maxWorkers);
+    EXPECT_EQ(SweepRunner(257).parallelism(), SweepRunner::maxWorkers);
+}
+
+TEST(SweepRunnerTest, RunnerIsReusableAcrossBatches)
+{
+    const auto jobs =
+        baselineBatch({"ammp", "gcc", "swim", "vpr"}, 20000);
+    const auto serial = SweepRunner::runSerial(jobs);
+    SweepRunner runner(3);
+    for (int batch = 0; batch < 5; ++batch) {
+        SCOPED_TRACE(batch);
+        expectAllIdentical(serial, runner.run(jobs));
+    }
+}
+
+TEST(SweepRunnerTest, FewerJobsThanWorkers)
+{
+    SweepRunner runner(4);
+    for (const auto &jobs : {baselineBatch({"gcc"}, 20000),
+                             baselineBatch({"ammp", "swim"}, 20000)}) {
+        SCOPED_TRACE(jobs.size());
+        expectAllIdentical(SweepRunner::runSerial(jobs),
+                           runner.run(jobs));
+    }
+    EXPECT_TRUE(runner.run({}).empty());
+}
+
 TEST(SweepRunnerTest, ParallelResultsBitIdenticalToSerial)
 {
     Experiment exp(SystemConfig::base(), kInsts);
     const auto jobs = mixedBatch(exp);
 
     const auto serial = SweepRunner::runSerial(jobs);
-    SweepRunner parallel(4);
-    const auto par = parallel.run(jobs);
-
     ASSERT_EQ(serial.size(), jobs.size());
-    ASSERT_EQ(par.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectIdentical(serial[i], par[i]);
+    expectAllIdentical(serial, SweepRunner(4).run(jobs));
 }
 
 TEST(SweepRunnerTest, ResultsAreInJobOrder)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    std::vector<RunJob> jobs;
-    for (const char *name : {"ammp", "gcc", "swim", "vpr"})
-        jobs.push_back(exp.baselineJob(profileByName(name)));
-
+    const auto jobs = baselineBatch({"ammp", "gcc", "swim", "vpr"});
     SweepRunner runner(4);
     const auto results = runner.run(jobs);
     ASSERT_EQ(results.size(), jobs.size());
@@ -104,11 +160,7 @@ TEST(SweepRunnerTest, ResultsAreInJobOrder)
 
 TEST(SweepRunnerTest, ProgressReachesTotalExactlyOnce)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    std::vector<RunJob> jobs;
-    for (const char *name : {"ammp", "gcc", "swim"})
-        jobs.push_back(exp.baselineJob(profileByName(name)));
-
+    const auto jobs = baselineBatch({"ammp", "gcc", "swim"});
     SweepRunner runner(2);
     std::vector<std::size_t> seen;
     std::size_t total_seen = 0;

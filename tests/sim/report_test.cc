@@ -23,13 +23,6 @@ sampleRun()
 
 } // namespace
 
-TEST(ReportTest, FormatDelta)
-{
-    EXPECT_EQ(formatDelta(1.0), "+0.0%");
-    EXPECT_EQ(formatDelta(1.056), "+5.6%");
-    EXPECT_EQ(formatDelta(0.9), "-10.0%");
-}
-
 TEST(ReportTest, RunReportContainsKeyFields)
 {
     RunResult r = sampleRun();
@@ -41,34 +34,6 @@ TEST(ReportTest, RunReportContainsKeyFields)
     EXPECT_NE(s.find("miss ratios"), std::string::npos);
     EXPECT_NE(s.find("energy-delay product"), std::string::npos);
     EXPECT_NE(s.find(std::to_string(r.cycles)), std::string::npos);
-}
-
-TEST(ReportTest, ComparisonNormalizesToBaseline)
-{
-    RunResult base = sampleRun();
-    SystemConfig cfg = SystemConfig::base();
-    cfg.dl1Org = Organization::SelectiveSets;
-    SyntheticWorkload wl(profileByName("ammp"));
-    System sys(cfg);
-    RunResult small =
-        sys.run(wl, 30000, {}, ResizeSetup{Strategy::Static, 2, {}});
-
-    std::ostringstream os;
-    writeComparisonReport(os, base, {{"static 8K d$", small}});
-    const std::string s = os.str();
-    EXPECT_NE(s.find("baseline"), std::string::npos);
-    EXPECT_NE(s.find("static 8K d$"), std::string::npos);
-    EXPECT_NE(s.find("8.0K"), std::string::npos);
-    // The baseline row is all-zero deltas.
-    EXPECT_NE(s.find("+0.0%"), std::string::npos);
-}
-
-TEST(ReportTest, ComparisonHandlesEmptyEntries)
-{
-    RunResult base = sampleRun();
-    std::ostringstream os;
-    writeComparisonReport(os, base, {});
-    EXPECT_NE(os.str().find("baseline"), std::string::npos);
 }
 
 namespace

@@ -42,13 +42,14 @@ std::string eventLine(unsigned core, std::uint64_t interval,
     return os.str();
 }
 
-std::string timelineLine(unsigned core, std::uint64_t insts,
-                         std::uint64_t cycles, double ipc,
-                         std::uint64_t dl1_bytes,
+std::string timelineLine(unsigned core, std::uint64_t seq,
+                         std::uint64_t insts, std::uint64_t cycles,
+                         double ipc, std::uint64_t dl1_bytes,
                          const std::string &phase = "detail")
 {
     std::ostringstream os;
-    os << "{\"core\":" << core << ",\"phase\":\"" << phase
+    os << "{\"core\":" << core << ",\"seq\":" << seq
+       << ",\"phase\":\"" << phase
        << "\",\"insts\":" << insts << ",\"cycles\":" << cycles
        << ",\"ipc\":" << ipc << ",\"dl1_bytes\":" << dl1_bytes << "}";
     return os.str();
@@ -170,10 +171,10 @@ TEST(InspectTimelineTest, EscapedJobLabelsParseBack)
 TEST(InspectTimelineTest, SummarizesRowsAndResidency)
 {
     std::stringstream in;
-    in << timelineLine(0, 5000, 1000, 0.5, 32768) << "\n"
-       << timelineLine(0, 10000, 3000, 0.4, 16384) << "\n"
-       << timelineLine(1, 5000, 2000, 0.3, 32768) << "\n"
-       << timelineLine(1, 8000, 0, 0.0, 32768, "warmup") << "\n"
+    in << timelineLine(0, 0, 5000, 1000, 0.5, 32768) << "\n"
+       << timelineLine(0, 1, 10000, 3000, 0.4, 16384) << "\n"
+       << timelineLine(1, 0, 5000, 2000, 0.3, 32768) << "\n"
+       << timelineLine(1, 1, 8000, 0, 0.0, 32768, "warmup") << "\n"
        << "\n"; // blank lines are skipped
 
     const TimelineSummary s = summarizeTimeline(in);
@@ -190,10 +191,31 @@ TEST(InspectTimelineTest, SummarizesRowsAndResidency)
     EXPECT_EQ(s.dl1SizeCycles.at(16384), 2000u);
 }
 
+TEST(InspectTimelineTest, ResidencyRestartsWithEveryRun)
+{
+    // A sweep file holds one run after another on core 0; each run's
+    // cycles count from zero again at seq 0, so run B's first row
+    // (800 cycles, below run A's last 3000) is 800 cycles of B.
+    std::stringstream in;
+    in << timelineLine(0, 0, 5000, 1000, 0.5, 32768) << "\n"
+       << timelineLine(0, 1, 10000, 3000, 0.4, 16384) << "\n"
+       << timelineLine(0, 0, 5000, 800, 0.6, 32768) << "\n"
+       << timelineLine(0, 1, 10000, 2500, 0.3, 16384) << "\n";
+
+    const TimelineSummary s = summarizeTimeline(in);
+    EXPECT_EQ(s.cores, 1u);
+    ASSERT_EQ(s.dl1SizeCycles.size(), 2u);
+    EXPECT_EQ(s.dl1SizeCycles.at(32768), 1000u + 800u);
+    EXPECT_EQ(s.dl1SizeCycles.at(16384), 2000u + 1700u);
+    // Residency adds up to the two runs' final cycle counts.
+    EXPECT_EQ(s.dl1SizeCycles.at(32768) + s.dl1SizeCycles.at(16384),
+              3000u + 2500u);
+}
+
 TEST(InspectTimelineTest, ThrowsOnMalformedLineWithItsNumber)
 {
     std::stringstream in;
-    in << timelineLine(0, 5000, 1000, 0.5, 32768) << "\n"
+    in << timelineLine(0, 0, 5000, 1000, 0.5, 32768) << "\n"
        << "{\"core\":0, broken\n";
     try {
         summarizeTimeline(in);
@@ -258,6 +280,37 @@ TEST(InspectEventsTest, DetectsOscillationsWithinTheWindow)
     EXPECT_EQ(summarizeEvents(same).oscillations, 0u);
 }
 
+TEST(InspectEventsTest, RunsDoNotOscillateIntoEachOther)
+{
+    // Run A ends with a grow; run B opens with a shrink. Written by
+    // `run` (no job label), run B restarts at interval 1.
+    std::stringstream in;
+    in << eventLine(0, 1, 0, 0, "hold") << "\n"
+       << eventLine(0, 2, 1, 0, "grow") << "\n"
+       << eventLine(0, 1, 0, 0, "hold") << "\n"
+       << eventLine(0, 2, 0, 1, "shrink") << "\n";
+    const EventsSummary s = summarizeEvents(in);
+    EXPECT_EQ(s.events, 4u);
+    EXPECT_EQ(s.oscillations, 0u);
+
+    // In a sweep file each run carries its job label, so two runs
+    // are two streams even where the intervals happen to increase.
+    const auto labelled = [](const std::string &job,
+                             const std::string &line) {
+        return "{\"job\":\"" + job + "\"," + line.substr(1);
+    };
+    std::stringstream sweep;
+    sweep << labelled("A", eventLine(0, 1, 1, 0, "grow")) << "\n"
+          << labelled("B", eventLine(0, 2, 0, 1, "shrink")) << "\n";
+    EXPECT_EQ(summarizeEvents(sweep).oscillations, 0u);
+
+    // The same two moves within one run still count.
+    std::stringstream one;
+    one << labelled("A", eventLine(0, 1, 1, 0, "grow")) << "\n"
+        << labelled("A", eventLine(0, 2, 0, 1, "shrink")) << "\n";
+    EXPECT_EQ(summarizeEvents(one).oscillations, 1u);
+}
+
 TEST(InspectEventsTest, PrintersEmitTheInspectHeadings)
 {
     std::stringstream in;
@@ -271,7 +324,7 @@ TEST(InspectEventsTest, PrintersEmitTheInspectHeadings)
     EXPECT_NE(eout.str().find("grow: 1"), std::string::npos);
 
     std::stringstream tin;
-    tin << timelineLine(0, 5000, 1000, 0.5, 32768) << "\n";
+    tin << timelineLine(0, 0, 5000, 1000, 0.5, 32768) << "\n";
     const TimelineSummary ts = summarizeTimeline(tin);
     std::ostringstream tout;
     printTimelineSummary(tout, ts);

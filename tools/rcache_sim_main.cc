@@ -18,7 +18,7 @@
  *
  * sweep runs on the scenario engine (scenario/scenario_sweep.hh),
  * which enumerates every cell's jobs up front and executes them as
- * ONE batch, so the pool stays busy across cell boundaries and the
+ * ONE batch, so the workers stay busy across cell boundaries and the
  * output is byte-identical for any --jobs value, shard partition, or
  * resume point.
  */
@@ -727,17 +727,8 @@ cmdRun(const Args &args)
         std::ofstream os;
         if (!openOut(timeline_path, os))
             return 2;
-        const bool csv =
-            timeline_path.size() >= 4 &&
-            timeline_path.compare(timeline_path.size() - 4, 4,
-                                  ".csv") == 0;
         std::ostringstream rec;
-        if (csv) {
-            writeTimelineCsvHeader(rec, false);
-            writeTimelineCsv(rec, telem.timeline);
-        } else {
-            writeTimelineJsonl(rec, telem.timeline);
-        }
+        writeTimelineJsonl(rec, telem.timeline);
         checkedAppend(os, rec.str(), timeline_path,
                       "telemetry.timeline.append");
     }
@@ -893,38 +884,37 @@ cmdInspect(const Args &args)
     if (!window)
         return 2;
 
-    // Missing and empty inputs get the standard one-line
-    // "<path>:<line>:" diagnostic (an empty telemetry file always
-    // means a wiring mistake — a run that wrote nothing — and a
-    // silent empty summary would hide it).
-    const auto openArtifact =
-        [](const std::string &path,
-           std::ifstream &in) {
-            in.open(path, std::ios::binary);
-            if (!in) {
-                std::cerr << "rcache-sim: " << path
-                          << ":1: cannot open\n";
-                return false;
-            }
-            if (in.peek() == std::char_traits<char>::eof()) {
-                std::cerr << "rcache-sim: " << path
-                          << ":1: empty file\n";
-                return false;
-            }
-            return true;
-        };
+    // A missing input gets the standard one-line "<path>:<line>:"
+    // diagnostic. So does an empty timeline: a timed run always
+    // writes at least one row, so an empty one means a run that
+    // recorded nothing, and a silent empty summary would hide it. An
+    // empty events file is a run without a dynamic controller.
+    const auto openArtifact = [](const std::string &path,
+                                 std::ifstream &in, bool may_be_empty) {
+        in.open(path, std::ios::binary);
+        if (!in) {
+            std::cerr << "rcache-sim: " << path << ":1: cannot open\n";
+            return false;
+        }
+        if (!may_be_empty &&
+            in.peek() == std::char_traits<char>::eof()) {
+            std::cerr << "rcache-sim: " << path << ":1: empty file\n";
+            return false;
+        }
+        return true;
+    };
     try {
         if (args.has("--timeline")) {
             const std::string path = args.get("--timeline");
             std::ifstream in;
-            if (!openArtifact(path, in))
+            if (!openArtifact(path, in, false))
                 return 2;
             printTimelineSummary(std::cout, summarizeTimeline(in));
         }
         if (args.has("--events")) {
             const std::string path = args.get("--events");
             std::ifstream in;
-            if (!openArtifact(path, in))
+            if (!openArtifact(path, in, true))
                 return 2;
             if (args.has("--timeline"))
                 std::cout << '\n';
@@ -1140,8 +1130,7 @@ const std::vector<Command> kCommands = {
          {"--dl1-miss-bound", "N", "dl1 dynamic miss bound per interval"},
          {"--dl1-size-bound", "N", "dl1 dynamic size bound (bytes)"},
          {"--timeline", "FILE",
-          "write the per-core interval timeline to FILE (JSONL, or CSV "
-          "when FILE ends in .csv)"},
+          "write the per-core interval timeline to FILE (JSONL)"},
          {"--events", "FILE", "write the resize decisions to FILE "
                               "(JSONL)"},
          {"--trace-events", "FILE",
