@@ -7,6 +7,7 @@
 #include "cache/hierarchy.hh"
 #include "core/size_schedule.hh"
 #include "cpu/branch_predictor.hh"
+#include "util/parallel.hh"
 #include "workload/synthetic.hh"
 #include "workload/workload_factory.hh"
 
@@ -567,20 +568,29 @@ AnalyticBatch::registerConfig(const SystemConfig &cfg,
 }
 
 std::vector<RunResult>
-AnalyticBatch::price(const std::vector<RunJob> &jobs)
+AnalyticBatch::price(const std::vector<RunJob> &jobs, unsigned workers)
 {
+    std::vector<AnalyticPass *> pass_of;
+    std::vector<AnalyticPass *> pending;
+    for (const RunJob &job : jobs) {
+        AnalyticPass *pass = passes_.at(AnalyticPass::streamKey(
+            job.cfg, job.profile.name, job.insts)).get();
+        if (!pass->ran() &&
+            std::find(pending.begin(), pending.end(), pass) ==
+                pending.end())
+            pending.push_back(pass);
+        pass_of.push_back(pass);
+    }
+    parallelFor(pending.size(), workers,
+                [&](std::size_t i) { pending[i]->run(); });
+
     // Jobs are priced in order from shared passes, so every
     // downstream reduction, CSV row, and decision-log line is
-    // byte-identical for any --jobs value without touching a runner.
+    // byte-identical for any --jobs value.
     std::vector<RunResult> out;
     out.reserve(jobs.size());
-    for (const RunJob &job : jobs) {
-        AnalyticPass &pass = *passes_.at(AnalyticPass::streamKey(
-            job.cfg, job.profile.name, job.insts));
-        if (!pass.ran())
-            pass.run();
-        out.push_back(priceAnalyticJob(job, pass));
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        out.push_back(priceAnalyticJob(jobs[i], *pass_of[i]));
     return out;
 }
 

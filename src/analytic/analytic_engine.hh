@@ -206,9 +206,14 @@ class AnalyticBatch
                         const BenchmarkProfile &workload,
                         std::uint64_t insts);
 
-    /** Price @p jobs in order, running passes on first use. Every
-     *  job's config must have been registered. */
-    std::vector<RunResult> price(const std::vector<RunJob> &jobs);
+    /**
+     * Price @p jobs. First the passes they need that have not run yet
+     * run, on up to @p workers threads (passes are independent); then
+     * every job is priced in order, so results are identical for any
+     * @p workers. Every job's config must have been registered.
+     */
+    std::vector<RunResult> price(const std::vector<RunJob> &jobs,
+                                 unsigned workers = 1);
 
   private:
     std::map<std::string, std::unique_ptr<AnalyticPass>> passes_;

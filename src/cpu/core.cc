@@ -17,6 +17,18 @@ Core::Core(const CoreParams &params, Hierarchy &hier,
 {
 }
 
+CoreActivity
+Core::run(Workload &workload, std::uint64_t num_insts)
+{
+    beginWindow();
+    MicroInst batch[workloadBatchSize];
+    forEachSegment(workload, num_insts, batch, workloadBatchSize,
+                   [this](const MicroInst *insts, std::size_t n) {
+                       consume(insts, n);
+                   });
+    return endWindow();
+}
+
 void
 Core::resetTiming()
 {

@@ -9,6 +9,13 @@
  * paper's strategy comparison rests on — miss-latency exposure and
  * overlap — at a small fraction of the cost of a cycle-driven model.
  *
+ * A core measures in windows: beginWindow() opens one, consume() feeds
+ * it instructions, endWindow() closes it. Every value the loop carries
+ * from one instruction to the next is window state, so feeding a
+ * window whole or in segments of any sizes is the same computation.
+ * That is what lets one pass over a stream feed many cores
+ * (runLockstep in sim/system.hh).
+ *
  * Known simplifications (documented in DESIGN.md): issue bandwidth is
  * enforced at dispatch rather than separately at the scheduler, and
  * wrong-path fetch is not simulated.
@@ -103,17 +110,26 @@ class Core
          ResizePolicy *il1_policy, ResizePolicy *dl1_policy);
     virtual ~Core() = default;
 
-    /** Run @p num_insts instructions of @p workload to completion. */
-    virtual CoreActivity run(Workload &workload,
-                             std::uint64_t num_insts) = 0;
+    /** @name Measurement window (see file comment) */
+    /// @{
+    /** Open a window at cycle 0 of the current timing state. */
+    virtual void beginWindow() = 0;
+    /** Run @p insts[0..n) in the open window. */
+    virtual void consume(const MicroInst *insts, std::size_t n) = 0;
+    /** Close the window: its activity, cycles included. */
+    virtual CoreActivity endWindow() = 0;
+    /// @}
+
+    /** One window of @p num_insts instructions of @p workload. */
+    CoreActivity run(Workload &workload, std::uint64_t num_insts);
 
     /**
      * Restart the timing machinery at cycle 0 for a fresh measurement
      * window: fetch engine, bandwidth allocators, MSHRs, writeback
      * buffer. Warm state (the branch predictor, and the caches, which
      * live in the hierarchy) is untouched. CoreLane (sim/system.hh)
-     * calls this before every measured window; run() may then be
-     * called again. On a fresh core it changes nothing.
+     * calls this before every measured window. On a fresh core it
+     * changes nothing.
      */
     void resetTiming();
 
@@ -123,13 +139,16 @@ class Core
     const CoreParams &params() const { return params_; }
 
     /**
-     * Attach a telemetry probe (null to detach). With a probe, run()
-     * drains the workload in sampleInterval()-sized chunks and calls
-     * probe->onSample after each; the chunking is timing-invisible
-     * (see telemetry/probe.hh). With no probe, run() keeps its single
-     * unchunked drain.
+     * Attach a telemetry probe (null to detach) before a window
+     * opens: the window calls probe->onSample at its SampleCadence
+     * (telemetry/probe.hh).
      */
-    void setProbe(CoreProbe *probe) { probe_ = probe; }
+    void
+    setProbe(CoreProbe *probe)
+    {
+        probe_ = probe;
+        cadence_ = SampleCadence(probe);
+    }
 
   protected:
     /**
@@ -190,6 +209,7 @@ class Core
     ResizePolicy *il1Policy_;
     ResizePolicy *dl1Policy_;
     CoreProbe *probe_ = nullptr;
+    SampleCadence cadence_;
 
     BranchPredictor bpred_;
     MshrFile mshr_;

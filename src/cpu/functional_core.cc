@@ -1,7 +1,5 @@
 #include "cpu/functional_core.hh"
 
-#include <algorithm>
-
 namespace rcache
 {
 
@@ -19,15 +17,13 @@ FunctionalCore::FunctionalCore(Hierarchy &hier, BranchPredictor &bpred,
 }
 
 void
-FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
+FunctionalCore::consume(const MicroInst *insts, std::size_t n)
 {
     // Resize policies receive now_cycle == 0: time does not advance
     // during fast-forward, and Cache::accumulateEnabledTime clamps
     // non-monotonic cycles, so the byte-cycle integral is untouched.
     const unsigned block_bits = hier_.il1().geometry().blockBits();
 
-    // Batched drain, same as the timing cores: one virtual dispatch
-    // per workloadBatchSize instructions.
     const auto body = [&](const MicroInst &inst) {
         // Fetch: real hierarchy access on block transitions;
         // group re-reads of the current (hence MRU) block are
@@ -69,23 +65,24 @@ FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
         }
     };
 
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: chunked drain over the same member state —
-        // stream-identical to the single drain (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
-            probe_->onWarmupSample(done);
-        }
+    while (n > 0) {
+        const std::size_t span = cadence_.span(windowInsts_, n);
+        for (std::size_t k = 0; k < span; ++k)
+            body(insts[k]);
+        insts += span;
+        n -= span;
+        windowInsts_ += span;
+        if (cadence_.due(windowInsts_))
+            probe_->onWarmupSample(windowInsts_);
     }
-    instsRun_ += num_insts;
+}
+
+std::uint64_t
+FunctionalCore::endWindow()
+{
+    if (cadence_.owesTail(windowInsts_))
+        probe_->onWarmupSample(windowInsts_);
+    return windowInsts_;
 }
 
 } // namespace rcache

@@ -28,7 +28,7 @@
 #include "core/resize_policy.hh"
 #include "cpu/branch_predictor.hh"
 #include "telemetry/probe.hh"
-#include "workload/workload.hh"
+#include "workload/inst.hh"
 
 namespace rcache
 {
@@ -48,8 +48,18 @@ class FunctionalCore
                    unsigned fetch_width, ResizePolicy *il1_policy,
                    ResizePolicy *dl1_policy);
 
-    /** Advance @p num_insts instructions of @p workload. */
-    void run(Workload &workload, std::uint64_t num_insts);
+    /** @name Warmup window
+     * Same contract as the timing cores' windows (cpu/core.hh): any
+     * segmentation of a window is the same computation, and a probe
+     * hears onWarmupSample at the window's SampleCadence.
+     */
+    /// @{
+    void beginWindow() { windowInsts_ = 0; }
+    /** Advance state over @p insts[0..n). */
+    void consume(const MicroInst *insts, std::size_t n);
+    /** Close the window. @return instructions it ran */
+    std::uint64_t endWindow();
+    /// @}
 
     /**
      * Forget the current fetch block so the next instruction re-probes
@@ -62,11 +72,14 @@ class FunctionalCore
         groupRemaining_ = 0;
     }
 
-    std::uint64_t instsRun() const { return instsRun_; }
-
-    /** Attach a telemetry probe (null to detach); probed runs call
-     *  probe->onWarmupSample every sampleInterval() instructions. */
-    void setProbe(CoreProbe *probe) { probe_ = probe; }
+    /** Attach a telemetry probe (null to detach) before a window
+     *  opens. */
+    void
+    setProbe(CoreProbe *probe)
+    {
+        probe_ = probe;
+        cadence_ = SampleCadence(probe);
+    }
 
   private:
     Hierarchy &hier_;
@@ -77,8 +90,9 @@ class FunctionalCore
 
     Addr curFetchBlock_ = ~Addr{0};
     unsigned groupRemaining_ = 0;
-    std::uint64_t instsRun_ = 0;
+    std::uint64_t windowInsts_ = 0;
     CoreProbe *probe_ = nullptr;
+    SampleCadence cadence_;
 };
 
 } // namespace rcache

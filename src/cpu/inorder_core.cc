@@ -6,28 +6,25 @@ namespace rcache
 InOrderCore::InOrderCore(const CoreParams &params, Hierarchy &hier,
                          ResizePolicy *il1_policy,
                          ResizePolicy *dl1_policy)
-    : Core(params, hier, il1_policy, dl1_policy)
+    : Core(params, hier, il1_policy, dl1_policy),
+      win_(params),
+      completeRing_(depRing, 0)
 {
 }
 
-CoreActivity
-InOrderCore::run(Workload &workload, std::uint64_t num_insts)
+void
+InOrderCore::beginWindow()
 {
-    CoreActivity activity;
-    activity.outOfOrder = false;
+    win_ = Window(params_);
+    std::fill(completeRing_.begin(), completeRing_.end(), 0);
+}
 
-    SlotAllocator issue_slots(params_.dispatchWidth);
-    std::vector<std::uint64_t> complete_ring(depRing, 0);
+void
+InOrderCore::consume(const MicroInst *insts, std::size_t n)
+{
+    Window w = win_;
+    std::uint64_t *const complete_ring = completeRing_.data();
 
-    std::uint64_t last_issue = 0;
-    // Blocking d-cache: no instruction issues before this cycle.
-    std::uint64_t stall_until = 0;
-    std::uint64_t last_complete = 0;
-
-    // Drain the workload in batches (forEachBatched): one virtual
-    // nextBatch call per workloadBatchSize instructions instead of
-    // one next() each.
-    std::uint64_t i = 0;
     const auto body = [&](const MicroInst &inst) {
         const std::uint64_t fc = fetchInst(inst);
 
@@ -35,22 +32,23 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
         // index wraps), so the unpredictable "has a producer"
         // tests can resolve as conditional moves.
         std::uint64_t ready =
-            std::max({fc + params_.frontendDepth, last_issue,
-                      stall_until});
-        const bool use1 = inst.dep1 && inst.dep1 <= i;
+            std::max({fc + params_.frontendDepth, w.lastIssue,
+                      w.stallUntil});
+        const bool use1 = inst.dep1 && inst.dep1 <= w.i;
         const std::uint64_t p1 =
-            complete_ring[(i - inst.dep1) % depRing];
+            complete_ring[(w.i - inst.dep1) % depRing];
         ready = std::max(ready, use1 ? p1 : 0);
-        const bool use2 = inst.dep2 && inst.dep2 <= i;
+        const bool use2 = inst.dep2 && inst.dep2 <= w.i;
         const std::uint64_t p2 =
-            complete_ring[(i - inst.dep2) % depRing];
+            complete_ring[(w.i - inst.dep2) % depRing];
         ready = std::max(ready, use2 ? p2 : 0);
 
-        const std::uint64_t ic = issue_slots.alloc(ready);
-        last_issue = ic;
+        const std::uint64_t ic = w.issueSlots.alloc(ready);
+        w.lastIssue = ic;
 
         // Execute (the instruction-mix tallies ride along so the
         // op class is dispatched once, not twice).
+        CoreActivity &activity = w.activity;
         ++activity.insts;
         std::uint64_t complete;
         switch (inst.op) {
@@ -68,11 +66,11 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
             if (!res.l1Hit) {
                 // Blocking: the whole pipeline waits for the
                 // fill.
-                stall_until = std::max(stall_until, complete);
+                w.stallUntil = std::max(w.stallUntil, complete);
             }
             if (res.writeback) {
                 const std::uint64_t start = wb_.insert(ic);
-                stall_until = std::max(stall_until, start);
+                w.stallUntil = std::max(w.stallUntil, start);
             }
             break;
           }
@@ -97,34 +95,37 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
         if (inst.op == OpClass::Branch) {
             if (resolveBranch(inst, complete)) {
                 ++activity.mispredicts;
-                stall_until = std::max(stall_until, complete);
+                w.stallUntil = std::max(w.stallUntil, complete);
             }
         }
 
-        complete_ring[i % depRing] = complete;
-        last_complete = std::max(last_complete, complete);
-        ++i;
+        complete_ring[w.i % depRing] = complete;
+        w.lastComplete = std::max(w.lastComplete, complete);
+        ++w.i;
     };
 
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: drain in sample-interval chunks over the same
-        // locals — stream- and timing-identical to the single drain
-        // above (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
-            probe_->onSample(done, last_complete + 1, activity);
+    while (n > 0) {
+        const std::size_t span = cadence_.span(w.i, n);
+        for (std::size_t k = 0; k < span; ++k)
+            body(insts[k]);
+        insts += span;
+        n -= span;
+        if (cadence_.due(w.i)) {
+            const CoreActivity so_far = w.activity;
+            probe_->onSample(w.i, w.lastComplete + 1, so_far);
         }
     }
+    win_ = w;
+}
 
-    activity.cycles = last_complete + 1;
+CoreActivity
+InOrderCore::endWindow()
+{
+    if (cadence_.owesTail(win_.i))
+        probe_->onSample(win_.i, win_.lastComplete + 1,
+                         win_.activity);
+    CoreActivity activity = win_.activity;
+    activity.cycles = win_.lastComplete + 1;
     return activity;
 }
 

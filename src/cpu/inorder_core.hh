@@ -26,11 +26,35 @@ class InOrderCore : public Core
                 ResizePolicy *il1_policy = nullptr,
                 ResizePolicy *dl1_policy = nullptr);
 
-    CoreActivity run(Workload &workload,
-                     std::uint64_t num_insts) override;
+    void beginWindow() override;
+    void consume(const MicroInst *insts, std::size_t n) override;
+    CoreActivity endWindow() override;
 
   private:
     static constexpr std::size_t depRing = 256;
+
+    /** The open window's loop-carried scalars; consume() works on a
+     *  local copy (see OooCore::Window). */
+    struct Window
+    {
+        explicit Window(const CoreParams &p) : issueSlots(p.dispatchWidth)
+        {
+            activity.outOfOrder = false;
+        }
+
+        SlotAllocator issueSlots;
+        std::uint64_t i = 0;
+        std::uint64_t lastIssue = 0;
+        /** Blocking d-cache: no instruction issues before this
+         *  cycle. */
+        std::uint64_t stallUntil = 0;
+        std::uint64_t lastComplete = 0;
+        CoreActivity activity;
+    };
+
+    Window win_;
+    /** Completion cycle per instruction (dependences). */
+    std::vector<std::uint64_t> completeRing_;
 };
 
 } // namespace rcache

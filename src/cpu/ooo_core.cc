@@ -5,70 +5,64 @@ namespace rcache
 
 OooCore::OooCore(const CoreParams &params, Hierarchy &hier,
                  ResizePolicy *il1_policy, ResizePolicy *dl1_policy)
-    : Core(params, hier, il1_policy, dl1_policy)
+    : Core(params, hier, il1_policy, dl1_policy),
+      win_(params),
+      completeRing_(depRing, 0),
+      commitRing_(params.robSize, 0),
+      lsqRing_(params.lsqSize, 0)
 {
 }
 
-CoreActivity
-OooCore::run(Workload &workload, std::uint64_t num_insts)
+void
+OooCore::beginWindow()
 {
-    CoreActivity activity;
+    win_ = Window(params_);
+    for (auto *ring : {&completeRing_, &commitRing_, &lsqRing_})
+        std::fill(ring->begin(), ring->end(), 0);
+}
 
-    SlotAllocator dispatch_slots(params_.dispatchWidth);
-    SlotAllocator commit_slots(params_.commitWidth);
-
-    std::vector<std::uint64_t> complete_ring(depRing, 0);
-    std::vector<std::uint64_t> commit_ring(params_.robSize, 0);
-    std::vector<std::uint64_t> lsq_ring(params_.lsqSize, 0);
-
+void
+OooCore::consume(const MicroInst *insts, std::size_t n)
+{
+    Window w = win_;
+    std::uint64_t *const complete_ring = completeRing_.data();
+    std::uint64_t *const commit_ring = commitRing_.data();
+    std::uint64_t *const lsq_ring = lsqRing_.data();
     const unsigned dblock_bits = hier_.dl1().geometry().blockBits();
-    std::uint64_t mem_count = 0;
-    std::uint64_t last_commit = 0;
-    // Earliest cycle the next commit may happen (writeback stalls).
-    std::uint64_t commit_floor = 0;
 
-    // Rolling ring cursors: robSize/lsqSize are runtime values, so
-    // `i % size` is a hardware divide on the per-instruction path;
-    // increment-and-wrap tracks the same index for one compare.
-    std::size_t rob_idx = 0;
-    std::size_t lsq_idx = 0;
-
-    // Drain the workload in batches (forEachBatched): one virtual
-    // nextBatch call per workloadBatchSize instructions instead of
-    // one next() each.
-    std::uint64_t i = 0;
     const auto body = [&](const MicroInst &inst) {
         const std::uint64_t fc = fetchInst(inst);
 
         // Dispatch: frontend depth, bandwidth, ROB and LSQ
         // occupancy.
         std::uint64_t dmin = fc + params_.frontendDepth;
-        if (i >= params_.robSize) {
-            dmin = std::max(dmin, commit_ring[rob_idx] + 1);
+        if (w.i >= params_.robSize) {
+            dmin = std::max(dmin, commit_ring[w.robIdx] + 1);
         }
         const bool is_mem =
             inst.op == OpClass::Load || inst.op == OpClass::Store;
-        if (is_mem && mem_count >= params_.lsqSize) {
-            dmin = std::max(dmin, lsq_ring[lsq_idx] + 1);
+        if (is_mem && w.memCount >= params_.lsqSize) {
+            dmin = std::max(dmin, lsq_ring[w.lsqIdx] + 1);
         }
-        const std::uint64_t dc = dispatch_slots.alloc(dmin);
+        const std::uint64_t dc = w.dispatchSlots.alloc(dmin);
 
         // Ready when producers complete. The ring reads are safe
         // for any dep distance (the index wraps), so the
         // unpredictable "has a producer" tests can resolve as
         // conditional moves instead of branches.
         std::uint64_t ready = dc;
-        const bool use1 = inst.dep1 && inst.dep1 <= i;
+        const bool use1 = inst.dep1 && inst.dep1 <= w.i;
         const std::uint64_t p1 =
-            complete_ring[(i - inst.dep1) % depRing];
+            complete_ring[(w.i - inst.dep1) % depRing];
         ready = std::max(ready, use1 ? p1 : 0);
-        const bool use2 = inst.dep2 && inst.dep2 <= i;
+        const bool use2 = inst.dep2 && inst.dep2 <= w.i;
         const std::uint64_t p2 =
-            complete_ring[(i - inst.dep2) % depRing];
+            complete_ring[(w.i - inst.dep2) % depRing];
         ready = std::max(ready, use2 ? p2 : 0);
 
         // Execute (the instruction-mix tallies ride along so the
         // op class is dispatched once, not twice).
+        CoreActivity &activity = w.activity;
         ++activity.insts;
         std::uint64_t complete;
         switch (inst.op) {
@@ -116,9 +110,9 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
         }
 
         // Commit in order.
-        const std::uint64_t cc = commit_slots.alloc(
-            std::max({complete + 1, last_commit, commit_floor}));
-        last_commit = cc;
+        const std::uint64_t cc = w.commitSlots.alloc(
+            std::max({complete + 1, w.lastCommit, w.commitFloor}));
+        w.lastCommit = cc;
 
         if (inst.op == OpClass::Store) {
             MemAccessResult res =
@@ -132,7 +126,7 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
             }
             if (res.writeback) {
                 const std::uint64_t start = wb_.insert(cc);
-                commit_floor = std::max(commit_floor, start);
+                w.commitFloor = std::max(w.commitFloor, start);
             }
         }
 
@@ -141,38 +135,40 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
                 ++activity.mispredicts;
         }
 
-        complete_ring[i % depRing] = complete;
-        commit_ring[rob_idx] = cc;
-        if (++rob_idx == params_.robSize)
-            rob_idx = 0;
+        complete_ring[w.i % depRing] = complete;
+        commit_ring[w.robIdx] = cc;
+        if (++w.robIdx == params_.robSize)
+            w.robIdx = 0;
         if (is_mem) {
-            lsq_ring[lsq_idx] = cc;
-            if (++lsq_idx == params_.lsqSize)
-                lsq_idx = 0;
-            ++mem_count;
+            lsq_ring[w.lsqIdx] = cc;
+            if (++w.lsqIdx == params_.lsqSize)
+                w.lsqIdx = 0;
+            ++w.memCount;
         }
-        ++i;
+        ++w.i;
     };
 
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: drain in sample-interval chunks over the same
-        // locals — stream- and timing-identical to the single drain
-        // above (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
-            probe_->onSample(done, last_commit + 1, activity);
+    while (n > 0) {
+        const std::size_t span = cadence_.span(w.i, n);
+        for (std::size_t k = 0; k < span; ++k)
+            body(insts[k]);
+        insts += span;
+        n -= span;
+        if (cadence_.due(w.i)) {
+            const CoreActivity so_far = w.activity;
+            probe_->onSample(w.i, w.lastCommit + 1, so_far);
         }
     }
+    win_ = w;
+}
 
-    activity.cycles = last_commit + 1;
+CoreActivity
+OooCore::endWindow()
+{
+    if (cadence_.owesTail(win_.i))
+        probe_->onSample(win_.i, win_.lastCommit + 1, win_.activity);
+    CoreActivity activity = win_.activity;
+    activity.cycles = win_.lastCommit + 1;
     return activity;
 }
 

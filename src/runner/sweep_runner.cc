@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "analytic/analytic_engine.hh"
 #include "sim/multi_core_system.hh"
 #include "telemetry/trace_events.hh"
-#include "workload/tape.hh"
+#include "util/parallel.hh"
 #include "workload/workload_factory.hh"
 
 namespace rcache
@@ -15,6 +16,16 @@ namespace rcache
 
 namespace
 {
+
+/** The workload mix of a multi-core @p job: mixProfiles, or
+ *  job.profile on every core. */
+std::vector<BenchmarkProfile>
+mixOf(const RunJob &job)
+{
+    return job.mixProfiles.empty()
+               ? std::vector<BenchmarkProfile>{job.profile}
+               : job.mixProfiles;
+}
 
 /** The profile core @p core of @p job runs: the mix cycles across
  *  cores, and a single core runs job.profile. */
@@ -26,115 +37,69 @@ laneProfile(const RunJob &job, unsigned core)
     return job.mixProfiles[core % job.mixProfiles.size()];
 }
 
+/** What fixes the streams @p job reads and the periods it reads them
+ *  in (see SweepRunner::laneGroups). */
 std::string
-streamKey(const RunJob &job, const BenchmarkProfile &p)
+scheduleKey(const RunJob &job)
 {
-    return profileKey(p) + '|' + std::to_string(job.insts) + '|' +
-           engineArg(job.engine);
+    // A single core runs its whole stream as one quantum.
+    const std::uint64_t quantum =
+        job.cfg.cores > 1 ? job.cfg.quantumInsts : job.insts;
+    std::string key = std::to_string(job.cfg.cores) + '|' +
+                      std::to_string(job.insts) + '|' +
+                      std::to_string(quantum) + '|' +
+                      engineArg(job.engine);
+    for (unsigned c = 0; c < job.cfg.cores; ++c) {
+        key += '|';
+        key += profileKey(laneProfile(job, c));
+    }
+    return key;
 }
 
-/** Record the calls one core of @p job makes on stream @p p. */
-std::shared_ptr<const Tape>
-recordTape(const RunJob &job, const BenchmarkProfile &p)
+/** Run @p group, timed jobs of one schedule, as the lanes of one
+ *  lockstep group. @return their results, in group order */
+std::vector<RunResult>
+runLanes(const std::vector<const RunJob *> &group)
 {
-    const std::unique_ptr<Workload> live = makeWorkload(p);
-    auto tape = std::make_shared<Tape>(live->name());
-    MicroInst batch[workloadBatchSize];
-    for (std::uint64_t left = job.insts; left > 0;) {
-        // Every quantum reads on from the last, so one window of all
-        // that is left stands for a full-detail run's quanta.
-        const SamplingConfig::PeriodShape shape =
-            job.engine.period(left, left);
-        if (shape.fastForward) {
-            live->skip(shape.fastForward);
-            tape->skip(shape.fastForward);
+    const RunJob &lead = *group.front();
+    std::vector<std::vector<CoreLane *>> members;
+    std::vector<RunResult> results;
+    if (lead.cfg.cores == 1) {
+        const std::unique_ptr<Workload> stream = makeWorkload(lead.profile);
+        std::vector<std::unique_ptr<System>> systems;
+        for (const RunJob *job : group) {
+            systems.push_back(std::make_unique<System>(job->cfg));
+            members.push_back({&systems.back()->start(
+                job->il1, job->dl1, job->engine, job->telemetry)});
         }
-        for (std::uint64_t read = shape.warmup + shape.detailed;
-             read > 0;) {
-            const std::size_t n = static_cast<std::size_t>(
-                std::min<std::uint64_t>(read, workloadBatchSize));
-            live->nextBatch(batch, n);
-            tape->append(batch, n);
-            read -= n;
-        }
-        left -= shape.fastForward + shape.warmup + shape.detailed;
+        runLockstep({stream.get()}, members, lead.insts, lead.insts,
+                    lead.engine);
+        for (const auto &sys : systems)
+            results.push_back(sys->finish(stream->name(), lead.insts));
+        return results;
     }
-    return tape;
+    const MultiCoreSystem::Streams streams =
+        MultiCoreSystem::openStreams(mixOf(lead), lead.cfg.cores);
+    std::vector<Workload *> slots;
+    for (const auto &s : streams)
+        slots.push_back(s.get());
+    std::vector<std::unique_ptr<MultiCoreSystem>> systems;
+    for (const RunJob *job : group) {
+        systems.push_back(std::make_unique<MultiCoreSystem>(job->cfg));
+        members.push_back(systems.back()->start(job->il1, job->dl1,
+                                                job->engine,
+                                                job->telemetry));
+    }
+    runLockstep(slots, members, lead.insts, lead.cfg.quantumInsts,
+                lead.engine);
+    for (std::size_t m = 0; m < group.size(); ++m)
+        results.push_back(
+            systems[m]->finish(mixOf(*group[m]), streams, lead.insts)
+                .aggregate);
+    return results;
 }
 
 } // namespace
-
-TapeDeck::TapeDeck(const std::vector<RunJob> &jobs)
-{
-    for (const RunJob &job : jobs) {
-        if (job.engine.analytic())
-            continue;
-        for (unsigned c = 0; c < job.cfg.cores; ++c) {
-            Stream &s = streams_[streamKey(job, laneProfile(job, c))];
-            s.taped = ++s.uses >= 2;
-        }
-    }
-}
-
-TapeDeck::~TapeDeck() = default;
-
-std::unique_ptr<Workload>
-TapeDeck::open(const RunJob &job, const BenchmarkProfile &p)
-{
-    const std::string key = streamKey(job, p);
-    std::unique_lock<std::mutex> lk(mtx_);
-    Stream &s = streams_.at(key);
-    if (!s.tape) {
-        if (!s.taped || s.recording) {
-            lk.unlock();
-            return makeWorkload(p);
-        }
-        s.recording = true;
-        lk.unlock();
-        std::shared_ptr<const Tape> tape = recordTape(job, p);
-        lk.lock();
-        s.recording = false;
-        s.tape = std::move(tape);
-    }
-    std::shared_ptr<const Tape> tape = s.tape;
-    lk.unlock();
-    return std::make_unique<TapeWorkload>(std::move(tape));
-}
-
-void
-TapeDeck::release(const RunJob &job)
-{
-    if (job.engine.analytic())
-        return;
-    std::vector<std::string> keys;
-    for (unsigned c = 0; c < job.cfg.cores; ++c)
-        keys.push_back(streamKey(job, laneProfile(job, c)));
-    std::lock_guard<std::mutex> lk(mtx_);
-    for (const std::string &key : keys) {
-        Stream &s = streams_.at(key);
-        rc_assert(s.uses > 0);
-        if (--s.uses == 0)
-            s.tape.reset();
-    }
-}
-
-std::size_t
-TapeDeck::tapedStreams() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return static_cast<std::size_t>(
-        std::count_if(streams_.begin(), streams_.end(),
-                      [](const auto &kv) { return kv.second.taped; }));
-}
-
-std::size_t
-TapeDeck::liveTapes() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return static_cast<std::size_t>(std::count_if(
-        streams_.begin(), streams_.end(),
-        [](const auto &kv) { return kv.second.tape != nullptr; }));
-}
 
 RunResult
 executeRunJob(const RunJob &job)
@@ -145,28 +110,16 @@ executeRunJob(const RunJob &job)
     rc_assert(job.cfg.cores > 1 || job.mixProfiles.size() <= 1);
     if (job.engine.analytic())
         return runAnalyticJob(job);
-    const StreamOpener open = [&job](const BenchmarkProfile &p) {
-        return job.tapes ? job.tapes->open(job, p) : makeWorkload(p);
-    };
-    RunResult res;
     if (job.cfg.cores > 1) {
         MultiCoreSystem sys(job.cfg);
-        const std::vector<BenchmarkProfile> mix =
-            job.mixProfiles.empty()
-                ? std::vector<BenchmarkProfile>{job.profile}
-                : job.mixProfiles;
-        res = sys.run(mix, job.insts, job.il1, job.dl1, job.engine,
-                      job.telemetry, open)
-                  .aggregate;
-    } else {
-        const std::unique_ptr<Workload> wl = open(job.profile);
-        System sys(job.cfg);
-        res = sys.run(*wl, job.insts, job.il1, job.dl1, job.engine,
-                      job.telemetry);
+        return sys.run(mixOf(job), job.insts, job.il1, job.dl1,
+                       job.engine, job.telemetry)
+            .aggregate;
     }
-    if (job.tapes)
-        job.tapes->release(job);
-    return res;
+    const std::unique_ptr<Workload> wl = makeWorkload(job.profile);
+    System sys(job.cfg);
+    return sys.run(*wl, job.insts, job.il1, job.dl1, job.engine,
+                   job.telemetry);
 }
 
 SweepRunner::SweepRunner(unsigned num_jobs)
@@ -197,52 +150,88 @@ SweepRunner::runSerial(const std::vector<RunJob> &jobs)
     return results;
 }
 
-RunResult
-SweepRunner::tracedExecute(const RunJob &job) const
+std::vector<std::vector<std::size_t>>
+SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
 {
+    std::vector<std::vector<std::size_t>> schedules;
+    std::map<std::string, std::size_t> index;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].engine.analytic()) {
+            schedules.push_back({i});
+            continue;
+        }
+        const auto [it, fresh] =
+            index.try_emplace(scheduleKey(jobs[i]), schedules.size());
+        if (fresh)
+            schedules.emplace_back();
+        schedules[it->second].push_back(i);
+    }
+
+    const std::size_t cap = std::clamp<std::size_t>(
+        jobs.size() / (2 * std::max(1u, workers)), 1, maxLanes);
+    std::vector<std::vector<std::size_t>> groups;
+    for (const std::vector<std::size_t> &s : schedules) {
+        const std::size_t n = (s.size() + cap - 1) / cap;
+        auto at = s.begin();
+        for (std::size_t g = 0; g < n; ++g) {
+            const std::size_t len = s.size() / n + (g < s.size() % n);
+            groups.emplace_back(at, at + len);
+            at += len;
+        }
+    }
+    std::sort(groups.begin(), groups.end(),
+              [](const auto &a, const auto &b) {
+                  return a.front() < b.front();
+              });
+    return groups;
+}
+
+void
+SweepRunner::runGroup(const std::vector<RunJob> &jobs,
+                      const std::vector<std::size_t> &group,
+                      std::vector<RunResult> &results) const
+{
+    std::vector<const RunJob *> members;
+    for (const std::size_t i : group)
+        members.push_back(&jobs[i]);
+    const auto begin =
+        trace_ ? trace_->now() : TraceEventRecorder::Clock::time_point{};
+    if (members.front()->engine.analytic()) {
+        results[group.front()] = executeRunJob(*members.front());
+    } else {
+        std::vector<RunResult> out = runLanes(members);
+        for (std::size_t k = 0; k < group.size(); ++k)
+            results[group[k]] = std::move(out[k]);
+    }
     if (!trace_)
-        return executeRunJob(job);
-    const auto begin = trace_->now();
-    RunResult res = executeRunJob(job);
-    TraceEventRecorder::Args args{{"label", job.label}};
-    if (!job.tracePoint.empty())
-        args.emplace_back("point", job.tracePoint);
-    trace_->completeSpan(job.label, begin, trace_->now(),
+        return;
+    TraceEventRecorder::Args args{
+        {"lanes", std::to_string(members.size())}};
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        const std::string n = std::to_string(k);
+        args.emplace_back("label." + n, members[k]->label);
+        if (!members[k]->tracePoint.empty())
+            args.emplace_back("point." + n, members[k]->tracePoint);
+    }
+    trace_->completeSpan(members.front()->label, begin, trace_->now(),
                          std::move(args));
-    return res;
 }
 
 std::vector<RunResult>
 SweepRunner::run(const std::vector<RunJob> &jobs) const
 {
     std::vector<RunResult> results(jobs.size());
+    const std::vector<std::vector<std::size_t>> groups =
+        laneGroups(jobs, parallelism_);
 
-    // Each worker takes the next unstarted job, so jobs start in
-    // submission order and neighbouring jobs, which tend to share a
-    // stream, run together: a TapeDeck then keeps about one tape per
-    // worker alive. results[i] is written only by the worker that
-    // took job i; `done` is shared for progress display only.
-    std::atomic<std::size_t> next{0};
+    // A group's members are written only by the worker that took it;
+    // `done` is shared for progress display only.
     std::atomic<std::size_t> done{0};
-    const auto work = [&] {
-        for (std::size_t i; (i = next.fetch_add(1)) < jobs.size();) {
-            results[i] = tracedExecute(jobs[i]);
+    parallelFor(groups.size(), parallelism_, [&](std::size_t g) {
+        runGroup(jobs, groups[g], results);
+        for (const std::size_t i : groups[g])
             reportProgress(done.fetch_add(1) + 1, jobs.size(), jobs[i]);
-        }
-    };
-    const std::size_t workers =
-        std::min<std::size_t>(parallelism_, jobs.size());
-    if (workers <= 1) {
-        work();
-        return results;
-    }
-    {
-        // Joined at the end of this scope, after the last job.
-        std::vector<std::jthread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w)
-            threads.emplace_back(work);
-    }
+    });
     return results;
 }
 

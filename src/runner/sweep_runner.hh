@@ -6,27 +6,25 @@
  * organization, strategy, level/param) design point is one complete,
  * self-contained simulated run. A RunJob captures one such point as
  * pure data; executeRunJob() constructs a private System for it, so
- * the result of a job depends only on the job spec. SweepRunner fans
- * a batch across worker threads it starts for that batch, starting
- * jobs in submission order, and writes each result into the slot of
- * the job that produced it, so the returned vector is in submission
- * order and bit-identical to a serial execution regardless of thread
- * count or completion order.
+ * the result of a job depends only on the job spec.
  *
- * The one thing a batch's jobs may share is their instruction
- * streams. Most candidates of a profiling search read the same
- * stream, so a TapeDeck records each stream two or more of a batch's
- * jobs read, once, and replays it to the rest (workload/tape.hh).
- * A replay equals the live stream instruction for instruction, so
- * results stay a pure function of the job spec.
+ * Most candidates of a profiling search read the same streams in the
+ * same periods. So SweepRunner partitions a batch into stream
+ * schedules (laneGroups) and runs each schedule's jobs as the lanes of
+ * lockstep groups (runLockstep in sim/system.hh): a group opens each
+ * stream once and feeds every segment of it to every member. A lane
+ * ends exactly as its job would alone, so results stay a pure function
+ * of the job spec. Groups run on worker threads started for the
+ * batch, starting in submission order, and each writes its members'
+ * results into their jobs' slots, so the returned vector is in
+ * submission order and bit-identical to a serial execution regardless
+ * of thread count, grouping or completion order.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
 #define RCACHE_RUNNER_SWEEP_RUNNER_HH
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -37,8 +35,6 @@
 namespace rcache
 {
 
-class Tape;
-class TapeDeck;
 class TraceEventRecorder;
 
 /** One self-contained design point: everything a run needs. */
@@ -69,61 +65,6 @@ struct RunJob
     RunTelemetry *telemetry = nullptr;
     /** Design-point coordinates for runner trace spans ("k=v ..."). */
     std::string tracePoint;
-    /**
-     * The batch's tapes, or null (every stream runs live). The deck
-     * must have counted this job and must outlive its execution.
-     */
-    TapeDeck *tapes = nullptr;
-};
-
-/**
- * The tapes of one job batch. A stream is a (profile, instructions
- * per core, engine) triple: what one core of a full-detail or sampled
- * run reads. Each stream that two or more lanes of the batch's jobs
- * read gets a tape, decided from the jobs alone. The first job to
- * open a stream records its tape (walking EngineSpec::period, the
- * calls CoreLane makes) and replays it; a job that opens the stream
- * while another worker is still recording runs it live instead of
- * waiting, and every later job replays. The deck drops a tape after
- * its last lane is released, so with jobs started in submission
- * order and a stream's jobs adjacent, the live tapes stay about one
- * per worker. Thread-safe.
- */
-class TapeDeck
-{
-  public:
-    /** Count the streams of @p jobs (analytic jobs read none). */
-    explicit TapeDeck(const std::vector<RunJob> &jobs);
-    ~TapeDeck();
-
-    TapeDeck(const TapeDeck &) = delete;
-    TapeDeck &operator=(const TapeDeck &) = delete;
-
-    /** One lane of @p job reading profile @p p: a replay of the
-     *  stream's tape, or the live stream (see above). */
-    std::unique_ptr<Workload> open(const RunJob &job,
-                                   const BenchmarkProfile &p);
-    /** @p job has finished: release each of its lanes' streams. */
-    void release(const RunJob &job);
-
-    /** Streams with a tape (recorded or not). */
-    std::size_t tapedStreams() const;
-    /** Tapes recorded and not yet dropped. */
-    std::size_t liveTapes() const;
-
-  private:
-    struct Stream
-    {
-        /** Lanes that have not released the stream yet. */
-        std::size_t uses = 0;
-        /** Two or more lanes read it. */
-        bool taped = false;
-        bool recording = false;
-        std::shared_ptr<const Tape> tape;
-    };
-
-    mutable std::mutex mtx_;
-    std::map<std::string, Stream> streams_;
 };
 
 /**
@@ -132,7 +73,7 @@ class TapeDeck
  * result), or — for job.engine == analytic — a fresh single-job
  * AnalyticPass (src/analytic/analytic_engine.hh; sweeps share one
  * pass across jobs instead of coming through here). Each core reads
- * its stream from job.tapes when set, else from makeWorkload. Pure
+ * its own stream from makeWorkload: a lockstep group of one. Pure
  * function of the job spec every way.
  */
 RunResult executeRunJob(const RunJob &job);
@@ -142,7 +83,8 @@ class SweepRunner
 {
   public:
     /**
-     * Called after each job finishes (serialized; any thread).
+     * Called after each job finishes (serialized; any thread): a lane
+     * group reports its members in job order when it ends.
      * @param done jobs completed so far  @param total batch size
      */
     using ProgressFn = std::function<void(
@@ -160,6 +102,10 @@ class SweepRunner
     /** Hard upper bound on worker threads per batch. */
     static constexpr unsigned maxWorkers = 256;
 
+    /** Most lanes one group runs: a started System is about 336 KB
+     *  resident, so a worker holds at most about 2.7 MB of them. */
+    static constexpr std::size_t maxLanes = 8;
+
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
@@ -169,31 +115,51 @@ class SweepRunner
     void setProgress(ProgressFn fn) { progress_ = std::move(fn); }
 
     /**
-     * Attach a Chrome trace-event recorder: every executed job gets a
-     * complete span named by its label, tagged with its tracePoint
-     * and recorded on the worker thread that ran it. Null detaches.
-     * The recorder must outlive every run() call that sees it.
+     * Attach a Chrome trace-event recorder: every lane group gets one
+     * complete span, recorded on the worker thread that ran it and
+     * named by its first member's label. Its args carry the lane count
+     * ("lanes") and each member k's label and tracePoint ("label.k",
+     * "point.k"). Null detaches. The recorder must outlive every run()
+     * call that sees it.
      */
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
     /**
-     * Execute every job and return results in job order, on
-     * min(parallelism(), jobs.size()) worker threads started for this
-     * call and joined before it returns. Jobs start in submission
-     * order: each worker takes the next unstarted job. Determinism
-     * guarantee: equal input batches yield bit-identical result
-     * vectors for any parallelism.
+     * Execute every job and return results in job order: the
+     * laneGroups(jobs, parallelism()) groups, on min(parallelism(),
+     * groups) worker threads started for this call and joined before
+     * it returns. Groups start in submission order: each worker takes
+     * the next unstarted group. Determinism guarantee: equal input
+     * batches yield bit-identical result vectors for any parallelism.
      */
     std::vector<RunResult> run(const std::vector<RunJob> &jobs) const;
 
-    /** The serial reference path (what run() must reproduce). */
+    /** The serial reference path, one executeRunJob per job (what
+     *  run() must reproduce). */
     static std::vector<RunResult>
     runSerial(const std::vector<RunJob> &jobs);
+
+    /**
+     * How run() groups @p jobs for @p workers workers, as job indices.
+     * Jobs share a schedule when their core slots read equal profiles
+     * (profileKey) over equal instructions per core, engine, core
+     * count and interleave quantum; analytic jobs read no stream and
+     * run alone. Each schedule is split, in job order, into
+     * near-equal groups of at most jobs.size() / (2 * workers) lanes
+     * (so each worker gets two groups or more when the batch allows),
+     * clamped to [1, maxLanes]. Groups are ordered by first job.
+     */
+    static std::vector<std::vector<std::size_t>>
+    laneGroups(const std::vector<RunJob> &jobs, unsigned workers);
 
   private:
     void reportProgress(std::size_t done, std::size_t total,
                         const RunJob &job) const;
-    RunResult tracedExecute(const RunJob &job) const;
+    /** Run group @p group of @p jobs into @p results, with its trace
+     *  span. */
+    void runGroup(const std::vector<RunJob> &jobs,
+                  const std::vector<std::size_t> &group,
+                  std::vector<RunResult> &results) const;
 
     unsigned parallelism_;
     TraceEventRecorder *trace_ = nullptr;

@@ -177,8 +177,8 @@ namespace
 
 /**
  * Run @p jobs through @p memo (see CellBatch::run): execute each key
- * the memo lacks once, with the memo's telemetry and one TapeDeck for
- * the executed jobs, then report every job in order.
+ * the memo lacks once, with the memo's telemetry, then report every
+ * job in order.
  * @return every job's result, in job order
  */
 std::vector<RunResult>
@@ -201,17 +201,13 @@ runMemoized(const std::vector<RunJob> &jobs,
 
     if (!fresh.empty()) {
         std::vector<std::shared_ptr<RunTelemetry>> bundles(fresh.size());
-        const bool telemetry =
-            memo.timelineInterval > 0 || memo.resizeEvents;
-        TapeDeck deck(fresh);
-        for (std::size_t k = 0; k < fresh.size(); ++k) {
-            if (telemetry) {
+        if (memo.timelineInterval > 0 || memo.resizeEvents) {
+            for (std::size_t k = 0; k < fresh.size(); ++k) {
                 bundles[k] = std::make_shared<RunTelemetry>();
                 bundles[k]->timelineInterval = memo.timelineInterval;
                 bundles[k]->resizeEvents = memo.resizeEvents;
                 fresh[k].telemetry = bundles[k].get();
             }
-            fresh[k].tapes = &deck;
         }
         const std::vector<RunResult> results = execute(fresh);
         rc_assert(results.size() == fresh.size());
@@ -411,17 +407,17 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
     JobMemo memo;
     for (const std::size_t cell : cells)
         batch.add(cell, memo, engine);
+    const SweepRunner runner(jobs);
     if ((engine ? *engine : space.spec().engine).analytic()) {
         AnalyticBatch analytic;
         for (const std::size_t cell : cells)
             registerAnalyticCell(analytic, space, apps, cell);
         return batch.run(
             [&](const std::vector<RunJob> &js) {
-                return analytic.price(js);
+                return analytic.price(js, runner.parallelism());
             },
             memo);
     }
-    SweepRunner runner(jobs);
     return batch.run(
         [&](const std::vector<RunJob> &js) { return runner.run(js); },
         memo);

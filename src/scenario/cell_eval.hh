@@ -23,9 +23,10 @@
  * identity (jobKey) holds every result a search has computed, so a
  * side=both cell reuses the per-side static sweeps its app's dcache
  * and icache cells already ran, in this batch or an earlier one. The
- * jobs a batch does execute share their instruction streams through
- * a TapeDeck (runner/sweep_runner.hh). The layout stays logical:
- * every job counts and reports as laid out, whatever it reused.
+ * jobs a batch does execute share their instruction streams as the
+ * lanes of the runner's lockstep groups (runner/sweep_runner.hh). The
+ * layout stays logical: every job counts and reports as laid out,
+ * whatever it reused.
  *
  * The free helpers are the vocabulary around it: workload resolution,
  * mix attachment, memo keys, and the record a finished cell reports.
@@ -104,8 +105,7 @@ std::string baselineKey(const SystemConfig &cfg,
  * Memo key of @p job: everything executeRunJob reads — the profile
  * (or trace spec) and mix, the whole SystemConfig, the instruction
  * count, both ResizeSetups, and the engine. Equal keys give equal
- * results; the label, telemetry, trace point and tapes are not part
- * of it.
+ * results; the label, telemetry and trace point are not part of it.
  */
 std::string jobKey(const RunJob &job);
 
@@ -169,7 +169,7 @@ class CellBatch
      * Runs a job list and returns its results in job order: a
      * SweepRunner's run or an AnalyticBatch's price. It sees only the
      * jobs the memo lacks, one per key, with their telemetry bundles
-     * and tapes attached.
+     * attached.
      */
     using Execute =
         std::function<std::vector<RunResult>(const std::vector<RunJob> &)>;

@@ -221,14 +221,16 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         std::max<std::size_t>(64, 8 * runner.parallelism());
 
     // Runs the jobs a phase of a chunk does not find in the memo.
-    // Analytic cells never touch the runner: each job is priced from
-    // its shared pass, in job order, so every reduction, CSV row, and
-    // resume/shard contract is untouched (and the report is trivially
+    // Analytic cells never reach the runner's lanes: their passes run
+    // on its worker count, then each job is priced from its shared
+    // pass, in job order, so every reduction, CSV row, and
+    // resume/shard contract is untouched (and the report is
     // byte-identical for any --jobs value).
     const auto execute = [&](const std::vector<RunJob> &jobs) {
         total_runs += jobs.size();
-        return spec.engine.analytic() ? analytic.price(jobs)
-                                      : runner.run(jobs);
+        return spec.engine.analytic()
+                   ? analytic.price(jobs, runner.parallelism())
+                   : runner.run(jobs);
     };
     // Every laid-out job writes its telemetry rows under its own
     // label, in job order; a memo hit writes those of the run it

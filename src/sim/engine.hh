@@ -18,8 +18,8 @@
  * EngineSpec is the single selection surface: the CLI's --engine
  * flag, the scenario [engine] section, RunJob, Experiment,
  * System::run and MultiCoreSystem::run all carry one. Full and
- * sampled runs then share one loop, CoreLane (sim/system.hh), which
- * is the only place the engine decides how a run carves into
+ * sampled runs then share one loop, runLockstep (sim/system.hh),
+ * which is the only place the engine decides how a run carves into
  * measured windows.
  *
  * Canonical-form invariant: `sampling` holds the period shape only
@@ -89,8 +89,7 @@ struct EngineSpec
      * The next period of a run with @p remaining instructions left: a
      * sampling period (SamplingConfig::periodShape) under a sampled
      * engine, else a measured window of min(@p quantum, remaining)
-     * instructions. CoreLane::turn runs one per turn, and a tape
-     * (workload/tape.hh) records the calls those periods make.
+     * instructions. runLockstep (sim/system.hh) runs one per turn.
      */
     SamplingConfig::PeriodShape period(std::uint64_t remaining,
                                        std::uint64_t quantum) const

@@ -15,8 +15,7 @@ namespace
  * address shifted into the core's own high-address window, so
  * concurrent programs never alias in the shared L2. The offset leaves
  * all index/tag-low bits untouched — each stream's L1 and alias-set
- * behavior is bit-identical to the unshifted stream, so a tape of the
- * unshifted stream serves every core that runs it.
+ * behavior is bit-identical to the unshifted stream.
  */
 class AddressSpaceWorkload final : public Workload
 {
@@ -68,56 +67,69 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig &cfg)
     rc_assert(cfg_.quantumInsts > 0);
 }
 
+MultiCoreSystem::Streams
+MultiCoreSystem::openStreams(const std::vector<BenchmarkProfile> &mix,
+                             unsigned cores)
+{
+    rc_assert(!mix.empty());
+    Streams streams;
+    for (unsigned c = 0; c < cores; ++c)
+        streams.push_back(std::make_unique<AddressSpaceWorkload>(
+            makeWorkload(mix[c % mix.size()]), addressSpaceBase(c)));
+    return streams;
+}
+
+std::vector<CoreLane *>
+MultiCoreSystem::start(const ResizeSetup &il1_setup,
+                       const ResizeSetup &dl1_setup,
+                       const EngineSpec &engine, RunTelemetry *telemetry)
+{
+    rc_assert(lanes_.empty());
+    engine.validate();
+    if (engine.analytic())
+        rc_fatal("the analytic engine supports single-core runs only");
+    engine_ = engine;
+    std::vector<CoreLane *> lanes;
+    for (unsigned c = 0; c < cfg_.cores; ++c) {
+        lanes_.push_back(std::make_unique<CoreLane>(cfg_, c, l2_));
+        lanes_.back()->start(il1_setup, dl1_setup, engine, telemetry);
+        lanes.push_back(lanes_.back().get());
+    }
+    return lanes;
+}
+
 MultiCoreResult
 MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
                      std::uint64_t insts_per_core,
                      const ResizeSetup &il1_setup,
                      const ResizeSetup &dl1_setup,
                      const EngineSpec &engine,
-                     RunTelemetry *telemetry,
-                     const StreamOpener &open)
+                     RunTelemetry *telemetry)
 {
-    rc_assert(!ran_);
-    ran_ = true;
-    rc_assert(!mix.empty());
     rc_assert(insts_per_core > 0);
-    engine.validate();
-    if (engine.analytic())
-        rc_fatal("the analytic engine supports single-core runs only");
+    const std::vector<CoreLane *> lanes =
+        start(il1_setup, dl1_setup, engine, telemetry);
+    const Streams streams = openStreams(mix, cfg_.cores);
+    std::vector<Workload *> slots;
+    for (const auto &s : streams)
+        slots.push_back(s.get());
+    runLockstep(slots, {lanes}, insts_per_core, cfg_.quantumInsts,
+                engine);
+    return finish(mix, streams, insts_per_core);
+}
 
-    // ---- one lane per core, each over its own address space
-    std::vector<std::unique_ptr<AddressSpaceWorkload>> workloads;
-    std::vector<std::unique_ptr<CoreLane>> lanes;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        workloads.push_back(std::make_unique<AddressSpaceWorkload>(
-            open(mix[c % mix.size()]), addressSpaceBase(c)));
-        lanes.push_back(std::make_unique<CoreLane>(cfg_, c, l2_));
-        lanes.back()->start(il1_setup, dl1_setup, engine, telemetry);
-    }
-
-    // ---- advance in deterministic round-robin turns: one quantum
-    // (full detail) or one whole sampling period (sampled) per core
-    // per turn, so the shared-L2 interleave is a pure function of the
-    // configuration in both modes.
-    std::vector<std::uint64_t> remaining(cfg_.cores, insts_per_core);
-    bool work_left = true;
-    while (work_left) {
-        work_left = false;
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            if (remaining[c] == 0)
-                continue;
-            remaining[c] -= lanes[c]->turn(*workloads[c], remaining[c],
-                                           cfg_.quantumInsts);
-            work_left = work_left || remaining[c] != 0;
-        }
-    }
-
+MultiCoreResult
+MultiCoreSystem::finish(const std::vector<BenchmarkProfile> &mix,
+                        const Streams &streams,
+                        std::uint64_t insts_per_core)
+{
+    rc_assert(!mix.empty() && lanes_.size() == cfg_.cores);
     // ---- per-core results; timelines are handed over in core order
     MultiCoreResult out;
     out.perCore.reserve(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c)
         out.perCore.push_back(
-            lanes[c]->finish(workloads[c]->name(), insts_per_core));
+            lanes_[c]->finish(streams[c]->name(), insts_per_core));
 
     // ---- shared-L2 attribution
     out.l2PerCore.reserve(cfg_.cores);
@@ -133,7 +145,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
             name += (i ? "+" : "") + mix[i].name;
         agg.workload = std::move(name);
     }
-    agg.engine = engine.mode;
+    agg.engine = engine_.mode;
     double total_l2_accesses = 0;
     for (const RunResult &r : out.perCore) {
         agg.insts += r.insts;
@@ -161,7 +173,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
     // The shared L2 is one physical structure: charge its switching
     // for the total attributed traffic and its size-proportional term
     // once, over the makespan.
-    for (const auto &lane : lanes) {
+    for (const auto &lane : lanes_) {
         const CoreLane::Measured &m = lane->measured();
         const double scale = static_cast<double>(insts_per_core) /
                              static_cast<double>(m.activity.insts);
@@ -173,7 +185,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
         static_cast<double>(agg.cycles));
     {
         double l1i_m = 0, l1i_a = 0, l1d_m = 0, l1d_a = 0;
-        for (const auto &lane : lanes) {
+        for (const auto &lane : lanes_) {
             const CoreLane::Measured &m = lane->measured();
             l1i_m += m.il1.misses;
             l1i_a += m.il1.accesses;

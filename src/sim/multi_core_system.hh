@@ -15,9 +15,10 @@
  * cores are not modelled (each core keeps its private timing pools),
  * matching the single-core model's purely functional L2.
  *
- * Each core is a CoreLane (sim/system.hh), the loop every timing run
- * goes through; this class only builds the lanes over one SharedL2,
- * hands them turns, and aggregates their results.
+ * Each core is a CoreLane (sim/system.hh) and runLockstep hands the
+ * cores their turns; this class only builds the lanes over one
+ * SharedL2, opens each core's stream, and aggregates the lanes'
+ * results.
  *
  * Determinism contract: cores advance in a fixed round-robin
  * interleave — core 0 takes a turn, then core 1, ... until every core
@@ -92,18 +93,40 @@ class MultiCoreSystem
 
     /**
      * Run @p insts_per_core instructions on every core. Core i runs
-     * the profile mix[i % mix.size()] in a private address space,
-     * reading the stream @p open builds for it. Every core applies
-     * the same resize setups (to its own private controllers).
-     * Single use.
+     * the profile mix[i % mix.size()] in a private address space
+     * (openStreams). Every core applies the same resize setups (to
+     * its own private controllers). Single use.
      */
     MultiCoreResult run(const std::vector<BenchmarkProfile> &mix,
                         std::uint64_t insts_per_core,
                         const ResizeSetup &il1_setup = {},
                         const ResizeSetup &dl1_setup = {},
                         const EngineSpec &engine = {},
-                        RunTelemetry *telemetry = nullptr,
-                        const StreamOpener &open = makeWorkload);
+                        RunTelemetry *telemetry = nullptr);
+
+    /** One stream per core slot. */
+    using Streams = std::vector<std::unique_ptr<Workload>>;
+
+    /** The streams @p cores cores running @p mix read: core i's is
+     *  mix[i % mix.size()], shifted to addressSpaceBase(i). */
+    static Streams openStreams(const std::vector<BenchmarkProfile> &mix,
+                               unsigned cores);
+
+    /** @name One member of a lockstep group
+     * run() is start(), runLockstep over openStreams(), then
+     * finish(): start() returns the lanes to feed, one per core
+     * (arguments as run()'s), and finish() reads each core's
+     * workload name from @p streams.
+     */
+    /// @{
+    std::vector<CoreLane *> start(const ResizeSetup &il1_setup,
+                                  const ResizeSetup &dl1_setup,
+                                  const EngineSpec &engine,
+                                  RunTelemetry *telemetry);
+    MultiCoreResult finish(const std::vector<BenchmarkProfile> &mix,
+                           const Streams &streams,
+                           std::uint64_t insts_per_core);
+    /// @}
 
     const SystemConfig &config() const { return cfg_; }
     SharedL2 &sharedL2() { return l2_; }
@@ -121,7 +144,8 @@ class MultiCoreSystem
   private:
     SystemConfig cfg_;
     SharedL2 l2_;
-    bool ran_ = false;
+    std::vector<std::unique_ptr<CoreLane>> lanes_;
+    EngineSpec engine_;
 };
 
 } // namespace rcache

@@ -18,7 +18,7 @@
  * instruction mix, and per-cache counter deltas accumulate across all
  * windows and are extrapolated (scaled by total/measured
  * instructions) to full-run estimates. The loop that runs the periods
- * is CoreLane (sim/system.hh), the same one full-detail and
+ * is runLockstep (sim/system.hh), the same one full-detail and
  * multi-core runs go through; this file only says how periods carve
  * up.
  *
@@ -94,7 +94,7 @@ struct SamplingConfig
      * How one period carves up when @p remaining instructions are
      * left: full periods use the configured split; a short tail keeps
      * the measurement window at the expense of fast-forward so every
-     * period ends measured. CoreLane::turn (sim/system.hh) takes
+     * period ends measured. runLockstep (sim/system.hh) takes
      * every sampled period from here, for single-core and multi-core
      * runs alike.
      */

@@ -125,58 +125,64 @@ CoreLane::start(const ResizeSetup &il1_setup,
     }
 }
 
-std::uint64_t
-CoreLane::turn(Workload &workload, std::uint64_t remaining,
-               std::uint64_t quantum)
+CoreLane::Snapshot
+CoreLane::snapshot() const
 {
-    const SamplingConfig::PeriodShape shape =
-        engine_.period(remaining, quantum);
-    runPeriod(workload, shape);
-    return shape.fastForward + shape.warmup + shape.detailed;
+    return {CacheActivity::of(il1_.cache()),
+            CacheActivity::of(dl1_.cache()), hier_.l2Accesses(),
+            hier_.l2Misses(), hier_.memReads() + hier_.memWrites()};
 }
 
 void
-CoreLane::runPeriod(Workload &workload,
-                    const SamplingConfig::PeriodShape &shape)
+CoreLane::begin(Phase phase)
 {
     rc_assert(core_);
-    // Fast-forward: workload position only; nothing simulated.
-    if (shape.fastForward)
-        workload.skip(shape.fastForward);
-
-    // Warmup: rebuild cache/predictor/controller state that went
-    // stale across the skip, with no timing.
-    if (shape.warmup) {
+    phase_ = phase;
+    if (phase == Phase::Warmup) {
+        // Rebuild cache/predictor/controller state that went stale
+        // across the skip, with no timing.
         func_->invalidateFetchBlock();
-        func_->run(workload, shape.warmup);
-        measured_.warmupInsts += shape.warmup;
+        func_->beginWindow();
+        return;
     }
-
     // A fresh timing window: cycle 0, empty structural pools,
-    // byte-cycle integrals re-anchored. Warm state (caches,
-    // predictor, controller counters) carries over. On a fresh lane
-    // both restarts leave everything as constructed.
+    // byte-cycle integrals re-anchored. On a fresh lane both restarts
+    // leave everything as constructed.
     core_->resetTiming();
     il1_.cache().restartTimeAccounting();
     dl1_.cache().restartTimeAccounting();
+    pre_ = snapshot();
+    core_->beginWindow();
+}
 
-    const CacheActivity il1_pre = CacheActivity::of(il1_.cache());
-    const CacheActivity dl1_pre = CacheActivity::of(dl1_.cache());
-    const std::uint64_t l2a_pre = hier_.l2Accesses();
-    const std::uint64_t l2m_pre = hier_.l2Misses();
-    const std::uint64_t mem_pre = hier_.memReads() + hier_.memWrites();
+void
+CoreLane::feed(const MicroInst *insts, std::size_t n)
+{
+    if (phase_ == Phase::Warmup)
+        func_->consume(insts, n);
+    else
+        core_->consume(insts, n);
+}
 
-    const CoreActivity act = core_->run(workload, shape.detailed);
+void
+CoreLane::end()
+{
+    if (phase_ == Phase::Warmup) {
+        measured_.warmupInsts += func_->endWindow();
+        return;
+    }
+    const CoreActivity act = core_->endWindow();
     il1_.cache().accumulateEnabledTime(act.cycles);
     dl1_.cache().accumulateEnabledTime(act.cycles);
 
+    const Snapshot post = snapshot();
     Measured &m = measured_;
-    m.il1 += CacheActivity::of(il1_.cache()) - il1_pre;
-    m.dl1 += CacheActivity::of(dl1_.cache()) - dl1_pre;
-    m.l2Accesses += static_cast<double>(hier_.l2Accesses() - l2a_pre);
-    m.l2Misses += static_cast<double>(hier_.l2Misses() - l2m_pre);
-    m.memAccesses += static_cast<double>(
-        hier_.memReads() + hier_.memWrites() - mem_pre);
+    m.il1 += post.il1 - pre_.il1;
+    m.dl1 += post.dl1 - pre_.dl1;
+    m.l2Accesses += static_cast<double>(post.l2Accesses - pre_.l2Accesses);
+    m.l2Misses += static_cast<double>(post.l2Misses - pre_.l2Misses);
+    m.memAccesses +=
+        static_cast<double>(post.memAccesses - pre_.memAccesses);
     m.activity.addCounts(act);
     m.activity.cycles += act.cycles;
 }
@@ -265,10 +271,55 @@ System::dumpStats(std::ostream &os) const
     lane_.hierarchy().l2().stats().dump(os);
 }
 
-RunResult
-System::run(Workload &workload, std::uint64_t num_insts,
-            const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
-            const EngineSpec &engine, RunTelemetry *telemetry)
+void
+runLockstep(const std::vector<Workload *> &streams,
+            const std::vector<std::vector<CoreLane *>> &members,
+            std::uint64_t insts, std::uint64_t quantum,
+            const EngineSpec &engine)
+{
+    std::vector<MicroInst> segment(laneSegmentInsts);
+    // One phase of slot c's turn, fed to every member's lane c.
+    const auto phase = [&](std::size_t c, CoreLane::Phase ph,
+                           std::uint64_t n) {
+        for (const auto &lanes : members)
+            lanes[c]->begin(ph);
+        forEachSegment(*streams[c], n, segment.data(), segment.size(),
+                       [&](const MicroInst *seg, std::size_t len) {
+                           for (const auto &lanes : members)
+                               lanes[c]->feed(seg, len);
+                       });
+        for (const auto &lanes : members)
+            lanes[c]->end();
+    };
+
+    // Deterministic round-robin turns: one quantum (full detail) or
+    // one whole sampling period (sampled) per slot per turn, so a
+    // shared L2's interleave is a pure function of the configuration
+    // in both modes.
+    std::vector<std::uint64_t> remaining(streams.size(), insts);
+    for (bool work_left = true; work_left;) {
+        work_left = false;
+        for (std::size_t c = 0; c < streams.size(); ++c) {
+            if (remaining[c] == 0)
+                continue;
+            const SamplingConfig::PeriodShape shape =
+                engine.period(remaining[c], quantum);
+            // Fast-forward: stream position only; nothing simulated.
+            if (shape.fastForward)
+                streams[c]->skip(shape.fastForward);
+            if (shape.warmup)
+                phase(c, CoreLane::Phase::Warmup, shape.warmup);
+            phase(c, CoreLane::Phase::Measure, shape.detailed);
+            remaining[c] -=
+                shape.fastForward + shape.warmup + shape.detailed;
+            work_left = work_left || remaining[c] != 0;
+        }
+    }
+}
+
+CoreLane &
+System::start(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+              const EngineSpec &engine, RunTelemetry *telemetry)
 {
     rc_assert(!ran_);
     ran_ = true;
@@ -276,12 +327,18 @@ System::run(Workload &workload, std::uint64_t num_insts,
     if (engine.analytic())
         rc_fatal("the analytic engine does not run Systems; dispatch "
                  "through executeRunJob");
-
     lane_.start(il1_setup, dl1_setup, engine, telemetry);
-    // A single core has no interleave: the whole run is one quantum.
-    for (std::uint64_t left = num_insts; left > 0;)
-        left -= lane_.turn(workload, left, num_insts);
-    return lane_.finish(workload.name(), num_insts);
+    return lane_;
+}
+
+RunResult
+System::run(Workload &workload, std::uint64_t num_insts,
+            const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+            const EngineSpec &engine, RunTelemetry *telemetry)
+{
+    CoreLane &lane = start(il1_setup, dl1_setup, engine, telemetry);
+    runLockstep({&workload}, {{&lane}}, num_insts, num_insts, engine);
+    return finish(workload.name(), num_insts);
 }
 
 } // namespace rcache

@@ -9,11 +9,14 @@
  * System per design point, which is how the paper's profiling
  * methodology works anyway.
  *
- * CoreLane is the one measurement loop behind every timing run:
- * System::run drives one lane, MultiCoreSystem::run
- * (sim/multi_core_system.hh) drives one per core over a shared L2,
- * and full-detail and sampled runs differ only in the periods each
- * lane is handed.
+ * CoreLane is one core's slice of a run, fed instruction segments;
+ * runLockstep (below) is the one loop behind every timing run. It
+ * drives the lanes of a lockstep group: runs that read the same
+ * streams in the same periods, so one pass over each stream feeds
+ * them all. System::run and MultiCoreSystem::run
+ * (sim/multi_core_system.hh) are groups of one, the sweep runner
+ * (runner/sweep_runner.hh) builds larger ones, and full-detail and
+ * sampled runs differ only in the periods the loop hands out.
  */
 
 #ifndef RCACHE_SIM_SYSTEM_HH
@@ -174,18 +177,21 @@ struct RunResult
 };
 
 /**
- * One core's slice of a system and the loop that measures it.
+ * One core's slice of a system, and what it does with each period.
  *
  * A lane owns the core's two L1s, its Hierarchy (an owned L2, or its
  * slot in a SharedL2), its resize policies, its timing core and, for
- * sampled runs, the FunctionalCore that warms it. Each turn runs one
- * period of the stream
+ * sampled runs, the FunctionalCore that warms it. A period of the
+ * stream is
  *
  *     [ fast-forward | warmup | measured window ]
  *
- * (sim/sampling.hh) and adds the measured window's counter-snapshot
- * deltas to measured(); finish() extrapolates those windows to the
- * whole stream and prices them. A full-detail turn is all measured
+ * (sim/sampling.hh). The stream's owner skips the fast-forward (the
+ * lane sees none of it) and feeds the lane the rest in segments: a
+ * Warmup phase through the FunctionalCore, then a Measure phase
+ * through the timing core, whose counter-snapshot deltas add to
+ * measured(). finish() extrapolates those windows to the whole
+ * stream and prices them. A full-detail period is all measured
  * window, so a full-detail run's scale is exactly 1 and its figures
  * equal the live counters.
  */
@@ -208,21 +214,33 @@ class CoreLane
      * Build the run-time half: the resize policies, the timing core,
      * the FunctionalCore (sampled engines only), and the resize-event
      * and timeline taps when @p telemetry asks for them (null = off).
-     * Call once, before the first turn.
+     * Call once, before the first phase.
      */
     void start(const ResizeSetup &il1_setup,
                const ResizeSetup &dl1_setup, const EngineSpec &engine,
                RunTelemetry *telemetry);
 
+    /** The two fed parts of a period (see class comment). */
+    enum class Phase
+    {
+        /** State only, through the FunctionalCore (sampled runs). */
+        Warmup,
+        /** A measured window on the timing core. */
+        Measure,
+    };
+
     /**
-     * Run one turn of @p workload with @p remaining instructions
-     * left: the engine's next period (EngineSpec::period), a
-     * sampling period under a sampled engine, else a measured window
-     * of min(@p quantum, remaining) instructions.
-     * @return instructions the turn consumed
+     * Open @p phase. A warmup makes the FunctionalCore re-probe its
+     * fetch block (a window ran since it last fetched). A measured
+     * window restarts the timing machinery at cycle 0 and re-anchors
+     * the byte-cycle integrals; warm state (caches, predictor,
+     * controller counters) carries over.
      */
-    std::uint64_t turn(Workload &workload, std::uint64_t remaining,
-                       std::uint64_t quantum);
+    void begin(Phase phase);
+    /** Run @p insts[0..n) in the open phase. */
+    void feed(const MicroInst *insts, std::size_t n);
+    /** Close the open phase. */
+    void end();
 
     /**
      * The run's result: the measured windows extrapolated to
@@ -255,9 +273,15 @@ class CoreLane
     const Hierarchy &hierarchy() const { return hier_; }
 
   private:
-    /** Skip, warm, then measure one window. */
-    void runPeriod(Workload &workload,
-                   const SamplingConfig::PeriodShape &shape);
+    /** Counters a measured window is charged from. */
+    struct Snapshot
+    {
+        CacheActivity il1, dl1;
+        std::uint64_t l2Accesses = 0;
+        std::uint64_t l2Misses = 0;
+        std::uint64_t memAccesses = 0;
+    };
+    Snapshot snapshot() const;
 
     CoreModel model_;
     CoreParams coreParams_;
@@ -274,7 +298,40 @@ class CoreLane
     std::unique_ptr<FunctionalCore> func_;
     std::unique_ptr<TimelineRecorder> recorder_;
     Measured measured_;
+    Phase phase_ = Phase::Measure;
+    /** The open measured window's starting counters. */
+    Snapshot pre_;
 };
+
+/**
+ * Instructions runLockstep pulls from a stream at a time: 20 KB of
+ * MicroInsts, which every lane of a group reads while they are hot in
+ * the host's caches. A fig9 sweep on one worker of a 4-vCPU Xeon
+ * took about a tenth less CPU with 128 to 512 than with 1024 to
+ * 16384.
+ */
+inline constexpr std::size_t laneSegmentInsts = 512;
+
+/**
+ * The one loop behind every timing run: drive a lockstep group.
+ * @p streams[c] is core slot c's stream, and each member
+ * (@p members[m]) holds one started lane per slot. Slots take turns
+ * round-robin, as MultiCoreSystem's cores do, until each has run
+ * @p insts instructions. A turn is the slot's next
+ * EngineSpec::period(remaining, @p quantum): its stream skips the
+ * fast-forward once, then the warmup and the measured window are
+ * pulled in laneSegmentInsts segments and every segment feeds the
+ * slot's lane of every member. A single core is one slot whose
+ * quantum is the whole run.
+ *
+ * Every lane of a slot therefore sees the stream it would see alone,
+ * in the same periods, and a lane's state is its own, so each member
+ * ends exactly as a group of one would leave it.
+ */
+void runLockstep(const std::vector<Workload *> &streams,
+                 const std::vector<std::vector<CoreLane *>> &members,
+                 std::uint64_t insts, std::uint64_t quantum,
+                 const EngineSpec &engine);
 
 /** See file comment. */
 class System
@@ -299,6 +356,22 @@ class System
                   const ResizeSetup &dl1_setup = {},
                   const EngineSpec &engine = {},
                   RunTelemetry *telemetry = nullptr);
+
+    /** @name One member of a lockstep group
+     * run() is start(), runLockstep over one stream, then finish():
+     * start() returns the lane to feed (arguments as run()'s), and
+     * finish() is CoreLane::finish.
+     */
+    /// @{
+    CoreLane &start(const ResizeSetup &il1_setup,
+                    const ResizeSetup &dl1_setup,
+                    const EngineSpec &engine, RunTelemetry *telemetry);
+    RunResult finish(const std::string &workload,
+                     std::uint64_t num_insts)
+    {
+        return lane_.finish(workload, num_insts);
+    }
+    /// @}
 
     ResizableCache &il1() { return lane_.il1(); }
     ResizableCache &dl1() { return lane_.dl1(); }

@@ -3,21 +3,22 @@
  * CoreProbe: the hook the timing/functional cores sample telemetry
  * through.
  *
- * A probe is attached to a core with setProbe(); the core then splits
- * its instruction drain into probe-interval chunks and calls
- * onSample() after each one. The split is invisible to the
- * simulation: Workload::nextBatch is exactly stream-equivalent under
- * any batching (workload/workload.hh), and all timing state lives in
- * run()-local variables that persist across chunks — so a probed run
- * retires the identical instruction stream with identical timing,
- * cycle for cycle. With no probe attached the cores execute a single
- * unchunked drain, today's exact code path; the only cost of the
- * feature when disabled is one branch per run() call.
+ * A probe is attached to a core with setProbe(); the core's
+ * measurement windows (cpu/core.hh) then call onSample() at the
+ * window's SampleCadence: right after every sampleInterval()-th
+ * instruction, and once more at the window's end when its last chunk
+ * is partial. Sampling is invisible to the simulation: a window
+ * carries all its state across the sample points, exactly as it does
+ * across the segments it is fed in, so a probed run retires the
+ * identical instruction stream with identical timing, cycle for
+ * cycle. Unprobed, the cadence costs a zero test or two per segment.
  */
 
 #ifndef RCACHE_TELEMETRY_PROBE_HH
 #define RCACHE_TELEMETRY_PROBE_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "energy/energy_model.hh"
@@ -55,6 +56,45 @@ class CoreProbe
      * instructions.
      */
     virtual void onWarmupSample(std::uint64_t window_insts) = 0;
+};
+
+/** Where a window's probe samples fall (see file comment). */
+class SampleCadence
+{
+  public:
+    /** No probe: no samples. */
+    explicit SampleCadence(const CoreProbe *probe = nullptr)
+        : stride_(probe ? std::max<std::uint64_t>(
+                              1, probe->sampleInterval())
+                        : 0)
+    {
+    }
+
+    /** How many of @p n more instructions a window that has run
+     *  @p done runs before its next sample. */
+    std::size_t
+    span(std::uint64_t done, std::size_t n) const
+    {
+        return stride_ ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                             n, stride_ - done % stride_))
+                       : n;
+    }
+
+    /** A sample falls right after instruction @p done (> 0). */
+    bool due(std::uint64_t done) const
+    {
+        return stride_ && done % stride_ == 0;
+    }
+
+    /** A window closing after @p done instructions owes one more
+     *  sample (its last chunk is partial). */
+    bool owesTail(std::uint64_t done) const
+    {
+        return stride_ && done % stride_ != 0;
+    }
+
+  private:
+    std::uint64_t stride_;
 };
 
 } // namespace rcache

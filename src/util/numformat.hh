@@ -41,7 +41,7 @@ bool parseU64Strict(const std::string &text, unsigned long long &out);
  * Append one field and a ',' to @p key: integers in decimal, doubles
  * in shortest hexadecimal (exact to the bit), strings length-prefixed
  * (so no two field lists run together into one key). Stream-free and
- * cheap, for the in-memory keys the job memo and the tape deck
+ * cheap, for the in-memory keys the job memo and the lane groups
  * compare; never for output.
  */
 /// @{

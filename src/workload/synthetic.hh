@@ -86,7 +86,7 @@ struct DataRegion
 
 /** Full parameterization of one synthetic application. A new field
  *  must also enter profileKey (workload/workload_factory.hh), the
- *  identity the job memo and the tape deck key on. */
+ *  identity the job memo and the lane groups key on. */
 struct BenchmarkProfile
 {
     std::string name;

@@ -18,21 +18,30 @@ namespace rcache
 {
 
 /**
- * Batch size the CPU models use when draining a workload. One batch
- * of MicroInsts lives on the consumer's stack (~5 KB at 128), small
- * enough to stay cache-resident while large enough to amortize the
- * virtual nextBatch dispatch down to noise per instruction.
+ * Batch size of a stack-resident drain (forEachBatched, Core::run;
+ * a run's lockstep loop pulls laneSegmentInsts segments instead).
+ * One batch of MicroInsts lives on the consumer's stack (~5 KB at
+ * 128), small enough to stay cache-resident while large enough to
+ * amortize the virtual nextBatch dispatch down to noise per
+ * instruction.
  */
 inline constexpr std::size_t workloadBatchSize = 128;
 
 class Workload;
 
 /**
- * Drain @p n instructions of @p wl through fixed-size nextBatch
- * batches, invoking @p body(inst) once per instruction in stream
- * order. The shared scaffold of every CPU model's run loop: one
- * stack-resident batch, one virtual dispatch per batch, a short tail
- * batch at the end.
+ * Pull @p n instructions of @p wl into @p buf in segments of at most
+ * @p cap (one nextBatch call each), invoking @p fn(buf, len) once per
+ * segment in stream order.
+ */
+template <typename Fn>
+inline void forEachSegment(Workload &wl, std::uint64_t n, MicroInst *buf,
+                           std::size_t cap, Fn &&fn);
+
+/**
+ * Drain @p n instructions of @p wl through a stack-resident batch of
+ * workloadBatchSize, invoking @p body(inst) once per instruction in
+ * stream order.
  */
 template <typename Body>
 inline void forEachBatched(Workload &wl, std::uint64_t n,
@@ -99,21 +108,30 @@ class TraceWorkload final : public Workload
     std::string name_;
 };
 
+template <typename Fn>
+inline void
+forEachSegment(Workload &wl, std::uint64_t n, MicroInst *buf,
+               std::size_t cap, Fn &&fn)
+{
+    for (std::uint64_t left = n; left > 0;) {
+        const std::size_t len = static_cast<std::size_t>(
+            std::min<std::uint64_t>(cap, left));
+        wl.nextBatch(buf, len);
+        fn(static_cast<const MicroInst *>(buf), len);
+        left -= len;
+    }
+}
+
 template <typename Body>
 inline void
 forEachBatched(Workload &wl, std::uint64_t n, Body &&body)
 {
     MicroInst batch[workloadBatchSize];
-    std::uint64_t done = 0;
-    while (done < n) {
-        const std::size_t fill =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                workloadBatchSize, n - done));
-        wl.nextBatch(batch, fill);
-        done += fill;
-        for (std::size_t k = 0; k < fill; ++k)
-            body(batch[k]);
-    }
+    forEachSegment(wl, n, batch, workloadBatchSize,
+                   [&](const MicroInst *insts, std::size_t len) {
+                       for (std::size_t k = 0; k < len; ++k)
+                           body(insts[k]);
+                   });
 }
 
 } // namespace rcache

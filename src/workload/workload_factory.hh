@@ -13,7 +13,6 @@
 #ifndef RCACHE_WORKLOAD_WORKLOAD_FACTORY_HH
 #define RCACHE_WORKLOAD_WORKLOAD_FACTORY_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -43,17 +42,10 @@ bool traceProfileFromSpec(const std::string &spec,
 std::unique_ptr<Workload> makeWorkload(const BenchmarkProfile &p);
 
 /**
- * Where a run gets each stream it reads: makeWorkload, or a replay of
- * a batch's recorded tape (TapeDeck in runner/sweep_runner.hh).
- */
-using StreamOpener =
-    std::function<std::unique_ptr<Workload>(const BenchmarkProfile &)>;
-
-/**
  * Identity of the stream @p p describes, as a string: equal keys give
  * equal streams and equal names. It spells out every profile field
- * (doubles exactly), so the job memo and the tape deck never confuse
- * two profiles that differ in any of them.
+ * (doubles exactly), so the job memo and the runner's lane groups
+ * never confuse two profiles that differ in any of them.
  */
 std::string profileKey(const BenchmarkProfile &p);
 

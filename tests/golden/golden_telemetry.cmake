@@ -36,7 +36,8 @@ endif()
 set(scenario ${GOLDEN_DIR}/${SCENARIO}.scn)
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-# Cell 0's trace point names the scenario's first app.
+# Cell 0's trace point names the scenario's first app. It is the
+# "point.K" arg of the lane-group span that ran one of cell 0's jobs.
 file(STRINGS ${scenario} apps_line REGEX "^apps *=")
 string(REGEX REPLACE "^apps *= *([^,]*).*" "\\1" first_app "${apps_line}")
 
@@ -106,7 +107,7 @@ foreach(needle
         [["ph":"X"]]
         [["name":"chunk-flush"]]
         [["name":"baseline-memo"]]
-        "\"point\":\"cell=0;app=${first_app};")
+        "\":\"cell=0;app=${first_app};")
   string(FIND "${trace}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR

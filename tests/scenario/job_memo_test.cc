@@ -117,15 +117,13 @@ TEST(JobMemoTest, KeyCoversEveryFieldExecuteRunJobReads)
     other_shape.engine = EngineSpec::makeSampled(10000, 1000, 3000);
     EXPECT_NE(jobKey(sampled), jobKey(other_shape));
 
-    // What a run never reads: the label, the telemetry request, the
-    // trace point and the tapes.
+    // What a run never reads: the label, the telemetry request and
+    // the trace point.
     RunJob same = base;
     same.label = "another/label";
     RunTelemetry telemetry;
     same.telemetry = &telemetry;
     same.tracePoint = "cell=7";
-    TapeDeck deck({base});
-    same.tapes = &deck;
     EXPECT_EQ(jobKey(same), key);
 }
 
@@ -167,8 +165,14 @@ strategy = static
         os << in.rdbuf();
         return os.str();
     };
+    // One span per lane group, whose lanes are the 48 executed jobs.
     const std::string trace = slurp(opt.traceEventsPath);
-    EXPECT_EQ(count(trace, "\"ph\":\"X\""), 48u);
+    std::size_t lanes = 0;
+    for (std::size_t at = 0;
+         (at = trace.find("\"lanes\":\"", at)) != std::string::npos;)
+        lanes += std::stoul(trace.substr(at += 9));
+    EXPECT_EQ(lanes, 48u);
+    EXPECT_LT(count(trace, "\"ph\":\"X\""), 48u);
     EXPECT_EQ(count(trace, "\"name\":\"job-memo\""), 40u);
     EXPECT_EQ(count(trace, "\"name\":\"chunk-flush\""), 2u);
     // Every laid-out job wrote its 4 timeline rows.
