@@ -117,12 +117,10 @@ functionalRun(const BenchOptions &opts)
         FunctionalCore func(hier, bpred, cfg.core.fetchWidth, nullptr,
                             nullptr);
         MicroInst batch[workloadBatchSize];
-        func.beginWindow();
         forEachSegment(wl, opts.items, batch, workloadBatchSize,
                        [&](const MicroInst *insts, std::size_t n) {
                            func.consume(insts, n);
                        });
-        func.endWindow();
         consume(dl1.misses());
     });
     return makeResult("functional_warmup", "Minst/s", opts.items,

@@ -37,8 +37,7 @@ Cache::Cache(const std::string &name, const CacheGeometry &geom,
                      : std::make_unique<LruPolicy>()),
       enabledSets_(geom.numSets()),
       enabledWays_(geom.assoc),
-      blocks_(geom.numSets() * geom.assoc),
-      stats_(name)
+      blocks_(geom.numSets() * geom.assoc)
 {
     std::string err = geom_.validate();
     if (!err.empty())
@@ -46,23 +45,6 @@ Cache::Cache(const std::string &name, const CacheGeometry &geom,
 
     blockBits_ = geom_.blockBits();
     updateAccessConstants();
-
-    stats_.addCounter("accesses", &accesses_, "total accesses");
-    stats_.addCounter("misses", &misses_, "total misses");
-    stats_.addCounter("writebacks", &writebacks_,
-                      "dirty evictions from normal fills");
-    stats_.addCounter("prechargeSubarrayEvents", &prechargeEvents_,
-                      "sum of enabled subarrays over accesses");
-    stats_.addCounter("wayReadEvents", &wayReads_,
-                      "sum of ways read over accesses");
-    stats_.addCounter("resizes", &resizes_, "resize operations");
-    stats_.addCounter("flushInvalidations", &flushInvalidations_,
-                      "blocks invalidated by resizes/flushes");
-    stats_.addCounter("flushWritebacks", &flushWritebacks_,
-                      "dirty blocks written back by resizes/flushes");
-    stats_.addFormula(
-        "missRatio", [this]() { return missRatio(); },
-        "misses / accesses");
 }
 
 void
@@ -187,10 +169,8 @@ Cache::evict(Block &b, const WritebackSink &sink, FlushResult &out)
     if (!b.valid())
         return;
     ++out.invalidated;
-    ++flushInvalidations_;
     if (b.dirty()) {
         ++out.writebacks;
-        ++flushWritebacks_;
         if (sink)
             sink(b.blockAddr << geom_.blockBits());
     }
@@ -268,21 +248,6 @@ Cache::accumulateEnabledTime(std::uint64_t now_cycle)
     byteCycles_ += static_cast<double>(enabledSize()) *
                    static_cast<double>(now_cycle - lastAccountedCycle_);
     lastAccountedCycle_ = now_cycle;
-}
-
-void
-Cache::resetStats()
-{
-    accesses_.reset();
-    misses_.reset();
-    writebacks_.reset();
-    prechargeEvents_.reset();
-    wayReads_.reset();
-    resizes_.reset();
-    flushInvalidations_.reset();
-    flushWritebacks_.reset();
-    byteCycles_ = 0;
-    lastAccountedCycle_ = 0;
 }
 
 bool

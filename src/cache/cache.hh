@@ -34,7 +34,6 @@
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
-#include "stats/stats.hh"
 #include "util/bitops.hh"
 
 namespace rcache
@@ -80,7 +79,7 @@ class Cache
 {
   public:
     /**
-     * @param name stat-group name, e.g. "dl1"
+     * @param name cache name, e.g. "dl1"
      * @param geom static geometry (validated; fatal on bad config)
      * @param policy replacement policy; defaults to LRU
      */
@@ -183,37 +182,30 @@ class Cache
 
     /** @name Event counters (energy model inputs) */
     /// @{
-    std::uint64_t accesses() const { return accesses_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t writebacks() const { return writebacks_.value(); }
+    std::uint64_t accesses() const { return accesses_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t writebacks() const { return writebacks_; }
     /** Sum over accesses of enabled subarrays at access time. */
     std::uint64_t prechargeSubarrayEvents() const
     {
-        return prechargeEvents_.value();
+        return prechargeEvents_;
     }
     /** Sum over accesses of ways read (sensed) at access time. */
-    std::uint64_t wayReadEvents() const { return wayReads_.value(); }
+    std::uint64_t wayReadEvents() const { return wayReads_; }
     /** Integral of enabled bytes over cycles (see
      *  accumulateEnabledTime). */
     double byteCycles() const { return byteCycles_; }
     /** Number of resize operations performed. */
-    std::uint64_t resizes() const { return resizes_.value(); }
+    std::uint64_t resizes() const { return resizes_; }
     /// @}
 
     /** Miss ratio over all accesses so far. */
     double missRatio() const
     {
-        return accesses_.value()
-                   ? static_cast<double>(misses_.value()) /
-                         static_cast<double>(accesses_.value())
-                   : 0.0;
+        return accesses_ ? static_cast<double>(misses_) /
+                               static_cast<double>(accesses_)
+                         : 0.0;
     }
-
-    /** Registered statistics for this cache. */
-    const StatGroup &stats() const { return stats_; }
-
-    /** Reset all statistics (not contents). */
-    void resetStats();
 
     /** Install @p obs (empty disables); see EvictionObserver. */
     void setEvictionObserver(EvictionObserver obs)
@@ -362,19 +354,15 @@ class Cache
 
     std::vector<Block> blocks_;
 
-    Counter accesses_;
-    Counter misses_;
-    Counter writebacks_;
-    Counter prechargeEvents_;
-    Counter wayReads_;
-    Counter resizes_;
-    Counter flushInvalidations_;
-    Counter flushWritebacks_;
+    std::uint64_t accesses_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t writebacks_ = 0;
+    std::uint64_t prechargeEvents_ = 0;
+    std::uint64_t wayReads_ = 0;
+    std::uint64_t resizes_ = 0;
 
     double byteCycles_ = 0;
     std::uint64_t lastAccountedCycle_ = 0;
-
-    StatGroup stats_;
 };
 
 } // namespace rcache

@@ -62,15 +62,4 @@ Hierarchy::l1WritebackSink()
     return [this](Addr block_addr) { l2Access(block_addr, true); };
 }
 
-void
-Hierarchy::resetStats()
-{
-    // The shared L2's stats span all cores; resetting it from one
-    // core's hierarchy would silently clobber the others' history.
-    if (!sharedL2_)
-        l2_->resetStats();
-    memReads_.reset();
-    memWrites_.reset();
-}
-
 } // namespace rcache

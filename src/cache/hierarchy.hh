@@ -15,7 +15,6 @@
 
 #include "cache/cache.hh"
 #include "cache/shared_l2.hh"
-#include "stats/stats.hh"
 
 namespace rcache
 {
@@ -150,8 +149,8 @@ class Hierarchy
     }
     /// @}
 
-    std::uint64_t memReads() const { return memReads_.value(); }
-    std::uint64_t memWrites() const { return memWrites_.value(); }
+    std::uint64_t memReads() const { return memReads_; }
+    std::uint64_t memWrites() const { return memWrites_; }
 
     /** Attached shared L2, or null in the owned-L2 (single-core)
      *  form. */
@@ -160,8 +159,6 @@ class Hierarchy
     unsigned coreId() const { return coreId_; }
 
     const HierarchyParams &params() const { return params_; }
-
-    void resetStats();
 
   private:
     /** Send one block access into L2; forwards L2 victims to memory. */
@@ -177,8 +174,8 @@ class Hierarchy
     unsigned coreId_ = 0;
     HierarchyParams params_;
 
-    Counter memReads_;
-    Counter memWrites_;
+    std::uint64_t memReads_ = 0;
+    std::uint64_t memWrites_ = 0;
 };
 
 } // namespace rcache

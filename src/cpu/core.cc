@@ -26,7 +26,7 @@ Core::run(Workload &workload, std::uint64_t num_insts)
                    [this](const MicroInst *insts, std::size_t n) {
                        consume(insts, n);
                    });
-    return endWindow();
+    return windowActivity();
 }
 
 void

@@ -10,11 +10,13 @@
  * overlap — at a small fraction of the cost of a cycle-driven model.
  *
  * A core measures in windows: beginWindow() opens one, consume() feeds
- * it instructions, endWindow() closes it. Every value the loop carries
- * from one instruction to the next is window state, so feeding a
- * window whole or in segments of any sizes is the same computation.
- * That is what lets one pass over a stream feed many cores
- * (runLockstep in sim/system.hh).
+ * it instructions, and windowActivity() reads what it has run so far.
+ * Every value the loop carries from one instruction to the next is
+ * window state, so feeding a window whole or in segments of any sizes
+ * is the same computation. That is what lets one pass over a stream
+ * feed many cores (runLockstep in sim/system.hh), and what lets the
+ * lane that feeds a core sample it at any instruction (CoreLane, same
+ * file).
  *
  * Known simplifications (documented in DESIGN.md): issue bandwidth is
  * enforced at dispatch rather than separately at the scheduler, and
@@ -32,7 +34,6 @@
 #include "core/resize_policy.hh"
 #include "cpu/branch_predictor.hh"
 #include "energy/energy_model.hh"
-#include "telemetry/probe.hh"
 #include "workload/workload.hh"
 
 namespace rcache
@@ -116,8 +117,9 @@ class Core
     virtual void beginWindow() = 0;
     /** Run @p insts[0..n) in the open window. */
     virtual void consume(const MicroInst *insts, std::size_t n) = 0;
-    /** Close the window: its activity, cycles included. */
-    virtual CoreActivity endWindow() = 0;
+    /** The open window's activity so far, cycles included (after its
+     *  last consume(), the whole window's). */
+    virtual CoreActivity windowActivity() const = 0;
     /// @}
 
     /** One window of @p num_insts instructions of @p workload. */
@@ -137,18 +139,6 @@ class Core
     const MshrFile &mshrs() const { return mshr_; }
     const WritebackBuffer &writebackBuffer() const { return wb_; }
     const CoreParams &params() const { return params_; }
-
-    /**
-     * Attach a telemetry probe (null to detach) before a window
-     * opens: the window calls probe->onSample at its SampleCadence
-     * (telemetry/probe.hh).
-     */
-    void
-    setProbe(CoreProbe *probe)
-    {
-        probe_ = probe;
-        cadence_ = SampleCadence(probe);
-    }
 
   protected:
     /**
@@ -203,13 +193,10 @@ class Core
             dl1Policy_->onAccess(!hit, cycle);
     }
 
-
     CoreParams params_;
     Hierarchy &hier_;
     ResizePolicy *il1Policy_;
     ResizePolicy *dl1Policy_;
-    CoreProbe *probe_ = nullptr;
-    SampleCadence cadence_;
 
     BranchPredictor bpred_;
     MshrFile mshr_;

@@ -65,24 +65,8 @@ FunctionalCore::consume(const MicroInst *insts, std::size_t n)
         }
     };
 
-    while (n > 0) {
-        const std::size_t span = cadence_.span(windowInsts_, n);
-        for (std::size_t k = 0; k < span; ++k)
-            body(insts[k]);
-        insts += span;
-        n -= span;
-        windowInsts_ += span;
-        if (cadence_.due(windowInsts_))
-            probe_->onWarmupSample(windowInsts_);
-    }
-}
-
-std::uint64_t
-FunctionalCore::endWindow()
-{
-    if (cadence_.owesTail(windowInsts_))
-        probe_->onWarmupSample(windowInsts_);
-    return windowInsts_;
+    for (std::size_t k = 0; k < n; ++k)
+        body(insts[k]);
 }
 
 } // namespace rcache

@@ -27,7 +27,6 @@
 #include "cache/hierarchy.hh"
 #include "core/resize_policy.hh"
 #include "cpu/branch_predictor.hh"
-#include "telemetry/probe.hh"
 #include "workload/inst.hh"
 
 namespace rcache
@@ -48,18 +47,12 @@ class FunctionalCore
                    unsigned fetch_width, ResizePolicy *il1_policy,
                    ResizePolicy *dl1_policy);
 
-    /** @name Warmup window
-     * Same contract as the timing cores' windows (cpu/core.hh): any
-     * segmentation of a window is the same computation, and a probe
-     * hears onWarmupSample at the window's SampleCadence.
+    /**
+     * Advance state over @p insts[0..n). Same contract as the timing
+     * cores' windows (cpu/core.hh): any segmentation of a stretch of
+     * the stream is the same computation.
      */
-    /// @{
-    void beginWindow() { windowInsts_ = 0; }
-    /** Advance state over @p insts[0..n). */
     void consume(const MicroInst *insts, std::size_t n);
-    /** Close the window. @return instructions it ran */
-    std::uint64_t endWindow();
-    /// @}
 
     /**
      * Forget the current fetch block so the next instruction re-probes
@@ -72,15 +65,6 @@ class FunctionalCore
         groupRemaining_ = 0;
     }
 
-    /** Attach a telemetry probe (null to detach) before a window
-     *  opens. */
-    void
-    setProbe(CoreProbe *probe)
-    {
-        probe_ = probe;
-        cadence_ = SampleCadence(probe);
-    }
-
   private:
     Hierarchy &hier_;
     BranchPredictor &bpred_;
@@ -90,9 +74,6 @@ class FunctionalCore
 
     Addr curFetchBlock_ = ~Addr{0};
     unsigned groupRemaining_ = 0;
-    std::uint64_t windowInsts_ = 0;
-    CoreProbe *probe_ = nullptr;
-    SampleCadence cadence_;
 };
 
 } // namespace rcache

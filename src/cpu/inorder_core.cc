@@ -104,26 +104,14 @@ InOrderCore::consume(const MicroInst *insts, std::size_t n)
         ++w.i;
     };
 
-    while (n > 0) {
-        const std::size_t span = cadence_.span(w.i, n);
-        for (std::size_t k = 0; k < span; ++k)
-            body(insts[k]);
-        insts += span;
-        n -= span;
-        if (cadence_.due(w.i)) {
-            const CoreActivity so_far = w.activity;
-            probe_->onSample(w.i, w.lastComplete + 1, so_far);
-        }
-    }
+    for (std::size_t k = 0; k < n; ++k)
+        body(insts[k]);
     win_ = w;
 }
 
 CoreActivity
-InOrderCore::endWindow()
+InOrderCore::windowActivity() const
 {
-    if (cadence_.owesTail(win_.i))
-        probe_->onSample(win_.i, win_.lastComplete + 1,
-                         win_.activity);
     CoreActivity activity = win_.activity;
     activity.cycles = win_.lastComplete + 1;
     return activity;

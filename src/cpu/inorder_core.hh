@@ -28,7 +28,7 @@ class InOrderCore : public Core
 
     void beginWindow() override;
     void consume(const MicroInst *insts, std::size_t n) override;
-    CoreActivity endWindow() override;
+    CoreActivity windowActivity() const override;
 
   private:
     static constexpr std::size_t depRing = 256;

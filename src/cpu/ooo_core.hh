@@ -30,7 +30,7 @@ class OooCore : public Core
 
     void beginWindow() override;
     void consume(const MicroInst *insts, std::size_t n) override;
-    CoreActivity endWindow() override;
+    CoreActivity windowActivity() const override;
 
   private:
     /** Completion-time history ring for dependence resolution. */

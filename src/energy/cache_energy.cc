@@ -51,6 +51,33 @@ CacheActivity::scaled(double factor) const
     return a;
 }
 
+HierarchyActivity
+HierarchyActivity::of(const Hierarchy &hier)
+{
+    return {CacheActivity::of(hier.il1()), CacheActivity::of(hier.dl1()),
+            hier.l2Accesses(), hier.l2Misses(),
+            hier.memReads() + hier.memWrites()};
+}
+
+HierarchyActivity
+HierarchyActivity::operator-(const HierarchyActivity &earlier) const
+{
+    return {il1 - earlier.il1, dl1 - earlier.dl1,
+            l2Accesses - earlier.l2Accesses, l2Misses - earlier.l2Misses,
+            memAccesses - earlier.memAccesses};
+}
+
+HierarchyActivity &
+HierarchyActivity::operator+=(const HierarchyActivity &o)
+{
+    il1 += o.il1;
+    dl1 += o.dl1;
+    l2Accesses += o.l2Accesses;
+    l2Misses += o.l2Misses;
+    memAccesses += o.memAccesses;
+    return *this;
+}
+
 double
 CacheEnergyModel::l1AccessEnergy(const CacheActivity &activity,
                                  unsigned extra_tag_bits) const
@@ -63,25 +90,11 @@ CacheEnergyModel::l1AccessEnergy(const CacheActivity &activity,
 }
 
 double
-CacheEnergyModel::l1AccessEnergy(const Cache &cache,
-                                 unsigned extra_tag_bits) const
-{
-    return l1AccessEnergy(CacheActivity::of(cache), extra_tag_bits);
-}
-
-double
 CacheEnergyModel::l1Energy(const CacheActivity &activity,
                            unsigned extra_tag_bits) const
 {
     return l1AccessEnergy(activity, extra_tag_bits) +
            activity.byteCycles * params_.l1PerByteCycle;
-}
-
-double
-CacheEnergyModel::l1Energy(const Cache &cache,
-                           unsigned extra_tag_bits) const
-{
-    return l1Energy(CacheActivity::of(cache), extra_tag_bits);
 }
 
 double
@@ -102,14 +115,6 @@ CacheEnergyModel::l2Energy(double accesses, std::uint64_t size_bytes,
     return accesses * params_.l2PerAccess +
            static_cast<double>(size_bytes) * cycles *
                params_.l2PerByteCycle;
-}
-
-double
-CacheEnergyModel::l2Energy(const Cache &l2, std::uint64_t cycles) const
-{
-    return l2Energy(static_cast<double>(l2.accesses()),
-                    l2.geometry().size,
-                    static_cast<double>(cycles));
 }
 
 } // namespace rcache

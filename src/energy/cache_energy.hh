@@ -1,12 +1,13 @@
 /**
  * @file
- * Cache energy accounting from a Cache's event counters.
+ * Cache energy accounting from snapshots of the caches' event
+ * counters.
  */
 
 #ifndef RCACHE_ENERGY_CACHE_ENERGY_HH
 #define RCACHE_ENERGY_CACHE_ENERGY_HH
 
-#include "cache/cache.hh"
+#include "cache/hierarchy.hh"
 #include "energy/energy_params.hh"
 
 namespace rcache
@@ -41,6 +42,33 @@ struct CacheActivity
     {
         return accesses > 0 ? misses / accesses : 0.0;
     }
+
+    bool operator==(const CacheActivity &o) const = default;
+};
+
+/**
+ * One core's cache and memory counters: its two L1s, and its share
+ * of the L2 and memory traffic (Hierarchy::l2Accesses tells an owned
+ * L2 from a shared one). CoreLane (sim/system.hh) charges each
+ * measured window from two snapshots, and the timeline
+ * (telemetry/timeline.hh) each sample interval.
+ */
+struct HierarchyActivity
+{
+    CacheActivity il1, dl1;
+    std::uint64_t l2Accesses = 0;
+    std::uint64_t l2Misses = 0;
+    /** Memory reads plus writes. */
+    std::uint64_t memAccesses = 0;
+
+    /** Snapshot @p hier's current counter values. */
+    static HierarchyActivity of(const Hierarchy &hier);
+
+    /** Counter deltas between two snapshots (this - earlier). */
+    HierarchyActivity operator-(const HierarchyActivity &earlier) const;
+    HierarchyActivity &operator+=(const HierarchyActivity &o);
+
+    bool operator==(const HierarchyActivity &o) const = default;
 };
 
 /** Computes L1/L2 energies from accumulated cache counters. */
@@ -54,26 +82,20 @@ class CacheEnergyModel
 
     /**
      * Total switching + size-proportional energy of an L1 cache over
-     * the run recorded in its counters.
+     * @p activity.
      *
      * @param extra_tag_bits resizing tag bits carried by the
      *        organization wrapping this cache (0 for conventional and
      *        selective-ways)
      *
-     * @pre Cache::accumulateEnabledTime(end_cycle) has been called so
-     *      byteCycles() covers the whole run.
+     * A snapshot of a live cache (CacheActivity::of) covers the whole
+     * run once Cache::accumulateEnabledTime(end_cycle) has been
+     * called.
      */
-    double l1Energy(const Cache &cache, unsigned extra_tag_bits) const;
-
-    /** As above, priced from an explicit activity total. */
     double l1Energy(const CacheActivity &activity,
                     unsigned extra_tag_bits) const;
 
     /** Switching component only (per-access), no byte-cycle term. */
-    double l1AccessEnergy(const Cache &cache,
-                          unsigned extra_tag_bits) const;
-
-    /** As above, priced from an explicit activity total. */
     double l1AccessEnergy(const CacheActivity &activity,
                           unsigned extra_tag_bits) const;
 
@@ -85,10 +107,8 @@ class CacheEnergyModel
                                 unsigned extra_tag_bits) const;
 
     /** L2 energy over the run (per-access + byte-cycle terms).
-     *  @param cycles total simulated cycles (L2 is never resized). */
-    double l2Energy(const Cache &l2, std::uint64_t cycles) const;
-
-    /** As above from explicit totals (@p size_bytes: L2 capacity). */
+     *  @param size_bytes L2 capacity
+     *  @param cycles total simulated cycles (L2 is never resized) */
     double l2Energy(double accesses, std::uint64_t size_bytes,
                     double cycles) const;
 

@@ -28,23 +28,6 @@ operator<<(std::ostream &os, const EnergyBreakdown &b)
 
 EnergyBreakdown
 ProcessorEnergyModel::compute(const CoreActivity &activity,
-                              const Cache &il1,
-                              unsigned il1_extra_tag_bits,
-                              const Cache &dl1,
-                              unsigned dl1_extra_tag_bits,
-                              const Cache &l2,
-                              std::uint64_t mem_accesses) const
-{
-    return compute(activity, CacheActivity::of(il1),
-                   il1_extra_tag_bits, CacheActivity::of(dl1),
-                   dl1_extra_tag_bits,
-                   static_cast<double>(l2.accesses()),
-                   l2.geometry().size,
-                   static_cast<double>(mem_accesses));
-}
-
-EnergyBreakdown
-ProcessorEnergyModel::compute(const CoreActivity &activity,
                               const CacheActivity &il1,
                               unsigned il1_extra_tag_bits,
                               const CacheActivity &dl1,

@@ -90,25 +90,16 @@ class ProcessorEnergyModel
     }
 
     /**
+     * Price explicit activity totals. CoreLane (sim/system.hh)
+     * extrapolates measured-window deltas to full-run totals and
+     * prices every timing run through here.
+     *
      * @param activity core event counts for the run
-     * @param il1,dl1 L1 caches (byte-cycle integrals finalized)
+     * @param il1,dl1 L1 event totals (byte-cycle integrals included)
      * @param il1_extra_tag_bits,dl1_extra_tag_bits resizing tag bits
-     * @param l2 the unified L2
+     * @param l2_accesses,l2_size_bytes the unified L2's traffic and
+     *        capacity
      * @param mem_accesses total memory reads+writes
-     */
-    EnergyBreakdown compute(const CoreActivity &activity,
-                            const Cache &il1,
-                            unsigned il1_extra_tag_bits,
-                            const Cache &dl1,
-                            unsigned dl1_extra_tag_bits,
-                            const Cache &l2,
-                            std::uint64_t mem_accesses) const;
-
-    /**
-     * Price explicit activity totals instead of live Cache counters.
-     * CoreLane (sim/system.hh) extrapolates measured-window deltas to
-     * full-run totals and prices every timing run through this
-     * overload.
      */
     EnergyBreakdown compute(const CoreActivity &activity,
                             const CacheActivity &il1,

@@ -70,8 +70,9 @@ struct SearchOutcome
     double relativeED() const
     {
         if (baseline.edp() == 0) {
-            rc_warn("relativeED: zero baseline energy-delay for '" +
-                    baseline.workload + "'; returning 0");
+            RC_LOG(warn,
+                   "relativeED: zero baseline energy-delay for '" +
+                       baseline.workload + "'; returning 0");
             return 0;
         }
         return best.edp() / baseline.edp();
@@ -90,8 +91,9 @@ struct SearchOutcome
     double perfDegradationPct() const
     {
         if (baseline.cycles == 0) {
-            rc_warn("perfDegradationPct: zero baseline cycles for '" +
-                    baseline.workload + "'; returning 0");
+            RC_LOG(warn,
+                   "perfDegradationPct: zero baseline cycles for '" +
+                       baseline.workload + "'; returning 0");
             return 0;
         }
         return 100.0 * (static_cast<double>(best.cycles) /
@@ -109,9 +111,9 @@ struct SearchOutcome
                                ? best.avgDl1Bytes
                                : best.avgIl1Bytes;
         if (full == 0) {
-            rc_warn("sizeReductionPct: zero baseline " +
-                    cacheSideName(side) + " size for '" +
-                    baseline.workload + "'; returning 0");
+            RC_LOG(warn, "sizeReductionPct: zero baseline " +
+                             cacheSideName(side) + " size for '" +
+                             baseline.workload + "'; returning 0");
             return 0;
         }
         return 100.0 * (1.0 - got / full);

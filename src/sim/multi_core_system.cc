@@ -177,7 +177,8 @@ MultiCoreSystem::finish(const std::vector<BenchmarkProfile> &mix,
         const CoreLane::Measured &m = lane->measured();
         const double scale = static_cast<double>(insts_per_core) /
                              static_cast<double>(m.activity.insts);
-        total_l2_accesses += m.l2Accesses * scale;
+        total_l2_accesses +=
+            static_cast<double>(m.caches.l2Accesses) * scale;
     }
     const CacheEnergyModel cache_energy(cfg_.energy);
     agg.energy.l2 = cache_energy.l2Energy(
@@ -187,10 +188,10 @@ MultiCoreSystem::finish(const std::vector<BenchmarkProfile> &mix,
         double l1i_m = 0, l1i_a = 0, l1d_m = 0, l1d_a = 0;
         for (const auto &lane : lanes_) {
             const CoreLane::Measured &m = lane->measured();
-            l1i_m += m.il1.misses;
-            l1i_a += m.il1.accesses;
-            l1d_m += m.dl1.misses;
-            l1d_a += m.dl1.accesses;
+            l1i_m += m.caches.il1.misses;
+            l1i_a += m.caches.il1.accesses;
+            l1d_m += m.caches.dl1.misses;
+            l1d_a += m.caches.dl1.accesses;
         }
         agg.il1MissRatio = l1i_a > 0 ? l1i_m / l1i_a : 0;
         agg.dl1MissRatio = l1d_a > 0 ? l1d_m / l1d_a : 0;

@@ -1,5 +1,6 @@
 #include "sim/system.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cpu/functional_core.hh"
@@ -119,18 +120,7 @@ CoreLane::start(const ResizeSetup &il1_setup,
         src.energy = &energy_;
         recorder_ = std::make_unique<TimelineRecorder>(
             src, telemetry->timelineInterval);
-        core_->setProbe(recorder_.get());
-        if (func_)
-            func_->setProbe(recorder_.get());
     }
-}
-
-CoreLane::Snapshot
-CoreLane::snapshot() const
-{
-    return {CacheActivity::of(il1_.cache()),
-            CacheActivity::of(dl1_.cache()), hier_.l2Accesses(),
-            hier_.l2Misses(), hier_.memReads() + hier_.memWrites()};
 }
 
 void
@@ -138,11 +128,11 @@ CoreLane::begin(Phase phase)
 {
     rc_assert(core_);
     phase_ = phase;
+    phaseInsts_ = 0;
     if (phase == Phase::Warmup) {
         // Rebuild cache/predictor/controller state that went stale
         // across the skip, with no timing.
         func_->invalidateFetchBlock();
-        func_->beginWindow();
         return;
     }
     // A fresh timing window: cycle 0, empty structural pools,
@@ -151,38 +141,61 @@ CoreLane::begin(Phase phase)
     core_->resetTiming();
     il1_.cache().restartTimeAccounting();
     dl1_.cache().restartTimeAccounting();
-    pre_ = snapshot();
+    pre_ = HierarchyActivity::of(hier_);
     core_->beginWindow();
+}
+
+void
+CoreLane::sample()
+{
+    if (phase_ == Phase::Warmup)
+        recorder_->sampleWarmup(phaseInsts_);
+    else
+        recorder_->sample(core_->windowActivity());
 }
 
 void
 CoreLane::feed(const MicroInst *insts, std::size_t n)
 {
-    if (phase_ == Phase::Warmup)
-        func_->consume(insts, n);
-    else
-        core_->consume(insts, n);
+    while (n > 0) {
+        // With a timeline on, stop at each sample point.
+        std::size_t span = n;
+        if (recorder_) {
+            const std::uint64_t every = recorder_->interval();
+            span = std::min<std::uint64_t>(n, every - phaseInsts_ % every);
+        }
+        if (phase_ == Phase::Warmup)
+            func_->consume(insts, span);
+        else
+            core_->consume(insts, span);
+        insts += span;
+        n -= span;
+        phaseInsts_ += span;
+        if (recorder_ && phaseInsts_ % recorder_->interval() == 0)
+            sample();
+    }
 }
 
 void
 CoreLane::end()
 {
+    if (recorder_) {
+        // A phase whose last stretch is short of a full interval
+        // still ends with a sample, so the recorder can close it.
+        if (phaseInsts_ % recorder_->interval() != 0)
+            sample();
+        recorder_->closeWindow();
+    }
     if (phase_ == Phase::Warmup) {
-        measured_.warmupInsts += func_->endWindow();
+        measured_.warmupInsts += phaseInsts_;
         return;
     }
-    const CoreActivity act = core_->endWindow();
+    const CoreActivity act = core_->windowActivity();
     il1_.cache().accumulateEnabledTime(act.cycles);
     dl1_.cache().accumulateEnabledTime(act.cycles);
 
-    const Snapshot post = snapshot();
     Measured &m = measured_;
-    m.il1 += post.il1 - pre_.il1;
-    m.dl1 += post.dl1 - pre_.dl1;
-    m.l2Accesses += static_cast<double>(post.l2Accesses - pre_.l2Accesses);
-    m.l2Misses += static_cast<double>(post.l2Misses - pre_.l2Misses);
-    m.memAccesses +=
-        static_cast<double>(post.memAccesses - pre_.memAccesses);
+    m.caches += HierarchyActivity::of(hier_) - pre_;
     m.activity.addCounts(act);
     m.activity.cycles += act.cycles;
 }
@@ -224,23 +237,27 @@ CoreLane::finish(const std::string &workload, std::uint64_t total_insts)
     // Priced from this core's own events: its L1s plus its share of
     // the L2/memory traffic, with the L2's size-proportional term over
     // this core's cycles.
+    const HierarchyActivity &c = m.caches;
     r.energy = ProcessorEnergyModel(energy_).compute(
-        r.activity, m.il1.scaled(scale), il1_.extraTagBits(),
-        m.dl1.scaled(scale), dl1_.extraTagBits(),
-        m.l2Accesses * scale, hier_.l2().geometry().size,
-        m.memAccesses * scale);
+        r.activity, c.il1.scaled(scale), il1_.extraTagBits(),
+        c.dl1.scaled(scale), dl1_.extraTagBits(),
+        static_cast<double>(c.l2Accesses) * scale,
+        hier_.l2().geometry().size,
+        static_cast<double>(c.memAccesses) * scale);
 
     const double cyc = static_cast<double>(m.activity.cycles);
-    r.avgIl1Bytes = cyc > 0 ? m.il1.byteCycles / cyc : 0.0;
-    r.avgDl1Bytes = cyc > 0 ? m.dl1.byteCycles / cyc : 0.0;
-    r.il1MissRatio = m.il1.missRatio();
-    r.dl1MissRatio = m.dl1.missRatio();
-    r.l2MissRatio =
-        m.l2Accesses > 0 ? m.l2Misses / m.l2Accesses : 0.0;
-    r.il1Accesses = scaleCount(m.il1.accesses);
-    r.il1Misses = scaleCount(m.il1.misses);
-    r.dl1Accesses = scaleCount(m.dl1.accesses);
-    r.dl1Misses = scaleCount(m.dl1.misses);
+    r.avgIl1Bytes = cyc > 0 ? c.il1.byteCycles / cyc : 0.0;
+    r.avgDl1Bytes = cyc > 0 ? c.dl1.byteCycles / cyc : 0.0;
+    r.il1MissRatio = c.il1.missRatio();
+    r.dl1MissRatio = c.dl1.missRatio();
+    r.l2MissRatio = c.l2Accesses > 0
+                        ? static_cast<double>(c.l2Misses) /
+                              static_cast<double>(c.l2Accesses)
+                        : 0.0;
+    r.il1Accesses = scaleCount(c.il1.accesses);
+    r.il1Misses = scaleCount(c.il1.misses);
+    r.dl1Accesses = scaleCount(c.dl1.accesses);
+    r.dl1Misses = scaleCount(c.dl1.misses);
     r.il1Resizes = il1_.cache().resizes();
     r.dl1Resizes = dl1_.cache().resizes();
     if (auto *dyn = asDynamic(il1Policy_))
@@ -261,14 +278,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg), lane_(cfg)
     // Multi-core configs go through MultiCoreSystem; accepting one
     // here would silently simulate only core 0.
     rc_assert(cfg.cores == 1);
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    lane_.il1().cache().stats().dump(os);
-    lane_.dl1().cache().stats().dump(os);
-    lane_.hierarchy().l2().stats().dump(os);
 }
 
 void

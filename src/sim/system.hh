@@ -23,7 +23,6 @@
 #define RCACHE_SIM_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -194,6 +193,11 @@ struct RunResult
  * stream and prices them. A full-detail period is all measured
  * window, so a full-detail run's scale is exactly 1 and its figures
  * equal the live counters.
+ *
+ * The lane is also the run's one observer: with a timeline on, feed()
+ * splits its segments at the sample points (every timelineInterval
+ * instructions of a phase) and end() takes the phase's tail sample,
+ * so samples fall where they would whatever the segment sizes.
  */
 class CoreLane
 {
@@ -237,9 +241,11 @@ class CoreLane
      * controller counters) carries over.
      */
     void begin(Phase phase);
-    /** Run @p insts[0..n) in the open phase. */
+    /** Run @p insts[0..n) in the open phase, sampling the timeline
+     *  at each sample point inside it. */
     void feed(const MicroInst *insts, std::size_t n);
-    /** Close the open phase. */
+    /** Close the open phase: its tail sample, if one is owed, and
+     *  its counters. */
     void end();
 
     /**
@@ -255,13 +261,13 @@ class CoreLane
     {
         /** Instructions, cycles, and instruction mix. */
         CoreActivity activity;
-        CacheActivity il1, dl1;
-        /** This core's share of the L2 and memory traffic. */
-        double l2Accesses = 0;
-        double l2Misses = 0;
-        double memAccesses = 0;
+        /** L1 events, and this core's share of the L2 and memory
+         *  traffic. */
+        HierarchyActivity caches;
         /** FunctionalCore instructions (not measured). */
         std::uint64_t warmupInsts = 0;
+
+        bool operator==(const Measured &o) const = default;
     };
     const Measured &measured() const { return measured_; }
 
@@ -273,15 +279,8 @@ class CoreLane
     const Hierarchy &hierarchy() const { return hier_; }
 
   private:
-    /** Counters a measured window is charged from. */
-    struct Snapshot
-    {
-        CacheActivity il1, dl1;
-        std::uint64_t l2Accesses = 0;
-        std::uint64_t l2Misses = 0;
-        std::uint64_t memAccesses = 0;
-    };
-    Snapshot snapshot() const;
+    /** One timeline sample of the open phase. */
+    void sample();
 
     CoreModel model_;
     CoreParams coreParams_;
@@ -299,8 +298,10 @@ class CoreLane
     std::unique_ptr<TimelineRecorder> recorder_;
     Measured measured_;
     Phase phase_ = Phase::Measure;
+    /** Instructions fed to the open phase. */
+    std::uint64_t phaseInsts_ = 0;
     /** The open measured window's starting counters. */
-    Snapshot pre_;
+    HierarchyActivity pre_;
 };
 
 /**
@@ -377,9 +378,6 @@ class System
     ResizableCache &dl1() { return lane_.dl1(); }
     Hierarchy &hierarchy() { return lane_.hierarchy(); }
     const SystemConfig &config() const { return cfg_; }
-
-    /** Dump all cache stat groups (il1, dl1, l2) as text. */
-    void dumpStats(std::ostream &os) const;
 
   private:
     SystemConfig cfg_;

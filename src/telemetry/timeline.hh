@@ -3,17 +3,18 @@
  * Interval timelines: periodic samples of IPC, miss rates, enabled
  * cache geometry, MSHR/writeback occupancy, and interval energy.
  *
- * A TimelineRecorder is a CoreProbe: attach it to a timing core (and,
- * in sampled runs, the functional warmup core) and it emits one
- * TimelineRow every sampleInterval() instructions. The recorder only
- * *reads* simulation state — cache counters, pool occupancy, the
- * core's live activity struct — and keeps private snapshots to
- * difference against, so attaching it cannot perturb results. In
- * particular it never calls Cache::accumulateEnabledTime (that would
- * reorder the byteCycles_ double summation and change end-of-run
- * energy in the last bits); interval byte-cycles are instead
- * approximated recorder-side as enabledSize-at-sample × cycle-delta,
- * exact whenever the interval contains no resize.
+ * A TimelineRecorder turns one core's samples into TimelineRows. The
+ * CoreLane that feeds the core (sim/system.hh) decides where samples
+ * fall: after every interval()-th instruction of each window, and at
+ * the window's last instruction. The recorder only *reads* simulation
+ * state — cache counters, pool occupancy, the core's window activity
+ * — and keeps a private counter snapshot to difference against, so
+ * recording cannot perturb results. In particular it never calls
+ * Cache::accumulateEnabledTime (that would reorder the byteCycles_
+ * double summation and change end-of-run energy in the last bits);
+ * interval byte-cycles are instead approximated recorder-side as
+ * enabledSize-at-sample × cycle-delta, exact whenever the interval
+ * contains no resize.
  */
 
 #ifndef RCACHE_TELEMETRY_TIMELINE_HH
@@ -26,7 +27,6 @@
 
 #include "cpu/core.hh"
 #include "energy/energy_model.hh"
-#include "telemetry/probe.hh"
 
 namespace rcache
 {
@@ -62,6 +62,8 @@ struct TimelineRow
     unsigned wbBusy = 0;
     /** Interval energy in joules (0 for warmup rows). */
     double energy = 0;
+
+    bool operator==(const TimelineRow &o) const = default;
 };
 
 /** Read-only taps into one core's slice of the system. */
@@ -78,26 +80,27 @@ struct TimelineSources
 };
 
 /**
- * Accumulates TimelineRows for one core. Window bookkeeping: cores
- * report instructions/cycles relative to the current run() window
- * (multi-core quanta, sampled detailed windows), so the recorder
- * detects window turnover — a warmup sample after detail samples, or
- * a detail sample whose instruction count did not increase — and
- * folds the finished window into its cumulative bases. This is exact
- * because every window's final sample fires at its last instruction.
+ * Accumulates TimelineRows for one core. Its caller reports the open
+ * window's progress at each sample and closes each window after the
+ * sample at its last instruction; the recorder folds a closed window
+ * into the run's cumulative instructions and cycles.
  */
-class TimelineRecorder final : public CoreProbe
+class TimelineRecorder
 {
   public:
     TimelineRecorder(const TimelineSources &sources,
                      std::uint64_t interval);
 
-    std::uint64_t sampleInterval() const override { return interval_; }
-    void onSample(std::uint64_t window_insts, std::uint64_t window_cycle,
-                  const CoreActivity &window_activity) override;
-    void onWarmupSample(std::uint64_t window_insts) override;
+    /** Instructions between samples (> 0). */
+    std::uint64_t interval() const { return interval_; }
 
-    const std::vector<TimelineRow> &rows() const { return rows_; }
+    /** A sample of the open measured window: @p window is its
+     *  activity so far, cycles included. */
+    void sample(const CoreActivity &window);
+    /** A sample of the open warmup window after @p window_insts. */
+    void sampleWarmup(std::uint64_t window_insts);
+    /** The open window ended at its latest sample. */
+    void closeWindow();
 
     /** Move the accumulated rows out (recorder ends up empty but
      *  keeps its snapshots, so recording can continue). */
@@ -111,38 +114,18 @@ class TimelineRecorder final : public CoreProbe
     std::vector<TimelineRow> rows_;
     std::uint64_t seq_ = 0;
 
-    /** Completed-window totals. */
+    /** Closed-window totals. */
     std::uint64_t cumInsts_ = 0;
     std::uint64_t cumCycles_ = 0;
+    /** The open window as of its latest sample (a warmup window has
+     *  instructions only). */
+    CoreActivity window_;
+    /** Counters as of the latest sample of any kind. */
+    HierarchyActivity counters_;
 
-    /** Open detail window (values as of its latest sample). */
-    bool detailOpen_ = false;
-    std::uint64_t lastDetailInsts_ = 0;
-    std::uint64_t lastDetailCycle_ = 0;
-    CoreActivity lastDetailActivity_;
-
-    /** Open warmup window. */
-    bool warmupOpen_ = false;
-    std::uint64_t lastWarmupInsts_ = 0;
-
-    /** Counter snapshots from the previous sample of any kind. */
-    CacheActivity lastIl1_;
-    CacheActivity lastDl1_;
-    std::uint64_t lastL2Accesses_ = 0;
-    std::uint64_t lastL2Misses_ = 0;
-    std::uint64_t lastMem_ = 0;
-
-    /** Interval counter deltas captured alongside a row. */
-    struct IntervalCaches
-    {
-        CacheActivity il1;
-        CacheActivity dl1;
-        std::uint64_t l2Accesses = 0;
-        std::uint64_t mem = 0;
-    };
-
-    void closeWarmupWindow();
-    TimelineRow baseRow(const char *phase, IntervalCaches &deltas);
+    /** The row skeleton: the counter deltas since the latest sample
+     *  (returned in @p delta) and the enabled geometry. */
+    TimelineRow baseRow(const char *phase, HierarchyActivity &delta);
 };
 
 /**

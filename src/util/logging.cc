@@ -102,30 +102,4 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-void
-warnImpl(const std::string &msg)
-{
-    if (logEnabled(LogLevel::warn))
-        logMessage("warn", msg);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logEnabled(LogLevel::info))
-        logMessage("info", msg);
-}
-
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::info : LogLevel::warn);
-}
-
-bool
-verbose()
-{
-    return logEnabled(LogLevel::info);
-}
-
 } // namespace rcache

@@ -4,15 +4,14 @@
  *
  * panic() is for internal invariant violations (simulator bugs) and
  * aborts; fatal() is for user/configuration errors and exits cleanly;
- * warn() and inform() report conditions without stopping the run.
+ * RC_LOG reports conditions without stopping the run.
  *
  * Non-terminating output is leveled: every message carries a LogLevel
  * and only prints when at or below the global threshold. The
  * threshold starts from the RCACHE_LOG environment variable
  * (error|warn|info|debug, read once at first use; default info) and
  * can be moved at runtime with setLogLevel(). RC_LOG(level, msg) is
- * the generic leveled entry point; rc_warn/rc_inform are the warn-
- * and info-level shorthands that predate it.
+ * the one leveled entry point.
  */
 
 #ifndef RCACHE_UTIL_LOGGING_HH
@@ -64,27 +63,10 @@ void logMessage(const char *prefix, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Report a suspicious-but-survivable condition (warn level). */
-void warnImpl(const std::string &msg);
-
-/** Report an informational status message (info level). */
-void informImpl(const std::string &msg);
-
-/**
- * Legacy verbosity switch: true restores the default info threshold,
- * false drops to warn (benches silence inform() this way).
- */
-void setVerbose(bool verbose);
-
-/** @return whether inform() output is currently enabled. */
-bool verbose();
-
 } // namespace rcache
 
 #define rc_panic(msg) ::rcache::panicImpl(__FILE__, __LINE__, (msg))
 #define rc_fatal(msg) ::rcache::fatalImpl(__FILE__, __LINE__, (msg))
-#define rc_warn(msg) ::rcache::warnImpl((msg))
-#define rc_inform(msg) ::rcache::informImpl((msg))
 
 /**
  * Leveled logging: RC_LOG(warn, "...") / RC_LOG(debug, "...").

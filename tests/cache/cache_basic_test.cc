@@ -129,28 +129,6 @@ TEST(CacheBasicTest, ByteCyclesClampsNonMonotonicTime)
     EXPECT_DOUBLE_EQ(c.byteCycles(), 4096.0 * 100);
 }
 
-TEST(CacheBasicTest, ResetStatsClearsCounters)
-{
-    Cache c("c", smallGeom());
-    c.access(0x0, false);
-    c.resetStats();
-    EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_EQ(c.misses(), 0u);
-    EXPECT_EQ(c.prechargeSubarrayEvents(), 0u);
-    EXPECT_DOUBLE_EQ(c.byteCycles(), 0.0);
-    // Contents survive a stats reset.
-    EXPECT_TRUE(c.probe(0x0));
-}
-
-TEST(CacheBasicTest, StatGroupExposesCounters)
-{
-    Cache c("dl1", smallGeom());
-    c.access(0x0, false);
-    EXPECT_DOUBLE_EQ(c.stats().value("accesses"), 1.0);
-    EXPECT_DOUBLE_EQ(c.stats().value("misses"), 1.0);
-    EXPECT_DOUBLE_EQ(c.stats().value("missRatio"), 1.0);
-}
-
 TEST(CacheBasicDeathTest, InvalidGeometryIsFatal)
 {
     CacheGeometry bad{3000, 2, 32, 1024};

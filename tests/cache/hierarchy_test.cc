@@ -117,13 +117,4 @@ TEST(HierarchyTest, InclusionNotRequiredButL2CatchesReuse)
     EXPECT_EQ(f.h.memReads(), 3u); // only the three cold fills
 }
 
-TEST(HierarchyTest, ResetStats)
-{
-    Fixture f;
-    f.h.dataAccess(0x1000, false);
-    f.h.resetStats();
-    EXPECT_EQ(f.h.memReads(), 0u);
-    EXPECT_EQ(f.h.l2().accesses(), 0u);
-}
-
 } // namespace rcache

@@ -5,16 +5,21 @@
  * instructions, or in seeded random segments is the same
  * computation. For OooCore, InOrderCore and FunctionalCore, two
  * consecutive windows over a gcc stream, with a dynamic controller
- * resizing the d-cache and a probe sampling every 1000 instructions,
- * must leave identical activity, cache counters, resize decisions and
- * probe samples under every segmentation.
+ * resizing the d-cache, must leave identical activity, cache
+ * counters and resize decisions under every segmentation. One level
+ * up, a CoreLane (sim/system.hh) alternating warmup and measured
+ * windows must write the same timeline rows, measured sums and
+ * result under every segmentation: the lane, not the segments, puts
+ * the samples.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_controller.hh"
@@ -23,6 +28,7 @@
 #include "cpu/inorder_core.hh"
 #include "cpu/ooo_core.hh"
 #include "sim/system.hh"
+#include "telemetry/run_telemetry.hh"
 #include "util/random.hh"
 #include "workload/profiles.hh"
 #include "workload/synthetic.hh"
@@ -34,49 +40,20 @@ namespace
 {
 
 constexpr std::uint64_t kInsts = 20000;
-/** The first window's length: not a multiple of the sample stride,
- *  so it closes with a tail sample. */
+/** The first window's length: not a multiple of the timeline
+ *  interval, so a lane closes it with a tail sample. */
 constexpr std::uint64_t kFirstWindow = 7001;
 constexpr std::uint64_t kSampleInterval = 1000;
 
-/** A probe that records every sample it hears. */
-class RecordingProbe final : public CoreProbe
+/** A dynamic controller that resizes often over kInsts. */
+DynamicParams
+busyController()
 {
-  public:
-    struct Sample
-    {
-        bool warmup = false;
-        std::uint64_t insts = 0;
-        std::uint64_t cycle = 0;
-        CoreActivity activity;
-        double dl1Misses = 0;
-
-        bool operator==(const Sample &o) const = default;
-    };
-
-    explicit RecordingProbe(const Cache &dl1) : dl1_(dl1) {}
-
-    std::uint64_t sampleInterval() const override
-    {
-        return kSampleInterval;
-    }
-    void onSample(std::uint64_t insts, std::uint64_t cycle,
-                  const CoreActivity &activity) override
-    {
-        samples.push_back({false, insts, cycle, activity,
-                           static_cast<double>(dl1_.misses())});
-    }
-    void onWarmupSample(std::uint64_t insts) override
-    {
-        samples.push_back({true, insts, 0, {},
-                           static_cast<double>(dl1_.misses())});
-    }
-
-    std::vector<Sample> samples;
-
-  private:
-    const Cache &dl1_;
-};
+    DynamicParams p;
+    p.intervalAccesses = 512;
+    p.missBound = 64;
+    return p;
+}
 
 /** What a run leaves behind, compared with ==. */
 struct Outcome
@@ -84,7 +61,6 @@ struct Outcome
     std::vector<CoreActivity> windows;
     std::vector<double> counters;
     std::vector<unsigned> dl1Levels;
-    std::vector<RecordingProbe::Sample> samples;
 
     bool operator==(const Outcome &o) const = default;
 };
@@ -96,8 +72,8 @@ enum class Model
     Functional,
 };
 
-/** One core over fresh resizable L1s, a dynamic d-cache controller
- *  and a recording probe. */
+/** One core over fresh resizable L1s and a dynamic d-cache
+ *  controller. */
 struct Rig
 {
     SystemConfig cfg = SystemConfig::base();
@@ -105,13 +81,7 @@ struct Rig
     ResizableCache dl1{"dl1", cfg.dl1, Organization::SelectiveSets};
     Hierarchy hier{&il1.cache(), &dl1.cache(), cfg.l2, cfg.lat};
     DynamicMissRatioController dyn{dl1, hier.l1WritebackSink(),
-                                   [] {
-                                       DynamicParams p;
-                                       p.intervalAccesses = 512;
-                                       p.missBound = 16;
-                                       return p;
-                                   }()};
-    RecordingProbe probe{dl1.cache()};
+                                   busyController()};
     /** The FunctionalCore's predictor (a timing core owns its own). */
     BranchPredictor bpred{cfg.core.bpred};
     std::unique_ptr<Core> core;
@@ -125,13 +95,9 @@ struct Rig
         else if (model == Model::InOrder)
             core = std::make_unique<InOrderCore>(cfg.core, hier,
                                                  nullptr, &dyn);
-        if (core) {
-            core->setProbe(&probe);
-        } else {
+        else
             func = std::make_unique<FunctionalCore>(
                 hier, bpred, cfg.core.fetchWidth, nullptr, &dyn);
-            func->setProbe(&probe);
-        }
     }
 };
 
@@ -144,12 +110,12 @@ runSplit(Model model, const std::vector<MicroInst> &stream,
     Outcome out;
     std::size_t at = 0;
     for (const std::uint64_t end : {kFirstWindow, kInsts}) {
+        const std::size_t start = at;
         if (rig.core) {
             rig.core->resetTiming();
             rig.core->beginWindow();
         } else {
             rig.func->invalidateFetchBlock();
-            rig.func->beginWindow();
         }
         while (at < end) {
             const std::size_t n =
@@ -161,10 +127,10 @@ runSplit(Model model, const std::vector<MicroInst> &stream,
             at += n;
         }
         if (rig.core) {
-            out.windows.push_back(rig.core->endWindow());
+            out.windows.push_back(rig.core->windowActivity());
         } else {
             CoreActivity act;
-            act.insts = rig.func->endWindow();
+            act.insts = at - start;
             out.windows.push_back(act);
         }
     }
@@ -179,7 +145,6 @@ runSplit(Model model, const std::vector<MicroInst> &stream,
     out.counters.push_back(static_cast<double>(rig.hier.l2Accesses()));
     out.counters.push_back(static_cast<double>(rig.hier.l2Misses()));
     out.dl1Levels = rig.dyn.levelTrace();
-    out.samples = rig.probe.samples;
     return out;
 }
 
@@ -203,11 +168,10 @@ TEST_P(CoreWindowTest, EverySegmentationIsTheSameComputation)
     const std::vector<MicroInst> stream = gccStream();
     const Outcome whole =
         runSplit(GetParam(), stream, [] { return kInsts; });
-    // The run did something worth comparing: both windows ran, the
-    // probe sampled, and the controller resized.
+    // The run did something worth comparing: both windows ran and
+    // the controller resized.
     ASSERT_EQ(whole.windows.size(), 2u);
     EXPECT_EQ(whole.windows[0].insts, kFirstWindow);
-    EXPECT_EQ(whole.samples.size(), 8u + 13u);
     EXPECT_GT(whole.dl1Levels.size(), 2u);
 
     for (const std::size_t seg : {1, 3, 128, 1000}) {
@@ -242,5 +206,88 @@ INSTANTIATE_TEST_SUITE_P(Models, CoreWindowTest,
                              }
                              return std::string();
                          });
+
+namespace
+{
+
+/** What a lane run leaves behind, compared with ==. */
+struct LaneOutcome
+{
+    std::vector<TimelineRow> rows;
+    CoreLane::Measured measured;
+    RunResult result;
+
+    bool operator==(const LaneOutcome &o) const = default;
+};
+
+/**
+ * One sampled-engine lane (so it has a FunctionalCore) with a dynamic
+ * d-cache and a 1000-instruction timeline, through warmup and
+ * measured windows of unequal lengths, fed in segments @p next picks.
+ */
+LaneOutcome
+runLane(const std::vector<MicroInst> &stream,
+        const std::function<std::size_t()> &next)
+{
+    SystemConfig cfg = SystemConfig::base();
+    cfg.dl1Org = Organization::SelectiveSets;
+    CoreLane lane(cfg);
+    RunTelemetry telemetry;
+    telemetry.timelineInterval = kSampleInterval;
+    lane.start({}, {Strategy::Dynamic, 0, busyController()},
+               EngineSpec::makeSampled(kInsts, 4000, 4000), &telemetry);
+
+    using Phase = CoreLane::Phase;
+    const std::pair<Phase, std::size_t> windows[] = {
+        {Phase::Warmup, kFirstWindow},
+        {Phase::Measure, 4000},
+        {Phase::Warmup, 4000},
+        {Phase::Measure, kInsts - kFirstWindow - 8000},
+    };
+    std::size_t at = 0;
+    for (const auto &[phase, len] : windows) {
+        lane.begin(phase);
+        for (const std::size_t end = at + len; at < end;) {
+            const std::size_t n = std::min<std::size_t>(next(), end - at);
+            lane.feed(stream.data() + at, n);
+            at += n;
+        }
+        lane.end();
+    }
+    LaneOutcome out;
+    out.measured = lane.measured();
+    out.result = lane.finish("gcc", kInsts);
+    out.rows = telemetry.timeline;
+    return out;
+}
+
+} // namespace
+
+TEST(CoreWindowLaneTest, SamplesDoNotDependOnSegmentation)
+{
+    const std::vector<MicroInst> stream = gccStream();
+    const LaneOutcome whole = runLane(stream, [] { return kInsts; });
+    // Every window sampled, the 7001- and 4999-instruction windows
+    // with a tail sample each, and the controller resized.
+    EXPECT_EQ(whole.rows.size(), 8u + 4u + 4u + 5u);
+    EXPECT_EQ(whole.rows.back().insts, kInsts);
+    EXPECT_EQ(whole.measured.activity.insts, kInsts - kFirstWindow - 4000);
+    EXPECT_GT(whole.result.dl1Resizes, 2u);
+
+    for (const std::size_t seg : {1, 3, 128, 1000}) {
+        SCOPED_TRACE("segments of " + std::to_string(seg));
+        EXPECT_EQ(runLane(stream, [seg] { return seg; }), whole);
+    }
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE("random segments, seed " + std::to_string(seed));
+        Rng rng(seed);
+        EXPECT_EQ(runLane(stream,
+                          [&rng] {
+                              return static_cast<std::size_t>(
+                                  1 + rng.nextBelow(2500));
+                          }),
+                  whole);
+    }
+}
 
 } // namespace rcache

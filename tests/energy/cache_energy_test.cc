@@ -53,7 +53,7 @@ TEST(CacheEnergyTest, AccessEnergyMatchesEventCounters)
     for (int i = 0; i < 10; ++i)
         c.access(static_cast<Addr>(i) * 32, false);
     // 10 accesses at full size, uniform per-access cost of 38.5.
-    EXPECT_DOUBLE_EQ(m.l1AccessEnergy(c, 0), 385.0);
+    EXPECT_DOUBLE_EQ(m.l1AccessEnergy(CacheActivity::of(c), 0), 385.0);
 }
 
 TEST(CacheEnergyTest, ByteCycleTermScalesWithTime)
@@ -63,7 +63,7 @@ TEST(CacheEnergyTest, ByteCycleTermScalesWithTime)
     Cache c("c", g);
     c.accumulateEnabledTime(1000);
     const double expected = 32768.0 * 1000 * p.l1PerByteCycle;
-    EXPECT_DOUBLE_EQ(m.l1Energy(c, 0), expected);
+    EXPECT_DOUBLE_EQ(m.l1Energy(CacheActivity::of(c), 0), expected);
 }
 
 TEST(CacheEnergyTest, DownsizedCacheLeaksLess)
@@ -74,7 +74,8 @@ TEST(CacheEnergyTest, DownsizedCacheLeaksLess)
     b.resizeTo(256, 2); // 16K
     a.accumulateEnabledTime(1000);
     b.accumulateEnabledTime(1000);
-    EXPECT_DOUBLE_EQ(m.l1Energy(b, 0), m.l1Energy(a, 0) / 2);
+    EXPECT_DOUBLE_EQ(m.l1Energy(CacheActivity::of(b), 0),
+                     m.l1Energy(CacheActivity::of(a), 0) / 2);
 }
 
 TEST(CacheEnergyTest, L2EnergyPerAccessPlusStandby)
@@ -86,7 +87,9 @@ TEST(CacheEnergyTest, L2EnergyPerAccessPlusStandby)
     l2.access(0, false);
     const double expected =
         2 * p.l2PerAccess + 512.0 * 1024 * 100 * p.l2PerByteCycle;
-    EXPECT_DOUBLE_EQ(m.l2Energy(l2, 100), expected);
+    EXPECT_DOUBLE_EQ(m.l2Energy(CacheActivity::of(l2).accesses,
+                                l2.geometry().size, 100),
+                     expected);
 }
 
 /**

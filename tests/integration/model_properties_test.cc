@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "sim/experiment.hh"
 
@@ -86,20 +86,6 @@ TEST_P(SuitePropertyTest, MissRatiosMonotoneInSize)
             << GetParam() << " L" << lvl;
         prev = r.dl1MissRatio;
     }
-}
-
-TEST_P(SuitePropertyTest, StatsDumpWellFormed)
-{
-    SystemConfig cfg = SystemConfig::base();
-    SyntheticWorkload wl(profile());
-    System sys(cfg);
-    sys.run(wl, kInsts);
-    std::ostringstream os;
-    sys.dumpStats(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("il1.accesses"), std::string::npos);
-    EXPECT_NE(s.find("dl1.missRatio"), std::string::npos);
-    EXPECT_NE(s.find("l2.accesses"), std::string::npos);
 }
 
 TEST_P(SuitePropertyTest, EventCountsConsistent)

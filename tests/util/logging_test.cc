@@ -18,15 +18,6 @@ class LogLevelGuard
     LogLevel saved_;
 };
 
-TEST(LoggingTest, VerboseToggle)
-{
-    LogLevelGuard guard;
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-}
-
 TEST(LoggingTest, LevelThresholdGatesEachSeverity)
 {
     LogLevelGuard guard;
@@ -43,18 +34,6 @@ TEST(LoggingTest, LevelThresholdGatesEachSeverity)
     setLogLevel(LogLevel::debug);
     EXPECT_TRUE(logEnabled(LogLevel::error));
     EXPECT_TRUE(logEnabled(LogLevel::debug));
-}
-
-TEST(LoggingTest, VerboseMapsOntoLevels)
-{
-    LogLevelGuard guard;
-    setVerbose(false);
-    EXPECT_EQ(logLevel(), LogLevel::warn);
-    EXPECT_TRUE(logEnabled(LogLevel::warn));
-    EXPECT_FALSE(logEnabled(LogLevel::info));
-    setVerbose(true);
-    EXPECT_EQ(logLevel(), LogLevel::info);
-    EXPECT_TRUE(verbose());
 }
 
 TEST(LoggingTest, LevelNamesRoundTrip)
