@@ -1,9 +1,65 @@
 #include "cache/cache.hh"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
 #include <sstream>
+#include <type_traits>
+#include <vector>
+
+// AddressSanitizer checks indexing only into heap memory.
+#if defined(__SANITIZE_ADDRESS__)
+#define RCACHE_HEAP_FRAMES 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RCACHE_HEAP_FRAMES 1
+#endif
+#endif
 
 namespace rcache
 {
+
+namespace
+{
+
+/**
+ * @p bytes of zeroed frames. An anonymous private mapping reads as
+ * zero and makes a page resident only when it is first written, so
+ * allocating writes nothing; huge pages are declined, or one write
+ * would make 2 MB resident. Under AddressSanitizer the frames come
+ * from the heap instead, so an out-of-range frame index still lands
+ * in a redzone.
+ */
+void *
+allocateFrames(std::size_t bytes)
+{
+#ifdef RCACHE_HEAP_FRAMES
+    void *frames = std::calloc(bytes, 1);
+    if (!frames)
+        rc_fatal("cache: out of memory for " + std::to_string(bytes) +
+                 " bytes of frames");
+#else
+    void *frames = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (frames == MAP_FAILED)
+        rc_fatal("cache: cannot map " + std::to_string(bytes) +
+                 " bytes of frames");
+    ::madvise(frames, bytes, MADV_NOHUGEPAGE);
+#endif
+    return frames;
+}
+
+} // namespace
+
+void
+Cache::FrameRelease::operator()(Block *frames) const
+{
+#ifdef RCACHE_HEAP_FRAMES
+    std::free(frames);
+#else
+    ::munmap(frames, bytes);
+#endif
+}
 
 std::string
 CacheGeometry::validate() const
@@ -36,13 +92,17 @@ Cache::Cache(const std::string &name, const CacheGeometry &geom,
       policy_(policy ? std::move(policy)
                      : std::make_unique<LruPolicy>()),
       enabledSets_(geom.numSets()),
-      enabledWays_(geom.assoc),
-      blocks_(geom.numSets() * geom.assoc)
+      enabledWays_(geom.assoc)
 {
     std::string err = geom_.validate();
     if (!err.empty())
         rc_fatal("cache " + name_ + ": invalid geometry: " + err);
 
+    static_assert(sizeof(Block) == 16 &&
+                  std::is_trivially_copyable_v<Block>);
+    const std::size_t bytes = frameCount() * sizeof(Block);
+    blocks_ = std::unique_ptr<Block[], FrameRelease>(
+        static_cast<Block *>(allocateFrames(bytes)), FrameRelease{bytes});
     blockBits_ = geom_.blockBits();
     updateAccessConstants();
 }
@@ -233,8 +293,8 @@ FlushResult
 Cache::flushAll(const WritebackSink &sink)
 {
     FlushResult out;
-    for (auto &b : blocks_)
-        evict(b, sink, out);
+    for (std::uint64_t f = 0; f < frameCount(); ++f)
+        evict(blocks_[f], sink, out);
     return out;
 }
 

@@ -30,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
@@ -221,6 +220,16 @@ class Cache
     bool checkInvariants() const;
 
   private:
+    struct Block;
+
+    /** Returns a frame array to where allocateFrames (cache.cc) got
+     *  it. */
+    struct FrameRelease
+    {
+        std::size_t bytes;
+        void operator()(Block *frames) const;
+    };
+
     /**
      * One block frame, packed to 16 bytes so a 2-way row spans 32
      * bytes — half a typical 64-byte host cache line instead of
@@ -229,7 +238,8 @@ class Cache
      * outgrow a 32 KB host L1d at 24 bytes per frame).
      * Valid/dirty live in the top bits of the metadata word; the
      * replacement metadata keeps the low 48 bits (see the contract in
-     * replacement.hh).
+     * replacement.hh). All-zero bytes are an invalid frame with zero
+     * metadata, the state every frame starts in.
      */
     struct Block
     {
@@ -282,6 +292,12 @@ class Cache
     const Block &blockAt(std::uint64_t set, unsigned way) const
     {
         return blocks_[set * geom_.assoc + way];
+    }
+
+    /** Frames at full size: numSets x assoc. */
+    std::uint64_t frameCount() const
+    {
+        return geom_.numSets() * geom_.assoc;
     }
 
     /** Evict one block (writeback bookkeeping shared by all paths). */
@@ -352,7 +368,13 @@ class Cache
     bool wantsAccessStream_ = false;
     /// @}
 
-    std::vector<Block> blocks_;
+    /**
+     * The frames, set by set (blockAt). They start as zero pages that
+     * nothing writes until a fill, so only the pages a run touches
+     * become resident: a synthetic app touches a few of a 512 KB L2's
+     * 64 pages of frames in 400k instructions.
+     */
+    std::unique_ptr<Block[], FrameRelease> blocks_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

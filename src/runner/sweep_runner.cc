@@ -56,6 +56,16 @@ scheduleKey(const RunJob &job)
     return key;
 }
 
+/** Does every core slot of @p job read a trace? */
+bool
+readsOnlyTraces(const RunJob &job)
+{
+    for (unsigned c = 0; c < job.cfg.cores; ++c)
+        if (!isTraceProfile(laneProfile(job, c)))
+            return false;
+    return true;
+}
+
 /** Run @p group, timed jobs of one schedule, as the lanes of one
  *  lockstep group. @return their results, in group order */
 std::vector<RunResult>
@@ -167,10 +177,12 @@ SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
         schedules[it->second].push_back(i);
     }
 
-    const std::size_t cap = std::clamp<std::size_t>(
-        jobs.size() / (2 * std::max(1u, workers)), 1, maxLanes);
+    const std::size_t balance = jobs.size() / (2 * std::max(1u, workers));
     std::vector<std::vector<std::size_t>> groups;
     for (const std::vector<std::size_t> &s : schedules) {
+        const std::size_t cap = std::clamp<std::size_t>(
+            balance, 1,
+            readsOnlyTraces(jobs[s.front()]) ? maxTraceLanes : maxLanes);
         const std::size_t n = (s.size() + cap - 1) / cap;
         auto at = s.begin();
         for (std::size_t g = 0; g < n; ++g) {

@@ -102,9 +102,23 @@ class SweepRunner
     /** Hard upper bound on worker threads per batch. */
     static constexpr unsigned maxWorkers = 256;
 
-    /** Most lanes one group runs: a started System is about 336 KB
-     *  resident, so a worker holds at most about 2.7 MB of them. */
-    static constexpr std::size_t maxLanes = 8;
+    /**
+     * Most lanes one group runs. Producing a synthetic stream costs
+     * about as much as one full-detail lane running it, so at 32
+     * lanes the stream is about 3% of a group's work. Lanes are cheap
+     * to hold: a Cache makes resident only the frames its run fills,
+     * so a started System is about 30 KB.
+     */
+    static constexpr std::size_t maxLanes = 32;
+
+    /**
+     * Most lanes a group runs when every stream it reads is a trace.
+     * Decoding a trace costs well under a lane, so a larger group
+     * saves little, while a trace's lanes fill their L2 frames: on a
+     * 4-vCPU Xeon with 2 MB of L2 per core, perfbench's trace sweep
+     * took about 9% more CPU in groups of 18 than in groups of 8.
+     */
+    static constexpr std::size_t maxTraceLanes = 8;
 
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
@@ -147,7 +161,9 @@ class SweepRunner
      * run alone. Each schedule is split, in job order, into
      * near-equal groups of at most jobs.size() / (2 * workers) lanes
      * (so each worker gets two groups or more when the batch allows),
-     * clamped to [1, maxLanes]. Groups are ordered by first job.
+     * clamped to [1, maxLanes], or to [1, maxTraceLanes] when every
+     * stream of the schedule is a trace. Groups are ordered by first
+     * job.
      */
     static std::vector<std::vector<std::size_t>>
     laneGroups(const std::vector<RunJob> &jobs, unsigned workers);

@@ -179,9 +179,17 @@ class LineScanner
     {
     }
 
-    /** @return false at end of stream (a final unterminated line is
-     *          still returned once) */
-    bool
+    enum class Got
+    {
+        Line,
+        End,
+        /** Longer than StreamingTraceWorkload::maxLineBytes. */
+        TooLong,
+    };
+
+    /** Read the next line, without its newline, into @p out. A final
+     *  unterminated line is still returned once. */
+    Got
     getline(std::string &out)
     {
         out.clear();
@@ -191,7 +199,7 @@ class LineScanner
                 len_ = src_.read(buf_.data(), buf_.size());
                 pos_ = 0;
                 if (len_ == 0)
-                    return any;
+                    return any ? Got::Line : Got::End;
             }
             const char *begin = buf_.data() + pos_;
             const char *nl = static_cast<const char *>(
@@ -199,6 +207,8 @@ class LineScanner
             const std::size_t span =
                 nl ? static_cast<std::size_t>(nl - begin)
                    : len_ - pos_;
+            if (out.size() + span > StreamingTraceWorkload::maxLineBytes)
+                return Got::TooLong;
             out.append(begin, span);
             any = true;
             pos_ += span;
@@ -206,7 +216,7 @@ class LineScanner
             if (nl) {
                 ++pos_;
                 ++consumed_;
-                return true;
+                return Got::Line;
             }
         }
     }
@@ -298,9 +308,19 @@ class TextDecoder : public TraceDecoder
     {
         std::size_t g = 0;
         while (g < n) {
-            if (!scanner_.getline(line_))
+            const LineScanner::Got line = scanner_.getline(line_);
+            if (line == LineScanner::Got::End)
                 break;
             ++lineno_;
+            if (line == LineScanner::Got::TooLong) {
+                if (err)
+                    *err = path_ + ":" + std::to_string(lineno_) +
+                           ": line longer than " +
+                           std::to_string(
+                               StreamingTraceWorkload::maxLineBytes) +
+                           " bytes";
+                return false;
+            }
             if (line_.empty() || line_[0] == '#')
                 continue;
             if (!line_.empty() && line_.back() == '\r')
@@ -597,8 +617,12 @@ StreamingTraceWorkload::open(const TraceSpec &spec,
     }
     wl->cursor_ = got;
     wl->chunkLen_ = got;
-    if (got < chunkRecords)
-        wl->len_ = got; // whole trace fit in the first chunk
+    if (got < chunkRecords) {
+        // The whole trace fit in the first chunk: it stays there, and
+        // the decoder is never read again.
+        wl->len_ = got;
+        wl->resident_ = true;
+    }
     return wl;
 }
 
@@ -634,6 +658,11 @@ StreamingTraceWorkload::decodeSome(MicroInst *buf, std::size_t n)
 void
 StreamingTraceWorkload::seekToRecord(std::uint64_t target)
 {
+    if (resident_) {
+        chunkPos_ = static_cast<std::size_t>(target);
+        chunkLen_ = static_cast<std::size_t>(len_);
+        return;
+    }
     chunkPos_ = chunkLen_ = 0;
     if (decoder_->seekToRecordExact(target)) {
         cursor_ = target;
@@ -672,6 +701,10 @@ StreamingTraceWorkload::ensureLength()
 void
 StreamingTraceWorkload::refill()
 {
+    if (resident_) {
+        seekToRecord(0); // a wrap
+        return;
+    }
     chunkPos_ = 0;
     std::size_t got = decodeSome(chunk_.data(), chunkRecords);
     if (got == 0) {

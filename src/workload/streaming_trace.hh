@@ -4,21 +4,22 @@
  * in bounded-memory chunks instead of materialized.
  *
  * Memory bound: one decoded chunk (chunkRecords MicroInsts, ~160 KB),
- * one I/O buffer (ioBufferBytes), one line scratch for the text
- * formats, and a sparse seek index of one {offset, line} entry per
- * checkpointStride records (~16 bytes per 8192 records — under 100 KB
- * even for a 50 M-record multi-GB trace). Nothing scales with file
- * size beyond the index; a multi-GB trace streams through nextBatch
- * at a fixed footprint.
+ * one I/O buffer (ioBufferBytes), one line scratch of at most
+ * maxLineBytes for the text formats, and a sparse seek index of one
+ * {offset, line} entry per checkpointStride records (~16 bytes per
+ * 8192 records — under 100 KB even for a 50 M-record multi-GB
+ * trace). Nothing scales with file size beyond the index; a multi-GB
+ * trace streams through nextBatch at a fixed footprint.
  *
  * Looping and skip semantics match TraceWorkload: the trace repeats
  * modulo its record count, and skip(n) advances the cursor without
- * decoding the skipped records. skip is O(1) amortized: the first
- * full pass (whether driven by reads or forced by an early skip)
- * builds the checkpoint index as a side effect of decoding it anyway;
- * after that every skip is one seek plus at most checkpointStride
- * record decodes — and exactly one seek for the fixed-width binary
- * format on an uncompressed file. Gzip inputs seek by
+ * decoding the skipped records. A trace that fits in one chunk is
+ * decoded once, at open, and loops from the chunk. Otherwise skip is
+ * O(1) amortized: the first full pass (whether driven by reads or
+ * forced by an early skip) builds the checkpoint index as a side
+ * effect of decoding it anyway; after that every skip is one seek
+ * plus at most checkpointStride record decodes — and exactly one
+ * seek for the fixed-width binary format on an uncompressed file. Gzip inputs seek by
  * inflate-and-discard (zlib has no random access), which is still
  * parse-free and proportional only to the distance from the nearest
  * restart point.
@@ -56,6 +57,10 @@ class StreamingTraceWorkload final : public Workload
     static constexpr std::uint64_t checkpointStride = 8192;
     /** I/O buffer of the underlying byte source. */
     static constexpr std::size_t ioBufferBytes = 256 * 1024;
+    /** Longest line the text formats accept, far above any record:
+     *  a longer one is malformed, so input without newlines cannot
+     *  grow the line scratch to the size of the file. */
+    static constexpr std::size_t maxLineBytes = 64 * 1024;
 
     /**
      * Open @p spec for streaming. Eagerly decodes the first record so
@@ -120,6 +125,9 @@ class StreamingTraceWorkload final : public Workload
     std::uint64_t cursor_ = 0;
     /** Total records; 0 until the first pass completes. */
     std::uint64_t len_ = 0;
+    /** Does chunk_ hold the whole trace (it fit in the first
+     *  decode)? Then wraps, skips and resets only move chunkPos_. */
+    bool resident_ = false;
 
     /** Seek index: entry k locates record k * checkpointStride. */
     struct Checkpoint

@@ -28,23 +28,43 @@ opClassCode(OpClass op)
     rc_panic("bad op class");
 }
 
-OpClass
-opClassFromCode(char code)
+namespace
+{
+
+/** Set @p op from opcode @p code. @return false for an unknown code */
+bool
+opFromCode(char code, OpClass &op)
 {
     switch (code) {
       case 'I':
-        return OpClass::IntAlu;
+        op = OpClass::IntAlu;
+        return true;
       case 'F':
-        return OpClass::FpAlu;
+        op = OpClass::FpAlu;
+        return true;
       case 'L':
-        return OpClass::Load;
+        op = OpClass::Load;
+        return true;
       case 'S':
-        return OpClass::Store;
+        op = OpClass::Store;
+        return true;
       case 'B':
-        return OpClass::Branch;
+        op = OpClass::Branch;
+        return true;
       default:
-        rc_fatal(std::string("bad opcode in trace: '") + code + "'");
+        return false;
     }
+}
+
+} // namespace
+
+OpClass
+opClassFromCode(char code)
+{
+    OpClass op;
+    if (!opFromCode(code, op))
+        rc_fatal(std::string("bad opcode in trace: '") + code + "'");
+    return op;
 }
 
 void
@@ -142,11 +162,92 @@ parseFieldU8(std::string_view f, std::uint8_t &out, const char *what,
     return true;
 }
 
+/** Value of lower-case hex digit @p c, or 16 for any other byte. */
+unsigned
+lowerHexDigit(char c)
+{
+    if (c >= '0' && c <= '9')
+        return static_cast<unsigned>(c - '0');
+    if (c >= 'a' && c <= 'f')
+        return static_cast<unsigned>(c - 'a' + 10);
+    return 16;
+}
+
+/** Consume 1 to 16 lower-case hex digits at @p p into @p out. */
+bool
+canonicalHex(const char *&p, const char *end, std::uint64_t &out)
+{
+    const char *const begin = p;
+    std::uint64_t v = 0;
+    for (unsigned d; p != end && p - begin <= 16 &&
+                     (d = lowerHexDigit(*p)) < 16;
+         ++p)
+        v = v << 4 | d;
+    if (p == begin || p - begin > 16)
+        return false;
+    out = v;
+    return true;
+}
+
+/** Consume 1 to 3 decimal digits at @p p, worth at most 255. */
+bool
+canonicalU8(const char *&p, const char *end, std::uint8_t &out)
+{
+    const char *const begin = p;
+    unsigned v = 0;
+    for (; p != end && p - begin < 3 && *p >= '0' && *p <= '9'; ++p)
+        v = v * 10 + static_cast<unsigned>(*p - '0');
+    if (p == begin || v > 255)
+        return false;
+    out = static_cast<std::uint8_t>(v);
+    return true;
+}
+
+/**
+ * One pass over the shape writeTraceLine writes: single spaces,
+ * lower-case hex of at most 16 digits, decimals of at most 3 digits,
+ * nothing after the last field. Any other line returns false, and
+ * parseTraceLineStrict, which accepts every line this does with the
+ * same values, decides it.
+ */
+bool
+parseCanonicalLine(std::string_view line, MicroInst &out)
+{
+    const char *p = line.data();
+    const char *const end = p + line.size();
+    const auto space = [&] { return p != end && *p++ == ' '; };
+    MicroInst m;
+    if (p == end || !opFromCode(*p++, m.op) || !space() ||
+        !canonicalHex(p, end, m.pc) || !space() ||
+        !canonicalHex(p, end, m.effAddr) || !space() ||
+        !canonicalU8(p, end, m.latency) || !space() ||
+        !canonicalU8(p, end, m.dep1) || !space() ||
+        !canonicalU8(p, end, m.dep2) || !space() || p == end ||
+        (*p != '0' && *p != '1'))
+        return false;
+    m.taken = *p++ == '1';
+    if (m.op == OpClass::Branch && m.taken &&
+        (!space() || !canonicalHex(p, end, m.target)))
+        return false;
+    if (p != end)
+        return false;
+    out = m;
+    return true;
+}
+
 } // namespace
 
 bool
 parseTraceLine(const std::string &line, MicroInst &m,
                std::string *why)
+{
+    return parseCanonicalLine(line, m) ||
+           parseTraceLineStrict(line, m, why);
+}
+
+bool
+parseTraceLineStrict(const std::string &line, MicroInst &m,
+                     std::string *why)
 {
     constexpr std::size_t max_fields = 8;
     std::string_view fields[max_fields];
@@ -164,28 +265,7 @@ parseTraceLine(const std::string &line, MicroInst &m,
         return false;
     }
 
-    if (fields[0].size() != 1) {
-        if (why)
-            *why = "bad opcode: '" + std::string(fields[0]) + "'";
-        return false;
-    }
-    switch (fields[0][0]) {
-      case 'I':
-        m.op = OpClass::IntAlu;
-        break;
-      case 'F':
-        m.op = OpClass::FpAlu;
-        break;
-      case 'L':
-        m.op = OpClass::Load;
-        break;
-      case 'S':
-        m.op = OpClass::Store;
-        break;
-      case 'B':
-        m.op = OpClass::Branch;
-        break;
-      default:
+    if (fields[0].size() != 1 || !opFromCode(fields[0][0], m.op)) {
         if (why)
             *why = "bad opcode: '" + std::string(fields[0]) + "'";
         return false;
@@ -239,7 +319,7 @@ readTraceStrict(std::istream &is, const std::string &file,
             continue;
         MicroInst m;
         std::string why;
-        if (!parseTraceLine(line, m, &why)) {
+        if (!parseTraceLineStrict(line, m, &why)) {
             if (err)
                 *err = file + ":" + std::to_string(lineno) + ": " +
                        why;

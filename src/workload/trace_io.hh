@@ -3,9 +3,10 @@
  * Native trace format I/O: record a workload's stream to a portable
  * text format (`rcache-sim record`), which the streaming reader
  * (workload/streaming_trace.hh) replays anywhere an app name goes as
- * trace:PATH. This file holds the writer and the strict line parser
- * both sides share; readTraceStrict is the materializing reference
- * the streaming reader is tested against.
+ * trace:PATH. This file holds the writer and the line parsers:
+ * parseTraceLine, which the streaming reader uses, and the strict
+ * parser it falls back to; readTraceStrict is the materializing
+ * reference the streaming reader is tested against.
  *
  * Format: one instruction per line,
  *   <op> <pc-hex> <eff-addr-hex> <latency> <dep1> <dep2> <taken>
@@ -45,13 +46,21 @@ void writeTraceLine(std::ostream &os, const MicroInst &m);
  * @return false with @p why set (no line/file prefix) on a malformed
  *         line
  */
+bool parseTraceLineStrict(const std::string &line, MicroInst &m,
+                          std::string *why);
+
+/**
+ * parseTraceLineStrict's results for every line, faster: a line in
+ * writeTraceLine's own shape is decoded in one pass, and any other
+ * line goes to parseTraceLineStrict. The streaming reader's parser.
+ */
 bool parseTraceLine(const std::string &line, MicroInst &m,
                     std::string *why);
 
 /**
- * Parse a trace stream strictly. On a malformed line stops and
- * returns false with @p err set to "<file>:<line>: <why>"; @p file is
- * only used for the diagnostic.
+ * Parse a trace stream with parseTraceLineStrict. On a malformed
+ * line stops and returns false with @p err set to
+ * "<file>:<line>: <why>"; @p file is only used for the diagnostic.
  */
 bool readTraceStrict(std::istream &is, const std::string &file,
                      std::vector<MicroInst> &out, std::string *err);

@@ -129,6 +129,37 @@ TEST(CacheBasicTest, ByteCyclesClampsNonMonotonicTime)
     EXPECT_DOUBLE_EQ(c.byteCycles(), 4096.0 * 100);
 }
 
+TEST(CacheBasicTest, UntouchedFramesAreInvalid)
+{
+    // Frames start as zero bytes, which read as invalid frames holding
+    // block 0: until a fill, block 0 and every set miss, and resizing
+    // or flushing finds nothing to invalidate. The 512 KB L2 geometry
+    // is the one whose untouched pages matter.
+    for (const CacheGeometry &g :
+         {smallGeom(), CacheGeometry{512 * 1024, 4, 32, 8192}}) {
+        SCOPED_TRACE(g.size);
+        Cache c("c", g);
+        for (Addr a = 0; a < 2 * g.size; a += g.blockSize)
+            ASSERT_FALSE(c.probe(a)) << a;
+        EXPECT_TRUE(c.checkInvariants());
+
+        std::uint64_t sunk = 0;
+        const WritebackSink sink = [&](Addr) { ++sunk; };
+        for (const FlushResult &f :
+             {c.resizeTo(g.minSets(), 1, sink),
+              c.resizeTo(g.numSets(), g.assoc, sink), c.flushAll(sink)}) {
+            EXPECT_EQ(f.invalidated, 0u);
+            EXPECT_EQ(f.writebacks, 0u);
+        }
+        EXPECT_EQ(sunk, 0u);
+        EXPECT_EQ(c.resizes(), 2u);
+
+        EXPECT_FALSE(c.access(0, false).hit);
+        EXPECT_TRUE(c.access(0, false).hit);
+        EXPECT_EQ(c.misses(), 1u);
+    }
+}
+
 TEST(CacheBasicDeathTest, InvalidGeometryIsFatal)
 {
     CacheGeometry bad{3000, 2, 32, 1024};

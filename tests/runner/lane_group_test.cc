@@ -7,7 +7,7 @@
  * two cores, a synthetic profile and a checked-in trace, out-of-order
  * and in-order cores, static and dynamic d-caches; at 1, 2 and 4
  * workers, with 1, 2 and 9 members per schedule. Also pins how a
- * batch is cut into groups.
+ * batch is cut into groups, a tune rung's and a trace's included.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +201,52 @@ TEST(LaneGroupTest, GroupsSplitSchedulesEvenlyUpToMaxLanes)
     EXPECT_EQ(sizes(2), (std::vector<std::size_t>{3, 3, 3, 2, 1, 1}));
     // More workers than pairs of jobs: every job alone.
     EXPECT_EQ(sizes(8), std::vector<std::size_t>(jobs.size(), 1));
+
+    // One schedule of 70 on one worker: 35 lanes by the balance rule,
+    // capped at maxLanes, so three near-equal groups; a schedule that
+    // reads only a trace is capped at maxTraceLanes.
+    static_assert(SweepRunner::maxLanes == 32);
+    static_assert(SweepRunner::maxTraceLanes == 8);
+    jobs.clear();
+    for (std::size_t k = 0; k < 70; ++k)
+        jobs.push_back(member(schedules()[0], 0, k));
+    ASSERT_EQ(jobs.front().profile.name, "gcc");
+    EXPECT_EQ(sizes(1), (std::vector<std::size_t>{24, 23, 23}));
+    jobs.clear();
+    for (std::size_t k = 0; k < 70; ++k)
+        jobs.push_back(member(schedules()[4], 4, k));
+    ASSERT_TRUE(isTraceProfile(jobs.front().profile));
+    EXPECT_EQ(sizes(1),
+              (std::vector<std::size_t>{8, 8, 8, 8, 8, 8, 8, 7, 7}));
+}
+
+TEST(LaneGroupTest, TuneRungSchedulesStayWholeUpToMaxLanes)
+{
+    // The shape of a tune rung: 363 jobs of 12 apps at 2 workers, each
+    // app one schedule of 17 to 47 jobs. The balance rule allows 90
+    // lanes, so maxLanes binds: a schedule of 32 or fewer is one group
+    // (one pass over its stream), a longer one splits in two.
+    const std::vector<std::size_t> counts{17, 20, 24, 28, 30, 32,
+                                          33, 35, 36, 40, 21, 47};
+    const std::vector<BenchmarkProfile> apps = spec2000Suite();
+    ASSERT_EQ(apps.size(), counts.size());
+    std::vector<RunJob> jobs;
+    for (std::size_t s = 0; s < apps.size(); ++s)
+        for (std::size_t k = 0; k < counts[s]; ++k)
+            jobs.push_back(member({apps[s], 1, EngineSpec::makeSampled(
+                                                   100000, 1000, 2000)},
+                                  s, k));
+    ASSERT_EQ(jobs.size(), 363u);
+
+    const auto groups = SweepRunner::laneGroups(jobs, 2);
+    std::vector<std::size_t> sizes;
+    for (const auto &g : groups) {
+        EXPECT_LE(g.size(), SweepRunner::maxLanes);
+        sizes.push_back(g.size());
+    }
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{17, 20, 24, 28, 30, 32,
+                                               17, 16, 18, 17, 18, 18,
+                                               20, 20, 21, 24, 23}));
 }
 
 } // namespace rcache

@@ -2,11 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "sim/system.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
 {
+
+namespace
+{
+
+/** This process's VmRSS in KB, or -1 if /proc/self/status cannot be
+ *  read. */
+long
+residentKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    return -1;
+}
+
+} // namespace
 
 TEST(SystemTest, BaseConfigMatchesTable2)
 {
@@ -110,6 +133,28 @@ TEST(SystemTest, CoreModelNames)
               "out-of-order/non-blocking");
     EXPECT_EQ(coreModelName(CoreModel::InOrder),
               "in-order/blocking");
+}
+
+TEST(SystemTest, StartedSystemsHoldOnlyTheFramesTheyTouch)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer builds allocate their own way";
+#endif
+    const long before = residentKb();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/status is unreadable";
+    // Each System's L2 alone has 256 KB of frames (16384 x 16 bytes);
+    // starting a System writes almost none of them, so each may grow
+    // the process by at most a quarter of that.
+    constexpr long systems = 64;
+    std::vector<std::unique_ptr<System>> started;
+    for (long i = 0; i < systems; ++i) {
+        started.push_back(std::make_unique<System>(SystemConfig::base()));
+        started.back()->start({}, {}, EngineSpec{}, nullptr);
+    }
+    const long grown = residentKb() - before;
+    EXPECT_LT(grown, systems * 256 / 4)
+        << grown << " KB resident for " << systems << " started Systems";
 }
 
 TEST(SystemDeathTest, SecondRunPanics)

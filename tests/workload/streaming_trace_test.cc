@@ -210,6 +210,70 @@ TEST(StreamingTraceTest, ResetRestartsTheStream)
     std::remove(path.c_str());
 }
 
+TEST(StreamingTraceTest, OneRecordTraceLoopsFromMemory)
+{
+    const std::string path = tempPath("native_one.trace");
+    const auto insts = writeNativeFixture(path, "gcc", 1);
+    TraceWorkload ref(insts);
+
+    auto wl = openSpec("trace:" + path);
+    ASSERT_TRUE(wl);
+    // Decoded once, at open: rewriting the file under the open stream
+    // changes nothing it returns.
+    std::ofstream(path) << "I 0 0 1 0 0 0\n";
+    const auto expect = drainSingly(ref, 8);
+    EXPECT_EQ(drainSingly(*wl, 5), std::vector<MicroInst>(5, insts[0]));
+    EXPECT_EQ(drainBatched(*wl, 300), drainSingly(ref, 300));
+    wl->skip(7);
+    EXPECT_EQ(wl->next(), expect[0]);
+    wl->reset();
+    EXPECT_EQ(wl->next(), expect[0]);
+    EXPECT_EQ(wl->records(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceTest, OverlongLineFailsWithItsLine)
+{
+    // A record padded to exactly maxLineBytes with leading zeros is
+    // still a record; one byte more, or a file with no newline at all,
+    // is rejected at its line without buffering the rest.
+    const std::size_t cap = StreamingTraceWorkload::maxLineBytes;
+    const std::string tail = "1 0 1 0 0 0";
+    const std::string longest =
+        "I " + std::string(cap - 2 - tail.size(), '0') + tail;
+    ASSERT_EQ(longest.size(), cap);
+    const struct
+    {
+        std::string name;
+        std::string body;
+        std::string expect; // empty: accepted
+    } cases[] = {
+        {"at_cap", "L 400000 0 1 0 0 0\n" + longest + "\n", ""},
+        {"over_cap", "L 400000 0 1 0 0 0\n#\n0" + longest + "\n",
+         ":3: line longer than " + std::to_string(cap) + " bytes"},
+        {"no_newline", std::string(16 * cap, 'L'),
+         ":1: line longer than " + std::to_string(cap) + " bytes"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = tempPath("long_" + c.name + ".trace");
+        std::ofstream(path) << c.body;
+        TraceSpec spec;
+        std::string err;
+        ASSERT_TRUE(parseTraceSpec("trace:" + path, &spec, &err));
+        auto wl = StreamingTraceWorkload::open(spec, "t", &err);
+        if (c.expect.empty()) {
+            ASSERT_TRUE(wl) << err;
+            wl->next();
+            EXPECT_EQ(wl->next().pc, 1u);
+        } else {
+            EXPECT_FALSE(wl);
+            EXPECT_EQ(err, path + c.expect);
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(StreamingTraceTest, RecordsCountsTheTrace)
 {
     const std::string path = tempPath("native_count.trace");

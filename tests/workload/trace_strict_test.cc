@@ -6,12 +6,20 @@
  * silently wrapped into uint8 casts, negative latencies — must now be
  * rejected with a one-line explanation, and errors surfaced through
  * readTraceStrict carry a file:line prefix the CLI reports verbatim.
+ * The one-pass parser the streaming reader uses (parseTraceLine) must
+ * agree with the strict one on every line, mutated ones included.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/random.hh"
+#include "workload/profiles.hh"
+#include "workload/synthetic.hh"
 #include "workload/trace_io.hh"
 
 namespace rcache
@@ -26,6 +34,96 @@ struct BadLine
     /** Substring the diagnostic must contain. */
     const char *expect;
 };
+
+/** The lines of @p in, without their newlines. */
+std::vector<std::string>
+linesOf(std::istream &in)
+{
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);)
+        out.push_back(line);
+    return out;
+}
+
+/** @p line with one seeded mutation of kind @p kind (mod 10). */
+std::string
+mutate(std::string line, unsigned kind, Rng &rng)
+{
+    // Field boundaries: fields[k] = {begin, end} of field k.
+    std::vector<std::pair<std::size_t, std::size_t>> fields;
+    for (std::size_t i = 0; i < line.size();) {
+        const std::size_t b = line.find_first_not_of(' ', i);
+        if (b == std::string::npos)
+            break;
+        const std::size_t e = std::min(line.find(' ', b), line.size());
+        fields.emplace_back(b, e);
+        i = e;
+    }
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.nextBelow(n));
+    };
+    const auto hexDigits = [&](std::size_t n) {
+        std::string d;
+        for (std::size_t i = 0; i < n; ++i)
+            d += "0123456789abcdef"[pick(16)];
+        return d;
+    };
+    switch (kind % 10) {
+      case 0: // a tab for a space
+        if (const std::size_t sp = line.find(' ', pick(line.size()));
+            sp != std::string::npos)
+            line[sp] = '\t';
+        break;
+      case 1: // upper-case hex
+        for (char &c : line)
+            if (c >= 'a' && c <= 'f')
+                c = static_cast<char>(c - 'a' + 'A');
+        break;
+      case 2: // leading zeros, up to 17-digit fields and beyond
+        if (fields.size() > 1)
+            line.insert(fields[1 + pick(fields.size() - 1)].first,
+                        std::string(1 + pick(20), '0'));
+        break;
+      case 3: { // a 17-digit hex field, in range or not
+        const std::size_t f = std::vector<std::size_t>{1, 2, 7}[pick(3)];
+        if (f < fields.size())
+            line.replace(fields[f].first,
+                         fields[f].second - fields[f].first,
+                         (pick(2) ? "0" : "1") + hexDigits(16));
+        break;
+      }
+      case 4: // the last field dropped: a missing target
+        if (fields.size() > 1)
+            line.erase(fields.back().first - 1);
+        break;
+      case 5: // an extra target
+        line += " " + hexDigits(1 + pick(16));
+        break;
+      case 6: { // padding: doubled, leading or trailing space, or \r
+        const char *pads[] = {" ", "\r", "\t"};
+        const std::size_t at =
+            pick(2) ? 0 : pick(2) ? line.size() : line.find(' ');
+        line.insert(std::min(at, line.size()), pads[pick(3)]);
+        break;
+      }
+      case 7: { // one byte replaced
+        const char alphabet[] = " \t0123456789abcdefABCDEFxILSBF-+#";
+        if (!line.empty())
+            line[pick(line.size())] = alphabet[pick(sizeof(alphabet) - 1)];
+        break;
+      }
+      case 8: // truncated
+        line.resize(pick(line.size() + 1));
+        break;
+      case 9: // a decimal field of up to 3 digits, maybe too big
+        if (fields.size() > 5) {
+            const auto [b, e] = fields[3 + pick(3)];
+            line.replace(b, e - b, std::to_string(pick(1000)));
+        }
+        break;
+    }
+    return line;
+}
 
 } // namespace
 
@@ -144,6 +242,54 @@ TEST(TraceStrictTest, StrictReaderAcceptsCleanStream)
     ASSERT_TRUE(readTraceStrict(buf, "demo.txt", out, &err)) << err;
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[1].target, 0x400000u);
+}
+
+TEST(TraceStrictTest, OnePassParserAgreesWithStrictParser)
+{
+    // Canonical lines: the checked-in fixtures and a recording of gcc
+    // (taken branches with targets, stores, multi-digit latencies).
+    std::vector<std::string> lines;
+    for (const char *name : {"mini.trace", "skewed_scan.trace"}) {
+        std::ifstream in(std::string(RCACHE_TEST_DATA_DIR) + "/" + name);
+        ASSERT_TRUE(in) << name;
+        for (const std::string &l : linesOf(in))
+            if (!l.empty() && l[0] != '#')
+                lines.push_back(l);
+    }
+    SyntheticWorkload gcc(profileByName("gcc"));
+    std::stringstream recorded;
+    writeTrace(recorded, gcc, 3000);
+    for (const std::string &l : linesOf(recorded))
+        if (l[0] != '#')
+            lines.push_back(l);
+
+    const auto agree = [](const std::string &line) {
+        MicroInst fast, strict;
+        fast.latency = 7; // stale values the parsers must overwrite
+        strict.latency = 9;
+        std::string fast_why, strict_why;
+        const bool ok = parseTraceLine(line, fast, &fast_why);
+        EXPECT_EQ(ok, parseTraceLineStrict(line, strict, &strict_why))
+            << "'" << line << "'";
+        EXPECT_EQ(fast_why, strict_why) << "'" << line << "'";
+        if (ok)
+            EXPECT_EQ(fast, strict) << "'" << line << "'";
+        return ok;
+    };
+    Rng rng(20);
+    std::size_t accepted = 0, mutants = 0, mutants_accepted = 0;
+    for (const std::string &line : lines) {
+        accepted += agree(line);
+        for (unsigned kind = 0; kind < 10; ++kind) {
+            const std::string m = mutate(line, kind, rng);
+            ++mutants;
+            mutants_accepted += agree(m);
+        }
+    }
+    EXPECT_EQ(accepted, lines.size());
+    // The mutations exercise both verdicts.
+    EXPECT_GT(mutants_accepted, mutants / 10);
+    EXPECT_LT(mutants_accepted, mutants * 9 / 10);
 }
 
 } // namespace rcache
