@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "cache/hierarchy.hh"
@@ -592,6 +593,25 @@ AnalyticBatch::price(const std::vector<RunJob> &jobs, unsigned workers)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         out.push_back(priceAnalyticJob(jobs[i], *pass_of[i]));
     return out;
+}
+
+std::vector<RunResult>
+AnalyticBatch::drain(const std::vector<RunJob> &jobs, unsigned workers,
+                     const SweepRunner::Finished &finished)
+{
+    std::vector<RunResult> results = price(jobs, workers);
+    std::vector<std::size_t> group(results.size());
+    std::iota(group.begin(), group.end(), 0);
+    std::vector<RunJob> release;
+    while (!group.empty() && finished &&
+           finished(group, results, release) && !release.empty()) {
+        const std::vector<RunResult> priced = price(release, workers);
+        group.resize(priced.size());
+        std::iota(group.begin(), group.end(), results.size());
+        results.insert(results.end(), priced.begin(), priced.end());
+        release.clear();
+    }
+    return results;
 }
 
 } // namespace rcache

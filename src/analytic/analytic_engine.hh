@@ -215,6 +215,15 @@ class AnalyticBatch
     std::vector<RunResult> price(const std::vector<RunJob> &jobs,
                                  unsigned workers = 1);
 
+    /**
+     * SweepRunner::drain's contract over price(): @p jobs are priced
+     * as one group, then each release as the next, until @p finished
+     * releases nothing or stops.
+     */
+    std::vector<RunResult> drain(const std::vector<RunJob> &jobs,
+                                 unsigned workers,
+                                 const SweepRunner::Finished &finished);
+
   private:
     std::map<std::string, std::unique_ptr<AnalyticPass>> passes_;
 };

@@ -19,45 +19,55 @@
 namespace rcache
 {
 
-namespace
+FrameMapping::FrameMapping(std::size_t bytes) : bytes_(bytes)
 {
-
-/**
- * @p bytes of zeroed frames. An anonymous private mapping reads as
- * zero and makes a page resident only when it is first written, so
- * allocating writes nothing; huge pages are declined, or one write
- * would make 2 MB resident. Under AddressSanitizer the frames come
- * from the heap instead, so an out-of-range frame index still lands
- * in a redzone.
- */
-void *
-allocateFrames(std::size_t bytes)
-{
-#ifdef RCACHE_HEAP_FRAMES
-    void *frames = std::calloc(bytes, 1);
-    if (!frames)
-        rc_fatal("cache: out of memory for " + std::to_string(bytes) +
+#ifndef RCACHE_HEAP_FRAMES
+    base_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base_ == MAP_FAILED)
+        rc_fatal("cache: cannot map " + std::to_string(bytes_) +
                  " bytes of frames");
-#else
-    void *frames = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (frames == MAP_FAILED)
-        rc_fatal("cache: cannot map " + std::to_string(bytes) +
-                 " bytes of frames");
-    ::madvise(frames, bytes, MADV_NOHUGEPAGE);
+    ::madvise(base_, bytes_, MADV_NOHUGEPAGE);
 #endif
-    return frames;
 }
 
-} // namespace
-
-void
-Cache::FrameRelease::operator()(Block *frames) const
+FrameMapping::~FrameMapping()
 {
 #ifdef RCACHE_HEAP_FRAMES
-    std::free(frames);
+    for (void *frames : heap_)
+        std::free(frames);
 #else
-    ::munmap(frames, bytes);
+    ::munmap(base_, bytes_);
+#endif
+}
+
+std::size_t
+FrameMapping::bytesFor(const CacheGeometry &geom)
+{
+    constexpr std::size_t page = 4096;
+    const std::size_t bytes =
+        geom.numSets() * geom.assoc * Cache::frameBytes;
+    return (bytes + page - 1) / page * page;
+}
+
+void *
+FrameMapping::take(const CacheGeometry &geom)
+{
+    const std::size_t bytes = bytesFor(geom);
+    rc_assert(used_ + bytes <= bytes_);
+    used_ += bytes;
+#ifdef RCACHE_HEAP_FRAMES
+    // Exactly the frames, so the redzone starts right past the last.
+    const std::size_t exact =
+        geom.numSets() * geom.assoc * Cache::frameBytes;
+    void *frames = std::calloc(exact, 1);
+    if (!frames)
+        rc_fatal("cache: out of memory for " + std::to_string(exact) +
+                 " bytes of frames");
+    heap_.push_back(frames);
+    return frames;
+#else
+    return static_cast<char *>(base_) + (used_ - bytes);
 #endif
 }
 
@@ -86,7 +96,8 @@ CacheGeometry::validate() const
 }
 
 Cache::Cache(const std::string &name, const CacheGeometry &geom,
-             std::unique_ptr<ReplacementPolicy> policy)
+             std::unique_ptr<ReplacementPolicy> policy,
+             FrameMapping *frames)
     : name_(name),
       geom_(geom),
       policy_(policy ? std::move(policy)
@@ -98,11 +109,14 @@ Cache::Cache(const std::string &name, const CacheGeometry &geom,
     if (!err.empty())
         rc_fatal("cache " + name_ + ": invalid geometry: " + err);
 
-    static_assert(sizeof(Block) == 16 &&
+    static_assert(sizeof(Block) == frameBytes &&
                   std::is_trivially_copyable_v<Block>);
-    const std::size_t bytes = frameCount() * sizeof(Block);
-    blocks_ = std::unique_ptr<Block[], FrameRelease>(
-        static_cast<Block *>(allocateFrames(bytes)), FrameRelease{bytes});
+    if (!frames) {
+        ownFrames_ =
+            std::make_unique<FrameMapping>(FrameMapping::bytesFor(geom_));
+        frames = ownFrames_.get();
+    }
+    blocks_ = static_cast<Block *>(frames->take(geom_));
     blockBits_ = geom_.blockBits();
     updateAccessConstants();
 }

@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
@@ -71,6 +72,42 @@ using WritebackSink = std::function<void(Addr block_addr)>;
 using EvictionObserver = std::function<void(Addr block_addr, bool dirty)>;
 
 /**
+ * Zeroed frame arrays for a set of caches, carved in order from one
+ * anonymous private mapping and released by one munmap. A mapping
+ * reads as zero and makes a page resident only when it is first
+ * written, so carving writes nothing; huge pages are declined, or one
+ * write would make 2 MB resident. A lane (a System, or a
+ * MultiCoreSystem with its shared L2) takes all its caches' frames
+ * from one mapping, so tearing it down sends one TLB shootdown to the
+ * other workers' CPUs rather than one per cache. Under
+ * AddressSanitizer each array comes from the heap instead, so an
+ * out-of-range frame index still lands in a redzone.
+ */
+class FrameMapping
+{
+  public:
+    /** Room for caches whose bytesFor() sum to @p bytes. */
+    explicit FrameMapping(std::size_t bytes);
+    ~FrameMapping();
+    FrameMapping(const FrameMapping &) = delete;
+    FrameMapping &operator=(const FrameMapping &) = delete;
+
+    /** What a cache of @p geom takes: its frames, rounded up to whole
+     *  4 KiB pages so each array starts on its own page. */
+    static std::size_t bytesFor(const CacheGeometry &geom);
+
+    /** The next bytesFor(@p geom) bytes, zeroed. */
+    void *take(const CacheGeometry &geom);
+
+  private:
+    void *base_ = nullptr;
+    std::size_t bytes_ = 0;
+    std::size_t used_ = 0;
+    /** Heap-allocated arrays (AddressSanitizer builds only). */
+    std::vector<void *> heap_;
+};
+
+/**
  * A single cache level. See the file comment for the modelling
  * contract.
  */
@@ -81,9 +118,13 @@ class Cache
      * @param name cache name, e.g. "dl1"
      * @param geom static geometry (validated; fatal on bad config)
      * @param policy replacement policy; defaults to LRU
+     * @param frames where the frames come from; null maps the cache
+     *        its own, which it releases. A given mapping must outlive
+     *        the cache.
      */
     Cache(const std::string &name, const CacheGeometry &geom,
-          std::unique_ptr<ReplacementPolicy> policy = nullptr);
+          std::unique_ptr<ReplacementPolicy> policy = nullptr,
+          FrameMapping *frames = nullptr);
 
     /**
      * Perform one access with allocation-on-miss.
@@ -206,6 +247,12 @@ class Cache
                          : 0.0;
     }
 
+    /** Bytes one block frame takes (see Block). */
+    static constexpr std::size_t frameBytes = 16;
+
+    /** First byte of the frame array (where FrameMapping put it). */
+    const void *frames() const { return blocks_; }
+
     /** Install @p obs (empty disables); see EvictionObserver. */
     void setEvictionObserver(EvictionObserver obs)
     {
@@ -221,14 +268,6 @@ class Cache
 
   private:
     struct Block;
-
-    /** Returns a frame array to where allocateFrames (cache.cc) got
-     *  it. */
-    struct FrameRelease
-    {
-        std::size_t bytes;
-        void operator()(Block *frames) const;
-    };
 
     /**
      * One block frame, packed to 16 bytes so a 2-way row spans 32
@@ -368,13 +407,15 @@ class Cache
     bool wantsAccessStream_ = false;
     /// @}
 
+    /** The mapping the frames came from, when the cache owns it. */
+    std::unique_ptr<FrameMapping> ownFrames_;
     /**
      * The frames, set by set (blockAt). They start as zero pages that
      * nothing writes until a fill, so only the pages a run touches
      * become resident: a synthetic app touches a few of a 512 KB L2's
      * 64 pages of frames in 400k instructions.
      */
-    std::unique_ptr<Block[], FrameRelease> blocks_;
+    Block *blocks_ = nullptr;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

@@ -5,10 +5,10 @@ namespace rcache
 
 Hierarchy::Hierarchy(Cache *il1, Cache *dl1,
                      const CacheGeometry &l2_geom,
-                     const HierarchyParams &params)
+                     const HierarchyParams &params, FrameMapping *frames)
     : il1_(il1),
       dl1_(dl1),
-      ownedL2_(std::make_unique<Cache>("l2", l2_geom)),
+      ownedL2_(std::make_unique<Cache>("l2", l2_geom, nullptr, frames)),
       l2_(ownedL2_.get()),
       params_(params)
 {

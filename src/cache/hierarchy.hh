@@ -56,9 +56,12 @@ class Hierarchy
      * @param il1,dl1 L1 caches, owned by the caller, must outlive this
      * @param l2_geom geometry of the owned unified L2
      * @param params latency parameters
+     * @param frames where the L2's frames come from, or null (see
+     *        Cache)
      */
     Hierarchy(Cache *il1, Cache *dl1, const CacheGeometry &l2_geom,
-              const HierarchyParams &params);
+              const HierarchyParams &params,
+              FrameMapping *frames = nullptr);
 
     /**
      * Multi-core form: route L2 traffic to @p shared_l2 (owned by the

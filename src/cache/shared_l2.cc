@@ -5,8 +5,10 @@
 namespace rcache
 {
 
-SharedL2::SharedL2(const CacheGeometry &geom, unsigned num_cores)
-    : cache_("l2", geom), numCores_(num_cores), stats_(num_cores)
+SharedL2::SharedL2(const CacheGeometry &geom, unsigned num_cores,
+                   FrameMapping *frames)
+    : cache_("l2", geom, nullptr, frames), numCores_(num_cores),
+      stats_(num_cores)
 {
     rc_assert(num_cores >= 1);
     // Bound the owner map's load factor by the only population it can

@@ -86,8 +86,10 @@ class SharedL2
      * @param geom geometry of the shared cache
      * @param num_cores cores that will present accesses (core ids in
      *        [0, num_cores))
+     * @param frames where its frames come from, or null (see Cache)
      */
-    SharedL2(const CacheGeometry &geom, unsigned num_cores);
+    SharedL2(const CacheGeometry &geom, unsigned num_cores,
+             FrameMapping *frames = nullptr);
 
     /**
      * One block access on behalf of @p core. Misses allocate (and

@@ -48,7 +48,8 @@ ResizableCache::ResizableCache(const std::string &name,
                                const CacheGeometry &geom,
                                Organization org,
                                const std::string &policy,
-                               std::uint64_t seed_salt)
+                               std::uint64_t seed_salt,
+                               FrameMapping *frames)
     : org_(org),
       schedule_(buildSchedule(org, geom)),
       extraTagBits_(rcache::extraTagBits(org, geom) +
@@ -57,7 +58,8 @@ ResizableCache::ResizableCache(const std::string &name,
       cache_(name, geom,
              makeReplacementPolicy(
                  policy, policySeed(name, seed_salt),
-                 geom.numSets() * geom.assoc))
+                 geom.numSets() * geom.assoc),
+             frames)
 {
     rc_assert(!schedule_.empty());
     rc_assert(schedule_.front().sets == geom.numSets() &&

@@ -37,10 +37,12 @@ class ResizableCache
      *        lane passes its core id): seeded policies derive their
      *        stream from hash(name) ^ mix(salt), never a shared
      *        constant
+     * @param frames the lane's frame mapping, or null (see Cache)
      */
     ResizableCache(const std::string &name, const CacheGeometry &geom,
                    Organization org, const std::string &policy = "lru",
-                   std::uint64_t seed_salt = 0);
+                   std::uint64_t seed_salt = 0,
+                   FrameMapping *frames = nullptr);
     virtual ~ResizableCache() = default;
 
     /** The wrapped cache (the hierarchy and CPU access through this). */

@@ -132,8 +132,8 @@ knownFailpoints()
         {"claim.lease.after_create",
          "after a unit lease file is created"},
         {"claim.heartbeat",
-         "at a per-chunk lease heartbeat (io_error simulates a "
-         "failed mtime bump)"},
+         "at a lease heartbeat, after each lane group (io_error "
+         "simulates a failed mtime bump)"},
         {"claim.takeover.aside",
          "after a stale lease is renamed aside, before the fresh "
          "claim"},
@@ -146,7 +146,7 @@ knownFailpoints()
          "inside atomicWriteFile, after the tmp write, before the "
          "rename (manifest scenario text, tune unit CSVs)"},
         {"csv.chunk.flush",
-         "at a sweep CSV chunk append+flush"},
+         "at a sweep CSV commit unit's append+flush"},
         {"log.append",
          "at a tune decision-log line append+flush"},
         {"tune.winner.write",

@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection: named failpoint *sites* threaded
- * through every durability seam (lease protocol, chunked CSV commit,
+ * through every durability seam (lease protocol, unit-by-unit CSV commit,
  * decision-log append, tmp+rename publishes, telemetry sidecars).
  *
  * A site is a string constant evaluated with RC_FAILPOINT("name").

@@ -19,8 +19,8 @@
  * the timeout with no done marker is *stale*, and any worker may
  * take it over by atomically renaming it aside (exactly one
  * contender's rename succeeds) and claiming afresh. Long-running
- * workers heartbeat their lease (mtime bump) per completed chunk so
- * live shards are never stolen.
+ * workers heartbeat their lease (mtime bump) after every finished
+ * lane group so live shards are never stolen.
  *
  * Unit outputs commit via write-to-tmp + rename before the done
  * marker appears, so readers never observe a partial CSV. The merge
@@ -126,7 +126,7 @@ class ClaimDir
     bool tryClaim(const std::string &unit) const;
 
     /**
-     * Bump the lease mtime (call per completed chunk). @return false
+     * Bump the lease mtime (call per finished lane group). @return false
      * when the bump failed (logged at warn); kDegradedAfter
      * consecutive failures log a one-time worker-degraded error —
      * the lease is silently aging toward takeover.

@@ -1,14 +1,15 @@
 #include "runner/sweep_runner.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <thread>
 
 #include "analytic/analytic_engine.hh"
 #include "sim/multi_core_system.hh"
 #include "telemetry/trace_events.hh"
-#include "util/parallel.hh"
 #include "workload/workload_factory.hh"
 
 namespace rcache
@@ -141,16 +142,6 @@ SweepRunner::SweepRunner(unsigned num_jobs)
 {
 }
 
-void
-SweepRunner::reportProgress(std::size_t done, std::size_t total,
-                            const RunJob &job) const
-{
-    if (!progress_)
-        return;
-    std::lock_guard<std::mutex> lk(progressMtx_);
-    progress_(done, total, job);
-}
-
 std::vector<RunResult>
 SweepRunner::runSerial(const std::vector<RunJob> &jobs)
 {
@@ -198,25 +189,17 @@ SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
     return groups;
 }
 
-void
-SweepRunner::runGroup(const std::vector<RunJob> &jobs,
-                      const std::vector<std::size_t> &group,
-                      std::vector<RunResult> &results) const
+std::vector<RunResult>
+SweepRunner::runGroup(const std::vector<const RunJob *> &members) const
 {
-    std::vector<const RunJob *> members;
-    for (const std::size_t i : group)
-        members.push_back(&jobs[i]);
     const auto begin =
         trace_ ? trace_->now() : TraceEventRecorder::Clock::time_point{};
-    if (members.front()->engine.analytic()) {
-        results[group.front()] = executeRunJob(*members.front());
-    } else {
-        std::vector<RunResult> out = runLanes(members);
-        for (std::size_t k = 0; k < group.size(); ++k)
-            results[group[k]] = std::move(out[k]);
-    }
+    std::vector<RunResult> out =
+        members.front()->engine.analytic()
+            ? std::vector<RunResult>{executeRunJob(*members.front())}
+            : runLanes(members);
     if (!trace_)
-        return;
+        return out;
     TraceEventRecorder::Args args{
         {"lanes", std::to_string(members.size())}};
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -227,23 +210,103 @@ SweepRunner::runGroup(const std::vector<RunJob> &jobs,
     }
     trace_->completeSpan(members.front()->label, begin, trace_->now(),
                          std::move(args));
+    return out;
 }
 
 std::vector<RunResult>
-SweepRunner::run(const std::vector<RunJob> &jobs) const
+SweepRunner::drain(const std::vector<RunJob> &jobs,
+                   const Finished &finished) const
 {
-    std::vector<RunResult> results(jobs.size());
-    const std::vector<std::vector<std::size_t>> groups =
+    // Released jobs live in a deque, so the members a worker is
+    // running survive later releases.
+    std::deque<RunJob> released;
+    const auto jobAt = [&](std::size_t i) -> const RunJob & {
+        return i < jobs.size() ? jobs[i] : released[i - jobs.size()];
+    };
+    const auto largestFirst = [](auto &groups) {
+        std::stable_sort(groups.begin(), groups.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.size() > b.size();
+                         });
+    };
+    std::vector<std::vector<std::size_t>> initial =
         laneGroups(jobs, parallelism_);
+    largestFirst(initial);
+    std::deque<std::vector<std::size_t>> queue(
+        std::make_move_iterator(initial.begin()),
+        std::make_move_iterator(initial.end()));
 
-    // A group's members are written only by the worker that took it;
-    // `done` is shared for progress display only.
-    std::atomic<std::size_t> done{0};
-    parallelFor(groups.size(), parallelism_, [&](std::size_t g) {
-        runGroup(jobs, groups[g], results);
-        for (const std::size_t i : groups[g])
-            reportProgress(done.fetch_add(1) + 1, jobs.size(), jobs[i]);
-    });
+    // Everything below is shared between the workers and guarded by
+    // `mu`, except the members and results of a running group, which
+    // only the worker running it touches until it reports.
+    std::vector<RunResult> results(jobs.size());
+    std::mutex mu;
+    std::condition_variable wake;
+    std::size_t running = 0;
+    std::size_t done = 0;
+    bool stopped = false;
+
+    const auto enqueue = [&](std::vector<RunJob> &release) {
+        const std::size_t base = jobs.size() + released.size();
+        std::vector<std::vector<std::size_t>> groups =
+            laneGroups(release, parallelism_);
+        largestFirst(groups);
+        for (auto g = groups.rbegin(); g != groups.rend(); ++g) {
+            for (std::size_t &i : *g)
+                i += base;
+            queue.push_front(std::move(*g));
+        }
+        for (RunJob &job : release)
+            released.push_back(std::move(job));
+        results.resize(jobs.size() + released.size());
+    };
+
+    const auto work = [&] {
+        std::unique_lock lk(mu);
+        for (;;) {
+            // An empty queue with groups still running may refill.
+            wake.wait(lk, [&] {
+                return stopped || !queue.empty() || running == 0;
+            });
+            if (stopped || queue.empty())
+                return;
+            const std::vector<std::size_t> group = std::move(queue.front());
+            queue.pop_front();
+            std::vector<const RunJob *> members;
+            for (const std::size_t i : group)
+                members.push_back(&jobAt(i));
+            ++running;
+            lk.unlock();
+            std::vector<RunResult> out = runGroup(members);
+            lk.lock();
+            --running;
+            for (std::size_t k = 0; k < group.size(); ++k) {
+                results[group[k]] = std::move(out[k]);
+                if (progress_)
+                    progress_(++done, results.size(), *members[k]);
+            }
+            std::vector<RunJob> release;
+            if (finished && !finished(group, results, release))
+                stopped = true;
+            else if (!release.empty())
+                enqueue(release);
+            wake.notify_all();
+        }
+    };
+
+    const std::size_t threads =
+        std::min<std::size_t>(parallelism_, queue.size());
+    if (threads <= 1) {
+        work();
+        return results;
+    }
+    {
+        // Joined at the end of this scope, after the last group.
+        std::vector<std::jthread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            pool.emplace_back(work);
+    }
     return results;
 }
 

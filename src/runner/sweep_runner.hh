@@ -14,18 +14,21 @@
  * lockstep groups (runLockstep in sim/system.hh): a group opens each
  * stream once and feeds every segment of it to every member. A lane
  * ends exactly as its job would alone, so results stay a pure function
- * of the job spec. Groups run on worker threads started for the
- * batch, starting in submission order, and each writes its members'
- * results into their jobs' slots, so the returned vector is in
- * submission order and bit-identical to a serial execution regardless
- * of thread count, grouping or completion order.
+ * of the job spec.
+ *
+ * A batch runs as one drain: worker threads started for it pull
+ * groups from one queue, largest first, and after each group the
+ * caller may release jobs that depended on it (a side=both cell's
+ * combined rerun waits on its per-side sweeps), which jump the queue.
+ * Each result lands in its job's slot, so the returned vector is in
+ * job order and bit-identical to a serial execution regardless of
+ * thread count, grouping or completion order.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
 #define RCACHE_RUNNER_SWEEP_RUNNER_HH
 
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,10 +88,26 @@ class SweepRunner
     /**
      * Called after each job finishes (serialized; any thread): a lane
      * group reports its members in job order when it ends.
-     * @param done jobs completed so far  @param total batch size
+     * @param done jobs completed so far
+     * @param total jobs submitted and released so far
      */
     using ProgressFn = std::function<void(
         std::size_t done, std::size_t total, const RunJob &job)>;
+
+    /**
+     * A drain's caller, told about each lane group once it finishes:
+     * @p group holds its jobs' indices and @p results every finished
+     * job's result (indices count the submitted jobs, then each
+     * released job in release order). Jobs it appends to @p release
+     * run next, ahead of every queued group. Returning false starts
+     * no new group: the running groups finish, are reported here too,
+     * and drain() returns. Calls are serialized, and each runs on the
+     * worker that ran the group, before that worker takes another.
+     */
+    using Finished = std::function<bool(
+        const std::vector<std::size_t> &group,
+        const std::vector<RunResult> &results,
+        std::vector<RunJob> &release)>;
 
     /**
      * @param num_jobs worker threads; 1 runs batches inline on the
@@ -139,14 +158,26 @@ class SweepRunner
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
     /**
-     * Execute every job and return results in job order: the
-     * laneGroups(jobs, parallelism()) groups, on min(parallelism(),
-     * groups) worker threads started for this call and joined before
-     * it returns. Groups start in submission order: each worker takes
-     * the next unstarted group. Determinism guarantee: equal input
-     * batches yield bit-identical result vectors for any parallelism.
+     * Execute @p jobs and every job @p finished releases, and return
+     * their results: the submitted jobs' in job order, then the
+     * released ones' in release order. The laneGroups(jobs,
+     * parallelism()) groups queue largest first (ties in job order),
+     * and each release forms groups of its own at the front of the
+     * queue. They run on min(parallelism(), groups) worker threads
+     * started for this call and joined before it returns; a worker
+     * whose queue is empty waits while groups that may release work
+     * still run. A job a stop left unrun keeps a default result.
+     * Determinism guarantee: equal input batches (and releases) yield
+     * bit-identical result vectors for any parallelism.
      */
-    std::vector<RunResult> run(const std::vector<RunJob> &jobs) const;
+    std::vector<RunResult> drain(const std::vector<RunJob> &jobs,
+                                 const Finished &finished) const;
+
+    /** drain() with nothing released: every job runs. */
+    std::vector<RunResult> run(const std::vector<RunJob> &jobs) const
+    {
+        return drain(jobs, {});
+    }
 
     /** The serial reference path, one executeRunJob per job (what
      *  run() must reproduce). */
@@ -169,17 +200,13 @@ class SweepRunner
     laneGroups(const std::vector<RunJob> &jobs, unsigned workers);
 
   private:
-    void reportProgress(std::size_t done, std::size_t total,
-                        const RunJob &job) const;
-    /** Run group @p group of @p jobs into @p results, with its trace
-     *  span. */
-    void runGroup(const std::vector<RunJob> &jobs,
-                  const std::vector<std::size_t> &group,
-                  std::vector<RunResult> &results) const;
+    /** Run one lane group's @p members, with its trace span.
+     *  @return their results, in member order */
+    std::vector<RunResult>
+    runGroup(const std::vector<const RunJob *> &members) const;
 
     unsigned parallelism_;
     TraceEventRecorder *trace_ = nullptr;
-    mutable std::mutex progressMtx_;
     ProgressFn progress_;
 };
 

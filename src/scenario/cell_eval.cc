@@ -175,60 +175,6 @@ registerAnalyticCell(AnalyticBatch &analytic, const ParamSpace &space,
 namespace
 {
 
-/**
- * Run @p jobs through @p memo (see CellBatch::run): execute each key
- * the memo lacks once, with the memo's telemetry, then report every
- * job in order.
- * @return every job's result, in job order
- */
-std::vector<RunResult>
-runMemoized(const std::vector<RunJob> &jobs,
-            const CellBatch::Execute &execute, JobMemo &memo,
-            const CellBatch::Report &report)
-{
-    std::vector<std::string> keys;
-    keys.reserve(jobs.size());
-    std::vector<RunJob> fresh;
-    std::vector<bool> reused(jobs.size());
-    std::set<std::string> pending;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        keys.push_back(jobKey(jobs[i]));
-        reused[i] = memo.runs.count(keys[i]) ||
-                    !pending.insert(keys[i]).second;
-        if (!reused[i])
-            fresh.push_back(jobs[i]);
-    }
-
-    if (!fresh.empty()) {
-        std::vector<std::shared_ptr<RunTelemetry>> bundles(fresh.size());
-        if (memo.timelineInterval > 0 || memo.resizeEvents) {
-            for (std::size_t k = 0; k < fresh.size(); ++k) {
-                bundles[k] = std::make_shared<RunTelemetry>();
-                bundles[k]->timelineInterval = memo.timelineInterval;
-                bundles[k]->resizeEvents = memo.resizeEvents;
-                fresh[k].telemetry = bundles[k].get();
-            }
-        }
-        const std::vector<RunResult> results = execute(fresh);
-        rc_assert(results.size() == fresh.size());
-        for (std::size_t i = 0, k = 0; i < jobs.size(); ++i)
-            if (!reused[i]) {
-                memo.runs[keys[i]] = {results[k], std::move(bundles[k])};
-                ++k;
-            }
-    }
-
-    std::vector<RunResult> out;
-    out.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobRun &run = memo.runs.at(keys[i]);
-        if (report)
-            report(jobs[i], run, reused[i]);
-        out.push_back(run.result);
-    }
-    return out;
-}
-
 /** A cell's coordinates as the runner's trace spans show them. */
 std::string
 tracePointOf(std::size_t cell, const std::string &app,
@@ -266,6 +212,7 @@ CellBatch::add(std::size_t cell, const JobMemo &memo,
     const DesignPoint &p = c.point;
     const EffectiveWorkload eff = effectiveWorkload(app, p);
     const std::size_t first = jobs_.size();
+    c.first = first;
 
     Experiment exp(p.cfg, space_.spec().insts);
     exp.setEngine(p.engine);
@@ -305,16 +252,6 @@ CellBatch::add(std::size_t cell, const JobMemo &memo,
     cells_.push_back(std::move(c));
 }
 
-std::size_t
-CellBatch::plannedJobs() const
-{
-    std::size_t n = jobs_.size();
-    for (const Cell &c : cells_)
-        if (c.point.side == SweepSide::Both)
-            ++n;
-    return n;
-}
-
 std::uint64_t
 CellBatch::plannedDetailedInsts() const
 {
@@ -334,38 +271,79 @@ CellBatch::plannedDetailedInsts() const
     return n;
 }
 
-std::vector<std::string>
-CellBatch::newBaselineLabels() const
+void
+CellBatch::cut()
 {
-    std::vector<std::string> labels;
-    for (const auto &[key, idx] : newBases_)
-        labels.push_back(jobs_[idx].label);
-    return labels;
+    if (cells_.size() > (cuts_.empty() ? 0 : cuts_.back()))
+        cuts_.push_back(cells_.size());
 }
 
 std::vector<SweepRecord>
-CellBatch::run(const Execute &execute, JobMemo &memo,
-               const Report &report)
+CellBatch::run(const Execute &execute, JobMemo &memo, const Sink &sink)
 {
-    const std::vector<RunResult> results =
-        runMemoized(jobs_, execute, memo, report);
-    const auto slice = [&](std::size_t off, std::size_t count) {
-        return std::vector<RunResult>(results.begin() + off,
-                                      results.begin() + off + count);
+    // Every key is stored once, in the memo or in `inDrain` (key ->
+    // drain index, in order of first appearance) for the keys this
+    // batch runs; a key this batch reports but does not run was in
+    // the memo before it.
+    std::map<std::string, std::size_t> inDrain;
+    std::vector<const std::string *> keys;
+    std::vector<const std::string *> drainKeys;
+    keys.reserve(jobs_.size());
+    for (const RunJob &job : jobs_) {
+        std::string key = jobKey(job);
+        if (const auto it = memo.runs.find(key); it != memo.runs.end()) {
+            keys.push_back(&it->first);
+        } else {
+            const auto [it2, fresh] =
+                inDrain.try_emplace(std::move(key), drainKeys.size());
+            keys.push_back(&it2->first);
+            if (fresh)
+                drainKeys.push_back(keys.back());
+        }
+    }
+    // By drain index: the telemetry bundle each run fills, and the
+    // side=both cells waiting on it.
+    std::vector<std::shared_ptr<RunTelemetry>> bundles;
+    std::vector<std::vector<std::size_t>> waiting(drainKeys.size());
+    const auto attach = [&](RunJob job) {
+        std::shared_ptr<RunTelemetry> bundle;
+        if (memo.timelineInterval > 0 || memo.resizeEvents) {
+            bundle = std::make_shared<RunTelemetry>();
+            bundle->timelineInterval = memo.timelineInterval;
+            bundle->resizeEvents = memo.resizeEvents;
+            job.telemetry = bundle.get();
+        }
+        bundles.push_back(std::move(bundle));
+        return job;
+    };
+    std::vector<RunJob> start;
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+        if (start.size() < drainKeys.size() &&
+            keys[i] == drainKeys[start.size()])
+            start.push_back(attach(jobs_[i]));
+
+    const auto resultsOf = [&](std::size_t off, std::size_t count) {
+        std::vector<RunResult> out;
+        out.reserve(count);
+        for (std::size_t j = off; j < off + count; ++j)
+            out.push_back(memo.result(*keys[j]));
+        return out;
     };
 
-    // Phase 2: each side=both cell reruns both caches together at the
-    // two per-side profiled levels (the paper's Fig 9 methodology).
-    std::vector<RunJob> phase2;
+    // Phase 2: once its phase-1 keys have run, each side=both cell
+    // reruns both caches together at the two per-side profiled
+    // levels (the paper's Fig 9 methodology). A combined job the
+    // memo holds, or the drain already runs, is not released again.
+    std::vector<RunJob> phase2(cells_.size());
+    std::vector<const std::string *> phase2Keys(cells_.size());
     std::vector<SearchOutcome> douts(cells_.size());
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
+    std::vector<std::size_t> pending(cells_.size());
+    const auto release = [&](std::size_t i, std::vector<RunJob> &to) {
         const Cell &c = cells_[i];
-        if (c.point.side != SweepSide::Both)
-            continue;
         const RunResult &base = memo.result(c.baseKey);
-        douts[i] = Experiment::reduceStatic(base, slice(c.off, c.count));
+        douts[i] = Experiment::reduceStatic(base, resultsOf(c.off, c.count));
         const SearchOutcome iout =
-            Experiment::reduceStatic(base, slice(c.ioff, c.icount));
+            Experiment::reduceStatic(base, resultsOf(c.ioff, c.icount));
         Experiment exp(c.point.cfg, space_.spec().insts);
         exp.setEngine(c.point.engine);
         // The d sweep's first job carries the cell's label profile,
@@ -375,27 +353,145 @@ CellBatch::run(const Execute &execute, JobMemo &memo,
                                        iout.bestLevel, douts[i].bestLevel);
         job.mixProfiles = d0.mixProfiles;
         job.tracePoint = d0.tracePoint;
-        phase2.push_back(std::move(job));
-    }
-    const std::vector<RunResult> results2 =
-        runMemoized(phase2, execute, memo, report);
-
-    std::vector<SweepRecord> records;
-    records.reserve(cells_.size());
-    std::size_t next2 = 0;
+        std::string key = jobKey(job);
+        if (const auto it = memo.runs.find(key); it != memo.runs.end()) {
+            phase2Keys[i] = &it->first;
+        } else {
+            const auto [it2, fresh] =
+                inDrain.try_emplace(std::move(key), drainKeys.size());
+            phase2Keys[i] = &it2->first;
+            if (fresh) {
+                drainKeys.push_back(phase2Keys[i]);
+                waiting.emplace_back();
+                to.push_back(attach(job));
+            }
+        }
+        phase2[i] = std::move(job);
+    };
+    std::vector<std::size_t> ready;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell &c = cells_[i];
-        const RunResult &base = memo.result(c.baseKey);
-        const SearchOutcome out =
-            c.point.side == SweepSide::Both
-                ? Experiment::reduceBoth(base, douts[i], results2[next2++])
-                : Experiment::reduceSearch(base, c.candidates,
-                                           slice(c.off, c.count));
-        records.push_back(cellRecord(
-            c.cell, apps_[c.cell / space_.numPoints()].name, c.point,
-            out));
+        if (c.point.side != SweepSide::Both)
+            continue;
+        std::set<std::size_t> deps;
+        const auto need = [&](const std::string &key) {
+            if (const auto it = inDrain.find(key); it != inDrain.end())
+                deps.insert(it->second);
+        };
+        need(c.baseKey);
+        for (std::size_t j = c.off; j < c.off + c.count; ++j)
+            need(*keys[j]);
+        for (std::size_t j = c.ioff; j < c.ioff + c.icount; ++j)
+            need(*keys[j]);
+        pending[i] = deps.size();
+        for (const std::size_t d : deps)
+            waiting[d].push_back(i);
+        if (deps.empty())
+            ready.push_back(i);
     }
-    return records;
+    for (const std::size_t i : ready)
+        release(i, start);
+
+    // ---- commit units in order as they complete
+    std::vector<std::size_t> ends = cuts_;
+    if (cells_.size() > (ends.empty() ? 0 : ends.back()))
+        ends.push_back(cells_.size());
+    const auto jobsOf = [&](std::size_t begin, std::size_t end) {
+        return std::pair{cells_[begin].first,
+                         end < cells_.size() ? cells_[end].first
+                                             : jobs_.size()};
+    };
+    const auto complete = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            if (cells_[i].point.side == SweepSide::Both &&
+                (!phase2Keys[i] || !memo.runs.count(*phase2Keys[i])))
+                return false;
+        const auto [jbegin, jend] = jobsOf(begin, end);
+        for (std::size_t j = jbegin; j < jend; ++j)
+            if (!memo.runs.count(*keys[j]))
+                return false;
+        return true;
+    };
+    // A run happened for the first job to report its key; every
+    // other job reuses it.
+    std::vector<char> reported(drainKeys.size());
+    const auto tell = [&](const RunJob &job, const std::string &key) {
+        const auto it = inDrain.find(key);
+        bool reused = it == inDrain.end();
+        if (!reused) {
+            reported.resize(drainKeys.size());
+            reused = reported[it->second];
+            reported[it->second] = true;
+        }
+        if (sink.report)
+            sink.report(job, memo.runs.at(key), reused);
+    };
+    std::size_t unit = 0;
+    std::vector<SweepRecord> rows;
+    const auto commitReady = [&] {
+        bool any = false;
+        for (; unit < ends.size(); ++unit) {
+            const std::size_t begin = unit ? ends[unit - 1] : 0;
+            const std::size_t end = ends[unit];
+            if (!complete(begin, end))
+                break;
+            const auto [jbegin, jend] = jobsOf(begin, end);
+            Unit u;
+            u.plannedJobs = jend - jbegin;
+            for (std::size_t j = jbegin; j < jend; ++j)
+                tell(jobs_[j], *keys[j]);
+            for (std::size_t i = begin; i < end; ++i)
+                if (cells_[i].point.side == SweepSide::Both) {
+                    tell(phase2[i], *phase2Keys[i]);
+                    ++u.plannedJobs;
+                }
+            for (const auto &[key, idx] : newBases_)
+                if (idx >= jbegin && idx < jend)
+                    u.newBaselineLabels.push_back(jobs_[idx].label);
+            for (std::size_t i = begin; i < end; ++i) {
+                const Cell &c = cells_[i];
+                const RunResult &base = memo.result(c.baseKey);
+                const SearchOutcome out =
+                    c.point.side == SweepSide::Both
+                        ? Experiment::reduceBoth(
+                              base, douts[i], memo.result(*phase2Keys[i]))
+                        : Experiment::reduceSearch(
+                              base, c.candidates,
+                              resultsOf(c.off, c.count));
+                u.rows.push_back(cellRecord(
+                    c.cell, apps_[c.cell / space_.numPoints()].name,
+                    c.point, out));
+            }
+            if (sink.commit)
+                sink.commit(u);
+            rows.insert(rows.end(), u.rows.begin(), u.rows.end());
+            any = true;
+        }
+        return any;
+    };
+    const auto beat = [&] { return !sink.heartbeat || sink.heartbeat(); };
+
+    if (commitReady() && !beat())
+        return rows;
+    if (!start.empty())
+        execute(start, [&](const std::vector<std::size_t> &group,
+                           const std::vector<RunResult> &results,
+                           std::vector<RunJob> &to) {
+            std::vector<std::size_t> now;
+            for (const std::size_t d : group) {
+                memo.runs[*drainKeys[d]] = {results[d],
+                                            std::move(bundles[d])};
+                for (const std::size_t i : waiting[d])
+                    if (--pending[i] == 0)
+                        now.push_back(i);
+            }
+            for (const std::size_t i : now)
+                release(i, to);
+            commitReady();
+            return beat();
+        });
+    commitReady();
+    return rows;
 }
 
 std::vector<SweepRecord>
@@ -413,13 +509,17 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
         for (const std::size_t cell : cells)
             registerAnalyticCell(analytic, space, apps, cell);
         return batch.run(
-            [&](const std::vector<RunJob> &js) {
-                return analytic.price(js, runner.parallelism());
+            [&](const std::vector<RunJob> &js,
+                const SweepRunner::Finished &finished) {
+                return analytic.drain(js, runner.parallelism(), finished);
             },
             memo);
     }
     return batch.run(
-        [&](const std::vector<RunJob> &js) { return runner.run(js); },
+        [&](const std::vector<RunJob> &js,
+            const SweepRunner::Finished &finished) {
+            return runner.drain(js, finished);
+        },
         memo);
 }
 

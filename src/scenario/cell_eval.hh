@@ -12,10 +12,10 @@
  * CellBatch is that procedure, laid out with Experiment's job
  * vocabulary (sim/experiment.hh), and every design-space search
  * evaluates cells through it: the exhaustive sweep
- * (scenario/scenario_sweep.cc) runs one batch per chunk, the adaptive
- * search (search/adaptive_search.cc) one per ladder rung, and
- * evaluateScenario one per scenario for the figure benches, the
- * ablations and the tests. So the adaptive winner row is
+ * (scenario/scenario_sweep.cc) runs one batch per look-ahead window,
+ * the adaptive search (search/adaptive_search.cc) one per ladder
+ * rung, and evaluateScenario one per scenario for the figure benches,
+ * the ablations and the tests. So the adaptive winner row is
  * byte-identical to the sweep's row for the same cell under the same
  * engine, by construction.
  *
@@ -23,10 +23,13 @@
  * identity (jobKey) holds every result a search has computed, so a
  * side=both cell reuses the per-side static sweeps its app's dcache
  * and icache cells already ran, in this batch or an earlier one. The
- * jobs a batch does execute share their instruction streams as the
- * lanes of the runner's lockstep groups (runner/sweep_runner.hh). The
- * layout stays logical: every job counts and reports as laid out,
- * whatever it reused.
+ * jobs a batch does execute run as one drain (runner/sweep_runner.hh):
+ * they share their instruction streams as the lanes of lockstep
+ * groups, and a side=both cell's combined rerun is released as soon
+ * as its per-side sweeps finish. The layout stays logical: every job
+ * counts and reports as laid out, whatever it reused, and a batch
+ * cut into commit units reports and commits them in order as they
+ * complete.
  *
  * The free helpers are the vocabulary around it: workload resolution,
  * mix attachment, memo keys, and the record a finished cell reports.
@@ -42,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/sweep_runner.hh"
 #include "scenario/param_space.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
@@ -121,7 +125,7 @@ struct JobRun
 /**
  * Every job a search has run, by jobKey. It spans a whole sweep (one
  * app's dcache cell and its side=both cell can land in different
- * chunks) or one evaluateCells call. Results are never "unrun": an
+ * windows) or one evaluateCells call. Results are never "unrun": an
  * entry exists only for a job that finished.
  */
 struct JobMemo
@@ -166,20 +170,53 @@ class CellBatch
 {
   public:
     /**
-     * Runs a job list and returns its results in job order: a
-     * SweepRunner's run or an AnalyticBatch's price. It sees only the
-     * jobs the memo lacks, one per key, with their telemetry bundles
-     * attached.
+     * Runs a job list as a drain: a SweepRunner's or an
+     * AnalyticBatch's. It sees only the jobs the memo lacks, one per
+     * key, with their telemetry bundles attached, then the combined
+     * reruns @p finished releases; it returns every result it ran.
      */
-    using Execute =
-        std::function<std::vector<RunResult>(const std::vector<RunJob> &)>;
+    using Execute = std::function<std::vector<RunResult>(
+        const std::vector<RunJob> &jobs,
+        const SweepRunner::Finished &finished)>;
     /**
-     * Told about every laid-out job once its phase has run, in job
-     * order: the run it got its result from, and whether that run
+     * Told about every laid-out job once its commit unit has run, in
+     * job order: the run it got its result from, and whether that run
      * happened for an earlier job (a memo hit) rather than for it.
      */
     using Report = std::function<void(const RunJob &job,
                                       const JobRun &run, bool reused)>;
+
+    /** A commit unit whose every job has run (see cut()). */
+    struct Unit
+    {
+        /** One row per cell, in add() order. */
+        std::vector<SweepRecord> rows;
+        /** The jobs it laid out: phase 1 plus one combined job per
+         *  side=both cell, memo hits included. */
+        std::size_t plannedJobs = 0;
+        /** Labels of the baselines it laid out (not memoized when
+         *  their cell was added), in jobKey order. */
+        std::vector<std::string> newBaselineLabels;
+    };
+
+    /** What run() tells its caller as it goes. Every member is
+     *  optional; calls are serialized but may come from the drain's
+     *  worker threads. */
+    struct Sink
+    {
+        /** Each unit's jobs, phase 1 and then each side=both cell's
+         *  combined rerun, when the unit completes. */
+        Report report;
+        /** Each unit, in unit order, once report has heard of it. */
+        std::function<void(const Unit &)> commit;
+        /**
+         * After every finished lane group, once the units it
+         * completed have committed, and after units that commit
+         * before the first group. Returning false starts no new
+         * group: run() returns once the running groups finish.
+         */
+        std::function<bool()> heartbeat;
+    };
 
     /**
      * @param space the scenario's design space (insts, search grid)
@@ -200,34 +237,38 @@ class CellBatch
     void add(std::size_t cell, const JobMemo &memo,
              const EngineSpec *engine = nullptr);
 
+    /**
+     * Close the open commit unit: the cells added since the last cut.
+     * Cells added after the last cut form one more unit, so a batch
+     * never cut is one unit.
+     */
+    void cut();
+
     /** Phase-1 jobs (baselines and candidates) laid out so far. */
     std::size_t phase1Jobs() const { return jobs_.size(); }
-    /** Every job run() lays out: phase 1 plus one combined job per
-     *  side=both cell, memo hits included. Plan-time arithmetic;
-     *  runs nothing. */
-    std::size_t plannedJobs() const;
     /**
-     * Timing-core instructions those jobs measure: each job counts
-     * cores x engine.detailedInstsFor(insts), since a C-core job
-     * measures C streams (RunResult::measuredInsts sums its lanes).
-     * The tuner's cost accounting, over the same logical jobs as
-     * plannedJobs(); plan-time arithmetic as above.
+     * Timing-core instructions every job run() lays out measures:
+     * phase 1 plus one combined job per side=both cell, memo hits
+     * included, each counting cores x engine.detailedInstsFor(insts),
+     * since a C-core job measures C streams (RunResult::measuredInsts
+     * sums its lanes). The tuner's cost accounting; plan-time
+     * arithmetic that runs nothing.
      */
     std::uint64_t plannedDetailedInsts() const;
-    /** Labels of the baselines this batch lays out (not memoized
-     *  when their cell was added). */
-    std::vector<std::string> newBaselineLabels() const;
 
     /**
-     * Run phase 1, then phase 2 (one combined job per side=both cell
-     * at its profiled levels), each through @p memo: a job whose key
-     * is memoized, or laid out earlier in the phase, reuses that run,
-     * and @p execute runs the rest. Then reduce each cell to its
-     * cellRecord row. @p report, if set, hears about every job.
-     * @return one row per cell, in add() order
+     * Run every job through one drain of @p execute and @p memo: each
+     * phase-1 key the memo lacks, once, in layout order, then, as
+     * each side=both cell's phase-1 jobs finish, its combined rerun
+     * at the two profiled levels (unless @p memo holds its key or the
+     * drain already runs it). Reduce each cell to its cellRecord row,
+     * and report and commit the units through @p sink in order as
+     * they complete.
+     * @return the committed units' rows, in add() order (every cell
+     *         unless the heartbeat stopped the drain)
      */
     std::vector<SweepRecord> run(const Execute &execute, JobMemo &memo,
-                                 const Report &report = {});
+                                 const Sink &sink = {});
 
   private:
     struct Cell
@@ -236,6 +277,9 @@ class CellBatch
         DesignPoint point;
         /** jobKey of the cell's baseline. */
         std::string baseKey;
+        /** First of the cell's jobs in jobs_ (its laid-out baseline,
+         *  if any, then its candidates). */
+        std::size_t first = 0;
         /** Candidate slice of jobs_: [off, off+count). For side=both
          *  that is the d sweep and [ioff, ioff+icount) the i sweep. */
         std::size_t off = 0, count = 0;
@@ -251,6 +295,8 @@ class CellBatch
     std::vector<RunJob> jobs_;
     /** Baselines laid out here: jobKey -> job index. */
     std::map<std::string, std::size_t> newBases_;
+    /** Where each cut() closed a unit: cells_ sizes, increasing. */
+    std::vector<std::size_t> cuts_;
 };
 
 /**

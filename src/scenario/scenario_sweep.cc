@@ -133,7 +133,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     // shares it — that is the whole point of the engine. Register
     // every remaining cell up front (a pass cannot learn new
     // geometries once it has run); AnalyticBatch runs each pass
-    // lazily the first time a chunk prices against it.
+    // lazily the first time a window prices against it.
     AnalyticBatch analytic;
     if (spec.engine.analytic()) {
         for (std::size_t i = skip; i < owned.size(); ++i)
@@ -147,7 +147,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     }
 
     // ---- telemetry sidecars (all optional; see SweepOptions). Files
-    // open before the first chunk so an early failure aborts the
+    // open before the first window so an early failure aborts the
     // sweep rather than losing telemetry at the end.
     const bool want_timeline = !opt.timelinePath.empty();
     const bool want_events = !opt.eventsPath.empty();
@@ -186,8 +186,8 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     }
 
     // ---- open the report stream up front. CSV rows stream out as
-    // their chunk completes (flushed), so an interrupted sweep
-    // leaves every finished chunk on disk for --resume; only
+    // their commit unit completes (flushed), so an interrupted sweep
+    // leaves every finished unit on disk for --resume; only
     // json/table buffer the whole report.
     const std::string &path =
         resuming ? opt.resumePath : opt.outPath;
@@ -206,38 +206,42 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                       kept.empty() ? sweepCsvHeader() + "\n" : kept,
                       outName);
 
-    // ---- execute in chunks: each chunk is one CellBatch whose
-    // cells' baselines and candidate sweeps run as one batch, so the
-    // workers stay busy across cell boundaries; chunk rows are written
-    // and flushed before the next chunk runs. The job memo spans the
-    // sweep, so no job runs twice in it.
+    // ---- execute window by window: each window is one CellBatch
+    // whose executed jobs run as one drain, so each stream schedule
+    // forms whole lane groups and the workers stay busy across cell
+    // and phase boundaries. Its commit units are written and flushed
+    // in cell order as they complete. The job memo spans the sweep,
+    // so no job runs twice in it.
     JobMemo memo;
     memo.timelineInterval = want_timeline ? opt.timelineInterval : 0;
     memo.resizeEvents = want_events;
     std::vector<SweepRecord> buffered; // json/table only
     std::size_t total_runs = 0;
     std::size_t reused_runs = 0;
-    const std::size_t chunk_min_jobs =
-        std::max<std::size_t>(64, 8 * runner.parallelism());
+    std::size_t committed = skip; // owned cells on disk (or buffered)
 
-    // Runs the jobs a phase of a chunk does not find in the memo.
-    // Analytic cells never reach the runner's lanes: their passes run
-    // on its worker count, then each job is priced from its shared
-    // pass, in job order, so every reduction, CSV row, and
-    // resume/shard contract is untouched (and the report is
-    // byte-identical for any --jobs value).
-    const auto execute = [&](const std::vector<RunJob> &jobs) {
-        total_runs += jobs.size();
-        return spec.engine.analytic()
-                   ? analytic.price(jobs, runner.parallelism())
-                   : runner.run(jobs);
+    // Runs the jobs a window does not find in the memo. Analytic
+    // cells never reach the runner's lanes: their passes run on its
+    // worker count, then each job is priced from its shared pass, in
+    // job order, so every reduction, CSV row, and resume/shard
+    // contract is untouched (and the report is byte-identical for any
+    // --jobs value).
+    const auto execute = [&](const std::vector<RunJob> &jobs,
+                             const SweepRunner::Finished &finished) {
+        std::vector<RunResult> results =
+            spec.engine.analytic()
+                ? analytic.drain(jobs, runner.parallelism(), finished)
+                : runner.drain(jobs, finished);
+        total_runs += results.size();
+        return results;
     };
+    CellBatch::Sink sink;
     // Every laid-out job writes its telemetry rows under its own
     // label, in job order; a memo hit writes those of the run it
     // reuses and marks the trace with a job-memo instant (a span is
     // host time a worker spent, and a hit spends none).
-    const auto report = [&](const RunJob &job, const JobRun &run,
-                            bool reused) {
+    sink.report = [&](const RunJob &job, const JobRun &run,
+                      bool reused) {
         if (reused) {
             ++reused_runs;
             if (trace)
@@ -259,51 +263,63 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                           "telemetry.events.append");
         }
     };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::size_t next = skip;
-    while (next < owned.size()) {
-        CellBatch batch(space, apps, trace.has_value());
-        const std::size_t first = next;
-        while (next < owned.size() &&
-               (next == first || batch.phase1Jobs() < chunk_min_jobs))
-            batch.add(owned[next++], memo);
-        const std::vector<SweepRecord> records =
-            batch.run(execute, memo, report);
+    // A unit is committed once its rows are written and flushed: the
+    // documented resumable boundary for a polite interrupt.
+    sink.commit = [&](const CellBatch::Unit &unit) {
         if (trace)
-            for (const std::string &label : batch.newBaselineLabels())
+            for (const std::string &label : unit.newBaselineLabels)
                 trace->instant("baseline-memo", {{"label", label}});
-
         if (stream_csv) {
             std::ostringstream rows;
-            writeSweepCsvRows(rows, records);
-            checkedAppend(*os, rows.str(), outName,
-                          "csv.chunk.flush");
+            writeSweepCsvRows(rows, unit.rows);
+            checkedAppend(*os, rows.str(), outName, "csv.chunk.flush");
         } else {
-            buffered.insert(buffered.end(), records.begin(),
-                            records.end());
+            buffered.insert(buffered.end(), unit.rows.begin(),
+                            unit.rows.end());
         }
         if (want_timeline)
             checkedFlush(timeline_os, opt.timelinePath);
         if (want_events)
             checkedFlush(events_os, opt.eventsPath);
+        committed += unit.rows.size();
         if (trace)
             trace->instant(
                 "chunk-flush",
-                {{"cells", std::to_string(next - first)},
-                 {"jobs", std::to_string(batch.plannedJobs())}});
+                {{"cells", std::to_string(unit.rows.size())},
+                 {"jobs", std::to_string(unit.plannedJobs)}});
+    };
+    // A polite interrupt starts no new group: the running ones finish
+    // and the units they complete commit.
+    sink.heartbeat = [&] {
         if (opt.chunkDone)
-            opt.chunkDone(next);
-        // The chunk above is committed (written + flushed): the
-        // documented resumable boundary for a polite interrupt.
-        if (interruptRequested() && next < owned.size()) {
-            std::cerr << "rcache-sim: interrupted; " << next << "/"
-                      << owned.size() << " cells committed";
-            if (stream_csv && !path.empty())
-                std::cerr << "; resume with --resume " << path;
-            std::cerr << '\n';
-            return interruptExitCode();
+            opt.chunkDone(committed);
+        return !interruptRequested();
+    };
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::size_t next = skip;
+    while (next < owned.size() && !interruptRequested()) {
+        CellBatch batch(space, apps, trace.has_value());
+        while (next < owned.size() &&
+               batch.phase1Jobs() < kSweepWindowJobs) {
+            const std::size_t first = next;
+            const std::size_t jobs_before = batch.phase1Jobs();
+            while (next < owned.size() &&
+                   (next == first ||
+                    batch.phase1Jobs() - jobs_before < kCommitUnitJobs))
+                batch.add(owned[next++], memo);
+            batch.cut();
         }
+        batch.run(execute, memo, sink);
+    }
+    // Only an interrupt leaves owned cells uncommitted.
+    if (committed < owned.size()) {
+        std::cerr << "rcache-sim: interrupted; " << committed << "/"
+                  << owned.size() << " cells committed";
+        if (stream_csv && !path.empty())
+            std::cerr << "; resume with --resume " << path;
+        std::cerr << '\n';
+        return interruptExitCode();
     }
     const auto t1 = std::chrono::steady_clock::now();
 

@@ -20,23 +20,27 @@
  *    simulates only the remaining cells; the final file is
  *    byte-identical to an uninterrupted run.
  *
- * A sweep is a chunked CellBatch (scenario/cell_eval.hh) at the
- * scenario's engine: cells are added to a batch until it holds enough
- * jobs to keep the workers busy across cell boundaries, the batch runs
- * (side=both cells with their phase-2 combined runs, the paper's Fig 9
- * methodology), and its rows are written and flushed before the next
- * chunk starts. One job memo spans the sweep, so no job runs twice:
- * a side=both cell reuses the per-side sweeps its app's dcache and
- * icache cells ran, even from an earlier chunk. An interrupted
- * sweep therefore leaves every completed chunk on disk for --resume
- * instead of losing the whole run. What stays here is the sweep's own
- * business: shard/resume bookkeeping, report streaming, telemetry
- * sidecars, and analytic pass registration.
+ * A sweep plans apart from how it commits. It lays out its owned
+ * cells a look-ahead window at a time (kSweepWindowJobs) as one
+ * CellBatch (scenario/cell_eval.hh) at the scenario's engine, cut into
+ * commit units of kCommitUnitJobs. The window's executed jobs run as
+ * one drain, so each stream schedule forms whole lane groups, and a
+ * side=both cell's phase-2 combined run (the paper's Fig 9
+ * methodology) starts as soon as its per-side sweeps finish. Units
+ * commit in cell order as the completed prefix grows: each unit's
+ * rows are written and flushed at once. One job memo spans the sweep,
+ * so no job runs twice: a side=both cell reuses the per-side sweeps
+ * its app's dcache and icache cells ran, even from an earlier window.
+ * An interrupted sweep therefore leaves every completed unit on disk
+ * for --resume instead of losing the whole run. What stays here is
+ * the sweep's own business: shard/resume bookkeeping, report
+ * streaming, telemetry sidecars, and analytic pass registration.
  */
 
 #ifndef RCACHE_SCENARIO_SCENARIO_SWEEP_HH
 #define RCACHE_SCENARIO_SCENARIO_SWEEP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -47,6 +51,23 @@
 
 namespace rcache
 {
+
+/**
+ * Phase-1 jobs (baselines and candidates) a commit unit lays out at
+ * least; the cell that reaches the bound ends the unit. A unit is
+ * what one csv.chunk.flush writes, what --resume and a polite
+ * interrupt leave whole, and what sidecar rows are ordered by, so it
+ * does not depend on --jobs.
+ */
+inline constexpr std::size_t kCommitUnitJobs = 64;
+
+/**
+ * Phase-1 jobs a sweep lays out ahead, in whole commit units: a
+ * window is one CellBatch and one drain. It bounds the jobs a huge
+ * sweep holds at once; every checked-in scenario fits one window
+ * (fig6.scn, the largest, lays out 2448).
+ */
+inline constexpr std::size_t kSweepWindowJobs = 4096;
 
 /** How runScenarioSweep executes and reports. */
 struct SweepOptions
@@ -69,9 +90,11 @@ struct SweepOptions
     /** Suppress the "sweep: N runs in ..." stderr summary (tests). */
     bool quiet = false;
     /**
-     * Called after each chunk's rows are flushed (cells completed so
-     * far). Claim workers use it as a lease heartbeat; never affects
-     * the report bytes.
+     * The sweep's heartbeat: called after every finished lane group,
+     * once the commit units it completed are flushed (and after units
+     * that commit before a window's first group), with the owned
+     * cells committed so far. Claim workers use it as a lease
+     * heartbeat; never affects the report bytes.
      */
     std::function<void(std::size_t)> chunkDone;
 
@@ -82,13 +105,11 @@ struct SweepOptions
      * the sweep CSV: the simulated runs are bit-identical with
      * telemetry on or off.
      *
-     * Row ordering caveat: timeline/event rows stream out chunk by
-     * chunk in job order, and for side=both scenarios the job order
-     * within a chunk depends on the chunk boundaries, which scale
-     * with --jobs. Rows carry their job label, so consumers should
-     * group by label rather than rely on file order. A job that
-     * reuses an earlier run (the job memo) writes that run's rows
-     * under its own label.
+     * Timeline/event rows stream out commit unit by commit unit:
+     * each unit's phase-1 jobs in job order, then its side=both
+     * cells' combined runs, for any --jobs. A job that reuses an
+     * earlier run (the job memo) writes that run's rows under its own
+     * label.
      */
     /// @{
     /** Interval-timeline JSONL path ("" = off). */

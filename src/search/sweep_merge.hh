@@ -9,8 +9,8 @@
  * each worker loops over the units, claims what is free, sweeps the
  * claimed shard into a committed <unit>.csv (written to a private
  * tmp file and renamed, so readers never see a partial CSV), and
- * marks it done. Workers heartbeat their lease after every completed
- * chunk and take over stale units of crashed peers, and no worker
+ * marks it done. Workers heartbeat their lease after every finished
+ * lane group and take over stale units of crashed peers, and no worker
  * exits successfully until *every* unit is done — so a zero exit
  * from any worker means the whole scenario is drained.
  *

@@ -61,7 +61,10 @@ class AddressSpaceWorkload final : public Workload
 } // namespace
 
 MultiCoreSystem::MultiCoreSystem(const SystemConfig &cfg)
-    : cfg_(cfg), l2_(cfg.l2, cfg.cores)
+    : cfg_(cfg),
+      frames_(FrameMapping::bytesFor(cfg.l2) +
+              cfg.cores * CoreLane::l1FrameBytes(cfg)),
+      l2_(cfg.l2, cfg.cores, &frames_)
 {
     rc_assert(cfg_.cores >= 2);
     rc_assert(cfg_.quantumInsts > 0);
@@ -91,7 +94,7 @@ MultiCoreSystem::start(const ResizeSetup &il1_setup,
     engine_ = engine;
     std::vector<CoreLane *> lanes;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
-        lanes_.push_back(std::make_unique<CoreLane>(cfg_, c, l2_));
+        lanes_.push_back(std::make_unique<CoreLane>(cfg_, c, l2_, frames_));
         lanes_.back()->start(il1_setup, dl1_setup, engine, telemetry);
         lanes.push_back(lanes_.back().get());
     }

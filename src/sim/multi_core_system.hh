@@ -143,6 +143,8 @@ class MultiCoreSystem
 
   private:
     SystemConfig cfg_;
+    /** Every cache's frames: the shared L2's, then each core's L1s. */
+    FrameMapping frames_;
     SharedL2 l2_;
     std::vector<std::unique_ptr<CoreLane>> lanes_;
     EngineSpec engine_;

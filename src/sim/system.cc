@@ -59,20 +59,29 @@ CoreLane::CoreLane(const SystemConfig &cfg)
     : model_(cfg.coreModel),
       coreParams_(cfg.core),
       energy_(cfg.energy),
-      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy),
-      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy),
-      hier_(&il1_.cache(), &dl1_.cache(), cfg.l2, cfg.lat)
+      frames_(std::make_unique<FrameMapping>(
+          l1FrameBytes(cfg) + FrameMapping::bytesFor(cfg.l2))),
+      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, 0, frames_.get()),
+      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, 0, frames_.get()),
+      hier_(&il1_.cache(), &dl1_.cache(), cfg.l2, cfg.lat, frames_.get())
 {
 }
 
-CoreLane::CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2)
+CoreLane::CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2,
+                   FrameMapping &frames)
     : model_(cfg.modelOfCore(id)),
       coreParams_(cfg.core),
       energy_(cfg.energy),
-      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, id),
-      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, id),
+      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, id, &frames),
+      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, id, &frames),
       hier_(&il1_.cache(), &dl1_.cache(), l2, id, cfg.lat)
 {
+}
+
+std::size_t
+CoreLane::l1FrameBytes(const SystemConfig &cfg)
+{
+    return FrameMapping::bytesFor(cfg.il1) + FrameMapping::bytesFor(cfg.dl1);
 }
 
 CoreLane::~CoreLane() = default;

@@ -202,13 +202,18 @@ struct RunResult
 class CoreLane
 {
   public:
-    /** Single-core lane: owns an L2 of cfg.l2 and runs
-     *  cfg.coreModel. */
+    /** Single-core lane: owns an L2 of cfg.l2, one FrameMapping for
+     *  its three caches' frames, and runs cfg.coreModel. */
     explicit CoreLane(const SystemConfig &cfg);
 
     /** Core @p id of a multi-core system: its L2 traffic goes to
-     *  @p l2, and it runs cfg.modelOfCore(id). */
-    CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2);
+     *  @p l2, its L1 frames come from @p frames (the system's
+     *  mapping), and it runs cfg.modelOfCore(id). */
+    CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2,
+             FrameMapping &frames);
+
+    /** FrameMapping::bytesFor the L1s of one lane of @p cfg. */
+    static std::size_t l1FrameBytes(const SystemConfig &cfg);
 
     ~CoreLane();
     CoreLane(const CoreLane &) = delete;
@@ -285,6 +290,8 @@ class CoreLane
     CoreModel model_;
     CoreParams coreParams_;
     EnergyParams energy_;
+    /** A single-core lane's frames (else null: the system's). */
+    std::unique_ptr<FrameMapping> frames_;
     ResizableCache il1_;
     ResizableCache dl1_;
     Hierarchy hier_;

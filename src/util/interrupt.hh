@@ -3,13 +3,15 @@
  * Cooperative SIGINT/SIGTERM handling for the long-running drivers.
  *
  * sweep and tune install the handlers once; the engines poll
- * interruptRequested() at their commit boundaries (sweep: after a
- * chunk is written and flushed; tune: between rounds; claim workers:
- * between units). On the first signal the in-flight work finishes
- * and the driver exits 128+sig after leaving a documented resumable
- * state — the flushed CSV prefix for --resume, released leases for
- * --claim. A second signal exits immediately (the escape hatch when
- * the current chunk itself is the problem).
+ * interruptRequested() where they start new work (sweep: after every
+ * finished lane group, once the commit units it completed are
+ * written and flushed, so no new group starts; tune: between rounds;
+ * claim workers: between units). On the first signal the in-flight
+ * work finishes and the driver exits 128+sig after leaving a
+ * documented resumable state — the flushed CSV prefix of whole
+ * commit units for --resume, released leases for --claim. A second
+ * signal exits immediately (the escape hatch when a running group
+ * itself is the problem).
  */
 
 #ifndef RCACHE_UTIL_INTERRUPT_HH

@@ -1,7 +1,9 @@
 /**
  * @file
- * parallelFor: the one way the simulator spreads independent work
- * over threads.
+ * parallelFor: how the simulator spreads a fixed set of independent
+ * items over threads (the analytic engine's shared passes). A sweep's
+ * lane groups run on SweepRunner::drain instead, whose queue grows as
+ * jobs are released.
  */
 
 #ifndef RCACHE_UTIL_PARALLEL_HH

@@ -1,12 +1,13 @@
 # Telemetry contract check, run as a ctest against the real binary:
 #
 #   cmake -DRCACHE_SIM=<rcache-sim> -DGOLDEN_DIR=<tests/golden>
-#         [-DSCENARIO=<name>] -DWORK_DIR=<work dir>
+#         [-DSCENARIO=<name>] [-DJOBS=<n>] -DWORK_DIR=<work dir>
 #         -P golden_telemetry.cmake
 #
 # SCENARIO names tests/golden/<name>.scn and its
 # <name>.{timeline,events}.golden.jsonl goldens (default:
-# telemetry_micro). Four properties of that scenario are pinned:
+# telemetry_micro); JOBS is the sweep's --jobs (default 2). Four
+# properties of that scenario are pinned:
 #
 #  1. non-perturbation: the sweep CSV is byte-identical with
 #     telemetry enabled and disabled (the recorders observe the run,
@@ -19,10 +20,10 @@
 #     complete spans, and the chunk-flush/baseline-memo markers
 #     (timestamps are wall clock, so no byte comparison).
 #
-# --jobs is pinned to 2: the CSV is --jobs-invariant, but telemetry
-# row order across chunks is not guaranteed to be (rows carry their
-# job label instead; see SweepOptions). Regenerate the goldens with
-# the command in the scenario's header.
+# The goldens were written at --jobs 2, and every file compared here
+# is --jobs-invariant: rows stream out commit unit by commit unit,
+# and the units do not depend on --jobs (see SweepOptions).
+# Regenerate the goldens with the command in the scenario's header.
 
 foreach(var RCACHE_SIM GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
@@ -31,6 +32,9 @@ foreach(var RCACHE_SIM GOLDEN_DIR WORK_DIR)
 endforeach()
 if(NOT DEFINED SCENARIO)
   set(SCENARIO telemetry_micro)
+endif()
+if(NOT DEFINED JOBS)
+  set(JOBS 2)
 endif()
 
 set(scenario ${GOLDEN_DIR}/${SCENARIO}.scn)
@@ -43,7 +47,7 @@ string(REGEX REPLACE "^apps *= *([^,]*).*" "\\1" first_app "${apps_line}")
 
 # ---- 1. reference run, telemetry off
 execute_process(
-  COMMAND ${RCACHE_SIM} sweep --scenario ${scenario} --jobs 2
+  COMMAND ${RCACHE_SIM} sweep --scenario ${scenario} --jobs ${JOBS}
           --out ${WORK_DIR}/off.csv
   RESULT_VARIABLE rc
   ERROR_VARIABLE stderr)
@@ -53,7 +57,7 @@ endif()
 
 # ---- 2. same sweep, every telemetry layer on
 execute_process(
-  COMMAND ${RCACHE_SIM} sweep --scenario ${scenario} --jobs 2
+  COMMAND ${RCACHE_SIM} sweep --scenario ${scenario} --jobs ${JOBS}
           --out ${WORK_DIR}/on.csv
           --timeline ${WORK_DIR}/timeline.jsonl
           --events ${WORK_DIR}/events.jsonl

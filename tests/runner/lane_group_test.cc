@@ -7,7 +7,8 @@
  * two cores, a synthetic profile and a checked-in trace, out-of-order
  * and in-order cores, static and dynamic d-caches; at 1, 2 and 4
  * workers, with 1, 2 and 9 members per schedule. Also pins how a
- * batch is cut into groups, a tune rung's and a trace's included.
+ * batch is cut into groups, a tune rung's, a trace's and a sweep
+ * window's included.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "runner/sweep_runner.hh"
+#include "scenario/cell_eval.hh"
+#include "scenario/scenario_sweep.hh"
 #include "telemetry/run_telemetry.hh"
 #include "workload/profiles.hh"
 #include "workload/workload_factory.hh"
@@ -247,6 +250,46 @@ TEST(LaneGroupTest, TuneRungSchedulesStayWholeUpToMaxLanes)
     EXPECT_EQ(sizes, (std::vector<std::size_t>{17, 20, 24, 28, 30, 32,
                                                17, 16, 18, 17, 18, 18,
                                                20, 20, 21, 24, 23}));
+}
+
+TEST(LaneGroupTest, Fig9WindowFormsOneGroupPerApp)
+{
+    // A sweep lays fig9.scn out as one window: its 252 phase-1 jobs
+    // execute 132 distinct ones, 11 per app (the baseline and five
+    // static levels per side; the side=both cells reuse them). The
+    // balance rule sees the whole window, so each app's stream feeds
+    // one group of 11 lanes.
+    std::string err;
+    const auto spec = ScenarioSpec::parseFile(
+        std::string(RCACHE_SCENARIO_SOURCE_DIR) + "/fig9.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const auto space = ParamSpace::build(*spec, &err);
+    ASSERT_TRUE(space) << err;
+    const std::vector<AppEntry> apps = resolveApps(*spec, &err);
+    ASSERT_EQ(apps.size(), 12u) << err;
+
+    JobMemo memo;
+    CellBatch window(*space, apps);
+    for (std::size_t cell = 0; cell < apps.size() * space->numPoints();
+         ++cell)
+        window.add(cell, memo);
+    EXPECT_LE(window.phase1Jobs(), kSweepWindowJobs);
+    // The drain a window starts with, taken without running it.
+    std::vector<RunJob> jobs;
+    window.run(
+        [&](const std::vector<RunJob> &start, const SweepRunner::Finished &) {
+            jobs = start;
+            return std::vector<RunResult>{};
+        },
+        memo);
+    ASSERT_EQ(jobs.size(), 132u);
+    for (const unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        const auto groups = SweepRunner::laneGroups(jobs, workers);
+        EXPECT_EQ(groups.size(), 12u);
+        for (const auto &g : groups)
+            EXPECT_EQ(g.size(), 11u);
+    }
 }
 
 } // namespace rcache

@@ -232,4 +232,94 @@ TEST(SweepRunnerTest, ExecuteRunJobIsPure)
     expectIdentical(executeRunJob(job), executeRunJob(job));
 }
 
+TEST(SweepRunnerTest, DrainRunsEachReleaseNextAndMatchesSerial)
+{
+    // Three apps' static d-cache sweeps, one schedule each. When a
+    // group finishes it releases one dependent job (its app's
+    // baseline), as a side=both cell releases its combined rerun.
+    Experiment exp(SystemConfig::base(), 20000);
+    std::vector<RunJob> jobs;
+    for (const char *name : {"ammp", "gcc", "swim"}) {
+        auto s = exp.staticSearchJobs(profileByName(name),
+                                      CacheSide::DCache,
+                                      Organization::SelectiveSets);
+        jobs.insert(jobs.end(), s.begin(), s.end());
+    }
+    const auto drain = [&](unsigned workers, std::vector<RunJob> &released,
+                           std::vector<std::string> &order) {
+        return SweepRunner(workers).drain(
+            jobs, [&](const std::vector<std::size_t> &group,
+                      const std::vector<RunResult> &results,
+                      std::vector<RunJob> &release) {
+                const std::size_t first = group.front();
+                EXPECT_EQ(results[first].workload,
+                          first < jobs.size()
+                              ? jobs[first].profile.name
+                              : released[first - jobs.size()].profile.name);
+                order.push_back(first < jobs.size()
+                                    ? jobs[first].profile.name
+                                    : "released " +
+                                          released[first - jobs.size()]
+                                              .profile.name);
+                if (first < jobs.size()) {
+                    release.push_back(
+                        exp.baselineJob(jobs[first].profile));
+                    released.push_back(release.back());
+                }
+                return true;
+            });
+    };
+
+    // One worker: each app is one group, the groups start in job
+    // order, and each release runs right after the group that freed
+    // it.
+    std::vector<RunJob> released;
+    std::vector<std::string> order;
+    const std::vector<RunResult> one = drain(1, released, order);
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "ammp", "released ammp", "gcc", "released gcc",
+                         "swim", "released swim"}));
+
+    // Any worker count (more workers cut each app into more groups):
+    // every result equals its job's solo run, the released jobs' in
+    // release order.
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        released.clear();
+        order.clear();
+        const std::vector<RunResult> got = drain(workers, released, order);
+        std::vector<RunJob> all = jobs;
+        all.insert(all.end(), released.begin(), released.end());
+        ASSERT_EQ(released.size(),
+                  SweepRunner::laneGroups(jobs, workers).size());
+        expectAllIdentical(SweepRunner::runSerial(all), got);
+    }
+}
+
+TEST(SweepRunnerTest, DrainStartsNoGroupAfterAStop)
+{
+    // Six single-job groups; the caller stops the drain at the first
+    // finished group. One worker runs nothing more; with two, only
+    // the group already running finishes after the stop.
+    const auto jobs = baselineBatch(
+        {"ammp", "gcc", "swim", "vpr", "compress", "m88ksim"}, 20000);
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        std::size_t told = 0;
+        const std::vector<RunResult> got = SweepRunner(workers).drain(
+            jobs, [&](const std::vector<std::size_t> &,
+                      const std::vector<RunResult> &,
+                      std::vector<RunJob> &) {
+                ++told;
+                return false;
+            });
+        EXPECT_GE(told, 1u);
+        EXPECT_LE(told, workers);
+        std::size_t ran = 0;
+        for (const RunResult &r : got)
+            ran += r.insts > 0;
+        EXPECT_EQ(ran, told);
+    }
+}
+
 } // namespace rcache

@@ -1,18 +1,28 @@
 /** @file
  * Tests for the scenario sweep engine: shard-union and resume
- * identities, consistency with a hand-reduced Experiment job batch,
- * and the CellBatch layout that sweeps, tunes and benches evaluate
- * cells through.
+ * identities, the polite-interrupt contract, consistency with a
+ * hand-reduced Experiment job batch, and the CellBatch layout that
+ * sweeps, tunes and benches evaluate cells through.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "scenario/cell_eval.hh"
 #include "scenario/scenario_sweep.hh"
 #include "sim/experiment.hh"
+#include "util/interrupt.hh"
 
 namespace rcache
 {
@@ -182,6 +192,94 @@ TEST(ScenarioSweepTest, AnyRowBoundaryPrefixResumesIdentically)
     }
 }
 
+TEST(ScenarioSweepTest, PoliteInterruptCommitsWholeUnitsAndResumes)
+{
+    // Six apps of 32 phase-1 jobs each (4 policies x 2 orgs, a
+    // baseline and the static levels per cell): three commit units of
+    // two apps, and at --jobs 2 one lane group per app.
+    std::string err;
+    const auto spec = ScenarioSpec::parseText(R"([scenario]
+name = interrupt-test
+insts = 4000
+
+[workloads]
+apps = ammp,gcc,swim,m88ksim,vpr,compress
+
+[axes]
+policy = lru,random,fifo,slru
+org = ways,sets
+
+[search]
+strategy = static
+side = dcache
+)",
+                                              "interrupt-test.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    constexpr unsigned kJobs = 2;
+
+    // The undisturbed run, and its commit-unit boundaries in rows.
+    SweepOptions ref = csvTo(pathIn("intr_ref.csv"));
+    ref.jobs = kJobs;
+    ref.traceEventsPath = pathIn("intr_ref.json");
+    ASSERT_EQ(runScenarioSweep(*spec, ref), 0);
+    const std::string full = slurp(pathIn("intr_ref.csv"));
+    std::set<std::size_t> bounds{0};
+    const std::string trace = slurp(pathIn("intr_ref.json"));
+    const std::regex flush(R"re("name":"chunk-flush"[^}]*"cells":"(\d+)")re");
+    std::size_t rows = 0;
+    for (std::sregex_iterator it(trace.begin(), trace.end(), flush), end;
+         it != end; ++it)
+        bounds.insert(rows += std::stoul((*it)[1]));
+    ASSERT_EQ(bounds.size(), 4u) << "three commit units";
+    ASSERT_EQ(*bounds.rbegin(), 48u);
+
+    // A child sweep raises SIGINT from its heartbeat after the first
+    // finished group and counts the heartbeats (finished groups)
+    // after it.
+    const std::string out = pathIn("intr.csv");
+    const std::string after_path = pathIn("intr.after");
+    std::remove(out.c_str());
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        installInterruptHandlers();
+        SweepOptions opt = csvTo(out);
+        opt.jobs = kJobs;
+        int after = -1;
+        opt.chunkDone = [&](std::size_t) {
+            if (after++ < 0)
+                std::raise(SIGINT);
+        };
+        const int rc = runScenarioSweep(*spec, opt);
+        std::ofstream(after_path) << after;
+        std::_Exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 130);
+    int after = -1;
+    std::ifstream(after_path) >> after;
+    EXPECT_GE(after, 0);
+    EXPECT_LE(after, static_cast<int>(kJobs) - 1)
+        << "groups finished after the signal";
+
+    // The CSV is a prefix of the undisturbed one that ends on a unit.
+    const std::string part = slurp(out);
+    ASSERT_EQ(full.compare(0, part.size(), part), 0);
+    const std::size_t lines = std::count(part.begin(), part.end(), '\n');
+    ASSERT_GE(lines, 1u) << "the header";
+    EXPECT_TRUE(bounds.count(lines - 1)) << lines - 1 << " rows";
+    EXPECT_LT(lines - 1, 48u);
+
+    SweepOptions resume;
+    resume.resumePath = out;
+    resume.jobs = kJobs;
+    resume.quiet = true;
+    ASSERT_EQ(runScenarioSweep(*spec, resume), 0);
+    EXPECT_EQ(slurp(out), full);
+}
+
 TEST(ScenarioSweepTest, RecordsMatchExperimentSearches)
 {
     // One axis-free cell must agree exactly with the Experiment
@@ -287,9 +385,11 @@ strategy = static
     const std::vector<AppEntry> apps = resolveApps(*spec, &err);
     SweepRunner runner(1);
     std::size_t executed = 0;
-    const auto execute = [&](const std::vector<RunJob> &jobs) {
-        executed += jobs.size();
-        return runner.run(jobs);
+    const auto execute = [&](const std::vector<RunJob> &jobs,
+                             const SweepRunner::Finished &finished) {
+        std::vector<RunResult> results = runner.drain(jobs, finished);
+        executed += results.size();
+        return results;
     };
     const auto csvOf = [](const std::vector<SweepRecord> &rows) {
         std::ostringstream os;
@@ -308,19 +408,25 @@ strategy = static
     const std::size_t single_sides = whole.phase1Jobs();
     whole.add(2, memo);
     EXPECT_EQ(whole.phase1Jobs(), 2 * single_sides - 1);
-    EXPECT_EQ(whole.plannedJobs(), whole.phase1Jobs() + 1);
-    EXPECT_EQ(whole.newBaselineLabels(),
-              std::vector<std::string>{"m88ksim/baseline"});
     std::size_t reported = 0, reused = 0;
-    const std::vector<SweepRecord> rows = whole.run(
-        execute, memo, [&](const RunJob &, const JobRun &, bool hit) {
-            ++reported;
-            reused += hit;
-        });
+    std::vector<CellBatch::Unit> units;
+    CellBatch::Sink sink;
+    sink.report = [&](const RunJob &, const JobRun &, bool hit) {
+        ++reported;
+        reused += hit;
+    };
+    sink.commit = [&](const CellBatch::Unit &unit) {
+        units.push_back(unit);
+    };
+    const std::vector<SweepRecord> rows = whole.run(execute, memo, sink);
     ASSERT_EQ(rows.size(), 3u);
+    ASSERT_EQ(units.size(), 1u);
+    EXPECT_EQ(units[0].plannedJobs, whole.phase1Jobs() + 1);
+    EXPECT_EQ(units[0].newBaselineLabels,
+              std::vector<std::string>{"m88ksim/baseline"});
     EXPECT_EQ(executed, single_sides + 1);
-    EXPECT_EQ(reported, whole.plannedJobs());
-    EXPECT_EQ(reused, whole.plannedJobs() - executed);
+    EXPECT_EQ(reported, units[0].plannedJobs);
+    EXPECT_EQ(reused, units[0].plannedJobs - executed);
     EXPECT_EQ(memo.runs.size(), executed);
 
     // Over the warm memo a one-cell batch lays out no baseline, runs
@@ -328,10 +434,92 @@ strategy = static
     for (std::size_t cell = 0; cell < rows.size(); ++cell) {
         CellBatch one(*space, apps);
         one.add(cell, memo);
-        EXPECT_TRUE(one.newBaselineLabels().empty());
         executed = 0;
-        EXPECT_EQ(csvOf(one.run(execute, memo)), csvOf({rows[cell]}));
+        units.clear();
+        EXPECT_EQ(csvOf(one.run(execute, memo, sink)),
+                  csvOf({rows[cell]}));
         EXPECT_EQ(executed, 0u);
+        ASSERT_EQ(units.size(), 1u);
+        EXPECT_TRUE(units[0].newBaselineLabels.empty());
+    }
+}
+
+TEST(CellBatchTest, RepeatedCombinedJobRunsOnce)
+{
+    std::string err;
+    auto spec = ScenarioSpec::parseText(R"([scenario]
+name = batch
+insts = 20000
+
+[workloads]
+apps = m88ksim
+
+[search]
+org = sets
+strategy = static
+side = both
+)",
+                                        "batch.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const auto space = ParamSpace::build(*spec, &err);
+    ASSERT_TRUE(space) << err;
+    const std::vector<AppEntry> apps = resolveApps(*spec, &err);
+
+    // The same side=both cell twice, in two commit units: both wait
+    // on the same per-side sweeps, so one group's finish readies
+    // them together. The first releases the combined job; the second
+    // finds it running and waits on that run.
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        const SweepRunner runner(workers);
+        std::set<std::string> ran;
+        std::size_t executed = 0, released = 0;
+        const auto execute = [&](const std::vector<RunJob> &jobs,
+                                 const SweepRunner::Finished &finished) {
+            for (const RunJob &job : jobs)
+                EXPECT_TRUE(ran.insert(jobKey(job)).second);
+            std::vector<RunResult> results = runner.drain(
+                jobs, [&](const std::vector<std::size_t> &group,
+                          const std::vector<RunResult> &res,
+                          std::vector<RunJob> &release) {
+                    const bool go = finished(group, res, release);
+                    for (const RunJob &job : release) {
+                        EXPECT_TRUE(ran.insert(jobKey(job)).second)
+                            << job.label << " released twice";
+                        ++released;
+                    }
+                    return go;
+                });
+            executed += results.size();
+            return results;
+        };
+
+        JobMemo memo;
+        CellBatch batch(*space, apps);
+        batch.add(0, memo);
+        batch.cut();
+        batch.add(0, memo);
+        std::vector<std::size_t> committed;
+        std::size_t planned = 0, reported = 0, reused = 0;
+        CellBatch::Sink sink;
+        sink.report = [&](const RunJob &, const JobRun &, bool hit) {
+            ++reported;
+            reused += hit;
+        };
+        sink.commit = [&](const CellBatch::Unit &unit) {
+            committed.push_back(unit.rows.size());
+            planned += unit.plannedJobs;
+        };
+        const std::vector<SweepRecord> rows = batch.run(execute, memo, sink);
+        ASSERT_EQ(rows.size(), 2u);
+        EXPECT_EQ(rows[0].bestEdp, rows[1].bestEdp);
+        EXPECT_EQ(committed, (std::vector<std::size_t>{1, 1}));
+        EXPECT_EQ(planned, batch.phase1Jobs() + 2);
+        EXPECT_EQ(released, 1u);
+        EXPECT_EQ(executed, memo.runs.size());
+        EXPECT_EQ(executed, ran.size());
+        EXPECT_EQ(reported, planned);
+        EXPECT_EQ(reused, planned - executed);
     }
 }
 

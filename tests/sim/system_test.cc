@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/multi_core_system.hh"
 #include "sim/system.hh"
 #include "workload/profiles.hh"
 
@@ -27,6 +30,33 @@ residentKb()
         if (line.rfind("VmRSS:", 0) == 0)
             return std::stol(line.substr(6));
     return -1;
+}
+
+/** The [start, end) of this process's mapping that holds @p at, from
+ *  /proc/self/maps; {0, 0} when none does or the file is
+ *  unreadable. */
+std::pair<std::uintptr_t, std::uintptr_t>
+mappingOf(std::uintptr_t at)
+{
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        const std::size_t dash = line.find('-');
+        const std::size_t space = line.find(' ', dash);
+        const std::uintptr_t lo =
+            std::stoull(line.substr(0, dash), nullptr, 16);
+        const std::uintptr_t hi = std::stoull(
+            line.substr(dash + 1, space - dash - 1), nullptr, 16);
+        if (lo <= at && at < hi)
+            return {lo, hi};
+    }
+    return {0, 0};
+}
+
+std::uintptr_t
+framesOf(const Cache &cache)
+{
+    return reinterpret_cast<std::uintptr_t>(cache.frames());
 }
 
 } // namespace
@@ -155,6 +185,47 @@ TEST(SystemTest, StartedSystemsHoldOnlyTheFramesTheyTouch)
     const long grown = residentKb() - before;
     EXPECT_LT(grown, systems * 256 / 4)
         << grown << " KB resident for " << systems << " started Systems";
+}
+
+TEST(SystemTest, StartedSystemTakesItsFramesFromOneMapping)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "AddressSanitizer builds take each frame array "
+                    "from the heap";
+#endif
+    // A System's il1, dl1 and L2 frames are carved back to back, in
+    // that order, from one mapping, so one munmap releases them all.
+    const SystemConfig cfg = SystemConfig::base();
+    System sys(cfg);
+    sys.start({}, {}, EngineSpec{}, nullptr);
+    const std::uintptr_t il1 = framesOf(sys.il1().cache());
+    const std::uintptr_t dl1 = framesOf(sys.dl1().cache());
+    const std::uintptr_t l2 = framesOf(sys.hierarchy().l2());
+    EXPECT_EQ(dl1, il1 + FrameMapping::bytesFor(cfg.il1));
+    EXPECT_EQ(l2, dl1 + FrameMapping::bytesFor(cfg.dl1));
+    const auto [lo, hi] = mappingOf(il1);
+    EXPECT_LE(lo, il1);
+    EXPECT_GE(hi, l2 + FrameMapping::bytesFor(cfg.l2));
+
+    // A multi-core system's shared L2 comes first, then each core's
+    // L1s, all from the system's one mapping.
+    SystemConfig mc = cfg;
+    mc.cores = 2;
+    MultiCoreSystem multi(mc);
+    const std::vector<CoreLane *> lanes =
+        multi.start({}, {}, EngineSpec{}, nullptr);
+    std::uintptr_t at = framesOf(multi.sharedL2().cache());
+    const std::uintptr_t first = at;
+    at += FrameMapping::bytesFor(mc.l2);
+    for (const CoreLane *lane : lanes) {
+        EXPECT_EQ(framesOf(lane->il1().cache()), at);
+        at += FrameMapping::bytesFor(mc.il1);
+        EXPECT_EQ(framesOf(lane->dl1().cache()), at);
+        at += FrameMapping::bytesFor(mc.dl1);
+    }
+    const auto [mlo, mhi] = mappingOf(first);
+    EXPECT_LE(mlo, first);
+    EXPECT_GE(mhi, at);
 }
 
 TEST(SystemDeathTest, SecondRunPanics)
