@@ -8,6 +8,7 @@
 
 #include "analytic/analytic_engine.hh"
 #include "core/size_schedule.hh"
+#include "cpu/front_end.hh"
 #include "cpu/functional_core.hh"
 #include "runner/sweep_runner.hh"
 #include "scenario/scenario_spec.hh"
@@ -113,12 +114,12 @@ functionalRun(const BenchOptions &opts)
         Cache il1("il1", cfg.il1);
         Cache dl1("dl1", cfg.dl1);
         Hierarchy hier(&il1, &dl1, cfg.l2, cfg.lat);
-        BranchPredictor bpred(cfg.core.bpred);
-        FunctionalCore func(hier, bpred, cfg.core.fetchWidth, nullptr,
-                            nullptr);
+        FrontEnd front(cfg.frontEnd());
+        FunctionalCore func(hier, nullptr, nullptr);
         MicroInst batch[workloadBatchSize];
         forEachSegment(wl, opts.items, batch, workloadBatchSize,
-                       [&](const MicroInst *insts, std::size_t n) {
+                       [&](MicroInst *insts, std::size_t n) {
+                           front.mark(insts, n);
                            func.consume(insts, n);
                        });
         consume(dl1.misses());

@@ -7,9 +7,8 @@
 
 #include "cache/hierarchy.hh"
 #include "core/size_schedule.hh"
-#include "cpu/branch_predictor.hh"
+#include "cpu/front_end.hh"
 #include "util/parallel.hh"
-#include "workload/synthetic.hh"
 #include "workload/workload_factory.hh"
 
 namespace rcache
@@ -106,15 +105,9 @@ AnalyticPass::streamKey(const SystemConfig &cfg,
                         const std::string &workload,
                         std::uint64_t insts)
 {
-    std::ostringstream os;
-    os << workload << '|' << insts << '|' << cfg.core.fetchWidth
-       << '|' << cfg.il1.blockBits() << '|' << cfg.dl1.blockBits()
-       << '|' << cfg.core.bpred.bimodalEntries << ','
-       << cfg.core.bpred.gshareEntries << ','
-       << cfg.core.bpred.chooserEntries << ','
-       << cfg.core.bpred.historyBits << ','
-       << cfg.core.bpred.btbEntries;
-    return os.str();
+    return workload + '|' + std::to_string(insts) + '|' +
+           frontEndKey(cfg.frontEnd()) + '|' +
+           std::to_string(cfg.dl1.blockBits());
 }
 
 void
@@ -130,13 +123,10 @@ AnalyticPass::addConfig(const SystemConfig &cfg)
 
     const std::string key =
         streamKey(cfg, profile_.name, insts_);
-    if (!shapeSet_) {
-        shapeSet_ = true;
+    if (key_.empty()) {
         key_ = key;
-        fetchWidth_ = cfg.core.fetchWidth;
-        il1BlockBits_ = cfg.il1.blockBits();
+        frontEnd_ = cfg.frontEnd();
         dl1BlockBits_ = cfg.dl1.blockBits();
-        bpred_ = cfg.core.bpred;
     } else if (key != key_) {
         rc_fatal("AnalyticPass stream key mismatch: pass built for '" +
                  key_ + "', config needs '" + key + "'");
@@ -187,39 +177,24 @@ void
 AnalyticPass::run()
 {
     rc_assert(!ran_);
-    rc_assert(shapeSet_ && !configs_.empty());
+    rc_assert(!configs_.empty());
     for (const auto &[key, cfg] : configs_)
         contexts_.emplace(key, std::make_unique<Context>(cfg));
 
     il1Profiles_.reserve(il1Req_.size());
     for (const auto &[sets, ways] : il1Req_)
-        il1Profiles_.emplace_back(sets, ways, il1BlockBits_);
+        il1Profiles_.emplace_back(sets, ways, frontEnd_.il1BlockBits);
     dl1Profiles_.reserve(dl1Req_.size());
     for (const auto &[sets, ways] : dl1Req_)
         dl1Profiles_.emplace_back(sets, ways, dl1BlockBits_);
 
-    BranchPredictor bpred(bpred_);
-    const std::unique_ptr<Workload> wlp = makeWorkload(profile_);
-    Workload &wl = *wlp;
-
-    // Fetch replica of cpu/core.cc fetchInst(): one il1 access per
-    // fetch-group boundary or block change; taken or mispredicted
-    // branches end the group (redirectFetch). Matching the timing
-    // cores' redundant in-block re-probes is what makes the Cache
-    // access counters — not just the miss counts — line up exactly.
-    Addr curFetchBlock = ~Addr{0};
-    unsigned groupRemaining = 0;
-
-    forEachBatched(wl, insts_, [&](const MicroInst &inst) {
+    // The timing cores' reference stream: the FrontEnd marks the same
+    // il1 probes (in-block re-probes included, so the Cache access
+    // counters line up, not just the misses) and mispredicts.
+    const auto count = [&](const MicroInst &inst) {
         ++mix_.insts;
-        const Addr blk = inst.pc >> il1BlockBits_;
-        if (blk != curFetchBlock || groupRemaining == 0) {
+        if (inst.probe)
             il1Event(inst.pc);
-            curFetchBlock = blk;
-            groupRemaining = fetchWidth_;
-        }
-        --groupRemaining;
-
         switch (inst.op) {
           case OpClass::IntAlu:
             ++mix_.intOps;
@@ -235,22 +210,23 @@ AnalyticPass::run()
             ++mix_.stores;
             dl1Event(inst.effAddr, true);
             break;
-          case OpClass::Branch: {
+          case OpClass::Branch:
             // The timing cores also charge branches as int-ALU work
-            // (energy), and both issue the predictor update once.
+            // (energy).
             ++mix_.branches;
             ++mix_.intOps;
-            const bool correct = bpred.predictAndUpdate(
-                inst.pc, inst.taken, inst.target);
-            if (!correct || inst.taken) {
-                curFetchBlock = ~Addr{0};
-                groupRemaining = 0;
-            }
+            mix_.mispredicts += inst.mispredict;
             break;
-          }
         }
-    });
-    mix_.mispredicts = bpred.mispredicts();
+    };
+    FrontEnd front(frontEnd_);
+    const std::unique_ptr<Workload> wl = makeWorkload(profile_);
+    MicroInst batch[workloadBatchSize];
+    forEachSegment(*wl, insts_, batch, workloadBatchSize,
+                   [&](MicroInst *insts, std::size_t n) {
+                       front.mark(insts, n);
+                       std::for_each(insts, insts + n, count);
+                   });
     ran_ = true;
 
     // Cross-check the two independent machineries against each other:

@@ -13,18 +13,18 @@
  *    distinct geometry/latency tuple): exact baseline L2/memory/
  *    writeback traffic and the L2-hit vs memory split of each side's
  *    misses, used to scale downstream traffic for resized geometries;
- *  - a real BranchPredictor plus the instruction-mix tallies the
- *    energy model charges per event.
+ *  - the instruction-mix tallies the energy model charges per event,
+ *    mispredicts included.
  *
- * The pass replicates the *timing cores'* reference stream, not an
- * idealized one: instruction fetch performs one il1 access per
- * fetch-group boundary or block change (redundant in-block re-probes
- * included — they are real, guaranteed-MRU Cache accesses in the
- * detailed model and are fed to the profiles the same way), data
- * accesses issue in program order, and taken/mispredicted branches
- * restart the fetch group. With true-LRU replacement and a static
- * geometry this makes the per-geometry L1 access and miss counts
- * *equal* to the detailed engine's, which tests/analytic/ pins.
+ * The pass reads the *timing cores'* reference stream, not an
+ * idealized one: a FrontEnd (cpu/front_end.hh) of the stream's shape
+ * marks the same il1 probes and mispredicts it marks for a timing
+ * run (in-block re-probes included — they are real Cache accesses in
+ * the detailed model and are fed to the profiles the same way), and
+ * data accesses issue in program order. With true-LRU replacement and
+ * a static geometry this makes the per-geometry L1 access and miss
+ * counts *equal* to the detailed engine's, which tests/analytic/
+ * pins.
  *
  * What is modelled rather than measured: cycles come from a
  * calibrated CPI model (miss exposure x miss penalty), writeback and
@@ -91,9 +91,9 @@ class AnalyticPass
     /**
      * Jobs whose configs share a stream key produce identical event
      * streams and may share one pass; anything stream-relevant
-     * (workload, length, fetch width, block sizes, predictor shape)
-     * is in the key, pure pricing parameters (sizes, associativities,
-     * latencies, energy, core widths) are not.
+     * (workload, length, frontEndKey, the d-cache block size) is in
+     * the key, pure pricing parameters (sizes, associativities,
+     * latencies, energy, backend widths) are not.
      */
     static std::string streamKey(const SystemConfig &cfg,
                                  const std::string &workload,
@@ -146,11 +146,8 @@ class AnalyticPass
     bool ran_ = false;
 
     /** Stream-shape parameters, locked by the first addConfig(). */
-    bool shapeSet_ = false;
-    unsigned fetchWidth_ = 0;
-    unsigned il1BlockBits_ = 0;
+    FrontEndShape frontEnd_;
     unsigned dl1BlockBits_ = 0;
-    BranchPredictorParams bpred_;
     std::string key_;
 
     /** Per-side profile requirements: enabled sets -> deepest ways. */

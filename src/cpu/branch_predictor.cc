@@ -18,17 +18,4 @@ BranchPredictor::BranchPredictor(const BranchPredictorParams &params)
               isPowerOfTwo(params.btbEntries));
 }
 
-void
-BranchPredictor::reset()
-{
-    std::fill(bimodal_.begin(), bimodal_.end(), 1);
-    std::fill(gshare_.begin(), gshare_.end(), 1);
-    std::fill(chooser_.begin(), chooser_.end(), 2);
-    for (auto &e : btb_)
-        e.valid = false;
-    history_ = 0;
-    lookups_ = 0;
-    mispredicts_ = 0;
-}
-
 } // namespace rcache

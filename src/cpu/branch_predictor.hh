@@ -50,8 +50,6 @@ class BranchPredictor
     bool
     predictAndUpdate(Addr pc, bool taken, Addr target)
     {
-        ++lookups_;
-
         const std::uint64_t pc_idx = pc >> 2;
         auto &bim = bimodal_[pc_idx & (params_.bimodalEntries - 1)];
         const std::uint64_t gidx =
@@ -83,21 +81,8 @@ class BranchPredictor
                 correct = false;
             entry = {pc, target, true};
         }
-
-        if (!correct)
-            ++mispredicts_;
         return correct;
     }
-
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t mispredicts() const { return mispredicts_; }
-    double mispredictRate() const
-    {
-        return lookups_ ? static_cast<double>(mispredicts_) / lookups_
-                        : 0.0;
-    }
-
-    void reset();
 
   private:
     static bool counterTaken(std::uint8_t c) { return c >= 2; }
@@ -126,9 +111,6 @@ class BranchPredictor
     };
     std::vector<BtbEntry> btb_;
     std::uint64_t history_ = 0;
-
-    std::uint64_t lookups_ = 0;
-    std::uint64_t mispredicts_ = 0;
 };
 
 } // namespace rcache

@@ -96,9 +96,9 @@ class SlotAllocator
 };
 
 /**
- * Base class: owns the frontend (fetch through the i-cache with
- * branch prediction) and the d-cache structural resources; subclasses
- * implement the backend discipline.
+ * Base class: owns fetch timing (probe latency, bandwidth, redirects
+ * at the stream's FrontEnd marks, cpu/front_end.hh) and the d-cache
+ * structural resources; subclasses implement the backend discipline.
  */
 class Core
 {
@@ -128,56 +128,50 @@ class Core
     /**
      * Restart the timing machinery at cycle 0 for a fresh measurement
      * window: fetch engine, bandwidth allocators, MSHRs, writeback
-     * buffer. Warm state (the branch predictor, and the caches, which
-     * live in the hierarchy) is untouched. CoreLane (sim/system.hh)
-     * calls this before every measured window. On a fresh core it
-     * changes nothing.
+     * buffer. Warm state (the caches, which live in the hierarchy) is
+     * untouched. CoreLane (sim/system.hh) calls this before every
+     * measured window. On a fresh core it changes nothing.
      */
     void resetTiming();
 
-    BranchPredictor &predictor() { return bpred_; }
     const MshrFile &mshrs() const { return mshr_; }
     const WritebackBuffer &writebackBuffer() const { return wb_; }
-    const CoreParams &params() const { return params_; }
 
   protected:
     /**
-     * Fetch one instruction: accesses the i-cache when crossing into a
-     * new block, applies fetch bandwidth, and returns the fetch cycle.
+     * Fetch one instruction: reads the i-cache if it is marked as a
+     * probe, applies fetch bandwidth, and returns the fetch cycle.
      * Inline: runs once per simulated instruction.
      */
     std::uint64_t
     fetchInst(const MicroInst &inst)
     {
-        // The i-cache SRAM is read once per fetch group: on every
-        // block transition and again each time a group's worth of
-        // instructions has been consumed from the same block (a new
-        // fetch cycle).
-        const Addr blk = inst.pc >> il1BlockBits_;
-        if (blk != curFetchBlock_ || groupRemaining_ == 0) {
+        if (inst.probe) {
             const std::uint64_t t = nextFetchCycle_;
             MemAccessResult res = hier_.instAccess(inst.pc);
             notifyIl1(res.l1Hit, t);
             blockReady_ = t + res.latency - 1;
-            curFetchBlock_ = blk;
-            groupRemaining_ = params_.fetchWidth;
         }
-        --groupRemaining_;
         const std::uint64_t fc = fetchSlots_.alloc(blockReady_);
         nextFetchCycle_ = std::max(nextFetchCycle_, fc);
         return fc;
     }
 
-    /** Force the next fetch to re-access the i-cache at @p cycle. */
-    void redirectFetch(std::uint64_t cycle);
-
     /**
-     * Resolve the branch @p inst fetched at @p fetch_cycle completing
-     * at @p complete_cycle; applies prediction and redirects.
-     * @return true if mispredicted.
+     * Redirect fetch after the branch @p inst, completing at
+     * @p complete_cycle: a mispredict refetches once it resolves (the
+     * refill penalty comes out of frontendDepth), a predicted taken
+     * branch from the next cycle. @return true if mispredicted.
      */
-    bool resolveBranch(const MicroInst &inst,
-                       std::uint64_t complete_cycle);
+    bool
+    resolveBranch(const MicroInst &inst, std::uint64_t complete_cycle)
+    {
+        if (inst.mispredict)
+            nextFetchCycle_ = std::max(nextFetchCycle_, complete_cycle + 1);
+        else if (inst.taken)
+            ++nextFetchCycle_;
+        return inst.mispredict;
+    }
 
     void
     notifyIl1(bool hit, std::uint64_t cycle)
@@ -198,23 +192,14 @@ class Core
     ResizePolicy *il1Policy_;
     ResizePolicy *dl1Policy_;
 
-    BranchPredictor bpred_;
     MshrFile mshr_;
     WritebackBuffer wb_;
 
     SlotAllocator fetchSlots_;
 
-    /** log2(i-cache block size), hoisted out of the per-instruction
-     *  fetch path (geometry is immutable for a core's lifetime). */
-    unsigned il1BlockBits_;
-
     /** Fetch engine state. */
     std::uint64_t nextFetchCycle_ = 0;
-    Addr curFetchBlock_ = ~Addr{0};
     std::uint64_t blockReady_ = 0;
-    /** Instructions left in the current fetch group; the i-cache SRAM
-     *  is read once per group, not once per block. */
-    unsigned groupRemaining_ = 0;
 };
 
 } // namespace rcache

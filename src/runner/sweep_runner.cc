@@ -38,8 +38,8 @@ laneProfile(const RunJob &job, unsigned core)
     return job.mixProfiles[core % job.mixProfiles.size()];
 }
 
-/** What fixes the streams @p job reads and the periods it reads them
- *  in (see SweepRunner::laneGroups). */
+/** What fixes the streams @p job reads, the periods it reads them
+ *  in, and their front-end marks (see SweepRunner::laneGroups). */
 std::string
 scheduleKey(const RunJob &job)
 {
@@ -54,7 +54,7 @@ scheduleKey(const RunJob &job)
         key += '|';
         key += profileKey(laneProfile(job, c));
     }
-    return key;
+    return key + '|' + frontEndKey(job.cfg.frontEnd());
 }
 
 /** Does every core slot of @p job read a trace? */

@@ -12,9 +12,9 @@
  * same periods. So SweepRunner partitions a batch into stream
  * schedules (laneGroups) and runs each schedule's jobs as the lanes of
  * lockstep groups (runLockstep in sim/system.hh): a group opens each
- * stream once and feeds every segment of it to every member. A lane
- * ends exactly as its job would alone, so results stay a pure function
- * of the job spec.
+ * stream once, marks every segment of it once, and feeds the segment
+ * to every member. A lane ends exactly as its job would alone, so
+ * results stay a pure function of the job spec.
  *
  * A batch runs as one drain: worker threads started for it pull
  * groups from one queue, largest first, and after each group the
@@ -188,13 +188,13 @@ class SweepRunner
      * How run() groups @p jobs for @p workers workers, as job indices.
      * Jobs share a schedule when their core slots read equal profiles
      * (profileKey) over equal instructions per core, engine, core
-     * count and interleave quantum; analytic jobs read no stream and
-     * run alone. Each schedule is split, in job order, into
-     * near-equal groups of at most jobs.size() / (2 * workers) lanes
-     * (so each worker gets two groups or more when the batch allows),
-     * clamped to [1, maxLanes], or to [1, maxTraceLanes] when every
-     * stream of the schedule is a trace. Groups are ordered by first
-     * job.
+     * count, interleave quantum and frontEndKey (a group's lanes read
+     * one FrontEnd's marks); analytic jobs run alone. Each schedule is
+     * split, in job order, into near-equal groups of at most
+     * jobs.size() / (2 * workers) lanes (so each worker gets two
+     * groups or more when the batch allows), clamped to [1, maxLanes],
+     * or to [1, maxTraceLanes] when every stream of the schedule is a
+     * trace. Groups are ordered by first job.
      */
     static std::vector<std::vector<std::size_t>>
     laneGroups(const std::vector<RunJob> &jobs, unsigned workers);

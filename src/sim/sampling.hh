@@ -11,9 +11,11 @@
  * Fast-forward advances only the *workload position* (Workload::skip,
  * O(1) for the synthetic generators) — nothing is simulated, which is
  * where the order-of-magnitude speedup comes from. Warmup runs on the
- * FunctionalCore: caches (tags, LRU, dirty bits), the branch
- * predictor, and the resize controllers' interval/miss counters
- * advance with no timing, rebuilding the state the skip left stale.
+ * FunctionalCore: caches (tags, replacement state, dirty bits) and
+ * the resize controllers' interval/miss counters advance with no
+ * timing, exactly as a timing core would advance them, while the
+ * stream's FrontEnd (cpu/front_end.hh) warms the branch predictor,
+ * rebuilding the state the skip left stale.
  * The detailed window is measured on the timing core: cycles,
  * instruction mix, and per-cache counter deltas accumulate across all
  * windows and are extrapolated (scaled by total/measured
@@ -62,8 +64,8 @@ struct SamplingConfig
     std::uint64_t intervalInsts = 100000;
     /** Measured instructions at the end of each period. */
     std::uint64_t detailedInsts = 10000;
-    /** FunctionalCore instructions warming cache/predictor/controller
-     *  state before each detailed window (no timing, not measured). */
+    /** Instructions warming cache/predictor/controller state before
+     *  each detailed window (no timing, not measured). */
     std::uint64_t warmupInsts = 20000;
 
     bool operator==(const SamplingConfig &o) const = default;

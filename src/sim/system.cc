@@ -58,6 +58,7 @@ coreModelName(CoreModel m)
 CoreLane::CoreLane(const SystemConfig &cfg)
     : model_(cfg.coreModel),
       coreParams_(cfg.core),
+      frontEnd_(cfg.frontEnd()),
       energy_(cfg.energy),
       frames_(std::make_unique<FrameMapping>(
           l1FrameBytes(cfg) + FrameMapping::bytesFor(cfg.l2))),
@@ -71,6 +72,7 @@ CoreLane::CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2,
                    FrameMapping &frames)
     : model_(cfg.modelOfCore(id)),
       coreParams_(cfg.core),
+      frontEnd_(cfg.frontEnd()),
       energy_(cfg.energy),
       il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, id, &frames),
       dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, id, &frames),
@@ -106,9 +108,8 @@ CoreLane::start(const ResizeSetup &il1_setup,
                                               dl1Policy_.get());
     }
     if (engine_.sampled()) {
-        func_ = std::make_unique<FunctionalCore>(
-            hier_, core_->predictor(), coreParams_.fetchWidth,
-            il1Policy_.get(), dl1Policy_.get());
+        func_ = std::make_unique<FunctionalCore>(hier_, il1Policy_.get(),
+                                                 dl1Policy_.get());
     }
     if (!telemetry)
         return;
@@ -138,12 +139,8 @@ CoreLane::begin(Phase phase)
     rc_assert(core_);
     phase_ = phase;
     phaseInsts_ = 0;
-    if (phase == Phase::Warmup) {
-        // Rebuild cache/predictor/controller state that went stale
-        // across the skip, with no timing.
-        func_->invalidateFetchBlock();
+    if (phase == Phase::Warmup)
         return;
-    }
     // A fresh timing window: cycle 0, empty structural pools,
     // byte-cycle integrals re-anchored. On a fresh lane both restarts
     // leave everything as constructed.
@@ -295,14 +292,24 @@ runLockstep(const std::vector<Workload *> &streams,
             std::uint64_t insts, std::uint64_t quantum,
             const EngineSpec &engine)
 {
+    // One front end per slot, whose marks every lane of the slot reads.
+    std::vector<FrontEnd> fronts;
+    for (std::size_t c = 0; c < streams.size(); ++c) {
+        fronts.emplace_back(members.front()[c]->frontEnd());
+        for (const auto &lanes : members)
+            rc_assert(lanes[c]->frontEnd() == members.front()[c]->frontEnd());
+    }
     std::vector<MicroInst> segment(laneSegmentInsts);
-    // One phase of slot c's turn, fed to every member's lane c.
+    // One phase of slot c's turn, marked and fed to every lane c.
     const auto phase = [&](std::size_t c, CoreLane::Phase ph,
                            std::uint64_t n) {
         for (const auto &lanes : members)
             lanes[c]->begin(ph);
+        FrontEnd &front = fronts[c];
+        front.restart();
         forEachSegment(*streams[c], n, segment.data(), segment.size(),
-                       [&](const MicroInst *seg, std::size_t len) {
+                       [&](MicroInst *seg, std::size_t len) {
+                           front.mark(seg, len);
                            for (const auto &lanes : members)
                                lanes[c]->feed(seg, len);
                        });

@@ -30,6 +30,7 @@
 #include "core/resizable_cache.hh"
 #include "core/static_policy.hh"
 #include "cpu/core.hh"
+#include "cpu/front_end.hh"
 #include "energy/energy_model.hh"
 #include "sim/engine.hh"
 #include "workload/workload.hh"
@@ -101,6 +102,12 @@ struct SystemConfig
     {
         return coreModels.empty() ? coreModel
                                   : coreModels[i % coreModels.size()];
+    }
+
+    /** The front-end shape every core's stream is marked with. */
+    FrontEndShape frontEnd() const
+    {
+        return {core.fetchWidth, il1.blockBits(), core.bpred};
     }
 
     /** The paper's Table 2 base system. */
@@ -186,7 +193,8 @@ struct RunResult
  *     [ fast-forward | warmup | measured window ]
  *
  * (sim/sampling.hh). The stream's owner skips the fast-forward (the
- * lane sees none of it) and feeds the lane the rest in segments: a
+ * lane sees none of it) and feeds the lane the rest in segments,
+ * marked by the stream's FrontEnd (the predictor is not the lane's): a
  * Warmup phase through the FunctionalCore, then a Measure phase
  * through the timing core, whose counter-snapshot deltas add to
  * measured(). finish() extrapolates those windows to the whole
@@ -239,15 +247,14 @@ class CoreLane
     };
 
     /**
-     * Open @p phase. A warmup makes the FunctionalCore re-probe its
-     * fetch block (a window ran since it last fetched). A measured
-     * window restarts the timing machinery at cycle 0 and re-anchors
-     * the byte-cycle integrals; warm state (caches, predictor,
-     * controller counters) carries over.
+     * Open @p phase. A measured window restarts the timing machinery
+     * at cycle 0 and re-anchors the byte-cycle integrals; warm state
+     * (caches, controller counters) carries over. Whoever feeds the
+     * lane restarts the stream's FrontEnd cadence at each phase too.
      */
     void begin(Phase phase);
-    /** Run @p insts[0..n) in the open phase, sampling the timeline
-     *  at each sample point inside it. */
+    /** Run marked @p insts[0..n) in the open phase, sampling the
+     *  timeline at each sample point inside it. */
     void feed(const MicroInst *insts, std::size_t n);
     /** Close the open phase: its tail sample, if one is owed, and
      *  its counters. */
@@ -276,6 +283,9 @@ class CoreLane
     };
     const Measured &measured() const { return measured_; }
 
+    /** The shape of the FrontEnd whose marks feed() reads. */
+    const FrontEndShape &frontEnd() const { return frontEnd_; }
+
     ResizableCache &il1() { return il1_; }
     ResizableCache &dl1() { return dl1_; }
     const ResizableCache &il1() const { return il1_; }
@@ -289,6 +299,7 @@ class CoreLane
 
     CoreModel model_;
     CoreParams coreParams_;
+    FrontEndShape frontEnd_;
     EnergyParams energy_;
     /** A single-core lane's frames (else null: the system's). */
     std::unique_ptr<FrameMapping> frames_;
@@ -328,13 +339,15 @@ inline constexpr std::size_t laneSegmentInsts = 512;
  * @p insts instructions. A turn is the slot's next
  * EngineSpec::period(remaining, @p quantum): its stream skips the
  * fast-forward once, then the warmup and the measured window are
- * pulled in laneSegmentInsts segments and every segment feeds the
- * slot's lane of every member. A single core is one slot whose
+ * pulled in laneSegmentInsts segments. The slot's one FrontEnd
+ * (cpu/front_end.hh), of the shape all its lanes share, restarts at
+ * each phase and marks each segment once, before the segment feeds
+ * the slot's lane of every member. A single core is one slot whose
  * quantum is the whole run.
  *
- * Every lane of a slot therefore sees the stream it would see alone,
- * in the same periods, and a lane's state is its own, so each member
- * ends exactly as a group of one would leave it.
+ * Every lane of a slot therefore sees the marked stream it would see
+ * alone, in the same periods, and the rest of a lane's state is its
+ * own, so each member ends exactly as a group of one would leave it.
  */
 void runLockstep(const std::vector<Workload *> &streams,
                  const std::vector<std::vector<CoreLane *>> &members,

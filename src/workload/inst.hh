@@ -48,11 +48,16 @@ struct MicroInst
     std::uint8_t dep2 = 0;
     /** Actual direction (branches only). */
     bool taken = false;
+    /** Marks the stream's FrontEnd (cpu/front_end.hh) sets; they fit
+     *  in padding, and streams leave them clear. */
+    bool probe = false;
+    bool mispredict = false;
     /** Actual target (branches only, taken). */
     Addr target = 0;
 
     bool operator==(const MicroInst &o) const = default;
 };
+static_assert(sizeof(MicroInst) == 40);
 
 } // namespace rcache
 

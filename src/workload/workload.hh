@@ -117,7 +117,7 @@ forEachSegment(Workload &wl, std::uint64_t n, MicroInst *buf,
         const std::size_t len = static_cast<std::size_t>(
             std::min<std::uint64_t>(cap, left));
         wl.nextBatch(buf, len);
-        fn(static_cast<const MicroInst *>(buf), len);
+        fn(buf, len);
         left -= len;
     }
 }

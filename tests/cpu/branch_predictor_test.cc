@@ -59,27 +59,6 @@ TEST(BranchPredictorTest, BtbMissOnNewTargetCountsMispredict)
     EXPECT_TRUE(bp.predictAndUpdate(pc, true, 0x6000));
 }
 
-TEST(BranchPredictorTest, CountsLookupsAndMispredicts)
-{
-    BranchPredictor bp;
-    for (int i = 0; i < 50; ++i)
-        bp.predictAndUpdate(0x4000 + 4 * i, (i % 3) == 0, 0x8000);
-    EXPECT_EQ(bp.lookups(), 50u);
-    EXPECT_GT(bp.mispredicts(), 0u);
-    EXPECT_GT(bp.mispredictRate(), 0.0);
-    EXPECT_LE(bp.mispredictRate(), 1.0);
-}
-
-TEST(BranchPredictorTest, ResetRestoresInitialState)
-{
-    BranchPredictor bp;
-    for (int i = 0; i < 100; ++i)
-        bp.predictAndUpdate(0x4000, true, 0x5000);
-    bp.reset();
-    EXPECT_EQ(bp.lookups(), 0u);
-    EXPECT_EQ(bp.mispredicts(), 0u);
-}
-
 TEST(BranchPredictorTest, BiasedBranchesMostlyPredicted)
 {
     BranchPredictor bp;

@@ -4,13 +4,14 @@
  * a window whole, in fixed segments of 1, 3, 128 or 1000
  * instructions, or in seeded random segments is the same
  * computation. For OooCore, InOrderCore and FunctionalCore, two
- * consecutive windows over a gcc stream, with a dynamic controller
- * resizing the d-cache, must leave identical activity, cache
- * counters and resize decisions under every segmentation. One level
- * up, a CoreLane (sim/system.hh) alternating warmup and measured
- * windows must write the same timeline rows, measured sums and
- * result under every segmentation: the lane, not the segments, puts
- * the samples.
+ * consecutive windows over a marked gcc stream, with a dynamic
+ * controller resizing the d-cache, must leave identical activity,
+ * cache counters and resize decisions under every segmentation, and
+ * a FrontEnd (cpu/front_end.hh) must mark the stream alike. One
+ * level up, a CoreLane (sim/system.hh) alternating warmup and
+ * measured windows must write the same timeline rows, measured sums
+ * and result under every segmentation: the lane, not the segments,
+ * puts the samples.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 
 #include "core/dynamic_controller.hh"
 #include "core/resizable_cache.hh"
+#include "cpu/front_end.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/inorder_core.hh"
 #include "cpu/ooo_core.hh"
@@ -61,6 +63,8 @@ struct Outcome
     std::vector<CoreActivity> windows;
     std::vector<double> counters;
     std::vector<unsigned> dl1Levels;
+    /** The stream as a FrontEnd model marked it (else empty). */
+    std::vector<MicroInst> marks;
 
     bool operator==(const Outcome &o) const = default;
 };
@@ -70,9 +74,10 @@ enum class Model
     OutOfOrder,
     InOrder,
     Functional,
+    FrontEnd,
 };
 
-/** One core over fresh resizable L1s and a dynamic d-cache
+/** One consumer over fresh resizable L1s and a dynamic d-cache
  *  controller. */
 struct Rig
 {
@@ -82,10 +87,9 @@ struct Rig
     Hierarchy hier{&il1.cache(), &dl1.cache(), cfg.l2, cfg.lat};
     DynamicMissRatioController dyn{dl1, hier.l1WritebackSink(),
                                    busyController()};
-    /** The FunctionalCore's predictor (a timing core owns its own). */
-    BranchPredictor bpred{cfg.core.bpred};
     std::unique_ptr<Core> core;
     std::unique_ptr<FunctionalCore> func;
+    std::unique_ptr<FrontEnd> front;
 
     explicit Rig(Model model)
     {
@@ -95,35 +99,47 @@ struct Rig
         else if (model == Model::InOrder)
             core = std::make_unique<InOrderCore>(cfg.core, hier,
                                                  nullptr, &dyn);
+        else if (model == Model::Functional)
+            func = std::make_unique<FunctionalCore>(hier, nullptr, &dyn);
         else
-            func = std::make_unique<FunctionalCore>(
-                hier, bpred, cfg.core.fetchWidth, nullptr, &dyn);
+            front = std::make_unique<FrontEnd>(cfg.frontEnd());
     }
 };
 
-/** Run two windows over @p stream, fed in segments @p next picks. */
+/**
+ * Run two windows over @p stream, fed in segments @p next picks. The
+ * cores read @p stream's marks; a FrontEnd model marks a copy with
+ * the marks cleared, restarting its cadence at each window.
+ */
 Outcome
 runSplit(Model model, const std::vector<MicroInst> &stream,
          const std::function<std::size_t()> &next)
 {
     Rig rig(model);
     Outcome out;
+    if (rig.front) {
+        out.marks = stream;
+        for (MicroInst &inst : out.marks)
+            inst.probe = inst.mispredict = false;
+    }
     std::size_t at = 0;
     for (const std::uint64_t end : {kFirstWindow, kInsts}) {
         const std::size_t start = at;
         if (rig.core) {
             rig.core->resetTiming();
             rig.core->beginWindow();
-        } else {
-            rig.func->invalidateFetchBlock();
+        } else if (rig.front) {
+            rig.front->restart();
         }
         while (at < end) {
             const std::size_t n =
                 std::min<std::size_t>(next(), end - at);
             if (rig.core)
                 rig.core->consume(stream.data() + at, n);
-            else
+            else if (rig.func)
                 rig.func->consume(stream.data() + at, n);
+            else
+                rig.front->mark(out.marks.data() + at, n);
             at += n;
         }
         if (rig.core) {
@@ -148,12 +164,24 @@ runSplit(Model model, const std::vector<MicroInst> &stream,
     return out;
 }
 
+/**
+ * kInsts of gcc, marked by one FrontEnd of the base shape whose
+ * cadence restarts at each of @p phase_starts, as runLockstep's
+ * restarts at each phase.
+ */
 std::vector<MicroInst>
-gccStream()
+gccStream(std::vector<std::size_t> phase_starts)
 {
     SyntheticWorkload wl(profileByName("gcc"));
     std::vector<MicroInst> v(kInsts);
     wl.nextBatch(v.data(), v.size());
+    FrontEnd front(SystemConfig::base().frontEnd());
+    phase_starts.push_back(v.size());
+    for (std::size_t p = 0; p + 1 < phase_starts.size(); ++p) {
+        front.restart();
+        front.mark(v.data() + phase_starts[p],
+                   phase_starts[p + 1] - phase_starts[p]);
+    }
     return v;
 }
 
@@ -165,14 +193,18 @@ class CoreWindowTest : public testing::TestWithParam<Model>
 
 TEST_P(CoreWindowTest, EverySegmentationIsTheSameComputation)
 {
-    const std::vector<MicroInst> stream = gccStream();
+    const std::vector<MicroInst> stream = gccStream({0, kFirstWindow});
     const Outcome whole =
         runSplit(GetParam(), stream, [] { return kInsts; });
     // The run did something worth comparing: both windows ran and
-    // the controller resized.
+    // the controller resized, or the front end marked the stream as
+    // gccStream did.
     ASSERT_EQ(whole.windows.size(), 2u);
     EXPECT_EQ(whole.windows[0].insts, kFirstWindow);
-    EXPECT_GT(whole.dl1Levels.size(), 2u);
+    if (GetParam() == Model::FrontEnd)
+        EXPECT_EQ(whole.marks, stream);
+    else
+        EXPECT_GT(whole.dl1Levels.size(), 2u);
 
     for (const std::size_t seg : {1, 3, 128, 1000}) {
         SCOPED_TRACE("segments of " + std::to_string(seg));
@@ -194,7 +226,8 @@ TEST_P(CoreWindowTest, EverySegmentationIsTheSameComputation)
 INSTANTIATE_TEST_SUITE_P(Models, CoreWindowTest,
                          testing::Values(Model::OutOfOrder,
                                          Model::InOrder,
-                                         Model::Functional),
+                                         Model::Functional,
+                                         Model::FrontEnd),
                          [](const auto &info) {
                              switch (info.param) {
                                case Model::OutOfOrder:
@@ -203,6 +236,8 @@ INSTANTIATE_TEST_SUITE_P(Models, CoreWindowTest,
                                  return std::string("InOrder");
                                case Model::Functional:
                                  return std::string("Functional");
+                               case Model::FrontEnd:
+                                 return std::string("FrontEnd");
                              }
                              return std::string();
                          });
@@ -223,7 +258,8 @@ struct LaneOutcome
 /**
  * One sampled-engine lane (so it has a FunctionalCore) with a dynamic
  * d-cache and a 1000-instruction timeline, through warmup and
- * measured windows of unequal lengths, fed in segments @p next picks.
+ * measured windows of unequal lengths, fed @p stream (marked with a
+ * restart at each window) in segments @p next picks.
  */
 LaneOutcome
 runLane(const std::vector<MicroInst> &stream,
@@ -265,7 +301,8 @@ runLane(const std::vector<MicroInst> &stream,
 
 TEST(CoreWindowLaneTest, SamplesDoNotDependOnSegmentation)
 {
-    const std::vector<MicroInst> stream = gccStream();
+    const std::vector<MicroInst> stream =
+        gccStream({0, kFirstWindow, kFirstWindow + 4000, kFirstWindow + 8000});
     const LaneOutcome whole = runLane(stream, [] { return kInsts; });
     // Every window sampled, the 7001- and 4999-instruction windows
     // with a tail sample each, and the controller resized.

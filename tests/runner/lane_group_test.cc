@@ -5,10 +5,11 @@
  * runSerial, one solo run per job, field by field, timeline rows and
  * resize events included. Covered: full and sampled engines, one and
  * two cores, a synthetic profile and a checked-in trace, out-of-order
- * and in-order cores, static and dynamic d-caches; at 1, 2 and 4
- * workers, with 1, 2 and 9 members per schedule. Also pins how a
- * batch is cut into groups, a tune rung's, a trace's and a sweep
- * window's included.
+ * and in-order cores, static and dynamic d-caches, and lru, slru and
+ * wtlfu L1s reading one FrontEnd's marks; at 1, 2 and 4 workers, with
+ * 1, 2 and 9 members per schedule. Also pins how a batch is cut into
+ * groups, a tune rung's, a trace's, a sweep window's and front-end
+ * shapes' included.
  */
 
 #include <gtest/gtest.h>
@@ -62,9 +63,9 @@ schedules()
 }
 
 /**
- * Member @p k of schedule @p s: the core model and the d-cache
- * strategy cycle with s + k, and a static level with k, so a
- * schedule's members differ in configuration.
+ * Member @p k of schedule @p s: the core model, the d-cache strategy
+ * and the L1 replacement policy cycle with s + k, and a static level
+ * with k, so a schedule's members differ in configuration.
  */
 RunJob
 member(const Schedule &s, std::size_t index, std::size_t k)
@@ -78,6 +79,8 @@ member(const Schedule &s, std::size_t index, std::size_t k)
     const std::size_t variant = index + k;
     job.cfg.coreModel = variant % 2 ? CoreModel::InOrder
                                     : CoreModel::OutOfOrder;
+    job.cfg.policy = std::vector<std::string>{"lru", "slru",
+                                              "wtlfu"}[variant % 3];
     job.cfg.dl1Org = Organization::SelectiveSets;
     if ((variant / 2) % 2) {
         DynamicParams dyn;
@@ -221,6 +224,24 @@ TEST(LaneGroupTest, GroupsSplitSchedulesEvenlyUpToMaxLanes)
     ASSERT_TRUE(isTraceProfile(jobs.front().profile));
     EXPECT_EQ(sizes(1),
               (std::vector<std::size_t>{8, 8, 8, 8, 8, 8, 8, 7, 7}));
+}
+
+TEST(LaneGroupTest, FrontEndShapesNeverShareAGroup)
+{
+    // One stream schedule, but members whose fetch width, i-cache
+    // block size or predictor tables differ read different marks, so
+    // each front-end shape forms its own groups.
+    std::vector<RunJob> jobs;
+    for (std::size_t k = 0; k < 8; ++k)
+        jobs.push_back(member(schedules()[1], 1, k));
+    jobs[1].cfg.core.fetchWidth = 8;
+    jobs[3].cfg.il1.blockSize = 64;
+    jobs[5].cfg.core.bpred.gshareEntries = 4096;
+    jobs[7].cfg.core.bpred.historyBits = 10;
+    EXPECT_EQ(SweepRunner::laneGroups(jobs, 1),
+              (std::vector<std::vector<std::size_t>>{
+                  {0, 2, 4, 6}, {1}, {3}, {5}, {7}}));
+    EXPECT_EQ(SweepRunner(1).run(jobs), SweepRunner::runSerial(jobs));
 }
 
 TEST(LaneGroupTest, TuneRungSchedulesStayWholeUpToMaxLanes)
