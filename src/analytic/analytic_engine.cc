@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "cache/hierarchy.hh"
 #include "core/size_schedule.hh"
 #include "cpu/front_end.hh"
-#include "util/parallel.hh"
 #include "workload/workload_factory.hh"
 
 namespace rcache
@@ -319,6 +317,14 @@ AnalyticPass::baseline(const SystemConfig &cfg) const
     return it->second;
 }
 
+bool
+AnalyticPass::covers(const RunJob &job) const
+{
+    return ran_ &&
+           streamKey(job.cfg, job.profile.name, job.insts) == key_ &&
+           baselines_.count(contextKeyOf(job.cfg));
+}
+
 namespace
 {
 
@@ -523,71 +529,34 @@ priceAnalyticJob(const RunJob &job, const AnalyticPass &pass)
     return res;
 }
 
-RunResult
-runAnalyticJob(const RunJob &job)
-{
-    AnalyticPass pass(job.profile, job.insts);
-    pass.addConfig(job.cfg);
-    pass.run();
-    return priceAnalyticJob(job, pass);
-}
-
-void
-AnalyticBatch::registerConfig(const SystemConfig &cfg,
-                              const BenchmarkProfile &workload,
-                              std::uint64_t insts)
-{
-    auto &pass =
-        passes_[AnalyticPass::streamKey(cfg, workload.name, insts)];
-    if (!pass)
-        pass = std::make_unique<AnalyticPass>(workload, insts);
-    pass->addConfig(cfg);
-}
-
 std::vector<RunResult>
-AnalyticBatch::price(const std::vector<RunJob> &jobs, unsigned workers)
+runAnalyticGroup(const std::vector<const RunJob *> &members,
+                 std::shared_ptr<const AnalyticPass> &pass)
 {
-    std::vector<AnalyticPass *> pass_of;
-    std::vector<AnalyticPass *> pending;
-    for (const RunJob &job : jobs) {
-        AnalyticPass *pass = passes_.at(AnalyticPass::streamKey(
-            job.cfg, job.profile.name, job.insts)).get();
-        if (!pass->ran() &&
-            std::find(pending.begin(), pending.end(), pass) ==
-                pending.end())
-            pending.push_back(pass);
-        pass_of.push_back(pass);
+    const auto covers = [&](const RunJob *job) {
+        return pass->covers(*job);
+    };
+    if (!pass || !std::all_of(members.begin(), members.end(), covers)) {
+        const RunJob &lead = *members.front();
+        auto fresh =
+            std::make_shared<AnalyticPass>(lead.profile, lead.insts);
+        for (const RunJob *job : members)
+            fresh->addConfig(job->cfg);
+        fresh->run();
+        pass = std::move(fresh);
     }
-    parallelFor(pending.size(), workers,
-                [&](std::size_t i) { pending[i]->run(); });
-
-    // Jobs are priced in order from shared passes, so every
-    // downstream reduction, CSV row, and decision-log line is
-    // byte-identical for any --jobs value.
     std::vector<RunResult> out;
-    out.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        out.push_back(priceAnalyticJob(jobs[i], *pass_of[i]));
+    out.reserve(members.size());
+    for (const RunJob *job : members)
+        out.push_back(priceAnalyticJob(*job, *pass));
     return out;
 }
 
-std::vector<RunResult>
-AnalyticBatch::drain(const std::vector<RunJob> &jobs, unsigned workers,
-                     const SweepRunner::Finished &finished)
+RunResult
+runAnalyticJob(const RunJob &job)
 {
-    std::vector<RunResult> results = price(jobs, workers);
-    std::vector<std::size_t> group(results.size());
-    std::iota(group.begin(), group.end(), 0);
-    std::vector<RunJob> release;
-    while (!group.empty() && finished &&
-           finished(group, results, release) && !release.empty()) {
-        const std::vector<RunResult> priced = price(release, workers);
-        group.resize(priced.size());
-        std::iota(group.begin(), group.end(), results.size());
-        results.insert(results.end(), priced.begin(), priced.end());
-        release.clear();
-    }
-    return results;
+    std::shared_ptr<const AnalyticPass> pass;
+    return runAnalyticGroup({&job}, pass).front();
 }
 
 } // namespace rcache

@@ -33,10 +33,12 @@
  * engine prices static geometries only — Strategy::Dynamic is
  * rejected, as are multi-core configs and non-LRU replacement).
  *
- * Sweeps share one pass per (workload, stream-shape) across all jobs
- * of a scenario axis (scenario/scenario_sweep.cc); the single-job
- * entry point runAnalyticJob() below builds a private pass, which is
- * what `executeRunJob` dispatches to for one-off analytic runs.
+ * A sweep's analytic jobs run on SweepRunner like every other job:
+ * laneGroups keys them by streamKey, uncapped, so each lane group is
+ * one pass that prices every job of its stream (runAnalyticGroup),
+ * and a side=both cell's combined rerun prices from the pass of the
+ * group that released it. executeRunJob's analytic path is a group
+ * of one (runAnalyticJob).
  */
 
 #ifndef RCACHE_ANALYTIC_ANALYTIC_ENGINE_HH
@@ -130,6 +132,9 @@ class AnalyticPass
     const CoreActivity &mix() const;
     /** Baseline stats of a registered configuration. */
     const BaselineStats &baseline(const SystemConfig &cfg) const;
+    /** Can this pass price @p job: has it run over @p job's stream
+     *  with a baseline context for its configuration? */
+    bool covers(const RunJob &job) const;
     /// @}
 
   private:
@@ -180,51 +185,18 @@ class AnalyticPass
 RunResult priceAnalyticJob(const RunJob &job, const AnalyticPass &pass);
 
 /**
- * The single-job path executeRunJob dispatches to: build a private
- * AnalyticPass for this job alone, run it, price it. Sweeps instead
- * share one pass across every job with the same stream key — that is
- * the engine's entire point — via AnalyticBatch below.
- *
- * Batch pricing: one AnalyticPass per distinct (workload,
- * stream-shape) pair prices every job that shares it. Register every
- * configuration the batch will ever see up front (a pass cannot
- * learn new geometries once it has run), then price job lists in
- * order; each pass streams its workload lazily the first time a job
- * prices against it. The exhaustive sweep engine and the adaptive
- * search share this one implementation, so their per-job results
- * cannot drift.
+ * Price @p members, analytic jobs of one stream key (a lane group),
+ * from one pass: @p pass when it covers every member (the pass of the
+ * group that released them), else a fresh pass that registers each
+ * member's configuration and streams once. On return @p pass is the
+ * pass they were priced from.
+ * @return their results, in member order
  */
-class AnalyticBatch
-{
-  public:
-    /** Register one future job's configuration. @p workload is the
-     *  effective workload name (the profile jobs will carry). */
-    void registerConfig(const SystemConfig &cfg,
-                        const BenchmarkProfile &workload,
-                        std::uint64_t insts);
+std::vector<RunResult>
+runAnalyticGroup(const std::vector<const RunJob *> &members,
+                 std::shared_ptr<const AnalyticPass> &pass);
 
-    /**
-     * Price @p jobs. First the passes they need that have not run yet
-     * run, on up to @p workers threads (passes are independent); then
-     * every job is priced in order, so results are identical for any
-     * @p workers. Every job's config must have been registered.
-     */
-    std::vector<RunResult> price(const std::vector<RunJob> &jobs,
-                                 unsigned workers = 1);
-
-    /**
-     * SweepRunner::drain's contract over price(): @p jobs are priced
-     * as one group, then each release as the next, until @p finished
-     * releases nothing or stops.
-     */
-    std::vector<RunResult> drain(const std::vector<RunJob> &jobs,
-                                 unsigned workers,
-                                 const SweepRunner::Finished &finished);
-
-  private:
-    std::map<std::string, std::unique_ptr<AnalyticPass>> passes_;
-};
-
+/** executeRunJob's analytic path: a group of one on a fresh pass. */
 RunResult runAnalyticJob(const RunJob &job);
 
 } // namespace rcache

@@ -43,6 +43,10 @@ laneProfile(const RunJob &job, unsigned core)
 std::string
 scheduleKey(const RunJob &job)
 {
+    if (job.engine.analytic())
+        return engineArg(job.engine) + '|' +
+               AnalyticPass::streamKey(job.cfg, job.profile.name,
+                                       job.insts);
     // A single core runs its whole stream as one quantum.
     const std::uint64_t quantum =
         job.cfg.cores > 1 ? job.cfg.quantumInsts : job.insts;
@@ -157,10 +161,6 @@ SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
     std::vector<std::vector<std::size_t>> schedules;
     std::map<std::string, std::size_t> index;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].engine.analytic()) {
-            schedules.push_back({i});
-            continue;
-        }
         const auto [it, fresh] =
             index.try_emplace(scheduleKey(jobs[i]), schedules.size());
         if (fresh)
@@ -171,9 +171,15 @@ SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
     const std::size_t balance = jobs.size() / (2 * std::max(1u, workers));
     std::vector<std::vector<std::size_t>> groups;
     for (const std::vector<std::size_t> &s : schedules) {
-        const std::size_t cap = std::clamp<std::size_t>(
-            balance, 1,
-            readsOnlyTraces(jobs[s.front()]) ? maxTraceLanes : maxLanes);
+        const RunJob &lead = jobs[s.front()];
+        // One pass prices any number of analytic jobs.
+        const std::size_t cap =
+            lead.engine.analytic()
+                ? s.size()
+                : std::clamp<std::size_t>(balance, 1,
+                                          readsOnlyTraces(lead)
+                                              ? maxTraceLanes
+                                              : maxLanes);
         const std::size_t n = (s.size() + cap - 1) / cap;
         auto at = s.begin();
         for (std::size_t g = 0; g < n; ++g) {
@@ -190,14 +196,14 @@ SweepRunner::laneGroups(const std::vector<RunJob> &jobs, unsigned workers)
 }
 
 std::vector<RunResult>
-SweepRunner::runGroup(const std::vector<const RunJob *> &members) const
+SweepRunner::runGroup(const std::vector<const RunJob *> &members,
+                      std::shared_ptr<const AnalyticPass> &pass) const
 {
     const auto begin =
         trace_ ? trace_->now() : TraceEventRecorder::Clock::time_point{};
-    std::vector<RunResult> out =
-        members.front()->engine.analytic()
-            ? std::vector<RunResult>{executeRunJob(*members.front())}
-            : runLanes(members);
+    std::vector<RunResult> out = members.front()->engine.analytic()
+                                     ? runAnalyticGroup(members, pass)
+                                     : runLanes(members);
     if (!trace_)
         return out;
     TraceEventRecorder::Args args{
@@ -229,12 +235,19 @@ SweepRunner::drain(const std::vector<RunJob> &jobs,
                              return a.size() > b.size();
                          });
     };
+    // A queued group: its job indices, and the analytic pass of the
+    // group that released it (null for the submitted jobs' groups).
+    struct Queued
+    {
+        std::vector<std::size_t> group;
+        std::shared_ptr<const AnalyticPass> pass;
+    };
     std::vector<std::vector<std::size_t>> initial =
         laneGroups(jobs, parallelism_);
     largestFirst(initial);
-    std::deque<std::vector<std::size_t>> queue(
-        std::make_move_iterator(initial.begin()),
-        std::make_move_iterator(initial.end()));
+    std::deque<Queued> queue;
+    for (std::vector<std::size_t> &g : initial)
+        queue.push_back({std::move(g), nullptr});
 
     // Everything below is shared between the workers and guarded by
     // `mu`, except the members and results of a running group, which
@@ -246,7 +259,9 @@ SweepRunner::drain(const std::vector<RunJob> &jobs,
     std::size_t done = 0;
     bool stopped = false;
 
-    const auto enqueue = [&](std::vector<RunJob> &release) {
+    const auto enqueue = [&](std::vector<RunJob> &release,
+                             const std::shared_ptr<const AnalyticPass>
+                                 &pass) {
         const std::size_t base = jobs.size() + released.size();
         std::vector<std::vector<std::size_t>> groups =
             laneGroups(release, parallelism_);
@@ -254,7 +269,7 @@ SweepRunner::drain(const std::vector<RunJob> &jobs,
         for (auto g = groups.rbegin(); g != groups.rend(); ++g) {
             for (std::size_t &i : *g)
                 i += base;
-            queue.push_front(std::move(*g));
+            queue.push_front({std::move(*g), pass});
         }
         for (RunJob &job : release)
             released.push_back(std::move(job));
@@ -270,14 +285,14 @@ SweepRunner::drain(const std::vector<RunJob> &jobs,
             });
             if (stopped || queue.empty())
                 return;
-            const std::vector<std::size_t> group = std::move(queue.front());
+            auto [group, pass] = std::move(queue.front());
             queue.pop_front();
             std::vector<const RunJob *> members;
             for (const std::size_t i : group)
                 members.push_back(&jobAt(i));
             ++running;
             lk.unlock();
-            std::vector<RunResult> out = runGroup(members);
+            std::vector<RunResult> out = runGroup(members, pass);
             lk.lock();
             --running;
             for (std::size_t k = 0; k < group.size(); ++k) {
@@ -289,7 +304,7 @@ SweepRunner::drain(const std::vector<RunJob> &jobs,
             if (finished && !finished(group, results, release))
                 stopped = true;
             else if (!release.empty())
-                enqueue(release);
+                enqueue(release, pass);
             wake.notify_all();
         }
     };

@@ -14,21 +14,25 @@
  * lockstep groups (runLockstep in sim/system.hh): a group opens each
  * stream once, marks every segment of it once, and feeds the segment
  * to every member. A lane ends exactly as its job would alone, so
- * results stay a pure function of the job spec.
+ * results stay a pure function of the job spec. An analytic group is
+ * one stack-distance pass over its stream that prices every member
+ * (analytic/analytic_engine.hh).
  *
  * A batch runs as one drain: worker threads started for it pull
  * groups from one queue, largest first, and after each group the
  * caller may release jobs that depended on it (a side=both cell's
- * combined rerun waits on its per-side sweeps), which jump the queue.
- * Each result lands in its job's slot, so the returned vector is in
- * job order and bit-identical to a serial execution regardless of
- * thread count, grouping or completion order.
+ * combined rerun waits on its per-side sweeps), which jump the queue;
+ * released analytic jobs price from the pass of the group that
+ * released them. Each result lands in its job's slot, so the returned
+ * vector is in job order and bit-identical to a serial execution
+ * regardless of thread count, grouping or completion order.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
 #define RCACHE_RUNNER_SWEEP_RUNNER_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,7 @@
 namespace rcache
 {
 
+class AnalyticPass;
 class TraceEventRecorder;
 
 /** One self-contained design point: everything a run needs. */
@@ -73,11 +78,10 @@ struct RunJob
 /**
  * Run @p job on a fresh System (cfg.cores == 1, the exact single-core
  * semantics), MultiCoreSystem (cfg.cores > 1, returning the aggregate
- * result), or — for job.engine == analytic — a fresh single-job
- * AnalyticPass (src/analytic/analytic_engine.hh; sweeps share one
- * pass across jobs instead of coming through here). Each core reads
- * its own stream from makeWorkload: a lockstep group of one. Pure
- * function of the job spec every way.
+ * result), or — for job.engine == analytic — a fresh AnalyticPass
+ * (runAnalyticJob in src/analytic/analytic_engine.hh). Each stream is
+ * its own: a lane group of one, what SweepRunner::run must reproduce.
+ * Pure function of the job spec every way.
  */
 RunResult executeRunJob(const RunJob &job);
 
@@ -186,24 +190,32 @@ class SweepRunner
 
     /**
      * How run() groups @p jobs for @p workers workers, as job indices.
-     * Jobs share a schedule when their core slots read equal profiles
-     * (profileKey) over equal instructions per core, engine, core
-     * count, interleave quantum and frontEndKey (a group's lanes read
-     * one FrontEnd's marks); analytic jobs run alone. Each schedule is
-     * split, in job order, into near-equal groups of at most
+     * Timed jobs share a schedule when their core slots read equal
+     * profiles (profileKey) over equal instructions per core, engine,
+     * core count, interleave quantum and frontEndKey (a group's lanes
+     * read one FrontEnd's marks). Each timed schedule is split, in
+     * job order, into near-equal groups of at most
      * jobs.size() / (2 * workers) lanes (so each worker gets two
      * groups or more when the batch allows), clamped to [1, maxLanes],
      * or to [1, maxTraceLanes] when every stream of the schedule is a
-     * trace. Groups are ordered by first job.
+     * trace. Analytic jobs share a schedule when they share an
+     * AnalyticPass::streamKey, and each such schedule is one group
+     * with no lane cap: one pass prices any number of jobs. Groups
+     * are ordered by first job.
      */
     static std::vector<std::vector<std::size_t>>
     laneGroups(const std::vector<RunJob> &jobs, unsigned workers);
 
   private:
-    /** Run one lane group's @p members, with its trace span.
-     *  @return their results, in member order */
+    /**
+     * Run one lane group's @p members, with its trace span. An
+     * analytic group prices from @p pass when it can, and leaves the
+     * pass it priced from there (runAnalyticGroup).
+     * @return their results, in member order
+     */
     std::vector<RunResult>
-    runGroup(const std::vector<const RunJob *> &members) const;
+    runGroup(const std::vector<const RunJob *> &members,
+             std::shared_ptr<const AnalyticPass> &pass) const;
 
     unsigned parallelism_;
     TraceEventRecorder *trace_ = nullptr;

@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "analytic/analytic_engine.hh"
 #include "telemetry/run_telemetry.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
@@ -157,19 +156,6 @@ cellRecord(std::size_t cell, const std::string &app,
     r.engine = out.best.engine;
     r.policy = p.cfg.policy;
     return r;
-}
-
-void
-registerAnalyticCell(AnalyticBatch &analytic, const ParamSpace &space,
-                     const std::vector<AppEntry> &apps, std::size_t cell)
-{
-    // Every job of a cell shares the cell's full geometry, so the
-    // design point covers its baseline and every candidate.
-    const std::size_t npoints = space.numPoints();
-    const DesignPoint p = space.point(cell % npoints);
-    analytic.registerConfig(
-        p.cfg, effectiveWorkload(apps[cell / npoints], p).label,
-        space.spec().insts);
 }
 
 namespace
@@ -504,17 +490,6 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
     for (const std::size_t cell : cells)
         batch.add(cell, memo, engine);
     const SweepRunner runner(jobs);
-    if ((engine ? *engine : space.spec().engine).analytic()) {
-        AnalyticBatch analytic;
-        for (const std::size_t cell : cells)
-            registerAnalyticCell(analytic, space, apps, cell);
-        return batch.run(
-            [&](const std::vector<RunJob> &js,
-                const SweepRunner::Finished &finished) {
-                return analytic.drain(js, runner.parallelism(), finished);
-            },
-            memo);
-    }
     return batch.run(
         [&](const std::vector<RunJob> &js,
             const SweepRunner::Finished &finished) {

@@ -53,8 +53,6 @@
 namespace rcache
 {
 
-class AnalyticBatch;
-
 /** One [workloads] entry: a profile, or a '+'-joined mix. */
 struct AppEntry
 {
@@ -154,26 +152,15 @@ SweepRecord cellRecord(std::size_t cell, const std::string &app,
                        const DesignPoint &p,
                        const SearchOutcome &out);
 
-/**
- * Register cell @p cell's configuration with @p analytic. A shared
- * stack-distance pass cannot learn new geometries once it has run, so
- * every cell an AnalyticBatch will price must be registered before
- * the first batch runs.
- */
-void registerAnalyticCell(AnalyticBatch &analytic,
-                          const ParamSpace &space,
-                          const std::vector<AppEntry> &apps,
-                          std::size_t cell);
-
 /** See file comment. */
 class CellBatch
 {
   public:
     /**
-     * Runs a job list as a drain: a SweepRunner's or an
-     * AnalyticBatch's. It sees only the jobs the memo lacks, one per
-     * key, with their telemetry bundles attached, then the combined
-     * reruns @p finished releases; it returns every result it ran.
+     * Runs a job list as a SweepRunner drain, whatever the engine. It
+     * sees only the jobs the memo lacks, one per key, with their
+     * telemetry bundles attached, then the combined reruns
+     * @p finished releases; it returns every result it ran.
      */
     using Execute = std::function<std::vector<RunResult>(
         const std::vector<RunJob> &jobs,
@@ -301,8 +288,7 @@ class CellBatch
 
 /**
  * Evaluate @p cells in one CellBatch with a fresh job memo, at
- * @p engine when non-null (else each point's own). Analytic cells are
- * priced through one shared AnalyticBatch; everything else runs on a
+ * @p engine when non-null (else each point's own), as one drain of a
  * SweepRunner of @p jobs workers. @return rows in @p cells order
  */
 std::vector<SweepRecord>

@@ -8,7 +8,6 @@
 #include <optional>
 #include <sstream>
 
-#include "analytic/analytic_engine.hh"
 #include "scenario/cell_eval.hh"
 #include "telemetry/run_telemetry.hh"
 #include "telemetry/timeline.hh"
@@ -128,23 +127,11 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         }
     }
 
-    // ---- analytic engine: one shared stack-distance pass per
-    // distinct (workload, stream shape) pair prices every cell that
-    // shares it — that is the whole point of the engine. Register
-    // every remaining cell up front (a pass cannot learn new
-    // geometries once it has run); AnalyticBatch runs each pass
-    // lazily the first time a window prices against it.
-    AnalyticBatch analytic;
-    if (spec.engine.analytic()) {
-        for (std::size_t i = skip; i < owned.size(); ++i)
-            registerAnalyticCell(analytic, space, apps, owned[i]);
-        if (!opt.timelinePath.empty() || !opt.eventsPath.empty() ||
-            !opt.traceEventsPath.empty())
-            RC_LOG(warn,
-                   "analytic engine: telemetry sidecars record "
-                   "nothing (analytic cells run no timed "
-                   "simulation)");
-    }
+    if (spec.engine.analytic() &&
+        (!opt.timelinePath.empty() || !opt.eventsPath.empty()))
+        RC_LOG(warn, "analytic engine: --timeline and --events record "
+                     "nothing (analytic cells run no timed "
+                     "simulation)");
 
     // ---- telemetry sidecars (all optional; see SweepOptions). Files
     // open before the first window so an early failure aborts the
@@ -220,18 +207,12 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     std::size_t reused_runs = 0;
     std::size_t committed = skip; // owned cells on disk (or buffered)
 
-    // Runs the jobs a window does not find in the memo. Analytic
-    // cells never reach the runner's lanes: their passes run on its
-    // worker count, then each job is priced from its shared pass, in
-    // job order, so every reduction, CSV row, and resume/shard
-    // contract is untouched (and the report is byte-identical for any
-    // --jobs value).
+    // Runs the jobs a window does not find in the memo, as one drain
+    // whatever the engine: an analytic lane group is one pass over its
+    // stream that prices every member.
     const auto execute = [&](const std::vector<RunJob> &jobs,
                              const SweepRunner::Finished &finished) {
-        std::vector<RunResult> results =
-            spec.engine.analytic()
-                ? analytic.drain(jobs, runner.parallelism(), finished)
-                : runner.drain(jobs, finished);
+        std::vector<RunResult> results = runner.drain(jobs, finished);
         total_runs += results.size();
         return results;
     };

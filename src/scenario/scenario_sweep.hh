@@ -24,7 +24,8 @@
  * cells a look-ahead window at a time (kSweepWindowJobs) as one
  * CellBatch (scenario/cell_eval.hh) at the scenario's engine, cut into
  * commit units of kCommitUnitJobs. The window's executed jobs run as
- * one drain, so each stream schedule forms whole lane groups, and a
+ * one SweepRunner drain at every engine, so each stream schedule
+ * forms whole lane groups (an analytic one is a single pass), and a
  * side=both cell's phase-2 combined run (the paper's Fig 9
  * methodology) starts as soon as its per-side sweeps finish. Units
  * commit in cell order as the completed prefix grows: each unit's
@@ -34,7 +35,7 @@
  * An interrupted sweep therefore leaves every completed unit on disk
  * for --resume instead of losing the whole run. What stays here is
  * the sweep's own business: shard/resume bookkeeping, report
- * streaming, telemetry sidecars, and analytic pass registration.
+ * streaming and telemetry sidecars.
  */
 
 #ifndef RCACHE_SCENARIO_SCENARIO_SWEEP_HH

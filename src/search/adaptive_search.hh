@@ -6,8 +6,9 @@
  * The exhaustive sweep prices every (app, design point) cell at full
  * detail; this engine finds the best-E·D cell while running only a
  * small fraction of the grid there. Round 0 prices *every* candidate
- * with the ladder's cheapest rung (the analytic engine: one shared
- * stack-distance pass per workload stream key, via AnalyticBatch),
+ * with the ladder's cheapest rung (the analytic engine: one
+ * stack-distance pass per workload stream key, a SweepRunner lane
+ * group that prices every job of that stream),
  * ranks cells by relative E·D (best/baseline — the paper's metric,
  * comparable across apps), and promotes only the top fraction;
  * survivors advance to sampled runs, and only the finalists are

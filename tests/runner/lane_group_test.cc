@@ -6,10 +6,11 @@
  * resize events included. Covered: full and sampled engines, one and
  * two cores, a synthetic profile and a checked-in trace, out-of-order
  * and in-order cores, static and dynamic d-caches, and lru, slru and
- * wtlfu L1s reading one FrontEnd's marks; at 1, 2 and 4 workers, with
- * 1, 2 and 9 members per schedule. Also pins how a batch is cut into
- * groups, a tune rung's, a trace's, a sweep window's and front-end
- * shapes' included.
+ * wtlfu L1s reading one FrontEnd's marks, and analytic jobs priced by
+ * one pass per stream key; at 1, 2 and 4 workers, with 1, 2 and 9
+ * members per schedule. Also pins how a batch is cut into groups, a
+ * tune rung's, a trace's, a sweep window's, front-end shapes' and
+ * analytic stream keys' included.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,32 @@ batchOf(std::size_t members)
     return jobs;
 }
 
+/**
+ * Analytic member @p k reading @p profile: the associativity, both
+ * organizations and both static levels cycle with k, so the members
+ * of one stream key need different profiles and baseline contexts.
+ */
+RunJob
+analyticMember(const BenchmarkProfile &profile, std::size_t k)
+{
+    RunJob job;
+    job.profile = profile;
+    job.insts = kInsts;
+    job.engine = EngineSpec::makeAnalytic();
+    job.cfg.il1.assoc = job.cfg.dl1.assoc = k % 3 ? 2 : 4;
+    job.cfg.il1Org = k % 2 ? Organization::SelectiveWays
+                           : Organization::SelectiveSets;
+    job.cfg.dl1Org = k % 4 < 2 ? Organization::SelectiveSets
+                               : Organization::SelectiveWays;
+    job.il1 = ResizeSetup{Strategy::Static,
+                          static_cast<unsigned>(k / 2 % 2), {}};
+    if (k % 5)
+        job.dl1 = ResizeSetup{Strategy::Static,
+                              static_cast<unsigned>(k % 2), {}};
+    job.label = profile.name + "/analytic/" + std::to_string(k);
+    return job;
+}
+
 /** Every job's result and serialized telemetry. */
 struct Outputs
 {
@@ -144,7 +171,11 @@ TEST(LaneGroupTest, LanesEqualSoloRunsInEveryMode)
 {
     for (const std::size_t members : {1u, 2u, 9u}) {
         SCOPED_TRACE(std::to_string(members) + " members per schedule");
-        const std::vector<RunJob> jobs = batchOf(members);
+        std::vector<RunJob> jobs = batchOf(members);
+        // Two analytic stream keys, one pass each.
+        for (const char *app : {"gcc", "vpr"})
+            for (std::size_t k = 0; k < members; ++k)
+                jobs.push_back(analyticMember(profileByName(app), k));
         const Outputs solo = runWithTelemetry(jobs, SweepRunner::runSerial);
         for (const unsigned workers : {1u, 2u, 4u}) {
             SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -166,17 +197,12 @@ TEST(LaneGroupTest, LanesEqualSoloRunsInEveryMode)
 
 TEST(LaneGroupTest, GroupsSplitSchedulesEvenlyUpToMaxLanes)
 {
-    // Schedules of 9, 2 and 1 members, and an analytic job, which
-    // reads no stream and runs alone.
+    // Schedules of 9, 2 and 1 members.
     std::vector<RunJob> jobs = batchOf(9);
     jobs.resize(9);
     const std::vector<RunJob> pair = batchOf(2);
     jobs.insert(jobs.end(), pair.begin() + 2, pair.begin() + 4);
     jobs.push_back(batchOf(1)[5]);
-    RunJob analytic = jobs.front();
-    analytic.cfg.coreModel = CoreModel::OutOfOrder;
-    analytic.engine = EngineSpec::makeAnalytic();
-    jobs.push_back(analytic);
 
     const auto sizes = [&](unsigned workers) {
         const auto groups = SweepRunner::laneGroups(jobs, workers);
@@ -184,29 +210,48 @@ TEST(LaneGroupTest, GroupsSplitSchedulesEvenlyUpToMaxLanes)
         std::vector<std::size_t> out;
         for (std::size_t g = 0; g < groups.size(); ++g) {
             EXPECT_FALSE(groups[g].empty());
-            EXPECT_LE(groups[g].size(), SweepRunner::maxLanes);
+            const RunJob &lead = jobs[groups[g][0]];
+            if (!lead.engine.analytic()) {
+                EXPECT_LE(groups[g].size(), SweepRunner::maxLanes);
+            }
             if (g > 0)
                 EXPECT_LT(groups[g - 1].front(), groups[g].front());
             for (const std::size_t i : groups[g]) {
                 EXPECT_TRUE(seen.insert(i).second) << i;
                 // One schedule per group.
-                EXPECT_EQ(jobs[i].engine, jobs[groups[g][0]].engine);
-                EXPECT_EQ(jobs[i].cfg.cores,
-                          jobs[groups[g][0]].cfg.cores);
-                EXPECT_EQ(jobs[i].profile.name,
-                          jobs[groups[g][0]].profile.name);
+                EXPECT_EQ(jobs[i].engine, lead.engine);
+                EXPECT_EQ(jobs[i].cfg.cores, lead.cfg.cores);
+                EXPECT_EQ(jobs[i].profile.name, lead.profile.name);
+                EXPECT_EQ(jobs[i].cfg.dl1.blockSize,
+                          lead.cfg.dl1.blockSize);
             }
             out.push_back(groups[g].size());
         }
         EXPECT_EQ(seen.size(), jobs.size());
         return out;
     };
-    // One worker: 13 / 2 = 6 lanes at most, so the 9 split 5 + 4.
-    EXPECT_EQ(sizes(1), (std::vector<std::size_t>{5, 4, 2, 1, 1}));
+    // One worker: 12 / 2 = 6 lanes at most, so the 9 split 5 + 4.
+    EXPECT_EQ(sizes(1), (std::vector<std::size_t>{5, 4, 2, 1}));
     // Two workers: at most 3 lanes, four groups or more.
-    EXPECT_EQ(sizes(2), (std::vector<std::size_t>{3, 3, 3, 2, 1, 1}));
+    EXPECT_EQ(sizes(2), (std::vector<std::size_t>{3, 3, 3, 2, 1}));
     // More workers than pairs of jobs: every job alone.
     EXPECT_EQ(sizes(8), std::vector<std::size_t>(jobs.size(), 1));
+
+    // Analytic jobs of one stream key, more than maxLanes of them, form
+    // one group at any worker count, since one pass prices them all,
+    // and never share it with the timed jobs of the same stream. A
+    // d-cache block size is part of the stream key, so the job that
+    // differs in it forms a group of its own.
+    jobs = batchOf(9);
+    jobs.resize(9);
+    for (std::size_t k = 0; k < SweepRunner::maxLanes + 8; ++k)
+        jobs.push_back(analyticMember(profileByName("gcc"), k));
+    jobs.push_back(analyticMember(profileByName("gcc"), 1));
+    jobs.back().cfg.dl1.blockSize = 64;
+    // The 9 timed jobs split by the balance rule alone: 50 / 2 lanes
+    // at most on one worker, 50 / 16 on eight.
+    EXPECT_EQ(sizes(1), (std::vector<std::size_t>{9, 40, 1}));
+    EXPECT_EQ(sizes(8), (std::vector<std::size_t>{3, 3, 3, 40, 1}));
 
     // One schedule of 70 on one worker: 35 lanes by the balance rule,
     // capped at maxLanes, so three near-equal groups; a schedule that

@@ -294,6 +294,45 @@ TEST(SweepRunnerTest, DrainRunsEachReleaseNextAndMatchesSerial)
                   SweepRunner::laneGroups(jobs, workers).size());
         expectAllIdentical(SweepRunner::runSerial(all), got);
     }
+
+    // An analytic batch: each app's static sweep is one group, one
+    // pass. Each initial group releases its app's side=both rerun, of
+    // the same stream key and geometry, which prices from the pass of
+    // the group that released it; that group releases the app's
+    // baseline at another associativity, which the pass has no
+    // baseline context for, so it streams a fresh pass.
+    exp.setEngine(EngineSpec::makeAnalytic());
+    std::vector<RunJob> ajobs;
+    for (const char *name : {"ammp", "gcc", "swim"}) {
+        auto s = exp.staticSearchJobs(profileByName(name),
+                                      CacheSide::DCache,
+                                      Organization::SelectiveSets);
+        ajobs.insert(ajobs.end(), s.begin(), s.end());
+    }
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " analytic workers");
+        std::vector<RunJob> all = ajobs;
+        const std::vector<RunResult> got = SweepRunner(workers).drain(
+            ajobs, [&](const std::vector<std::size_t> &group,
+                       const std::vector<RunResult> &,
+                       std::vector<RunJob> &release) {
+                const RunJob &lead = all[group.front()];
+                if (group.front() < ajobs.size()) {
+                    release.push_back(exp.bothStaticJob(
+                        lead.profile, Organization::SelectiveSets, 1, 2));
+                } else if (lead.cfg.dl1.assoc == 2) {
+                    release.push_back(exp.baselineJob(lead.profile));
+                    release.back().cfg.il1.assoc = 4;
+                    release.back().cfg.dl1.assoc = 4;
+                }
+                all.insert(all.end(), release.begin(), release.end());
+                return true;
+            });
+        ASSERT_EQ(all.size(), ajobs.size() + 6);
+        ASSERT_EQ(got.size(), all.size());
+        for (std::size_t i = 0; i < all.size(); ++i)
+            EXPECT_EQ(got[i], executeRunJob(all[i])) << all[i].label;
+    }
 }
 
 TEST(SweepRunnerTest, DrainStartsNoGroupAfterAStop)

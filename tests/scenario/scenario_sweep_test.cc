@@ -194,11 +194,12 @@ TEST(ScenarioSweepTest, AnyRowBoundaryPrefixResumesIdentically)
 
 TEST(ScenarioSweepTest, PoliteInterruptCommitsWholeUnitsAndResumes)
 {
-    // Six apps of 32 phase-1 jobs each (4 policies x 2 orgs, a
-    // baseline and the static levels per cell): three commit units of
-    // two apps, and at --jobs 2 one lane group per app.
-    std::string err;
-    const auto spec = ScenarioSpec::parseText(R"([scenario]
+    // Six apps, one lane group per app at --jobs 2. At full detail an
+    // app is 8 cells of 32 phase-1 jobs in all (4 policies x 2 orgs,
+    // a baseline and the static levels per cell): three commit units
+    // of two apps. At the analytic engine an app is 6 cells of 71 jobs
+    // (2 associativities x 3 orgs): one pass, and one commit unit.
+    const char *const timed = R"([scenario]
 name = interrupt-test
 insts = 4000
 
@@ -212,72 +213,104 @@ org = ways,sets
 [search]
 strategy = static
 side = dcache
-)",
-                                              "interrupt-test.scn", &err);
-    ASSERT_TRUE(spec) << err;
-    constexpr unsigned kJobs = 2;
+)";
+    const char *const analytic = R"([scenario]
+name = interrupt-test
+insts = 4000
 
-    // The undisturbed run, and its commit-unit boundaries in rows.
-    SweepOptions ref = csvTo(pathIn("intr_ref.csv"));
-    ref.jobs = kJobs;
-    ref.traceEventsPath = pathIn("intr_ref.json");
-    ASSERT_EQ(runScenarioSweep(*spec, ref), 0);
-    const std::string full = slurp(pathIn("intr_ref.csv"));
-    std::set<std::size_t> bounds{0};
-    const std::string trace = slurp(pathIn("intr_ref.json"));
-    const std::regex flush(R"re("name":"chunk-flush"[^}]*"cells":"(\d+)")re");
-    std::size_t rows = 0;
-    for (std::sregex_iterator it(trace.begin(), trace.end(), flush), end;
-         it != end; ++it)
-        bounds.insert(rows += std::stoul((*it)[1]));
-    ASSERT_EQ(bounds.size(), 4u) << "three commit units";
-    ASSERT_EQ(*bounds.rbegin(), 48u);
+[engine]
+mode = analytic
 
-    // A child sweep raises SIGINT from its heartbeat after the first
-    // finished group and counts the heartbeats (finished groups)
-    // after it.
-    const std::string out = pathIn("intr.csv");
-    const std::string after_path = pathIn("intr.after");
-    std::remove(out.c_str());
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        installInterruptHandlers();
-        SweepOptions opt = csvTo(out);
-        opt.jobs = kJobs;
+[workloads]
+apps = ammp,gcc,swim,m88ksim,vpr,compress
+
+[axes]
+assoc = 8,16
+org = ways,sets,hybrid
+
+[search]
+strategy = static
+side = dcache
+)";
+    struct Case
+    {
+        const char *text;
+        std::size_t units;
+        std::size_t cells;
+    };
+    for (const Case &c : {Case{timed, 3, 48}, Case{analytic, 6, 36}}) {
+        std::string err;
+        const auto spec =
+            ScenarioSpec::parseText(c.text, "interrupt-test.scn", &err);
+        ASSERT_TRUE(spec) << err;
+        SCOPED_TRACE(engineArg(spec->engine));
+        constexpr unsigned kJobs = 2;
+
+        // The undisturbed run, and its commit-unit boundaries in rows.
+        SweepOptions ref = csvTo(pathIn("intr_ref.csv"));
+        ref.jobs = kJobs;
+        ref.traceEventsPath = pathIn("intr_ref.json");
+        ASSERT_EQ(runScenarioSweep(*spec, ref), 0);
+        const std::string full = slurp(pathIn("intr_ref.csv"));
+        std::set<std::size_t> bounds{0};
+        const std::string trace = slurp(pathIn("intr_ref.json"));
+        const std::regex flush(
+            R"re("name":"chunk-flush"[^}]*"cells":"(\d+)")re");
+        std::size_t rows = 0;
+        for (std::sregex_iterator it(trace.begin(), trace.end(), flush),
+             end;
+             it != end; ++it)
+            bounds.insert(rows += std::stoul((*it)[1]));
+        ASSERT_EQ(bounds.size(), c.units + 1) << "commit units";
+        ASSERT_EQ(*bounds.rbegin(), c.cells);
+
+        // A child sweep raises SIGINT from its heartbeat after the
+        // first finished group and counts the heartbeats (finished
+        // groups) after it.
+        const std::string out = pathIn("intr.csv");
+        const std::string after_path = pathIn("intr.after");
+        std::remove(out.c_str());
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            installInterruptHandlers();
+            SweepOptions opt = csvTo(out);
+            opt.jobs = kJobs;
+            int after = -1;
+            opt.chunkDone = [&](std::size_t) {
+                if (after++ < 0)
+                    std::raise(SIGINT);
+            };
+            const int rc = runScenarioSweep(*spec, opt);
+            std::ofstream(after_path) << after;
+            std::_Exit(rc);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 130);
         int after = -1;
-        opt.chunkDone = [&](std::size_t) {
-            if (after++ < 0)
-                std::raise(SIGINT);
-        };
-        const int rc = runScenarioSweep(*spec, opt);
-        std::ofstream(after_path) << after;
-        std::_Exit(rc);
+        std::ifstream(after_path) >> after;
+        EXPECT_GE(after, 0);
+        EXPECT_LE(after, static_cast<int>(kJobs) - 1)
+            << "groups finished after the signal";
+
+        // The CSV is a prefix of the undisturbed one that ends on a
+        // unit.
+        const std::string part = slurp(out);
+        ASSERT_EQ(full.compare(0, part.size(), part), 0);
+        const std::size_t lines = std::count(part.begin(), part.end(), '\n');
+        ASSERT_GE(lines, 1u) << "the header";
+        EXPECT_TRUE(bounds.count(lines - 1)) << lines - 1 << " rows";
+        EXPECT_LT(lines - 1, c.cells);
+
+        SweepOptions resume;
+        resume.resumePath = out;
+        resume.jobs = kJobs;
+        resume.quiet = true;
+        ASSERT_EQ(runScenarioSweep(*spec, resume), 0);
+        EXPECT_EQ(slurp(out), full);
     }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 130);
-    int after = -1;
-    std::ifstream(after_path) >> after;
-    EXPECT_GE(after, 0);
-    EXPECT_LE(after, static_cast<int>(kJobs) - 1)
-        << "groups finished after the signal";
-
-    // The CSV is a prefix of the undisturbed one that ends on a unit.
-    const std::string part = slurp(out);
-    ASSERT_EQ(full.compare(0, part.size(), part), 0);
-    const std::size_t lines = std::count(part.begin(), part.end(), '\n');
-    ASSERT_GE(lines, 1u) << "the header";
-    EXPECT_TRUE(bounds.count(lines - 1)) << lines - 1 << " rows";
-    EXPECT_LT(lines - 1, 48u);
-
-    SweepOptions resume;
-    resume.resumePath = out;
-    resume.jobs = kJobs;
-    resume.quiet = true;
-    ASSERT_EQ(runScenarioSweep(*spec, resume), 0);
-    EXPECT_EQ(slurp(out), full);
 }
 
 TEST(ScenarioSweepTest, RecordsMatchExperimentSearches)
