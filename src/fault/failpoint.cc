@@ -138,13 +138,13 @@ knownFailpoints()
          "after a stale lease is renamed aside, before the fresh "
          "claim"},
         {"claim.unit.publish",
-         "after a sweep unit's CSV tmp file is written, before its "
-         "rename into place"},
+         "after a claim unit's CSV (sweep or tune) is written to its "
+         "tmp file, before the rename into place"},
         {"claim.done.before",
          "before a unit's done marker is written"},
         {"atomic.publish",
          "inside atomicWriteFile, after the tmp write, before the "
-         "rename (manifest scenario text, tune unit CSVs)"},
+         "rename (the manifest scenario text)"},
         {"csv.chunk.flush",
          "at a sweep CSV commit unit's append+flush"},
         {"log.append",

@@ -4,18 +4,22 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
 #include "fault/failpoint.hh"
 #include "util/checked_io.hh"
+#include "util/interrupt.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
 
@@ -63,6 +67,18 @@ mtimeOf(const std::string &path)
     if (::stat(path.c_str(), &st) != 0)
         return std::nullopt;
     return st.st_mtime;
+}
+
+/** A tmp name for publishing @p path, unique per call and not just
+ *  per process: two threads publishing one path must not share (and
+ *  steal) one tmp file. The ".tmp." infix is what doctor's debris
+ *  scan looks for. */
+std::string
+tmpPathFor(const std::string &path)
+{
+    static std::atomic<std::uint64_t> seq{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(seq++);
 }
 
 } // namespace
@@ -417,16 +433,72 @@ tuneUnitName(std::size_t round, unsigned shard)
     return name;
 }
 
+int
+drainClaimUnits(const ClaimDir &claims,
+                const std::vector<std::string> &units,
+                const ClaimUnitRun &run)
+{
+    const auto fail = [](const std::string &msg) {
+        std::cerr << "rcache-sim: " << msg << '\n';
+        return 2;
+    };
+    for (;;) {
+        if (interruptRequested()) {
+            std::cerr << "rcache-sim: interrupted; committed units "
+                         "stay done, rerun to continue '"
+                      << claims.dir() << "'\n";
+            return interruptExitCode();
+        }
+        bool progressed = false;
+        for (std::size_t u = 0; u < units.size() && !interruptRequested();
+             ++u) {
+            const std::string &unit = units[u];
+            if (claims.isDone(unit) || !claims.tryClaim(unit))
+                continue;
+            const std::string csv = claims.path(unit + ".csv");
+            const std::string tmp = tmpPathFor(csv);
+            const int rc = run(u, tmp, [&] {
+                claims.heartbeat(unit);
+                return !interruptRequested();
+            });
+            if (rc != 0) {
+                std::remove(tmp.c_str());
+                if (interruptRequested()) {
+                    // Give the unit straight back: a released lease
+                    // is immediately claimable, no timeout needed.
+                    claims.release(unit);
+                    std::cerr << "rcache-sim: interrupted; released '"
+                              << unit << "', rerun to continue '"
+                              << claims.dir() << "'\n";
+                    return interruptExitCode();
+                }
+                // Leave the lease: it goes stale and a peer (or a
+                // rerun) takes the unit over.
+                return rc;
+            }
+            if (RC_FAILPOINT("claim.unit.publish") != fault::Fire::None ||
+                std::rename(tmp.c_str(), csv.c_str()) != 0)
+                return fail("cannot publish '" + csv + "'");
+            std::string done_err;
+            if (!claims.markDone(unit, &done_err))
+                return fail(done_err);
+            progressed = true;
+        }
+        if (std::all_of(units.begin(), units.end(),
+                        [&](const std::string &unit) {
+                            return claims.isDone(unit);
+                        }))
+            return 0;
+        if (!progressed)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+}
+
 bool
 atomicWriteFile(const std::string &path, const std::string &text,
                 std::string *err)
 {
-    // Unique per call, not just per process: two threads publishing
-    // the same path must not share (and steal) one tmp file. The
-    // ".tmp." infix is what doctor's debris scan looks for.
-    static std::atomic<std::uint64_t> seq{0};
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + std::to_string(seq++);
+    const std::string tmp = tmpPathFor(path);
     if (!writeWholeFile(tmp, text)) {
         if (err)
             *err = "cannot write '" + tmp + "'";

@@ -18,12 +18,16 @@
  * needs no daemon and survives worker crashes: a lease older than
  * the timeout with no done marker is *stale*, and any worker may
  * take it over by atomically renaming it aside (exactly one
- * contender's rename succeeds) and claiming afresh. Long-running
- * workers heartbeat their lease (mtime bump) after every finished
- * lane group so live shards are never stolen.
+ * contender's rename succeeds) and claiming afresh.
  *
- * Unit outputs commit via write-to-tmp + rename before the done
- * marker appears, so readers never observe a partial CSV. The merge
+ * Every claim worker, a sweep's (search/sweep_merge.hh) or a tune
+ * round's (search/adaptive_search.hh), drains its units through one
+ * loop, drainClaimUnits: claim a free unit, run it while
+ * heartbeating its lease (mtime bump) after every finished lane
+ * group, so a live unit of either kind is never stolen, publish its
+ * CSV via write-to-tmp + rename, then write the done marker, so
+ * readers never observe a partial CSV. A polite interrupt stops the
+ * running unit between lane groups and releases its lease. The merge
  * tool (search/sweep_merge.hh) re-interleaves the committed shard
  * CSVs into the byte-identical unsharded report.
  */
@@ -31,8 +35,11 @@
 #ifndef RCACHE_RUNNER_CLAIM_HH
 #define RCACHE_RUNNER_CLAIM_HH
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace rcache
 {
@@ -115,6 +122,8 @@ class ClaimDir
      *  marker counts as stale (crashed worker). */
     ClaimDir(std::string dir, unsigned leaseTimeoutSecs);
 
+    const std::string &dir() const { return dir_; }
+
     /** dir/<name> (for unit CSV paths etc.). */
     std::string path(const std::string &name) const;
 
@@ -137,12 +146,6 @@ class ClaimDir
      *  degraded. */
     static constexpr unsigned kDegradedAfter = 3;
 
-    /** heartbeat() has failed kDegradedAfter+ times in a row. */
-    bool heartbeatDegraded() const
-    {
-        return hbFailures_ >= kDegradedAfter;
-    }
-
     /**
      * Give @p unit back: unlink our lease (only when its recorded
      * pid is ours — a takeover may already own the name). The
@@ -161,15 +164,14 @@ class ClaimDir
     /** A lease exists and is younger than the timeout. */
     bool leaseFresh(const std::string &unit) const;
 
-    unsigned leaseTimeoutSecs() const { return timeoutSecs_; }
-
   private:
     bool takeOverIfStale(const std::string &unit) const;
 
     std::string dir_;
     unsigned timeoutSecs_;
     /** Consecutive heartbeat failures (one worker per ClaimDir
-     *  instance, so plain mutable state is race-free). */
+     *  instance, whose heartbeats its drain serializes, so plain
+     *  mutable state is race-free). */
     mutable unsigned hbFailures_ = 0;
 };
 
@@ -178,6 +180,34 @@ std::string sweepUnitName(unsigned shard);
 
 /** The tune work-unit name for (round, shard) ("r<r>_s<i>"). */
 std::string tuneUnitName(std::size_t round, unsigned shard);
+
+/**
+ * Runs unit @p index of a drainClaimUnits call: writes the unit's
+ * whole CSV to @p tmpPath and calls @p heartbeat after every finished
+ * lane group. The heartbeat renews the unit's lease and returns false
+ * once a polite interrupt asks the run to start no new group.
+ * @return 0 when the CSV is whole; otherwise a process exit code,
+ * after printing its own diagnostic.
+ */
+using ClaimUnitRun = std::function<int(
+    std::size_t index, const std::string &tmpPath,
+    const std::function<bool()> &heartbeat)>;
+
+/**
+ * The claim worker. For each unit of @p units that is not done:
+ * claim it, @p run it, publish its CSV as <unit>.csv (a tmp file
+ * private to this call, renamed at the claim.unit.publish site) and
+ * mark it done. Then wait for peers, taking over their stale units,
+ * until every unit is done, so a zero return certifies the whole
+ * set. Diagnostics go to stderr with the CLI's "rcache-sim:" prefix.
+ * @return 0 once every unit is done; 128+signal after a polite
+ * interrupt (the unit in flight releases its lease and leaves no tmp
+ * file); a failed run's exit code (its lease is left to go stale);
+ * 2 when a publish or a done marker fails.
+ */
+int drainClaimUnits(const ClaimDir &claims,
+                    const std::vector<std::string> &units,
+                    const ClaimUnitRun &run);
 
 /**
  * Atomically publish @p text as @p path: write to a tmp file private

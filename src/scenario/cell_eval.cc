@@ -483,19 +483,22 @@ CellBatch::run(const Execute &execute, JobMemo &memo, const Sink &sink)
 std::vector<SweepRecord>
 evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const std::vector<std::size_t> &cells, unsigned jobs,
-              const EngineSpec *engine)
+              const EngineSpec *engine,
+              const std::function<bool()> &heartbeat)
 {
     CellBatch batch(space, apps);
     JobMemo memo;
     for (const std::size_t cell : cells)
         batch.add(cell, memo, engine);
     const SweepRunner runner(jobs);
+    CellBatch::Sink sink;
+    sink.heartbeat = heartbeat;
     return batch.run(
         [&](const std::vector<RunJob> &js,
             const SweepRunner::Finished &finished) {
             return runner.drain(js, finished);
         },
-        memo);
+        memo, sink);
 }
 
 std::optional<ScenarioRows>

@@ -289,12 +289,17 @@ class CellBatch
 /**
  * Evaluate @p cells in one CellBatch with a fresh job memo, at
  * @p engine when non-null (else each point's own), as one drain of a
- * SweepRunner of @p jobs workers. @return rows in @p cells order
+ * SweepRunner of @p jobs workers. @p heartbeat, when set, is the
+ * batch's Sink::heartbeat: called after every finished lane group,
+ * and returning false stops the drain.
+ * @return rows in @p cells order, or none when the heartbeat stopped
+ *         the drain before every job ran
  */
 std::vector<SweepRecord>
 evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const std::vector<std::size_t> &cells, unsigned jobs,
-              const EngineSpec *engine = nullptr);
+              const EngineSpec *engine = nullptr,
+              const std::function<bool()> &heartbeat = {});
 
 /** Every cell of a scenario, evaluated (see evaluateScenario). */
 struct ScenarioRows

@@ -4,29 +4,30 @@
  * round evaluates its candidate cells through the one cell-evaluation
  * path, evaluateCells / CellBatch (scenario/cell_eval.hh), at the
  * rung's engine: locally on one SweepRunner, or slice by slice per
- * claim unit. The decision log's cost accounting comes from the same
- * CellBatch layout (plannedDetailedInsts), so logged and executed
- * work cannot drift. What stays here is the ladder itself: scoring,
- * promotion, early exit, the decision log, resume, and claim
- * orchestration.
+ * claim unit through the claim worker every cooperative mode shares
+ * (drainClaimUnits, runner/claim.hh). The decision log's cost
+ * accounting comes from the same CellBatch layout
+ * (plannedDetailedInsts), so logged and executed work cannot drift.
+ * What stays here is the ladder itself: scoring, promotion, early
+ * exit, the decision log, resume, and how a claim round deals out
+ * and gathers its cells.
  */
 
 #include "search/adaptive_search.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
-#include <thread>
 
 #include "runner/claim.hh"
 #include "scenario/cell_eval.hh"
 #include "search/decision_log.hh"
+#include "search/sweep_merge.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
@@ -73,156 +74,59 @@ csvRowOf(const SweepRecord &r)
     return row;
 }
 
-/** How a round's records get produced: locally, or cooperatively
- *  through a claim directory. */
-class RoundExecutor
-{
-  public:
-    virtual ~RoundExecutor() = default;
-    /** Records in ascending-cell order, or nullopt with @p err. */
-    virtual std::optional<std::vector<SweepRecord>>
-    run(std::size_t round, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells, std::string *err) = 0;
-};
-
-class LocalExecutor final : public RoundExecutor
-{
-  public:
-    LocalExecutor(const ParamSpace &space,
-                  const std::vector<AppEntry> &apps, unsigned jobs)
-        : space_(space), apps_(apps), jobs_(jobs)
-    {
-    }
-
-    std::optional<std::vector<SweepRecord>>
-    run(std::size_t, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells, std::string *) override
-    {
-        return evaluateCells(space_, apps_, cells, jobs_, &engine);
-    }
-
-  private:
-    const ParamSpace &space_;
-    const std::vector<AppEntry> &apps_;
-    unsigned jobs_;
-};
-
 /**
- * Cooperative rounds: the candidate list is dealt round-robin into
- * `shards` units named r<round>_s<shard>; workers claim units,
- * publish their slice as a committed CSV, and barrier on the round
- * (claiming stale units of crashed peers) before everyone gathers
- * the identical record set. Double evaluation after a takeover race
- * is benign — slices are deterministic, so both writers commit the
- * same bytes.
+ * One claim-mode round: the candidate list is dealt round-robin into
+ * @p shards units named r<round>_s<shard>, which this worker drains
+ * with its peers through the claim worker (runner/claim.hh). Every
+ * worker then reads the committed unit CSVs back, so all of them
+ * gather the identical record set. @return 0 with @p records in
+ * ascending-cell order, or a process exit code.
  */
-class ClaimExecutor final : public RoundExecutor
+int
+claimRound(const ParamSpace &space, const std::vector<AppEntry> &apps,
+           unsigned jobs, const ClaimDir &claims, unsigned shards,
+           std::size_t round, const EngineSpec &engine,
+           const std::vector<std::size_t> &cells,
+           std::vector<SweepRecord> &records)
 {
-  public:
-    ClaimExecutor(const ParamSpace &space,
-                  const std::vector<AppEntry> &apps, unsigned jobs,
-                  ClaimDir claims, unsigned shards)
-        : space_(space), apps_(apps), jobs_(jobs),
-          claims_(std::move(claims)), shards_(shards)
-    {
+    std::vector<std::string> units, csvs;
+    for (unsigned u = 0; u < shards; ++u) {
+        units.push_back(tuneUnitName(round, u));
+        csvs.push_back(claims.path(units.back() + ".csv"));
     }
-
-    std::optional<std::vector<SweepRecord>>
-    run(std::size_t round, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells,
-        std::string *err) override
-    {
-        std::vector<std::string> units;
-        for (unsigned u = 0; u < shards_; ++u)
-            units.push_back(tuneUnitName(round, u));
-
-        for (;;) {
-            // Units commit one at a time (publish + done marker), so
-            // between units there is nothing to release — a polite
-            // interrupt just stops claiming.
-            if (interruptRequested()) {
-                if (err)
-                    *err = "interrupted";
-                return std::nullopt;
-            }
-            bool progressed = false;
-            for (unsigned u = 0; u < shards_; ++u) {
-                if (interruptRequested())
-                    break;
-                if (claims_.isDone(units[u]) ||
-                    !claims_.tryClaim(units[u]))
-                    continue;
-                std::vector<std::size_t> mine;
-                for (std::size_t p = u; p < cells.size();
-                     p += shards_)
-                    mine.push_back(cells[p]);
-                const auto recs =
-                    evaluateCells(space_, apps_, mine, jobs_, &engine);
-                std::ostringstream os;
-                os << sweepCsvHeader() << '\n';
-                writeSweepCsvRows(os, recs);
-                if (!atomicWriteFile(
-                        claims_.path(units[u] + ".csv"), os.str(),
-                        err))
-                    return std::nullopt;
-                if (!claims_.markDone(units[u], err))
-                    return std::nullopt;
-                progressed = true;
-            }
-            bool all_done = true;
-            for (const std::string &unit : units)
-                if (!claims_.isDone(unit))
-                    all_done = false;
-            if (all_done)
-                break;
-            if (!progressed)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-        }
-
-        std::vector<SweepRecord> all;
-        for (const std::string &unit : units) {
-            const std::string path = claims_.path(unit + ".csv");
-            std::ifstream is(path, std::ios::binary);
-            if (!is) {
-                if (err)
-                    *err = "cannot read '" + path + "'";
-                return std::nullopt;
-            }
-            std::string csv_err;
-            const auto recs = readSweepCsv(is, &csv_err);
-            if (!recs) {
-                if (err)
-                    *err = "'" + path + "': " + csv_err;
-                return std::nullopt;
-            }
-            all.insert(all.end(), recs->begin(), recs->end());
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const SweepRecord &a, const SweepRecord &b) {
-                      return a.cell < b.cell;
-                  });
-        bool covered = all.size() == cells.size();
-        for (std::size_t i = 0; covered && i < all.size(); ++i)
-            covered = all[i].cell == cells[i];
-        if (!covered) {
-            if (err)
-                *err = "claim units of round " +
-                       std::to_string(round) +
-                       " do not cover its candidate set (foreign "
-                       "or mismatched manifest directory?)";
-            return std::nullopt;
-        }
-        return all;
-    }
-
-  private:
-    const ParamSpace &space_;
-    const std::vector<AppEntry> &apps_;
-    unsigned jobs_;
-    ClaimDir claims_;
-    unsigned shards_;
-};
+    const int rc = drainClaimUnits(
+        claims, units,
+        [&](std::size_t u, const std::string &tmp,
+            const std::function<bool()> &heartbeat) {
+            std::vector<std::size_t> mine;
+            for (std::size_t p = u; p < cells.size(); p += shards)
+                mine.push_back(cells[p]);
+            const std::vector<SweepRecord> recs = evaluateCells(
+                space, apps, mine, jobs, &engine, heartbeat);
+            if (recs.size() < mine.size())
+                return interruptExitCode(); // the heartbeat stopped it
+            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+            os << sweepCsvHeader() << '\n';
+            writeSweepCsvRows(os, recs);
+            os.flush();
+            return os ? 0 : fail("cannot write '" + tmp + "'");
+        });
+    if (rc != 0)
+        return rc;
+    std::string err;
+    auto all = readShardCsvs(csvs, &err);
+    if (!all)
+        return fail(err);
+    bool covered = all->size() == cells.size();
+    for (std::size_t i = 0; covered && i < all->size(); ++i)
+        covered = (*all)[i].cell == cells[i];
+    if (!covered)
+        return fail("claim units of round " + std::to_string(round) +
+                    " do not cover its candidate set (foreign or "
+                    "mismatched manifest directory?)");
+    records = std::move(*all);
+    return 0;
+}
 
 /** One fully logged round recovered from a --resume decision log. */
 struct CachedRound
@@ -419,20 +323,27 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         rungs.push_back(e);
     }
 
+    // Appends, not (i ? "," : "") + ... chains: GCC 12 reports a
+    // false -Wrestrict on those once they are inlined.
     std::string ladder_tok, promote_tok;
-    for (std::size_t i = 0; i < ad.ladder.size(); ++i)
-        ladder_tok +=
-            (i ? "," : "") + engineName(ad.ladder[i]);
-    for (std::size_t i = 0; i < ad.promote.size(); ++i)
-        promote_tok +=
-            (i ? "," : "") + shortestDouble(ad.promote[i]);
+    for (std::size_t i = 0; i < ad.ladder.size(); ++i) {
+        if (i)
+            ladder_tok += ',';
+        ladder_tok += engineName(ad.ladder[i]);
+    }
+    for (std::size_t i = 0; i < ad.promote.size(); ++i) {
+        if (i)
+            promote_tok += ',';
+        promote_tok += shortestDouble(ad.promote[i]);
+    }
     const std::string plan_line = tunePlanLine(
         spec.name, spec.insts, apps.size(), npoints, ncells,
         ladder_tok, promote_tok, ad.minSurvivors, ad.rankAgree,
         ad.sampleInterval);
 
-    // ---- executor: local, or cooperative over a manifest dir
-    std::unique_ptr<RoundExecutor> exec;
+    // ---- cooperative mode: rounds drain as a manifest dir's units
+    std::optional<ClaimDir> claims;
+    unsigned shards = 0;
     if (!opt.claimDir.empty()) {
         std::string mf_err;
         const auto mf = openManifest(opt.claimDir, "tune",
@@ -440,12 +351,8 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                                      &mf_err);
         if (!mf)
             return fail(mf_err);
-        exec = std::make_unique<ClaimExecutor>(
-            space, apps, opt.jobs,
-            ClaimDir(opt.claimDir, opt.leaseTimeoutSecs),
-            mf->shards);
-    } else {
-        exec = std::make_unique<LocalExecutor>(space, apps, opt.jobs);
+        claims.emplace(opt.claimDir, opt.leaseTimeoutSecs);
+        shards = mf->shards;
     }
 
     // ---- resume: adopt the complete-round prefix of a prior log
@@ -519,20 +426,13 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                             " candidates do not match this "
                             "scenario's schedule");
             records = cached[r].records;
-        } else {
-            std::string exec_err;
-            auto recs =
-                exec->run(r, engine, candidates, &exec_err);
-            if (!recs) {
-                if (interruptRequested()) {
-                    std::cerr << "rcache-sim: interrupted; claimed "
-                                 "units are committed, rerun to "
-                                 "continue\n";
-                    return interruptExitCode();
-                }
-                return fail(exec_err);
-            }
-            records = std::move(*recs);
+        } else if (!claims) {
+            records =
+                evaluateCells(space, apps, candidates, opt.jobs, &engine);
+        } else if (const int rc =
+                       claimRound(space, apps, opt.jobs, *claims, shards,
+                                  r, engine, candidates, records)) {
+            return rc;
         }
         ++rounds_run;
 

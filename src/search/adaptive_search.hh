@@ -26,12 +26,17 @@
  * values, claim workers, and resumes.
  *
  * Cooperative mode: with a claim directory (runner/claim.hh), each
- * round becomes `shards` work units named r<round>_s<shard>; workers
- * atomically claim units, evaluate their candidate slice, publish
- * the slice as a committed CSV, and barrier on the round before
- * computing the (identical) promotion verdict locally. N workers
- * drain one tune with no coordinator, and every worker writes the
- * same decision log bytes.
+ * round becomes `shards` work units named r<round>_s<shard>, drained
+ * by the same claim worker as a claim sweep's units
+ * (drainClaimUnits): workers atomically claim units, evaluate their
+ * candidate slice while heartbeating the lease after every finished
+ * lane group (so a live unit is never taken over), publish the slice
+ * as a committed CSV, and barrier on the round before reading every
+ * unit's CSV back and computing the (identical) promotion verdict
+ * locally. A polite interrupt stops a claim round between lane
+ * groups and releases the unit in flight; a local round finishes
+ * first. N workers drain one tune with no coordinator, and every
+ * worker writes the same decision log bytes.
  *
  * Resume: --resume replays completed rounds from the log's score
  * rows instead of re-running them, verifies the replay against the

@@ -1,13 +1,9 @@
 #include "search/doctor.hh"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cctype>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -23,15 +19,6 @@ namespace rcache
 
 namespace
 {
-
-std::optional<std::time_t>
-mtimeOf(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return std::nullopt;
-    return st.st_mtime;
-}
 
 /** "r<digits>_s<digits>" — a tune unit name. */
 bool
@@ -136,15 +123,14 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
     for (const std::string &unit : units) {
         const std::string csv = claims.path(unit + ".csv");
         const bool is_done = claims.isDone(unit);
-        const auto lease_mtime = mtimeOf(claims.path(unit + ".lease"));
         std::string state;
         if (is_done) {
             ++done;
             state = "done";
-        } else if (lease_mtime) {
-            const bool fresh =
-                std::time(nullptr) - *lease_mtime <=
-                static_cast<std::time_t>(opt.leaseTimeoutSecs);
+        } else if (std::filesystem::exists(
+                       claims.path(unit + ".lease"))) {
+            // The workers' own staleness rule.
+            const bool fresh = claims.leaseFresh(unit);
             ++(fresh ? live : stale);
             state = fresh ? "claimed (lease live)"
                           : "stale (takeover-able)";

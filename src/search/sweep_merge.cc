@@ -1,22 +1,14 @@
 #include "search/sweep_merge.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
-#include <unistd.h>
-
-#include "fault/failpoint.hh"
 #include "runner/claim.hh"
 #include "scenario/scenario_sweep.hh"
-#include "sim/report.hh"
 #include "util/checked_io.hh"
-#include "util/interrupt.hh"
 #include "util/numformat.hh"
 
 namespace rcache
@@ -51,25 +43,32 @@ remapCsvError(const std::string &path, const std::string &err)
     return path + ":1: " + err;
 }
 
-/** Read one shard CSV strictly; nullopt with a "<path>:N:" @p err. */
-std::optional<std::vector<SweepRecord>>
-readShardCsv(const std::string &path, std::string *err)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        *err = path + ":1: cannot open";
-        return std::nullopt;
-    }
-    std::string csv_err;
-    auto records = readSweepCsv(is, &csv_err);
-    if (!records) {
-        *err = remapCsvError(path, csv_err);
-        return std::nullopt;
-    }
-    return records;
-}
-
 } // namespace
+
+std::optional<std::vector<SweepRecord>>
+readShardCsvs(const std::vector<std::string> &paths, std::string *err)
+{
+    std::vector<SweepRecord> all;
+    for (const std::string &path : paths) {
+        std::ifstream is(path, std::ios::binary);
+        if (!is) {
+            *err = path + ":1: cannot open";
+            return std::nullopt;
+        }
+        std::string csv_err;
+        const auto records = readSweepCsv(is, &csv_err);
+        if (!records) {
+            *err = remapCsvError(path, csv_err);
+            return std::nullopt;
+        }
+        all.insert(all.end(), records->begin(), records->end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const SweepRecord &a, const SweepRecord &b) {
+                  return a.cell < b.cell;
+              });
+    return all;
+}
 
 int
 runClaimSweep(const std::optional<ScenarioSpec> &spec,
@@ -95,78 +94,27 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
     if (!space)
         return fail(build_err);
 
-    // ---- drain units; exit 0 only when the whole scenario is done,
-    // so any worker's success certifies the manifest is complete.
-    const ClaimDir claims(opt.dir, opt.leaseTimeoutSecs);
-    const unsigned shards = mf->shards;
-    for (;;) {
-        if (interruptRequested()) {
-            std::cerr << "rcache-sim: interrupted; committed units "
-                         "stay done, rerun to continue '"
-                      << opt.dir << "'\n";
-            return interruptExitCode();
-        }
-        bool progressed = false;
-        for (unsigned u = 0; u < shards; ++u) {
-            const std::string unit = sweepUnitName(u);
-            if (interruptRequested())
-                break;
-            if (claims.isDone(unit) || !claims.tryClaim(unit))
-                continue;
+    // ---- drain units: unit u sweeps shard u/N into its CSV
+    std::vector<std::string> units;
+    for (unsigned u = 0; u < mf->shards; ++u)
+        units.push_back(sweepUnitName(u));
+    const int rc = drainClaimUnits(
+        ClaimDir(opt.dir, opt.leaseTimeoutSecs), units,
+        [&](std::size_t u, const std::string &tmp,
+            const std::function<bool()> &heartbeat) {
             SweepOptions so;
             so.jobs = opt.jobs;
-            so.shard = ShardSpec{u, shards};
-            so.format = "csv";
-            const std::string tmp =
-                claims.path(unit + ".csv.tmp." +
-                            std::to_string(::getpid()));
+            so.shard = ShardSpec{static_cast<unsigned>(u), mf->shards};
             so.outPath = tmp;
             so.progress = opt.progress;
             so.quiet = opt.quiet;
-            so.chunkDone = [&](std::size_t) {
-                claims.heartbeat(unit);
-            };
-            const int rc = runScenarioSweep(*space, so);
-            if (rc != 0) {
-                std::remove(tmp.c_str());
-                if (interruptRequested()) {
-                    // Give the unit straight back: a released lease
-                    // is immediately claimable, no timeout needed.
-                    claims.release(unit);
-                    std::cerr << "rcache-sim: interrupted; released "
-                                 "'" << unit << "', rerun to "
-                                 "continue '" << opt.dir << "'\n";
-                    return rc;
-                }
-                // Leave the lease: it goes stale and a peer (or a
-                // rerun) takes the unit over.
-                return rc;
-            }
-            if (RC_FAILPOINT("claim.unit.publish") !=
-                    fault::Fire::None ||
-                std::rename(tmp.c_str(),
-                            claims.path(unit + ".csv").c_str()) != 0)
-                return fail("cannot publish '" +
-                            claims.path(unit + ".csv") + "'");
-            std::string done_err;
-            if (!claims.markDone(unit, &done_err))
-                return fail(done_err);
-            progressed = true;
-        }
-        bool all_done = true;
-        for (unsigned u = 0; u < shards; ++u)
-            if (!claims.isDone(sweepUnitName(u)))
-                all_done = false;
-        if (all_done)
-            break;
-        if (!progressed)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-    }
-    if (!opt.quiet)
-        std::cerr << "claim: all " << shards << " unit(s) of '" +
-                         opt.dir + "' are done\n";
-    return 0;
+            so.chunkDone = [&](std::size_t) { heartbeat(); };
+            return runScenarioSweep(*space, so);
+        });
+    if (rc == 0 && !opt.quiet)
+        std::cerr << "claim: all " << mf->shards << " unit(s) of '"
+                  << opt.dir << "' are done\n";
+    return rc;
 }
 
 int
@@ -201,18 +149,11 @@ runSweepMerge(const std::vector<std::string> &inputs,
         }
     }
 
-    std::vector<SweepRecord> all;
-    for (const std::string &path : paths) {
-        std::string err;
-        const auto records = readShardCsv(path, &err);
-        if (!records)
-            return fail(err);
-        all.insert(all.end(), records->begin(), records->end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](const SweepRecord &a, const SweepRecord &b) {
-                  return a.cell < b.cell;
-              });
+    std::string read_err;
+    const auto records = readShardCsvs(paths, &read_err);
+    if (!records)
+        return fail(read_err);
+    const std::vector<SweepRecord> &all = *records;
     // The merged cells must be exactly 0..N-1: a duplicate is a
     // repeated shard, a gap is a missing one. Both are silent-loss
     // bugs if let through, so both are hard errors.

@@ -4,15 +4,16 @@
  * shard-merge engine (`rcache-sim merge`).
  *
  * A claim-mode sweep turns one scenario into `shards` work units
- * (shard_0 ... shard_N-1; runner/claim.hh has the lease protocol)
- * that any number of independent worker processes drain together:
- * each worker loops over the units, claims what is free, sweeps the
- * claimed shard into a committed <unit>.csv (written to a private
- * tmp file and renamed, so readers never see a partial CSV), and
- * marks it done. Workers heartbeat their lease after every finished
- * lane group and take over stale units of crashed peers, and no worker
- * exits successfully until *every* unit is done — so a zero exit
- * from any worker means the whole scenario is drained.
+ * (shard_0 ... shard_N-1) that any number of independent worker
+ * processes drain together. runClaimSweep drives the shared claim
+ * worker, drainClaimUnits (runner/claim.hh has it and the lease
+ * protocol): it claims what is free, sweeps the claimed shard into a
+ * committed <unit>.csv (written to a private tmp file and renamed,
+ * so readers never see a partial CSV), and marks it done. Workers
+ * heartbeat their lease after every finished lane group and take
+ * over stale units of crashed peers, and no worker exits
+ * successfully until *every* unit is done — so a zero exit from any
+ * worker means the whole scenario is drained.
  *
  * Merge re-interleaves committed shard CSVs by global cell index
  * into the unsharded report. Because every cell is a pure function
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "scenario/scenario_spec.hh"
+#include "sim/report.hh"
 
 namespace rcache
 {
@@ -56,12 +58,23 @@ struct ClaimSweepOptions
  * Run one cooperative sweep worker over @p opt.dir. With @p spec the
  * worker creates the manifest when none exists (requires
  * opt.shards > 0) or verifies an existing one matches; without, it
- * joins the manifest's scenario. Returns 0 only once every unit of
- * the manifest is done. Diagnostics go to stderr with the CLI's
- * "rcache-sim:" prefix; @return a process exit code.
+ * joins the manifest's scenario. Then it drives drainClaimUnits over
+ * the manifest's units, each a runScenarioSweep of its shard, so it
+ * returns 0 only once every unit of the manifest is done.
+ * Diagnostics go to stderr with the CLI's "rcache-sim:" prefix;
+ * @return a process exit code.
  */
 int runClaimSweep(const std::optional<ScenarioSpec> &spec,
                   const ClaimSweepOptions &opt);
+
+/**
+ * Read committed shard or claim-unit CSVs strictly and pool their
+ * rows, sorted by cell. @return nullopt with a one-line
+ * "<path>:N: why" @p err on the first input that cannot be opened or
+ * does not parse.
+ */
+std::optional<std::vector<SweepRecord>>
+readShardCsvs(const std::vector<std::string> &paths, std::string *err);
 
 /**
  * Merge shard CSVs into the unsharded report (@p outPath; empty =

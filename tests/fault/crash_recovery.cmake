@@ -209,27 +209,32 @@ foreach(variant "log.append=crash@3;137" "log.append=torn@5;137"
 endforeach()
 
 # =====================================================================
-# Flow D — atomic.publish in a two-worker claim tune: hit 1 is the
-# manifest scenario text, hit 2 the first tune unit's CSV publish —
-# worker 1 dies mid-rename, worker 2 takes over the round and both
-# the log and the winner match the local reference.
+# Flow D — the claim protocol under a two-worker claim tune. A tune
+# unit passes the same sites as a sweep unit (one claim worker drains
+# both), plus atomic.publish, whose one hit is the manifest scenario
+# text. Worker 1 crashes at each site, worker 2 (after the 1 s lease
+# timeout) takes over and finishes the tune; doctor must call the
+# directory consistent, and worker 2's log and winner must match the
+# local reference.
 # =====================================================================
-set(dir ${WORK_DIR}/claim_tune)
-sim(137 "atomic.publish=crash@2"
-    "failpoint 'atomic.publish' fired: crash"
-    tune --scenario ${TUNE_SCN} --claim ${dir} --shards 2
-    --lease-timeout 1 --log ${WORK_DIR}/tune_D_w1.log
-    --out ${WORK_DIR}/tune_D_w1.csv)
-nap()
-sim(0 none "" tune --scenario ${TUNE_SCN} --claim ${dir} --shards 2
-    --lease-timeout 1 --log ${WORK_DIR}/tune_D_w2.log
-    --out ${WORK_DIR}/tune_D_w2.csv)
-sim(0 none "" doctor --lease-timeout 1 ${dir})
-same(${WORK_DIR}/tune_D_w2.log ${WORK_DIR}/tune_ref.log
-     "flow D (atomic.publish=crash@2) takeover log")
-same(${WORK_DIR}/tune_D_w2.csv ${WORK_DIR}/tune_ref.csv
-     "flow D (atomic.publish=crash@2) takeover winner")
-list(APPEND covered atomic.publish)
+foreach(site atomic.publish claim.lease.after_create claim.heartbeat
+             claim.unit.publish claim.done.before)
+  string(REPLACE "." "_" tag ${site})
+  set(dir ${WORK_DIR}/claim_tune_${tag})
+  set(w ${WORK_DIR}/tune_D_${tag})
+  sim(137 "${site}=crash@1" "failpoint '${site}' fired: crash"
+      tune --scenario ${TUNE_SCN} --claim ${dir} --shards 2
+      --lease-timeout 1 --log ${w}_w1.log --out ${w}_w1.csv)
+  nap()
+  sim(0 none "" tune --scenario ${TUNE_SCN} --claim ${dir} --shards 2
+      --lease-timeout 1 --log ${w}_w2.log --out ${w}_w2.csv)
+  sim(0 none "" doctor --lease-timeout 1 ${dir})
+  same(${w}_w2.log ${WORK_DIR}/tune_ref.log
+       "flow D (${site}=crash@1) takeover log")
+  same(${w}_w2.csv ${WORK_DIR}/tune_ref.csv
+       "flow D (${site}=crash@1) takeover winner")
+  list(APPEND covered ${site})
+endforeach()
 
 # =====================================================================
 # Flow E — telemetry sidecars and the merge report. Telemetry is

@@ -1,23 +1,30 @@
 /** @file
  * Tests for the cooperative orchestration layer: manifest
- * create/join, the lease lifecycle with stale takeover, merge
- * validation, and the byte-identity of claim-mode sweeps and tunes
- * with their single-process equivalents.
+ * create/join, the lease lifecycle with stale takeover, the one claim
+ * worker's heartbeat and polite interrupt, merge validation, and the
+ * byte-identity of claim-mode sweeps and tunes with their
+ * single-process equivalents.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "fault/failpoint.hh"
 #include "runner/claim.hh"
 #include "scenario/scenario_sweep.hh"
 #include "search/adaptive_search.hh"
 #include "search/sweep_merge.hh"
+#include "util/interrupt.hh"
 
 namespace rcache
 {
@@ -383,6 +390,80 @@ TEST(ClaimTest, ClaimTuneMatchesLocalTune)
     EXPECT_EQ(slurp(pathIn("claim_tune_w2.csv")),
               slurp(pathIn("claim_tune_local.csv")));
     EXPECT_EQ(s1.winner.cell, ref.winner.cell);
+}
+
+TEST(ClaimTest, ClaimTuneUnitsRenewTheirLease)
+{
+    // Armed to fire far beyond any run, so the site only counts.
+    std::string err;
+    ASSERT_TRUE(
+        fault::armFailpoints("claim.heartbeat=io_error@1000000", &err))
+        << err;
+    TuneOptions opt;
+    opt.quiet = true;
+    opt.emitOutputs = false;
+    opt.claimDir = freshDir("claim_tune_heartbeat");
+    opt.shards = 2;
+    TuneStats stats;
+    const int rc = runAdaptiveSearch(tuneSpec(), opt, &stats);
+    const std::uint64_t beats = fault::failpointHits("claim.heartbeat");
+    fault::disarmFailpoints();
+    ASSERT_EQ(rc, 0);
+    // Every unit runs at least one lane group, and the worker beats
+    // its lease after each.
+    EXPECT_GE(beats, 2 * stats.rounds);
+}
+
+TEST(ClaimTest, InterruptedUnitReleasesItsLease)
+{
+    const std::string dir = freshDir("claim_interrupt");
+    std::filesystem::create_directories(dir);
+    const std::vector<std::string> units = {"u0", "u1"};
+
+    // A child worker's first unit writes part of its CSV, then a
+    // SIGINT arrives during its first lane group: the heartbeat after
+    // that group says stop, and the unit gives up.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        installInterruptHandlers();
+        const int rc = drainClaimUnits(
+            ClaimDir(dir, 300), units,
+            [](std::size_t, const std::string &tmp,
+               const std::function<bool()> &heartbeat) {
+                std::ofstream(tmp) << "partial\n";
+                std::raise(SIGINT);
+                return heartbeat() ? 0 : 1;
+            });
+        std::_Exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 130);
+    // The lease is released, nothing is committed, no tmp is left.
+    EXPECT_FALSE(std::filesystem::exists(dir + "/u0.lease"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/u0.done"));
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+
+    // The released unit is claimable at once: a second drain
+    // completes both units.
+    const ClaimDir claims(dir, 300);
+    ASSERT_EQ(drainClaimUnits(
+                  claims, units,
+                  [&](std::size_t u, const std::string &tmp,
+                      const std::function<bool()> &heartbeat) {
+                      std::ofstream(tmp) << units[u] << '\n';
+                      return heartbeat() ? 0 : 1;
+                  }),
+              0);
+    for (const std::string &unit : units) {
+        EXPECT_TRUE(claims.isDone(unit)) << unit;
+        EXPECT_EQ(slurp(dir + "/" + unit + ".csv"), unit + "\n");
+    }
 }
 
 } // namespace rcache
