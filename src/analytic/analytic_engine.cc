@@ -48,8 +48,9 @@ contextKeyOf(const SystemConfig &cfg)
  * The geometry a static design point actually runs at: Strategy::None
  * is the full geometry, Strategy::Static is schedule level
  * setup.staticLevel of the side's organization. A detailed static run
- * resizes once at construction and never again, so pricing that one
- * geometry for the whole stream is exact, not an approximation.
+ * sets that level once, before the run, and never resizes again, so
+ * pricing that one geometry for the whole stream is exact, not an
+ * approximation.
  */
 ResizeConfig
 staticGeometry(Organization org, const CacheGeometry &g,
@@ -515,10 +516,13 @@ priceAnalyticJob(const RunJob &job, const AnalyticPass &pass)
         l2_acc ? static_cast<double>(b.l2Misses) /
                      static_cast<double>(l2_acc)
                : 0.0;
-    // A detailed static run performs exactly one resize (the policy
-    // applies its level at construction); None performs none.
-    res.il1Resizes = job.il1.strategy == Strategy::Static ? 1 : 0;
-    res.dl1Resizes = job.dl1.strategy == Strategy::Static ? 1 : 0;
+    // A detailed static run sets its level once, before the run, and
+    // Cache::resizeTo counts that only when the level's geometry is
+    // not the full one; None keeps the full geometry.
+    res.il1Resizes =
+        gi == ResizeConfig{cfg.il1.numSets(), cfg.il1.assoc} ? 0 : 1;
+    res.dl1Resizes =
+        gd == ResizeConfig{cfg.dl1.numSets(), cfg.dl1.assoc} ? 0 : 1;
     res.engine = EngineMode::Analytic;
     res.measuredInsts = 0;
     res.warmupInsts = 0;

@@ -6,7 +6,7 @@ namespace rcache
 DynamicMissRatioController::DynamicMissRatioController(
     ResizableCache &cache, WritebackSink sink,
     const DynamicParams &params)
-    : ResizePolicy(cache, std::move(sink)), params_(params)
+    : cache_(cache), sink_(std::move(sink)), params_(params)
 {
     rc_assert(params_.intervalAccesses > 0);
     sizeBoundLevel_ =

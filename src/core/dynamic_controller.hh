@@ -15,6 +15,11 @@
  *
  * Switching between two adjacent levels across intervals is exactly
  * the paper's "unavailable size emulation".
+ *
+ * This controller is the one run-time resizer. A static size is set
+ * once, before the first instruction (CoreLane::start in
+ * sim/system.hh), and a cache no controller resizes gives the cores a
+ * null pointer to test on each access.
  */
 
 #ifndef RCACHE_CORE_DYNAMIC_CONTROLLER_HH
@@ -22,7 +27,7 @@
 
 #include <vector>
 
-#include "core/resize_policy.hh"
+#include "core/resizable_cache.hh"
 #include "telemetry/resize_events.hh"
 
 namespace rcache
@@ -52,16 +57,24 @@ struct DynamicParams
     bool operator==(const DynamicParams &o) const = default;
 };
 
-/** The paper's dynamic resizing framework. */
-class DynamicMissRatioController : public ResizePolicy
+/** The paper's dynamic resizing framework; see file comment. */
+class DynamicMissRatioController
 {
   public:
+    /**
+     * @param cache the resizable cache this controller resizes
+     * @param sink where flush writebacks go (normally into L2)
+     */
     DynamicMissRatioController(ResizableCache &cache,
                                WritebackSink sink,
                                const DynamicParams &params);
 
-    void onAccess(bool miss, std::uint64_t now_cycle) override;
-    Strategy strategy() const override { return Strategy::Dynamic; }
+    /**
+     * Observe one access to the controlled cache.
+     * @param miss whether the access missed
+     * @param now_cycle current simulated cycle
+     */
+    void onAccess(bool miss, std::uint64_t now_cycle);
 
     const DynamicParams &params() const { return params_; }
 
@@ -90,6 +103,8 @@ class DynamicMissRatioController : public ResizePolicy
     }
 
   private:
+    ResizableCache &cache_;
+    WritebackSink sink_;
     DynamicParams params_;
     unsigned sizeBoundLevel_;
     ResizeTelemetry telem_;

@@ -44,6 +44,20 @@ policySeed(const std::string &name, std::uint64_t salt)
 
 } // namespace
 
+std::string
+strategyName(Strategy s)
+{
+    switch (s) {
+      case Strategy::None:
+        return "none";
+      case Strategy::Static:
+        return "static";
+      case Strategy::Dynamic:
+        return "dynamic";
+    }
+    rc_panic("bad strategy");
+}
+
 ResizableCache::ResizableCache(const std::string &name,
                                const CacheGeometry &geom,
                                Organization org,
@@ -54,7 +68,6 @@ ResizableCache::ResizableCache(const std::string &name,
       schedule_(buildSchedule(org, geom)),
       extraTagBits_(rcache::extraTagBits(org, geom) +
                     replacementPolicyStateBits(policy)),
-      policy_(policy),
       cache_(name, geom,
              makeReplacementPolicy(
                  policy, policySeed(name, seed_salt),
@@ -118,24 +131,6 @@ ResizableCache::levelForMinSize(std::uint64_t bytes) const
         }
     }
     return best;
-}
-
-SelectiveWaysCache::SelectiveWaysCache(const std::string &name,
-                                       const CacheGeometry &geom)
-    : ResizableCache(name, geom, Organization::SelectiveWays)
-{
-}
-
-SelectiveSetsCache::SelectiveSetsCache(const std::string &name,
-                                       const CacheGeometry &geom)
-    : ResizableCache(name, geom, Organization::SelectiveSets)
-{
-}
-
-HybridCache::HybridCache(const std::string &name,
-                         const CacheGeometry &geom)
-    : ResizableCache(name, geom, Organization::Hybrid)
-{
 }
 
 } // namespace rcache

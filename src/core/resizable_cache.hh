@@ -6,7 +6,8 @@
  * Levels index the schedule: level 0 is full size, higher levels are
  * smaller. upsize()/downsize() move one level at a time (the paper's
  * dynamic controller steps one size per interval); setLevel() jumps,
- * which static resizing uses once before the run.
+ * which a lane does once before the run for a static setup (the
+ * paper's size mask, loaded before the program runs).
  */
 
 #ifndef RCACHE_CORE_RESIZABLE_CACHE_HH
@@ -20,6 +21,21 @@
 
 namespace rcache
 {
+
+/** The resizing strategies compared by the paper (Section 2.2). */
+enum class Strategy
+{
+    /** Non-resizable (baseline). */
+    None,
+    /** One profiled size per application (Albonesi), set once before
+     *  the run. */
+    Static,
+    /** Miss-ratio-based interval controller (Yang et al.). */
+    Dynamic,
+};
+
+/** Printable strategy name. */
+std::string strategyName(Strategy s);
 
 /**
  * Owns a Cache and drives its resizing according to one organization's
@@ -43,7 +59,6 @@ class ResizableCache
                    Organization org, const std::string &policy = "lru",
                    std::uint64_t seed_salt = 0,
                    FrameMapping *frames = nullptr);
-    virtual ~ResizableCache() = default;
 
     /** The wrapped cache (the hierarchy and CPU access through this). */
     Cache &cache() { return cache_; }
@@ -61,10 +76,6 @@ class ResizableCache
         return static_cast<unsigned>(schedule_.size());
     }
     unsigned currentLevel() const { return level_; }
-    const ResizeConfig &currentConfig() const
-    {
-        return schedule_[level_];
-    }
 
     /**
      * Jump to schedule index @p level, flushing per the semantics in
@@ -84,9 +95,6 @@ class ResizableCache
      *  replacement policy's per-block state bits (energy overhead). */
     unsigned extraTagBits() const { return extraTagBits_; }
 
-    /** The replacement policy name this cache was built with. */
-    const std::string &replacementPolicy() const { return policy_; }
-
     /** Smallest offered size in bytes. */
     std::uint64_t minSizeBytes() const;
     /** Full size in bytes. */
@@ -103,33 +111,8 @@ class ResizableCache
     Organization org_;
     std::vector<ResizeConfig> schedule_;
     unsigned extraTagBits_;
-    std::string policy_;
     Cache cache_;
     unsigned level_ = 0;
-};
-
-/**
- * Convenience subclasses naming each organization; they add no state
- * but give call sites and tests a vocabulary matching the paper.
- */
-class SelectiveWaysCache : public ResizableCache
-{
-  public:
-    SelectiveWaysCache(const std::string &name,
-                       const CacheGeometry &geom);
-};
-
-class SelectiveSetsCache : public ResizableCache
-{
-  public:
-    SelectiveSetsCache(const std::string &name,
-                       const CacheGeometry &geom);
-};
-
-class HybridCache : public ResizableCache
-{
-  public:
-    HybridCache(const std::string &name, const CacheGeometry &geom);
 };
 
 } // namespace rcache

@@ -6,11 +6,12 @@ namespace rcache
 {
 
 Core::Core(const CoreParams &params, Hierarchy &hier,
-           ResizePolicy *il1_policy, ResizePolicy *dl1_policy)
+           DynamicMissRatioController *il1_dyn,
+           DynamicMissRatioController *dl1_dyn)
     : params_(params),
       hier_(hier),
-      il1Policy_(il1_policy),
-      dl1Policy_(dl1_policy),
+      il1Dyn_(il1_dyn),
+      dl1Dyn_(dl1_dyn),
       mshr_(params.mshrs),
       wb_(params.wbEntries, params.wbDrainLatency),
       fetchSlots_(params.fetchWidth)

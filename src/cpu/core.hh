@@ -31,7 +31,7 @@
 
 #include "cache/hierarchy.hh"
 #include "cache/mshr.hh"
-#include "core/resize_policy.hh"
+#include "core/dynamic_controller.hh"
 #include "cpu/branch_predictor.hh"
 #include "energy/energy_model.hh"
 #include "workload/workload.hh"
@@ -104,11 +104,13 @@ class Core
 {
   public:
     /**
-     * @param il1_policy,dl1_policy resizing policies observing the L1
-     *        accesses; either may be null (non-resizable cache)
+     * @param il1_dyn,dl1_dyn the dynamic controllers observing the L1
+     *        accesses; null for a cache that no one resizes during
+     *        the run (non-resizable, or a static size set before it)
      */
     Core(const CoreParams &params, Hierarchy &hier,
-         ResizePolicy *il1_policy, ResizePolicy *dl1_policy);
+         DynamicMissRatioController *il1_dyn,
+         DynamicMissRatioController *dl1_dyn);
     virtual ~Core() = default;
 
     /** @name Measurement window (see file comment) */
@@ -176,21 +178,21 @@ class Core
     void
     notifyIl1(bool hit, std::uint64_t cycle)
     {
-        if (il1Policy_)
-            il1Policy_->onAccess(!hit, cycle);
+        if (il1Dyn_)
+            il1Dyn_->onAccess(!hit, cycle);
     }
 
     void
     notifyDl1(bool hit, std::uint64_t cycle)
     {
-        if (dl1Policy_)
-            dl1Policy_->onAccess(!hit, cycle);
+        if (dl1Dyn_)
+            dl1Dyn_->onAccess(!hit, cycle);
     }
 
     CoreParams params_;
     Hierarchy &hier_;
-    ResizePolicy *il1Policy_;
-    ResizePolicy *dl1Policy_;
+    DynamicMissRatioController *il1Dyn_;
+    DynamicMissRatioController *dl1Dyn_;
 
     MshrFile mshr_;
     WritebackBuffer wb_;

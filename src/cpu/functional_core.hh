@@ -15,15 +15,16 @@
  * the timing cores' L1 accesses in their order (the i-cache at every
  * instruction the FrontEnd marked as a probe, the d-cache at every
  * load and store), so N functional instructions leave the hierarchy,
- * its event counters and the resize policies exactly as N detailed
- * ones would. Only the byte-cycle integrals differ: no cycles pass.
+ * its event counters and the dynamic controllers exactly as N
+ * detailed ones would. Only the byte-cycle integrals differ: no
+ * cycles pass.
  */
 
 #ifndef RCACHE_CPU_FUNCTIONAL_CORE_HH
 #define RCACHE_CPU_FUNCTIONAL_CORE_HH
 
 #include "cache/hierarchy.hh"
-#include "core/resize_policy.hh"
+#include "core/dynamic_controller.hh"
 #include "workload/inst.hh"
 
 namespace rcache
@@ -33,10 +34,11 @@ namespace rcache
 class FunctionalCore
 {
   public:
-    /** @p il1_policy and @p dl1_policy observe the L1 accesses; either
-     *  may be null. */
-    FunctionalCore(Hierarchy &hier, ResizePolicy *il1_policy,
-                   ResizePolicy *dl1_policy);
+    /** @p il1_dyn and @p dl1_dyn, the dynamic controllers, observe
+     *  the L1 accesses; either is null for a cache that no one
+     *  resizes during the run. */
+    FunctionalCore(Hierarchy &hier, DynamicMissRatioController *il1_dyn,
+                   DynamicMissRatioController *dl1_dyn);
 
     /**
      * Advance state over @p insts[0..n), marked by the stream's
@@ -47,8 +49,8 @@ class FunctionalCore
 
   private:
     Hierarchy &hier_;
-    ResizePolicy *il1Policy_;
-    ResizePolicy *dl1Policy_;
+    DynamicMissRatioController *il1Dyn_;
+    DynamicMissRatioController *dl1Dyn_;
 };
 
 } // namespace rcache

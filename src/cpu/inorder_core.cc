@@ -4,9 +4,9 @@ namespace rcache
 {
 
 InOrderCore::InOrderCore(const CoreParams &params, Hierarchy &hier,
-                         ResizePolicy *il1_policy,
-                         ResizePolicy *dl1_policy)
-    : Core(params, hier, il1_policy, dl1_policy),
+                         DynamicMissRatioController *il1_dyn,
+                         DynamicMissRatioController *dl1_dyn)
+    : Core(params, hier, il1_dyn, dl1_dyn),
       win_(params),
       completeRing_(depRing, 0)
 {

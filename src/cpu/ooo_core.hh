@@ -24,9 +24,11 @@ namespace rcache
 class OooCore : public Core
 {
   public:
+    /** @p il1_dyn and @p dl1_dyn as Core's: null (the default) for
+     *  a cache that no one resizes during the run. */
     OooCore(const CoreParams &params, Hierarchy &hier,
-            ResizePolicy *il1_policy = nullptr,
-            ResizePolicy *dl1_policy = nullptr);
+            DynamicMissRatioController *il1_dyn = nullptr,
+            DynamicMissRatioController *dl1_dyn = nullptr);
 
     void beginWindow() override;
     void consume(const MicroInst *insts, std::size_t n) override;

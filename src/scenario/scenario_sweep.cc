@@ -269,17 +269,19 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                 {{"cells", std::to_string(unit.rows.size())},
                  {"jobs", std::to_string(unit.plannedJobs)}});
     };
-    // A polite interrupt starts no new group: the running ones finish
-    // and the units they complete commit.
+    // A polite interrupt, or a heartbeat that says stop, starts no new
+    // group: the running ones finish and the units they complete
+    // commit.
+    bool stopped = false;
     sink.heartbeat = [&] {
-        if (opt.chunkDone)
-            opt.chunkDone(committed);
-        return !interruptRequested();
+        const bool go = !opt.heartbeat || opt.heartbeat();
+        stopped = stopped || !go || interruptRequested();
+        return !stopped;
     };
 
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t next = skip;
-    while (next < owned.size() && !interruptRequested()) {
+    while (next < owned.size() && !stopped && !interruptRequested()) {
         CellBatch batch(space, apps, trace.has_value());
         while (next < owned.size() &&
                batch.phase1Jobs() < kSweepWindowJobs) {
@@ -293,14 +295,12 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         }
         batch.run(execute, memo, sink);
     }
-    // Only an interrupt leaves owned cells uncommitted.
+    // Only a stop leaves owned cells uncommitted. Whether the CSV can
+    // be resumed is the caller's to say: a claim unit's is a tmp file.
     if (committed < owned.size()) {
         std::cerr << "rcache-sim: interrupted; " << committed << "/"
-                  << owned.size() << " cells committed";
-        if (stream_csv && !path.empty())
-            std::cerr << "; resume with --resume " << path;
-        std::cerr << '\n';
-        return interruptExitCode();
+                  << owned.size() << " cells committed\n";
+        return interruptRequested() ? interruptExitCode() : 1;
     }
     const auto t1 = std::chrono::steady_clock::now();
 

@@ -91,13 +91,14 @@ struct SweepOptions
     /** Suppress the "sweep: N runs in ..." stderr summary (tests). */
     bool quiet = false;
     /**
-     * The sweep's heartbeat: called after every finished lane group,
-     * once the commit units it completed are flushed (and after units
-     * that commit before a window's first group), with the owned
-     * cells committed so far. Claim workers use it as a lease
-     * heartbeat; never affects the report bytes.
+     * The sweep's heartbeat, CellBatch::Sink::heartbeat's contract:
+     * called after every finished lane group, once the commit units
+     * it completed are flushed (and after units that commit before a
+     * window's first group). Returning false starts no new group, so
+     * the sweep stops as a polite interrupt stops it. Claim workers
+     * pass their lease heartbeat; never affects the report bytes.
      */
-    std::function<void(std::size_t)> chunkDone;
+    std::function<bool()> heartbeat;
 
     /**
      * @name Telemetry sidecars (see src/telemetry/). All off (empty)
@@ -127,7 +128,8 @@ struct SweepOptions
 /**
  * Run the sweep. Diagnostics go to stderr with the CLI's "rcache-sim:"
  * prefix; @return a process exit code (0 ok, 2 on configuration or
- * resume-validation errors).
+ * resume-validation errors, 128+signal after a polite interrupt, 1
+ * when the heartbeat alone stopped it).
  */
 int runScenarioSweep(const ParamSpace &space, const SweepOptions &opt);
 

@@ -75,11 +75,14 @@ csvRowOf(const SweepRecord &r)
 }
 
 /**
- * One claim-mode round: the candidate list is dealt round-robin into
- * @p shards units named r<round>_s<shard>, which this worker drains
- * with its peers through the claim worker (runner/claim.hh). Every
- * worker then reads the committed unit CSVs back, so all of them
- * gather the identical record set. @return 0 with @p records in
+ * One claim-mode round: the candidate list is cut into @p shards
+ * contiguous ranges, unit u taking candidates [u*n/N, (u+1)*n/N).
+ * Candidates are app-major and sorted, so each app's cells land in one
+ * unit (or two, at a range boundary), which streams that app's
+ * workload and baselines once. This worker drains the units, named
+ * r<round>_s<shard>, with its peers through the claim worker
+ * (runner/claim.hh). Every worker then reads the committed unit CSVs
+ * back, so all of them gather the identical record set. @return 0 with @p records in
  * ascending-cell order, or a process exit code.
  */
 int
@@ -98,9 +101,9 @@ claimRound(const ParamSpace &space, const std::vector<AppEntry> &apps,
         claims, units,
         [&](std::size_t u, const std::string &tmp,
             const std::function<bool()> &heartbeat) {
-            std::vector<std::size_t> mine;
-            for (std::size_t p = u; p < cells.size(); p += shards)
-                mine.push_back(cells[p]);
+            const std::vector<std::size_t> mine(
+                cells.begin() + u * cells.size() / shards,
+                cells.begin() + (u + 1) * cells.size() / shards);
             const std::vector<SweepRecord> recs = evaluateCells(
                 space, apps, mine, jobs, &engine, heartbeat);
             if (recs.size() < mine.size())

@@ -29,7 +29,8 @@
  * round becomes `shards` work units named r<round>_s<shard>, drained
  * by the same claim worker as a claim sweep's units
  * (drainClaimUnits): workers atomically claim units, evaluate their
- * candidate slice while heartbeating the lease after every finished
+ * candidate slice (a contiguous range of the round's app-major
+ * candidates) while heartbeating the lease after every finished
  * lane group (so a live unit is never taken over), publish the slice
  * as a committed CSV, and barrier on the round before reading every
  * unit's CSV back and computing the (identical) promotion verdict

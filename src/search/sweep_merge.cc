@@ -108,7 +108,7 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
             so.outPath = tmp;
             so.progress = opt.progress;
             so.quiet = opt.quiet;
-            so.chunkDone = [&](std::size_t) { heartbeat(); };
+            so.heartbeat = heartbeat;
             return runScenarioSweep(*space, so);
         });
     if (rc == 0 && !opt.quiet)

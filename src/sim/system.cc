@@ -15,9 +15,15 @@ namespace rcache
 namespace
 {
 
-std::unique_ptr<ResizePolicy>
-makeResizePolicy(ResizableCache &cache, Hierarchy &hier,
-                 const ResizeSetup &setup)
+/**
+ * Apply @p setup to @p cache before the run: a static level is set
+ * now (the cache is empty, so the flush is vacuous, but the resize is
+ * counted unless the level is the full size), and only a dynamic
+ * setup returns a controller to resize it during the run.
+ */
+std::unique_ptr<DynamicMissRatioController>
+applySetup(ResizableCache &cache, Hierarchy &hier,
+           const ResizeSetup &setup)
 {
     switch (setup.strategy) {
       case Strategy::None:
@@ -25,20 +31,14 @@ makeResizePolicy(ResizableCache &cache, Hierarchy &hier,
       case Strategy::Static:
         rc_assert(cache.organization() != Organization::None ||
                   setup.staticLevel == 0);
-        return std::make_unique<StaticPolicy>(
-            cache, hier.l1WritebackSink(), setup.staticLevel);
+        cache.setLevel(setup.staticLevel, hier.l1WritebackSink());
+        return nullptr;
       case Strategy::Dynamic:
         rc_assert(cache.organization() != Organization::None);
         return std::make_unique<DynamicMissRatioController>(
             cache, hier.l1WritebackSink(), setup.dyn);
     }
     rc_panic("bad strategy");
-}
-
-DynamicMissRatioController *
-asDynamic(const std::unique_ptr<ResizePolicy> &policy)
-{
-    return dynamic_cast<DynamicMissRatioController *>(policy.get());
 }
 
 } // namespace
@@ -96,20 +96,19 @@ CoreLane::start(const ResizeSetup &il1_setup,
     rc_assert(!core_);
     engine_ = engine;
     telemetry_ = telemetry;
-    il1Policy_ = makeResizePolicy(il1_, hier_, il1_setup);
-    dl1Policy_ = makeResizePolicy(dl1_, hier_, dl1_setup);
+    il1Dyn_ = applySetup(il1_, hier_, il1_setup);
+    dl1Dyn_ = applySetup(dl1_, hier_, dl1_setup);
     if (model_ == CoreModel::OutOfOrder) {
         core_ = std::make_unique<OooCore>(coreParams_, hier_,
-                                          il1Policy_.get(),
-                                          dl1Policy_.get());
+                                          il1Dyn_.get(), dl1Dyn_.get());
     } else {
         core_ = std::make_unique<InOrderCore>(coreParams_, hier_,
-                                              il1Policy_.get(),
-                                              dl1Policy_.get());
+                                              il1Dyn_.get(),
+                                              dl1Dyn_.get());
     }
     if (engine_.sampled()) {
-        func_ = std::make_unique<FunctionalCore>(hier_, il1Policy_.get(),
-                                                 dl1Policy_.get());
+        func_ = std::make_unique<FunctionalCore>(hier_, il1Dyn_.get(),
+                                                 dl1Dyn_.get());
     }
     if (!telemetry)
         return;
@@ -117,8 +116,9 @@ CoreLane::start(const ResizeSetup &il1_setup,
     if (telemetry->resizeEvents) {
         const ResizeTelemetry sink{&telemetry->events, hier_.coreId(),
                                    coreParams_.wbDrainLatency};
-        for (const auto *policy : {&il1Policy_, &dl1Policy_})
-            if (auto *dyn = asDynamic(*policy))
+        for (DynamicMissRatioController *dyn :
+             {il1Dyn_.get(), dl1Dyn_.get()})
+            if (dyn)
                 dyn->setTelemetry(sink);
     }
     if (telemetry->wantsTimeline()) {
@@ -266,10 +266,10 @@ CoreLane::finish(const std::string &workload, std::uint64_t total_insts)
     r.dl1Misses = scaleCount(c.dl1.misses);
     r.il1Resizes = il1_.cache().resizes();
     r.dl1Resizes = dl1_.cache().resizes();
-    if (auto *dyn = asDynamic(il1Policy_))
-        r.il1LevelTrace = dyn->levelTrace();
-    if (auto *dyn = asDynamic(dl1Policy_))
-        r.dl1LevelTrace = dyn->levelTrace();
+    if (il1Dyn_)
+        r.il1LevelTrace = il1Dyn_->levelTrace();
+    if (dl1Dyn_)
+        r.dl1LevelTrace = dl1Dyn_->levelTrace();
 
     if (recorder_) {
         auto rows = recorder_->takeRows();

@@ -3,9 +3,9 @@
  * System: one simulated processor+memory configuration, run once.
  *
  * A System is one CoreLane (below) with its own L2: the core model,
- * the two (possibly resizable) L1s, the L2, the resizing policies, and
- * the energy model. It is single-use: construct, call run() once, read
- * the result. executeRunJob (runner/sweep_runner.hh) constructs one
+ * the two (possibly resizable) L1s, the L2, the dynamic resize
+ * controllers, and the energy model. It is single-use: construct,
+ * call run() once, read the result. executeRunJob (runner/sweep_runner.hh) constructs one
  * System per design point, which is how the paper's profiling
  * methodology works anyway.
  *
@@ -28,7 +28,6 @@
 #include "cache/hierarchy.hh"
 #include "core/dynamic_controller.hh"
 #include "core/resizable_cache.hh"
-#include "core/static_policy.hh"
 #include "cpu/core.hh"
 #include "cpu/front_end.hh"
 #include "energy/energy_model.hh"
@@ -116,7 +115,8 @@ struct SystemConfig
     bool operator==(const SystemConfig &o) const = default;
 };
 
-/** Per-cache resizing strategy selection for one run. */
+/** Per-cache resizing strategy selection for one run (applied by
+ *  CoreLane::start). */
 struct ResizeSetup
 {
     Strategy strategy = Strategy::None;
@@ -186,9 +186,9 @@ struct RunResult
  * One core's slice of a system, and what it does with each period.
  *
  * A lane owns the core's two L1s, its Hierarchy (an owned L2, or its
- * slot in a SharedL2), its resize policies, its timing core and, for
- * sampled runs, the FunctionalCore that warms it. A period of the
- * stream is
+ * slot in a SharedL2), a dynamic controller for each L1 that resizes
+ * during the run, its timing core and, for sampled runs, the
+ * FunctionalCore that warms it. A period of the stream is
  *
  *     [ fast-forward | warmup | measured window ]
  *
@@ -228,10 +228,13 @@ class CoreLane
     CoreLane &operator=(const CoreLane &) = delete;
 
     /**
-     * Build the run-time half: the resize policies, the timing core,
-     * the FunctionalCore (sampled engines only), and the resize-event
-     * and timeline taps when @p telemetry asks for them (null = off).
-     * Call once, before the first phase.
+     * Build the run-time half. A static setup sets its cache's level
+     * here, once, before any instruction (the paper's size mask,
+     * loaded before the program runs); a dynamic one gets the
+     * controller that resizes its cache during the run. Then the
+     * timing core, the FunctionalCore (sampled engines only), and the
+     * resize-event and timeline taps when @p telemetry asks for them
+     * (null = off). Call once, before the first phase.
      */
     void start(const ResizeSetup &il1_setup,
                const ResizeSetup &dl1_setup, const EngineSpec &engine,
@@ -309,8 +312,9 @@ class CoreLane
 
     EngineSpec engine_;
     RunTelemetry *telemetry_ = nullptr;
-    std::unique_ptr<ResizePolicy> il1Policy_;
-    std::unique_ptr<ResizePolicy> dl1Policy_;
+    /** Null unless the cache's strategy is dynamic. */
+    std::unique_ptr<DynamicMissRatioController> il1Dyn_;
+    std::unique_ptr<DynamicMissRatioController> dl1Dyn_;
     std::unique_ptr<Core> core_;
     std::unique_ptr<FunctionalCore> func_;
     std::unique_ptr<TimelineRecorder> recorder_;

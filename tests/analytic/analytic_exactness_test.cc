@@ -93,6 +93,12 @@ TEST(AnalyticExactnessTest, LruMissCountsMatchDetailedPerGeometry)
                     << job.label;
                 EXPECT_EQ(analytic.dl1Misses, detailed.dl1Misses)
                     << job.label;
+                // A static level is set once before the run: a
+                // resize unless it is the full geometry (L0).
+                EXPECT_EQ(analytic.il1Resizes, detailed.il1Resizes)
+                    << job.label;
+                EXPECT_EQ(analytic.dl1Resizes, detailed.dl1Resizes)
+                    << job.label;
                 // The instruction mix the energy model charges is the
                 // same stream, so it must agree too.
                 EXPECT_EQ(analytic.activity.loads,

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_controller.hh"
-#include "core/static_policy.hh"
 
 namespace rcache
 {
@@ -40,7 +39,7 @@ drive(DynamicMissRatioController &ctl, std::uint64_t n, bool miss,
 
 TEST(DynamicControllerTest, NoResizeWithinInterval)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 99, false, cycle);
@@ -50,7 +49,7 @@ TEST(DynamicControllerTest, NoResizeWithinInterval)
 
 TEST(DynamicControllerTest, LowMissesDownsize)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, false, cycle); // 0 misses < 10
@@ -61,7 +60,7 @@ TEST(DynamicControllerTest, LowMissesDownsize)
 
 TEST(DynamicControllerTest, HighMissesUpsize)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     c.setLevel(2);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
@@ -72,7 +71,7 @@ TEST(DynamicControllerTest, HighMissesUpsize)
 
 TEST(DynamicControllerTest, UpsizeAtFullSizeIsNoop)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, true, cycle);
@@ -82,7 +81,8 @@ TEST(DynamicControllerTest, UpsizeAtFullSizeIsNoop)
 
 TEST(DynamicControllerTest, SizeBoundPreventsThrashing)
 {
-    SelectiveSetsCache c("dl1", g); // offers 32/16/8/4K
+    // Offers 32/16/8/4K.
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(
         c, {}, params(100, 10, 16 * 1024)); // floor at 16K
     std::uint64_t cycle = 0;
@@ -95,7 +95,7 @@ TEST(DynamicControllerTest, SizeBoundPreventsThrashing)
 
 TEST(DynamicControllerTest, ZeroSizeBoundAllowsMinimum)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10, 0));
     std::uint64_t cycle = 0;
     for (int i = 0; i < 10; ++i)
@@ -105,7 +105,7 @@ TEST(DynamicControllerTest, ZeroSizeBoundAllowsMinimum)
 
 TEST(DynamicControllerTest, OneStepPerInterval)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 300, false, cycle);
@@ -116,7 +116,7 @@ TEST(DynamicControllerTest, EmulationOscillatesBetweenTwoSizes)
 {
     // The paper's "unavailable size emulation": misses high at the
     // small size, low at the large size -> alternates.
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, false, cycle); // down to 16K
@@ -132,7 +132,7 @@ TEST(DynamicControllerTest, EmulationOscillatesBetweenTwoSizes)
 
 TEST(DynamicControllerTest, HysteresisCreatesDeadZone)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicParams p = params(100, 10);
     p.downsizeFraction = 0.5; // downsize only below 5 misses
     DynamicMissRatioController ctl(c, {}, p);
@@ -148,7 +148,7 @@ TEST(DynamicControllerTest, HysteresisCreatesDeadZone)
 
 TEST(DynamicControllerTest, LevelTraceRecordsEveryInterval)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(50, 5));
     std::uint64_t cycle = 0;
     drive(ctl, 50 * 7, false, cycle);
@@ -157,7 +157,7 @@ TEST(DynamicControllerTest, LevelTraceRecordsEveryInterval)
 
 TEST(DynamicControllerTest, AccountsEnabledTimeAtBoundaries)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, false, cycle); // resize at cycle 100
@@ -167,7 +167,7 @@ TEST(DynamicControllerTest, AccountsEnabledTimeAtBoundaries)
 
 TEST(DynamicControllerTest, FlushWritebacksGoToSink)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     std::vector<Addr> drained;
     DynamicMissRatioController ctl(
         c, [&](Addr a) { drained.push_back(a); }, params(100, 50));
@@ -179,34 +179,9 @@ TEST(DynamicControllerTest, FlushWritebacksGoToSink)
     EXPECT_EQ(drained.size(), 1u);
 }
 
-TEST(StaticPolicyTest, AppliesLevelAtConstruction)
-{
-    SelectiveSetsCache c("dl1", g);
-    StaticPolicy pol(c, {}, 2);
-    EXPECT_EQ(c.currentLevel(), 2u);
-    EXPECT_EQ(c.cache().enabledSize(), 8 * 1024u);
-}
-
-TEST(StaticPolicyTest, NeverReactsAtRuntime)
-{
-    SelectiveSetsCache c("dl1", g);
-    StaticPolicy pol(c, {}, 1);
-    for (int i = 0; i < 100000; ++i)
-        pol.onAccess(true, i);
-    EXPECT_EQ(c.currentLevel(), 1u);
-    EXPECT_EQ(c.cache().resizes(), 1u);
-}
-
-TEST(StrategyNameTest, Names)
-{
-    EXPECT_EQ(strategyName(Strategy::None), "none");
-    EXPECT_EQ(strategyName(Strategy::Static), "static");
-    EXPECT_EQ(strategyName(Strategy::Dynamic), "dynamic");
-}
-
 TEST(DynamicControllerTest, DecisionFiresExactlyAtTheBoundaryAccess)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     c.setLevel(2);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
@@ -220,7 +195,7 @@ TEST(DynamicControllerTest, DecisionFiresExactlyAtTheBoundaryAccess)
 
 TEST(DynamicControllerTest, MissCounterResetsAfterResizeDecision)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     c.setLevel(2);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
@@ -242,7 +217,7 @@ TEST(DynamicControllerTest, PartialIntervalCarriesAcrossModeSwitch)
     // The sampling engine hands the same controller first to the
     // functional warmup core and then to the timing core; an
     // interval begun in one must complete in the other.
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 60, false, cycle); // "warmup" accesses, cycles real
@@ -258,7 +233,7 @@ TEST(DynamicControllerTest, SkippedSpansLeaveTheControllerParked)
     // Fast-forward skips whole controller intervals: no accesses
     // arrive, so no interval fires and the level is frozen until the
     // warmup resumes the access stream.
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, false, cycle);
@@ -278,7 +253,7 @@ TEST(DynamicControllerTest, FunctionalCyclesDoNotCorruptByteCycles)
     // Functional warmup notifies the controller with now_cycle == 0;
     // the enabled-time integral must ignore those non-monotonic
     // boundaries rather than accumulate negative or stale spans.
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     DynamicMissRatioController ctl(c, {}, params(100, 10));
     std::uint64_t cycle = 0;
     drive(ctl, 100, false, cycle); // detailed: 100 cycles at 32K
@@ -305,7 +280,7 @@ class ControllerFuzzTest : public testing::TestWithParam<int>
 TEST_P(ControllerFuzzTest, LevelsAlwaysLegal)
 {
     const int seed = GetParam();
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     const std::uint64_t size_bound = (seed % 2) ? 8 * 1024 : 0;
     DynamicMissRatioController ctl(c, {},
                                    params(64, 8, size_bound));

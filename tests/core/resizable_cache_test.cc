@@ -14,7 +14,7 @@ const CacheGeometry g{32 * 1024, 4, 32, 1024};
 
 TEST(ResizableCacheTest, StartsAtFullSize)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     EXPECT_EQ(c.currentLevel(), 0u);
     EXPECT_EQ(c.cache().enabledSize(), 32 * 1024u);
     EXPECT_EQ(c.maxSizeBytes(), 32 * 1024u);
@@ -22,13 +22,13 @@ TEST(ResizableCacheTest, StartsAtFullSize)
 
 TEST(ResizableCacheTest, SetsMinimumSize)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     EXPECT_EQ(c.minSizeBytes(), 4 * 1024u); // one subarray per way
 }
 
 TEST(ResizableCacheTest, DownsizeStepsThroughSchedule)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     c.downsize();
     EXPECT_EQ(c.cache().enabledSize(), 16 * 1024u);
     c.downsize();
@@ -39,7 +39,7 @@ TEST(ResizableCacheTest, DownsizeStepsThroughSchedule)
 
 TEST(ResizableCacheTest, BoundsAreNoops)
 {
-    SelectiveWaysCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveWays);
     EXPECT_FALSE(c.canUpsize());
     FlushResult r = c.upsize();
     EXPECT_EQ(r.invalidated, 0u);
@@ -51,7 +51,7 @@ TEST(ResizableCacheTest, BoundsAreNoops)
 
 TEST(ResizableCacheTest, WaysPreservesSets)
 {
-    SelectiveWaysCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveWays);
     for (unsigned lvl = 0; lvl < c.levels(); ++lvl) {
         c.setLevel(lvl);
         EXPECT_EQ(c.cache().enabledSets(), 256u);
@@ -61,7 +61,7 @@ TEST(ResizableCacheTest, WaysPreservesSets)
 
 TEST(ResizableCacheTest, SetsPreservesAssociativity)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     for (unsigned lvl = 0; lvl < c.levels(); ++lvl) {
         c.setLevel(lvl);
         EXPECT_EQ(c.cache().enabledWays(), 4u);
@@ -70,7 +70,7 @@ TEST(ResizableCacheTest, SetsPreservesAssociativity)
 
 TEST(ResizableCacheTest, HybridExposesTable1Levels)
 {
-    HybridCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::Hybrid);
     EXPECT_EQ(c.levels(), 10u);
     c.setLevel(1);
     EXPECT_EQ(c.cache().enabledSize(), 24 * 1024u);
@@ -79,7 +79,8 @@ TEST(ResizableCacheTest, HybridExposesTable1Levels)
 
 TEST(ResizableCacheTest, LevelForMinSize)
 {
-    SelectiveSetsCache c("dl1", g); // 32,16,8,4
+    // Offers 32, 16, 8 and 4 KB.
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     EXPECT_EQ(c.levelForMinSize(32 * 1024), 0u);
     EXPECT_EQ(c.levelForMinSize(16 * 1024), 1u);
     EXPECT_EQ(c.levelForMinSize(10 * 1024), 1u); // smallest >= 10K
@@ -88,9 +89,9 @@ TEST(ResizableCacheTest, LevelForMinSize)
 
 TEST(ResizableCacheTest, ExtraTagBitsByOrganization)
 {
-    SelectiveSetsCache sets("a", g);
-    SelectiveWaysCache ways("b", g);
-    HybridCache hyb("c", g);
+    ResizableCache sets("a", g, Organization::SelectiveSets);
+    ResizableCache ways("b", g, Organization::SelectiveWays);
+    ResizableCache hyb("c", g, Organization::Hybrid);
     EXPECT_EQ(sets.extraTagBits(), 3u);
     EXPECT_EQ(ways.extraTagBits(), 0u);
     EXPECT_EQ(hyb.extraTagBits(), 3u);
@@ -98,7 +99,7 @@ TEST(ResizableCacheTest, ExtraTagBitsByOrganization)
 
 TEST(ResizableCacheTest, FlushWritebacksReachSink)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     c.cache().access(0x0, true); // dirty block in set 0
     // Dirty block in a set disabled at the next level (set 128+).
     c.cache().access((128 + 7) * 32, true);
@@ -107,9 +108,16 @@ TEST(ResizableCacheTest, FlushWritebacksReachSink)
     EXPECT_EQ(drained.size(), 1u);
 }
 
+TEST(StrategyNameTest, Names)
+{
+    EXPECT_EQ(strategyName(Strategy::None), "none");
+    EXPECT_EQ(strategyName(Strategy::Static), "static");
+    EXPECT_EQ(strategyName(Strategy::Dynamic), "dynamic");
+}
+
 TEST(ResizableCacheDeathTest, LevelOutOfRange)
 {
-    SelectiveSetsCache c("dl1", g);
+    ResizableCache c("dl1", g, Organization::SelectiveSets);
     EXPECT_DEATH(c.setLevel(99), "assertion");
 }
 

@@ -277,9 +277,10 @@ side = dcache
             SweepOptions opt = csvTo(out);
             opt.jobs = kJobs;
             int after = -1;
-            opt.chunkDone = [&](std::size_t) {
+            opt.heartbeat = [&] {
                 if (after++ < 0)
                     std::raise(SIGINT);
+                return true;
             };
             const int rc = runScenarioSweep(*spec, opt);
             std::ofstream(after_path) << after;

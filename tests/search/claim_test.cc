@@ -1,13 +1,15 @@
 /** @file
  * Tests for the cooperative orchestration layer: manifest
  * create/join, the lease lifecycle with stale takeover, the one claim
- * worker's heartbeat and polite interrupt, merge validation, and the
+ * worker's heartbeat and polite interrupt (of a bare unit loop and of
+ * a claim sweep), merge validation, and the
  * byte-identity of claim-mode sweeps and tunes with their
  * single-process equivalents.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -464,6 +466,55 @@ TEST(ClaimTest, InterruptedUnitReleasesItsLease)
         EXPECT_TRUE(claims.isDone(unit)) << unit;
         EXPECT_EQ(slurp(dir + "/" + unit + ".csv"), unit + "\n");
     }
+}
+
+TEST(ClaimTest, InterruptedClaimSweepReleasesItsUnitAndOffersNoResume)
+{
+    const ScenarioSpec spec = sweepSpec();
+    SweepOptions so;
+    so.outPath = pathIn("claim_intr_ref.csv");
+    so.quiet = true;
+    ASSERT_EQ(runScenarioSweep(spec, so), 0);
+
+    // A child claim-sweep worker whose every lease heartbeat sleeps
+    // 2 s, so SIGINT lands while its first unit is in flight.
+    const std::string dir = freshDir("claim_sweep_interrupt");
+    const std::string err_path = pathIn("claim_intr.err");
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const int fd = ::open(err_path.c_str(),
+                              O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        std::string err;
+        if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0 ||
+            !fault::armFailpoints("claim.heartbeat=delay:2000", &err))
+            std::_Exit(99);
+        installInterruptHandlers();
+        std::_Exit(runClaimSweep(spec, workerOpts(dir, 2)));
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!std::filesystem::exists(dir + "/shard_0.lease") &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ::kill(pid, SIGINT);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 130);
+
+    // The unit's CSV was a tmp file the worker removed: the worker
+    // releases the unit and names no --resume path.
+    const std::string err = slurp(err_path);
+    EXPECT_NE(err.find("released 'shard_0'"), std::string::npos) << err;
+    EXPECT_EQ(err.find("--resume"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/shard_0.lease"));
+
+    // A second worker finishes the manifest with the unsharded bytes.
+    ASSERT_EQ(runClaimSweep(spec, workerOpts(dir, 2)), 0);
+    const std::string merged = pathIn("claim_intr_merged.csv");
+    ASSERT_EQ(runSweepMerge({dir}, merged), 0);
+    EXPECT_EQ(slurp(merged), slurp(so.outPath));
 }
 
 } // namespace rcache

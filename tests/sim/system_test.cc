@@ -113,8 +113,14 @@ TEST(SystemTest, StaticSetupShrinksCache)
     System sys(cfg);
     RunResult r =
         sys.run(wl, 50000, {}, ResizeSetup{Strategy::Static, 2, {}});
+    // The level is set once, before the run, and holds throughout: the
+    // average size is the level's, with one resize and no controller.
     EXPECT_DOUBLE_EQ(r.avgDl1Bytes, 8 * 1024.0);
     EXPECT_DOUBLE_EQ(r.avgIl1Bytes, 32 * 1024.0);
+    EXPECT_EQ(r.dl1Resizes, 1u);
+    EXPECT_EQ(r.il1Resizes, 0u);
+    EXPECT_TRUE(r.dl1LevelTrace.empty());
+    EXPECT_TRUE(r.il1LevelTrace.empty());
 }
 
 TEST(SystemTest, DynamicSetupRecordsTrace)

@@ -316,7 +316,15 @@ cmdSweep(const Args &args)
         }
         opt.shard = *shard;
     }
-    return runScenarioSweep(*spec, opt);
+    const int rc = runScenarioSweep(*spec, opt);
+    // A plain sweep's CSV is the one interrupted output a user can
+    // resume (a claim unit's is a tmp file its worker removes).
+    const std::string &csv =
+        opt.resumePath.empty() ? opt.outPath : opt.resumePath;
+    if (rc != 0 && rc == interruptExitCode() && opt.format == "csv" &&
+        !csv.empty())
+        std::cerr << "rcache-sim: resume with --resume " << csv << '\n';
+    return rc;
 }
 
 // ---------------------------------------------------------------- tune
