@@ -7,8 +7,9 @@
 #         -P golden_run.cmake
 #
 # Runs `rcache-sim run RUN_ARGS` and byte-compares its stdout with the
-# checked-in golden. The multi-core report (writeMultiCoreReport) is
-# the user-facing output these pin. The same run is then repeated with
+# checked-in golden: the run report (writeRunReport, or
+# writeMultiCoreReport on several cores) is the user-facing output
+# these pin. The same run is then repeated with
 # `--timeline OUT.timeline.jsonl --timeline-interval
 # TIMELINE_INTERVAL`: its stdout must still match GOLDEN (the timeline
 # observes, never steers) and its timeline must match TIMELINE_GOLDEN
