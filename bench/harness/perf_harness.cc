@@ -13,7 +13,6 @@
 #include "runner/sweep_runner.hh"
 #include "scenario/scenario_spec.hh"
 #include "search/adaptive_search.hh"
-#include "sim/multi_core_system.hh"
 #include "sim/system.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
@@ -143,7 +142,7 @@ multicoreRun(const BenchOptions &opts)
     const double best = bestWallSeconds(opts.repetitions, [&] {
         SystemConfig cfg = SystemConfig::base();
         cfg.cores = 2;
-        MultiCoreSystem sys(cfg);
+        System sys(cfg);
         consume(sys.run({profileByName("gcc"),
                          profileByName("m88ksim")},
                         per_core)

@@ -76,8 +76,8 @@ using EvictionObserver = std::function<void(Addr block_addr, bool dirty)>;
  * anonymous private mapping and released by one munmap. A mapping
  * reads as zero and makes a page resident only when it is first
  * written, so carving writes nothing; huge pages are declined, or one
- * write would make 2 MB resident. A lane (a System, or a
- * MultiCoreSystem with its shared L2) takes all its caches' frames
+ * write would make 2 MB resident. A lane (a single-core System, or
+ * a multi-core System with its shared L2) takes all its caches' frames
  * from one mapping, so tearing it down sends one TLB shootdown to the
  * other workers' CPUs rather than one per cache. Under
  * AddressSanitizer each array comes from the heap instead, so an

@@ -3,9 +3,9 @@
  * SharedL2: one unified L2 shared by N cores, with per-core
  * contention accounting.
  *
- * The multi-programmed system (sim/multi_core_system.hh) gives every
- * core a private L1 hierarchy and routes all of their L2 traffic
- * through one SharedL2. Functionally the shared cache behaves exactly
+ * A multi-core System (sim/system.hh) gives every core a private L1
+ * hierarchy and routes all of their L2 traffic through one
+ * SharedL2. Functionally the shared cache behaves exactly
  * like a private Hierarchy-owned L2 — same geometry, same replacement,
  * same latency parameters — what this class adds is attribution:
  *

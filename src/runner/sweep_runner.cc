@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "analytic/analytic_engine.hh"
-#include "sim/multi_core_system.hh"
 #include "telemetry/trace_events.hh"
 #include "workload/workload_factory.hh"
 
@@ -18,12 +17,12 @@ namespace rcache
 namespace
 {
 
-/** The workload mix of a multi-core @p job: mixProfiles, or
+/** The workload mix of @p job: mixProfiles on several cores, else
  *  job.profile on every core. */
 std::vector<BenchmarkProfile>
 mixOf(const RunJob &job)
 {
-    return job.mixProfiles.empty()
+    return job.cfg.cores == 1 || job.mixProfiles.empty()
                ? std::vector<BenchmarkProfile>{job.profile}
                : job.mixProfiles;
 }
@@ -47,13 +46,10 @@ scheduleKey(const RunJob &job)
         return engineArg(job.engine) + '|' +
                AnalyticPass::streamKey(job.cfg, job.profile.name,
                                        job.insts);
-    // A single core runs its whole stream as one quantum.
-    const std::uint64_t quantum =
-        job.cfg.cores > 1 ? job.cfg.quantumInsts : job.insts;
     std::string key = std::to_string(job.cfg.cores) + '|' +
                       std::to_string(job.insts) + '|' +
-                      std::to_string(quantum) + '|' +
-                      engineArg(job.engine);
+                      std::to_string(System::quantum(job.cfg, job.insts)) +
+                      '|' + engineArg(job.engine);
     for (unsigned c = 0; c < job.cfg.cores; ++c) {
         key += '|';
         key += profileKey(laneProfile(job, c));
@@ -77,36 +73,22 @@ std::vector<RunResult>
 runLanes(const std::vector<const RunJob *> &group)
 {
     const RunJob &lead = *group.front();
-    std::vector<std::vector<CoreLane *>> members;
-    std::vector<RunResult> results;
-    if (lead.cfg.cores == 1) {
-        const std::unique_ptr<Workload> stream = makeWorkload(lead.profile);
-        std::vector<std::unique_ptr<System>> systems;
-        for (const RunJob *job : group) {
-            systems.push_back(std::make_unique<System>(job->cfg));
-            members.push_back({&systems.back()->start(
-                job->il1, job->dl1, job->engine, job->telemetry)});
-        }
-        runLockstep({stream.get()}, members, lead.insts, lead.insts,
-                    lead.engine);
-        for (const auto &sys : systems)
-            results.push_back(sys->finish(stream->name(), lead.insts));
-        return results;
-    }
-    const MultiCoreSystem::Streams streams =
-        MultiCoreSystem::openStreams(mixOf(lead), lead.cfg.cores);
+    const System::Streams streams =
+        System::openStreams(mixOf(lead), lead.cfg.cores);
     std::vector<Workload *> slots;
     for (const auto &s : streams)
         slots.push_back(s.get());
-    std::vector<std::unique_ptr<MultiCoreSystem>> systems;
+    std::vector<std::unique_ptr<System>> systems;
+    std::vector<std::vector<CoreLane *>> members;
     for (const RunJob *job : group) {
-        systems.push_back(std::make_unique<MultiCoreSystem>(job->cfg));
+        systems.push_back(std::make_unique<System>(job->cfg));
         members.push_back(systems.back()->start(job->il1, job->dl1,
                                                 job->engine,
                                                 job->telemetry));
     }
-    runLockstep(slots, members, lead.insts, lead.cfg.quantumInsts,
-                lead.engine);
+    runLockstep(slots, members, lead.insts,
+                System::quantum(lead.cfg, lead.insts), lead.engine);
+    std::vector<RunResult> results;
     for (std::size_t m = 0; m < group.size(); ++m)
         results.push_back(
             systems[m]->finish(mixOf(*group[m]), streams, lead.insts)
@@ -125,16 +107,10 @@ executeRunJob(const RunJob &job)
     rc_assert(job.cfg.cores > 1 || job.mixProfiles.size() <= 1);
     if (job.engine.analytic())
         return runAnalyticJob(job);
-    if (job.cfg.cores > 1) {
-        MultiCoreSystem sys(job.cfg);
-        return sys.run(mixOf(job), job.insts, job.il1, job.dl1,
-                       job.engine, job.telemetry)
-            .aggregate;
-    }
-    const std::unique_ptr<Workload> wl = makeWorkload(job.profile);
     System sys(job.cfg);
-    return sys.run(*wl, job.insts, job.il1, job.dl1, job.engine,
-                   job.telemetry);
+    return sys.run(mixOf(job), job.insts, job.il1, job.dl1, job.engine,
+                   job.telemetry)
+        .aggregate;
 }
 
 SweepRunner::SweepRunner(unsigned num_jobs)

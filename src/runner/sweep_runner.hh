@@ -76,12 +76,11 @@ struct RunJob
 };
 
 /**
- * Run @p job on a fresh System (cfg.cores == 1, the exact single-core
- * semantics), MultiCoreSystem (cfg.cores > 1, returning the aggregate
- * result), or — for job.engine == analytic — a fresh AnalyticPass
- * (runAnalyticJob in src/analytic/analytic_engine.hh). Each stream is
- * its own: a lane group of one, what SweepRunner::run must reproduce.
- * Pure function of the job spec every way.
+ * Run @p job on a fresh System of cfg.cores cores, returning its
+ * aggregate result, or (for job.engine == analytic) on a fresh
+ * AnalyticPass (runAnalyticJob in src/analytic/analytic_engine.hh).
+ * Each stream is its own: a lane group of one, what SweepRunner::run
+ * must reproduce. Pure function of the job spec every way.
  */
 RunResult executeRunJob(const RunJob &job);
 

@@ -28,7 +28,7 @@
  * A [cores] section (count/quantum/models) selects the
  * multi-programmed shared-L2 system, and [workloads] apps accepts
  * '+'-joined mixes ("gcc+m88ksim") cycled across the cores; see
- * sim/multi_core_system.hh.
+ * sim/system.hh.
  *
  * An [engine] section selects the simulation engine (sim/engine.hh):
  * `mode = full|sampled|analytic`, with `interval`/`detail`/`warmup`

@@ -16,8 +16,8 @@
  *              analytical CPI model.
  *
  * EngineSpec is the single selection surface: the CLI's --engine
- * flag, the scenario [engine] section, RunJob, Experiment,
- * System::run and MultiCoreSystem::run all carry one. Full and
+ * flag, the scenario [engine] section, RunJob, Experiment and
+ * System::run all carry one. Full and
  * sampled runs then share one loop, runLockstep (sim/system.hh),
  * which is the only place the engine decides how a run carves into
  * measured windows.

@@ -41,7 +41,7 @@ writeRunReport(std::ostream &os, const RunResult &r)
 }
 
 void
-writeMultiCoreReport(std::ostream &os, const MultiCoreResult &r)
+writeMultiCoreReport(std::ostream &os, const SystemResult &r)
 {
     os << "multi-core run: " << r.aggregate.workload << " on "
        << r.perCore.size() << " cores (shared L2)\n"

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/multi_core_system.hh"
 #include "sim/system.hh"
 
 namespace rcache
@@ -27,7 +26,7 @@ void writeRunReport(std::ostream &os, const RunResult &r);
  * summary each, and the shared-L2 contention table (per-core
  * attribution, occupancy, cross-core evictions).
  */
-void writeMultiCoreReport(std::ostream &os, const MultiCoreResult &r);
+void writeMultiCoreReport(std::ostream &os, const SystemResult &r);
 
 /**
  * One row of a profiling sweep: the best point found for an (app,

@@ -8,6 +8,7 @@
 #include "cpu/ooo_core.hh"
 #include "telemetry/run_telemetry.hh"
 #include "telemetry/timeline.hh"
+#include "workload/workload_factory.hh"
 
 namespace rcache
 {
@@ -40,6 +41,54 @@ applySetup(ResizableCache &cache, Hierarchy &hier,
     }
     rc_panic("bad strategy");
 }
+
+/**
+ * A core's private view of its workload: the stream with every
+ * address shifted into the core's own high-address window, so
+ * concurrent programs never alias in the shared L2. The offset leaves
+ * all index/tag-low bits untouched: each stream's L1 and alias-set
+ * behavior is bit-identical to the unshifted stream.
+ */
+class AddressSpaceWorkload final : public Workload
+{
+  public:
+    AddressSpaceWorkload(std::unique_ptr<Workload> inner, Addr base)
+        : inner_(std::move(inner)), base_(base)
+    {
+    }
+
+    MicroInst
+    next() override
+    {
+        MicroInst inst = inner_->next();
+        relocate(inst);
+        return inst;
+    }
+
+    void
+    nextBatch(MicroInst *buf, std::size_t n) override
+    {
+        inner_->nextBatch(buf, n);
+        for (std::size_t k = 0; k < n; ++k)
+            relocate(buf[k]);
+    }
+
+    void reset() override { inner_->reset(); }
+    void skip(std::uint64_t n) override { inner_->skip(n); }
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    void
+    relocate(MicroInst &inst) const
+    {
+        inst.pc += base_;
+        inst.effAddr += base_;
+        inst.target += base_;
+    }
+
+    std::unique_ptr<Workload> inner_;
+    Addr base_;
+};
 
 } // namespace
 
@@ -279,13 +328,6 @@ CoreLane::finish(const std::string &workload, std::uint64_t total_insts)
     return r;
 }
 
-System::System(const SystemConfig &cfg) : cfg_(cfg), lane_(cfg)
-{
-    // Multi-core configs go through MultiCoreSystem; accepting one
-    // here would silently simulate only core 0.
-    rc_assert(cfg.cores == 1);
-}
-
 void
 runLockstep(const std::vector<Workload *> &streams,
             const std::vector<std::vector<CoreLane *>> &members,
@@ -342,7 +384,40 @@ runLockstep(const std::vector<Workload *> &streams,
     }
 }
 
-CoreLane &
+System::System(const SystemConfig &cfg) : cfg_(cfg)
+{
+    rc_assert(cfg_.cores >= 1);
+    if (cfg_.cores == 1) {
+        lanes_.push_back(std::make_unique<CoreLane>(cfg_));
+        return;
+    }
+    rc_assert(cfg_.quantumInsts > 0);
+    frames_.emplace(FrameMapping::bytesFor(cfg_.l2) +
+                    cfg_.cores * CoreLane::l1FrameBytes(cfg_));
+    l2_.emplace(cfg_.l2, cfg_.cores, &*frames_);
+    for (unsigned c = 0; c < cfg_.cores; ++c)
+        lanes_.push_back(std::make_unique<CoreLane>(cfg_, c, *l2_, *frames_));
+}
+
+System::~System() = default;
+
+System::Streams
+System::openStreams(const std::vector<BenchmarkProfile> &mix,
+                    unsigned cores)
+{
+    rc_assert(!mix.empty());
+    Streams streams;
+    for (unsigned c = 0; c < cores; ++c) {
+        std::unique_ptr<Workload> stream = makeWorkload(mix[c % mix.size()]);
+        if (addressSpaceBase(c) != 0)
+            stream = std::make_unique<AddressSpaceWorkload>(
+                std::move(stream), addressSpaceBase(c));
+        streams.push_back(std::move(stream));
+    }
+    return streams;
+}
+
+std::vector<CoreLane *>
 System::start(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
               const EngineSpec &engine, RunTelemetry *telemetry)
 {
@@ -352,8 +427,31 @@ System::start(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
     if (engine.analytic())
         rc_fatal("the analytic engine does not run Systems; dispatch "
                  "through executeRunJob");
-    lane_.start(il1_setup, dl1_setup, engine, telemetry);
-    return lane_;
+    engine_ = engine;
+    std::vector<CoreLane *> lanes;
+    for (const auto &lane : lanes_) {
+        lane->start(il1_setup, dl1_setup, engine, telemetry);
+        lanes.push_back(lane.get());
+    }
+    return lanes;
+}
+
+SystemResult
+System::run(const std::vector<BenchmarkProfile> &mix,
+            std::uint64_t insts_per_core, const ResizeSetup &il1_setup,
+            const ResizeSetup &dl1_setup, const EngineSpec &engine,
+            RunTelemetry *telemetry)
+{
+    rc_assert(insts_per_core > 0);
+    const std::vector<CoreLane *> lanes =
+        start(il1_setup, dl1_setup, engine, telemetry);
+    const Streams streams = openStreams(mix, cfg_.cores);
+    std::vector<Workload *> slots;
+    for (const auto &s : streams)
+        slots.push_back(s.get());
+    runLockstep(slots, {lanes}, insts_per_core,
+                quantum(cfg_, insts_per_core), engine);
+    return finish(mix, streams, insts_per_core);
 }
 
 RunResult
@@ -361,9 +459,101 @@ System::run(Workload &workload, std::uint64_t num_insts,
             const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
             const EngineSpec &engine, RunTelemetry *telemetry)
 {
-    CoreLane &lane = start(il1_setup, dl1_setup, engine, telemetry);
-    runLockstep({&workload}, {{&lane}}, num_insts, num_insts, engine);
-    return finish(workload.name(), num_insts);
+    rc_assert(cfg_.cores == 1);
+    const std::vector<CoreLane *> lanes =
+        start(il1_setup, dl1_setup, engine, telemetry);
+    runLockstep({&workload}, {lanes}, num_insts,
+                quantum(cfg_, num_insts), engine);
+    return lanes.front()->finish(workload.name(), num_insts);
+}
+
+SystemResult
+System::finish(const std::vector<BenchmarkProfile> &mix,
+               const Streams &streams, std::uint64_t insts_per_core)
+{
+    rc_assert(!mix.empty() && streams.size() == lanes_.size());
+    // ---- per-core results; timelines are handed over in core order
+    SystemResult out;
+    out.perCore.reserve(lanes_.size());
+    for (std::size_t c = 0; c < lanes_.size(); ++c)
+        out.perCore.push_back(
+            lanes_[c]->finish(streams[c]->name(), insts_per_core));
+    if (!l2_) {
+        out.aggregate = out.perCore.front();
+        return out;
+    }
+
+    // ---- shared-L2 attribution
+    out.l2PerCore.reserve(cfg_.cores);
+    for (unsigned c = 0; c < cfg_.cores; ++c)
+        out.l2PerCore.push_back(l2_->coreStats(c));
+    out.l2Totals = l2_->totals();
+
+    // ---- the aggregate the sweep machinery reduces on
+    RunResult &agg = out.aggregate;
+    {
+        std::string name;
+        for (std::size_t i = 0; i < mix.size(); ++i)
+            name += (i ? "+" : "") + mix[i].name;
+        agg.workload = std::move(name);
+    }
+    agg.engine = engine_.mode;
+    double total_l2_accesses = 0;
+    for (const RunResult &r : out.perCore) {
+        agg.insts += r.insts;
+        agg.il1Accesses += r.il1Accesses;
+        agg.il1Misses += r.il1Misses;
+        agg.dl1Accesses += r.dl1Accesses;
+        agg.dl1Misses += r.dl1Misses;
+        agg.cycles = std::max(agg.cycles, r.cycles);
+        agg.activity.addCounts(r.activity);
+        agg.activity.cycles =
+            std::max(agg.activity.cycles, r.activity.cycles);
+        agg.energy.icache += r.energy.icache;
+        agg.energy.dcache += r.energy.dcache;
+        agg.energy.memory += r.energy.memory;
+        agg.energy.core += r.energy.core;
+        agg.energy.clock += r.energy.clock;
+        agg.avgIl1Bytes += r.avgIl1Bytes;
+        agg.avgDl1Bytes += r.avgDl1Bytes;
+        agg.il1Resizes += r.il1Resizes;
+        agg.dl1Resizes += r.dl1Resizes;
+        agg.measuredInsts += r.measuredInsts;
+        agg.warmupInsts += r.warmupInsts;
+    }
+    agg.activity.insts = agg.insts;
+    // The shared L2 is one physical structure: charge its switching
+    // for the total attributed traffic and its size-proportional term
+    // once, over the makespan.
+    for (const auto &lane : lanes_) {
+        const CoreLane::Measured &m = lane->measured();
+        const double scale = static_cast<double>(insts_per_core) /
+                             static_cast<double>(m.activity.insts);
+        total_l2_accesses +=
+            static_cast<double>(m.caches.l2Accesses) * scale;
+    }
+    const CacheEnergyModel cache_energy(cfg_.energy);
+    agg.energy.l2 = cache_energy.l2Energy(
+        total_l2_accesses, l2_->cache().geometry().size,
+        static_cast<double>(agg.cycles));
+    {
+        double l1i_m = 0, l1i_a = 0, l1d_m = 0, l1d_a = 0;
+        for (const auto &lane : lanes_) {
+            const CoreLane::Measured &m = lane->measured();
+            l1i_m += m.caches.il1.misses;
+            l1i_a += m.caches.il1.accesses;
+            l1d_m += m.caches.dl1.misses;
+            l1d_a += m.caches.dl1.accesses;
+        }
+        agg.il1MissRatio = l1i_a > 0 ? l1i_m / l1i_a : 0;
+        agg.dl1MissRatio = l1d_a > 0 ? l1d_m / l1d_a : 0;
+    }
+    agg.l2MissRatio =
+        out.l2Totals.accesses > 0
+            ? static_cast<double>(out.l2Totals.misses) /
+                  static_cast<double>(out.l2Totals.accesses)
+            : 0;
+    return out;
 }
 
 } // namespace rcache

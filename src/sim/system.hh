@@ -1,20 +1,53 @@
 /**
  * @file
- * System: one simulated processor+memory configuration, run once.
+ * System: one simulated processor+memory configuration of any core
+ * count, run once.
  *
- * A System is one CoreLane (below) with its own L2: the core model,
- * the two (possibly resizable) L1s, the L2, the dynamic resize
- * controllers, and the energy model. It is single-use: construct,
- * call run() once, read the result. executeRunJob (runner/sweep_runner.hh) constructs one
- * System per design point, which is how the paper's profiling
- * methodology works anyway.
+ * A System is cfg.cores CoreLanes (below). A single core's lane owns
+ * its L2: the core model, the two (possibly resizable) L1s, the L2,
+ * the dynamic resize controllers, and the energy model. It is
+ * single-use: construct, run once, read the result. executeRunJob
+ * (runner/sweep_runner.hh) constructs one System per design point,
+ * which is how the paper's profiling methodology works anyway.
+ *
+ * Several cores are the multi-programmed workload-mix system: each
+ * core runs its own workload in a private address space (a per-core
+ * offset in the high address bits keeps the streams disjoint, see
+ * openStreams: no sharing, no coherence), with private L1s and
+ * independent resize controllers, while all L2 traffic funnels into
+ * one SharedL2 (cache/shared_l2.hh) that attributes hits, misses,
+ * memory traffic, and capacity occupancy per core. Contention is
+ * therefore modelled at the capacity/conflict level: core A's misses
+ * evict core B's L2 blocks. L2 bandwidth and MSHR contention between
+ * cores are not modelled (each core keeps its private timing pools),
+ * matching the single-core model's purely functional L2.
+ *
+ * Determinism contract: cores advance in a fixed round-robin
+ * interleave (runLockstep below): core 0 takes a turn, then core 1,
+ * ... until every core has retired its share, so the shared-L2 access
+ * order, and with it every counter and energy figure, is a pure
+ * function of the configuration and the workload mix. A full-detail
+ * turn measures one quantum of cfg.quantumInsts instructions (a
+ * single core's turn is its whole run); a sampled turn runs one whole
+ * fast-forward/warmup/detailed period of the core's stream. Either
+ * way the turn's measured window restarts the core's timing machinery
+ * (warm cache/controller state carries over; pipeline state does
+ * not), so a core's cycle count is the sum of its window cycles, and
+ * each core extrapolates over its own measured-instruction count.
+ *
+ * Whole-system metrics in a multi-core result follow the
+ * multi-programmed convention: instructions and energy sum over
+ * cores; the delay is the makespan (the slowest core's cycles); the
+ * shared L2's leakage is charged once over the makespan, while each
+ * core's own result charges it over that core's cycles (so per-core
+ * EDPs are self-contained but their energies do not sum exactly to
+ * the aggregate; the aggregate is authoritative).
  *
  * CoreLane is one core's slice of a run, fed instruction segments;
  * runLockstep (below) is the one loop behind every timing run. It
  * drives the lanes of a lockstep group: runs that read the same
  * streams in the same periods, so one pass over each stream feeds
- * them all. System::run and MultiCoreSystem::run
- * (sim/multi_core_system.hh) are groups of one, the sweep runner
+ * them all. System::run is a group of one, the sweep runner
  * (runner/sweep_runner.hh) builds larger ones, and full-detail and
  * sampled runs differ only in the periods the loop hands out.
  */
@@ -23,15 +56,18 @@
 #define RCACHE_SIM_SYSTEM_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "cache/shared_l2.hh"
 #include "core/dynamic_controller.hh"
 #include "core/resizable_cache.hh"
 #include "cpu/core.hh"
 #include "cpu/front_end.hh"
 #include "energy/energy_model.hh"
 #include "sim/engine.hh"
+#include "workload/profiles.hh"
 #include "workload/workload.hh"
 
 namespace rcache
@@ -74,7 +110,7 @@ struct SystemConfig
     std::string policy = "lru";
     EnergyParams energy = EnergyParams::defaults018um();
 
-    /** @name Multi-core extension (sim/multi_core_system.hh)
+    /** @name Multi-core extension (see the file comment)
      * cores == 1 (the default) is the classic single-core System,
      * whose behavior these fields never affect. cores > 1 selects the
      * multi-programmed shared-L2 system: N cores with private L1s
@@ -339,7 +375,7 @@ inline constexpr std::size_t laneSegmentInsts = 512;
  * The one loop behind every timing run: drive a lockstep group.
  * @p streams[c] is core slot c's stream, and each member
  * (@p members[m]) holds one started lane per slot. Slots take turns
- * round-robin, as MultiCoreSystem's cores do, until each has run
+ * round-robin, as a System's cores do, until each has run
  * @p insts instructions. A turn is the slot's next
  * EngineSpec::period(remaining, @p quantum): its stream skips the
  * fast-forward once, then the warmup and the measured window are
@@ -347,7 +383,7 @@ inline constexpr std::size_t laneSegmentInsts = 512;
  * (cpu/front_end.hh), of the shape all its lanes share, restarts at
  * each phase and marks each segment once, before the segment feeds
  * the slot's lane of every member. A single core is one slot whose
- * quantum is the whole run.
+ * quantum is the whole run (System::quantum).
  *
  * Every lane of a slot therefore sees the marked stream it would see
  * alone, in the same periods, and the rest of a lane's state is its
@@ -358,54 +394,140 @@ void runLockstep(const std::vector<Workload *> &streams,
                  std::uint64_t insts, std::uint64_t quantum,
                  const EngineSpec &engine);
 
+/** Everything a System run produces. */
+struct SystemResult
+{
+    /**
+     * One RunResult per core, in core order: that core's private
+     * counters, its attributed share of the L2/memory traffic, and an
+     * energy breakdown charging the L2 over the core's own cycles
+     * (see the file comment's attribution convention).
+     */
+    std::vector<RunResult> perCore;
+
+    /**
+     * The whole-system view the sweep machinery reduces on. On one
+     * core it is that core's result. On several: summed
+     * instructions/activity/energy, makespan cycles, capacity-summed
+     * average L1 sizes, access-weighted miss ratios, and the mix's
+     * '+'-joined name; aggregate.edp() is total energy x makespan.
+     */
+    RunResult aggregate;
+
+    /** Per-core shared-L2 attribution at end of run (empty on one
+     *  core, whose L2 is its own). */
+    std::vector<SharedL2CoreStats> l2PerCore;
+    /** Sum of l2PerCore (== the shared cache's own totals). */
+    SharedL2CoreStats l2Totals;
+};
+
 /** See file comment. */
 class System
 {
   public:
+    /**
+     * Build cfg.cores lanes. A single core's lane owns its L2 and one
+     * FrameMapping for its three caches. Several cores share one
+     * SharedL2 of cfg.l2, and every frame comes from the System's one
+     * mapping: the L2's, then each core's L1s.
+     */
     explicit System(const SystemConfig &cfg);
+    ~System();
 
     /**
-     * Run @p num_insts instructions of @p workload with the given
-     * per-cache resizing setups. Single use.
+     * Run @p insts_per_core instructions on every core. Core i runs
+     * the profile mix[i % mix.size()] in a private address space
+     * (openStreams). Every core applies the same resize setups (to
+     * its own private controllers). Single use.
      *
      * @param engine fully detailed by default; a sampled spec
      *        fast-forwards between measured windows (sim/sampling.hh).
-     *        The analytic engine never reaches a System — it is
+     *        The analytic engine never reaches a System: it is
      *        dispatched in executeRunJob (runner/sweep_runner.hh) and
      *        asking for it here is fatal.
      * @param telemetry optional observation request/output bundle
      *        (telemetry/run_telemetry.hh); null = off, zero impact
      */
+    SystemResult run(const std::vector<BenchmarkProfile> &mix,
+                     std::uint64_t insts_per_core,
+                     const ResizeSetup &il1_setup = {},
+                     const ResizeSetup &dl1_setup = {},
+                     const EngineSpec &engine = {},
+                     RunTelemetry *telemetry = nullptr);
+
+    /** One core only: run @p num_insts instructions of @p workload
+     *  (arguments as above). Single use. */
     RunResult run(Workload &workload, std::uint64_t num_insts,
                   const ResizeSetup &il1_setup = {},
                   const ResizeSetup &dl1_setup = {},
                   const EngineSpec &engine = {},
                   RunTelemetry *telemetry = nullptr);
 
+    /** One stream per core slot. */
+    using Streams = std::vector<std::unique_ptr<Workload>>;
+
+    /** The streams @p cores cores running @p mix read: core i's is
+     *  mix[i % mix.size()], shifted to addressSpaceBase(i). */
+    static Streams openStreams(const std::vector<BenchmarkProfile> &mix,
+                               unsigned cores);
+
+    /**
+     * Address-space offset of core @p i: streams are shifted into
+     * disjoint high-address windows (bit 44 and up), leaving the
+     * index/alias structure of every stream untouched. Core 0's
+     * offset is 0.
+     */
+    static Addr addressSpaceBase(unsigned core)
+    {
+        return static_cast<Addr>(core) << 44;
+    }
+
+    /**
+     * Instructions per full-detail turn when every core of @p cfg
+     * runs @p insts_per_core: cfg.quantumInsts on several cores; a
+     * single core has no interleave, so its turn is its whole run.
+     */
+    static std::uint64_t quantum(const SystemConfig &cfg,
+                                 std::uint64_t insts_per_core)
+    {
+        return cfg.cores > 1 ? cfg.quantumInsts : insts_per_core;
+    }
+
     /** @name One member of a lockstep group
-     * run() is start(), runLockstep over one stream, then finish():
-     * start() returns the lane to feed (arguments as run()'s), and
-     * finish() is CoreLane::finish.
+     * run() is start(), runLockstep over openStreams(), then
+     * finish(): start() returns the lanes to feed, one per core
+     * (arguments as run()'s), and finish() reads each core's
+     * workload name from @p streams and names a multi-core aggregate
+     * after @p mix.
      */
     /// @{
-    CoreLane &start(const ResizeSetup &il1_setup,
-                    const ResizeSetup &dl1_setup,
-                    const EngineSpec &engine, RunTelemetry *telemetry);
-    RunResult finish(const std::string &workload,
-                     std::uint64_t num_insts)
-    {
-        return lane_.finish(workload, num_insts);
-    }
+    std::vector<CoreLane *> start(const ResizeSetup &il1_setup,
+                                  const ResizeSetup &dl1_setup,
+                                  const EngineSpec &engine,
+                                  RunTelemetry *telemetry);
+    SystemResult finish(const std::vector<BenchmarkProfile> &mix,
+                        const Streams &streams,
+                        std::uint64_t insts_per_core);
     /// @}
 
-    ResizableCache &il1() { return lane_.il1(); }
-    ResizableCache &dl1() { return lane_.dl1(); }
-    Hierarchy &hierarchy() { return lane_.hierarchy(); }
+    /** @name Core 0's caches (a single core's) */
+    /// @{
+    ResizableCache &il1() { return lanes_.front()->il1(); }
+    ResizableCache &dl1() { return lanes_.front()->dl1(); }
+    Hierarchy &hierarchy() { return lanes_.front()->hierarchy(); }
+    /// @}
+    /** The shared L2, or null on one core. */
+    SharedL2 *sharedL2() { return l2_ ? &*l2_ : nullptr; }
     const SystemConfig &config() const { return cfg_; }
 
   private:
     SystemConfig cfg_;
-    CoreLane lane_;
+    /** Several cores: every cache's frames, and the shared L2 (both
+     *  empty on one core, whose lane owns them). */
+    std::optional<FrameMapping> frames_;
+    std::optional<SharedL2> l2_;
+    std::vector<std::unique_ptr<CoreLane>> lanes_;
+    EngineSpec engine_;
     bool ran_ = false;
 };
 

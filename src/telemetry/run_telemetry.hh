@@ -4,7 +4,7 @@
  *
  * A RunTelemetry is passed (as a nullable pointer — null means
  * telemetry off and zero wiring cost) into System::run /
- * MultiCoreSystem::run / executeRunJob. The caller sets the request
+ * executeRunJob. The caller sets the request
  * fields; the run appends its timeline rows and resize events, and
  * the caller serializes them wherever it likes (stdout, per-run
  * files, a shared sweep sidecar).

@@ -239,6 +239,32 @@ check_rejects_oneline("prices static geometries only"
                       run --app ammp --engine analytic
                       --dl1-org ways --dl1-strategy dynamic
                       --insts 1000)
+# An analytic run has no timeline to sample; --events stays allowed
+# (a static run's events file is empty, which inspect accepts).
+check_exit2_oneline("--timeline needs the full or sampled engine"
+                    run --app gcc --engine analytic
+                    --timeline x.jsonl --insts 1000)
+
+# A run's design point is checked as a scenario's is: each L1 must
+# stay a cache under --assoc, and a static level must be one its
+# organization offers, whatever the engine or core count.
+foreach(engine full analytic)
+  check_exit2_oneline("--dl1-level 9: --dl1-org sets offers levels 0..4"
+                      run --app gcc --dl1-org sets --dl1-strategy static
+                      --dl1-level 9 --insts 20000 --engine ${engine})
+endforeach()
+check_exit2_oneline("--dl1-level 9: --dl1-org sets offers levels 0..4"
+                    run --mix gcc+swim --dl1-org sets
+                    --dl1-strategy static --dl1-level 9 --insts 20000)
+check_exit2_oneline("--il1-level 2: --il1-org ways offers levels 0..1"
+                    run --app gcc --il1-org ways --il1-strategy static
+                    --il1-level 2 --insts 20000)
+check_exit2_oneline("--assoc 3: il1: assoc 3 does not divide size"
+                    run --app gcc --assoc 3 --insts 20000)
+check_exit2_oneline("--assoc 48: il1: assoc 48 does not divide size"
+                    run --app gcc --assoc 48 --insts 20000)
+check_exit2_oneline("--assoc 64: il1: subarraySize does not divide way size"
+                    run --app gcc --assoc 64 --insts 20000)
 
 # ---- scenario subcommand + sweep scenario/shard/resume flags
 check_rejects_oneline("scenario needs a mode" scenario)

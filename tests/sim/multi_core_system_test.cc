@@ -1,14 +1,15 @@
 /** @file
- * Tests for MultiCoreSystem: determinism, per-core/shared-L2
- * attribution consistency, lane isolation vs the single-core System,
- * mixed core models, sampling, and the executeRunJob dispatch.
+ * Tests for a System of several cores over a shared L2: determinism,
+ * per-core/shared-L2 attribution consistency, lane isolation vs a
+ * single-core System, mixed core models, sampling, and executeRunJob
+ * on several cores.
  */
 
 #include <gtest/gtest.h>
 
 #include "runner/sweep_runner.hh"
 #include "scenario/scenario_sweep.hh"
-#include "sim/multi_core_system.hh"
+#include "sim/system.hh"
 
 #include <fstream>
 #include <sstream>
@@ -29,13 +30,13 @@ mixOf(const std::string &name)
     return *mix;
 }
 
-MultiCoreResult
+SystemResult
 runMix(const std::string &mix, unsigned cores,
        const EngineSpec &engine = {})
 {
     SystemConfig cfg = SystemConfig::base();
     cfg.cores = cores;
-    MultiCoreSystem sys(cfg);
+    System sys(cfg);
     return sys.run(mixOf(mix), kInsts, {}, {}, engine);
 }
 
@@ -43,8 +44,8 @@ runMix(const std::string &mix, unsigned cores,
 
 TEST(MultiCoreSystemTest, DeterministicAcrossRuns)
 {
-    const MultiCoreResult a = runMix("gcc+m88ksim", 2);
-    const MultiCoreResult b = runMix("gcc+m88ksim", 2);
+    const SystemResult a = runMix("gcc+m88ksim", 2);
+    const SystemResult b = runMix("gcc+m88ksim", 2);
 
     EXPECT_EQ(a.aggregate.cycles, b.aggregate.cycles);
     EXPECT_DOUBLE_EQ(a.aggregate.energy.total(),
@@ -62,8 +63,8 @@ TEST(MultiCoreSystemTest, PerCoreAttributionSumsToSharedTotals)
 {
     SystemConfig cfg = SystemConfig::base();
     cfg.cores = 4;
-    MultiCoreSystem sys(cfg);
-    const MultiCoreResult r =
+    System sys(cfg);
+    const SystemResult r =
         sys.run(mixOf("gcc+swim"), kInsts);
 
     // Total L2 accesses == sum of the per-core attributions == the
@@ -78,8 +79,8 @@ TEST(MultiCoreSystemTest, PerCoreAttributionSumsToSharedTotals)
     }
     EXPECT_EQ(sum.accesses, r.l2Totals.accesses);
     EXPECT_EQ(sum.misses, r.l2Totals.misses);
-    EXPECT_EQ(r.l2Totals.accesses, sys.sharedL2().cache().accesses());
-    EXPECT_EQ(r.l2Totals.misses, sys.sharedL2().cache().misses());
+    EXPECT_EQ(r.l2Totals.accesses, sys.sharedL2()->cache().accesses());
+    EXPECT_EQ(r.l2Totals.misses, sys.sharedL2()->cache().misses());
     EXPECT_EQ(r.l2Totals.hits + r.l2Totals.misses,
               r.l2Totals.accesses);
 
@@ -101,7 +102,7 @@ TEST(MultiCoreSystemTest, LaneMatchesSingleCoreStream)
     // core's instruction-stream statistics are untouched by its
     // neighbors. (Cycles may differ slightly at quantum boundaries;
     // the stream-derived counts must not differ at all.)
-    const MultiCoreResult mc = runMix("gcc+m88ksim", 2);
+    const SystemResult mc = runMix("gcc+m88ksim", 2);
 
     SyntheticWorkload wl(profileByName("gcc"));
     System solo(SystemConfig::base());
@@ -127,8 +128,8 @@ TEST(MultiCoreSystemTest, SmallSharedL2ShowsCrossCoreEvictions)
     SystemConfig cfg = SystemConfig::base();
     cfg.cores = 2;
     cfg.l2 = CacheGeometry{8 * 1024, 4, 32, 1024};
-    MultiCoreSystem sys(cfg);
-    const MultiCoreResult r = sys.run(mixOf("swim+tomcatv"), kInsts);
+    System sys(cfg);
+    const SystemResult r = sys.run(mixOf("swim+tomcatv"), kInsts);
 
     EXPECT_GT(r.l2Totals.evictionsByOthers, 0u);
     EXPECT_EQ(r.l2Totals.evictionsByOthers, r.l2Totals.evictedOthers);
@@ -139,7 +140,7 @@ TEST(MultiCoreSystemTest, SmallSharedL2ShowsCrossCoreEvictions)
 
 TEST(MultiCoreSystemTest, MixCyclesAcrossCores)
 {
-    const MultiCoreResult r = runMix("gcc+m88ksim", 3);
+    const SystemResult r = runMix("gcc+m88ksim", 3);
     ASSERT_EQ(r.perCore.size(), 3u);
     EXPECT_EQ(r.perCore[0].workload, "gcc");
     EXPECT_EQ(r.perCore[1].workload, "m88ksim");
@@ -151,8 +152,8 @@ TEST(MultiCoreSystemTest, MixedCoreModels)
     SystemConfig cfg = SystemConfig::base();
     cfg.cores = 2;
     cfg.coreModels = {CoreModel::OutOfOrder, CoreModel::InOrder};
-    MultiCoreSystem sys(cfg);
-    const MultiCoreResult r = sys.run(mixOf("ammp"), kInsts);
+    System sys(cfg);
+    const SystemResult r = sys.run(mixOf("ammp"), kInsts);
 
     EXPECT_TRUE(r.perCore[0].activity.outOfOrder);
     EXPECT_FALSE(r.perCore[1].activity.outOfOrder);
@@ -164,8 +165,8 @@ TEST(MultiCoreSystemTest, SampledRunExtrapolatesPerCore)
 {
     const EngineSpec engine =
         EngineSpec::makeSampled(20000, 2000, 4000);
-    const MultiCoreResult r = runMix("gcc+m88ksim", 2, engine);
-    const MultiCoreResult again = runMix("gcc+m88ksim", 2, engine);
+    const SystemResult r = runMix("gcc+m88ksim", 2, engine);
+    const SystemResult again = runMix("gcc+m88ksim", 2, engine);
 
     EXPECT_EQ(r.aggregate.cycles, again.aggregate.cycles);
     EXPECT_DOUBLE_EQ(r.aggregate.energy.total(),
@@ -199,11 +200,11 @@ TEST(MultiCoreSystemTest, FullShapePeriodsEqualQuantumInterleave)
     dyn.dyn.intervalAccesses = 2000;
     dyn.dyn.missBound = 200;
     const auto run = [&](const EngineSpec &engine) {
-        MultiCoreSystem sys(cfg);
+        System sys(cfg);
         return sys.run(mixOf("gcc+m88ksim"), kInsts, {}, dyn, engine);
     };
-    const MultiCoreResult full = run({});
-    MultiCoreResult sampled =
+    const SystemResult full = run({});
+    SystemResult sampled =
         run(EngineSpec::makeSampled(kQuantum, kQuantum, 0));
 
     ASSERT_EQ(sampled.perCore.size(), full.perCore.size());

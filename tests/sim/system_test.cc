@@ -9,8 +9,9 @@
 #include <utility>
 #include <vector>
 
-#include "sim/multi_core_system.hh"
+#include "runner/sweep_runner.hh"
 #include "sim/system.hh"
+#include "telemetry/run_telemetry.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
@@ -217,10 +218,10 @@ TEST(SystemTest, StartedSystemTakesItsFramesFromOneMapping)
     // L1s, all from the system's one mapping.
     SystemConfig mc = cfg;
     mc.cores = 2;
-    MultiCoreSystem multi(mc);
+    System multi(mc);
     const std::vector<CoreLane *> lanes =
         multi.start({}, {}, EngineSpec{}, nullptr);
-    std::uintptr_t at = framesOf(multi.sharedL2().cache());
+    std::uintptr_t at = framesOf(multi.sharedL2()->cache());
     const std::uintptr_t first = at;
     at += FrameMapping::bytesFor(mc.l2);
     for (const CoreLane *lane : lanes) {
@@ -232,6 +233,55 @@ TEST(SystemTest, StartedSystemTakesItsFramesFromOneMapping)
     const auto [mlo, mhi] = mappingOf(first);
     EXPECT_LE(mlo, first);
     EXPECT_GE(mhi, at);
+}
+
+TEST(SystemTest, OneCoreMixRunEqualsWorkloadRunAndRunJob)
+{
+    // A one-core System run over a mix of one is its lane's own
+    // result, with no shared L2, whichever way it is asked for.
+    constexpr std::uint64_t kInsts = 40000;
+    SystemConfig cfg = SystemConfig::base();
+    cfg.dl1Org = Organization::SelectiveSets;
+    ResizeSetup dyn;
+    dyn.strategy = Strategy::Dynamic;
+    dyn.dyn.intervalAccesses = 2000;
+    dyn.dyn.missBound = 200;
+    for (const EngineSpec &engine :
+         {EngineSpec{}, EngineSpec::makeSampled(20000, 5000, 5000)}) {
+        const auto telemetry = [] {
+            RunTelemetry t;
+            t.timelineInterval = 3000;
+            return t;
+        };
+        RunTelemetry mix_tl = telemetry();
+        System sys(cfg);
+        const SystemResult r = sys.run({profileByName("gcc")}, kInsts,
+                                       {}, dyn, engine, &mix_tl);
+        ASSERT_EQ(r.perCore.size(), 1u);
+        EXPECT_TRUE(r.perCore.front() == r.aggregate);
+        EXPECT_TRUE(r.l2PerCore.empty());
+        EXPECT_EQ(sys.sharedL2(), nullptr);
+        EXPECT_GT(r.aggregate.dl1Resizes, 0u);
+        EXPECT_FALSE(mix_tl.timeline.empty());
+
+        RunTelemetry wl_tl = telemetry();
+        SyntheticWorkload wl(profileByName("gcc"));
+        const RunResult solo =
+            System(cfg).run(wl, kInsts, {}, dyn, engine, &wl_tl);
+        EXPECT_TRUE(solo == r.aggregate) << engineArg(engine);
+        EXPECT_TRUE(wl_tl.timeline == mix_tl.timeline);
+
+        RunTelemetry job_tl = telemetry();
+        RunJob job;
+        job.profile = profileByName("gcc");
+        job.cfg = cfg;
+        job.insts = kInsts;
+        job.dl1 = dyn;
+        job.engine = engine;
+        job.telemetry = &job_tl;
+        EXPECT_TRUE(executeRunJob(job) == r.aggregate) << engineArg(engine);
+        EXPECT_TRUE(job_tl.timeline == mix_tl.timeline);
+    }
 }
 
 TEST(SystemDeathTest, SecondRunPanics)

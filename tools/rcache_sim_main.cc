@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/harness/perf_harness.hh"
+#include "core/size_schedule.hh"
 #include "fault/failpoint.hh"
 #include "runner/shard.hh"
 #include "runner/sweep_runner.hh"
@@ -571,6 +572,36 @@ checkRunPoint(const Args &args, const SystemConfig &cfg,
               std::size_t mix_size, const EngineSpec &engine,
               const ResizeSetup &il1, const ResizeSetup &dl1)
 {
+    // Each L1 must stay a cache under --assoc, and a static level
+    // must be one its organization offers (a scenario's axes are
+    // checked the same way).
+    struct L1
+    {
+        const char *name;
+        const CacheGeometry &geom;
+        Organization org;
+        const ResizeSetup &setup;
+    };
+    for (const L1 &c : {L1{"il1", cfg.il1, cfg.il1Org, il1},
+                        L1{"dl1", cfg.dl1, cfg.dl1Org, dl1}}) {
+        std::string why = c.geom.validate();
+        if (!why.empty()) {
+            why.erase(why.find_last_not_of("; ") + 1);
+            std::cerr << "rcache-sim: --assoc " << c.geom.assoc << ": "
+                      << c.name << ": " << why << '\n';
+            return false;
+        }
+        if (c.setup.strategy != Strategy::Static)
+            continue;
+        const std::size_t levels = buildSchedule(c.org, c.geom).size();
+        if (c.setup.staticLevel >= levels) {
+            std::cerr << "rcache-sim: --" << c.name << "-level "
+                      << c.setup.staticLevel << ": --" << c.name
+                      << "-org " << organizationToken(c.org)
+                      << " offers levels 0.." << levels - 1 << '\n';
+            return false;
+        }
+    }
     // Cycling fills extra cores, but a missing core would silently
     // drop programs from the simulation.
     if (mix_size > cfg.cores) {
@@ -612,6 +643,12 @@ checkRunPoint(const Args &args, const SystemConfig &cfg,
         std::cerr << "rcache-sim: --engine analytic models true-LRU "
                      "caches only; --policy " << cfg.policy
                   << " needs the full or sampled engine\n";
+        return false;
+    }
+    if (args.has("--timeline")) {
+        std::cerr << "rcache-sim: --engine analytic samples no "
+                     "timeline; --timeline needs the full or sampled "
+                     "engine\n";
         return false;
     }
     return true;
@@ -697,15 +734,8 @@ cmdRun(const Args &args)
     const auto span_begin =
         trace ? trace->now() : TraceEventRecorder::Clock::time_point{};
 
-    if (cfg->cores > 1) {
-        MultiCoreSystem sys(*cfg);
-        const MultiCoreResult res =
-            sys.run(mix, *insts, *il1, *dl1, *engine, telem_ptr);
-        if (trace)
-            trace->completeSpan(label, span_begin, trace->now(),
-                                {{"label", label}});
-        writeMultiCoreReport(std::cout, res);
-    } else {
+    SystemResult res;
+    if (engine->analytic()) {
         RunJob job;
         job.label = label;
         job.profile = mix.front();
@@ -715,12 +745,18 @@ cmdRun(const Args &args)
         job.dl1 = *dl1;
         job.engine = *engine;
         job.telemetry = telem_ptr;
-        const RunResult res = executeRunJob(job);
-        if (trace)
-            trace->completeSpan(label, span_begin, trace->now(),
-                                {{"label", label}});
-        writeRunReport(std::cout, res);
+        res.aggregate = executeRunJob(job);
+    } else {
+        System sys(*cfg);
+        res = sys.run(mix, *insts, *il1, *dl1, *engine, telem_ptr);
     }
+    if (trace)
+        trace->completeSpan(label, span_begin, trace->now(),
+                            {{"label", label}});
+    if (cfg->cores > 1)
+        writeMultiCoreReport(std::cout, res);
+    else
+        writeRunReport(std::cout, res.aggregate);
 
     // ---- telemetry sidecars
     const auto openOut = [](const std::string &path,
