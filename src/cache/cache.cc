@@ -75,22 +75,26 @@ std::string
 CacheGeometry::validate() const
 {
     std::ostringstream err;
+    const auto why = [&err]() -> std::ostringstream & {
+        if (err.tellp() > 0)
+            err << "; ";
+        return err;
+    };
     if (!isPowerOfTwo(size))
-        err << "size " << size << " not a power of two; ";
+        why() << "size " << size << " not a power of two";
     if (assoc == 0 || size % assoc != 0)
-        err << "assoc " << assoc << " does not divide size; ";
+        why() << "assoc " << assoc << " does not divide size";
     if (!isPowerOfTwo(blockSize))
-        err << "blockSize " << blockSize << " not a power of two; ";
+        why() << "blockSize " << blockSize << " not a power of two";
     if (!isPowerOfTwo(subarraySize))
-        err << "subarraySize " << subarraySize
-            << " not a power of two; ";
+        why() << "subarraySize " << subarraySize << " not a power of two";
     if (assoc && size % assoc == 0) {
         if (waySize() % subarraySize != 0)
-            err << "subarraySize does not divide way size; ";
+            why() << "subarraySize does not divide way size";
         if (subarraySize % blockSize != 0)
-            err << "blockSize does not divide subarraySize; ";
+            why() << "blockSize does not divide subarraySize";
         if (!isPowerOfTwo(numSets()))
-            err << "numSets not a power of two; ";
+            why() << "numSets not a power of two";
     }
     return err.str();
 }

@@ -64,8 +64,8 @@ struct CacheGeometry
 
     /**
      * Check internal consistency (powers of two, subarray divides way,
-     * block divides subarray). @return empty string if valid, else a
-     * description of the violation.
+     * block divides subarray). @return empty string if valid, else
+     * every violation, joined by "; ".
      */
     std::string validate() const;
 };

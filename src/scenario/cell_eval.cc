@@ -239,21 +239,16 @@ CellBatch::add(std::size_t cell, const JobMemo &memo,
 }
 
 std::uint64_t
-CellBatch::plannedDetailedInsts() const
+CellBatch::plannedDetailedInsts(const EngineSpec &engine) const
 {
-    const auto measured = [](const SystemConfig &cfg,
-                             const EngineSpec &engine,
-                             std::uint64_t insts) {
-        return cfg.cores * engine.detailedInstsFor(insts);
-    };
     std::uint64_t n = 0;
     for (const RunJob &job : jobs_)
-        n += measured(job.cfg, job.engine, job.insts);
+        n += job.cfg.cores * engine.detailedInstsFor(job.insts);
     // Phase 2 reruns a side=both cell on its own point.
     for (const Cell &c : cells_)
         if (c.point.side == SweepSide::Both)
-            n += measured(c.point.cfg, c.point.engine,
-                          space_.spec().insts);
+            n += c.point.cfg.cores *
+                 engine.detailedInstsFor(space_.spec().insts);
     return n;
 }
 

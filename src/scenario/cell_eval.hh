@@ -234,14 +234,16 @@ class CellBatch
     /** Phase-1 jobs (baselines and candidates) laid out so far. */
     std::size_t phase1Jobs() const { return jobs_.size(); }
     /**
-     * Timing-core instructions every job run() lays out measures:
-     * phase 1 plus one combined job per side=both cell, memo hits
-     * included, each counting cores x engine.detailedInstsFor(insts),
-     * since a C-core job measures C streams (RunResult::measuredInsts
-     * sums its lanes). The tuner's cost accounting; plan-time
+     * Timing-core instructions every job run() lays out would measure
+     * under @p engine: phase 1 plus one combined job per side=both
+     * cell, memo hits included, each counting cores x
+     * engine.detailedInstsFor(insts), since a C-core job measures C
+     * streams (RunResult::measuredInsts sums its lanes). Which jobs a
+     * batch lays out does not depend on the engine they run at, so one
+     * layout prices every rung. The tuner's cost accounting; plan-time
      * arithmetic that runs nothing.
      */
-    std::uint64_t plannedDetailedInsts() const;
+    std::uint64_t plannedDetailedInsts(const EngineSpec &engine) const;
 
     /**
      * Run every job through one drain of @p execute and @p memo: each

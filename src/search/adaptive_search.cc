@@ -381,18 +381,20 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // schedule (baselines memoized, one phase-2 job per side=both
     // cell). Claim workers re-run baselines their shard does not
     // share, but every worker logs the same plan-time number, which
-    // keeps the log byte-identical across modes.
-    const auto planned_insts = [&](const std::vector<std::size_t> &cells,
-                                   const EngineSpec &engine) {
+    // keeps the log byte-identical across modes. A plan lays its cells
+    // out at one engine, whichever it is priced at, so round 0 prices
+    // the exhaustive layout.
+    const auto plan_of = [&](const std::vector<std::size_t> &cells) {
         CellBatch plan(space, apps);
         for (const std::size_t cell : cells)
-            plan.add(cell, {}, &engine);
-        return plan.plannedDetailedInsts();
+            plan.add(cell, {}, &spec.engine);
+        return plan;
     };
     std::vector<std::size_t> all_cells(ncells);
     std::iota(all_cells.begin(), all_cells.end(), 0);
+    const CellBatch exhaustive = plan_of(all_cells);
     const std::uint64_t exhaustive_insts =
-        planned_insts(all_cells, spec.engine);
+        exhaustive.plannedDetailedInsts(spec.engine);
 
     // ---- successive halving over the ladder
     std::vector<std::size_t> candidates = all_cells;
@@ -419,7 +421,9 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         const EngineSpec &engine = rungs[r];
         emit(tuneRoundLine(r, engineName(ad.ladder[r]),
                            candidates.size()));
-        detailed_insts += planned_insts(candidates, engine);
+        detailed_insts +=
+            r == 0 ? exhaustive.plannedDetailedInsts(engine)
+                   : plan_of(candidates).plannedDetailedInsts(engine);
 
         std::vector<SweepRecord> records;
         if (r < cached.size()) {

@@ -18,17 +18,23 @@ namespace rcache
 {
 
 /**
- * Shortest decimal form that round-trips the double: integral values
- * print as plain integers ("50", not "5e+01"), everything else at the
- * smallest precision that parses back bit-identically. Uses only
- * digits, '.', '-', 'e' regardless of the global locale.
+ * Shortest decimal form that round-trips the double: an integral
+ * value below 1e15 in magnitude prints as a plain integer ("50", not
+ * "5e+01"; -0 as "0"), anything else as printf's %.*g at the smallest
+ * precision 1..16 that reads back bit-identically, else at 17. Uses
+ * only digits, '.', '-', '+', 'e' (and "inf"/"nan") whatever the
+ * global locale, and no stream. +-DBL_MAX prints in 17 digits: its
+ * one-digit form, 2e+308, reads back as infinity.
  */
 std::string shortestDouble(double v);
 
 /**
  * Strict parse of shortestDouble() output (or any plain decimal /
- * scientific literal): the whole string must be consumed.
- * @return false on garbage, overflow, or an empty string
+ * scientific literal) with a classic-locale stream's grammar: leading
+ * whitespace and one leading '+' are accepted, and an underflow reads
+ * as 0; the literal must reach the end of @p text.
+ * @return false (leaving @p out alone) on an empty string, trailing
+ *         bytes, overflow, inf, nan or hex
  */
 bool parseDoubleStrict(const std::string &text, double &out);
 

@@ -265,6 +265,12 @@ check_exit2_oneline("--assoc 48: il1: assoc 48 does not divide size"
                     run --app gcc --assoc 48 --insts 20000)
 check_exit2_oneline("--assoc 64: il1: subarraySize does not divide way size"
                     run --app gcc --assoc 64 --insts 20000)
+# A scenario's design point gets the same geometry reason, which ends
+# the line: no "; " separator trails it.
+write_scn(assoc3 "[scenario]\nname = a\ninsts = 1000\n[workloads]\n"
+          "apps = ammp\n[axes]\nassoc = 3\n")
+check_exit2_oneline("design point 'assoc=3': il1: assoc 3 does not divide size\n$"
+                    scenario check ${SCN_DIR}/assoc3.scn)
 
 # ---- scenario subcommand + sweep scenario/shard/resume flags
 check_rejects_oneline("scenario needs a mode" scenario)

@@ -584,9 +584,8 @@ checkRunPoint(const Args &args, const SystemConfig &cfg,
     };
     for (const L1 &c : {L1{"il1", cfg.il1, cfg.il1Org, il1},
                         L1{"dl1", cfg.dl1, cfg.dl1Org, dl1}}) {
-        std::string why = c.geom.validate();
+        const std::string why = c.geom.validate();
         if (!why.empty()) {
-            why.erase(why.find_last_not_of("; ") + 1);
             std::cerr << "rcache-sim: --assoc " << c.geom.assoc << ": "
                       << c.name << ": " << why << '\n';
             return false;
