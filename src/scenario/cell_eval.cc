@@ -2,8 +2,10 @@
 
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "telemetry/run_telemetry.hh"
 #include "util/logging.hh"
@@ -238,20 +240,6 @@ CellBatch::add(std::size_t cell, const JobMemo &memo,
     cells_.push_back(std::move(c));
 }
 
-std::uint64_t
-CellBatch::plannedDetailedInsts(const EngineSpec &engine) const
-{
-    std::uint64_t n = 0;
-    for (const RunJob &job : jobs_)
-        n += job.cfg.cores * engine.detailedInstsFor(job.insts);
-    // Phase 2 reruns a side=both cell on its own point.
-    for (const Cell &c : cells_)
-        if (c.point.side == SweepSide::Both)
-            n += c.point.cfg.cores *
-                 engine.detailedInstsFor(space_.spec().insts);
-    return n;
-}
-
 void
 CellBatch::cut()
 {
@@ -473,6 +461,87 @@ CellBatch::run(const Execute &execute, JobMemo &memo, const Sink &sink)
         });
     commitReady();
     return rows;
+}
+
+std::uint64_t
+plannedCoreJobs(const ParamSpace &space, const std::vector<AppEntry> &apps,
+                const std::vector<std::size_t> &cells)
+{
+    if (cells.empty())
+        return 0;
+    const std::size_t npoints = space.numPoints();
+    const std::uint64_t insts = space.spec().insts;
+    // A baseline's jobKey holds its workload's fields (profile, then
+    // mix) around its system's (configuration, insts and engine, one
+    // engine for every cell here). So two cells share a baseline
+    // exactly when the keys of their workloads at one fixed system
+    // agree and the keys of their systems with one fixed workload do.
+    const SystemConfig fixed_system = space.point(0).cfg;
+    const BenchmarkProfile &fixed_workload = apps.front().mix.front();
+    std::map<std::string, std::size_t> workload_ids, system_ids;
+    const auto idOf = [](std::map<std::string, std::size_t> &ids,
+                         std::string key) {
+        return ids.try_emplace(std::move(key), ids.size()).first->second;
+    };
+    const auto workloadId = [&](const AppEntry &app,
+                                const DesignPoint &p) {
+        const EffectiveWorkload eff = effectiveWorkload(app, p);
+        std::vector<RunJob> job{
+            Experiment(fixed_system, insts).baselineJob(eff.label)};
+        attachMix(job.begin(), job.end(), eff);
+        return idOf(workload_ids, jobKey(job.front()));
+    };
+
+    /** What each cell of one design point lays out. */
+    struct Point
+    {
+        std::uint64_t cores = 0;
+        /** Jobs besides the baseline. */
+        std::uint64_t jobs = 0;
+        std::size_t system = 0;
+        /** The workload a 'mix' axis sets, if it sets one. */
+        std::optional<std::size_t> mix;
+    };
+    std::map<std::size_t, Point> points;
+    std::vector<std::optional<std::size_t>> app_workloads(apps.size());
+    std::set<std::pair<std::size_t, std::size_t>> baselines;
+    std::uint64_t n = 0;
+    for (const std::size_t cell : cells) {
+        const AppEntry &app = apps[cell / npoints];
+        const auto [it, fresh] = points.try_emplace(cell % npoints);
+        Point &pt = it->second;
+        if (fresh) {
+            const DesignPoint p = space.point(cell % npoints);
+            Experiment exp(p.cfg, insts);
+            exp.setSearchGrid(space.spec().search.dynGrid);
+            const auto candidates = [&](CacheSide side, Strategy strat) {
+                return exp.searchCandidates(side, p.org, strat).size();
+            };
+            pt.cores = p.cfg.cores;
+            pt.jobs = p.side == SweepSide::Both
+                          ? candidates(CacheSide::DCache, Strategy::Static) +
+                                candidates(CacheSide::ICache,
+                                           Strategy::Static) +
+                                1
+                          : candidates(cacheSideOf(p.side), p.strategy);
+            pt.system =
+                idOf(system_ids, jobKey(exp.baselineJob(fixed_workload)));
+            if (!p.mix.empty())
+                pt.mix = workloadId(app, p);
+        }
+        std::optional<std::size_t> workload = pt.mix;
+        if (!workload) {
+            std::optional<std::size_t> &own =
+                app_workloads[cell / npoints];
+            if (!own)
+                own = workloadId(app, {});
+            workload = own;
+        }
+        n += pt.cores * pt.jobs;
+        if (baselines.emplace(*workload, pt.system).second)
+            n += pt.cores;
+    }
+    return n;
 }
 
 std::vector<SweepRecord>

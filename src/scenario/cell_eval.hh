@@ -233,17 +233,6 @@ class CellBatch
 
     /** Phase-1 jobs (baselines and candidates) laid out so far. */
     std::size_t phase1Jobs() const { return jobs_.size(); }
-    /**
-     * Timing-core instructions every job run() lays out would measure
-     * under @p engine: phase 1 plus one combined job per side=both
-     * cell, memo hits included, each counting cores x
-     * engine.detailedInstsFor(insts), since a C-core job measures C
-     * streams (RunResult::measuredInsts sums its lanes). Which jobs a
-     * batch lays out does not depend on the engine they run at, so one
-     * layout prices every rung. The tuner's cost accounting; plan-time
-     * arithmetic that runs nothing.
-     */
-    std::uint64_t plannedDetailedInsts(const EngineSpec &engine) const;
 
     /**
      * Run every job through one drain of @p execute and @p memo: each
@@ -287,6 +276,24 @@ class CellBatch
     /** Where each cut() closed a unit: cells_ sizes, increasing. */
     std::vector<std::size_t> cuts_;
 };
+
+/**
+ * The jobs a CellBatch of @p cells, added with one engine and an
+ * empty memo, lays out, each counted once per core (a C-core job
+ * measures C streams): phase 1 plus one combined rerun per side=both
+ * cell, with each baseline counted once per identity, as add() lays
+ * it out once. Nothing is laid out: each distinct design point among
+ * the cells gives its candidate count (Experiment::searchCandidates,
+ * both sides' static levels for side=both) and its baseline's system
+ * identity once, and each app its workload identity once. Which jobs
+ * a batch lays out does not depend on the engine: this count times
+ * EngineSpec::detailedInstsFor(insts) is the timing-core instructions
+ * the batch measures at any engine, memo hits included (the tuner's
+ * cost accounting).
+ */
+std::uint64_t plannedCoreJobs(const ParamSpace &space,
+                              const std::vector<AppEntry> &apps,
+                              const std::vector<std::size_t> &cells);
 
 /**
  * Evaluate @p cells in one CellBatch with a fresh job memo, at

@@ -6,11 +6,11 @@
  * rung's engine: locally on one SweepRunner, or slice by slice per
  * claim unit through the claim worker every cooperative mode shares
  * (drainClaimUnits, runner/claim.hh). The decision log's cost
- * accounting comes from the same CellBatch layout
- * (plannedDetailedInsts), so logged and executed work cannot drift.
- * What stays here is the ladder itself: scoring, promotion, early
- * exit, the decision log, resume, and how a claim round deals out
- * and gathers its cells.
+ * accounting counts what a CellBatch of each round's cells lays out,
+ * per design point (plannedCoreJobs), without laying it out; a test
+ * holds that count to a real layout. What stays here is the ladder
+ * itself: scoring, promotion, early exit, the decision log, resume,
+ * and how a claim round deals out and gathers its cells.
  */
 
 #include "search/adaptive_search.hh"
@@ -60,18 +60,6 @@ scoreOf(const SweepRecord &r)
     return r.baselineEdp > 0
                ? r.bestEdp / r.baselineEdp
                : std::numeric_limits<double>::max();
-}
-
-/** One record as its exact sweep-CSV row (no newline). */
-std::string
-csvRowOf(const SweepRecord &r)
-{
-    std::ostringstream os;
-    writeSweepCsvRows(os, {r});
-    std::string row = os.str();
-    if (!row.empty() && row.back() == '\n')
-        row.pop_back();
-    return row;
 }
 
 /**
@@ -138,14 +126,6 @@ struct CachedRound
     std::vector<SweepRecord> records;
 };
 
-/**
- * Recover the complete-round prefix of a prior decision log. The
- * plan line must match @p planLine byte-for-byte (same scenario,
- * same knobs); rounds are adopted only up to the first one missing
- * its verdict line, and each score line's embedded CSV row must
- * parse back to its cell. Returns false with @p err on a log that
- * belongs to a different scenario or is corrupt.
- */
 /** Quarantine a damaged log and report a fresh start. @return true
  *  always (the resume degrades to "nothing cached"). */
 bool
@@ -161,9 +141,26 @@ freshAfterQuarantine(const std::string &path, const std::string &why,
     return true;
 }
 
+/**
+ * Recover the complete rounds of a prior decision log, reading it
+ * line by line as the writer wrote it: the plan line, which must
+ * match @p planLine byte for byte (same scenario, same knobs), then
+ * per round its header, as many score lines of that round as the
+ * header declares, each carrying its cell's sweep row, and its
+ * verdict: a promote before the last of the @p rungs, an early exit
+ * and then the winner, or the winner on the last rung, with nothing
+ * after the winner. A log that stops early (a crash's cut at a line
+ * boundary, or a torn last line, which is dropped) adopts the rounds
+ * it completed, and the tune runs the rest again. A line that is
+ * present but not one the writer could have written there is damage:
+ * the log is moved aside with a one-line reason and the tune starts
+ * fresh. @return false with @p err only on a plan line of another
+ * scenario.
+ */
 bool
 loadCachedRounds(const std::string &path, const std::string &planLine,
-                 std::vector<CachedRound> &cached, std::string *err)
+                 std::size_t rungs, std::vector<CachedRound> &cached,
+                 std::string *err)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -179,9 +176,8 @@ loadCachedRounds(const std::string &path, const std::string &planLine,
         RC_LOG(warn, "--resume " + path + ": dropping torn final "
                                           "line (mid-write crash?)");
     }
-    std::istringstream text(raw);
     std::string read_err;
-    const auto lines = readDecisionLog(text, &read_err);
+    const auto lines = readDecisionLog(raw, &read_err);
     if (!lines)
         return freshAfterQuarantine(path, read_err, cached);
     if (lines->empty())
@@ -192,70 +188,70 @@ loadCachedRounds(const std::string &path, const std::string &planLine,
         return false;
     }
 
+    const std::size_t end = lines->size();
+    const auto damaged = [&](std::size_t i, const std::string &why) {
+        return freshAfterQuarantine(
+            path, "line " + std::to_string(i + 1) + ": " + why, cached);
+    };
+    const auto is = [&](std::size_t i, const char *event,
+                        const std::string &round) {
+        return (*lines)[i].get("event") == event &&
+               (*lines)[i].get("round") == round;
+    };
     std::size_t i = 1;
-    for (std::size_t r = 0; i < lines->size(); ++r) {
-        const DecisionLogLine &rl = (*lines)[i];
-        unsigned long long n = 0;
-        if (rl.get("event") != "round" ||
-            rl.get("round") != std::to_string(r) ||
-            !parseU64Strict(rl.get("candidates"), n))
-            break;
+    for (std::size_t r = 0; i < end; ++r) {
+        const std::string round = std::to_string(r);
+        unsigned long long declared = 0;
+        if (!is(i, "round", round))
+            return damaged(i, "expected round " + round + "'s header");
+        if (!parseU64Strict((*lines)[i].get("candidates"), declared))
+            return damaged(i, "bad candidate count");
         ++i;
 
         CachedRound cr;
-        bool scores_ok = true;
-        for (std::uint64_t s = 0; s < n; ++s, ++i) {
-            if (i >= lines->size() ||
-                (*lines)[i].get("event") != "score" ||
-                (*lines)[i].get("round") != std::to_string(r)) {
-                scores_ok = false;
-                break;
-            }
+        for (; i < end && (*lines)[i].get("event") == "score"; ++i) {
+            const DecisionLogLine &score = (*lines)[i];
+            if (score.get("round") != round)
+                return damaged(i, "a score of round '" +
+                                      score.get("round") + "' in round " +
+                                      round);
+            if (cr.cells.size() == declared)
+                return damaged(i, "more scores than the " +
+                                      std::to_string(declared) +
+                                      " round " + round + " declares");
             unsigned long long cell = 0;
-            if (!parseU64Strict((*lines)[i].get("cell"), cell)) {
-                scores_ok = false;
-                break;
-            }
-            std::istringstream row_is(sweepCsvHeader() + "\n" +
-                                      (*lines)[i].get("row") + "\n");
-            std::string row_err;
-            const auto row = readSweepCsv(row_is, &row_err);
-            if (!row || row->size() != 1 ||
-                (*row)[0].cell != cell)
-                return freshAfterQuarantine(
-                    path,
-                    "line " + std::to_string(i + 1) +
-                        ": corrupt score row",
-                    cached);
+            SweepRecord rec;
+            if (!parseU64Strict(score.get("cell"), cell) ||
+                !parseSweepCsvRow(score.get("row"), rec, nullptr) ||
+                rec.cell != cell)
+                return damaged(i, "corrupt score row");
             cr.cells.push_back(static_cast<std::size_t>(cell));
-            cr.records.push_back((*row)[0]);
+            cr.records.push_back(std::move(rec));
         }
-        if (!scores_ok)
+        // A log cut inside a round runs that round again (the same
+        // bytes either way: everything is deterministic).
+        if (i == end)
             break;
-
-        // A round counts as cached only with its verdict line; a
-        // log cut mid-round re-runs that round (same bytes either
-        // way — everything is deterministic).
-        if (i >= lines->size())
-            break;
-        const std::string ev = (*lines)[i].get("event");
-        const bool round_matches =
-            (*lines)[i].get("round") == std::to_string(r);
-        if (ev == "promote" && round_matches) {
-            ++i;
+        if (cr.cells.size() != declared)
+            return damaged(i, std::to_string(cr.cells.size()) +
+                                  " scores where round " + round +
+                                  " declares " + std::to_string(declared));
+        if (r + 1 < rungs && is(i, "promote", round)) {
             cached.push_back(std::move(cr));
+            ++i;
             continue;
         }
-        if (ev == "early-exit" && round_matches &&
-            i + 1 < lines->size() &&
-            (*lines)[i + 1].get("event") == "winner") {
-            cached.push_back(std::move(cr));
+        if (r + 1 < rungs && !is(i, "early-exit", round))
+            return damaged(i, "expected round " + round + "'s verdict");
+        // The winner closes the log; a round is cached only with it.
+        const std::size_t winner = r + 1 < rungs ? i + 1 : i;
+        if (winner == end)
             break;
-        }
-        if (ev == "winner") {
-            cached.push_back(std::move(cr));
-            break;
-        }
+        if ((*lines)[winner].get("event") != "winner")
+            return damaged(winner, "expected the winner");
+        if (winner + 1 < end)
+            return damaged(winner + 1, "a line after the winner");
+        cached.push_back(std::move(cr));
         break;
     }
     return true;
@@ -362,8 +358,8 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     std::vector<CachedRound> cached;
     if (!opt.resumePath.empty()) {
         std::string resume_err;
-        if (!loadCachedRounds(opt.resumePath, plan_line, cached,
-                              &resume_err))
+        if (!loadCachedRounds(opt.resumePath, plan_line, rungs.size(),
+                              cached, &resume_err))
             return fail(resume_err);
     }
 
@@ -381,20 +377,15 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // schedule (baselines memoized, one phase-2 job per side=both
     // cell). Claim workers re-run baselines their shard does not
     // share, but every worker logs the same plan-time number, which
-    // keeps the log byte-identical across modes. A plan lays its cells
-    // out at one engine, whichever it is priced at, so round 0 prices
-    // the exhaustive layout.
-    const auto plan_of = [&](const std::vector<std::size_t> &cells) {
-        CellBatch plan(space, apps);
-        for (const std::size_t cell : cells)
-            plan.add(cell, {}, &spec.engine);
-        return plan;
-    };
+    // keeps the log byte-identical across modes. Which jobs a batch
+    // lays out does not depend on the engine, so round 0 prices the
+    // exhaustive count.
     std::vector<std::size_t> all_cells(ncells);
     std::iota(all_cells.begin(), all_cells.end(), 0);
-    const CellBatch exhaustive = plan_of(all_cells);
+    const std::uint64_t exhaustive_jobs =
+        plannedCoreJobs(space, apps, all_cells);
     const std::uint64_t exhaustive_insts =
-        exhaustive.plannedDetailedInsts(spec.engine);
+        exhaustive_jobs * spec.engine.detailedInstsFor(spec.insts);
 
     // ---- successive halving over the ladder
     std::vector<std::size_t> candidates = all_cells;
@@ -422,8 +413,9 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         emit(tuneRoundLine(r, engineName(ad.ladder[r]),
                            candidates.size()));
         detailed_insts +=
-            r == 0 ? exhaustive.plannedDetailedInsts(engine)
-                   : plan_of(candidates).plannedDetailedInsts(engine);
+            (r == 0 ? exhaustive_jobs
+                    : plannedCoreJobs(space, apps, candidates)) *
+            engine.detailedInstsFor(spec.insts);
 
         std::vector<SweepRecord> records;
         if (r < cached.size()) {
@@ -432,7 +424,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                             ": round " + std::to_string(r) +
                             " candidates do not match this "
                             "scenario's schedule");
-            records = cached[r].records;
+            records = std::move(cached[r].records);
         } else if (!claims) {
             records =
                 evaluateCells(space, apps, candidates, opt.jobs, &engine);
@@ -445,11 +437,13 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
 
         std::vector<double> score(records.size());
         std::vector<std::string> score_text(records.size());
+        std::string row;
         for (std::size_t i = 0; i < records.size(); ++i) {
             score[i] = scoreOf(records[i]);
             score_text[i] = shortestDouble(score[i]);
-            emit(tuneScoreLine(r, records[i].cell, score_text[i],
-                               csvRowOf(records[i])));
+            row.clear();
+            appendSweepCsvRow(row, records[i]);
+            emit(tuneScoreLine(r, records[i].cell, score_text[i], row));
         }
 
         std::vector<std::size_t> order(records.size());
@@ -509,19 +503,17 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     rc_assert(winner);
 
     if (opt.emitOutputs) {
-        std::ostringstream out;
-        out << sweepCsvHeader() << '\n';
-        writeSweepCsvRows(out, {*winner});
+        std::string out = sweepCsvHeader() + '\n';
+        appendSweepCsvRow(out, *winner);
+        out += '\n';
         if (opt.outPath.empty()) {
-            checkedAppend(std::cout, out.str(), "<stdout>",
-                          "tune.winner.write");
+            checkedAppend(std::cout, out, "<stdout>", "tune.winner.write");
         } else {
             std::ofstream f(opt.outPath,
                             std::ios::binary | std::ios::trunc);
             if (!f)
                 return fail("cannot write '" + opt.outPath + "'");
-            checkedAppend(f, out.str(), opt.outPath,
-                          "tune.winner.write");
+            checkedAppend(f, out, opt.outPath, "tune.winner.write");
         }
     }
 

@@ -43,7 +43,11 @@
  * rows instead of re-running them, verifies the replay against the
  * scenario (plan line, candidate sets), and continues from the first
  * incomplete round; the regenerated log equals an uninterrupted
- * run's.
+ * run's. A log that ends inside a round (a crash's cut) re-runs that
+ * round; a line the writer could not have written there (a repeated
+ * or foreign score, a count that disagrees with its scores, a missing
+ * verdict, a line after the winner) moves the log aside as corrupt
+ * and starts fresh.
  */
 
 #ifndef RCACHE_SEARCH_ADAPTIVE_SEARCH_HH
@@ -93,8 +97,8 @@ struct TuneStats
     bool earlyExit = false;
     /** Timing-core instructions the adaptive schedule simulates in
      *  detail, summed over every round's jobs and cores (plan
-     *  arithmetic via CellBatch::plannedDetailedInsts; equals the
-     *  measured total). */
+     *  arithmetic: plannedCoreJobs times the rung's detailed
+     *  instructions per job; equals the measured total). */
     std::uint64_t detailedInsts = 0;
     /** The same accounting for an exhaustive sweep of the whole
      *  grid at the scenario's engine. */

@@ -1,7 +1,7 @@
 #include "search/decision_log.hh"
 
 #include <istream>
-#include <sstream>
+#include <iterator>
 
 #include "util/checked_io.hh"
 #include "util/json.hh"
@@ -12,13 +12,15 @@ namespace rcache
 namespace
 {
 
-std::string
-joinCells(const std::vector<std::size_t> &cells)
+/** Append @p cells comma-joined. */
+void
+appendCells(std::string &out, const std::vector<std::size_t> &cells)
 {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        os << (i ? "," : "") << cells[i];
-    return os.str();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (i)
+            out += ',';
+        out += std::to_string(cells[i]);
+    }
 }
 
 } // namespace
@@ -30,38 +32,35 @@ tunePlanLine(const std::string &scenario, std::uint64_t insts,
              std::uint64_t min_survivors, std::uint64_t rank_agree,
              std::uint64_t sample_interval)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"rcache-tune-v1\",\"scenario\":"
-       << jsonString(scenario) << ",\"insts\":" << insts
-       << ",\"apps\":" << apps << ",\"points\":" << points
-       << ",\"cells\":" << cells << ",\"ladder\":" << jsonString(ladder)
-       << ",\"promote\":" << jsonString(promote)
-       << ",\"min_survivors\":" << min_survivors
-       << ",\"rank_agree\":" << rank_agree
-       << ",\"sample_interval\":" << sample_interval << "}";
-    return os.str();
+    return "{\"schema\":\"rcache-tune-v1\",\"scenario\":" +
+           jsonString(scenario) + ",\"insts\":" + std::to_string(insts) +
+           ",\"apps\":" + std::to_string(apps) +
+           ",\"points\":" + std::to_string(points) +
+           ",\"cells\":" + std::to_string(cells) +
+           ",\"ladder\":" + jsonString(ladder) +
+           ",\"promote\":" + jsonString(promote) +
+           ",\"min_survivors\":" + std::to_string(min_survivors) +
+           ",\"rank_agree\":" + std::to_string(rank_agree) +
+           ",\"sample_interval\":" + std::to_string(sample_interval) +
+           "}";
 }
 
 std::string
 tuneRoundLine(std::size_t round, const std::string &engine,
               std::size_t candidates)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"round\",\"round\":" << round
-       << ",\"engine\":" << jsonString(engine)
-       << ",\"candidates\":" << candidates << "}";
-    return os.str();
+    return "{\"event\":\"round\",\"round\":" + std::to_string(round) +
+           ",\"engine\":" + jsonString(engine) +
+           ",\"candidates\":" + std::to_string(candidates) + "}";
 }
 
 std::string
 tuneScoreLine(std::size_t round, std::size_t cell,
               const std::string &score, const std::string &row)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"score\",\"round\":" << round
-       << ",\"cell\":" << cell << ",\"score\":" << score
-       << ",\"row\":" << jsonString(row) << "}";
-    return os.str();
+    return "{\"event\":\"score\",\"round\":" + std::to_string(round) +
+           ",\"cell\":" + std::to_string(cell) + ",\"score\":" + score +
+           ",\"row\":" + jsonString(row) + "}";
 }
 
 std::string
@@ -69,21 +68,22 @@ tunePromoteLine(std::size_t round,
                 const std::vector<std::size_t> &rank,
                 std::size_t keep)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"promote\",\"round\":" << round
-       << ",\"rank\":\"" << joinCells(rank) << "\",\"keep\":" << keep
-       << ",\"dropped\":" << rank.size() - keep << "}";
-    return os.str();
+    std::string line =
+        "{\"event\":\"promote\",\"round\":" + std::to_string(round) +
+        ",\"rank\":\"";
+    appendCells(line, rank);
+    return line + "\",\"keep\":" + std::to_string(keep) +
+           ",\"dropped\":" + std::to_string(rank.size() - keep) + "}";
 }
 
 std::string
 tuneEarlyExitLine(std::size_t round,
                   const std::vector<std::size_t> &top)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"early-exit\",\"round\":" << round
-       << ",\"top\":\"" << joinCells(top) << "\"}";
-    return os.str();
+    std::string line = "{\"event\":\"early-exit\",\"round\":" +
+                       std::to_string(round) + ",\"top\":\"";
+    appendCells(line, top);
+    return line + "\"}";
 }
 
 std::string
@@ -92,15 +92,13 @@ tuneWinnerLine(std::size_t cell, const std::string &app,
                std::size_t rounds, std::uint64_t detailed_insts,
                std::uint64_t exhaustive_detailed_insts)
 {
-    std::ostringstream os;
-    os << "{\"event\":\"winner\",\"cell\":" << cell
-       << ",\"app\":" << jsonString(app) << ",\"score\":" << score
-       << ",\"engine\":" << jsonString(engine)
-       << ",\"rounds\":" << rounds
-       << ",\"detailed_insts\":" << detailed_insts
-       << ",\"exhaustive_detailed_insts\":"
-       << exhaustive_detailed_insts << "}";
-    return os.str();
+    return "{\"event\":\"winner\",\"cell\":" + std::to_string(cell) +
+           ",\"app\":" + jsonString(app) + ",\"score\":" + score +
+           ",\"engine\":" + jsonString(engine) +
+           ",\"rounds\":" + std::to_string(rounds) +
+           ",\"detailed_insts\":" + std::to_string(detailed_insts) +
+           ",\"exhaustive_detailed_insts\":" +
+           std::to_string(exhaustive_detailed_insts) + "}";
 }
 
 std::string
@@ -111,29 +109,37 @@ DecisionLogLine::get(const std::string &key) const
 }
 
 std::optional<std::vector<DecisionLogLine>>
-readDecisionLog(std::istream &in, std::string *err)
+readDecisionLog(std::string_view text, std::string *err)
 {
-    const auto failWith = [&](int line_no, const std::string &why) {
+    const auto failWith = [&](std::size_t line_no, const std::string &why) {
         if (err)
             *err = "line " + std::to_string(line_no) + ": " + why;
         return std::nullopt;
     };
 
     std::vector<DecisionLogLine> out;
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
+    for (std::size_t start = 0; start < text.size();) {
+        std::size_t end = text.find('\n', start);
+        if (end == std::string_view::npos)
+            end = text.size();
         DecisionLogLine parsed;
-        parsed.raw = line;
+        parsed.raw = text.substr(start, end - start);
         std::string why;
-        if (!parseJsonFlatObject(line, parsed.fields, &why))
-            return failWith(line_no, why);
+        if (!parseJsonFlatObject(parsed.raw, parsed.fields, &why))
+            return failWith(out.size() + 1, why);
         if (parsed.fields.empty())
-            return failWith(line_no, "empty object");
+            return failWith(out.size() + 1, "empty object");
         out.push_back(std::move(parsed));
+        start = end + 1;
     }
     return out;
+}
+
+std::optional<std::vector<DecisionLogLine>>
+readDecisionLog(std::istream &in, std::string *err)
+{
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    return readDecisionLog(std::string_view(text), err);
 }
 
 bool

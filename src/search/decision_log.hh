@@ -36,6 +36,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcache
@@ -94,11 +95,15 @@ struct DecisionLogLine
 };
 
 /**
- * Strict reader: every line must be one non-empty flat JSON object
- * (util/json.hh's parseJsonFlatObject: scalar values, no nesting, no
- * duplicate keys). On failure returns nullopt and sets @p err to one
- * "line N: why" message.
+ * Strict reader of a log's @p text: every line must be one non-empty
+ * flat JSON object (util/json.hh's parseJsonFlatObject: scalar
+ * values, no nesting, no duplicate keys). On failure returns nullopt
+ * and sets @p err to one "line N: why" message.
  */
+std::optional<std::vector<DecisionLogLine>>
+readDecisionLog(std::string_view text, std::string *err);
+
+/** The same reader over everything left in @p in. */
 std::optional<std::vector<DecisionLogLine>>
 readDecisionLog(std::istream &in, std::string *err);
 

@@ -195,9 +195,8 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
                 const std::size_t nl = raw.rfind('\n');
                 raw.resize(nl == std::string::npos ? 0 : nl + 1);
             }
-            std::istringstream text(raw);
             std::string log_err;
-            const auto lines = readDecisionLog(text, &log_err);
+            const auto lines = readDecisionLog(raw, &log_err);
             if (!lines)
                 problem("decision log '" + opt.logPath +
                         "': " + log_err);

@@ -11,6 +11,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/system.hh"
@@ -82,16 +83,32 @@ struct SweepRecord
     std::string policy = "lru";
 };
 
-/**
- * Write @p records as CSV with a header row. The formatting is
- * locale-independent and value-deterministic: equal records always
- * produce byte-identical output.
- */
-void writeSweepCsv(std::ostream &os,
-                   const std::vector<SweepRecord> &records);
-
 /** The exact header line writeSweepCsv emits (no newline). */
 const std::string &sweepCsvHeader();
+
+/**
+ * Append @p r's CSV row (no newline) to @p out: integers in decimal,
+ * doubles through shortestDouble (util/numformat.hh), so the text is
+ * locale-independent and equal records always give identical bytes.
+ * The one row formatter: the sweep CSVs and the tuner's score lines
+ * both write rows through it.
+ */
+void appendSweepCsvRow(std::string &out, const SweepRecord &r);
+
+/**
+ * Strict inverse of appendSweepCsvRow: @p row must carry every column
+ * and every number must parse whole. Values round-trip
+ * bit-identically. On failure returns false, leaves @p out alone and
+ * sets @p why to one line. The one row parser: readSweepCsv reads
+ * every row through it, and a tune's --resume each score line's row.
+ */
+bool parseSweepCsvRow(std::string_view row, SweepRecord &out,
+                      std::string *why);
+
+/** Write @p records as CSV with a header row (appendSweepCsvRow per
+ *  row). */
+void writeSweepCsv(std::ostream &os,
+                   const std::vector<SweepRecord> &records);
 
 /** writeSweepCsv without the header row (resumed sweeps append rows
  *  after a verified existing prefix). */
@@ -100,11 +117,10 @@ void writeSweepCsvRows(std::ostream &os,
 
 /**
  * Strict inverse of writeSweepCsv: the header must match
- * sweepCsvHeader() exactly and every row must carry every column.
- * Values round-trip bit-identically (the writer emits
- * shortest-round-trip doubles). On failure returns nullopt and fills
- * @p err with one line. Used by `sweep --resume` and the round-trip
- * tests.
+ * sweepCsvHeader() exactly, then every line is one parseSweepCsvRow
+ * row. On failure returns nullopt and fills @p err with one line
+ * ("sweep csv line N: why"). Used by `sweep --resume`, `merge`,
+ * `doctor` and the round-trip tests.
  */
 std::optional<std::vector<SweepRecord>>
 readSweepCsv(std::istream &is, std::string *err);

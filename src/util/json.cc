@@ -1,7 +1,6 @@
 #include "util/json.hh"
 
 #include <cstddef>
-#include <sstream>
 
 namespace rcache
 {
@@ -106,38 +105,41 @@ bool parseLiteral(const std::string &s, std::size_t &pos,
 
 void writeJsonString(std::ostream &os, const std::string &s)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    os << jsonString(s);
 }
 
 std::string jsonString(const std::string &s)
 {
-    std::ostringstream os;
-    writeJsonString(os, s);
-    return os.str();
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                static const char hex[] = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
 }
 
 bool parseJsonFlatObject(const std::string &line,

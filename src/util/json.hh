@@ -29,7 +29,7 @@ namespace rcache
  */
 void writeJsonString(std::ostream &os, const std::string &s);
 
-/** writeJsonString() into a string. */
+/** The quoted text writeJsonString() writes, as a string. */
 std::string jsonString(const std::string &s);
 
 /**

@@ -1,11 +1,9 @@
 #include "util/numformat.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
 
 namespace rcache
@@ -67,7 +65,22 @@ shortestDouble(double v)
                 std::to_chars(buf, std::end(buf), static_cast<long long>(v))
                     .ptr};
     if (std::isfinite(v)) {
-        for (int prec = 1; prec < 17; ++prec) {
+        // No %.*g shorter than the shortest round-trip form reads
+        // back, so the search starts at that form's digit count. Its
+        // scientific spelling counts significant digits only; the
+        // plain one would count every integer digit of a value in
+        // about [1e15, 1e22). On binade boundaries such as 2^-1017
+        // the %.*g text at that count can still read back wrong, so
+        // the search goes on from there.
+        const char *const sci = buf;
+        const char *const sci_end =
+            std::to_chars(buf, std::end(buf), v,
+                          std::chars_format::scientific)
+                .ptr;
+        const int digits = static_cast<int>(std::count_if(
+            sci, std::find(sci, sci_end, 'e'),
+            [](char c) { return c >= '0' && c <= '9'; }));
+        for (int prec = digits; prec < 17; ++prec) {
             char *const end = formatGeneral(buf, v, prec);
             double back = 0;
             if (std::from_chars(buf, end, back).ec == std::errc{} &&
@@ -79,7 +92,7 @@ shortestDouble(double v)
 }
 
 bool
-parseDoubleStrict(const std::string &text, double &out)
+parseDoubleStrict(std::string_view text, double &out)
 {
     // The grammar of a classic-locale stream extraction: leading
     // whitespace, then one optional sign, then a decimal literal that
@@ -114,16 +127,14 @@ parseDoubleStrict(const std::string &text, double &out)
 }
 
 bool
-parseU64Strict(const std::string &text, unsigned long long &out)
+parseU64Strict(std::string_view text, unsigned long long &out)
 {
-    // strtoull skips leading whitespace and accepts a sign (negating
-    // the value), so demand a digit up front.
-    if (text.empty() || text[0] < '0' || text[0] > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
+    // from_chars takes no whitespace and no sign for an unsigned
+    // type, but reads a prefix: the digits must reach the end.
+    unsigned long long v = 0;
+    const char *const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end)
         return false;
     out = v;
     return true;

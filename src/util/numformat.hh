@@ -21,10 +21,14 @@ namespace rcache
  * Shortest decimal form that round-trips the double: an integral
  * value below 1e15 in magnitude prints as a plain integer ("50", not
  * "5e+01"; -0 as "0"), anything else as printf's %.*g at the smallest
- * precision 1..16 that reads back bit-identically, else at 17. Uses
- * only digits, '.', '-', '+', 'e' (and "inf"/"nan") whatever the
- * global locale, and no stream. +-DBL_MAX prints in 17 digits: its
- * one-digit form, 2e+308, reads back as infinity.
+ * precision 1..16 that reads back bit-identically, else at 17. The
+ * search starts at the significant-digit count of the shortest
+ * round-trip form (std::to_chars in scientific form), since no
+ * shorter precision can read back; that is one precision or two per
+ * value instead of up to 17. Uses only digits, '.', '-', '+', 'e'
+ * (and "inf"/"nan") whatever the global locale, and no stream.
+ * +-DBL_MAX prints in 17 digits: its one-digit form, 2e+308, reads
+ * back as infinity.
  */
 std::string shortestDouble(double v);
 
@@ -36,11 +40,11 @@ std::string shortestDouble(double v);
  * @return false (leaving @p out alone) on an empty string, trailing
  *         bytes, overflow, inf, nan or hex
  */
-bool parseDoubleStrict(const std::string &text, double &out);
+bool parseDoubleStrict(std::string_view text, double &out);
 
 /** Strict non-negative decimal integer parse: the whole string must
  *  be digits (no sign, no whitespace) and fit in 64 bits. */
-bool parseU64Strict(const std::string &text, unsigned long long &out);
+bool parseU64Strict(std::string_view text, unsigned long long &out);
 
 /**
  * @name Identity keys

@@ -4,7 +4,10 @@
  * reported in one line, quarantined aside (never destroyed), and
  * recovered from — with the recovered output byte-identical to an
  * undisturbed run. Covers manifests, leases, sweep-CSV resume tails
- * torn at every byte offset, and decision-log mid-record tails.
+ * torn at every byte offset, decision-log mid-record tails, and
+ * decision logs whose lines break the writer's grammar (told apart
+ * from logs cut at a line boundary, which are a crash's and resume
+ * without an aside).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/claim.hh"
@@ -374,6 +378,182 @@ TEST(MalformedDurabilityTest, GarbageDecisionLogQuarantined)
     ASSERT_EQ(runAdaptiveSearch(spec, opt, nullptr), 0);
     EXPECT_EQ(slurp(opt.logPath), full_log);
     EXPECT_EQ(countContaining(dir, "resume.log.corrupt."), 1u);
+}
+
+namespace
+{
+
+/** The lines of @p text, without their newlines. */
+std::vector<std::string>
+linesOf(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + '\n';
+    return text;
+}
+
+/** Index of the first line of @p lines that starts with @p prefix. */
+std::size_t
+lineStartingWith(const std::vector<std::string> &lines,
+                 const std::string &prefix)
+{
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        if (lines[i].compare(0, prefix.size(), prefix) == 0)
+            return i;
+    ADD_FAILURE() << "no line starts with " << prefix;
+    return 0;
+}
+
+/** Resume tuneSpec() from @p log_text in a fresh directory @p name.
+ *  Expects exit 0 with the reference log and winner; @return the
+ *  number of the log's corrupt asides there and the stderr text. */
+std::pair<std::size_t, std::string>
+resumeFrom(const std::string &name, const std::string &log_text,
+           const std::string &ref_log, const std::string &ref_csv)
+{
+    const std::string dir = freshDir(name);
+    std::filesystem::create_directories(dir);
+    const std::string resume = dir + "/resume.log";
+    spill(resume, log_text);
+    TuneOptions opt;
+    opt.quiet = true;
+    opt.outPath = dir + "/out.csv";
+    opt.logPath = dir + "/out.log";
+    opt.resumePath = resume;
+    testing::internal::CaptureStderr();
+    const int rc = runAdaptiveSearch(tuneSpec(), opt, nullptr);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 0) << err;
+    EXPECT_EQ(slurp(opt.logPath), ref_log);
+    EXPECT_EQ(slurp(opt.outPath), ref_csv);
+    return {countContaining(dir, "resume.log.corrupt."), err};
+}
+
+} // namespace
+
+TEST(MalformedDurabilityTest, DecisionLogOutOfGrammarQuarantined)
+{
+    TuneOptions ref_opt;
+    ref_opt.quiet = true;
+    ref_opt.outPath = pathIn("mf_tune_ref3.csv");
+    ref_opt.logPath = pathIn("mf_tune_ref3.log");
+    ASSERT_EQ(runAdaptiveSearch(tuneSpec(), ref_opt, nullptr), 0);
+    const std::string ref_log = slurp(ref_opt.logPath);
+    const std::string ref_csv = slurp(ref_opt.outPath);
+    const std::vector<std::string> lines = linesOf(ref_log);
+
+    // Every line below is well-formed JSON, but not the line the
+    // writer would have written there: damage, not a crash's cut. The
+    // resume moves the log aside with its reason and starts fresh
+    // (it used to re-run every round without a word).
+    const std::size_t header0 =
+        lineStartingWith(lines, "{\"event\":\"round\",\"round\":0,");
+    const std::size_t promote0 =
+        lineStartingWith(lines, "{\"event\":\"promote\",\"round\":0,");
+    const std::size_t score1 =
+        lineStartingWith(lines, "{\"event\":\"score\",\"round\":1,");
+    const std::size_t winner =
+        lineStartingWith(lines, "{\"event\":\"winner\",");
+    ASSERT_EQ(header0, 1u);
+    ASSERT_LT(header0 + 3, promote0);
+    ASSERT_EQ(winner + 1, lines.size());
+    const auto recount = [&](long delta) {
+        std::vector<std::string> v = lines;
+        const std::string declared =
+            std::to_string(promote0 - header0 - 1);
+        const std::string field = "\"candidates\":" + declared + "}";
+        const std::size_t at = v[header0].find(field);
+        EXPECT_NE(at, std::string::npos) << v[header0];
+        v[header0].replace(
+            at, field.size(),
+            "\"candidates\":" +
+                std::to_string(static_cast<long>(promote0 - header0 - 1) +
+                               delta) +
+                "}");
+        return v;
+    };
+    struct Case
+    {
+        const char *what;
+        std::vector<std::string> lines;
+        const char *reason;
+    };
+    std::vector<Case> cases;
+    {
+        std::vector<std::string> v = lines;
+        v.insert(v.begin() + header0 + 3, v[header0 + 3]);
+        cases.push_back({"a duplicated score line", v, "more scores"});
+    }
+    cases.push_back(
+        {"a header declaring one score too many", recount(1),
+         "scores where round 0 declares"});
+    cases.push_back(
+        {"a header declaring one score too few", recount(-1), "more scores"});
+    {
+        std::vector<std::string> v = lines;
+        const std::string from = "{\"event\":\"score\",\"round\":1,";
+        v[score1].replace(0, from.size(),
+                          "{\"event\":\"score\",\"round\":0,");
+        cases.push_back(
+            {"a score labelled with the wrong round", v, "a score of round"});
+    }
+    {
+        std::vector<std::string> v = lines;
+        v.erase(v.begin() + promote0);
+        cases.push_back({"a missing promote between two rounds", v,
+                         "expected round 0's verdict"});
+    }
+    {
+        std::vector<std::string> v = lines;
+        v.push_back(v[promote0]);
+        cases.push_back(
+            {"a line after the winner", v, "a line after the winner"});
+    }
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        SCOPED_TRACE(cases[c].what);
+        const auto [asides, err] =
+            resumeFrom("mf_log_grammar" + std::to_string(c),
+                       joinLines(cases[c].lines), ref_log, ref_csv);
+        EXPECT_EQ(asides, 1u);
+        EXPECT_NE(err.find(cases[c].reason), std::string::npos) << err;
+        EXPECT_NE(err.find("moved aside"), std::string::npos) << err;
+    }
+}
+
+TEST(MalformedDurabilityTest, DecisionLogCutAtLineBoundaryLeavesNoAside)
+{
+    TuneOptions ref_opt;
+    ref_opt.quiet = true;
+    ref_opt.outPath = pathIn("mf_tune_ref4.csv");
+    ref_opt.logPath = pathIn("mf_tune_ref4.log");
+    ASSERT_EQ(runAdaptiveSearch(tuneSpec(), ref_opt, nullptr), 0);
+    const std::string ref_log = slurp(ref_opt.logPath);
+    const std::string ref_csv = slurp(ref_opt.outPath);
+    const std::vector<std::string> lines = linesOf(ref_log);
+
+    // A log that ends at a line boundary, inside a round or after a
+    // verdict, is a crash's cut: its complete rounds are adopted, the
+    // rest re-run, and nothing is moved aside.
+    for (std::size_t keep = 0; keep <= lines.size(); ++keep) {
+        SCOPED_TRACE(std::to_string(keep) + "-line prefix");
+        const std::vector<std::string> prefix(lines.begin(),
+                                              lines.begin() + keep);
+        const auto [asides, err] = resumeFrom(
+            "mf_log_cut", joinLines(prefix), ref_log, ref_csv);
+        EXPECT_EQ(asides, 0u) << err;
+        EXPECT_EQ(err.find("moved aside"), std::string::npos) << err;
+    }
 }
 
 } // namespace rcache

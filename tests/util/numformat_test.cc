@@ -208,6 +208,11 @@ TEST(NumformatTest, ParseU64StrictRejectsSignsWhitespaceAndOverflow)
         EXPECT_FALSE(parseU64Strict(bad, v)) << "'" << bad << "'";
         EXPECT_EQ(v, 42u) << "'" << bad << "' clobbered the output";
     }
+    // The digits must reach the end of the text, past a NUL too.
+    unsigned long long v = 42;
+    EXPECT_FALSE(parseU64Strict(std::string("1\0", 2), v));
+    EXPECT_FALSE(parseU64Strict(std::string("12\0" "3", 4), v));
+    EXPECT_EQ(v, 42u);
 }
 
 TEST(NumformatTest, ShortestDoubleFixedCases)
@@ -230,6 +235,12 @@ TEST(NumformatTest, ShortestDoubleFixedCases)
         {1e15, "1e+15"},
         {-1e15, "-1e+15"},
         {1e15 + 2, "1000000000000002"},
+        // Plain std::to_chars spells this one with all 19 integer
+        // digits; its shortest form has 16 significant digits.
+        {0x1.2462a526736e5p+62, "5.267145897839138e+18"},
+        // The 16-digit shortest form of 2^-1017 is not its %.16g
+        // text, which does not read back.
+        {0x1p-1017, "7.1202363472230444e-307"},
         {0.0, "0"},
         {-0.0, "0"},
         {std::numeric_limits<double>::denorm_min(), "5e-324"},
