@@ -1,5 +1,6 @@
 #include "scenario/cell_eval.hh"
 
+#include <array>
 #include <iterator>
 #include <numeric>
 #include <optional>
@@ -119,9 +120,14 @@ jobKey(const RunJob &job)
     return key;
 }
 
+namespace
+{
+
+/** The identity columns of cell @p cell's row (see cellRecord);
+ *  every other column is left default. */
 SweepRecord
-cellRecord(std::size_t cell, const std::string &app,
-           const DesignPoint &p, const SearchOutcome &out)
+cellIdentity(std::size_t cell, const std::string &app,
+             const DesignPoint &p)
 {
     SweepRecord r;
     r.cell = cell;
@@ -130,6 +136,18 @@ cellRecord(std::size_t cell, const std::string &app,
     r.strategy = strategyName(p.strategy);
     r.side = sweepSideName(p.side);
     r.axes = p.axes;
+    r.engine = p.engine.mode;
+    r.policy = p.cfg.policy;
+    return r;
+}
+
+} // namespace
+
+SweepRecord
+cellRecord(std::size_t cell, const std::string &app,
+           const DesignPoint &p, const SearchOutcome &out)
+{
+    SweepRecord r = cellIdentity(cell, app, p);
     r.bestLevel = out.bestLevel;
     if (p.strategy == Strategy::Dynamic) {
         r.intervalAccesses = out.bestParams.intervalAccesses;
@@ -155,9 +173,35 @@ cellRecord(std::size_t cell, const std::string &app,
     r.bestCycles = out.best.cycles;
     r.avgIl1Bytes = out.best.avgIl1Bytes;
     r.avgDl1Bytes = out.best.avgDl1Bytes;
-    r.engine = out.best.engine;
-    r.policy = p.cfg.policy;
     return r;
+}
+
+std::string
+cellRowMismatch(const SweepRecord &row, const ParamSpace &space,
+                const std::vector<AppEntry> &apps, std::size_t cell,
+                const EngineSpec *engine)
+{
+    const std::size_t npoints = space.numPoints();
+    DesignPoint p = space.point(cell % npoints);
+    if (engine)
+        p.engine = *engine;
+    const auto columns = [](const SweepRecord &r) {
+        return std::array<std::string, 8>{
+            std::to_string(r.cell), r.app,  r.org,
+            r.strategy,             r.side, r.axes,
+            engineName(r.engine),   r.policy};
+    };
+    static constexpr const char *kNames[] = {
+        "cell", "app", "org", "strategy", "side", "axes", "engine",
+        "policy"};
+    const auto got = columns(row);
+    const auto want =
+        columns(cellIdentity(cell, apps[cell / npoints].name, p));
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (got[i] != want[i])
+            return std::string(kNames[i]) + " '" + got[i] +
+                   "' where this scenario has '" + want[i] + "'";
+    return "";
 }
 
 namespace

@@ -32,7 +32,8 @@
  * complete.
  *
  * The free helpers are the vocabulary around it: workload resolution,
- * mix attachment, memo keys, and the record a finished cell reports.
+ * mix attachment, memo keys, the record a finished cell reports, and
+ * the check that a row written earlier is a given cell's.
  */
 
 #ifndef RCACHE_SCENARIO_CELL_EVAL_HH
@@ -147,10 +148,29 @@ struct JobMemo
 };
 
 /** The CSV row a finished cell reports. CellBatch builds every row
- *  through this one function. */
+ *  through this one function. Its identity columns (cell, app, org,
+ *  strategy, side, axes, engine and policy) come from the cell alone:
+ *  @p p carries the engine the cell runs at. */
 SweepRecord cellRecord(std::size_t cell, const std::string &app,
                        const DesignPoint &p,
                        const SearchOutcome &out);
+
+/**
+ * Compare a row written earlier with global cell @p cell of @p space
+ * and @p apps, at @p engine when non-null (a tune rung's), else the
+ * point's own. @return "" when each identity column equals what
+ * cellRecord writes for that cell, else the first that does not, as
+ * "COLUMN 'ROW' where this scenario has 'CELL'". The one check of a
+ * row's identity: a sweep's --resume, a tune's --resume and a claim
+ * round's gather adopt only rows that pass it. A [system] or insts
+ * value that no column shows (all but the policy) cannot be checked
+ * from a row.
+ */
+std::string cellRowMismatch(const SweepRecord &row,
+                            const ParamSpace &space,
+                            const std::vector<AppEntry> &apps,
+                            std::size_t cell,
+                            const EngineSpec *engine = nullptr);
 
 /** See file comment. */
 class CellBatch

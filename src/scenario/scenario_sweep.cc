@@ -59,71 +59,39 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         if (opt.shard.owns(c))
             owned.push_back(c);
 
-    // ---- resume: verify the completed prefix of the prior CSV
+    // ---- resume: verify the completed prefix of the prior CSV. A
+    // torn final line never ran to completion: it is dropped and its
+    // cell recomputed.
     std::size_t skip = 0;
     std::string kept; // raw verified prefix, header included
-    if (resuming) {
-        std::ifstream in(opt.resumePath, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            const std::string raw = buf.str();
-            // A truncated final line (no trailing newline) never ran
-            // to completion; drop it and recompute its cell.
-            const std::size_t last_nl = raw.rfind('\n');
-            if (last_nl != std::string::npos) {
-                const std::string complete =
-                    raw.substr(0, last_nl + 1);
-                std::istringstream cs(complete);
-                std::string err;
-                auto prior = readSweepCsv(cs, &err);
-                if (!prior) {
-                    // An unparsable prior CSV is damage, not user
-                    // error: quarantine the evidence and recompute
-                    // from scratch rather than refusing to run.
-                    const auto aside =
-                        quarantineCorruptFile(opt.resumePath);
-                    RC_LOG(warn,
-                           "--resume " + opt.resumePath + ": " +
-                               err + "; " +
-                               (aside ? "moved aside to '" +
-                                            *aside + "'"
-                                      : "could not move it aside") +
-                               ", starting fresh");
-                } else {
-                    if (prior->size() > owned.size())
-                        return fail("--resume " + opt.resumePath +
-                                    ": holds more rows than this "
-                                    "shard owns (wrong scenario or "
-                                    "shard?)");
-                    // Each kept row must sit exactly where this
-                    // enumeration would put it — cell index, app, and
-                    // every design-point coordinate. (A changed
-                    // [system] or insts value is invisible to the
-                    // rows and cannot be caught here.)
-                    for (std::size_t i = 0; i < prior->size(); ++i) {
-                        const SweepRecord &r = (*prior)[i];
-                        const std::size_t cell = owned[i];
-                        const DesignPoint p =
-                            space.point(cell % npoints);
-                        const std::string &app =
-                            apps[cell / npoints].name;
-                        if (r.cell != cell || r.app != app ||
-                            r.axes != p.axes ||
-                            r.org != organizationToken(p.org) ||
-                            r.strategy != strategyName(p.strategy) ||
-                            r.side != sweepSideName(p.side))
-                            return fail(
-                                "--resume " + opt.resumePath +
-                                ": row " + std::to_string(i + 1) +
-                                " does not match this scenario/shard "
-                                "enumeration (wrong scenario or "
-                                "shard?)");
-                    }
-                    skip = prior->size();
-                    kept = complete;
-                }
+    const auto complete =
+        resuming ? readCompleteLines(opt.resumePath) : std::nullopt;
+    if (complete && !complete->empty()) {
+        std::istringstream cs(*complete);
+        std::string err;
+        const auto prior = readSweepCsv(cs, &err);
+        if (!prior) {
+            // An unparsable prior CSV is damage, not user error:
+            // quarantine the evidence and recompute from scratch
+            // rather than refusing to run.
+            quarantineAndStartFresh(opt.resumePath, err);
+        } else {
+            if (prior->size() > owned.size())
+                return fail("--resume " + opt.resumePath +
+                            ": holds more rows than this shard owns "
+                            "(wrong scenario or shard?)");
+            // Each kept row must be the row this enumeration would
+            // write there.
+            for (std::size_t i = 0; i < prior->size(); ++i) {
+                const std::string why =
+                    cellRowMismatch((*prior)[i], space, apps, owned[i]);
+                if (!why.empty())
+                    return fail("--resume " + opt.resumePath + ": row " +
+                                std::to_string(i + 1) + ": " + why +
+                                " (wrong scenario or shard?)");
             }
+            skip = prior->size();
+            kept = *complete;
         }
     }
 

@@ -14,11 +14,13 @@
  *  - shard identity: `--shard i/N` runs only the cells whose index
  *    is congruent to i mod N; re-interleaving the N shard CSVs by
  *    cell index reproduces the unsharded CSV byte-for-byte;
- *  - resume identity: `--resume out.csv` verifies the completed
- *    prefix of a prior (possibly truncated) CSV — cell index, app,
- *    and every design-point coordinate — against the enumeration and
- *    simulates only the remaining cells; the final file is
- *    byte-identical to an uninterrupted run.
+ *  - resume identity: `--resume out.csv` verifies each row of the
+ *    completed prefix of a prior (possibly truncated) CSV against the
+ *    cell this scenario and shard put there (cellRowMismatch: cell,
+ *    app, org, strategy, side, axes, engine and policy) and simulates
+ *    only the remaining cells; the final file is byte-identical to an
+ *    uninterrupted run. A row of another enumeration exits 2 and
+ *    leaves the file as it was.
  *
  * A sweep plans apart from how it commits. It lays out its owned
  * cells a look-ahead window at a time (kSweepWindowJobs) as one

@@ -22,7 +22,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <sstream>
 
 #include "runner/claim.hh"
 #include "scenario/cell_eval.hh"
@@ -70,8 +69,9 @@ scoreOf(const SweepRecord &r)
  * workload and baselines once. This worker drains the units, named
  * r<round>_s<shard>, with its peers through the claim worker
  * (runner/claim.hh). Every worker then reads the committed unit CSVs
- * back, so all of them gather the identical record set. @return 0 with @p records in
- * ascending-cell order, or a process exit code.
+ * back, so all of them gather the identical record set, and adopts
+ * only rows that are this round's cells (cellRowMismatch). @return 0
+ * with @p records in ascending-cell order, or a process exit code.
  */
 int
 claimRound(const ParamSpace &space, const std::vector<AppEntry> &apps,
@@ -108,153 +108,21 @@ claimRound(const ParamSpace &space, const std::vector<AppEntry> &apps,
     auto all = readShardCsvs(csvs, &err);
     if (!all)
         return fail(err);
-    bool covered = all->size() == cells.size();
-    for (std::size_t i = 0; covered && i < all->size(); ++i)
-        covered = (*all)[i].cell == cells[i];
-    if (!covered)
+    std::string why;
+    if (all->size() != cells.size())
+        why = std::to_string(all->size()) + " rows for " +
+              std::to_string(cells.size()) + " candidates";
+    for (std::size_t i = 0; why.empty() && i < cells.size(); ++i) {
+        why = cellRowMismatch((*all)[i], space, apps, cells[i], &engine);
+        if (!why.empty())
+            why = "cell " + std::to_string(cells[i]) + ": " + why;
+    }
+    if (!why.empty())
         return fail("claim units of round " + std::to_string(round) +
-                    " do not cover its candidate set (foreign or "
-                    "mismatched manifest directory?)");
+                    " do not cover its candidate set (" + why +
+                    "; foreign or mismatched manifest directory?)");
     records = std::move(*all);
     return 0;
-}
-
-/** One fully logged round recovered from a --resume decision log. */
-struct CachedRound
-{
-    std::vector<std::size_t> cells;
-    std::vector<SweepRecord> records;
-};
-
-/** Quarantine a damaged log and report a fresh start. @return true
- *  always (the resume degrades to "nothing cached"). */
-bool
-freshAfterQuarantine(const std::string &path, const std::string &why,
-                     std::vector<CachedRound> &cached)
-{
-    const auto aside = quarantineCorruptFile(path);
-    RC_LOG(warn, "--resume " + path + ": " + why + "; " +
-                     (aside ? "moved aside to '" + *aside + "'"
-                            : "could not move it aside") +
-                     ", starting fresh");
-    cached.clear();
-    return true;
-}
-
-/**
- * Recover the complete rounds of a prior decision log, reading it
- * line by line as the writer wrote it: the plan line, which must
- * match @p planLine byte for byte (same scenario, same knobs), then
- * per round its header, as many score lines of that round as the
- * header declares, each carrying its cell's sweep row, and its
- * verdict: a promote before the last of the @p rungs, an early exit
- * and then the winner, or the winner on the last rung, with nothing
- * after the winner. A log that stops early (a crash's cut at a line
- * boundary, or a torn last line, which is dropped) adopts the rounds
- * it completed, and the tune runs the rest again. A line that is
- * present but not one the writer could have written there is damage:
- * the log is moved aside with a one-line reason and the tune starts
- * fresh. @return false with @p err only on a plan line of another
- * scenario.
- */
-bool
-loadCachedRounds(const std::string &path, const std::string &planLine,
-                 std::size_t rungs, std::vector<CachedRound> &cached,
-                 std::string *err)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return true; // nothing to resume: fresh start
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string raw = buf.str();
-    // A torn final line (no trailing newline) is a crashed writer's
-    // last breath, not corruption: drop it, keep the prefix.
-    if (!raw.empty() && raw.back() != '\n') {
-        const std::size_t last_nl = raw.rfind('\n');
-        raw.resize(last_nl == std::string::npos ? 0 : last_nl + 1);
-        RC_LOG(warn, "--resume " + path + ": dropping torn final "
-                                          "line (mid-write crash?)");
-    }
-    std::string read_err;
-    const auto lines = readDecisionLog(raw, &read_err);
-    if (!lines)
-        return freshAfterQuarantine(path, read_err, cached);
-    if (lines->empty())
-        return true; // empty (or torn-to-empty) log: fresh start
-    if ((*lines)[0].raw != planLine) {
-        *err = "--resume " + path +
-               ": plan line does not match this scenario";
-        return false;
-    }
-
-    const std::size_t end = lines->size();
-    const auto damaged = [&](std::size_t i, const std::string &why) {
-        return freshAfterQuarantine(
-            path, "line " + std::to_string(i + 1) + ": " + why, cached);
-    };
-    const auto is = [&](std::size_t i, const char *event,
-                        const std::string &round) {
-        return (*lines)[i].get("event") == event &&
-               (*lines)[i].get("round") == round;
-    };
-    std::size_t i = 1;
-    for (std::size_t r = 0; i < end; ++r) {
-        const std::string round = std::to_string(r);
-        unsigned long long declared = 0;
-        if (!is(i, "round", round))
-            return damaged(i, "expected round " + round + "'s header");
-        if (!parseU64Strict((*lines)[i].get("candidates"), declared))
-            return damaged(i, "bad candidate count");
-        ++i;
-
-        CachedRound cr;
-        for (; i < end && (*lines)[i].get("event") == "score"; ++i) {
-            const DecisionLogLine &score = (*lines)[i];
-            if (score.get("round") != round)
-                return damaged(i, "a score of round '" +
-                                      score.get("round") + "' in round " +
-                                      round);
-            if (cr.cells.size() == declared)
-                return damaged(i, "more scores than the " +
-                                      std::to_string(declared) +
-                                      " round " + round + " declares");
-            unsigned long long cell = 0;
-            SweepRecord rec;
-            if (!parseU64Strict(score.get("cell"), cell) ||
-                !parseSweepCsvRow(score.get("row"), rec, nullptr) ||
-                rec.cell != cell)
-                return damaged(i, "corrupt score row");
-            cr.cells.push_back(static_cast<std::size_t>(cell));
-            cr.records.push_back(std::move(rec));
-        }
-        // A log cut inside a round runs that round again (the same
-        // bytes either way: everything is deterministic).
-        if (i == end)
-            break;
-        if (cr.cells.size() != declared)
-            return damaged(i, std::to_string(cr.cells.size()) +
-                                  " scores where round " + round +
-                                  " declares " + std::to_string(declared));
-        if (r + 1 < rungs && is(i, "promote", round)) {
-            cached.push_back(std::move(cr));
-            ++i;
-            continue;
-        }
-        if (r + 1 < rungs && !is(i, "early-exit", round))
-            return damaged(i, "expected round " + round + "'s verdict");
-        // The winner closes the log; a round is cached only with it.
-        const std::size_t winner = r + 1 < rungs ? i + 1 : i;
-        if (winner == end)
-            break;
-        if ((*lines)[winner].get("event") != "winner")
-            return damaged(winner, "expected the winner");
-        if (winner + 1 < end)
-            return damaged(winner + 1, "a line after the winner");
-        cached.push_back(std::move(cr));
-        break;
-    }
-    return true;
 }
 
 } // namespace
@@ -354,13 +222,42 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         shards = mf->shards;
     }
 
-    // ---- resume: adopt the complete-round prefix of a prior log
-    std::vector<CachedRound> cached;
+    // ---- resume: adopt the complete rounds of a prior log. A log
+    // of another scenario is refused; a damaged one is moved aside,
+    // and the tune starts fresh.
+    std::vector<TuneLogRound> cached;
     if (!opt.resumePath.empty()) {
-        std::string resume_err;
-        if (!loadCachedRounds(opt.resumePath, plan_line, rungs.size(),
-                              cached, &resume_err))
-            return fail(resume_err);
+        const std::string &path = opt.resumePath;
+        bool torn = false;
+        const auto text = readCompleteLines(path, &torn);
+        if (torn)
+            RC_LOG(warn, "--resume " + path + ": dropping torn final "
+                                              "line (mid-write crash?)");
+        if (text) {
+            TuneLog prior = readTuneLog(*text);
+            if (!prior.plan.empty() && prior.plan != plan_line)
+                return fail("--resume " + path +
+                            ": plan line does not match this scenario");
+            if (prior.damage.empty())
+                cached = std::move(prior.rounds);
+            else
+                quarantineAndStartFresh(path, prior.damage);
+        }
+        // Each adopted row must be its cell's row at its round's
+        // engine, checked before the log (which may be this very
+        // file) is rewritten.
+        for (std::size_t r = 0; r < cached.size(); ++r)
+            for (std::size_t i = 0; i < cached[r].cells.size(); ++i) {
+                const std::string why =
+                    cellRowMismatch(cached[r].records[i], space, apps,
+                                    cached[r].cells[i], &rungs[r]);
+                if (!why.empty())
+                    return fail("--resume " + path + ": round " +
+                                std::to_string(r) + ", cell " +
+                                std::to_string(cached[r].cells[i]) +
+                                ": " + why +
+                                " (a log of another scenario?)");
+            }
     }
 
     // ---- decision log sink

@@ -40,14 +40,19 @@
  * worker writes the same decision log bytes.
  *
  * Resume: --resume replays completed rounds from the log's score
- * rows instead of re-running them, verifies the replay against the
- * scenario (plan line, candidate sets), and continues from the first
+ * rows instead of re-running them and continues from the first
  * incomplete round; the regenerated log equals an uninterrupted
- * run's. A log that ends inside a round (a crash's cut) re-runs that
- * round; a line the writer could not have written there (a repeated
- * or foreign score, a count that disagrees with its scores, a missing
- * verdict, a line after the winner) moves the log aside as corrupt
- * and starts fresh.
+ * run's. The log is read by the one reader of its grammar
+ * (readTuneLog, search/decision_log.hh). A log that ends inside a
+ * round (a crash's cut) re-runs that round; a line the writer could
+ * not have written there (a repeated or foreign score, a count that
+ * disagrees with its scores, a missing verdict, a line after the
+ * winner) moves the log aside as corrupt and starts fresh. A log of
+ * another scenario exits 2 and stays where it is: its plan line
+ * differs, a round's candidates differ, or a score row is not its
+ * cell's row at the round's engine (cellRowMismatch,
+ * scenario/cell_eval.hh). A claim round holds the unit rows it
+ * gathers to the same check.
  */
 
 #ifndef RCACHE_SEARCH_ADAPTIVE_SEARCH_HH

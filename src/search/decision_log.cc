@@ -1,10 +1,13 @@
 #include "search/decision_log.hh"
 
+#include <algorithm>
 #include <istream>
 #include <iterator>
+#include <utility>
 
 #include "util/checked_io.hh"
 #include "util/json.hh"
+#include "util/numformat.hh"
 
 namespace rcache
 {
@@ -140,6 +143,96 @@ readDecisionLog(std::istream &in, std::string *err)
 {
     const std::string text{std::istreambuf_iterator<char>(in), {}};
     return readDecisionLog(std::string_view(text), err);
+}
+
+TuneLog
+readTuneLog(std::string_view text)
+{
+    TuneLog log;
+    const auto lines = readDecisionLog(text, &log.damage);
+    if (!lines || lines->empty())
+        return log;
+    log.plan = (*lines)[0].raw;
+
+    const std::size_t end = lines->size();
+    const auto damaged = [&](std::size_t i, const std::string &why) {
+        log.damage = "line " + std::to_string(i + 1) + ": " + why;
+        return std::move(log);
+    };
+    const auto is = [&](std::size_t i, const char *event,
+                        const std::string &round) {
+        return (*lines)[i].get("event") == event &&
+               (*lines)[i].get("round") == round;
+    };
+    const std::string ladder = (*lines)[0].get("ladder");
+    unsigned long long ncells = 0;
+    if ((*lines)[0].get("schema") != "rcache-tune-v1" || ladder.empty() ||
+        !parseU64Strict((*lines)[0].get("cells"), ncells))
+        return damaged(0, "expected the plan line");
+    const std::size_t rungs =
+        1 + static_cast<std::size_t>(
+                std::count(ladder.begin(), ladder.end(), ','));
+    std::size_t i = 1;
+    for (std::size_t r = 0; i < end; ++r) {
+        const std::string round = std::to_string(r);
+        unsigned long long declared = 0;
+        if (!is(i, "round", round))
+            return damaged(i, "expected round " + round + "'s header");
+        if (!parseU64Strict((*lines)[i].get("candidates"), declared))
+            return damaged(i, "bad candidate count");
+        ++i;
+
+        TuneLogRound lr;
+        for (; i < end && (*lines)[i].get("event") == "score"; ++i) {
+            const DecisionLogLine &score = (*lines)[i];
+            if (score.get("round") != round)
+                return damaged(i, "a score of round '" +
+                                      score.get("round") + "' in round " +
+                                      round);
+            if (lr.cells.size() == declared)
+                return damaged(i, "more scores than the " +
+                                      std::to_string(declared) +
+                                      " round " + round + " declares");
+            unsigned long long cell = 0;
+            SweepRecord rec;
+            if (!parseU64Strict(score.get("cell"), cell) ||
+                !parseSweepCsvRow(score.get("row"), rec, nullptr) ||
+                rec.cell != cell)
+                return damaged(i, "corrupt score row");
+            if (cell >= ncells)
+                return damaged(i, "cell " + std::to_string(cell) +
+                                      " beyond the plan's " +
+                                      std::to_string(ncells) + " cells");
+            lr.cells.push_back(static_cast<std::size_t>(cell));
+            lr.records.push_back(std::move(rec));
+        }
+        // A log cut inside a round runs that round again (the same
+        // bytes either way: everything is deterministic).
+        if (i == end)
+            break;
+        if (lr.cells.size() != declared)
+            return damaged(i, std::to_string(lr.cells.size()) +
+                                  " scores where round " + round +
+                                  " declares " + std::to_string(declared));
+        if (r + 1 < rungs && is(i, "promote", round)) {
+            log.rounds.push_back(std::move(lr));
+            ++i;
+            continue;
+        }
+        if (r + 1 < rungs && !is(i, "early-exit", round))
+            return damaged(i, "expected round " + round + "'s verdict");
+        // The winner closes the log; a round is complete only with it.
+        const std::size_t winner = r + 1 < rungs ? i + 1 : i;
+        if (winner == end)
+            break;
+        if ((*lines)[winner].get("event") != "winner")
+            return damaged(winner, "expected the winner");
+        if (winner + 1 < end)
+            return damaged(winner + 1, "a line after the winner");
+        log.rounds.push_back(std::move(lr));
+        break;
+    }
+    return log;
 }
 
 bool

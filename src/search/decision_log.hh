@@ -24,8 +24,11 @@
  * resumes — the same identity contract the golden tests pin for
  * exhaustive sweep CSVs. Line *builders* live here so the writer
  * (search/adaptive_search.cc) and any replayer agree on the exact
- * bytes; the reader below parses the flat one-object-per-line form
- * strictly, for --resume and for tests.
+ * bytes. So do the readers: readDecisionLog parses the flat
+ * one-object-per-line form strictly, and readTuneLog, built on it,
+ * checks that each line is the one the writer writes there. It is
+ * the one reader of the log's order: `tune --resume` adopts the
+ * rounds it returns, and `doctor --log` reports the damage it finds.
  */
 
 #ifndef RCACHE_SEARCH_DECISION_LOG_HH
@@ -38,6 +41,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/report.hh"
 
 namespace rcache
 {
@@ -106,6 +111,45 @@ readDecisionLog(std::string_view text, std::string *err);
 /** The same reader over everything left in @p in. */
 std::optional<std::vector<DecisionLogLine>>
 readDecisionLog(std::istream &in, std::string *err);
+
+/** One round a decision log holds whole (see readTuneLog). */
+struct TuneLogRound
+{
+    /** The scored cells, in log order. */
+    std::vector<std::size_t> cells;
+    /** Each score line's sweep row, parsed, in the same order. */
+    std::vector<SweepRecord> records;
+};
+
+/** What readTuneLog finds in a decision log. */
+struct TuneLog
+{
+    /** The first line's bytes; "" for an empty log, or one whose
+     *  lines are not all flat objects. */
+    std::string plan;
+    /** The rounds the log completes before any damage, in order: each
+     *  closed by its promote, or by the winner. */
+    std::vector<TuneLogRound> rounds;
+    /** The first line the writer could not have written there, as
+     *  "line N: why"; "" when every line is in order. */
+    std::string damage;
+};
+
+/**
+ * Read a decision log's complete lines @p text (a torn tail already
+ * dropped, util/checked_io.hh's readCompleteLines) in the order the
+ * writer writes them: the plan line, whose ladder gives the rung
+ * count, then per round its header, as many score lines of that round
+ * as the header declares, each carrying the sweep row of one of the
+ * plan's cells, and its
+ * verdict: a promote before the last rung, an early exit and then the
+ * winner, or the winner on the last rung, with nothing after the
+ * winner. A log that stops early, inside a round or after a verdict
+ * (a crash's cut at a line boundary), is in order. Any other line
+ * that is not the one the writer writes there, or that is not a flat
+ * object, is damage.
+ */
+TuneLog readTuneLog(std::string_view text);
 
 /**
  * The log writer: appends builder lines one at a time, each write

@@ -6,13 +6,13 @@
 #include <fstream>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "runner/claim.hh"
 #include "scenario/scenario_spec.hh"
 #include "search/decision_log.hh"
 #include "sim/report.hh"
+#include "util/checked_io.hh"
 
 namespace rcache
 {
@@ -179,29 +179,25 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
         out << "  note: " << asides << " renamed-aside file(s) "
             << "(.stale./.corrupt. post-mortem evidence)\n";
 
-    // ---- optional decision-log audit
+    // ---- optional decision-log audit: the log read as tune
+    // --resume reads it
     if (!opt.logPath.empty()) {
-        std::ifstream is(opt.logPath, std::ios::binary);
-        if (!is) {
+        bool torn = false;
+        const auto text = readCompleteLines(opt.logPath, &torn);
+        if (!text) {
             problem("cannot read decision log '" + opt.logPath +
                     "'");
         } else {
-            std::ostringstream buf;
-            buf << is.rdbuf();
-            std::string raw = buf.str();
-            if (!raw.empty() && raw.back() != '\n') {
+            if (torn)
                 out << "  note: decision log has a torn final line "
                        "(--resume drops it)\n";
-                const std::size_t nl = raw.rfind('\n');
-                raw.resize(nl == std::string::npos ? 0 : nl + 1);
-            }
-            std::string log_err;
-            const auto lines = readDecisionLog(raw, &log_err);
-            if (!lines)
+            const TuneLog log = readTuneLog(*text);
+            if (!log.damage.empty())
                 problem("decision log '" + opt.logPath +
-                        "': " + log_err);
+                        "': " + log.damage);
             else
-                out << "  log: " << lines->size()
+                out << "  log: "
+                    << std::count(text->begin(), text->end(), '\n')
                     << " intact line(s)\n";
         }
     }

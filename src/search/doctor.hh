@@ -8,10 +8,13 @@
  * (lease live/stale, done, in progress), verifies each committed
  * unit CSV still parses, and inventories the debris a crash leaves
  * behind (orphan tmp files, renamed-aside stale leases and corrupt
- * files). Optionally it audits a decision log's tail. Exit code 0
- * means consistent (possibly unfinished — that is what reruns are
- * for); 2 means an inconsistency that needs a human: a committed
- * unit whose CSV is damaged, or a manifest that no worker can read.
+ * files). Optionally it audits a decision log, read as `tune
+ * --resume` reads it (readTuneLog): each line must be the one the
+ * writer writes there. Exit code 0 means consistent (possibly
+ * unfinished — that is what reruns are for; a log cut at a line
+ * boundary is too); 2 means an inconsistency that needs a human: a
+ * committed unit whose CSV is damaged, a damaged decision log, or a
+ * manifest that no worker can read.
  */
 
 #ifndef RCACHE_SEARCH_DOCTOR_HH
@@ -28,7 +31,7 @@ struct DoctorOptions
     /** Lease age beyond which a unit counts as stale (matches the
      *  workers' --lease-timeout). */
     unsigned leaseTimeoutSecs = 300;
-    /** Also audit this decision log's integrity ("" = skip). */
+    /** Also audit this decision log ("" = skip). */
     std::string logPath;
 };
 

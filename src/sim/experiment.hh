@@ -154,10 +154,8 @@ class Experiment
     /** Override the dynamic-controller profiling grid (defaults
      *  reproduce the paper's). */
     void setSearchGrid(const SearchGrid &grid) { grid_ = grid; }
-    const SearchGrid &searchGrid() const { return grid_; }
 
     const SystemConfig &config() const { return cfg_; }
-    std::uint64_t numInsts() const { return numInsts_; }
 
     /** @name Job layout
      * Jobs are returned in the deterministic order the reductions

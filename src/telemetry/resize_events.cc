@@ -2,7 +2,6 @@
 
 #include "telemetry/resize_events.hh"
 
-#include <utility>
 
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -28,11 +27,6 @@ const char *resizeReasonName(ResizeReason reason)
         return "hold";
     }
     rc_panic("unknown resize reason");
-}
-
-std::vector<ResizeEvent> ResizeEventRecorder::takeEvents()
-{
-    return std::exchange(events_, {});
 }
 
 void writeResizeEventsJsonl(std::ostream &os,

@@ -102,9 +102,6 @@ class ResizeEventRecorder
     const std::vector<ResizeEvent> &events() const { return events_; }
     bool empty() const { return events_.empty(); }
 
-    /** Move the accumulated events out (recorder ends up empty). */
-    std::vector<ResizeEvent> takeEvents();
-
   private:
     std::vector<ResizeEvent> events_;
 };

@@ -3,10 +3,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <iostream>
 #include <ostream>
+#include <sstream>
+#include <utility>
 
 #include "fault/failpoint.hh"
+#include "util/logging.hh"
 
 namespace rcache
 {
@@ -80,6 +84,35 @@ quarantineCorruptFile(const std::string &path)
     if (std::rename(path.c_str(), aside.c_str()) != 0)
         return std::nullopt;
     return aside;
+}
+
+std::optional<std::string>
+readCompleteLines(const std::string &path, bool *torn)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string text = std::move(buf).str();
+    const bool cut = !text.empty() && text.back() != '\n';
+    if (cut) {
+        const std::size_t last_nl = text.rfind('\n');
+        text.resize(last_nl == std::string::npos ? 0 : last_nl + 1);
+    }
+    if (torn)
+        *torn = cut;
+    return text;
+}
+
+void
+quarantineAndStartFresh(const std::string &path, const std::string &why)
+{
+    const auto aside = quarantineCorruptFile(path);
+    RC_LOG(warn, "--resume " + path + ": " + why + "; " +
+                     (aside ? "moved aside to '" + *aside + "'"
+                            : "could not move it aside") +
+                     ", starting fresh");
 }
 
 } // namespace rcache

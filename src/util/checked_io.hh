@@ -12,6 +12,10 @@
  * io_error poisons the stream so the exit-3 path is exercised, torn
  * commits half the payload and crashes — the deterministic inputs of
  * the crash-recovery suite.
+ *
+ * The read side of the same contract: a resumable file (a sweep CSV,
+ * a decision log) is read back through readCompleteLines(), and one
+ * that is damaged is moved aside by quarantineAndStartFresh().
  */
 
 #ifndef RCACHE_UTIL_CHECKED_IO_HH
@@ -55,6 +59,24 @@ void checkedFlush(std::ostream &os, const std::string &path,
  */
 std::optional<std::string>
 quarantineCorruptFile(const std::string &path);
+
+/**
+ * The complete lines of the resumable file @p path: everything up to
+ * and including its last newline. A final line without one is a
+ * crashed writer's torn tail, not damage: it is dropped, and @p torn,
+ * when non-null, says so. @return nullopt when the file cannot be
+ * opened (nothing to resume).
+ */
+std::optional<std::string> readCompleteLines(const std::string &path,
+                                             bool *torn = nullptr);
+
+/**
+ * Move the damaged resume file @p path aside (quarantineCorruptFile)
+ * and warn in one line, naming @p why and the aside, that the run
+ * starts fresh.
+ */
+void quarantineAndStartFresh(const std::string &path,
+                             const std::string &why);
 
 } // namespace rcache
 

@@ -387,6 +387,47 @@ check_prints("--claim" sweep --help)
 check_prints("--scenario" tune --help)
 check_prints("CLAIM_DIR" merge --help)
 
+# ---- a resume adopts only rows its own scenario would write: a golden
+# log or CSV resumed under a copy that enumerates other cells (the apps
+# swapped, another policy) is refused with one line, and the file stays
+# as it was, with nothing moved aside.
+set(GOLDEN_DIR "${CMAKE_CURRENT_LIST_DIR}/../golden")
+set(RESUME_DIR "${CMAKE_CURRENT_BINARY_DIR}/cli_strict_parse_resume")
+file(REMOVE_RECURSE ${RESUME_DIR})
+file(MAKE_DIRECTORY ${RESUME_DIR})
+file(READ ${GOLDEN_DIR}/tune_cores_micro.scn scn)
+string(REPLACE "apps = gcc,swim" "apps = swim,gcc" scn "${scn}")
+file(WRITE ${RESUME_DIR}/swapped.scn "${scn}")
+file(READ ${GOLDEN_DIR}/tune_cores_micro.log.golden.jsonl tune_log)
+file(WRITE ${RESUME_DIR}/tune.log "${tune_log}")
+check_exit2_oneline("round 0, cell 0: app 'gcc' where this scenario has 'swim'"
+                    tune --scenario ${RESUME_DIR}/swapped.scn
+                    --resume ${RESUME_DIR}/tune.log)
+file(READ ${GOLDEN_DIR}/fig4_micro.scn scn)
+file(WRITE ${RESUME_DIR}/random.scn "${scn}\n[system]\npolicy = random\n")
+file(READ ${GOLDEN_DIR}/fig4_micro.golden.csv csv)
+set(csv_prefix "")
+foreach(line RANGE 4) # the header and four rows
+  string(FIND "${csv}" "\n" nl)
+  math(EXPR nl "${nl} + 1")
+  string(SUBSTRING "${csv}" 0 ${nl} row)
+  string(APPEND csv_prefix "${row}")
+  string(SUBSTRING "${csv}" ${nl} -1 csv)
+endforeach()
+file(WRITE ${RESUME_DIR}/sweep.csv "${csv_prefix}")
+check_exit2_oneline("row 1: policy 'lru' where this scenario has 'random'"
+                    sweep --scenario ${RESUME_DIR}/random.scn
+                    --resume ${RESUME_DIR}/sweep.csv)
+file(READ ${RESUME_DIR}/tune.log after_log)
+file(READ ${RESUME_DIR}/sweep.csv after_csv)
+file(GLOB asides ${RESUME_DIR}/*.corrupt.*)
+if(NOT after_log STREQUAL tune_log OR NOT after_csv STREQUAL csv_prefix
+   OR asides)
+  message(SEND_ERROR "a refused resume changed or moved its file: "
+                     "${RESUME_DIR}")
+endif()
+file(REMOVE_RECURSE ${RESUME_DIR})
+
 # ---- missing/empty artifact inputs: one "path:line:" diagnostic,
 # exit 2 (never a stack trace or a silent empty report)
 check_exit2_oneline("no-such-artifact.jsonl:1: cannot open"

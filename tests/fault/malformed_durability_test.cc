@@ -510,6 +510,17 @@ TEST(MalformedDurabilityTest, DecisionLogOutOfGrammarQuarantined)
     }
     {
         std::vector<std::string> v = lines;
+        const std::string cell0 = "\"cell\":0,", row0 = "\"row\":\"0,";
+        std::string &score0 = v[header0 + 1];
+        ASSERT_NE(score0.find(cell0), std::string::npos) << score0;
+        ASSERT_NE(score0.find(row0), std::string::npos) << score0;
+        score0.replace(score0.find(cell0), cell0.size(), "\"cell\":99,");
+        score0.replace(score0.find(row0), row0.size(), "\"row\":\"99,");
+        cases.push_back({"a score of a cell the plan does not have", v,
+                         "cell 99 beyond the plan's 8 cells"});
+    }
+    {
+        std::vector<std::string> v = lines;
         v.erase(v.begin() + promote0);
         cases.push_back({"a missing promote between two rounds", v,
                          "expected round 0's verdict"});

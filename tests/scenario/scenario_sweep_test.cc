@@ -164,6 +164,27 @@ TEST(ScenarioSweepTest, ResumeRejectsMismatchedEnumeration)
     plain.resumePath = pathIn("mis.csv");
     plain.quiet = true;
     EXPECT_EQ(runScenarioSweep(reordered, plain), 2);
+
+    // Nor does one that runs its cells at another engine or under
+    // another replacement policy: the engine and policy columns are
+    // checked too, and the refused CSV stays as it was.
+    const std::string before = slurp(pathIn("mis.csv"));
+    ScenarioSpec sampled = spec;
+    sampled.engine = EngineSpec::makeSampled(
+        5000, SamplingConfig::defaultDetail(5000),
+        SamplingConfig::defaultWarmup(5000));
+    ScenarioSpec random = spec;
+    random.system.policy = "random";
+    for (const ScenarioSpec *other : {&sampled, &random}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runScenarioSweep(*other, plain), 2);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(other == &sampled ? "engine 'full'"
+                                             : "policy 'lru'"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(slurp(pathIn("mis.csv")), before);
+    }
 }
 
 TEST(ScenarioSweepTest, AnyRowBoundaryPrefixResumesIdentically)

@@ -242,6 +242,33 @@ TEST(AdaptiveSearchTest, ResumeRegeneratesIdenticalLog)
     TuneOptions bopt = quietTune();
     bopt.resumePath = bad_path;
     EXPECT_NE(runAdaptiveSearch(spec, bopt, nullptr), 0);
+
+    // So is a log whose rows are another enumeration's cells under the
+    // same plan line (the apps swapped), before anything is written:
+    // the log stays as it was, even as its own --log, and nothing is
+    // moved aside.
+    ScenarioSpec swapped = spec;
+    swapped.apps = {"m88ksim", "gcc"};
+    const std::string dir = pathIn("adaptive_resume_swapped");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string swapped_path = dir + "/resume.log";
+    std::filesystem::copy_file(pathIn("adaptive_resume_ref.log"),
+                               swapped_path);
+    bopt.emitOutputs = true;
+    bopt.resumePath = swapped_path;
+    bopt.logPath = swapped_path;
+    bopt.outPath = dir + "/winner.csv";
+    testing::internal::CaptureStderr();
+    EXPECT_NE(runAdaptiveSearch(swapped, bopt, nullptr), 0);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("app 'gcc' where this scenario has 'm88ksim'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(slurp(swapped_path), full_log);
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
 }
 
 TEST(AdaptiveSearchTest, QuotedNamesSurviveTheDecisionLog)

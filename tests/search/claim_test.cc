@@ -279,6 +279,21 @@ TEST(ClaimTest, ClaimRejectsMismatchedJoin)
     ASSERT_EQ(runAdaptiveSearch(tuneSpec(), topt, nullptr), 0);
     EXPECT_NE(runSweepMerge({tdir}, pathIn("claim_tune_merge.csv")),
               0);
+
+    // A worker joining the drained tune adopts only rows that are its
+    // rounds' cells: one unit row with another app is refused.
+    const std::string unit = tdir + "/r0_s0.csv";
+    std::string csv = slurp(unit);
+    const std::size_t at = csv.find(",gcc,");
+    ASSERT_NE(at, std::string::npos);
+    csv.replace(at, 5, ",swim,");
+    std::ofstream(unit, std::ios::binary | std::ios::trunc) << csv;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runAdaptiveSearch(tuneSpec(), topt, nullptr), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("app 'swim' where this scenario has 'gcc'"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ClaimTest, ConcurrentPublishesOfOnePathAllSucceed)

@@ -300,6 +300,28 @@ TEST(DoctorTest, DecisionLogAudit)
     report = doctorReport(dir, opt, &rc);
     EXPECT_EQ(rc, 2);
 
+    // The log is read as tune --resume reads it: a line out of the
+    // writer's order (a score line twice) is a problem, while a log
+    // cut at a line boundary inside a round is a crash's cut.
+    const std::size_t score = full.find("{\"event\":\"score\"");
+    ASSERT_NE(score, std::string::npos);
+    const std::size_t score_end = full.find('\n', score) + 1;
+    spill(pathIn("doctor_dup.log"),
+          full.substr(0, score_end) +
+              full.substr(score, score_end - score) +
+              full.substr(score_end));
+    opt.logPath = pathIn("doctor_dup.log");
+    report = doctorReport(dir, opt, &rc);
+    EXPECT_EQ(rc, 2) << report;
+    EXPECT_NE(report.find("PROBLEM: decision log"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("more scores than"), std::string::npos)
+        << report;
+    spill(pathIn("doctor_cut.log"), full.substr(0, score_end));
+    opt.logPath = pathIn("doctor_cut.log");
+    report = doctorReport(dir, opt, &rc);
+    EXPECT_EQ(rc, 0) << report;
+
     opt.logPath = pathIn("doctor_no_such.log");
     report = doctorReport(dir, opt, &rc);
     EXPECT_EQ(rc, 2);

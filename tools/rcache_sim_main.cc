@@ -1249,13 +1249,17 @@ const std::vector<Command> kCommands = {
          {"--lease-timeout", "N",
           "seconds after which a lease without progress counts as "
           "stale (default 300)"},
-         {"--log", "FILE", "also audit this decision log's integrity"},
+         {"--log", "FILE",
+          "also audit this decision log, read as tune --resume reads "
+          "it"},
      },
      true,
      "Reports every work unit's state (done / lease live / stale /\n"
      "unclaimed), verifies committed unit CSVs still parse, and\n"
      "inventories crash debris (orphan tmp files, renamed-aside\n"
-     "evidence). Never mutates anything.\n"
+     "evidence). With --log, a decision log line that is not the one\n"
+     "the tune writes there is a problem; a log cut at a line\n"
+     "boundary is not. Never mutates anything.\n"
      "\n"
      "exit codes: 0 consistent (possibly unfinished), 2 inconsistent.\n",
      cmdDoctor},
