@@ -20,9 +20,9 @@
  * take it over by atomically renaming it aside (exactly one
  * contender's rename succeeds) and claiming afresh.
  *
- * Every claim worker, a sweep's (search/sweep_merge.hh) or a tune
- * round's (search/adaptive_search.hh), drains its units through one
- * loop, drainClaimUnits: claim a free unit, run it while
+ * Every claim worker, a sweep's or a tune round's, runs one protocol
+ * (claimRound, search/sweep_merge.hh) and drains its units through
+ * one loop, drainClaimUnits: claim a free unit, run it while
  * heartbeating its lease (mtime bump) after every finished lane
  * group, so a live unit of either kind is never stolen, publish its
  * CSV via write-to-tmp + rename, then write the done marker, so

@@ -161,10 +161,11 @@ SweepRecord cellRecord(std::size_t cell, const std::string &app,
  * point's own. @return "" when each identity column equals what
  * cellRecord writes for that cell, else the first that does not, as
  * "COLUMN 'ROW' where this scenario has 'CELL'". The one check of a
- * row's identity: a sweep's --resume, a tune's --resume and a claim
- * round's gather adopt only rows that pass it. A [system] or insts
- * value that no column shows (all but the policy) cannot be checked
- * from a row.
+ * row's identity: a sweep's --resume, a tune's --resume and the claim
+ * protocol's read-back (search/sweep_merge.hh; a claim worker's,
+ * `merge DIR`'s and `doctor`'s) adopt only rows that pass it. A
+ * [system] or insts value that no column shows (all but the policy)
+ * cannot be checked from a row.
  */
 std::string cellRowMismatch(const SweepRecord &row,
                             const ParamSpace &space,

@@ -237,19 +237,17 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                 {{"cells", std::to_string(unit.rows.size())},
                  {"jobs", std::to_string(unit.plannedJobs)}});
     };
-    // A polite interrupt, or a heartbeat that says stop, starts no new
-    // group: the running ones finish and the units they complete
-    // commit.
-    bool stopped = false;
+    // A polite interrupt starts no new group: the running ones finish
+    // and the units they complete commit.
     sink.heartbeat = [&] {
-        const bool go = !opt.heartbeat || opt.heartbeat();
-        stopped = stopped || !go || interruptRequested();
-        return !stopped;
+        if (opt.heartbeat)
+            opt.heartbeat();
+        return !interruptRequested();
     };
 
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t next = skip;
-    while (next < owned.size() && !stopped && !interruptRequested()) {
+    while (next < owned.size() && !interruptRequested()) {
         CellBatch batch(space, apps, trace.has_value());
         while (next < owned.size() &&
                batch.phase1Jobs() < kSweepWindowJobs) {
@@ -263,12 +261,12 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         }
         batch.run(execute, memo, sink);
     }
-    // Only a stop leaves owned cells uncommitted. Whether the CSV can
-    // be resumed is the caller's to say: a claim unit's is a tmp file.
+    // Only an interrupt leaves owned cells uncommitted; the caller
+    // names the file to resume.
     if (committed < owned.size()) {
         std::cerr << "rcache-sim: interrupted; " << committed << "/"
                   << owned.size() << " cells committed\n";
-        return interruptRequested() ? interruptExitCode() : 1;
+        return interruptExitCode();
     }
     const auto t1 = std::chrono::steady_clock::now();
 

@@ -93,14 +93,13 @@ struct SweepOptions
     /** Suppress the "sweep: N runs in ..." stderr summary (tests). */
     bool quiet = false;
     /**
-     * The sweep's heartbeat, CellBatch::Sink::heartbeat's contract:
-     * called after every finished lane group, once the commit units
-     * it completed are flushed (and after units that commit before a
-     * window's first group). Returning false starts no new group, so
-     * the sweep stops as a polite interrupt stops it. Claim workers
-     * pass their lease heartbeat; never affects the report bytes.
+     * Called where CellBatch::Sink::heartbeat is: after every finished
+     * lane group, once the commit units it completed are flushed (and
+     * after units that commit before a window's first group). An
+     * observer: only a polite interrupt stops a sweep, and the hook
+     * never affects the report bytes.
      */
-    std::function<bool()> heartbeat;
+    std::function<void()> heartbeat;
 
     /**
      * @name Telemetry sidecars (see src/telemetry/). All off (empty)
@@ -130,8 +129,7 @@ struct SweepOptions
 /**
  * Run the sweep. Diagnostics go to stderr with the CLI's "rcache-sim:"
  * prefix; @return a process exit code (0 ok, 2 on configuration or
- * resume-validation errors, 128+signal after a polite interrupt, 1
- * when the heartbeat alone stopped it).
+ * resume-validation errors, 128+signal after a polite interrupt).
  */
 int runScenarioSweep(const ParamSpace &space, const SweepOptions &opt);
 

@@ -3,14 +3,14 @@
  * Successive halving over the engine ladder (see the header). Every
  * round evaluates its candidate cells through the one cell-evaluation
  * path, evaluateCells / CellBatch (scenario/cell_eval.hh), at the
- * rung's engine: locally on one SweepRunner, or slice by slice per
- * claim unit through the claim worker every cooperative mode shares
- * (drainClaimUnits, runner/claim.hh). The decision log's cost
+ * rung's engine: locally on one SweepRunner, or range by range per
+ * claim unit through the claim protocol every cooperative mode shares
+ * (claimRound, search/sweep_merge.hh). The decision log's cost
  * accounting counts what a CellBatch of each round's cells lays out,
  * per design point (plannedCoreJobs), without laying it out; a test
  * holds that count to a real layout. What stays here is the ladder
- * itself: scoring, promotion, early exit, the decision log, resume,
- * and how a claim round deals out and gathers its cells.
+ * itself: scoring, promotion, early exit, the decision log and
+ * resume.
  */
 
 #include "search/adaptive_search.hh"
@@ -61,71 +61,22 @@ scoreOf(const SweepRecord &r)
                : std::numeric_limits<double>::max();
 }
 
-/**
- * One claim-mode round: the candidate list is cut into @p shards
- * contiguous ranges, unit u taking candidates [u*n/N, (u+1)*n/N).
- * Candidates are app-major and sorted, so each app's cells land in one
- * unit (or two, at a range boundary), which streams that app's
- * workload and baselines once. This worker drains the units, named
- * r<round>_s<shard>, with its peers through the claim worker
- * (runner/claim.hh). Every worker then reads the committed unit CSVs
- * back, so all of them gather the identical record set, and adopts
- * only rows that are this round's cells (cellRowMismatch). @return 0
- * with @p records in ascending-cell order, or a process exit code.
- */
-int
-claimRound(const ParamSpace &space, const std::vector<AppEntry> &apps,
-           unsigned jobs, const ClaimDir &claims, unsigned shards,
-           std::size_t round, const EngineSpec &engine,
-           const std::vector<std::size_t> &cells,
-           std::vector<SweepRecord> &records)
-{
-    std::vector<std::string> units, csvs;
-    for (unsigned u = 0; u < shards; ++u) {
-        units.push_back(tuneUnitName(round, u));
-        csvs.push_back(claims.path(units.back() + ".csv"));
-    }
-    const int rc = drainClaimUnits(
-        claims, units,
-        [&](std::size_t u, const std::string &tmp,
-            const std::function<bool()> &heartbeat) {
-            const std::vector<std::size_t> mine(
-                cells.begin() + u * cells.size() / shards,
-                cells.begin() + (u + 1) * cells.size() / shards);
-            const std::vector<SweepRecord> recs = evaluateCells(
-                space, apps, mine, jobs, &engine, heartbeat);
-            if (recs.size() < mine.size())
-                return interruptExitCode(); // the heartbeat stopped it
-            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-            os << sweepCsvHeader() << '\n';
-            writeSweepCsvRows(os, recs);
-            os.flush();
-            return os ? 0 : fail("cannot write '" + tmp + "'");
-        });
-    if (rc != 0)
-        return rc;
-    std::string err;
-    auto all = readShardCsvs(csvs, &err);
-    if (!all)
-        return fail(err);
-    std::string why;
-    if (all->size() != cells.size())
-        why = std::to_string(all->size()) + " rows for " +
-              std::to_string(cells.size()) + " candidates";
-    for (std::size_t i = 0; why.empty() && i < cells.size(); ++i) {
-        why = cellRowMismatch((*all)[i], space, apps, cells[i], &engine);
-        if (!why.empty())
-            why = "cell " + std::to_string(cells[i]) + ": " + why;
-    }
-    if (!why.empty())
-        return fail("claim units of round " + std::to_string(round) +
-                    " do not cover its candidate set (" + why +
-                    "; foreign or mismatched manifest directory?)");
-    records = std::move(*all);
-    return 0;
-}
-
 } // namespace
+
+EngineSpec
+rungEngine(const AdaptiveSpec &ad, EngineMode mode)
+{
+    if (mode == EngineMode::Analytic)
+        return EngineSpec::makeAnalytic();
+    if (mode == EngineMode::Sampled)
+        return ad.sampleInterval == 0
+                   ? EngineSpec::makeSampled(SamplingConfig{})
+                   : EngineSpec::makeSampled(
+                         ad.sampleInterval,
+                         SamplingConfig::defaultDetail(ad.sampleInterval),
+                         SamplingConfig::defaultWarmup(ad.sampleInterval));
+    return EngineSpec{};
+}
 
 int
 runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
@@ -169,18 +120,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // (the analytic envelope, sampled-reachability, ...).
     std::vector<EngineSpec> rungs;
     for (const EngineMode mode : ad.ladder) {
-        EngineSpec e;
-        if (mode == EngineMode::Analytic)
-            e = EngineSpec::makeAnalytic();
-        else if (mode == EngineMode::Sampled)
-            e = ad.sampleInterval == 0
-                    ? EngineSpec::makeSampled(SamplingConfig{})
-                    : EngineSpec::makeSampled(
-                          ad.sampleInterval,
-                          SamplingConfig::defaultDetail(
-                              ad.sampleInterval),
-                          SamplingConfig::defaultWarmup(
-                              ad.sampleInterval));
+        const EngineSpec e = rungEngine(ad, mode);
         ScenarioSpec probe = spec;
         probe.engine = e;
         std::string probe_err;
@@ -260,11 +200,18 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
             }
     }
 
-    // ---- decision log sink
+    // ---- decision log sink. Lines accumulate from the plan line on.
+    // The file opens once every replayed round has checked out, at the
+    // first round that runs or after a replayed winner, and takes them
+    // in one append, so a refused resume leaves --log as it was, even
+    // when it names the resume file itself.
     DecisionLogWriter log;
-    if (!opt.logPath.empty() && opt.emitOutputs &&
-        !log.open(opt.logPath))
-        return fail("cannot write '" + opt.logPath + "'");
+    bool log_opened = false;
+    const auto openLog = [&] {
+        log_opened = true;
+        return opt.logPath.empty() || !opt.emitOutputs ||
+               log.open(opt.logPath);
+    };
     const auto emit = [&](const std::string &line) {
         log.append(line);
     };
@@ -294,10 +241,12 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     std::string winner_score;
 
     for (std::size_t r = 0; r < rungs.size(); ++r) {
+        if (r == cached.size() && !openLog())
+            return fail("cannot write '" + opt.logPath + "'");
         // Round boundaries are the tuner's commit points: the log
-        // holds only complete rounds here, so exiting now leaves a
-        // --resume-able state.
-        if (interruptRequested()) {
+        // holds only complete rounds before a round that runs, so
+        // exiting there leaves a --resume-able state.
+        if (r >= cached.size() && interruptRequested()) {
             std::cerr << "rcache-sim: interrupted; " << rounds_run
                       << " complete round(s) in the log";
             if (!opt.logPath.empty() && opt.emitOutputs)
@@ -325,10 +274,14 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         } else if (!claims) {
             records =
                 evaluateCells(space, apps, candidates, opt.jobs, &engine);
-        } else if (const int rc =
-                       claimRound(space, apps, opt.jobs, *claims, shards,
-                                  r, engine, candidates, records)) {
-            return rc;
+        } else {
+            std::vector<std::string> units;
+            for (unsigned u = 0; u < shards; ++u)
+                units.push_back(tuneUnitName(r, u));
+            if (const int rc = claimRound(*claims, units, space, apps,
+                                          candidates, &engine, opt.jobs,
+                                          records))
+                return rc;
         }
         ++rounds_run;
 
@@ -398,6 +351,9 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // The loop always breaks with a winner: the last rung takes the
     // final_rung branch unconditionally.
     rc_assert(winner);
+    // Every round was replayed, the winner's too: open the log now.
+    if (!log_opened && !openLog())
+        return fail("cannot write '" + opt.logPath + "'");
 
     if (opt.emitOutputs) {
         std::string out = sweepCsvHeader() + '\n';

@@ -26,16 +26,16 @@
  * values, claim workers, and resumes.
  *
  * Cooperative mode: with a claim directory (runner/claim.hh), each
- * round becomes `shards` work units named r<round>_s<shard>, drained
- * by the same claim worker as a claim sweep's units
- * (drainClaimUnits): workers atomically claim units, evaluate their
- * candidate slice (a contiguous range of the round's app-major
- * candidates) while heartbeating the lease after every finished
- * lane group (so a live unit is never taken over), publish the slice
- * as a committed CSV, and barrier on the round before reading every
- * unit's CSV back and computing the (identical) promotion verdict
- * locally. A polite interrupt stops a claim round between lane
- * groups and releases the unit in flight; a local round finishes
+ * round is one claimRound (search/sweep_merge.hh), the protocol a
+ * claim sweep runs once: `shards` work units named r<round>_s<shard>,
+ * unit u taking a contiguous range of the round's app-major
+ * candidates, evaluated at the rung's engine while the worker
+ * heartbeats the lease after every finished lane group (so a live
+ * unit is never taken over) and published as a committed CSV. Every
+ * worker barriers on the round, reads every unit back, holding each
+ * row to its candidate, and computes the (identical) promotion
+ * verdict locally. A polite interrupt stops a claim round between
+ * lane groups and releases the unit in flight; a local round finishes
  * first. N workers drain one tune with no coordinator, and every
  * worker writes the same decision log bytes.
  *
@@ -51,8 +51,9 @@
  * another scenario exits 2 and stays where it is: its plan line
  * differs, a round's candidates differ, or a score row is not its
  * cell's row at the round's engine (cellRowMismatch,
- * scenario/cell_eval.hh). A claim round holds the unit rows it
- * gathers to the same check.
+ * scenario/cell_eval.hh). The log file opens only once every replayed
+ * round has checked out, so a refused resume leaves `--log` as it
+ * was, even when it names the resume file.
  */
 
 #ifndef RCACHE_SEARCH_ADAPTIVE_SEARCH_HH
@@ -112,6 +113,13 @@ struct TuneStats
     /** The full decision log, byte-exact. */
     std::string logText;
 };
+
+/**
+ * The engine a ladder rung of mode @p mode runs at under @p ad: the
+ * analytic engine, the sampled engine at [search] sample-interval
+ * (the default period when 0), or full detail.
+ */
+EngineSpec rungEngine(const AdaptiveSpec &ad, EngineMode mode);
 
 /**
  * Run the adaptive search. Diagnostics go to stderr with the CLI's

@@ -242,7 +242,11 @@ DecisionLogWriter::open(const std::string &path)
     if (path_.empty())
         return true;
     os_.open(path_, std::ios::binary | std::ios::trunc);
-    return static_cast<bool>(os_);
+    if (!os_)
+        return false;
+    if (!text_.empty())
+        checkedAppend(os_, text_, path_, "log.append");
+    return true;
 }
 
 void

@@ -152,19 +152,21 @@ struct TuneLog
 TuneLog readTuneLog(std::string_view text);
 
 /**
- * The log writer: appends builder lines one at a time, each write
- * checked and flushed (util/checked_io.hh — a failed append exits
- * kIoErrorExit after a one-line diagnostic), so the on-disk log
- * always ends at a line boundary except across a mid-write crash,
- * which --resume detects as a torn tail and drops. Also accumulates
- * the full text for byte-identity tests. Not opening a file (empty
- * path) keeps it a pure accumulator.
+ * The log writer: accumulates builder lines, and once a file is open
+ * appends them to it one at a time, each write checked and flushed
+ * (util/checked_io.hh — a failed append exits kIoErrorExit after a
+ * one-line diagnostic), so the on-disk log always ends at a line
+ * boundary except across a mid-write crash, which --resume detects as
+ * a torn tail and drops. The accumulated text also serves the
+ * byte-identity tests. Never opening a file keeps it a pure
+ * accumulator.
  */
 class DecisionLogWriter
 {
   public:
-    /** Truncate-open @p path ("" = accumulate only). @return false
-     *  when the file cannot be opened. */
+    /** Truncate-open @p path ("" = accumulate only) and write every
+     *  line appended so far in one checked append. @return false when
+     *  the file cannot be opened. */
     bool open(const std::string &path);
 
     /** Append one builder line (newline added here). */

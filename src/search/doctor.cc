@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "runner/claim.hh"
-#include "scenario/scenario_spec.hh"
+#include "search/adaptive_search.hh"
 #include "search/decision_log.hh"
-#include "sim/report.hh"
+#include "search/sweep_merge.hh"
 #include "util/checked_io.hh"
 
 namespace rcache
@@ -84,10 +84,11 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
     }
     out << "doctor: " << dir << " (" << mf->mode << ", "
         << mf->shards << " shard(s))\n";
-    std::string parse_err;
-    if (!ScenarioSpec::parseText(mf->scenarioText,
-                                 dir + "/MANIFEST.scn", &parse_err))
-        problem("MANIFEST.scn does not parse: " + parse_err);
+    // Every committed unit row is held to the manifest's scenario.
+    std::string scn_err;
+    const auto scn = manifestScenario(dir, *mf, &scn_err);
+    if (!scn)
+        problem(scn_err);
 
     // ---- enumerate units: sweep units come from the shard count,
     // tune units from whatever rounds actually started.
@@ -117,10 +118,23 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
                   });
     }
 
-    // ---- per-unit state
+    // ---- per-unit state, and each committed CSV read back as the
+    // claim protocol reads it: a sweep unit against its range of the
+    // cells, each row of a tune unit against its own cell at the
+    // unit's rung (which cells a round holds depends on earlier
+    // rounds).
     const ClaimDir claims(dir, opt.leaseTimeoutSecs);
+    std::vector<std::size_t> all_cells;
+    std::vector<EngineSpec> rungs;
+    if (scn) {
+        all_cells = scn->cells();
+        const AdaptiveSpec &ad = scn->space.spec().search.adaptive;
+        for (const EngineMode mode : ad.ladder)
+            rungs.push_back(rungEngine(ad, mode));
+    }
     std::size_t done = 0, live = 0, stale = 0, unclaimed = 0;
-    for (const std::string &unit : units) {
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        const std::string &unit = units[u];
         const std::string csv = claims.path(unit + ".csv");
         const bool is_done = claims.isDone(unit);
         std::string state;
@@ -139,22 +153,37 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
             state = "unclaimed";
         }
         out << "  " << unit << ": " << state;
-        std::ifstream is(csv, std::ios::binary);
-        if (is) {
-            std::string csv_err;
-            const auto rows = readSweepCsv(is, &csv_err);
-            if (rows)
-                out << ", csv " << rows->size() << " row(s)";
-            else
-                out << ", csv DAMAGED";
-            out << '\n';
-            if (!rows)
-                problem("'" + csv + "': " + csv_err);
-        } else {
+        if (!std::ifstream(csv)) {
             out << '\n';
             if (is_done)
                 problem("'" + unit + "' is marked done but '" + csv +
                         "' is unreadable");
+            continue;
+        }
+        if (!scn) {
+            out << '\n';
+            continue;
+        }
+        std::string why;
+        std::optional<std::vector<SweepRecord>> rows;
+        if (mf->mode == "sweep") {
+            const auto range = claimUnitCells(all_cells, u, units.size());
+            rows = readClaimUnit(csv, scn->space, scn->apps, &range,
+                                 nullptr, &why);
+        } else if (const std::size_t round = tuneUnitKey(unit).first;
+                   round < rungs.size()) {
+            rows = readClaimUnit(csv, scn->space, scn->apps, nullptr,
+                                 &rungs[round], &why);
+        } else {
+            why = csv + ": round " + std::to_string(round) +
+                  " is beyond the scenario's " +
+                  std::to_string(rungs.size()) + "-rung ladder";
+        }
+        if (rows) {
+            out << ", csv " << rows->size() << " row(s)\n";
+        } else {
+            out << ", csv DAMAGED\n";
+            problem(why);
         }
     }
     out << "  units: " << done << " done, " << live << " claimed, "

@@ -4,11 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 
-#include "runner/claim.hh"
-#include "scenario/scenario_sweep.hh"
 #include "util/checked_io.hh"
+#include "util/interrupt.hh"
 #include "util/numformat.hh"
 
 namespace rcache
@@ -43,74 +43,200 @@ remapCsvError(const std::string &path, const std::string &err)
     return path + ":1: " + err;
 }
 
+/** Read the sweep CSV @p path strictly, rows in file order. */
+std::optional<std::vector<SweepRecord>>
+readCsvFile(const std::string &path, std::string *err)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        *err = path + ":1: cannot open";
+        return std::nullopt;
+    }
+    std::string csv_err;
+    auto records = readSweepCsv(is, &csv_err);
+    if (!records)
+        *err = remapCsvError(path, csv_err);
+    return records;
+}
+
+/** Write the merged report: the header, then @p rows. */
+int
+writeReport(const std::vector<SweepRecord> &rows,
+            const std::string &outPath)
+{
+    std::ofstream file;
+    std::ostream *os = &std::cout;
+    if (!outPath.empty()) {
+        file.open(outPath, std::ios::binary | std::ios::trunc);
+        if (!file)
+            return fail("cannot write '" + outPath + "'");
+        os = &file;
+    }
+    const std::string outName = outPath.empty() ? "<stdout>" : outPath;
+    std::ostringstream out;
+    writeSweepCsv(out, rows);
+    checkedAppend(*os, out.str(), outName, "merge.out.flush");
+    return 0;
+}
+
 } // namespace
 
+std::vector<std::size_t>
+ManifestScenario::cells() const
+{
+    std::vector<std::size_t> all(apps.size() * space.numPoints());
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+}
+
+std::optional<ManifestScenario>
+manifestScenario(const std::string &dir, const ManifestInfo &info,
+                 std::string *err)
+{
+    const std::string scn = dir + "/MANIFEST.scn";
+    const auto spec = ScenarioSpec::parseText(info.scenarioText, scn, err);
+    if (!spec)
+        return std::nullopt;
+    std::string why;
+    auto space = ParamSpace::build(*spec, &why);
+    std::vector<AppEntry> apps;
+    if (space)
+        apps = resolveApps(*spec, &why);
+    if (apps.empty()) {
+        *err = scn + ": " + why;
+        return std::nullopt;
+    }
+    return ManifestScenario{std::move(*space), std::move(apps)};
+}
+
+std::vector<std::size_t>
+claimUnitCells(const std::vector<std::size_t> &cells, std::size_t unit,
+               std::size_t units)
+{
+    return {cells.begin() + unit * cells.size() / units,
+            cells.begin() + (unit + 1) * cells.size() / units};
+}
+
 std::optional<std::vector<SweepRecord>>
-readShardCsvs(const std::vector<std::string> &paths, std::string *err)
+readClaimUnit(const std::string &path, const ParamSpace &space,
+              const std::vector<AppEntry> &apps,
+              const std::vector<std::size_t> *cells,
+              const EngineSpec *engine, std::string *err)
+{
+    auto rows = readCsvFile(path, err);
+    if (!rows)
+        return std::nullopt;
+    const std::size_t ncells = apps.size() * space.numPoints();
+    const auto mismatch = [&](std::size_t i) -> std::string {
+        if (cells && i >= cells->size())
+            return "a row beyond the unit's " +
+                   std::to_string(cells->size()) + " cell(s)";
+        const std::size_t cell = cells ? (*cells)[i] : (*rows)[i].cell;
+        if (cell >= ncells)
+            return "cell " + std::to_string(cell) + " is beyond the " +
+                   std::to_string(ncells) + " cells of the scenario";
+        const std::string why =
+            cellRowMismatch((*rows)[i], space, apps, cell, engine);
+        return why.empty() ? why : "cell " + std::to_string(cell) + ": " + why;
+    };
+    // Row i sits on line i + 2, under the header.
+    for (std::size_t i = 0; i < rows->size(); ++i) {
+        const std::string why = mismatch(i);
+        if (!why.empty()) {
+            *err = path + ":" + std::to_string(i + 2) + ": " + why;
+            return std::nullopt;
+        }
+    }
+    if (cells && rows->size() < cells->size()) {
+        *err = path + ":" + std::to_string(rows->size() + 2) + ": cell " +
+               std::to_string((*cells)[rows->size()]) +
+               " is missing (the unit holds " +
+               std::to_string(cells->size()) + " cell(s))";
+        return std::nullopt;
+    }
+    return rows;
+}
+
+std::optional<std::vector<SweepRecord>>
+readClaimRound(const ClaimDir &claims,
+               const std::vector<std::string> &units,
+               const ParamSpace &space, const std::vector<AppEntry> &apps,
+               const std::vector<std::size_t> &cells,
+               const EngineSpec *engine, std::string *err)
 {
     std::vector<SweepRecord> all;
-    for (const std::string &path : paths) {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) {
-            *err = path + ":1: cannot open";
+    all.reserve(cells.size());
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        const std::vector<std::size_t> mine =
+            claimUnitCells(cells, u, units.size());
+        const auto rows =
+            readClaimUnit(claims.path(units[u] + ".csv"), space, apps,
+                          &mine, engine, err);
+        if (!rows)
             return std::nullopt;
-        }
-        std::string csv_err;
-        const auto records = readSweepCsv(is, &csv_err);
-        if (!records) {
-            *err = remapCsvError(path, csv_err);
-            return std::nullopt;
-        }
-        all.insert(all.end(), records->begin(), records->end());
+        all.insert(all.end(), rows->begin(), rows->end());
     }
-    std::sort(all.begin(), all.end(),
-              [](const SweepRecord &a, const SweepRecord &b) {
-                  return a.cell < b.cell;
-              });
     return all;
+}
+
+int
+claimRound(const ClaimDir &claims, const std::vector<std::string> &units,
+           const ParamSpace &space, const std::vector<AppEntry> &apps,
+           const std::vector<std::size_t> &cells,
+           const EngineSpec *engine, unsigned jobs,
+           std::vector<SweepRecord> &records)
+{
+    const int rc = drainClaimUnits(
+        claims, units,
+        [&](std::size_t u, const std::string &tmp,
+            const std::function<bool()> &heartbeat) {
+            const std::vector<std::size_t> mine =
+                claimUnitCells(cells, u, units.size());
+            const std::vector<SweepRecord> rows =
+                evaluateCells(space, apps, mine, jobs, engine, heartbeat);
+            if (rows.size() < mine.size())
+                return interruptExitCode(); // the heartbeat stopped it
+            std::ostringstream text;
+            writeSweepCsv(text, rows);
+            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+            checkedAppend(os, text.str(), tmp);
+            return 0;
+        });
+    if (rc != 0)
+        return rc;
+    std::string err;
+    auto all = readClaimRound(claims, units, space, apps, cells, engine,
+                              &err);
+    if (!all)
+        return fail(err);
+    records = std::move(*all);
+    return 0;
 }
 
 int
 runClaimSweep(const std::optional<ScenarioSpec> &spec,
               const ClaimSweepOptions &opt)
 {
-    // ---- create or join the manifest
-    std::string mf_err;
+    std::string err;
     const auto mf = openManifest(
         opt.dir, "sweep",
         spec ? std::optional<std::string>(spec->printToString())
              : std::nullopt,
-        opt.shards, &mf_err);
+        opt.shards, &err);
     if (!mf)
-        return fail(mf_err);
+        return fail(err);
+    const auto scn = manifestScenario(opt.dir, *mf, &err);
+    if (!scn)
+        return fail(err);
 
-    std::string parse_err;
-    const auto mf_spec = ScenarioSpec::parseText(
-        mf->scenarioText, opt.dir + "/MANIFEST.scn", &parse_err);
-    if (!mf_spec)
-        return fail(parse_err);
-    std::string build_err;
-    const auto space = ParamSpace::build(*mf_spec, &build_err);
-    if (!space)
-        return fail(build_err);
-
-    // ---- drain units: unit u sweeps shard u/N into its CSV
+    // One round over every cell: unit u of N is shard_u.
     std::vector<std::string> units;
     for (unsigned u = 0; u < mf->shards; ++u)
         units.push_back(sweepUnitName(u));
-    const int rc = drainClaimUnits(
-        ClaimDir(opt.dir, opt.leaseTimeoutSecs), units,
-        [&](std::size_t u, const std::string &tmp,
-            const std::function<bool()> &heartbeat) {
-            SweepOptions so;
-            so.jobs = opt.jobs;
-            so.shard = ShardSpec{static_cast<unsigned>(u), mf->shards};
-            so.outPath = tmp;
-            so.progress = opt.progress;
-            so.quiet = opt.quiet;
-            so.heartbeat = heartbeat;
-            return runScenarioSweep(*space, so);
-        });
+    std::vector<SweepRecord> records;
+    const int rc = claimRound(ClaimDir(opt.dir, opt.leaseTimeoutSecs),
+                              units, scn->space, scn->apps, scn->cells(),
+                              nullptr, opt.jobs, records);
     if (rc == 0 && !opt.quiet)
         std::cerr << "claim: all " << mf->shards << " unit(s) of '"
                   << opt.dir << "' are done\n";
@@ -125,35 +251,50 @@ runSweepMerge(const std::vector<std::string> &inputs,
         return fail("merge needs shard CSVs or a manifest "
                     "directory");
 
-    // A single directory input means "merge this manifest".
-    std::vector<std::string> paths = inputs;
+    // A single directory input means "merge this manifest": its units
+    // read back against its own scenario.
     if (inputs.size() == 1 &&
         std::filesystem::is_directory(inputs[0])) {
+        const std::string &dir = inputs[0];
         std::string err;
-        const auto mf = readManifest(inputs[0], &err);
+        const auto mf = readManifest(dir, &err);
         if (!mf)
             return fail(err);
         if (mf->mode != "sweep")
-            return fail("manifest in '" + inputs[0] + "' is a " +
-                        mf->mode +
+            return fail("manifest in '" + dir + "' is a " + mf->mode +
                         " manifest; merge reads sweep manifests");
-        const ClaimDir claims(inputs[0], 0);
-        paths.clear();
+        const ClaimDir claims(dir, 0);
+        std::vector<std::string> units;
         for (unsigned u = 0; u < mf->shards; ++u) {
-            const std::string unit = sweepUnitName(u);
-            if (!claims.isDone(unit))
-                return fail("unit '" + unit + "' of '" + inputs[0] +
+            units.push_back(sweepUnitName(u));
+            if (!claims.isDone(units.back()))
+                return fail("unit '" + units.back() + "' of '" + dir +
                             "' is not done yet; merge after the "
                             "workers finish");
-            paths.push_back(claims.path(unit + ".csv"));
         }
+        const auto scn = manifestScenario(dir, *mf, &err);
+        if (!scn)
+            return fail(err);
+        const auto rows = readClaimRound(claims, units, scn->space,
+                                         scn->apps, scn->cells(), nullptr,
+                                         &err);
+        if (!rows)
+            return fail(err);
+        return writeReport(*rows, outPath);
     }
 
-    std::string read_err;
-    const auto records = readShardCsvs(paths, &read_err);
-    if (!records)
-        return fail(read_err);
-    const std::vector<SweepRecord> &all = *records;
+    std::vector<SweepRecord> all;
+    for (const std::string &path : inputs) {
+        std::string err;
+        const auto rows = readCsvFile(path, &err);
+        if (!rows)
+            return fail(err);
+        all.insert(all.end(), rows->begin(), rows->end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const SweepRecord &a, const SweepRecord &b) {
+                  return a.cell < b.cell;
+              });
     // The merged cells must be exactly 0..N-1: a duplicate is a
     // repeated shard, a gap is a missing one. Both are silent-loss
     // bugs if let through, so both are hard errors.
@@ -168,22 +309,7 @@ runSweepMerge(const std::vector<std::string> &inputs,
                     " is missing from the inputs (merge wants "
                     "every shard of one scenario)");
     }
-
-    std::ofstream file;
-    std::ostream *os = &std::cout;
-    if (!outPath.empty()) {
-        file.open(outPath, std::ios::binary | std::ios::trunc);
-        if (!file)
-            return fail("cannot write '" + outPath + "'");
-        os = &file;
-    }
-    const std::string outName =
-        outPath.empty() ? "<stdout>" : outPath;
-    std::ostringstream out;
-    out << sweepCsvHeader() << '\n';
-    writeSweepCsvRows(out, all);
-    checkedAppend(*os, out.str(), outName, "merge.out.flush");
-    return 0;
+    return writeReport(all, outPath);
 }
 
 } // namespace rcache

@@ -1,27 +1,42 @@
 /**
  * @file
- * The cooperative sweep worker (`rcache-sim sweep --claim`) and the
+ * The claim protocol every cooperative worker runs (`rcache-sim sweep
+ * --claim`, each round of `rcache-sim tune --claim`) and the
  * shard-merge engine (`rcache-sim merge`).
  *
- * A claim-mode sweep turns one scenario into `shards` work units
- * (shard_0 ... shard_N-1) that any number of independent worker
- * processes drain together. runClaimSweep drives the shared claim
- * worker, drainClaimUnits (runner/claim.hh has it and the lease
- * protocol): it claims what is free, sweeps the claimed shard into a
- * committed <unit>.csv (written to a private tmp file and renamed,
- * so readers never see a partial CSV), and marks it done. Workers
- * heartbeat their lease after every finished lane group and take
- * over stale units of crashed peers, and no worker exits
- * successfully until *every* unit is done — so a zero exit from any
- * worker means the whole scenario is drained.
+ * A claim round turns an ascending, app-major list of cells into N
+ * work units that any number of independent worker processes drain
+ * together: unit u of N takes the contiguous range of cells
+ * [u*n/N, (u+1)*n/N), so a unit holds consecutive cells of few apps
+ * and streams each of those apps' workload and baselines once. A
+ * claim sweep is one round over every cell, with units shard_0 ...
+ * shard_N-1; a tune round's units are r<round>_s<unit>, over the
+ * round's candidates at the rung's engine.
+ * claimRound drives the shared claim worker, drainClaimUnits
+ * (runner/claim.hh has it and the lease protocol): it claims what is
+ * free, evaluates the unit's cells (evaluateCells, one CellBatch)
+ * while heartbeating the lease after every finished lane group,
+ * publishes the unit's CSV through a checked write to a private tmp
+ * file renamed into place (readers never see a partial CSV), and
+ * marks it done. Workers take over stale units of crashed peers, and
+ * no worker returns until *every* unit is done, so a zero exit from
+ * any worker means the whole round is drained.
  *
- * Merge re-interleaves committed shard CSVs by global cell index
- * into the unsharded report. Because every cell is a pure function
- * of its spec, the merged file is byte-identical to a single-process
- * `rcache-sim sweep` of the same scenario (pinned by the claim
- * tests and the CI orchestration smoke job). Validation is strict:
- * every input must parse, and the union of cells must be exactly
- * 0..N-1 with no duplicates — a missing shard or a foreign CSV is a
+ * Then every worker reads every unit back (readClaimRound): row i of
+ * a unit must be the row of the unit's i-th cell (cellRowMismatch,
+ * scenario/cell_eval.hh), so all workers gather the identical record
+ * set and an edited or foreign unit exits 2 with one line naming the
+ * unit file. `merge DIR` and `doctor DIR` read a directory's units
+ * back through the same check, against MANIFEST.scn.
+ *
+ * Merge re-interleaves committed unit or shard CSVs by global cell
+ * index into the unsharded report. Because every cell is a pure
+ * function of its spec, the merged file is byte-identical to a
+ * single-process `rcache-sim sweep` of the same scenario (pinned by
+ * the claim tests and the CI orchestration smoke job). Loose shard
+ * CSVs (`merge a.csv b.csv`, from `--shard i/N`) have no scenario to
+ * be checked against: every input must parse, and the union of cells
+ * must be exactly 0..N-1 with no duplicates, so a missing shard is a
  * one-line `path:line:` diagnostic, not a silently short report.
  */
 
@@ -32,6 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "runner/claim.hh"
+#include "scenario/cell_eval.hh"
 #include "scenario/scenario_spec.hh"
 #include "sim/report.hh"
 
@@ -50,7 +67,6 @@ struct ClaimSweepOptions
     unsigned leaseTimeoutSecs = 300;
     /** Worker threads per claimed unit (SweepRunner semantics). */
     unsigned jobs = 1;
-    bool progress = false;
     bool quiet = false;
 };
 
@@ -58,30 +74,87 @@ struct ClaimSweepOptions
  * Run one cooperative sweep worker over @p opt.dir. With @p spec the
  * worker creates the manifest when none exists (requires
  * opt.shards > 0) or verifies an existing one matches; without, it
- * joins the manifest's scenario. Then it drives drainClaimUnits over
- * the manifest's units, each a runScenarioSweep of its shard, so it
- * returns 0 only once every unit of the manifest is done.
+ * joins the manifest's scenario. Then it runs one claimRound over
+ * every cell of the manifest's scenario, so it returns 0 only once
+ * every unit of the manifest is done and reads back as its range.
  * Diagnostics go to stderr with the CLI's "rcache-sim:" prefix;
  * @return a process exit code.
  */
 int runClaimSweep(const std::optional<ScenarioSpec> &spec,
                   const ClaimSweepOptions &opt);
 
-/**
- * Read committed shard or claim-unit CSVs strictly and pool their
- * rows, sorted by cell. @return nullopt with a one-line
- * "<path>:N: why" @p err on the first input that cannot be opened or
- * does not parse.
- */
-std::optional<std::vector<SweepRecord>>
-readShardCsvs(const std::vector<std::string> &paths, std::string *err);
+/** A manifest's scenario: its design space and its apps. */
+struct ManifestScenario
+{
+    ParamSpace space;
+    std::vector<AppEntry> apps;
+
+    /** Every cell of the scenario, ascending (app-major). */
+    std::vector<std::size_t> cells() const;
+};
 
 /**
- * Merge shard CSVs into the unsharded report (@p outPath; empty =
- * stdout). @p inputs is either a list of shard CSV paths or a single
- * manifest directory, whose committed unit CSVs are merged (every
- * unit must be done). @return a process exit code (0 ok, 2 on a
- * missing/unparsable input or an incomplete cell cover).
+ * Parse and build the scenario @p info carries (MANIFEST.scn of
+ * @p dir). @return nullopt with a one-line @p err naming the file.
+ */
+std::optional<ManifestScenario>
+manifestScenario(const std::string &dir, const ManifestInfo &info,
+                 std::string *err);
+
+/** The cells unit @p unit of @p units takes from @p cells: the
+ *  contiguous range [unit*n/units, (unit+1)*n/units). */
+std::vector<std::size_t>
+claimUnitCells(const std::vector<std::size_t> &cells, std::size_t unit,
+               std::size_t units);
+
+/**
+ * One claim round: drain @p units (named by the caller) with this
+ * worker's peers, unit u evaluating claimUnitCells(@p cells, u, N)
+ * at @p engine when non-null (else each point's own) on @p jobs
+ * workers, then read every unit back (readClaimRound). @p cells must
+ * be ascending cells of @p space and @p apps. @return 0 with
+ * @p records in @p cells order, or a process exit code: 128+signal
+ * after a polite interrupt, 2 when a unit does not read back as its
+ * cells (after a one-line diagnostic). A unit CSV this worker cannot
+ * write exits the process with 3, as every checked write does.
+ */
+int claimRound(const ClaimDir &claims, const std::vector<std::string> &units,
+               const ParamSpace &space, const std::vector<AppEntry> &apps,
+               const std::vector<std::size_t> &cells,
+               const EngineSpec *engine, unsigned jobs,
+               std::vector<SweepRecord> &records);
+
+/**
+ * The read-back half of the protocol for one committed unit CSV
+ * @p path: it must parse, and row i must be the row of cell
+ * (*@p cells)[i] at @p engine (cellRowMismatch) with no row missing
+ * or extra. A null @p cells holds each row to its own cell instead,
+ * for a reader that cannot know a unit's cells (doctor, of a tune
+ * round's). @return the rows, or nullopt with a one-line
+ * "<path>:LINE: why" @p err.
+ */
+std::optional<std::vector<SweepRecord>>
+readClaimUnit(const std::string &path, const ParamSpace &space,
+              const std::vector<AppEntry> &apps,
+              const std::vector<std::size_t> *cells,
+              const EngineSpec *engine, std::string *err);
+
+/** Read every unit of a claim round back (readClaimUnit, unit u
+ *  against claimUnitCells(@p cells, u, N)). @return the rows in
+ *  @p cells order, or nullopt with @p err. */
+std::optional<std::vector<SweepRecord>>
+readClaimRound(const ClaimDir &claims, const std::vector<std::string> &units,
+               const ParamSpace &space, const std::vector<AppEntry> &apps,
+               const std::vector<std::size_t> &cells,
+               const EngineSpec *engine, std::string *err);
+
+/**
+ * Merge into the unsharded report (@p outPath; empty = stdout).
+ * @p inputs is either a list of shard CSV paths or a single manifest
+ * directory, whose committed units are read back against its
+ * MANIFEST.scn (every unit must be done). @return a process exit code
+ * (0 ok, 2 on a missing, unparsable or mismatched input or an
+ * incomplete cell cover).
  */
 int runSweepMerge(const std::vector<std::string> &inputs,
                   const std::string &outPath);

@@ -367,6 +367,8 @@ check_rejects_oneline("--out conflicts with --claim"
                       sweep --claim nowhere --out x.csv)
 check_rejects_oneline("--resume conflicts with --claim"
                       sweep --claim nowhere --resume x.csv)
+check_exit2_oneline("--progress conflicts with --claim"
+                    sweep --claim nowhere --progress)
 check_rejects_oneline("no manifest in 'nowhere'"
                       sweep --claim nowhere)
 
@@ -425,6 +427,28 @@ if(NOT after_log STREQUAL tune_log OR NOT after_csv STREQUAL csv_prefix
    OR asides)
   message(SEND_ERROR "a refused resume changed or moved its file: "
                      "${RESUME_DIR}")
+endif()
+# `tune --resume L --log L` checks every replayed round before it opens
+# the log: one round-0 best_edp edited (cell 2 now ranks first) gives
+# round 1 other candidates, and the refusal leaves L as it was.
+string(REPLACE
+       "2,swim,sets,static,dcache,strategy=static,0,0,0,0,-0.07792347658546195,0,0,875396671055.7761,876078810575.7761"
+       "2,swim,sets,static,dcache,strategy=static,0,0,0,0,-0.07792347658546195,0,0,875396671055.7761,776078810575.7761"
+       edited_log "${tune_log}")
+if(edited_log STREQUAL tune_log)
+  message(SEND_ERROR "the round-0 score to edit is not in the golden log")
+endif()
+file(WRITE ${RESUME_DIR}/edited.log "${edited_log}")
+check_exit2_oneline("round 1 candidates do not match"
+                    tune --scenario ${GOLDEN_DIR}/tune_cores_micro.scn
+                    --resume ${RESUME_DIR}/edited.log
+                    --log ${RESUME_DIR}/edited.log
+                    --out ${RESUME_DIR}/edited.csv)
+file(READ ${RESUME_DIR}/edited.log after_log)
+file(GLOB asides ${RESUME_DIR}/*.corrupt.*)
+if(NOT after_log STREQUAL edited_log OR asides)
+  message(SEND_ERROR "a refused tune --resume L --log L changed or "
+                     "moved L: ${RESUME_DIR}")
 endif()
 file(REMOVE_RECURSE ${RESUME_DIR})
 

@@ -301,7 +301,6 @@ side = dcache
             opt.heartbeat = [&] {
                 if (after++ < 0)
                     std::raise(SIGINT);
-                return true;
             };
             const int rc = runScenarioSweep(*spec, opt);
             std::ofstream(after_path) << after;

@@ -2,9 +2,10 @@
  * Tests for the cooperative orchestration layer: manifest
  * create/join, the lease lifecycle with stale takeover, the one claim
  * worker's heartbeat and polite interrupt (of a bare unit loop and of
- * a claim sweep), merge validation, and the
- * byte-identity of claim-mode sweeps and tunes with their
- * single-process equivalents.
+ * a claim sweep), the claim protocol's contiguous unit ranges and its
+ * read-back of edited units, merge validation, and the byte-identity
+ * of claim-mode sweeps and tunes with their single-process
+ * equivalents.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -126,6 +128,17 @@ workerOpts(const std::string &dir, unsigned shards)
     return opt;
 }
 
+/** Every file of @p dir with its bytes. */
+std::map<std::string, std::string>
+snapshot(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        files[entry.path().filename().string()] =
+            slurp(entry.path().string());
+    return files;
+}
+
 } // namespace
 
 TEST(ClaimTest, ManifestCreateReadAndDoubleCreate)
@@ -227,6 +240,79 @@ TEST(ClaimTest, ClaimSweepPlusMergeMatchesSingleProcess)
     EXPECT_NE(runSweepMerge({shard_csvs[0], shard_csvs[2]},
                             pathIn("claim_gap.csv")),
               0);
+}
+
+TEST(ClaimTest, SweepUnitsHoldContiguousCellRanges)
+{
+    const ScenarioSpec spec = sweepSpec();
+    SweepOptions so;
+    so.outPath = pathIn("claim_ranges_ref.csv");
+    so.quiet = true;
+    ASSERT_EQ(runScenarioSweep(spec, so), 0);
+    const std::string reference = slurp(so.outPath);
+
+    // Unit u of N holds exactly cells [u*n/N, (u+1)*n/N) of the 8, in
+    // order, whether there is one unit, fewer than cells, or more
+    // (the surplus units commit a header alone); the merge is the
+    // local sweep either way.
+    constexpr std::size_t kCells = 8;
+    for (const unsigned shards : {1u, 3u, 11u}) {
+        SCOPED_TRACE("--shards " + std::to_string(shards));
+        const std::string dir =
+            freshDir("claim_ranges_" + std::to_string(shards));
+        ASSERT_EQ(runClaimSweep(spec, workerOpts(dir, shards)), 0);
+        for (unsigned u = 0; u < shards; ++u) {
+            std::ifstream is(dir + "/" + sweepUnitName(u) + ".csv");
+            std::string err;
+            const auto rows = readSweepCsv(is, &err);
+            ASSERT_TRUE(rows) << err;
+            std::vector<std::size_t> cells;
+            for (const SweepRecord &row : *rows)
+                cells.push_back(row.cell);
+            std::vector<std::size_t> want;
+            for (std::size_t c = u * kCells / shards;
+                 c < (u + 1) * kCells / shards; ++c)
+                want.push_back(c);
+            EXPECT_EQ(cells, want) << "unit " << u;
+        }
+        const std::string merged = pathIn("claim_ranges_merged.csv");
+        ASSERT_EQ(runSweepMerge({dir}, merged), 0);
+        EXPECT_EQ(slurp(merged), reference);
+    }
+}
+
+TEST(ClaimTest, EditedSweepUnitIsRefusedAndLeftAlone)
+{
+    const ScenarioSpec spec = sweepSpec();
+    const std::string dir = freshDir("claim_edited_unit");
+    ASSERT_EQ(runClaimSweep(spec, workerOpts(dir, 2)), 0);
+
+    // Row 0 of shard_0 is cell 0, ammp's; make it gcc's.
+    const std::string unit = dir + "/shard_0.csv";
+    std::string csv = slurp(unit);
+    const std::size_t at = csv.find("\n0,ammp,");
+    ASSERT_NE(at, std::string::npos);
+    csv.replace(at, 8, "\n0,gcc,");
+    std::ofstream(unit, std::ios::binary | std::ios::trunc) << csv;
+    const auto before = snapshot(dir);
+
+    // merge names the unit file and writes nothing; a worker joining
+    // the directory refuses it too.
+    const std::string merged = pathIn("claim_edited_merged.csv");
+    std::filesystem::remove(merged);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runSweepMerge({dir}, merged), 2);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("shard_0.csv:2: cell 0: app 'gcc' where this "
+                       "scenario has 'ammp'"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(merged));
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runClaimSweep(spec, workerOpts(dir, 2)), 2);
+    err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("shard_0.csv:2:"), std::string::npos) << err;
+    EXPECT_EQ(snapshot(dir), before);
 }
 
 TEST(ClaimTest, TwoWorkersDrainOneManifest)

@@ -1,8 +1,9 @@
 /** @file
  * Tests for `rcache-sim doctor`: the read-only claim-directory audit
- * must classify unit states, verify committed CSVs, inventory crash
- * debris, audit decision logs, and exit 0 only on a directory a
- * rerun can safely continue (2 on anything needing a human).
+ * must classify unit states, read committed unit CSVs back against
+ * the manifest's scenario, inventory crash debris, audit decision
+ * logs, and exit 0 only on a directory a rerun can safely continue
+ * (2 on anything needing a human).
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +36,16 @@ std::string
 pathIn(const std::string &name)
 {
     return testing::TempDir() + "/" + name;
+}
+
+std::string
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 void
@@ -185,6 +196,51 @@ TEST(DoctorTest, DamagedCommittedCsvIsInconsistent)
     const std::string report = doctorReport(dir, {}, &rc);
     EXPECT_EQ(rc, 2);
     EXPECT_NE(report.find("csv DAMAGED"), std::string::npos)
+        << report;
+}
+
+TEST(DoctorTest, EditedUnitRowsAreProblems)
+{
+    // A sweep unit reads back against its range of the cells: row 0
+    // of shard_0 is cell 0, ammp's.
+    const std::string dir = drainedSweepDir("doctor_edited_sweep");
+    int rc = -1;
+    std::string report = doctorReport(dir, {}, &rc);
+    ASSERT_EQ(rc, 0) << report;
+    std::string csv = slurpFile(dir + "/shard_0.csv");
+    std::size_t at = csv.find("\n0,ammp,");
+    ASSERT_NE(at, std::string::npos);
+    spill(dir + "/shard_0.csv", csv.replace(at, 8, "\n0,gcc,"));
+    report = doctorReport(dir, {}, &rc);
+    EXPECT_EQ(rc, 2) << report;
+    EXPECT_NE(report.find("PROBLEM: " + dir +
+                          "/shard_0.csv:2: cell 0: app 'gcc' where this "
+                          "scenario has 'ammp'"),
+              std::string::npos)
+        << report;
+
+    // Each row of a tune unit reads back against its own cell at the
+    // unit's rung: round 1 runs at full detail.
+    const std::string tdir = freshDir("doctor_edited_tune");
+    TuneOptions opt;
+    opt.quiet = true;
+    opt.emitOutputs = false;
+    opt.claimDir = tdir;
+    opt.shards = 2;
+    ASSERT_EQ(runAdaptiveSearch(tuneSpec(), opt, nullptr), 0);
+    report = doctorReport(tdir, {}, &rc);
+    ASSERT_EQ(rc, 0) << report;
+    csv = slurpFile(tdir + "/r1_s0.csv");
+    at = csv.find(",full,");
+    ASSERT_NE(at, std::string::npos);
+    spill(tdir + "/r1_s0.csv", csv.replace(at, 6, ",sampled,"));
+    report = doctorReport(tdir, {}, &rc);
+    EXPECT_EQ(rc, 2) << report;
+    EXPECT_NE(report.find("r1_s0.csv:2: cell "), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("engine 'sampled' where this scenario has "
+                          "'full'"),
+              std::string::npos)
         << report;
 }
 

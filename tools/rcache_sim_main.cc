@@ -232,16 +232,18 @@ int
 cmdSweepClaim(const Args &args)
 {
     // Claim workers publish per-unit CSVs inside the manifest
-    // directory; the single-file output/resume/telemetry options
-    // belong to plain sweeps.
+    // directory; the single-file output/resume/telemetry options and
+    // per-job progress belong to plain sweeps.
     for (const char *conflict :
-         {"--shard", "--resume", "--out", "--format", "--timeline",
-          "--events", "--trace-events", "--timeline-interval"}) {
+         {"--shard", "--resume", "--out", "--format", "--progress",
+          "--timeline", "--events", "--trace-events",
+          "--timeline-interval"}) {
         if (args.has(conflict)) {
             std::cerr << "rcache-sim: " << conflict
-                      << " conflicts with --claim (units are "
-                         "committed into the manifest directory; "
-                         "use 'rcache-sim merge')\n";
+                      << " conflicts with --claim (a plain-sweep "
+                         "option; units are committed into the "
+                         "manifest directory, use 'rcache-sim "
+                         "merge')\n";
             return 2;
         }
     }
@@ -262,7 +264,6 @@ cmdSweepClaim(const Args &args)
     opt.shards = *shards;
     opt.leaseTimeoutSecs = *lease;
     opt.jobs = *jobs;
-    opt.progress = args.has("--progress");
     return runClaimSweep(spec, opt);
 }
 
