@@ -5,6 +5,26 @@
 namespace rcache
 {
 
+std::pair<std::size_t, std::size_t>
+ShardSpec::range(std::size_t n) const
+{
+    // index < count, so (index + 1) * n <= count * n < 2^128.
+    const auto bound = [&](std::size_t i) {
+        const unsigned __int128 product =
+            static_cast<unsigned __int128>(i) * n;
+        return static_cast<std::size_t>(product / count +
+                                        (product % count != 0));
+    };
+    return {bound(index), bound(index + 1)};
+}
+
+std::vector<std::size_t>
+ShardSpec::take(const std::vector<std::size_t> &cells) const
+{
+    const auto [first, last] = range(cells.size());
+    return {cells.begin() + first, cells.begin() + last};
+}
+
 std::optional<ShardSpec>
 ShardSpec::parse(const std::string &text, std::string *err)
 {

@@ -1,14 +1,16 @@
 /**
  * @file
- * Deterministic sweep sharding: "--shard i/N" splits a sweep's cell
- * indices across N independent invocations by modulo partitioning.
+ * The one partition rule of a sweep's cells: "--shard i/N", the units
+ * of a claim sweep and those of a claim tune round (unit u of N is
+ * shard u/N) all deal an ascending cell list by it.
  *
- * Shard i of N owns every cell whose index is congruent to i mod N,
- * so the N shards partition the sweep exactly: each cell belongs to
- * one and only one shard, for any N. Because every cell's result is
- * a pure function of its spec, re-interleaving the shards' output
- * rows by cell index reproduces an unsharded run byte-for-byte
- * (pinned by tests/scenario/scenario_sweep_test.cc).
+ * Shard i of N takes the contiguous range [ceil(i*n/N),
+ * ceil((i+1)*n/N)) of n cells: the ranges are disjoint, ascending and
+ * cover every cell, their sizes differ by at most one, and a shard
+ * past the last cell owns none. Cells are app-major, so a shard
+ * streams each of its few apps once, and since every cell's result is
+ * a pure function of its spec, `sweep --shard u/N` writes the bytes
+ * claim unit shard_u.csv commits.
  */
 
 #ifndef RCACHE_RUNNER_SHARD_HH
@@ -17,11 +19,13 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace rcache
 {
 
-/** One shard of a modulo-partitioned sweep. */
+/** One shard of a range-partitioned cell list. */
 struct ShardSpec
 {
     /** This shard's index, in [0, count). */
@@ -29,11 +33,12 @@ struct ShardSpec
     /** Total number of shards (>= 1). 1 means unsharded. */
     std::size_t count = 1;
 
-    /** Whether this shard runs cell @p cell. */
-    bool owns(std::size_t cell) const
-    {
-        return cell % count == index;
-    }
+    /** The positions [first, last) this shard takes of @p n cells,
+     *  computed in 128 bits, so every i/N that parses is safe. */
+    std::pair<std::size_t, std::size_t> range(std::size_t n) const;
+
+    /** The cells this shard takes of the ascending @p cells. */
+    std::vector<std::size_t> take(const std::vector<std::size_t> &cells) const;
 
     bool sharded() const { return count > 1; }
 
@@ -49,8 +54,6 @@ struct ShardSpec
      */
     static std::optional<ShardSpec> parse(const std::string &text,
                                           std::string *err);
-
-    bool operator==(const ShardSpec &o) const = default;
 };
 
 } // namespace rcache

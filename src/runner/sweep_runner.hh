@@ -160,6 +160,9 @@ class SweepRunner
      */
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
+    /** Whether a trace-event recorder is attached. */
+    bool traced() const { return trace_ != nullptr; }
+
     /**
      * Execute @p jobs and every job @p finished releases, and return
      * their results: the submitted jobs' in job order, then the

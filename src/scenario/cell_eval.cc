@@ -39,6 +39,16 @@ resolveApps(const ScenarioSpec &spec, std::string *err)
     return apps;
 }
 
+bool
+preflightTraces(const ScenarioSpec &spec, std::string *err)
+{
+    std::vector<std::string> names = spec.apps;
+    for (const Axis &ax : spec.axes)
+        if (ax.name == "mix")
+            names.insert(names.end(), ax.values.begin(), ax.values.end());
+    return preflightTraceSpecs(names, err);
+}
+
 EffectiveWorkload
 effectiveWorkload(const AppEntry &entry, const DesignPoint &p)
 {
@@ -176,15 +186,12 @@ cellRecord(std::size_t cell, const std::string &app,
     return r;
 }
 
-std::string
-cellRowMismatch(const SweepRecord &row, const ParamSpace &space,
-                const std::vector<AppEntry> &apps, std::size_t cell,
-                const EngineSpec *engine)
+std::size_t
+firstForeignRow(const std::vector<SweepRecord> &rows,
+                const ParamSpace &space, const std::vector<AppEntry> &apps,
+                const std::vector<std::size_t> &cells,
+                const EngineSpec *engine, std::string *why)
 {
-    const std::size_t npoints = space.numPoints();
-    DesignPoint p = space.point(cell % npoints);
-    if (engine)
-        p.engine = *engine;
     const auto columns = [](const SweepRecord &r) {
         return std::array<std::string, 8>{
             std::to_string(r.cell), r.app,  r.org,
@@ -194,14 +201,32 @@ cellRowMismatch(const SweepRecord &row, const ParamSpace &space,
     static constexpr const char *kNames[] = {
         "cell", "app", "org", "strategy", "side", "axes", "engine",
         "policy"};
-    const auto got = columns(row);
-    const auto want =
-        columns(cellIdentity(cell, apps[cell / npoints].name, p));
-    for (std::size_t i = 0; i < got.size(); ++i)
-        if (got[i] != want[i])
-            return std::string(kNames[i]) + " '" + got[i] +
-                   "' where this scenario has '" + want[i] + "'";
-    return "";
+    const std::size_t npoints = space.numPoints();
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        if (k == cells.size()) {
+            *why = "past the last of " + std::to_string(k) + " cell(s)";
+            return k;
+        }
+        const std::size_t cell = cells[k];
+        if (cell >= apps.size() * npoints) {
+            *why = "beyond the " + std::to_string(apps.size() * npoints) +
+                   " cells of the scenario";
+            return k;
+        }
+        DesignPoint p = space.point(cell % npoints);
+        if (engine)
+            p.engine = *engine;
+        const auto got = columns(rows[k]);
+        const auto want =
+            columns(cellIdentity(cell, apps[cell / npoints].name, p));
+        for (std::size_t i = 0; i < got.size(); ++i)
+            if (got[i] != want[i]) {
+                *why = std::string(kNames[i]) + " '" + got[i] +
+                       "' where this scenario has '" + want[i] + "'";
+                return k;
+            }
+    }
+    return rows.size();
 }
 
 namespace
@@ -588,25 +613,54 @@ plannedCoreJobs(const ParamSpace &space, const std::vector<AppEntry> &apps,
     return n;
 }
 
+std::size_t
+evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
+              const std::vector<std::size_t> &cells,
+              const SweepRunner &runner, JobMemo &memo,
+              const CellBatch::Sink &sink, const EngineSpec *engine)
+{
+    const auto drain = [&](const std::vector<RunJob> &jobs,
+                           const SweepRunner::Finished &finished) {
+        return runner.drain(jobs, finished);
+    };
+    std::size_t next = 0, committed = 0;
+    while (next < cells.size() &&
+           (next == 0 || !sink.heartbeat || sink.heartbeat())) {
+        CellBatch batch(space, apps, runner.traced());
+        const std::size_t window = next;
+        while (next < cells.size() &&
+               batch.phase1Jobs() < kSweepWindowJobs) {
+            const std::size_t unit_jobs = batch.phase1Jobs();
+            do
+                batch.add(cells[next++], memo, engine);
+            while (next < cells.size() &&
+                   batch.phase1Jobs() - unit_jobs < kCommitUnitJobs);
+            batch.cut();
+        }
+        const std::size_t done = batch.run(drain, memo, sink).size();
+        committed += done;
+        if (done < next - window)
+            break; // the heartbeat stopped the drain
+    }
+    return committed;
+}
+
 std::vector<SweepRecord>
 evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const std::vector<std::size_t> &cells, unsigned jobs,
               const EngineSpec *engine,
               const std::function<bool()> &heartbeat)
 {
-    CellBatch batch(space, apps);
-    JobMemo memo;
-    for (const std::size_t cell : cells)
-        batch.add(cell, memo, engine);
     const SweepRunner runner(jobs);
+    JobMemo memo;
+    std::vector<SweepRecord> rows;
     CellBatch::Sink sink;
+    sink.commit = [&](const CellBatch::Unit &unit) {
+        rows.insert(rows.end(), unit.rows.begin(), unit.rows.end());
+    };
     sink.heartbeat = heartbeat;
-    return batch.run(
-        [&](const std::vector<RunJob> &js,
-            const SweepRunner::Finished &finished) {
-            return runner.drain(js, finished);
-        },
-        memo, sink);
+    evaluateCells(space, apps, cells, runner, memo, sink, engine);
+    return rows;
 }
 
 std::optional<ScenarioRows>

@@ -10,14 +10,14 @@
  * pair), keeps the minimum energy-delay point, and for side=both
  * reruns both caches together at their two profiled levels (Fig 9).
  * CellBatch is that procedure, laid out with Experiment's job
- * vocabulary (sim/experiment.hh), and every design-space search
- * evaluates cells through it: the exhaustive sweep
- * (scenario/scenario_sweep.cc) runs one batch per look-ahead window,
- * the adaptive search (search/adaptive_search.cc) one per ladder
- * rung, and evaluateScenario one per scenario for the figure benches,
- * the ablations and the tests. So the adaptive winner row is
- * byte-identical to the sweep's row for the same cell under the same
- * engine, by construction.
+ * vocabulary (sim/experiment.hh), and evaluateCells, which lays cells
+ * out a look-ahead window (one CellBatch) at a time, is the one
+ * entry point every search calls: the exhaustive sweep
+ * (scenario/scenario_sweep.cc), a claim unit (search/sweep_merge.hh),
+ * each round of the adaptive search (search/adaptive_search.cc), and
+ * evaluateScenario for the figure benches, the ablations and the
+ * tests. So the adaptive winner row is byte-identical to the sweep's
+ * row for the same cell under the same engine, by construction.
  *
  * Each distinct job runs once. A JobMemo keyed by the full job
  * identity (jobKey) holds every result a search has computed, so a
@@ -31,9 +31,9 @@
  * cut into commit units reports and commits them in order as they
  * complete.
  *
- * The free helpers are the vocabulary around it: workload resolution,
- * mix attachment, memo keys, the record a finished cell reports, and
- * the check that a row written earlier is a given cell's.
+ * The free helpers are the vocabulary around it: workload resolution
+ * and preflight, mix attachment, memo keys, the record a finished cell
+ * reports, and the check that rows written earlier are given cells'.
  */
 
 #ifndef RCACHE_SCENARIO_CELL_EVAL_HH
@@ -54,6 +54,23 @@
 namespace rcache
 {
 
+/**
+ * Phase-1 jobs (baselines and candidates) a commit unit lays out at
+ * least; the cell that reaches the bound ends the unit. A unit is
+ * what one csv.chunk.flush writes, what --resume and a polite
+ * interrupt leave whole, and what sidecar rows are ordered by, so it
+ * does not depend on --jobs.
+ */
+inline constexpr std::size_t kCommitUnitJobs = 64;
+
+/**
+ * Phase-1 jobs evaluateCells lays out ahead, in whole commit units: a
+ * window is one CellBatch and one drain. It bounds the jobs a huge
+ * evaluation holds at once; every checked-in scenario fits one window
+ * (fig6.scn, the largest, lays out 2448).
+ */
+inline constexpr std::size_t kSweepWindowJobs = 4096;
+
 /** One [workloads] entry: a profile, or a '+'-joined mix. */
 struct AppEntry
 {
@@ -70,6 +87,11 @@ struct AppEntry
  */
 std::vector<AppEntry> resolveApps(const ScenarioSpec &spec,
                                   std::string *err);
+
+/** preflightTraceSpecs of @p spec's apps and 'mix' axis values: the
+ *  sweep, claim and tune entry points each call it once, before they
+ *  run or claim anything. */
+bool preflightTraces(const ScenarioSpec &spec, std::string *err);
 
 /** The workload a cell actually simulates, after any 'mix' axis
  *  override. */
@@ -122,9 +144,9 @@ struct JobRun
 };
 
 /**
- * Every job a search has run, by jobKey. It spans a whole sweep (one
- * app's dcache cell and its side=both cell can land in different
- * windows) or one evaluateCells call. Results are never "unrun": an
+ * Every job a search has run, by jobKey. It spans one evaluateCells
+ * call, every window of it (one app's dcache cell and its side=both
+ * cell can land in different windows). Results are never "unrun": an
  * entry exists only for a job that finished.
  */
 struct JobMemo
@@ -156,22 +178,21 @@ SweepRecord cellRecord(std::size_t cell, const std::string &app,
                        const SearchOutcome &out);
 
 /**
- * Compare a row written earlier with global cell @p cell of @p space
- * and @p apps, at @p engine when non-null (a tune rung's), else the
- * point's own. @return "" when each identity column equals what
- * cellRecord writes for that cell, else the first that does not, as
- * "COLUMN 'ROW' where this scenario has 'CELL'". The one check of a
- * row's identity: a sweep's --resume, a tune's --resume and the claim
- * protocol's read-back (search/sweep_merge.hh; a claim worker's,
- * `merge DIR`'s and `doctor`'s) adopt only rows that pass it. A
- * [system] or insts value that no column shows (all but the policy)
- * cannot be checked from a row.
+ * The one check of rows written earlier, as both --resumes and the
+ * claim protocol's read-back (search/sweep_merge.hh) adopt them: row
+ * k of @p rows must carry the identity columns (cell, app, org,
+ * strategy, side, axes, engine and policy) cellRecord writes for cell
+ * @p cells[k], at @p engine when non-null (a tune rung's). A [system]
+ * or insts value that no column shows cannot be checked from a row.
+ * @return the first k that fails, with @p why ("COLUMN 'ROW' where
+ * this scenario has 'CELL'", or a row past the last cell), or
+ * rows.size().
  */
-std::string cellRowMismatch(const SweepRecord &row,
+std::size_t firstForeignRow(const std::vector<SweepRecord> &rows,
                             const ParamSpace &space,
                             const std::vector<AppEntry> &apps,
-                            std::size_t cell,
-                            const EngineSpec *engine = nullptr);
+                            const std::vector<std::size_t> &cells,
+                            const EngineSpec *engine, std::string *why);
 
 /** See file comment. */
 class CellBatch
@@ -317,14 +338,23 @@ std::uint64_t plannedCoreJobs(const ParamSpace &space,
                               const std::vector<std::size_t> &cells);
 
 /**
- * Evaluate @p cells in one CellBatch with a fresh job memo, at
- * @p engine when non-null (else each point's own), as one drain of a
- * SweepRunner of @p jobs workers. @p heartbeat, when set, is the
- * batch's Sink::heartbeat: called after every finished lane group,
- * and returning false stops the drain.
- * @return rows in @p cells order, or none when the heartbeat stopped
- *         the drain before every job ran
+ * Lay @p cells out at @p engine when non-null (else each point's
+ * own) a window at a time: one CellBatch of whole commit units, up to
+ * kSweepWindowJobs phase-1 jobs, drained on @p runner and reported to
+ * @p sink. @p memo spans the windows; the sink's heartbeat is also
+ * asked before each window after the first, and false stops.
+ * @return the cells committed: all of @p cells unless stopped
  */
+std::size_t evaluateCells(const ParamSpace &space,
+                          const std::vector<AppEntry> &apps,
+                          const std::vector<std::size_t> &cells,
+                          const SweepRunner &runner, JobMemo &memo,
+                          const CellBatch::Sink &sink,
+                          const EngineSpec *engine = nullptr);
+
+/** evaluateCells on @p jobs workers with a fresh memo and
+ *  @p heartbeat as the sink's. @return rows in @p cells order, fewer
+ *  when the heartbeat stopped it */
 std::vector<SweepRecord>
 evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
               const std::vector<std::size_t> &cells, unsigned jobs,
@@ -349,7 +379,7 @@ struct ScenarioRows
 
 /**
  * Evaluate every cell of @p spec at its own engine: one evaluateCells
- * batch on @p jobs workers, so the rows are identical for any @p jobs.
+ * call on @p jobs workers, so the rows are identical for any @p jobs.
  * On a spec ParamSpace::build or resolveApps rejects, returns nullopt
  * with @p err set.
  */

@@ -1,10 +1,9 @@
 #include "scenario/scenario_sweep.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 
@@ -46,18 +45,17 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         return fail("--resume names the output file itself; drop "
                     "--out");
 
-    std::string apps_err;
-    std::vector<AppEntry> apps = resolveApps(spec, &apps_err);
+    std::string err;
+    if (!preflightTraces(spec, &err))
+        return fail(err);
+    const std::vector<AppEntry> apps = resolveApps(spec, &err);
     if (apps.empty())
-        return fail(apps_err);
+        return fail(err);
 
-    const std::size_t npoints = space.numPoints();
-    const std::size_t ncells = apps.size() * npoints;
-
-    std::vector<std::size_t> owned;
-    for (std::size_t c = 0; c < ncells; ++c)
-        if (opt.shard.owns(c))
-            owned.push_back(c);
+    const std::size_t ncells = apps.size() * space.numPoints();
+    const auto [first, last] = opt.shard.range(ncells);
+    std::vector<std::size_t> owned(last - first);
+    std::iota(owned.begin(), owned.end(), first);
 
     // ---- resume: verify the completed prefix of the prior CSV. A
     // torn final line never ran to completion: it is dropped and its
@@ -68,28 +66,21 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         resuming ? readCompleteLines(opt.resumePath) : std::nullopt;
     if (complete && !complete->empty()) {
         std::istringstream cs(*complete);
-        std::string err;
         const auto prior = readSweepCsv(cs, &err);
         if (!prior) {
             // An unparsable prior CSV is damage, not user error:
             // quarantine the evidence and recompute from scratch
             // rather than refusing to run.
-            quarantineAndStartFresh(opt.resumePath, err);
+            quarantineAndStartFresh(opt.resumePath, "line " + err);
         } else {
-            if (prior->size() > owned.size())
-                return fail("--resume " + opt.resumePath +
-                            ": holds more rows than this shard owns "
-                            "(wrong scenario or shard?)");
             // Each kept row must be the row this enumeration would
             // write there.
-            for (std::size_t i = 0; i < prior->size(); ++i) {
-                const std::string why =
-                    cellRowMismatch((*prior)[i], space, apps, owned[i]);
-                if (!why.empty())
-                    return fail("--resume " + opt.resumePath + ": row " +
-                                std::to_string(i + 1) + ": " + why +
-                                " (wrong scenario or shard?)");
-            }
+            const std::size_t k = firstForeignRow(*prior, space, apps,
+                                                  owned, nullptr, &err);
+            if (k < prior->size())
+                return fail("--resume " + opt.resumePath + ": row " +
+                            std::to_string(k + 1) + ": " + err +
+                            " (wrong scenario or shard?)");
             skip = prior->size();
             kept = *complete;
         }
@@ -161,29 +152,17 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                       kept.empty() ? sweepCsvHeader() + "\n" : kept,
                       outName);
 
-    // ---- execute window by window: each window is one CellBatch
-    // whose executed jobs run as one drain, so each stream schedule
-    // forms whole lane groups and the workers stay busy across cell
-    // and phase boundaries. Its commit units are written and flushed
-    // in cell order as they complete. The job memo spans the sweep,
-    // so no job runs twice in it.
+    // ---- execute: evaluateCells lays the cells out window by window,
+    // each one drain, and commits their units in cell order as they
+    // complete. The job memo spans the sweep, so no job runs twice in
+    // it.
     JobMemo memo;
     memo.timelineInterval = want_timeline ? opt.timelineInterval : 0;
     memo.resizeEvents = want_events;
     std::vector<SweepRecord> buffered; // json/table only
     std::size_t total_runs = 0;
     std::size_t reused_runs = 0;
-    std::size_t committed = skip; // owned cells on disk (or buffered)
 
-    // Runs the jobs a window does not find in the memo, as one drain
-    // whatever the engine: an analytic lane group is one pass over its
-    // stream that prices every member.
-    const auto execute = [&](const std::vector<RunJob> &jobs,
-                             const SweepRunner::Finished &finished) {
-        std::vector<RunResult> results = runner.drain(jobs, finished);
-        total_runs += results.size();
-        return results;
-    };
     CellBatch::Sink sink;
     // Every laid-out job writes its telemetry rows under its own
     // label, in job order; a memo hit writes those of the run it
@@ -191,7 +170,9 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     // host time a worker spent, and a hit spends none).
     sink.report = [&](const RunJob &job, const JobRun &run,
                       bool reused) {
-        if (reused) {
+        if (!reused) {
+            ++total_runs;
+        } else {
             ++reused_runs;
             if (trace)
                 trace->instant("job-memo", {{"label", job.label}});
@@ -230,7 +211,6 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
             checkedFlush(timeline_os, opt.timelinePath);
         if (want_events)
             checkedFlush(events_os, opt.eventsPath);
-        committed += unit.rows.size();
         if (trace)
             trace->instant(
                 "chunk-flush",
@@ -246,21 +226,9 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     };
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::size_t next = skip;
-    while (next < owned.size() && !interruptRequested()) {
-        CellBatch batch(space, apps, trace.has_value());
-        while (next < owned.size() &&
-               batch.phase1Jobs() < kSweepWindowJobs) {
-            const std::size_t first = next;
-            const std::size_t jobs_before = batch.phase1Jobs();
-            while (next < owned.size() &&
-                   (next == first ||
-                    batch.phase1Jobs() - jobs_before < kCommitUnitJobs))
-                batch.add(owned[next++], memo);
-            batch.cut();
-        }
-        batch.run(execute, memo, sink);
-    }
+    const std::size_t committed =
+        skip + evaluateCells(space, apps, {owned.begin() + skip, owned.end()},
+                             runner, memo, sink);
     // Only an interrupt leaves owned cells uncommitted; the caller
     // names the file to resume.
     if (committed < owned.size()) {

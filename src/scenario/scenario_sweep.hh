@@ -11,33 +11,24 @@
  *
  *  - parallelism identity: the report is byte-identical for any
  *    --jobs value (inherited from SweepRunner's determinism);
- *  - shard identity: `--shard i/N` runs only the cells whose index
- *    is congruent to i mod N; re-interleaving the N shard CSVs by
- *    cell index reproduces the unsharded CSV byte-for-byte;
+ *  - shard identity: `--shard i/N` runs the i-th of N contiguous cell
+ *    ranges (runner/shard.hh), the cells claim unit shard_i holds, and
+ *    `rcache-sim merge` of the N shard CSVs reproduces the unsharded
+ *    CSV byte-for-byte;
  *  - resume identity: `--resume out.csv` verifies each row of the
  *    completed prefix of a prior (possibly truncated) CSV against the
- *    cell this scenario and shard put there (cellRowMismatch: cell,
- *    app, org, strategy, side, axes, engine and policy) and simulates
- *    only the remaining cells; the final file is byte-identical to an
- *    uninterrupted run. A row of another enumeration exits 2 and
- *    leaves the file as it was.
+ *    cell this scenario and shard put there (firstForeignRow) and
+ *    simulates only the remaining cells; the final file is
+ *    byte-identical to an uninterrupted run. A row of another
+ *    enumeration exits 2 and leaves the file as it was.
  *
- * A sweep plans apart from how it commits. It lays out its owned
- * cells a look-ahead window at a time (kSweepWindowJobs) as one
- * CellBatch (scenario/cell_eval.hh) at the scenario's engine, cut into
- * commit units of kCommitUnitJobs. The window's executed jobs run as
- * one SweepRunner drain at every engine, so each stream schedule
- * forms whole lane groups (an analytic one is a single pass), and a
- * side=both cell's phase-2 combined run (the paper's Fig 9
- * methodology) starts as soon as its per-side sweeps finish. Units
- * commit in cell order as the completed prefix grows: each unit's
- * rows are written and flushed at once. One job memo spans the sweep,
- * so no job runs twice: a side=both cell reuses the per-side sweeps
- * its app's dcache and icache cells ran, even from an earlier window.
- * An interrupted sweep therefore leaves every completed unit on disk
- * for --resume instead of losing the whole run. What stays here is
- * the sweep's own business: shard/resume bookkeeping, report
- * streaming and telemetry sidecars.
+ * The sweep's cells run through evaluateCells (scenario/cell_eval.hh),
+ * a look-ahead window at a time, with one job memo across windows;
+ * each commit unit's rows are written and flushed as soon as the
+ * completed prefix reaches it, so an interrupted sweep leaves every
+ * completed unit on disk for --resume. What stays here is the sweep's
+ * own business: shard/resume bookkeeping, report streaming and
+ * telemetry sidecars.
  */
 
 #ifndef RCACHE_SCENARIO_SCENARIO_SWEEP_HH
@@ -54,23 +45,6 @@
 
 namespace rcache
 {
-
-/**
- * Phase-1 jobs (baselines and candidates) a commit unit lays out at
- * least; the cell that reaches the bound ends the unit. A unit is
- * what one csv.chunk.flush writes, what --resume and a polite
- * interrupt leave whole, and what sidecar rows are ordered by, so it
- * does not depend on --jobs.
- */
-inline constexpr std::size_t kCommitUnitJobs = 64;
-
-/**
- * Phase-1 jobs a sweep lays out ahead, in whole commit units: a
- * window is one CellBatch and one drain. It bounds the jobs a huge
- * sweep holds at once; every checked-in scenario fits one window
- * (fig6.scn, the largest, lays out 2448).
- */
-inline constexpr std::size_t kSweepWindowJobs = 4096;
 
 /** How runScenarioSweep executes and reports. */
 struct SweepOptions
@@ -93,10 +67,9 @@ struct SweepOptions
     /** Suppress the "sweep: N runs in ..." stderr summary (tests). */
     bool quiet = false;
     /**
-     * Called where CellBatch::Sink::heartbeat is: after every finished
-     * lane group, once the commit units it completed are flushed (and
-     * after units that commit before a window's first group). An
-     * observer: only a polite interrupt stops a sweep, and the hook
+     * Called where evaluateCells asks its sink's heartbeat (after every
+     * finished lane group, once the units it completed are flushed).
+     * An observer: only a polite interrupt stops a sweep, and the hook
      * never affects the report bytes.
      */
     std::function<void()> heartbeat;

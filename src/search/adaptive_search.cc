@@ -9,8 +9,9 @@
  * accounting counts what a CellBatch of each round's cells lays out,
  * per design point (plannedCoreJobs), without laying it out; a test
  * holds that count to a real layout. What stays here is the ladder
- * itself: scoring, promotion, early exit, the decision log and
- * resume.
+ * itself: the promotion rule (scoring, ranking, early exit and the
+ * survivors, promoteRound, which the log readers replay through
+ * tuneLogMismatch), the decision log and resume.
  */
 
 #include "search/adaptive_search.hh"
@@ -63,6 +64,81 @@ scoreOf(const SweepRecord &r)
 
 } // namespace
 
+RoundVerdict
+promoteRound(const AdaptiveSpec &ad, std::size_t round,
+             const std::vector<SweepRecord> &records,
+             const std::vector<std::size_t> &prevRank)
+{
+    RoundVerdict v;
+    std::vector<double> score(records.size());
+    std::transform(records.begin(), records.end(), score.begin(), scoreOf);
+    std::vector<std::size_t> order(records.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  if (score[a] != score[b])
+                      return score[a] < score[b];
+                  return records[a].cell < records[b].cell;
+              });
+    v.best = order.empty() ? 0 : order[0];
+    for (const std::size_t o : order)
+        v.rank.push_back(records[o].cell);
+
+    v.last = round + 1 >= ad.ladder.size();
+    const std::size_t k = std::min<std::size_t>(
+        ad.rankAgree, std::min(v.rank.size(), prevRank.size()));
+    if (!v.last && k > 0 &&
+        std::equal(v.rank.begin(), v.rank.begin() + k, prevRank.begin())) {
+        v.agreed.assign(v.rank.begin(), v.rank.begin() + k);
+        v.last = true;
+    }
+    if (v.last)
+        return v;
+    const double frac = ad.promote[std::min<std::size_t>(
+        round, ad.promote.size() - 1)];
+    const std::size_t keep = std::min(
+        v.rank.size(),
+        std::max<std::size_t>(
+            ad.minSurvivors,
+            static_cast<std::size_t>(std::ceil(
+                frac * static_cast<double>(v.rank.size())))));
+    v.survivors.assign(v.rank.begin(), v.rank.begin() + keep);
+    std::sort(v.survivors.begin(), v.survivors.end());
+    return v;
+}
+
+std::string
+tuneLogMismatch(const ParamSpace &space, const std::vector<AppEntry> &apps,
+                const std::vector<TuneLogRound> &rounds)
+{
+    const AdaptiveSpec &ad = space.spec().search.adaptive;
+    std::vector<std::size_t> candidates(apps.size() * space.numPoints());
+    std::iota(candidates.begin(), candidates.end(), 0);
+    std::vector<std::size_t> prev_rank;
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+        // A log that outruns the ladder fails the verdict check of
+        // the last rung first.
+        const std::string round = "round " + std::to_string(r);
+        if (rounds[r].cells != candidates)
+            return round + " candidates do not match this scenario's "
+                           "schedule";
+        const EngineSpec engine = rungEngine(ad, ad.ladder[r]);
+        std::string why;
+        const std::size_t k = firstForeignRow(
+            rounds[r].records, space, apps, rounds[r].cells, &engine, &why);
+        if (k < rounds[r].records.size())
+            return round + ", cell " + std::to_string(rounds[r].cells[k]) +
+                   ": " + why + " (a log of another scenario?)";
+        RoundVerdict v = promoteRound(ad, r, rounds[r].records, prev_rank);
+        if (v.last != rounds[r].endsTune)
+            return round + " verdict does not match this scenario's "
+                           "schedule";
+        candidates = std::move(v.survivors);
+        prev_rank = std::move(v.rank);
+    }
+    return "";
+}
+
 EngineSpec
 rungEngine(const AdaptiveSpec &ad, EngineMode mode)
 {
@@ -108,7 +184,10 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                         why);
     }
 
+    // Each trace opens once, before any round runs or is claimed.
     std::string apps_err;
+    if (!preflightTraces(spec, &apps_err))
+        return fail(apps_err);
     const std::vector<AppEntry> apps = resolveApps(spec, &apps_err);
     if (apps.empty())
         return fail(apps_err);
@@ -183,21 +262,12 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
             else
                 quarantineAndStartFresh(path, prior.damage);
         }
-        // Each adopted row must be its cell's row at its round's
-        // engine, checked before the log (which may be this very
-        // file) is rewritten.
-        for (std::size_t r = 0; r < cached.size(); ++r)
-            for (std::size_t i = 0; i < cached[r].cells.size(); ++i) {
-                const std::string why =
-                    cellRowMismatch(cached[r].records[i], space, apps,
-                                    cached[r].cells[i], &rungs[r]);
-                if (!why.empty())
-                    return fail("--resume " + path + ": round " +
-                                std::to_string(r) + ", cell " +
-                                std::to_string(cached[r].cells[i]) +
-                                ": " + why +
-                                " (a log of another scenario?)");
-            }
+        // Each adopted round must be one this scenario's schedule
+        // plays, checked before the log (which may be this very file)
+        // is rewritten.
+        const std::string why = tuneLogMismatch(space, apps, cached);
+        if (!why.empty())
+            return fail("--resume " + path + ": " + why);
     }
 
     // ---- decision log sink. Lines accumulate from the plan line on.
@@ -265,11 +335,6 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
 
         std::vector<SweepRecord> records;
         if (r < cached.size()) {
-            if (cached[r].cells != candidates)
-                return fail("--resume " + opt.resumePath +
-                            ": round " + std::to_string(r) +
-                            " candidates do not match this "
-                            "scenario's schedule");
             records = std::move(cached[r].records);
         } else if (!claims) {
             records =
@@ -285,48 +350,21 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         }
         ++rounds_run;
 
-        std::vector<double> score(records.size());
-        std::vector<std::string> score_text(records.size());
+        RoundVerdict verdict = promoteRound(ad, r, records, prev_rank);
         std::string row;
         for (std::size_t i = 0; i < records.size(); ++i) {
-            score[i] = scoreOf(records[i]);
-            score_text[i] = shortestDouble(score[i]);
             row.clear();
             appendSweepCsvRow(row, records[i]);
-            emit(tuneScoreLine(r, records[i].cell, score_text[i], row));
+            emit(tuneScoreLine(r, records[i].cell,
+                               shortestDouble(scoreOf(records[i])), row));
         }
-
-        std::vector<std::size_t> order(records.size());
-        std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (score[a] != score[b])
-                          return score[a] < score[b];
-                      return records[a].cell < records[b].cell;
-                  });
-        std::vector<std::size_t> rank;
-        rank.reserve(order.size());
-        for (const std::size_t o : order)
-            rank.push_back(records[o].cell);
-
-        const bool final_rung = r + 1 == rungs.size();
-        if (!final_rung && ad.rankAgree > 0 && r > 0) {
-            const std::size_t k = std::min<std::size_t>(
-                ad.rankAgree,
-                std::min(rank.size(), prev_rank.size()));
-            bool agree = k > 0;
-            for (std::size_t i = 0; agree && i < k; ++i)
-                agree = rank[i] == prev_rank[i];
-            if (agree) {
-                emit(tuneEarlyExitLine(
-                    r, {rank.begin(), rank.begin() + k}));
-                early = true;
-            }
+        if (!verdict.agreed.empty()) {
+            emit(tuneEarlyExitLine(r, verdict.agreed));
+            early = true;
         }
-
-        if (final_rung || early) {
-            winner = records[order[0]];
-            winner_score = score_text[order[0]];
+        if (verdict.last) {
+            winner = records[verdict.best];
+            winner_score = shortestDouble(scoreOf(*winner));
             emit(tuneWinnerLine(winner->cell, winner->app,
                                 winner_score,
                                 engineName(ad.ladder[r]),
@@ -334,22 +372,12 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                                 exhaustive_insts));
             break;
         }
-
-        const double frac = ad.promote[std::min<std::size_t>(
-            r, ad.promote.size() - 1)];
-        const std::size_t keep = std::min(
-            rank.size(),
-            std::max<std::size_t>(
-                ad.minSurvivors,
-                static_cast<std::size_t>(std::ceil(
-                    frac * static_cast<double>(rank.size())))));
-        emit(tunePromoteLine(r, rank, keep));
-        candidates.assign(rank.begin(), rank.begin() + keep);
-        std::sort(candidates.begin(), candidates.end());
-        prev_rank = std::move(rank);
+        emit(tunePromoteLine(r, verdict.rank, verdict.survivors.size()));
+        candidates = std::move(verdict.survivors);
+        prev_rank = std::move(verdict.rank);
     }
-    // The loop always breaks with a winner: the last rung takes the
-    // final_rung branch unconditionally.
+    // The loop always breaks with a winner: promoteRound ends the
+    // tune on the last rung unconditionally.
     rc_assert(winner);
     // Every round was replayed, the winner's too: open the log now.
     if (!log_opened && !openLog())

@@ -27,13 +27,9 @@
  *
  * Cooperative mode: with a claim directory (runner/claim.hh), each
  * round is one claimRound (search/sweep_merge.hh), the protocol a
- * claim sweep runs once: `shards` work units named r<round>_s<shard>,
- * unit u taking a contiguous range of the round's app-major
- * candidates, evaluated at the rung's engine while the worker
- * heartbeats the lease after every finished lane group (so a live
- * unit is never taken over) and published as a committed CSV. Every
- * worker barriers on the round, reads every unit back, holding each
- * row to its candidate, and computes the (identical) promotion
+ * claim sweep runs once, over units r<round>_s<shard> of the round's
+ * candidates at the rung's engine. Every worker barriers on the
+ * round, reads every unit back and computes the (identical) promotion
  * verdict locally. A polite interrupt stops a claim round between
  * lane groups and releases the unit in flight; a local round finishes
  * first. N workers drain one tune with no coordinator, and every
@@ -45,15 +41,13 @@
  * run's. The log is read by the one reader of its grammar
  * (readTuneLog, search/decision_log.hh). A log that ends inside a
  * round (a crash's cut) re-runs that round; a line the writer could
- * not have written there (a repeated or foreign score, a count that
- * disagrees with its scores, a missing verdict, a line after the
- * winner) moves the log aside as corrupt and starts fresh. A log of
- * another scenario exits 2 and stays where it is: its plan line
- * differs, a round's candidates differ, or a score row is not its
- * cell's row at the round's engine (cellRowMismatch,
- * scenario/cell_eval.hh). The log file opens only once every replayed
- * round has checked out, so a refused resume leaves `--log` as it
- * was, even when it names the resume file.
+ * not have written there moves the log aside as corrupt and starts
+ * fresh. A log of another scenario exits 2 and stays where it is: its
+ * plan line differs, or its rounds are not the ones this scenario's
+ * promotion rule plays (tuneLogMismatch, which doctor --log runs
+ * too). The log file opens only once every replayed round has checked
+ * out, so a refused resume leaves `--log` as it was, even when it
+ * names the resume file.
  */
 
 #ifndef RCACHE_SEARCH_ADAPTIVE_SEARCH_HH
@@ -61,8 +55,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "scenario/cell_eval.hh"
 #include "scenario/param_space.hh"
+#include "search/decision_log.hh"
 #include "sim/report.hh"
 
 namespace rcache
@@ -120,6 +117,41 @@ struct TuneStats
  * (the default period when 0), or full detail.
  */
 EngineSpec rungEngine(const AdaptiveSpec &ad, EngineMode mode);
+
+/** The promotion rule's verdict on one round's rows. */
+struct RoundVerdict
+{
+    /** The round's cells best first: by score (relative E·D), then
+     *  cell index. */
+    std::vector<std::size_t> rank;
+    /** The row of rank's first cell. */
+    std::size_t best = 0;
+    /** rank-agree's agreed top cells when it stops the tune here. */
+    std::vector<std::size_t> agreed;
+    /** The tune ends here: the last rung, or an early exit. */
+    bool last = false;
+    /** Else the next round's candidates, ascending: rank's first
+     *  ceil(promote fraction) cells, at least min-survivors. */
+    std::vector<std::size_t> survivors;
+};
+
+/** The promotion rule on round @p round's @p records, after a round
+ *  that ranked @p prevRank. The live loop decides by it, and both log
+ *  readers replay it (tuneLogMismatch). */
+RoundVerdict promoteRound(const AdaptiveSpec &ad, std::size_t round,
+                          const std::vector<SweepRecord> &records,
+                          const std::vector<std::size_t> &prevRank);
+
+/**
+ * Hold a decision log's complete @p rounds to this scenario, as tune
+ * --resume and doctor --log read them: round 0 holds every cell, each
+ * later round promoteRound's survivors of the one before, each row is
+ * its cell's at the rung's engine, and the log ends the tune where the
+ * rule does. @return "" or a one-line "round R ..." why
+ */
+std::string tuneLogMismatch(const ParamSpace &space,
+                            const std::vector<AppEntry> &apps,
+                            const std::vector<TuneLogRound> &rounds);
 
 /**
  * Run the adaptive search. Diagnostics go to stderr with the CLI's

@@ -229,6 +229,7 @@ readTuneLog(std::string_view text)
             return damaged(winner, "expected the winner");
         if (winner + 1 < end)
             return damaged(winner + 1, "a line after the winner");
+        lr.endsTune = true;
         log.rounds.push_back(std::move(lr));
         break;
     }

@@ -119,6 +119,9 @@ struct TuneLogRound
     std::vector<std::size_t> cells;
     /** Each score line's sweep row, parsed, in the same order. */
     std::vector<SweepRecord> records;
+    /** Closed by the winner (on the last rung, or after an early
+     *  exit) rather than by a promote line. */
+    bool endsTune = false;
 };
 
 /** What readTuneLog finds in a decision log. */

@@ -1,9 +1,10 @@
 #include "search/doctor.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "search/decision_log.hh"
 #include "search/sweep_merge.hh"
 #include "util/checked_io.hh"
+#include "util/numformat.hh"
 
 namespace rcache
 {
@@ -20,36 +22,26 @@ namespace rcache
 namespace
 {
 
-/** "r<digits>_s<digits>" — a tune unit name. */
-bool
-isTuneUnit(const std::string &name)
-{
-    std::size_t i = 0;
-    if (i >= name.size() || name[i] != 'r')
-        return false;
-    ++i;
-    const std::size_t r0 = i;
-    while (i < name.size() && std::isdigit(
-                                  static_cast<unsigned char>(name[i])))
-        ++i;
-    if (i == r0 || i + 1 >= name.size() || name[i] != '_' ||
-        name[i + 1] != 's')
-        return false;
-    i += 2;
-    const std::size_t s0 = i;
-    while (i < name.size() && std::isdigit(
-                                  static_cast<unsigned char>(name[i])))
-        ++i;
-    return i > s0 && i == name.size();
-}
-
-/** Strict tune-unit sort: round first, then shard (both numeric). */
-std::pair<unsigned long, unsigned long>
-tuneUnitKey(const std::string &name)
+/** A tune unit name's round and shard ("r<digits>_s<digits>"), or
+ *  nullopt for any other name; @p overflow is set for digits that do
+ *  not fit 64 bits. */
+std::optional<std::pair<std::uint64_t, std::uint64_t>>
+tuneUnitKey(const std::string &name, bool *overflow)
 {
     const std::size_t us = name.find("_s");
-    return {std::stoul(name.substr(1, us - 1)),
-            std::stoul(name.substr(us + 2))};
+    if (name.rfind('r', 0) != 0 || us == std::string::npos)
+        return std::nullopt;
+    const std::string parts[] = {name.substr(1, us - 1), name.substr(us + 2)};
+    unsigned long long key[2];
+    for (int i = 0; i < 2; ++i) {
+        if (parts[i].empty() ||
+            parts[i].find_first_not_of("0123456789") != std::string::npos)
+            return std::nullopt;
+        *overflow = !parseU64Strict(parts[i], key[i]);
+        if (*overflow)
+            return std::nullopt;
+    }
+    return std::pair<std::uint64_t, std::uint64_t>{key[0], key[1]};
 }
 
 } // namespace
@@ -91,13 +83,19 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
         problem(scn_err);
 
     // ---- enumerate units: sweep units come from the shard count,
-    // tune units from whatever rounds actually started.
+    // tune units (and their rounds) from whatever rounds actually
+    // started.
+    const ClaimDir claims(dir, opt.leaseTimeoutSecs);
     std::vector<std::string> units;
+    std::vector<std::uint64_t> rounds;
     if (mf->mode == "sweep") {
         for (unsigned u = 0; u < mf->shards; ++u)
             units.push_back(sweepUnitName(u));
     } else {
-        std::set<std::string> seen;
+        // Round first, then shard, both numeric.
+        std::set<std::pair<std::pair<std::uint64_t, std::uint64_t>,
+                           std::string>>
+            seen;
         for (const auto &entry :
              std::filesystem::directory_iterator(dir)) {
             const std::string name = entry.path().filename().string();
@@ -106,16 +104,19 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
                 continue;
             const std::string stem = name.substr(0, dot);
             const std::string ext = name.substr(dot);
-            if ((ext == ".lease" || ext == ".csv" ||
-                 ext == ".done") &&
-                isTuneUnit(stem))
-                seen.insert(stem);
+            if (ext != ".lease" && ext != ".csv" && ext != ".done")
+                continue;
+            bool overflow = false;
+            if (const auto key = tuneUnitKey(stem, &overflow))
+                seen.emplace(*key, stem);
+            else if (overflow)
+                problem("'" + claims.path(name) +
+                        "': unit number out of range");
         }
-        units.assign(seen.begin(), seen.end());
-        std::sort(units.begin(), units.end(),
-                  [](const std::string &a, const std::string &b) {
-                      return tuneUnitKey(a) < tuneUnitKey(b);
-                  });
+        for (const auto &[key, stem] : seen) {
+            units.push_back(stem);
+            rounds.push_back(key.first);
+        }
     }
 
     // ---- per-unit state, and each committed CSV read back as the
@@ -123,7 +124,6 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
     // cells, each row of a tune unit against its own cell at the
     // unit's rung (which cells a round holds depends on earlier
     // rounds).
-    const ClaimDir claims(dir, opt.leaseTimeoutSecs);
     std::vector<std::size_t> all_cells;
     std::vector<EngineSpec> rungs;
     if (scn) {
@@ -167,15 +167,14 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
         std::string why;
         std::optional<std::vector<SweepRecord>> rows;
         if (mf->mode == "sweep") {
-            const auto range = claimUnitCells(all_cells, u, units.size());
+            const auto range = ShardSpec{u, units.size()}.take(all_cells);
             rows = readClaimUnit(csv, scn->space, scn->apps, &range,
                                  nullptr, &why);
-        } else if (const std::size_t round = tuneUnitKey(unit).first;
-                   round < rungs.size()) {
+        } else if (rounds[u] < rungs.size()) {
             rows = readClaimUnit(csv, scn->space, scn->apps, nullptr,
-                                 &rungs[round], &why);
+                                 &rungs[rounds[u]], &why);
         } else {
-            why = csv + ": round " + std::to_string(round) +
+            why = csv + ": round " + std::to_string(rounds[u]) +
                   " is beyond the scenario's " +
                   std::to_string(rungs.size()) + "-rung ladder";
         }
@@ -220,10 +219,16 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
             if (torn)
                 out << "  note: decision log has a torn final line "
                        "(--resume drops it)\n";
+            // On a tune manifest the rounds are also held to its
+            // scenario's schedule, as tune --resume holds them.
             const TuneLog log = readTuneLog(*text);
-            if (!log.damage.empty())
-                problem("decision log '" + opt.logPath +
-                        "': " + log.damage);
+            const std::string why =
+                !log.damage.empty() ? log.damage
+                : scn && mf->mode == "tune"
+                    ? tuneLogMismatch(scn->space, scn->apps, log.rounds)
+                    : "";
+            if (!why.empty())
+                problem("decision log '" + opt.logPath + "': " + why);
             else
                 out << "  log: "
                     << std::count(text->begin(), text->end(), '\n')

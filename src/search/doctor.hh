@@ -10,11 +10,14 @@
  * behind (orphan tmp files, renamed-aside stale leases and corrupt
  * files). Optionally it audits a decision log, read as `tune
  * --resume` reads it (readTuneLog): each line must be the one the
- * writer writes there. Exit code 0 means consistent (possibly
+ * writer writes there, and on a tune manifest each round must be the
+ * one the scenario's promotion rule schedules there
+ * (tuneLogMismatch). Exit code 0 means consistent (possibly
  * unfinished — that is what reruns are for; a log cut at a line
  * boundary is too); 2 means an inconsistency that needs a human: a
- * committed unit whose CSV is damaged, a damaged decision log, or a
- * manifest that no worker can read.
+ * committed unit whose CSV is damaged, a unit file whose name a
+ * worker could not have written, a damaged or foreign decision log,
+ * or a manifest that no worker can read.
  */
 
 #ifndef RCACHE_SEARCH_DOCTOR_HH

@@ -9,7 +9,6 @@
 
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
-#include "util/numformat.hh"
 
 namespace rcache
 {
@@ -24,25 +23,6 @@ fail(const std::string &msg)
     return 2;
 }
 
-/** Rewrite readSweepCsv's "sweep csv line N: why" as the standard
- *  one-line "<path>:N: why" diagnostic. */
-std::string
-remapCsvError(const std::string &path, const std::string &err)
-{
-    const std::string prefix = "sweep csv line ";
-    if (err.rfind(prefix, 0) == 0) {
-        const std::size_t colon = err.find(':', prefix.size());
-        if (colon != std::string::npos) {
-            const std::string line_no =
-                err.substr(prefix.size(), colon - prefix.size());
-            unsigned long long n = 0;
-            if (parseU64Strict(line_no, n))
-                return path + ":" + line_no + err.substr(colon);
-        }
-    }
-    return path + ":1: " + err;
-}
-
 /** Read the sweep CSV @p path strictly, rows in file order. */
 std::optional<std::vector<SweepRecord>>
 readCsvFile(const std::string &path, std::string *err)
@@ -52,10 +32,9 @@ readCsvFile(const std::string &path, std::string *err)
         *err = path + ":1: cannot open";
         return std::nullopt;
     }
-    std::string csv_err;
-    auto records = readSweepCsv(is, &csv_err);
+    auto records = readSweepCsv(is, err);
     if (!records)
-        *err = remapCsvError(path, csv_err);
+        *err = path + ":" + *err;
     return records;
 }
 
@@ -109,14 +88,6 @@ manifestScenario(const std::string &dir, const ManifestInfo &info,
     return ManifestScenario{std::move(*space), std::move(apps)};
 }
 
-std::vector<std::size_t>
-claimUnitCells(const std::vector<std::size_t> &cells, std::size_t unit,
-               std::size_t units)
-{
-    return {cells.begin() + unit * cells.size() / units,
-            cells.begin() + (unit + 1) * cells.size() / units};
-}
-
 std::optional<std::vector<SweepRecord>>
 readClaimUnit(const std::string &path, const ParamSpace &space,
               const std::vector<AppEntry> &apps,
@@ -126,28 +97,25 @@ readClaimUnit(const std::string &path, const ParamSpace &space,
     auto rows = readCsvFile(path, err);
     if (!rows)
         return std::nullopt;
-    const std::size_t ncells = apps.size() * space.numPoints();
-    const auto mismatch = [&](std::size_t i) -> std::string {
-        if (cells && i >= cells->size())
-            return "a row beyond the unit's " +
-                   std::to_string(cells->size()) + " cell(s)";
-        const std::size_t cell = cells ? (*cells)[i] : (*rows)[i].cell;
-        if (cell >= ncells)
-            return "cell " + std::to_string(cell) + " is beyond the " +
-                   std::to_string(ncells) + " cells of the scenario";
-        const std::string why =
-            cellRowMismatch((*rows)[i], space, apps, cell, engine);
-        return why.empty() ? why : "cell " + std::to_string(cell) + ": " + why;
-    };
-    // Row i sits on line i + 2, under the header.
-    for (std::size_t i = 0; i < rows->size(); ++i) {
-        const std::string why = mismatch(i);
-        if (!why.empty()) {
-            *err = path + ":" + std::to_string(i + 2) + ": " + why;
-            return std::nullopt;
-        }
+    std::vector<std::size_t> own;
+    if (!cells) {
+        for (const SweepRecord &row : *rows)
+            own.push_back(row.cell);
+        cells = &own;
     }
-    if (cells && rows->size() < cells->size()) {
+    // Row k sits on line k + 2, under the header.
+    std::string why;
+    const std::size_t k =
+        firstForeignRow(*rows, space, apps, *cells, engine, &why);
+    if (k < rows->size()) {
+        *err = path + ":" + std::to_string(k + 2) + ": " +
+               (k < cells->size()
+                    ? "cell " + std::to_string((*cells)[k]) + ": "
+                    : "") +
+               why;
+        return std::nullopt;
+    }
+    if (rows->size() < cells->size()) {
         *err = path + ":" + std::to_string(rows->size() + 2) + ": cell " +
                std::to_string((*cells)[rows->size()]) +
                " is missing (the unit holds " +
@@ -168,7 +136,7 @@ readClaimRound(const ClaimDir &claims,
     all.reserve(cells.size());
     for (std::size_t u = 0; u < units.size(); ++u) {
         const std::vector<std::size_t> mine =
-            claimUnitCells(cells, u, units.size());
+            ShardSpec{u, units.size()}.take(cells);
         const auto rows =
             readClaimUnit(claims.path(units[u] + ".csv"), space, apps,
                           &mine, engine, err);
@@ -191,7 +159,7 @@ claimRound(const ClaimDir &claims, const std::vector<std::string> &units,
         [&](std::size_t u, const std::string &tmp,
             const std::function<bool()> &heartbeat) {
             const std::vector<std::size_t> mine =
-                claimUnitCells(cells, u, units.size());
+                ShardSpec{u, units.size()}.take(cells);
             const std::vector<SweepRecord> rows =
                 evaluateCells(space, apps, mine, jobs, engine, heartbeat);
             if (rows.size() < mine.size())
@@ -217,7 +185,12 @@ int
 runClaimSweep(const std::optional<ScenarioSpec> &spec,
               const ClaimSweepOptions &opt)
 {
+    // Each trace opens once, before any claim: a worker that carries
+    // the scenario checks it before it creates or joins the manifest,
+    // a joiner checks the manifest's.
     std::string err;
+    if (spec && !preflightTraces(*spec, &err))
+        return fail(err);
     const auto mf = openManifest(
         opt.dir, "sweep",
         spec ? std::optional<std::string>(spec->printToString())
@@ -227,6 +200,8 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
         return fail(err);
     const auto scn = manifestScenario(opt.dir, *mf, &err);
     if (!scn)
+        return fail(err);
+    if (!spec && !preflightTraces(scn->space.spec(), &err))
         return fail(err);
 
     // One round over every cell: unit u of N is shard_u.

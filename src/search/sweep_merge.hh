@@ -6,24 +6,23 @@
  *
  * A claim round turns an ascending, app-major list of cells into N
  * work units that any number of independent worker processes drain
- * together: unit u of N takes the contiguous range of cells
- * [u*n/N, (u+1)*n/N), so a unit holds consecutive cells of few apps
- * and streams each of those apps' workload and baselines once. A
- * claim sweep is one round over every cell, with units shard_0 ...
+ * together: unit u of N takes the cells shard u/N takes
+ * (runner/shard.hh), so it streams each of its few apps once. A claim
+ * sweep is one round over every cell, with units shard_0 ...
  * shard_N-1; a tune round's units are r<round>_s<unit>, over the
  * round's candidates at the rung's engine.
  * claimRound drives the shared claim worker, drainClaimUnits
  * (runner/claim.hh has it and the lease protocol): it claims what is
- * free, evaluates the unit's cells (evaluateCells, one CellBatch)
- * while heartbeating the lease after every finished lane group,
- * publishes the unit's CSV through a checked write to a private tmp
- * file renamed into place (readers never see a partial CSV), and
- * marks it done. Workers take over stale units of crashed peers, and
- * no worker returns until *every* unit is done, so a zero exit from
- * any worker means the whole round is drained.
+ * free, evaluates the unit's cells (evaluateCells) while heartbeating
+ * the lease after every finished lane group, publishes the unit's CSV
+ * through a checked write to a private tmp file renamed into place
+ * (readers never see a partial CSV), and marks it done. Workers take
+ * over stale units of crashed peers, and no worker returns until
+ * *every* unit is done, so a zero exit from any worker means the
+ * whole round is drained.
  *
  * Then every worker reads every unit back (readClaimRound): row i of
- * a unit must be the row of the unit's i-th cell (cellRowMismatch,
+ * a unit must be the row of the unit's i-th cell (firstForeignRow,
  * scenario/cell_eval.hh), so all workers gather the identical record
  * set and an edited or foreign unit exits 2 with one line naming the
  * unit file. `merge DIR` and `doctor DIR` read a directory's units
@@ -48,6 +47,7 @@
 #include <vector>
 
 #include "runner/claim.hh"
+#include "runner/shard.hh"
 #include "scenario/cell_eval.hh"
 #include "scenario/scenario_spec.hh"
 #include "sim/report.hh"
@@ -74,9 +74,12 @@ struct ClaimSweepOptions
  * Run one cooperative sweep worker over @p opt.dir. With @p spec the
  * worker creates the manifest when none exists (requires
  * opt.shards > 0) or verifies an existing one matches; without, it
- * joins the manifest's scenario. Then it runs one claimRound over
- * every cell of the manifest's scenario, so it returns 0 only once
- * every unit of the manifest is done and reads back as its range.
+ * joins the manifest's scenario. Before it claims anything it opens
+ * the scenario's traces once (preflightTraces), so a worker without
+ * them exits 2 with one line and leaves no lease behind. Then it runs
+ * one claimRound over every cell of the manifest's scenario, so it
+ * returns 0 only once every unit of the manifest is done and reads
+ * back as its range.
  * Diagnostics go to stderr with the CLI's "rcache-sim:" prefix;
  * @return a process exit code.
  */
@@ -101,15 +104,9 @@ std::optional<ManifestScenario>
 manifestScenario(const std::string &dir, const ManifestInfo &info,
                  std::string *err);
 
-/** The cells unit @p unit of @p units takes from @p cells: the
- *  contiguous range [unit*n/units, (unit+1)*n/units). */
-std::vector<std::size_t>
-claimUnitCells(const std::vector<std::size_t> &cells, std::size_t unit,
-               std::size_t units);
-
 /**
  * One claim round: drain @p units (named by the caller) with this
- * worker's peers, unit u evaluating claimUnitCells(@p cells, u, N)
+ * worker's peers, unit u evaluating ShardSpec{u, N}.take(@p cells)
  * at @p engine when non-null (else each point's own) on @p jobs
  * workers, then read every unit back (readClaimRound). @p cells must
  * be ascending cells of @p space and @p apps. @return 0 with
@@ -126,12 +123,10 @@ int claimRound(const ClaimDir &claims, const std::vector<std::string> &units,
 
 /**
  * The read-back half of the protocol for one committed unit CSV
- * @p path: it must parse, and row i must be the row of cell
- * (*@p cells)[i] at @p engine (cellRowMismatch) with no row missing
- * or extra. A null @p cells holds each row to its own cell instead,
- * for a reader that cannot know a unit's cells (doctor, of a tune
- * round's). @return the rows, or nullopt with a one-line
- * "<path>:LINE: why" @p err.
+ * @p path: it must parse, and hold exactly the rows of *@p cells at
+ * @p engine (firstForeignRow); a null @p cells holds each row to its
+ * own cell (doctor, which cannot know a tune round's cells).
+ * @return the rows, or nullopt with a one-line "<path>:LINE: why".
  */
 std::optional<std::vector<SweepRecord>>
 readClaimUnit(const std::string &path, const ParamSpace &space,
@@ -140,7 +135,7 @@ readClaimUnit(const std::string &path, const ParamSpace &space,
               const EngineSpec *engine, std::string *err);
 
 /** Read every unit of a claim round back (readClaimUnit, unit u
- *  against claimUnitCells(@p cells, u, N)). @return the rows in
+ *  against ShardSpec{u, N}.take(@p cells)). @return the rows in
  *  @p cells order, or nullopt with @p err. */
 std::optional<std::vector<SweepRecord>>
 readClaimRound(const ClaimDir &claims, const std::vector<std::string> &units,

@@ -251,8 +251,7 @@ readSweepCsv(std::istream &is, std::string *err)
 {
     const auto failWith = [&](int line, const std::string &why) {
         if (err)
-            *err = "sweep csv line " + std::to_string(line) + ": " +
-                   why;
+            *err = std::to_string(line) + ": " + why;
         return std::nullopt;
     };
 

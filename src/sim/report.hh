@@ -118,9 +118,10 @@ void writeSweepCsvRows(std::ostream &os,
 /**
  * Strict inverse of writeSweepCsv: the header must match
  * sweepCsvHeader() exactly, then every line is one parseSweepCsvRow
- * row. On failure returns nullopt and fills @p err with one line
- * ("sweep csv line N: why"). Used by `sweep --resume`, `merge`,
- * `doctor` and the round-trip tests.
+ * row. On failure returns nullopt and fills @p err with "N: why", N
+ * the 1-based line, so "<path>:" + err is the one-line diagnostic.
+ * Used by `sweep --resume`, `merge`, `doctor` and the round-trip
+ * tests.
  */
 std::optional<std::vector<SweepRecord>>
 readSweepCsv(std::istream &is, std::string *err);

@@ -3,6 +3,7 @@
 #include "util/numformat.hh"
 
 #include "util/logging.hh"
+#include "workload/profiles.hh"
 #include "workload/streaming_trace.hh"
 #include "workload/trace_format.hh"
 
@@ -28,6 +29,21 @@ traceProfileFromSpec(const std::string &spec, BenchmarkProfile *out,
     // regions stays empty: SyntheticWorkload's constructor rejects
     // trace profiles that bypass this factory.
     *out = p;
+    return true;
+}
+
+bool
+preflightTraceSpecs(const std::vector<std::string> &names,
+                    std::string *err)
+{
+    for (const std::string &name : names)
+        for (const std::string &item : splitPlusList(name)) {
+            TraceSpec spec;
+            if (isTraceSpec(item) &&
+                (!parseTraceSpec(item, &spec, err) ||
+                 !StreamingTraceWorkload::open(spec, item, err)))
+                return false;
+        }
     return true;
 }
 

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "workload/synthetic.hh"
 
@@ -31,6 +32,15 @@ bool isTraceProfile(const BenchmarkProfile &p);
  */
 bool traceProfileFromSpec(const std::string &spec,
                           BenchmarkProfile *out, std::string *err);
+
+/**
+ * Open every trace-spec component of @p names (app names, '+'-joined
+ * mixes or specs) once, so an unreadable file or a malformed leading
+ * record is a one-line @p err up front, not a fatal error out of a
+ * worker thread mid-run.
+ */
+bool preflightTraceSpecs(const std::vector<std::string> &names,
+                         std::string *err);
 
 /**
  * Instantiate the workload @p p describes. Synthetic profiles build a

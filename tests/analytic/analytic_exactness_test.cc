@@ -212,8 +212,9 @@ side = dcache
     EXPECT_NE(serial.find(",analytic,lru\n"), std::string::npos);
     EXPECT_NE(serial.find(",engine,policy\n"), std::string::npos);
 
-    // Shard union: re-interleave the two shard CSVs by row order and
-    // compare against the unsharded run line by line.
+    // Shard union: shard 0 holds the first half of the cells and
+    // shard 1 the rest; compare against the unsharded run line by
+    // line.
     auto shardSweep = [&](const std::string &name, unsigned i,
                           unsigned n) {
         SweepOptions o;
@@ -239,14 +240,15 @@ side = dcache
     EXPECT_EQ(full_line, shard_line);
     std::size_t cell = 0;
     while (std::getline(f, full_line)) {
-        std::istream &shard_is = (cell % 2 == 0)
-                                     ? static_cast<std::istream &>(s0)
-                                     : s1;
+        std::istream &shard_is =
+            cell < 4 ? static_cast<std::istream &>(s0) : s1;
         ASSERT_TRUE(std::getline(shard_is, shard_line));
         EXPECT_EQ(full_line, shard_line) << "cell " << cell;
         ++cell;
     }
     EXPECT_EQ(cell, 8u); // 2 apps x 2 assoc values x 2 orgs
+    EXPECT_FALSE(std::getline(s0, shard_line));
+    EXPECT_FALSE(std::getline(s1, shard_line));
 }
 
 } // namespace rcache

@@ -286,6 +286,30 @@ check_rejects_oneline("--resume supports only --format csv"
 check_rejects_oneline("drop --out"
                       sweep --scenario ${AMMP_SCN} --resume a.csv
                       --out b.csv)
+# The one partition rule rounds range bounds up, so a shard past the
+# last cell owns none: the set-up launch perfbench times
+# (--shard 1048575/1048576 of fig9.scn's 36 cells) writes the CSV
+# header alone.
+set(EMPTY_SHARD_CSV "${CMAKE_CURRENT_BINARY_DIR}/empty_shard_fig9.csv")
+file(REMOVE ${EMPTY_SHARD_CSV})
+execute_process(
+  COMMAND ${RCACHE_SIM} sweep
+          --scenario ${CMAKE_CURRENT_LIST_DIR}/../../scenarios/fig9.scn
+          --jobs 2 --shard 1048575/1048576 --out ${EMPTY_SHARD_CSV}
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+file(STRINGS ${CMAKE_CURRENT_LIST_DIR}/../golden/fig4_micro.golden.csv
+     csv_header LIMIT_COUNT 1)
+if(EXISTS ${EMPTY_SHARD_CSV})
+  file(READ ${EMPTY_SHARD_CSV} shard_csv)
+else()
+  set(shard_csv "")
+endif()
+if(NOT rc EQUAL 0 OR NOT shard_csv STREQUAL "${csv_header}\n")
+  message(SEND_ERROR "--shard 1048575/1048576 of fig9.scn should write "
+                     "the CSV header alone (exit ${rc}): '${shard_csv}' "
+                     "— stderr was: ${err}")
+endif()
+file(REMOVE ${EMPTY_SHARD_CSV})
 
 # A malformed scenario file gets exactly one file:line diagnostic.
 set(BAD_SCN "${CMAKE_CURRENT_BINARY_DIR}/bad_cli_test.scn")

@@ -98,24 +98,17 @@ TEST(ScenarioSweepTest, ShardUnionEqualsFullSweep)
     ASSERT_EQ(runScenarioSweep(spec, s0), 0);
     ASSERT_EQ(runScenarioSweep(spec, s1), 0);
 
-    // Modulo partitioning: merging = round-robin interleave of the
-    // shards' data rows (equivalently: sort the union on the leading
-    // cell column).
-    std::istringstream f0(slurp(pathIn("s0.csv"))),
-        f1(slurp(pathIn("s1.csv")));
-    std::string h0, h1, merged;
-    std::getline(f0, h0);
-    std::getline(f1, h1);
-    EXPECT_EQ(h0, sweepCsvHeader());
-    EXPECT_EQ(h1, sweepCsvHeader());
-    merged = h0 + "\n";
-    std::string r0, r1;
-    while (std::getline(f0, r0)) {
-        merged += r0 + "\n";
-        if (std::getline(f1, r1))
-            merged += r1 + "\n";
-    }
-    EXPECT_EQ(merged, full);
+    // Contiguous ranges: shard 0 holds the first half of the cells,
+    // shard 1 the rest, so the merge is the header and both shards'
+    // rows in shard order.
+    const std::string s0_csv = slurp(pathIn("s0.csv"));
+    const std::string s1_csv = slurp(pathIn("s1.csv"));
+    const std::string header = sweepCsvHeader() + "\n";
+    ASSERT_EQ(s0_csv.rfind(header, 0), 0u);
+    ASSERT_EQ(s1_csv.rfind(header, 0), 0u);
+    EXPECT_EQ(s0_csv + s1_csv.substr(header.size()), full);
+    EXPECT_NE(s0_csv, header);
+    EXPECT_NE(s1_csv, header);
 }
 
 TEST(ScenarioSweepTest, ResumeAfterTruncatedCsvIsByteIdentical)

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -251,9 +252,10 @@ TEST(ClaimTest, SweepUnitsHoldContiguousCellRanges)
     ASSERT_EQ(runScenarioSweep(spec, so), 0);
     const std::string reference = slurp(so.outPath);
 
-    // Unit u of N holds exactly cells [u*n/N, (u+1)*n/N) of the 8, in
-    // order, whether there is one unit, fewer than cells, or more
-    // (the surplus units commit a header alone); the merge is the
+    // Unit u of N holds exactly cells [ceil(u*n/N), ceil((u+1)*n/N))
+    // of the 8, in order, whether there is one unit, fewer than
+    // cells, or more (the empty units commit a header alone), and
+    // holds the bytes `sweep --shard u/N` writes; the merge is the
     // local sweep either way.
     constexpr std::size_t kCells = 8;
     for (const unsigned shards : {1u, 3u, 11u}) {
@@ -262,7 +264,8 @@ TEST(ClaimTest, SweepUnitsHoldContiguousCellRanges)
             freshDir("claim_ranges_" + std::to_string(shards));
         ASSERT_EQ(runClaimSweep(spec, workerOpts(dir, shards)), 0);
         for (unsigned u = 0; u < shards; ++u) {
-            std::ifstream is(dir + "/" + sweepUnitName(u) + ".csv");
+            const std::string unit = dir + "/" + sweepUnitName(u) + ".csv";
+            std::ifstream is(unit);
             std::string err;
             const auto rows = readSweepCsv(is, &err);
             ASSERT_TRUE(rows) << err;
@@ -270,14 +273,62 @@ TEST(ClaimTest, SweepUnitsHoldContiguousCellRanges)
             for (const SweepRecord &row : *rows)
                 cells.push_back(row.cell);
             std::vector<std::size_t> want;
-            for (std::size_t c = u * kCells / shards;
-                 c < (u + 1) * kCells / shards; ++c)
+            for (std::size_t c = (u * kCells + shards - 1) / shards;
+                 c < ((u + 1) * kCells + shards - 1) / shards; ++c)
                 want.push_back(c);
             EXPECT_EQ(cells, want) << "unit " << u;
+
+            SweepOptions shard = so;
+            shard.outPath = pathIn("claim_ranges_shard.csv");
+            shard.shard = ShardSpec{u, shards};
+            ASSERT_EQ(runScenarioSweep(spec, shard), 0);
+            EXPECT_EQ(slurp(shard.outPath), slurp(unit)) << "unit " << u;
         }
         const std::string merged = pathIn("claim_ranges_merged.csv");
         ASSERT_EQ(runSweepMerge({dir}, merged), 0);
         EXPECT_EQ(slurp(merged), reference);
+    }
+}
+
+TEST(ClaimTest, WorkerWithoutItsTracesClaimsNothing)
+{
+    // A manifest whose scenario streams a trace this worker cannot
+    // open: a joiner (without --scenario) and a worker that carries
+    // the scenario both exit 2 with one line before claiming a unit,
+    // so no lease is left behind to go stale.
+    const std::string dir = freshDir("claim_missing_trace");
+    std::string err;
+    const auto spec = ScenarioSpec::parseText(R"([scenario]
+name = claim-trace-test
+insts = 2000
+
+[workloads]
+apps = trace:)" + pathIn("claim_no_such.trace") + R"(
+
+[search]
+org = sets
+strategy = static
+side = dcache
+)",
+                                              "claim-trace.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    ManifestInfo info;
+    info.scenarioText = spec->printToString();
+    info.shards = 2;
+    ASSERT_TRUE(writeManifest(dir, info, &err)) << err;
+    const auto before = snapshot(dir);
+
+    for (const bool carries : {false, true}) {
+        SCOPED_TRACE(carries ? "with the scenario" : "joiner");
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runClaimSweep(carries ? spec : std::nullopt,
+                                workerOpts(dir, carries ? 2 : 0)),
+                  2);
+        const std::string out = testing::internal::GetCapturedStderr();
+        EXPECT_NE(out.find("cannot open trace file"), std::string::npos)
+            << out;
+        EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1) << out;
+        EXPECT_EQ(snapshot(dir), before);
     }
 }
 

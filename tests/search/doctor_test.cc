@@ -317,6 +317,66 @@ TEST(DoctorTest, TuneUnitsEnumeratedFromDirectory)
     EXPECT_NE(report.find("r0_s1: done"), std::string::npos);
     EXPECT_NE(report.find("r1_s0: done"), std::string::npos);
     EXPECT_NE(report.find("verdict: consistent"), std::string::npos);
+
+    // A unit file whose round or shard does not fit 64 bits is no
+    // name a worker writes: a problem, not a crash.
+    for (const std::string name : {"r99999999999999999999999_s0.lease",
+                                   "r0_s18446744073709551616.csv"}) {
+        SCOPED_TRACE(name);
+        spill(dir + "/" + name, "");
+        const std::string bad = doctorReport(dir, {}, &rc);
+        EXPECT_EQ(rc, 2) << bad;
+        EXPECT_NE(bad.find("PROBLEM: '" + dir + "/" + name +
+                           "': unit number out of range"),
+                  std::string::npos)
+            << bad;
+        EXPECT_NE(bad.find("r1_s0: done"), std::string::npos) << bad;
+        std::filesystem::remove(dir + "/" + name);
+    }
+}
+
+TEST(DoctorTest, TuneLogIsHeldToThePromotionRule)
+{
+    // On a tune manifest, doctor --log replays the log's rounds
+    // through the promotion rule, as tune --resume does. Editing one
+    // round-0 best_edp of the golden log ranks cell 2 first, so round
+    // 1 holds other candidates than the rule promotes, though every
+    // line stays in the writer's order.
+    const std::string golden =
+        std::string(RCACHE_TEST_DATA_DIR) + "/../golden/";
+    std::string err;
+    const auto spec =
+        ScenarioSpec::parseFile(golden + "tune_cores_micro.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const std::string dir = freshDir("doctor_tune_log");
+    ManifestInfo info;
+    info.mode = "tune";
+    info.shards = 1;
+    info.scenarioText = spec->printToString();
+    ASSERT_TRUE(writeManifest(dir, info, &err)) << err;
+
+    DoctorOptions opt;
+    opt.logPath = golden + "tune_cores_micro.log.golden.jsonl";
+    int rc = -1;
+    std::string report = doctorReport(dir, opt, &rc);
+    EXPECT_EQ(rc, 0) << report;
+    EXPECT_NE(report.find("intact line(s)"), std::string::npos) << report;
+
+    std::string log = slurpFile(opt.logPath);
+    const std::string row = "2,swim,sets,static,dcache,strategy=static,0,"
+                            "0,0,0,-0.07792347658546195,0,0,"
+                            "875396671055.7761,";
+    const std::size_t at = log.find(row + "876078810575.7761,");
+    ASSERT_NE(at, std::string::npos);
+    log.replace(at + row.size(), 1, "7");
+    opt.logPath = pathIn("doctor_edited_tune.log");
+    spill(opt.logPath, log);
+    report = doctorReport(dir, opt, &rc);
+    EXPECT_EQ(rc, 2) << report;
+    EXPECT_NE(report.find("PROBLEM: decision log '" + opt.logPath +
+                          "': round 1 candidates do not match"),
+              std::string::npos)
+        << report;
 }
 
 TEST(DoctorTest, DecisionLogAudit)

@@ -299,7 +299,7 @@ strategy = static
     ASSERT_EQ(runScenarioSweep(*spec, opts("mc-s0.csv", 0, 2)), 0);
     ASSERT_EQ(runScenarioSweep(*spec, opts("mc-s1.csv", 1, 2)), 0);
 
-    // Re-interleave the two shard CSVs by cell index.
+    // Shard 0 holds the first half of the cells, shard 1 the rest.
     std::istringstream f(slurp(pathIn("mc-full.csv")));
     std::istringstream s0(slurp(pathIn("mc-s0.csv")));
     std::istringstream s1(slurp(pathIn("mc-s1.csv")));
@@ -311,15 +311,16 @@ strategy = static
     EXPECT_EQ(full_line, l1);
     std::size_t cell = 0;
     while (std::getline(f, full_line)) {
-        std::string &shard_line = (cell % 2 == 0) ? l0 : l1;
-        std::istream &shard_is = (cell % 2 == 0)
-                                     ? static_cast<std::istream &>(s0)
-                                     : s1;
+        std::string &shard_line = cell < 2 ? l0 : l1;
+        std::istream &shard_is =
+            cell < 2 ? static_cast<std::istream &>(s0) : s1;
         ASSERT_TRUE(std::getline(shard_is, shard_line));
         EXPECT_EQ(full_line, shard_line) << "cell " << cell;
         ++cell;
     }
     EXPECT_EQ(cell, 4u); // 2 apps x 2 cores-axis values
+    EXPECT_FALSE(std::getline(s0, l0));
+    EXPECT_FALSE(std::getline(s1, l1));
 }
 
 } // namespace rcache

@@ -14,13 +14,9 @@
  * joins. The scenario says what to simulate; the command line says
  * how to run it and where outputs go (jobs, shard, resume, report,
  * telemetry sidecars, claim, failpoints). `run` is the one exception:
- * a single explicit design point, spelled with flags.
- *
- * sweep runs on the scenario engine (scenario/scenario_sweep.hh),
- * which enumerates every cell's jobs up front and executes them as
- * ONE batch, so the workers stay busy across cell boundaries and the
- * output is byte-identical for any --jobs value, shard partition, or
- * resume point.
+ * a single explicit design point, spelled with flags. The sweep,
+ * claim and tune engines (src/scenario, src/search) check the
+ * scenario's traces and everything else themselves.
  */
 
 #include <algorithm>
@@ -163,51 +159,15 @@ lookupProfile(const std::string &name)
     return profileByName(name);
 }
 
-/**
- * Eagerly open every trace-spec component of @p names so unreadable
- * files and malformed leading records surface as one-line CLI
- * diagnostics (exit 2), not a mid-run rc_fatal out of a worker
- * thread. @p names may be app names, '+'-joined mixes, or specs.
- */
-bool
-preflightTraceSpecs(const std::vector<std::string> &names)
-{
-    for (const std::string &name : names) {
-        for (const std::string &item : splitPlusList(name)) {
-            if (!isTraceSpec(item))
-                continue;
-            TraceSpec spec;
-            std::string err;
-            if (!parseTraceSpec(item, &spec, &err) ||
-                !StreamingTraceWorkload::open(spec, item, &err)) {
-                std::cerr << "rcache-sim: " << err << '\n';
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-/**
- * Parse --scenario and preflight its trace-spec surface (apps plus
- * any 'mix' axis), each failure one diagnostic line.
- */
+/** Parse --scenario, one diagnostic line on failure. The sweep,
+ *  claim and tune entry points open its traces themselves. */
 std::optional<ScenarioSpec>
 loadScenario(const Args &args)
 {
     std::string err;
     auto spec = ScenarioSpec::parseFile(args.get("--scenario"), &err);
-    if (!spec) {
+    if (!spec)
         std::cerr << "rcache-sim: " << err << '\n';
-        return std::nullopt;
-    }
-    std::vector<std::string> names = spec->apps;
-    for (const Axis &ax : spec->axes)
-        if (ax.name == "mix")
-            names.insert(names.end(), ax.values.begin(),
-                         ax.values.end());
-    if (!preflightTraceSpecs(names))
-        return std::nullopt;
     return spec;
 }
 
@@ -689,8 +649,11 @@ cmdRun(const Args &args)
     for (const BenchmarkProfile &p : mix)
         if (!p.traceSpec.empty())
             trace_specs.push_back(p.traceSpec);
-    if (!preflightTraceSpecs(trace_specs))
+    std::string trace_err;
+    if (!preflightTraceSpecs(trace_specs, &trace_err)) {
+        std::cerr << "rcache-sim: " << trace_err << '\n';
         return 2;
+    }
 
     const auto il1 = parseSetup(args, "il1");
     const auto dl1 = parseSetup(args, "dl1");
@@ -811,9 +774,11 @@ cmdRecord(const Args &args)
     const auto count = parsePositive(args, "--insts", 400000);
     if (!profile || !count)
         return 2;
-    if (!profile->traceSpec.empty() &&
-        !preflightTraceSpecs({profile->traceSpec}))
+    std::string trace_err;
+    if (!preflightTraceSpecs({profile->traceSpec}, &trace_err)) {
+        std::cerr << "rcache-sim: " << trace_err << '\n';
         return 2;
+    }
     const std::string path = args.get("--out");
     std::ofstream out(path);
     if (!out) {
@@ -1066,8 +1031,8 @@ const std::vector<Command> kCommands = {
           "scenarios/*.scn)"},
          kJobs,
          {"--shard", "i/N",
-          "run only cells with index == i mod N (merge shards by "
-          "sorting rows on the cell column)"},
+          "run only the i-th of N contiguous cell ranges, the cells "
+          "claim unit shard_i holds (merge with 'rcache-sim merge')"},
          {"--resume", "FILE",
           "CSV of an interrupted sweep: verify its completed rows, "
           "simulate only the rest, write the merged file back"},
