@@ -438,10 +438,6 @@ drainClaimUnits(const ClaimDir &claims,
                 const std::vector<std::string> &units,
                 const ClaimUnitRun &run)
 {
-    const auto fail = [](const std::string &msg) {
-        std::cerr << "rcache-sim: " << msg << '\n';
-        return 2;
-    };
     for (;;) {
         if (interruptRequested()) {
             std::cerr << "rcache-sim: interrupted; committed units "
@@ -478,10 +474,10 @@ drainClaimUnits(const ClaimDir &claims,
             }
             if (RC_FAILPOINT("claim.unit.publish") != fault::Fire::None ||
                 std::rename(tmp.c_str(), csv.c_str()) != 0)
-                return fail("cannot publish '" + csv + "'");
+                return refuse("cannot publish '" + csv + "'");
             std::string done_err;
             if (!claims.markDone(unit, &done_err))
-                return fail(done_err);
+                return refuse(done_err);
             progressed = true;
         }
         if (std::all_of(units.begin(), units.end(),

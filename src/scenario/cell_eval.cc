@@ -39,6 +39,14 @@ resolveApps(const ScenarioSpec &spec, std::string *err)
     return apps;
 }
 
+std::vector<std::size_t>
+allCells(const ParamSpace &space, const std::vector<AppEntry> &apps)
+{
+    std::vector<std::size_t> cells(apps.size() * space.numPoints());
+    std::iota(cells.begin(), cells.end(), 0);
+    return cells;
+}
+
 bool
 preflightTraces(const ScenarioSpec &spec, std::string *err)
 {
@@ -624,10 +632,9 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
         return runner.drain(jobs, finished);
     };
     std::size_t next = 0, committed = 0;
-    while (next < cells.size() &&
+    while (committed == next && next < cells.size() &&
            (next == 0 || !sink.heartbeat || sink.heartbeat())) {
         CellBatch batch(space, apps, runner.traced());
-        const std::size_t window = next;
         while (next < cells.size() &&
                batch.phase1Jobs() < kSweepWindowJobs) {
             const std::size_t unit_jobs = batch.phase1Jobs();
@@ -637,10 +644,8 @@ evaluateCells(const ParamSpace &space, const std::vector<AppEntry> &apps,
                    batch.phase1Jobs() - unit_jobs < kCommitUnitJobs);
             batch.cut();
         }
-        const std::size_t done = batch.run(drain, memo, sink).size();
-        committed += done;
-        if (done < next - window)
-            break; // the heartbeat stopped the drain
+        // A window the heartbeat stopped commits fewer than its cells.
+        committed += batch.run(drain, memo, sink).size();
     }
     return committed;
 }
@@ -674,9 +679,7 @@ evaluateScenario(const ScenarioSpec &spec, unsigned jobs, std::string *err)
         return std::nullopt;
     ScenarioRows out;
     out.points = space->numPoints();
-    std::vector<std::size_t> cells(apps.size() * out.points);
-    std::iota(cells.begin(), cells.end(), 0);
-    out.rows = evaluateCells(*space, apps, cells, jobs);
+    out.rows = evaluateCells(*space, apps, allCells(*space, apps), jobs);
     return out;
 }
 

@@ -88,6 +88,10 @@ struct AppEntry
 std::vector<AppEntry> resolveApps(const ScenarioSpec &spec,
                                   std::string *err);
 
+/** Every cell of @p space and @p apps, ascending (app-major). */
+std::vector<std::size_t> allCells(const ParamSpace &space,
+                                  const std::vector<AppEntry> &apps);
+
 /** preflightTraceSpecs of @p spec's apps and 'mix' axis values: the
  *  sweep, claim and tune entry points each call it once, before they
  *  run or claim anything. */

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <optional>
 #include <sstream>
 
@@ -18,18 +17,6 @@
 namespace rcache
 {
 
-namespace
-{
-
-int
-fail(const std::string &msg)
-{
-    std::cerr << "rcache-sim: " << msg << '\n';
-    return 2;
-}
-
-} // namespace
-
 int
 runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
 {
@@ -37,25 +24,23 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
 
     if (opt.format != "csv" && opt.format != "json" &&
         opt.format != "table")
-        return fail("--format wants csv|json|table");
+        return refuse("--format wants csv|json|table");
     const bool resuming = !opt.resumePath.empty();
     if (resuming && opt.format != "csv")
-        return fail("--resume supports only --format csv");
+        return refuse("--resume supports only --format csv");
     if (resuming && !opt.outPath.empty())
-        return fail("--resume names the output file itself; drop "
-                    "--out");
+        return refuse("--resume names the output file itself; drop "
+                      "--out");
 
     std::string err;
     if (!preflightTraces(spec, &err))
-        return fail(err);
+        return refuse(err);
     const std::vector<AppEntry> apps = resolveApps(spec, &err);
     if (apps.empty())
-        return fail(err);
+        return refuse(err);
 
-    const std::size_t ncells = apps.size() * space.numPoints();
-    const auto [first, last] = opt.shard.range(ncells);
-    std::vector<std::size_t> owned(last - first);
-    std::iota(owned.begin(), owned.end(), first);
+    const std::vector<std::size_t> all = allCells(space, apps);
+    const std::vector<std::size_t> owned = opt.shard.take(all);
 
     // ---- resume: verify the completed prefix of the prior CSV. A
     // torn final line never ran to completion: it is dropped and its
@@ -78,9 +63,9 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
             const std::size_t k = firstForeignRow(*prior, space, apps,
                                                   owned, nullptr, &err);
             if (k < prior->size())
-                return fail("--resume " + opt.resumePath + ": row " +
-                            std::to_string(k + 1) + ": " + err +
-                            " (wrong scenario or shard?)");
+                return refuse("--resume " + opt.resumePath + ": row " +
+                              std::to_string(k + 1) + ": " + err +
+                              " (wrong scenario or shard?)");
             skip = prior->size();
             kept = *complete;
         }
@@ -102,13 +87,13 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         timeline_os.open(opt.timelinePath,
                          std::ios::binary | std::ios::trunc);
         if (!timeline_os)
-            return fail("cannot write '" + opt.timelinePath + "'");
+            return refuse("cannot write '" + opt.timelinePath + "'");
     }
     if (want_events) {
         events_os.open(opt.eventsPath,
                        std::ios::binary | std::ios::trunc);
         if (!events_os)
-            return fail("cannot write '" + opt.eventsPath + "'");
+            return refuse("cannot write '" + opt.eventsPath + "'");
     }
     std::ofstream trace_os;
     std::optional<TraceEventRecorder> trace;
@@ -116,7 +101,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         trace_os.open(opt.traceEventsPath,
                       std::ios::binary | std::ios::trunc);
         if (!trace_os)
-            return fail("cannot write '" + opt.traceEventsPath + "'");
+            return refuse("cannot write '" + opt.traceEventsPath + "'");
         trace.emplace();
     }
 
@@ -142,7 +127,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     if (!path.empty()) {
         file.open(path, std::ios::binary | std::ios::trunc);
         if (!file)
-            return fail("cannot write '" + path + "'");
+            return refuse("cannot write '" + path + "'");
         os = &file;
     }
     const std::string outName = path.empty() ? "<stdout>" : path;
@@ -227,10 +212,14 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
 
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t committed =
-        skip + evaluateCells(space, apps, {owned.begin() + skip, owned.end()},
-                             runner, memo, sink);
-    // Only an interrupt leaves owned cells uncommitted; the caller
-    // names the file to resume.
+        skip + (interruptRequested()
+                    ? 0
+                    : evaluateCells(space, apps,
+                                    {owned.begin() + skip, owned.end()},
+                                    runner, memo, sink));
+    // Only an interrupt (during set-up, or polite between lane groups)
+    // leaves owned cells uncommitted; the caller names the file to
+    // resume.
     if (committed < owned.size()) {
         std::cerr << "rcache-sim: interrupted; " << committed << "/"
                   << owned.size() << " cells committed\n";
@@ -263,7 +252,7 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
             std::cerr << " [" << reused_runs << " jobs reused a run]";
         if (opt.shard.sharded())
             std::cerr << " [shard " << opt.shard.str() << ", "
-                      << owned.size() - skip << "/" << ncells
+                      << owned.size() - skip << "/" << all.size()
                       << " cells]";
         if (skip)
             std::cerr << " [resumed past " << skip << " cells]";
@@ -278,7 +267,7 @@ runScenarioSweep(const ScenarioSpec &spec, const SweepOptions &opt)
     std::string err;
     auto space = ParamSpace::build(spec, &err);
     if (!space)
-        return fail(err);
+        return refuse(err);
     return runScenarioSweep(*space, opt);
 }
 

@@ -39,13 +39,6 @@ namespace rcache
 namespace
 {
 
-int
-fail(const std::string &msg)
-{
-    std::cerr << "rcache-sim: " << msg << '\n';
-    return 2;
-}
-
 /**
  * A cell's score: relative E·D (best/baseline), the paper's metric,
  * computed in double arithmetic from SweepRecord fields — which
@@ -80,7 +73,6 @@ promoteRound(const AdaptiveSpec &ad, std::size_t round,
                       return score[a] < score[b];
                   return records[a].cell < records[b].cell;
               });
-    v.best = order.empty() ? 0 : order[0];
     for (const std::size_t o : order)
         v.rank.push_back(records[o].cell);
 
@@ -112,8 +104,7 @@ tuneLogMismatch(const ParamSpace &space, const std::vector<AppEntry> &apps,
                 const std::vector<TuneLogRound> &rounds)
 {
     const AdaptiveSpec &ad = space.spec().search.adaptive;
-    std::vector<std::size_t> candidates(apps.size() * space.numPoints());
-    std::iota(candidates.begin(), candidates.end(), 0);
+    std::vector<std::size_t> candidates = allCells(space, apps);
     std::vector<std::size_t> prev_rank;
     for (std::size_t r = 0; r < rounds.size(); ++r) {
         // A log that outruns the ladder fails the verdict check of
@@ -162,35 +153,35 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     const AdaptiveSpec &ad = spec.search.adaptive;
 
     if (spec.search.mode != SearchMode::Adaptive)
-        return fail("scenario '" + spec.name +
-                    "' is not adaptive; add 'mode = adaptive' to "
-                    "its [search] section");
+        return refuse("scenario '" + spec.name +
+                      "' is not adaptive; add 'mode = adaptive' to "
+                      "its [search] section");
     if (ad.ladder.empty())
-        return fail("adaptive ladder is empty");
+        return refuse("adaptive ladder is empty");
     for (const Axis &axis : spec.axes)
         if (axis.name == "sample.interval")
-            return fail("adaptive search drives the engine ladder "
-                        "itself; drop the sample.interval axis");
+            return refuse("adaptive search drives the engine ladder "
+                          "itself; drop the sample.interval axis");
     if (!opt.resumePath.empty() && !opt.claimDir.empty())
-        return fail("--resume and --claim are mutually exclusive "
-                    "(claim directories resume themselves)");
+        return refuse("--resume and --claim are mutually exclusive "
+                      "(claim directories resume themselves)");
     if (ad.sampleInterval) {
         const char *why = SamplingConfig::shapeError(
             ad.sampleInterval,
             SamplingConfig::defaultDetail(ad.sampleInterval),
             SamplingConfig::defaultWarmup(ad.sampleInterval));
         if (why)
-            return fail(std::string("[search] sample-interval: ") +
-                        why);
+            return refuse(std::string("[search] sample-interval: ") +
+                          why);
     }
 
     // Each trace opens once, before any round runs or is claimed.
     std::string apps_err;
     if (!preflightTraces(spec, &apps_err))
-        return fail(apps_err);
+        return refuse(apps_err);
     const std::vector<AppEntry> apps = resolveApps(spec, &apps_err);
     if (apps.empty())
-        return fail(apps_err);
+        return refuse(apps_err);
     const std::size_t npoints = space.numPoints();
     const std::size_t ncells = apps.size() * npoints;
 
@@ -204,8 +195,8 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         probe.engine = e;
         std::string probe_err;
         if (!ParamSpace::build(probe, &probe_err))
-            return fail("ladder rung '" + engineName(mode) +
-                        "': " + probe_err);
+            return refuse("ladder rung '" + engineName(mode) +
+                          "': " + probe_err);
         rungs.push_back(e);
     }
 
@@ -236,7 +227,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
                                      spec.printToString(), opt.shards,
                                      &mf_err);
         if (!mf)
-            return fail(mf_err);
+            return refuse(mf_err);
         claims.emplace(opt.claimDir, opt.leaseTimeoutSecs);
         shards = mf->shards;
     }
@@ -255,8 +246,8 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         if (text) {
             TuneLog prior = readTuneLog(*text);
             if (!prior.plan.empty() && prior.plan != plan_line)
-                return fail("--resume " + path +
-                            ": plan line does not match this scenario");
+                return refuse("--resume " + path +
+                              ": plan line does not match this scenario");
             if (prior.damage.empty())
                 cached = std::move(prior.rounds);
             else
@@ -267,7 +258,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         // is rewritten.
         const std::string why = tuneLogMismatch(space, apps, cached);
         if (!why.empty())
-            return fail("--resume " + path + ": " + why);
+            return refuse("--resume " + path + ": " + why);
     }
 
     // ---- decision log sink. Lines accumulate from the plan line on.
@@ -294,8 +285,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     // keeps the log byte-identical across modes. Which jobs a batch
     // lays out does not depend on the engine, so round 0 prices the
     // exhaustive count.
-    std::vector<std::size_t> all_cells(ncells);
-    std::iota(all_cells.begin(), all_cells.end(), 0);
+    const std::vector<std::size_t> all_cells = allCells(space, apps);
     const std::uint64_t exhaustive_jobs =
         plannedCoreJobs(space, apps, all_cells);
     const std::uint64_t exhaustive_insts =
@@ -312,7 +302,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
 
     for (std::size_t r = 0; r < rungs.size(); ++r) {
         if (r == cached.size() && !openLog())
-            return fail("cannot write '" + opt.logPath + "'");
+            return refuse("cannot write '" + opt.logPath + "'");
         // Round boundaries are the tuner's commit points: the log
         // holds only complete rounds before a round that runs, so
         // exiting there leaves a --resume-able state.
@@ -363,7 +353,10 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
             early = true;
         }
         if (verdict.last) {
-            winner = records[verdict.best];
+            winner = *std::find_if(records.begin(), records.end(),
+                                   [&](const SweepRecord &rec) {
+                                       return rec.cell == verdict.rank[0];
+                                   });
             winner_score = shortestDouble(scoreOf(*winner));
             emit(tuneWinnerLine(winner->cell, winner->app,
                                 winner_score,
@@ -381,7 +374,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
     rc_assert(winner);
     // Every round was replayed, the winner's too: open the log now.
     if (!log_opened && !openLog())
-        return fail("cannot write '" + opt.logPath + "'");
+        return refuse("cannot write '" + opt.logPath + "'");
 
     if (opt.emitOutputs) {
         std::string out = sweepCsvHeader() + '\n';
@@ -393,7 +386,7 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
             std::ofstream f(opt.outPath,
                             std::ios::binary | std::ios::trunc);
             if (!f)
-                return fail("cannot write '" + opt.outPath + "'");
+                return refuse("cannot write '" + opt.outPath + "'");
             checkedAppend(f, out, opt.outPath, "tune.winner.write");
         }
     }
@@ -436,7 +429,7 @@ runAdaptiveSearch(const ScenarioSpec &spec, const TuneOptions &opt,
     std::string err;
     const auto space = ParamSpace::build(spec, &err);
     if (!space)
-        return fail(err);
+        return refuse(err);
     return runAdaptiveSearch(*space, opt, stats);
 }
 

@@ -124,8 +124,6 @@ struct RoundVerdict
     /** The round's cells best first: by score (relative E·D), then
      *  cell index. */
     std::vector<std::size_t> rank;
-    /** The row of rank's first cell. */
-    std::size_t best = 0;
     /** rank-agree's agreed top cells when it stops the tune here. */
     std::vector<std::size_t> agreed;
     /** The tune ends here: the last rung, or an early exit. */

@@ -32,15 +32,15 @@ tuneUnitKey(const std::string &name, bool *overflow)
     if (name.rfind('r', 0) != 0 || us == std::string::npos)
         return std::nullopt;
     const std::string parts[] = {name.substr(1, us - 1), name.substr(us + 2)};
+    for (const std::string &digits : parts)
+        if (digits.empty() ||
+            digits.find_first_not_of("0123456789") != std::string::npos)
+            return std::nullopt;
     unsigned long long key[2];
-    for (int i = 0; i < 2; ++i) {
-        if (parts[i].empty() ||
-            parts[i].find_first_not_of("0123456789") != std::string::npos)
-            return std::nullopt;
-        *overflow = !parseU64Strict(parts[i], key[i]);
-        if (*overflow)
-            return std::nullopt;
-    }
+    *overflow = !parseU64Strict(parts[0], key[0]) ||
+                !parseU64Strict(parts[1], key[1]);
+    if (*overflow)
+        return std::nullopt;
     return std::pair<std::uint64_t, std::uint64_t>{key[0], key[1]};
 }
 
@@ -82,40 +82,30 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
     if (!scn)
         problem(scn_err);
 
-    // ---- enumerate units: sweep units come from the shard count,
-    // tune units (and their rounds) from whatever rounds actually
-    // started.
+    // ---- enumerate units by (round, shard): a sweep's (round 0) from
+    // the shard count, a tune's from whatever rounds actually started.
     const ClaimDir claims(dir, opt.leaseTimeoutSecs);
-    std::vector<std::string> units;
-    std::vector<std::uint64_t> rounds;
+    std::set<std::pair<std::pair<std::uint64_t, std::uint64_t>,
+                       std::string>>
+        units;
     if (mf->mode == "sweep") {
         for (unsigned u = 0; u < mf->shards; ++u)
-            units.push_back(sweepUnitName(u));
+            units.insert({{0, u}, sweepUnitName(u)});
     } else {
-        // Round first, then shard, both numeric.
-        std::set<std::pair<std::pair<std::uint64_t, std::uint64_t>,
-                           std::string>>
-            seen;
         for (const auto &entry :
              std::filesystem::directory_iterator(dir)) {
             const std::string name = entry.path().filename().string();
             const std::size_t dot = name.find('.');
-            if (dot == std::string::npos)
-                continue;
-            const std::string stem = name.substr(0, dot);
-            const std::string ext = name.substr(dot);
+            const std::string ext =
+                dot == std::string::npos ? "" : name.substr(dot);
             if (ext != ".lease" && ext != ".csv" && ext != ".done")
                 continue;
             bool overflow = false;
-            if (const auto key = tuneUnitKey(stem, &overflow))
-                seen.emplace(*key, stem);
+            if (const auto key = tuneUnitKey(name.substr(0, dot), &overflow))
+                units.emplace(*key, name.substr(0, dot));
             else if (overflow)
                 problem("'" + claims.path(name) +
                         "': unit number out of range");
-        }
-        for (const auto &[key, stem] : seen) {
-            units.push_back(stem);
-            rounds.push_back(key.first);
         }
     }
 
@@ -127,14 +117,14 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
     std::vector<std::size_t> all_cells;
     std::vector<EngineSpec> rungs;
     if (scn) {
-        all_cells = scn->cells();
+        all_cells = allCells(scn->space, scn->apps);
         const AdaptiveSpec &ad = scn->space.spec().search.adaptive;
         for (const EngineMode mode : ad.ladder)
             rungs.push_back(rungEngine(ad, mode));
     }
     std::size_t done = 0, live = 0, stale = 0, unclaimed = 0;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-        const std::string &unit = units[u];
+    for (const auto &[key, unit] : units) {
+        const auto [round, shard] = key;
         const std::string csv = claims.path(unit + ".csv");
         const bool is_done = claims.isDone(unit);
         std::string state;
@@ -167,14 +157,14 @@ runDoctor(const std::string &dir, const DoctorOptions &opt,
         std::string why;
         std::optional<std::vector<SweepRecord>> rows;
         if (mf->mode == "sweep") {
-            const auto range = ShardSpec{u, units.size()}.take(all_cells);
+            const auto range = ShardSpec{shard, units.size()}.take(all_cells);
             rows = readClaimUnit(csv, scn->space, scn->apps, &range,
                                  nullptr, &why);
-        } else if (rounds[u] < rungs.size()) {
+        } else if (round < rungs.size()) {
             rows = readClaimUnit(csv, scn->space, scn->apps, nullptr,
-                                 &rungs[rounds[u]], &why);
+                                 &rungs[round], &why);
         } else {
-            why = csv + ": round " + std::to_string(rounds[u]) +
+            why = csv + ": round " + std::to_string(round) +
                   " is beyond the scenario's " +
                   std::to_string(rungs.size()) + "-rung ladder";
         }

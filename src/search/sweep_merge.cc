@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <sstream>
 
 #include "util/checked_io.hh"
@@ -15,13 +14,6 @@ namespace rcache
 
 namespace
 {
-
-int
-fail(const std::string &msg)
-{
-    std::cerr << "rcache-sim: " << msg << '\n';
-    return 2;
-}
 
 /** Read the sweep CSV @p path strictly, rows in file order. */
 std::optional<std::vector<SweepRecord>>
@@ -48,7 +40,7 @@ writeReport(const std::vector<SweepRecord> &rows,
     if (!outPath.empty()) {
         file.open(outPath, std::ios::binary | std::ios::trunc);
         if (!file)
-            return fail("cannot write '" + outPath + "'");
+            return refuse("cannot write '" + outPath + "'");
         os = &file;
     }
     const std::string outName = outPath.empty() ? "<stdout>" : outPath;
@@ -59,14 +51,6 @@ writeReport(const std::vector<SweepRecord> &rows,
 }
 
 } // namespace
-
-std::vector<std::size_t>
-ManifestScenario::cells() const
-{
-    std::vector<std::size_t> all(apps.size() * space.numPoints());
-    std::iota(all.begin(), all.end(), 0);
-    return all;
-}
 
 std::optional<ManifestScenario>
 manifestScenario(const std::string &dir, const ManifestInfo &info,
@@ -176,7 +160,7 @@ claimRound(const ClaimDir &claims, const std::vector<std::string> &units,
     auto all = readClaimRound(claims, units, space, apps, cells, engine,
                               &err);
     if (!all)
-        return fail(err);
+        return refuse(err);
     records = std::move(*all);
     return 0;
 }
@@ -190,19 +174,19 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
     // a joiner checks the manifest's.
     std::string err;
     if (spec && !preflightTraces(*spec, &err))
-        return fail(err);
+        return refuse(err);
     const auto mf = openManifest(
         opt.dir, "sweep",
         spec ? std::optional<std::string>(spec->printToString())
              : std::nullopt,
         opt.shards, &err);
     if (!mf)
-        return fail(err);
+        return refuse(err);
     const auto scn = manifestScenario(opt.dir, *mf, &err);
     if (!scn)
-        return fail(err);
+        return refuse(err);
     if (!spec && !preflightTraces(scn->space.spec(), &err))
-        return fail(err);
+        return refuse(err);
 
     // One round over every cell: unit u of N is shard_u.
     std::vector<std::string> units;
@@ -210,8 +194,9 @@ runClaimSweep(const std::optional<ScenarioSpec> &spec,
         units.push_back(sweepUnitName(u));
     std::vector<SweepRecord> records;
     const int rc = claimRound(ClaimDir(opt.dir, opt.leaseTimeoutSecs),
-                              units, scn->space, scn->apps, scn->cells(),
-                              nullptr, opt.jobs, records);
+                              units, scn->space, scn->apps,
+                              allCells(scn->space, scn->apps), nullptr,
+                              opt.jobs, records);
     if (rc == 0 && !opt.quiet)
         std::cerr << "claim: all " << mf->shards << " unit(s) of '"
                   << opt.dir << "' are done\n";
@@ -223,8 +208,8 @@ runSweepMerge(const std::vector<std::string> &inputs,
               const std::string &outPath)
 {
     if (inputs.empty())
-        return fail("merge needs shard CSVs or a manifest "
-                    "directory");
+        return refuse("merge needs shard CSVs or a manifest "
+                      "directory");
 
     // A single directory input means "merge this manifest": its units
     // read back against its own scenario.
@@ -234,27 +219,27 @@ runSweepMerge(const std::vector<std::string> &inputs,
         std::string err;
         const auto mf = readManifest(dir, &err);
         if (!mf)
-            return fail(err);
+            return refuse(err);
         if (mf->mode != "sweep")
-            return fail("manifest in '" + dir + "' is a " + mf->mode +
-                        " manifest; merge reads sweep manifests");
+            return refuse("manifest in '" + dir + "' is a " + mf->mode +
+                          " manifest; merge reads sweep manifests");
         const ClaimDir claims(dir, 0);
         std::vector<std::string> units;
         for (unsigned u = 0; u < mf->shards; ++u) {
             units.push_back(sweepUnitName(u));
             if (!claims.isDone(units.back()))
-                return fail("unit '" + units.back() + "' of '" + dir +
-                            "' is not done yet; merge after the "
-                            "workers finish");
+                return refuse("unit '" + units.back() + "' of '" + dir +
+                              "' is not done yet; merge after the "
+                              "workers finish");
         }
         const auto scn = manifestScenario(dir, *mf, &err);
         if (!scn)
-            return fail(err);
-        const auto rows = readClaimRound(claims, units, scn->space,
-                                         scn->apps, scn->cells(), nullptr,
-                                         &err);
+            return refuse(err);
+        const auto rows = readClaimRound(
+            claims, units, scn->space, scn->apps,
+            allCells(scn->space, scn->apps), nullptr, &err);
         if (!rows)
-            return fail(err);
+            return refuse(err);
         return writeReport(*rows, outPath);
     }
 
@@ -263,26 +248,27 @@ runSweepMerge(const std::vector<std::string> &inputs,
         std::string err;
         const auto rows = readCsvFile(path, &err);
         if (!rows)
-            return fail(err);
+            return refuse(err);
         all.insert(all.end(), rows->begin(), rows->end());
     }
     std::sort(all.begin(), all.end(),
               [](const SweepRecord &a, const SweepRecord &b) {
                   return a.cell < b.cell;
               });
-    // The merged cells must be exactly 0..N-1: a duplicate is a
-    // repeated shard, a gap is a missing one. Both are silent-loss
-    // bugs if let through, so both are hard errors.
+    // The merged cells must be exactly 0..k-1: a duplicate is a
+    // repeated shard, a gap a missing one, and both are hard errors.
+    // Without a manifest nothing here knows the scenario's cell count,
+    // so missing trailing shards leave no gap; `merge DIR` sees them.
     for (std::size_t i = 0; i < all.size(); ++i) {
         if (all[i].cell == i)
             continue;
         if (i > 0 && all[i].cell == all[i - 1].cell)
-            return fail("cell " + std::to_string(all[i].cell) +
-                        " appears in more than one input (same "
-                        "shard merged twice?)");
-        return fail("cell " + std::to_string(i) +
-                    " is missing from the inputs (merge wants "
-                    "every shard of one scenario)");
+            return refuse("cell " + std::to_string(all[i].cell) +
+                          " appears in more than one input (same "
+                          "shard merged twice?)");
+        return refuse("cell " + std::to_string(i) +
+                      " is missing from the inputs (merge wants "
+                      "every shard of one scenario)");
     }
     return writeReport(all, outPath);
 }

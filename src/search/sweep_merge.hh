@@ -35,8 +35,9 @@
  * the claim tests and the CI orchestration smoke job). Loose shard
  * CSVs (`merge a.csv b.csv`, from `--shard i/N`) have no scenario to
  * be checked against: every input must parse, and the union of cells
- * must be exactly 0..N-1 with no duplicates, so a missing shard is a
- * one-line `path:line:` diagnostic, not a silently short report.
+ * must be exactly 0..k-1 with no duplicates. That refuses a repeated
+ * or missing middle shard but not missing last shards, whose absence
+ * leaves no gap: a CSV does not record its scenario's cell count.
  */
 
 #ifndef RCACHE_SEARCH_SWEEP_MERGE_HH
@@ -91,9 +92,6 @@ struct ManifestScenario
 {
     ParamSpace space;
     std::vector<AppEntry> apps;
-
-    /** Every cell of the scenario, ascending (app-major). */
-    std::vector<std::size_t> cells() const;
 };
 
 /**
@@ -148,8 +146,8 @@ readClaimRound(const ClaimDir &claims, const std::vector<std::string> &units,
  * @p inputs is either a list of shard CSV paths or a single manifest
  * directory, whose committed units are read back against its
  * MANIFEST.scn (every unit must be done). @return a process exit code
- * (0 ok, 2 on a missing, unparsable or mismatched input or an
- * incomplete cell cover).
+ * (0 ok, 2 on a missing, unparsable or mismatched input or a cell
+ * cover with a gap or a repeat).
  */
 int runSweepMerge(const std::vector<std::string> &inputs,
                   const std::string &outPath);

@@ -86,6 +86,13 @@ logMessage(const char *prefix, const std::string &msg)
     std::fprintf(stderr, "%s: %s\n", prefix, msg.c_str());
 }
 
+int
+refuse(const std::string &msg)
+{
+    std::fprintf(stderr, "rcache-sim: %s\n", msg.c_str());
+    return 2;
+}
+
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -59,6 +59,10 @@ void logMessage(const char *prefix, const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
+/** Print the one-line diagnostic "rcache-sim: @p msg" to stderr.
+ *  @return 2, the exit code of a refused request. */
+int refuse(const std::string &msg);
+
 /** Report a user/configuration error and exit(1). */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);

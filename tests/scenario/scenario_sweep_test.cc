@@ -327,6 +327,47 @@ side = dcache
     }
 }
 
+TEST(ScenarioSweepTest, InterruptDuringSetUpStartsNoGroup)
+{
+    // A signal that arrives before the first window (while the sweep
+    // verifies a resume or opens its outputs) starts no lane group:
+    // the sweep exits 130 with the header alone on disk.
+    std::string err;
+    const auto spec = ScenarioSpec::parseText(R"([scenario]
+name = setup-interrupt
+insts = 4000
+
+[workloads]
+apps = ammp,gcc
+
+[search]
+org = sets
+strategy = static
+side = dcache
+)",
+                                              "setup-interrupt.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const std::string out = pathIn("setup_intr.csv");
+    std::remove(out.c_str());
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        installInterruptHandlers();
+        std::raise(SIGINT);
+        SweepOptions opt = csvTo(out);
+        opt.jobs = 2;
+        bool beat = false;
+        opt.heartbeat = [&] { beat = true; };
+        const int rc = runScenarioSweep(*spec, opt);
+        std::_Exit(beat ? 1 : rc); // a heartbeat means a group ran
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 130);
+    EXPECT_EQ(slurp(out), sweepCsvHeader() + "\n");
+}
+
 TEST(ScenarioSweepTest, RecordsMatchExperimentSearches)
 {
     // One axis-free cell must agree exactly with the Experiment

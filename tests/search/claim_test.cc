@@ -241,6 +241,23 @@ TEST(ClaimTest, ClaimSweepPlusMergeMatchesSingleProcess)
     EXPECT_NE(runSweepMerge({shard_csvs[0], shard_csvs[2]},
                             pathIn("claim_gap.csv")),
               0);
+
+    // Shard CSVs carry no cell count, so dropping the last shard
+    // leaves no gap: the loose merge writes the first 6 of the 8 rows,
+    // as the README and `merge --help` warn. The directory merge knows
+    // the count from its manifest and refuses a missing last unit.
+    const std::string prefix = pathIn("claim_prefix.csv");
+    ASSERT_EQ(runSweepMerge({shard_csvs[0], shard_csvs[1]}, prefix), 0);
+    const std::string head = slurp(prefix);
+    EXPECT_EQ(reference.compare(0, head.size(), head), 0);
+    EXPECT_EQ(std::count(head.begin(), head.end(), '\n'), 1 + 6);
+    std::filesystem::remove(dir + "/shard_2.csv");
+    std::filesystem::remove(dir + "/shard_2.done");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(runSweepMerge({dir}, pathIn("claim_no_last.csv")), 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unit 'shard_2'"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(pathIn("claim_no_last.csv")));
 }
 
 TEST(ClaimTest, SweepUnitsHoldContiguousCellRanges)

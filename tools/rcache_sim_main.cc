@@ -49,6 +49,7 @@
 #include "telemetry/trace_events.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
+#include "util/logging.hh"
 #include "util/numformat.hh"
 #include "cache/replacement.hh"
 #include "workload/profiles.hh"
@@ -198,14 +199,12 @@ cmdSweepClaim(const Args &args)
          {"--shard", "--resume", "--out", "--format", "--progress",
           "--timeline", "--events", "--trace-events",
           "--timeline-interval"}) {
-        if (args.has(conflict)) {
-            std::cerr << "rcache-sim: " << conflict
-                      << " conflicts with --claim (a plain-sweep "
-                         "option; units are committed into the "
-                         "manifest directory, use 'rcache-sim "
-                         "merge')\n";
-            return 2;
-        }
+        if (args.has(conflict))
+            return refuse(std::string(conflict) +
+                          " conflicts with --claim (a plain-sweep "
+                          "option; units are committed into the "
+                          "manifest directory, use 'rcache-sim "
+                          "merge')");
     }
     // Without --scenario the worker joins the manifest's scenario.
     std::optional<ScenarioSpec> spec;
@@ -235,19 +234,12 @@ cmdSweep(const Args &args)
     installInterruptHandlers();
     if (args.has("--claim"))
         return cmdSweepClaim(args);
-    for (const char *needs_claim : {"--shards", "--lease-timeout"}) {
-        if (args.has(needs_claim)) {
-            std::cerr << "rcache-sim: " << needs_claim
-                      << " needs --claim DIR\n";
-            return 2;
-        }
-    }
-    if (!args.has("--scenario")) {
-        std::cerr << "rcache-sim: sweep needs --scenario FILE (the "
-                     "scenario defines the design space; see "
-                     "scenarios/*.scn)\n";
-        return 2;
-    }
+    for (const char *needs_claim : {"--shards", "--lease-timeout"})
+        if (args.has(needs_claim))
+            return refuse(std::string(needs_claim) + " needs --claim DIR");
+    if (!args.has("--scenario"))
+        return refuse("sweep needs --scenario FILE (the scenario "
+                      "defines the design space; see scenarios/*.scn)");
     const auto spec = loadScenario(args);
     if (!spec)
         return 2;
@@ -272,10 +264,8 @@ cmdSweep(const Args &args)
     if (args.has("--shard")) {
         std::string err;
         auto shard = ShardSpec::parse(args.get("--shard"), &err);
-        if (!shard) {
-            std::cerr << "rcache-sim: --" << err << '\n';
-            return 2;
-        }
+        if (!shard)
+            return refuse("--" + err);
         opt.shard = *shard;
     }
     const int rc = runScenarioSweep(*spec, opt);
@@ -297,11 +287,9 @@ cmdTune(const Args &args)
     if (!armCliFailpoints(args))
         return 2;
     installInterruptHandlers();
-    if (!args.has("--scenario")) {
-        std::cerr << "rcache-sim: tune needs --scenario FILE (with "
-                     "'mode = adaptive' in its [search] section)\n";
-        return 2;
-    }
+    if (!args.has("--scenario"))
+        return refuse("tune needs --scenario FILE (with 'mode = "
+                      "adaptive' in its [search] section)");
     const auto spec = loadScenario(args);
     if (!spec)
         return 2;
@@ -311,11 +299,8 @@ cmdTune(const Args &args)
     if (!jobs || !shards || !lease)
         return 2;
     if ((args.has("--shards") || args.has("--lease-timeout")) &&
-        !args.has("--claim")) {
-        std::cerr << "rcache-sim: --shards/--lease-timeout need "
-                     "--claim DIR\n";
-        return 2;
-    }
+        !args.has("--claim"))
+        return refuse("--shards/--lease-timeout need --claim DIR");
     TuneOptions opt;
     opt.jobs = *jobs;
     opt.logPath = args.get("--log");
@@ -338,11 +323,8 @@ cmdMerge(const Args &args)
 int
 cmdDoctor(const Args &args)
 {
-    if (args.positionals.size() != 1) {
-        std::cerr << "rcache-sim: doctor wants exactly one "
-                     "CLAIM_DIR\n";
-        return 2;
-    }
+    if (args.positionals.size() != 1)
+        return refuse("doctor wants exactly one CLAIM_DIR");
     DoctorOptions opt;
     const auto lease =
         parseUnsigned(args, "--lease-timeout", opt.leaseTimeoutSecs);
@@ -358,29 +340,19 @@ cmdDoctor(const Args &args)
 int
 cmdScenario(const Args &args)
 {
-    if (args.positionals.empty()) {
-        std::cerr << "rcache-sim: scenario needs a mode: check|print "
-                     "(try 'rcache-sim scenario --help')\n";
-        return 2;
-    }
+    if (args.positionals.empty())
+        return refuse("scenario needs a mode: check|print (try "
+                      "'rcache-sim scenario --help')");
     const std::string &mode = args.positionals[0];
-    if (mode != "check" && mode != "print") {
-        std::cerr << "rcache-sim: unknown scenario mode '" << mode
-                  << "' (want check|print)\n";
-        return 2;
-    }
+    if (mode != "check" && mode != "print")
+        return refuse("unknown scenario mode '" + mode +
+                      "' (want check|print)");
     const std::vector<std::string> files(args.positionals.begin() + 1,
                                          args.positionals.end());
-    if (files.empty()) {
-        std::cerr << "rcache-sim: scenario " << mode
-                  << " needs at least one FILE\n";
-        return 2;
-    }
-    if (mode == "print" && files.size() != 1) {
-        std::cerr << "rcache-sim: scenario print wants exactly one "
-                     "FILE\n";
-        return 2;
-    }
+    if (files.empty())
+        return refuse("scenario " + mode + " needs at least one FILE");
+    if (mode == "print" && files.size() != 1)
+        return refuse("scenario print wants exactly one FILE");
 
     int code = 0;
     for (const std::string &file : files) {
@@ -619,25 +591,19 @@ cmdRun(const Args &args)
 {
     if (!armCliFailpoints(args))
         return 2;
-    if (!args.has("--app") && !args.has("--mix")) {
-        std::cerr << "rcache-sim: run needs --app NAME (see "
-                     "list-apps) or --mix A+B\n";
-        return 2;
-    }
-    if (args.has("--app") && args.has("--mix")) {
-        std::cerr << "rcache-sim: --mix conflicts with --app (the "
-                     "mix names the workloads)\n";
-        return 2;
-    }
+    if (!args.has("--app") && !args.has("--mix"))
+        return refuse("run needs --app NAME (see list-apps) or --mix "
+                      "A+B");
+    if (args.has("--app") && args.has("--mix"))
+        return refuse("--mix conflicts with --app (the mix names the "
+                      "workloads)");
 
     std::vector<BenchmarkProfile> mix;
     if (args.has("--mix")) {
         std::string err;
         const auto m = mixByName(args.get("--mix"), &err);
-        if (!m) {
-            std::cerr << "rcache-sim: " << err << '\n';
-            return 2;
-        }
+        if (!m)
+            return refuse(err);
         mix = *m;
     } else {
         const auto profile = lookupProfile(args.get("--app"));
@@ -650,10 +616,8 @@ cmdRun(const Args &args)
         if (!p.traceSpec.empty())
             trace_specs.push_back(p.traceSpec);
     std::string trace_err;
-    if (!preflightTraceSpecs(trace_specs, &trace_err)) {
-        std::cerr << "rcache-sim: " << trace_err << '\n';
-        return 2;
-    }
+    if (!preflightTraceSpecs(trace_specs, &trace_err))
+        return refuse(trace_err);
 
     const auto il1 = parseSetup(args, "il1");
     const auto dl1 = parseSetup(args, "dl1");
@@ -664,10 +628,8 @@ cmdRun(const Args &args)
     if (args.has("--engine")) {
         std::string err;
         engine = parseEngineArg(args.get("--engine"), &err);
-        if (!engine) {
-            std::cerr << "rcache-sim: --engine: " << err << '\n';
-            return 2;
-        }
+        if (!engine)
+            return refuse("--engine: " + err);
     }
     const auto cfg = parseSystem(args, mix.size(), *il1, *dl1);
     if (!cfg ||
@@ -765,26 +727,19 @@ cmdRun(const Args &args)
 int
 cmdRecord(const Args &args)
 {
-    if (!args.has("--app") || !args.has("--out")) {
-        std::cerr
-            << "rcache-sim: record needs --app NAME and --out FILE\n";
-        return 2;
-    }
+    if (!args.has("--app") || !args.has("--out"))
+        return refuse("record needs --app NAME and --out FILE");
     const auto profile = lookupProfile(args.get("--app"));
     const auto count = parsePositive(args, "--insts", 400000);
     if (!profile || !count)
         return 2;
     std::string trace_err;
-    if (!preflightTraceSpecs({profile->traceSpec}, &trace_err)) {
-        std::cerr << "rcache-sim: " << trace_err << '\n';
-        return 2;
-    }
+    if (!preflightTraceSpecs({profile->traceSpec}, &trace_err))
+        return refuse(trace_err);
     const std::string path = args.get("--out");
     std::ofstream out(path);
-    if (!out) {
-        std::cerr << "rcache-sim: cannot write '" << path << "'\n";
-        return 2;
-    }
+    if (!out)
+        return refuse("cannot write '" + path + "'");
     const std::unique_ptr<Workload> wl = makeWorkload(*profile);
     writeTrace(out, *wl, *count);
     checkedFlush(out, path);
@@ -796,20 +751,15 @@ cmdRecord(const Args &args)
 int
 cmdConvert(const Args &args)
 {
-    if (!args.has("--in")) {
-        std::cerr << "rcache-sim: convert needs --in "
-                     "PATH|trace:PATH[:FORMAT]\n";
-        return 2;
-    }
+    if (!args.has("--in"))
+        return refuse("convert needs --in PATH|trace:PATH[:FORMAT]");
     std::string in = args.get("--in");
     if (!isTraceSpec(in))
         in = "trace:" + in;
     TraceSpec spec;
     std::string err;
-    if (!parseTraceSpec(in, &spec, &err)) {
-        std::cerr << "rcache-sim: " << err << '\n';
-        return 2;
-    }
+    if (!parseTraceSpec(in, &spec, &err))
+        return refuse(err);
     const auto limit = parseU64(args, "--limit", 0);
     if (!limit)
         return 2;
@@ -818,17 +768,12 @@ cmdConvert(const Args &args)
     std::ofstream file;
     if (!out_path.empty()) {
         file.open(out_path, std::ios::binary | std::ios::trunc);
-        if (!file) {
-            std::cerr << "rcache-sim: cannot write '" << out_path
-                      << "'\n";
-            return 2;
-        }
+        if (!file)
+            return refuse("cannot write '" + out_path + "'");
     }
     std::ostream &os = out_path.empty() ? std::cout : file;
-    if (!convertTraceToNative(spec, os, *limit, &err)) {
-        std::cerr << "rcache-sim: " << err << '\n';
-        return 2;
-    }
+    if (!convertTraceToNative(spec, os, *limit, &err))
+        return refuse(err);
     if (!out_path.empty()) {
         checkedFlush(file, out_path);
         std::cerr << "converted " << spec.path << " ("
@@ -861,21 +806,17 @@ cmdBench(const Args &args)
     const auto reps = parseUnsigned(args, "--reps", opts.repetitions);
     if (!reps)
         return 2;
-    if (*reps == 0) {
-        std::cerr << "rcache-sim: --reps must be > 0\n";
-        return 2;
-    }
+    if (*reps == 0)
+        return refuse("--reps must be > 0");
     opts.items = *items;
     opts.repetitions = *reps;
     opts.filter = args.get("--filter");
     opts.outDir = args.get("--out-dir", ".");
     // Fail before timing anything, not once per result file after.
     std::error_code ec;
-    if (!std::filesystem::is_directory(opts.outDir, ec)) {
-        std::cerr << "rcache-sim: --out-dir '" << opts.outDir
-                  << "' is not a directory\n";
-        return 2;
-    }
+    if (!std::filesystem::is_directory(opts.outDir, ec))
+        return refuse("--out-dir '" + opts.outDir +
+                      "' is not a directory");
     return rcache::bench::runPerfBenches(opts);
 }
 
@@ -884,11 +825,9 @@ cmdBench(const Args &args)
 int
 cmdInspect(const Args &args)
 {
-    if (!args.has("--timeline") && !args.has("--events")) {
-        std::cerr << "rcache-sim: inspect needs --timeline FILE "
-                     "and/or --events FILE\n";
-        return 2;
-    }
+    if (!args.has("--timeline") && !args.has("--events"))
+        return refuse("inspect needs --timeline FILE and/or --events "
+                      "FILE");
     const auto window = parsePositive(args, "--window", 3);
     if (!window)
         return 2;
@@ -931,8 +870,7 @@ cmdInspect(const Args &args)
                                summarizeEvents(in, *window));
         }
     } catch (const std::exception &e) {
-        std::cerr << "rcache-sim: " << e.what() << '\n';
-        return 2;
+        return refuse(e.what());
     }
     return 0;
 }
@@ -1101,7 +1039,9 @@ const std::vector<Command> kCommands = {
      "Inputs are shard CSVs of one scenario (any order), or a single\n"
      "--claim manifest directory whose units are all done. The merged\n"
      "report is byte-identical to an unsharded 'rcache-sim sweep' of\n"
-     "the same scenario.\n",
+     "the same scenario. Shard CSVs carry no cell count: a repeated or\n"
+     "missing middle shard is refused, missing last shards are not\n"
+     "noticed. A directory is held to its manifest's cells.\n",
      cmdMerge},
     {"run", "(--app NAME | --mix A+B) [options]",
      "one explicit design point, full run report",
@@ -1356,17 +1296,13 @@ main(int argc, char **argv)
     // any subcommand (the CLI --failpoint option only exists on the
     // long-running drivers); a bad spec is a usage error.
     std::string fp_err;
-    if (!fault::armFailpointsFromEnv(&fp_err)) {
-        std::cerr << "rcache-sim: RC_FAILPOINT: " << fp_err << '\n';
-        return 2;
-    }
+    if (!fault::armFailpointsFromEnv(&fp_err))
+        return refuse("RC_FAILPOINT: " + fp_err);
 
     const Command *cmd = findCommand(name);
-    if (!cmd) {
-        std::cerr << "rcache-sim: unknown subcommand '" << name
-                  << "' (try 'rcache-sim --help')\n";
-        return 2;
-    }
+    if (!cmd)
+        return refuse("unknown subcommand '" + name +
+                      "' (try 'rcache-sim --help')");
     const auto args = parseArgs(*cmd, argc, argv);
     if (!args)
         return 2;
